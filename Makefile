@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench fuzz-smoke fmt
+.PHONY: build test check lint bench bench-repo fuzz-smoke fmt
 
 build:
 	$(GO) build ./...
@@ -23,9 +23,19 @@ lint:
 bench:
 	./scripts/bench.sh
 
+# The repository benchmark (BENCHMARK.json, bench/README.md): one workload
+# on the real 4-node TCP cluster for the length the driver uses. Prints the
+# six end-to-end metrics.
+WORKLOAD ?= wc_warm
+bench-repo:
+	bash bench/run.sh --workload $(WORKLOAD) --seconds 10
+
 # Short bursts of the native fuzz targets; CI runs the same.
+# FuzzGroupByKey's seeds are long pair lists, so minimizing each new
+# input is capped or it eats the whole burst.
 fuzz-smoke:
 	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzDecodeKVs -fuzztime=10s
+	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzGroupByKey -fuzztime=10s -fuzzminimizetime=10x
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzPartitionCDF -fuzztime=10s
 
 fmt:

@@ -143,8 +143,15 @@ func TestDriverCloseFailsInFlightJobs(t *testing.T) {
 // the async spill sender: seq is assigned per partition in emit order at
 // buffer hand-off, and the single sender goroutine preserves that order
 // on the wire, so every partition's stored stream reads 0..n-1 with the
-// request's attempt on every segment.
+// request's attempt on every segment. Both emit paths hand off through
+// the same sender: the emit-side combiner and the plain append path.
 func TestAsyncSpillOrderedSeqPerPartition(t *testing.T) {
+	for _, app := range []string{"test-wordcount", "test-wordcount-nocombine"} {
+		t.Run(app, func(t *testing.T) { testAsyncSpillOrderedSeq(t, app) })
+	}
+}
+
+func testAsyncSpillOrderedSeq(t *testing.T, app string) {
 	ec := newEngineCluster(t, engineOpts{nodes: 3})
 	text, _ := wideCorpus(200, 3)
 	ec.upload(t, "seq.txt", text, 1<<20)
@@ -157,7 +164,7 @@ func TestAsyncSpillOrderedSeqPerPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := RunMapReq{
-		Job: "seq-1", Namespace: "job:seq-1", App: "test-wordcount",
+		Job: "seq-1", Namespace: "job:seq-1", App: app,
 		BlockKey: meta.BlockKeys[0], Task: "t0", Attempt: 2,
 		ReduceServers: table.Servers(), ReduceBounds: table.Bounds(),
 		SpillThreshold: 64,
@@ -192,6 +199,12 @@ func TestAsyncSpillOrderedSeqPerPartition(t *testing.T) {
 // the single buffer blocked mid-hand-off in emit), the map attempt stays
 // blocked until the gate opens, and batching actually coalesces spills.
 func TestAsyncSpillBoundedInflight(t *testing.T) {
+	for _, app := range []string{"test-wordcount", "test-wordcount-nocombine"} {
+		t.Run(app, func(t *testing.T) { testAsyncSpillBoundedInflight(t, app) })
+	}
+}
+
+func testAsyncSpillBoundedInflight(t *testing.T, app string) {
 	ec := newEngineCluster(t, engineOpts{nodes: 3})
 	text, _ := wideCorpus(300, 2)
 	ec.upload(t, "window.txt", text, 1<<20)
@@ -211,7 +224,7 @@ func TestAsyncSpillBoundedInflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := RunMapReq{
-		Job: "win-1", Namespace: "job:win-1", App: "test-wordcount",
+		Job: "win-1", Namespace: "job:win-1", App: app,
 		BlockKey: meta.BlockKeys[0], Task: "t0",
 		ReduceServers: []hashing.NodeID{sink}, ReduceBounds: []hashing.Key{0},
 		SpillThreshold: 32,

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // KV is one key-value pair in the intermediate and output streams.
@@ -47,72 +46,62 @@ func EncodeKVs(kvs []KV) []byte {
 }
 
 // DecodeKVs parses a stream back into pairs. Values are copied out of
-// data, so the result outlives the input buffer.
-func DecodeKVs(data []byte) ([]KV, error) { return decodeKVs(data, true) }
-
-// decodeKVsView is DecodeKVs without the value copies: Values alias data,
-// so the result is only valid while data is. The spill sender uses it to
-// feed the combiner without duplicating a whole buffered spill.
-func decodeKVsView(data []byte) ([]KV, error) { return decodeKVs(data, false) }
-
-func decodeKVs(data []byte, copyValues bool) ([]KV, error) {
-	var out []KV
+// data (into one allocation the pairs share), so the result outlives the
+// input buffer.
+func DecodeKVs(data []byte) ([]KV, error) {
+	// Count first: the pair slice and the value copy are then allocated
+	// once at their exact sizes instead of grown pair by pair.
+	pairs, valueBytes := 0, 0
 	for off := 0; off < len(data); {
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("mapreduce: truncated key length at offset %d", off)
+		_, value, next, err := nextKV(data, off)
+		if err != nil {
+			return nil, err
 		}
-		// The wire lengths are untrusted u32s: bound them against the
-		// remaining bytes in uint64 space *before* converting to int, so a
-		// corrupt stream with a length >= 2^31 errors out instead of going
-		// negative and panicking on 32-bit platforms.
-		klen64 := uint64(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		if klen64 > uint64(len(data)-off) {
-			return nil, fmt.Errorf("mapreduce: truncated key at offset %d", off)
-		}
-		klen := int(klen64)
-		key := string(data[off : off+klen])
-		off += klen
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("mapreduce: truncated value length at offset %d", off)
-		}
-		vlen64 := uint64(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		if vlen64 > uint64(len(data)-off) {
-			return nil, fmt.Errorf("mapreduce: truncated value at offset %d", off)
-		}
-		vlen := int(vlen64)
-		value := data[off : off+vlen : off+vlen]
-		if copyValues {
-			value = append([]byte(nil), value...)
-		}
-		off += vlen
-		out = append(out, KV{Key: key, Value: value})
+		pairs++
+		valueBytes += len(value)
+		off = next
+	}
+	if pairs == 0 {
+		return nil, nil
+	}
+	out := make([]KV, 0, pairs)
+	values := make([]byte, 0, valueBytes)
+	for off := 0; off < len(data); {
+		key, value, next, _ := nextKV(data, off) // cannot fail: the counting pass validated the stream
+		at := len(values)
+		values = append(values, value...)
+		out = append(out, KV{Key: string(key), Value: values[at:len(values):len(values)]})
+		off = next
 	}
 	return out, nil
 }
 
-// GroupByKey sorts pairs by key and collates the values of equal keys,
-// preserving the pairs' relative order within a key (stable sort): the
-// reducer contract.
-func GroupByKey(kvs []KV) []Group {
-	sorted := append([]KV(nil), kvs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	var out []Group
-	for i := 0; i < len(sorted); {
-		j := i
-		var values [][]byte
-		for ; j < len(sorted) && sorted[j].Key == sorted[i].Key; j++ {
-			values = append(values, sorted[j].Value)
-		}
-		out = append(out, Group{Key: sorted[i].Key, Values: values})
-		i = j
+// nextKV parses the pair at data[off:]. Key and value alias data; next is
+// the offset of the following pair.
+func nextKV(data []byte, off int) (key, value []byte, next int, err error) {
+	if off+4 > len(data) {
+		return nil, nil, 0, fmt.Errorf("mapreduce: truncated key length at offset %d", off)
 	}
-	return out
-}
-
-// Group is one reduce input: a key and all of its values.
-type Group struct {
-	Key    string
-	Values [][]byte
+	// The wire lengths are untrusted u32s: bound them against the
+	// remaining bytes in uint64 space *before* converting to int, so a
+	// corrupt stream with a length >= 2^31 errors out instead of going
+	// negative and panicking on 32-bit platforms.
+	klen64 := uint64(binary.BigEndian.Uint32(data[off:]))
+	off += 4
+	if klen64 > uint64(len(data)-off) {
+		return nil, nil, 0, fmt.Errorf("mapreduce: truncated key at offset %d", off)
+	}
+	klen := int(klen64)
+	key = data[off : off+klen : off+klen]
+	off += klen
+	if off+4 > len(data) {
+		return nil, nil, 0, fmt.Errorf("mapreduce: truncated value length at offset %d", off)
+	}
+	vlen64 := uint64(binary.BigEndian.Uint32(data[off:]))
+	off += 4
+	if vlen64 > uint64(len(data)-off) {
+		return nil, nil, 0, fmt.Errorf("mapreduce: truncated value at offset %d", off)
+	}
+	vlen := int(vlen64)
+	return key, data[off : off+vlen : off+vlen], off + vlen, nil
 }

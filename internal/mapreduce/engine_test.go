@@ -18,36 +18,17 @@ import (
 
 // Test applications registered once for the whole package test binary.
 func init() {
-	Register("test-wordcount", App{
-		Map: func(_ Params, input []byte, emit Emit) error {
-			for _, w := range strings.Fields(string(input)) {
-				if err := emit(w, []byte("1")); err != nil {
-					return err
-				}
+	Register("test-wordcount", App{Map: testWordCountMap, Reduce: testSumReduce, Combine: testSumReduce})
+	Register("test-wordcount-nocombine", App{Map: testWordCountMap, Reduce: testSumReduce})
+	// The combiner fails on the word the "poison" parameter names.
+	Register("test-failing-combine", App{
+		Map:    testWordCountMap,
+		Reduce: testSumReduce,
+		Combine: func(p Params, key string, values [][]byte, emit Emit) error {
+			if key == p.Get("poison") {
+				return fmt.Errorf("poisoned key %s", key)
 			}
-			return nil
-		},
-		Reduce: func(_ Params, key string, values [][]byte, emit Emit) error {
-			total := 0
-			for _, v := range values {
-				n, err := strconv.Atoi(string(v))
-				if err != nil {
-					return err
-				}
-				total += n
-			}
-			return emit(key, []byte(strconv.Itoa(total)))
-		},
-		Combine: func(_ Params, key string, values [][]byte, emit Emit) error {
-			total := 0
-			for _, v := range values {
-				n, err := strconv.Atoi(string(v))
-				if err != nil {
-					return err
-				}
-				total += n
-			}
-			return emit(key, []byte(strconv.Itoa(total)))
+			return testSumReduce(p, key, values, emit)
 		},
 	})
 	Register("test-grep", App{
@@ -74,6 +55,27 @@ func init() {
 			return emit(key, nil)
 		},
 	})
+}
+
+func testWordCountMap(_ Params, input []byte, emit Emit) error {
+	for _, w := range strings.Fields(string(input)) {
+		if err := emit(w, []byte("1")); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func testSumReduce(_ Params, key string, values [][]byte, emit Emit) error {
+	total := 0
+	for _, v := range values {
+		n, err := strconv.Atoi(string(v))
+		if err != nil {
+			return err
+		}
+		total += n
+	}
+	return emit(key, []byte(strconv.Itoa(total)))
 }
 
 // engineCluster is a full in-process EclipseMR data plane: DHT FS, caches,

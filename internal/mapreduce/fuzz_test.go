@@ -47,3 +47,72 @@ func FuzzDecodeKVs(f *testing.F) {
 		}
 	})
 }
+
+// fuzzPairs turns arbitrary bytes into a pair list with plenty of repeated
+// keys: each pair is a length byte (mod 4), that many key bytes and one
+// value byte, read until the input runs out.
+func fuzzPairs(data []byte) []KV {
+	var kvs []KV
+	for len(data) > 0 {
+		klen := int(data[0]) % 4
+		data = data[1:]
+		if klen > len(data) {
+			klen = len(data)
+		}
+		key := string(data[:klen])
+		data = data[klen:]
+		var value []byte
+		if len(data) > 0 {
+			value, data = data[:1:1], data[1:]
+		}
+		kvs = append(kvs, KV{Key: key, Value: value})
+	}
+	return kvs
+}
+
+// FuzzGroupByKey checks the hash-grouping kernel against the retained
+// stable-sort reference on arbitrary pair lists, through both of its
+// entry points: GroupByKey, and groupStreams over the encoded pairs cut
+// into two streams.
+func FuzzGroupByKey(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 'v'})                                               // one pair, empty key
+	f.Add([]byte{1, 'k', '1', 1, 'k', '2', 1, 'j', '3'})                // a repeated key around another
+	f.Add([]byte{2, 'a', 'b', 'x', 1, 'a', 'y', 3, 'a', 'b', 'c', 'z'}) // shared prefixes
+	f.Add([]byte{1, 0xff, 1, 1, 0xfe, 2, 1, 0xff, 3, 2, 0xff, 0x00, 4}) // non-UTF-8 keys
+	f.Add([]byte{1, 'k'})                                               // last pair has no value byte
+	f.Fuzz(func(t *testing.T, data []byte) {
+		kvs := fuzzPairs(data)
+		before := append([]KV(nil), kvs...)
+		want := referenceGroupByKey(kvs)
+		if err := sameGroups(GroupByKey(kvs), want); err != nil {
+			t.Fatalf("GroupByKey: %v", err)
+		}
+		for i := range kvs {
+			if kvs[i].Key != before[i].Key || !bytes.Equal(kvs[i].Value, before[i].Value) {
+				t.Fatalf("GroupByKey changed input pair %d", i)
+			}
+		}
+		streams := [][]byte{EncodeKVs(kvs[:len(kvs)/2]), EncodeKVs(kvs[len(kvs)/2:])}
+		gd, err := groupStreams(streams)
+		if err != nil {
+			t.Fatalf("groupStreams: %v", err)
+		}
+		i := 0
+		err = gd.each(func(key string, values [][]byte) error {
+			if i >= len(want) || key != want[i].Key || len(values) != len(want[i].Values) {
+				t.Fatalf("groupStreams group %d: key %q with %d values", i, key, len(values))
+			}
+			for j, v := range values {
+				if !bytes.Equal(v, want[i].Values[j]) {
+					t.Fatalf("groupStreams group %q value %d: %q, want %q", key, j, v, want[i].Values[j])
+				}
+			}
+			i++
+			return nil
+		})
+		if err != nil || i != len(want) {
+			t.Fatalf("groupStreams visited %d of %d groups: %v", i, len(want), err)
+		}
+	})
+}

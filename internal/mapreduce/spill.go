@@ -19,8 +19,9 @@ import (
 // 2*spillWindow spills are unacknowledged.
 const spillWindow = 4
 
-// spillBufPool recycles per-partition emit buffers across spills and map
-// tasks, replacing the per-KV value clone the emit path used to pay.
+// spillBufPool recycles the buffers spills travel in (an appendEmitter's
+// per-partition buffer, a combineEmitter's combined output) across spills
+// and map tasks.
 var spillBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 64<<10)
@@ -40,7 +41,7 @@ func putSpillBuf(b *[]byte) {
 	}
 }
 
-// spillJob is one full emit buffer handed to the sender. seq was assigned
+// spillJob is one finished spill handed to the sender. seq was assigned
 // at hand-off in emit order, so the single sender goroutine preserves the
 // per-partition sequence the dedup layer expects.
 type spillJob struct {
@@ -50,17 +51,18 @@ type spillJob struct {
 }
 
 // spillSender is the asynchronous half of the proactive shuffle (§II-D):
-// one goroutine per map task drains full spill buffers while app.Map
-// keeps computing, applies the map-side combiner, coalesces spills that
-// share a destination node into one PushTaggedSegmentBatch RPC, and
-// joins every push error for the task end. Attempt/seq semantics are
-// identical to the old inline path: seq is per-partition emit order and
-// each spill must land on at least one of its targets.
+// one goroutine per map task drains finished spills while app.Map keeps
+// computing, coalesces spills that share a destination node into one
+// PushTaggedSegmentBatch RPC, and joins every push error for the task
+// end. Attempt/seq semantics are identical to the old inline path: seq is
+// per-partition emit order and each spill must land on at least one of
+// its targets.
 type spillSender struct {
 	w        *Worker
 	req      RunMapReq
-	combiner ReduceFunc
 	inflight *metrics.Gauge
+	// names caches partitionName per partition for the task.
+	names []string
 
 	jobs chan spillJob
 	done chan struct{}
@@ -72,12 +74,12 @@ type spillSender struct {
 	failed    bool
 }
 
-func (w *Worker) newSpillSender(ctx context.Context, req RunMapReq, combiner ReduceFunc) *spillSender {
+func (w *Worker) newSpillSender(ctx context.Context, req RunMapReq) *spillSender {
 	s := &spillSender{
 		w:         w,
 		req:       req,
-		combiner:  combiner,
 		inflight:  w.reg.Gauge("mr.shuffle.inflight"),
+		names:     make([]string, len(req.ReduceServers)),
 		jobs:      make(chan spillJob, spillWindow),
 		done:      make(chan struct{}),
 		partBytes: make([]int64, len(req.ReduceServers)),
@@ -86,7 +88,7 @@ func (w *Worker) newSpillSender(ctx context.Context, req RunMapReq, combiner Red
 	return s
 }
 
-// enqueue hands one full buffer to the sender, blocking when the
+// enqueue hands one spill's buffer to the sender, blocking when the
 // in-flight window is full. The buffer is owned by the sender from here
 // on and is recycled once its push completes.
 func (s *spillSender) enqueue(part, seq int, buf *[]byte) {
@@ -133,8 +135,8 @@ func (s *spillSender) fail(err error) {
 	s.failed = true
 }
 
-// send combines and pushes one batch of spills, grouped per destination
-// node, then recycles the batch's buffers.
+// send pushes one batch of spills, grouped per destination node, then
+// recycles the batch's buffers.
 func (s *spillSender) send(ctx context.Context, batch []spillJob) {
 	defer func() {
 		for _, j := range batch {
@@ -143,20 +145,6 @@ func (s *spillSender) send(ctx context.Context, batch []spillJob) {
 	}()
 	if s.failed {
 		return // attempt already failed; just recycle
-	}
-
-	// Map-side combiner, per spill, before the bytes are batched. The
-	// combined stream replaces the raw buffer (also pooled).
-	if s.combiner != nil {
-		for i := range batch {
-			combined, err := combineStream(s.combiner, s.req.Params, *batch[i].buf)
-			if err != nil {
-				s.fail(err)
-				return
-			}
-			putSpillBuf(batch[i].buf)
-			batch[i].buf = combined
-		}
 	}
 
 	// Group the batch per destination node, preserving first-appearance
@@ -173,11 +161,12 @@ func (s *spillSender) send(ctx context.Context, batch []spillJob) {
 	stored := make([]int, len(batch))
 	for i, j := range batch {
 		entry := dhtfs.SegBatchEntry{
-			Partition: partitionName(j.part),
+			Partition: s.partitionName(j.part),
 			Tag:       dhtfs.SegTag{Task: s.req.Task, Attempt: s.req.Attempt, Seq: j.seq},
 			Data:      *j.buf,
 		}
-		for ti, t := range s.targets(j.part) {
+		targets, n := s.targets(j.part)
+		for ti, t := range targets[:n] {
 			r := perNode[t]
 			if r == nil {
 				r = &route{}
@@ -226,14 +215,21 @@ func (s *spillSender) send(ctx context.Context, batch []spillJob) {
 
 // targets lists the nodes one partition's spills must reach: the owner
 // and, when the job replicates intermediates, the recorded replica.
-func (s *spillSender) targets(part int) []hashing.NodeID {
-	targets := []hashing.NodeID{s.req.ReduceServers[part]}
+func (s *spillSender) targets(part int) (targets [2]hashing.NodeID, n int) {
+	targets[0], n = s.req.ReduceServers[part], 1
 	if len(s.req.ReduceReplicas) == len(s.req.ReduceServers) {
 		if r := s.req.ReduceReplicas[part]; r != "" && r != targets[0] {
-			targets = append(targets, r)
+			targets[1], n = r, 2
 		}
 	}
-	return targets
+	return targets, n
+}
+
+func (s *spillSender) partitionName(part int) string {
+	if s.names[part] == "" {
+		s.names[part] = partitionName(part)
+	}
+	return s.names[part]
 }
 
 // push delivers one coalesced batch to one node. The legacy untracked
@@ -251,27 +247,4 @@ func (s *spillSender) push(ctx context.Context, node hashing.NodeID, entries []d
 		Detail: fmt.Sprintf("%s spills=%d", node, len(entries)),
 	})
 	return s.w.fs.PushTaggedSegmentBatch(ctx, node, s.req.Namespace, entries, s.req.TTL)
-}
-
-// combineStream runs the combiner over one encoded spill, returning a
-// pooled buffer with the combined stream. The decode is zero-copy (the
-// group values alias data), and the combiner's output is appended
-// straight into the result buffer — no intermediate KV materialization.
-func combineStream(fn ReduceFunc, params Params, data []byte) (*[]byte, error) {
-	kvs, err := decodeKVsView(data)
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: combine input: %w", err)
-	}
-	out := getSpillBuf()
-	emit := func(key string, value []byte) error {
-		*out = AppendKV(*out, KV{Key: key, Value: value})
-		return nil
-	}
-	for _, g := range GroupByKey(kvs) {
-		if err := fn(params, g.Key, g.Values, emit); err != nil {
-			putSpillBuf(out)
-			return nil, fmt.Errorf("mapreduce: combine key %q: %w", g.Key, err)
-		}
-	}
-	return out, nil
 }

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"eclipsemr/internal/cache"
@@ -228,87 +229,38 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 		w.reg.Counter("mr.map.remote_reads").Inc()
 	}
 
-	threshold := req.SpillThreshold
-	if threshold <= 0 {
-		threshold = DefaultSpillThreshold
-	}
-	nParts := len(req.ReduceServers)
-	resp := RunMapResp{CacheHit: cacheHit, RemoteRead: remote}
-	// Emit appends encoded pairs straight into pooled per-partition
-	// buffers (no per-KV value clone) and hands full buffers to the async
-	// sender, so pushes overlap the rest of the map compute. All error
-	// state lives in locally-scoped variables: the sender goroutine never
-	// touches this function's err.
-	sender := w.newSpillSender(ctx, req, app.Combine)
-	buffers := make([]*[]byte, nParts)
-	seqs := make([]int, nParts)
+	// Emitted pairs are buffered per partition and every spill that fills
+	// up is handed to the async sender, so pushes overlap the rest of the
+	// map compute. All error state lives in locally-scoped variables: the
+	// sender goroutine never touches this function's err.
+	sender := w.newSpillSender(ctx, req)
+	out := newMapEmitter(table, req, app.Combine, sender.enqueue)
 
-	flush := func(part int) {
-		buf := buffers[part]
-		if buf == nil || len(*buf) == 0 {
-			return
-		}
-		buffers[part] = nil
-		sender.enqueue(part, seqs[part], buf)
-		seqs[part]++
-	}
-
-	var wanted map[int]bool
-	if len(req.OnlyPartitions) > 0 {
-		wanted = make(map[int]bool, len(req.OnlyPartitions))
-		for _, p := range req.OnlyPartitions {
-			wanted[p] = true
-		}
-	}
-
-	emit := func(key string, value []byte) error {
-		part := table.LookupIndex(hashing.KeyOfString(key))
-		if wanted != nil && !wanted[part] {
-			return nil
-		}
-		buf := buffers[part]
-		if buf == nil {
-			buf = getSpillBuf()
-			buffers[part] = buf
-		}
-		*buf = AppendKV(*buf, KV{Key: key, Value: value})
-		// Proactive shuffle: hand the buffer off the moment it crosses
-		// the spill threshold, while the map is still running.
-		if len(*buf) >= threshold {
-			flush(part)
-		}
-		return nil
-	}
-
-	// Compute time covers the user map function; the combiner and the
-	// batch pushes run on the sender goroutine and are timed as
-	// mr.shuffle.send_ns (their spans parent under task.map, not
-	// map.compute).
+	// Compute covers the user map function and everything emit does on
+	// this goroutine: partitioning, buffering and, for applications with a
+	// combiner, combining each spill. The batch pushes run on the sender
+	// goroutine and are timed as mr.shuffle.send_ns (their spans parent
+	// under task.map, not map.compute); waiting for them is not compute.
 	computeTimer := w.reg.Histogram("mr.map.compute_ns").Start()
 	_, comp := w.tracer.StartSpan(ctx, "map.compute")
-	mapErr := app.Map(req.Params, input, emit)
+	mapErr := app.Map(req.Params, input, out.emit)
 	if mapErr == nil {
-		for part := range buffers {
-			flush(part)
-		}
+		mapErr = out.flushAll()
 	}
 	comp.End()
+	computeTimer.Stop()
+	out.release() // whatever a failed map left unflushed
 	// The task is not done until every queued push is acknowledged;
 	// errors from background pushes fail the attempt exactly like the old
 	// inline path did.
 	partBytes, sendErr := sender.finish()
-	computeTimer.Stop()
-	for _, b := range buffers {
-		putSpillBuf(b) // unflushed buffers of a failed map
-	}
 	if mapErr != nil {
 		return RunMapResp{}, fmt.Errorf("mapreduce: map %s on block %s: %w", req.App, req.BlockKey, mapErr)
 	}
 	if sendErr != nil {
 		return RunMapResp{}, sendErr
 	}
-	resp.PartBytes = partBytes
-	return resp, nil
+	return RunMapResp{PartBytes: partBytes, CacheHit: cacheHit, RemoteRead: remote}, nil
 }
 
 // partitionName is the segment-store partition label for index part.
@@ -367,49 +319,50 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 		return RunReduceResp{}, err
 	}
 	var resp RunReduceResp
-	var merged []byte
+	// streams is the partition's input: the spills in arrival order, or
+	// their concatenation when it comes from (or goes to) oCache.
+	var streams [][]byte
 	if data, ok := w.cache.GetTagged(req.Namespace, mergedTag(req.Partition, req.Epoch)); ok {
-		merged = data
+		streams = [][]byte{data}
 		resp.InputCached = true
 		task.Annotate("cache", "hit")
 	} else {
 		task.Annotate("cache", "miss")
 		recvTimer := w.reg.Histogram("mr.shuffle.recv_ns").Start()
 		rctx, recv := w.tracer.StartSpan(ctx, "shuffle.recv")
-		var segments [][]byte
 		if len(req.SegmentReplicas) > 0 {
-			segments, err = w.gatherReplicatedSegments(rctx, req)
+			streams, err = w.gatherReplicatedSegments(rctx, req)
 			if err != nil {
 				recv.End()
 				return RunReduceResp{}, err
 			}
 		} else if req.SegmentOwner == w.self {
-			segments = w.fs.Store().ReadSegments(req.Namespace, partitionName(req.Partition))
+			streams = w.fs.Store().ReadSegments(req.Namespace, partitionName(req.Partition))
 		} else {
-			segments, err = w.fs.FetchSegments(rctx, req.SegmentOwner, req.Namespace, partitionName(req.Partition))
+			streams, err = w.fs.FetchSegments(rctx, req.SegmentOwner, req.Namespace, partitionName(req.Partition))
 			if err != nil {
 				recv.End()
 				return RunReduceResp{}, fmt.Errorf("mapreduce: fetch segments for partition %d: %w",
 					req.Partition, err)
 			}
 		}
-		for _, seg := range segments {
-			merged = append(merged, seg...)
-		}
 		recv.End()
 		recvTimer.Stop()
-		if req.CacheIntermediates && len(merged) > 0 {
-			tag := mergedTag(req.Partition, req.Epoch)
-			w.cache.PutTagged(req.Namespace, tag,
-				hashing.KeyOfString(req.Namespace+tag), merged, req.TTL)
+		if req.CacheIntermediates {
+			if merged := slices.Concat(streams...); len(merged) > 0 {
+				tag := mergedTag(req.Partition, req.Epoch)
+				w.cache.PutTagged(req.Namespace, tag,
+					hashing.KeyOfString(req.Namespace+tag), merged, req.TTL)
+				streams = [][]byte{merged}
+			}
 		}
 	}
-	if len(merged) == 0 {
-		return resp, nil // empty partition
+	inputBytes := 0
+	for _, data := range streams {
+		inputBytes += len(data)
 	}
-	kvs, err := DecodeKVs(merged)
-	if err != nil {
-		return RunReduceResp{}, fmt.Errorf("mapreduce: partition %d corrupt: %w", req.Partition, err)
+	if inputBytes == 0 {
+		return resp, nil // empty partition
 	}
 	var output []byte
 	emit := func(key string, value []byte) error {
@@ -418,14 +371,25 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 	}
 	computeTimer := w.reg.Histogram("mr.reduce.compute_ns").Start()
 	_, comp := w.tracer.StartSpan(ctx, "reduce.compute")
-	for _, g := range GroupByKey(kvs) {
-		resp.Keys++
-		if err := app.Reduce(req.Params, g.Key, g.Values, emit); err != nil {
-			comp.End()
-			return RunReduceResp{}, fmt.Errorf("mapreduce: reduce key %q: %w", g.Key, err)
-		}
+	// The kernel groups straight off the encoded streams: values alias
+	// them (they outlive the loop and are never written), so no pair is
+	// copied on its way to the reducer.
+	groups, err := groupStreams(streams)
+	if err != nil {
+		comp.End()
+		return RunReduceResp{}, fmt.Errorf("mapreduce: partition %d corrupt: %w", req.Partition, err)
 	}
+	err = groups.each(func(key string, values [][]byte) error {
+		resp.Keys++
+		if err := app.Reduce(req.Params, key, values, emit); err != nil {
+			return fmt.Errorf("mapreduce: reduce key %q: %w", key, err)
+		}
+		return nil
+	})
 	comp.End()
+	if err != nil {
+		return RunReduceResp{}, err
+	}
 	computeTimer.Stop()
 	blockSize := req.OutputBlockSize
 	if blockSize <= 0 {
