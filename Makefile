@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench bench-repo fuzz-smoke fmt
+.PHONY: build test check lint bench bench-repo bench-micro fuzz-smoke fmt
 
 build:
 	$(GO) build ./...
@@ -30,12 +30,21 @@ WORKLOAD ?= wc_warm
 bench-repo:
 	bash bench/run.sh --workload $(WORKLOAD) --seconds 10
 
+# Every micro-benchmark of the RPC plane (codecs against their gob
+# reference, TCP round trips) compiled and run once, so none can rot; CI
+# runs the same. For numbers, raise -benchtime.
+bench-micro:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/transport ./internal/dhtfs ./internal/mapreduce
+
 # Short bursts of the native fuzz targets; CI runs the same.
 # FuzzGroupByKey's seeds are long pair lists, so minimizing each new
 # input is capped or it eats the whole burst.
 fuzz-smoke:
 	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzDecodeKVs -fuzztime=10s
 	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzGroupByKey -fuzztime=10s -fuzzminimizetime=10x
+	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzDecodeFrame -fuzztime=10s
+	$(GO) test ./internal/dhtfs -run '^$$' -fuzz FuzzWireDecode -fuzztime=10s
+	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzWireDecode -fuzztime=10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzPartitionCDF -fuzztime=10s
 
 fmt:

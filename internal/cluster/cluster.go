@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"eclipsemr/internal/cache"
@@ -65,7 +66,12 @@ type Cluster struct {
 	driver *mapreduce.Driver
 	// driverOn is the node the current driver is bound to.
 	driverOn hashing.NodeID
-	// schedNodes tracks which workers hold slots in the scheduler.
+	// schedNodes tracks which workers hold slots in the scheduler. The
+	// manager's membership observers run on whichever goroutine reported
+	// the change (a heartbeat loop, an inbound suspect RPC), possibly two
+	// at once, so schedMu guards the map and keeps it in step with the
+	// scheduler.
+	schedMu    sync.Mutex
 	schedNodes map[hashing.NodeID]bool
 }
 
@@ -202,6 +208,8 @@ func NewWithNodes(ids []hashing.NodeID, opts Options) (*Cluster, error) {
 // manager's membership.
 func (c *Cluster) attachScheduler(mgr *Manager) {
 	mgr.OnChange(func(joined, failed []hashing.NodeID) {
+		c.schedMu.Lock()
+		defer c.schedMu.Unlock()
 		for _, id := range joined {
 			if !c.schedNodes[id] {
 				c.sched.AddNode(id, c.opts.MapSlots)
@@ -269,7 +277,9 @@ func (c *Cluster) rebindDriver() error {
 		c.attachScheduler(mgr)
 		// Reconcile scheduler membership with the manager's view.
 		live := map[hashing.NodeID]bool{}
-		for _, id := range mgr.Members() {
+		members := mgr.Members()
+		c.schedMu.Lock()
+		for _, id := range members {
 			live[id] = true
 			if !c.schedNodes[id] {
 				c.sched.AddNode(id, c.opts.MapSlots)
@@ -282,6 +292,7 @@ func (c *Cluster) rebindDriver() error {
 				delete(c.schedNodes, id)
 			}
 		}
+		c.schedMu.Unlock()
 	}
 	c.driver = driver
 	c.driverOn = mgrNode.ID

@@ -6,7 +6,6 @@ import (
 
 	"eclipsemr/internal/chord"
 	"eclipsemr/internal/hashing"
-	"eclipsemr/internal/transport"
 )
 
 // Zero-hop vs classic DHT routing (§II-A): with complete routing tables
@@ -41,34 +40,27 @@ const maxRouteHops = 64
 // classic multi-hop DHT routing for block reads.
 func (s *Service) SetZeroHop(enabled bool) { s.zeroHopOff = !enabled }
 
-// handleRoutedGet serves one hop of a routed block fetch: answer from the
+// routedGet serves one hop of a routed block fetch: answer from the
 // local shard if the block is here, otherwise forward to the next hop
 // from this node's finger table.
-func (s *Service) handleRoutedGet(ctx context.Context, body []byte) ([]byte, error) {
-	var req routedGetReq
-	if err := transport.Decode(body, &req); err != nil {
-		return nil, err
-	}
+func (s *Service) routedGet(ctx context.Context, req *routedGetReq, resp *routedGetResp) error {
 	if data, err := s.store.GetBlock(req.Key); err == nil {
-		return transport.Encode(routedGetResp{Data: data, Hops: req.Hops})
+		*resp = routedGetResp{Data: data, Hops: req.Hops}
+		return nil
 	}
 	if req.Hops >= maxRouteHops {
-		return nil, fmt.Errorf("dhtfs: routed lookup for %s exceeded %d hops", req.Key, maxRouteHops)
+		return fmt.Errorf("dhtfs: routed lookup for %s exceeded %d hops", req.Key, maxRouteHops)
 	}
 	ring := s.ring()
 	if owner, err := ring.Owner(req.Key); err == nil && owner == s.self {
 		// We own the key but do not hold the block: it does not exist.
-		return nil, fmt.Errorf("%w: block %s", ErrNotFound, req.Key)
+		return fmt.Errorf("%w: block %s", ErrNotFound, req.Key)
 	}
 	next, err := s.nextHop(ring, req.Key)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var resp routedGetResp
-	if err := s.call(ctx, next, MethodRoutedGet, routedGetReq{Key: req.Key, Hops: req.Hops + 1}, &resp); err != nil {
-		return nil, err
-	}
-	return transport.Encode(resp)
+	return s.call(ctx, next, MethodRoutedGet, &routedGetReq{Key: req.Key, Hops: req.Hops + 1}, resp)
 }
 
 // nextHop computes this node's forwarding target for key k. On the chord
@@ -118,7 +110,7 @@ func (s *Service) ReadBlockRouted(ctx context.Context, k hashing.Key) ([]byte, i
 		return nil, 0, err
 	}
 	var resp routedGetResp
-	if err := s.call(ctx, next, MethodRoutedGet, routedGetReq{Key: k, Hops: 1}, &resp); err != nil {
+	if err := s.call(ctx, next, MethodRoutedGet, &routedGetReq{Key: k, Hops: 1}, &resp); err != nil {
 		return nil, 0, err
 	}
 	return resp.Data, resp.Hops, nil

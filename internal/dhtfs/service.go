@@ -16,31 +16,39 @@ import (
 	"eclipsemr/internal/transport"
 )
 
-// Wire message types. All payloads cross the transport gob-encoded so the
-// same protocol runs in-process and over TCP.
+// Message types of the fs.* methods. Every one implements transport.Wire
+// (wire.go), so the same compiled encoding crosses the in-process network
+// and TCP, and a call to this node itself skips encoding altogether (see
+// call).
 type (
 	putBlockReq struct {
 		Key  hashing.Key
 		Data []byte
 	}
+	// getBlockReq names one block: the request of get, has and delete.
 	getBlockReq struct {
 		Key hashing.Key
 	}
 	getBlockResp struct {
 		Data []byte
 	}
-	hasBlockResp struct {
+	// hasResp answers hasBlock and hasMeta.
+	hasResp struct {
 		Has bool
 	}
-	putMetaReq struct {
-		Meta Metadata
-	}
+	// getMetaReq is the request of getMeta and hasMeta (which ignores
+	// User). putMeta sends a Metadata and getMeta answers with one.
 	getMetaReq struct {
 		Name string
 		User string
 	}
-	getMetaResp struct {
-		Meta Metadata
+	// nameReq carries the one string deleteMeta (a file name), listMeta
+	// (a prefix) and dropJobSegments (a job namespace) take.
+	nameReq struct {
+		Name string
+	}
+	listMetaResp struct {
+		Names []string
 	}
 	appendSegReq struct {
 		Job       string
@@ -58,16 +66,10 @@ type (
 		Job       string
 		Partition string
 	}
-	readSegResp struct {
-		Segments [][]byte
-	}
-	readTaggedSegResp struct {
-		Segments []TaggedSegment
-	}
 	// segBatchHdr heads a raw-frame batch append: the entries describe how
 	// the frame payload splits into per-spill byte ranges (see
 	// transport.EncodeFrame), so one RPC carries spills for many
-	// partitions without gob touching the bulk bytes.
+	// partitions and the bulk bytes are copied into the frame verbatim.
 	segBatchHdr struct {
 		Job     string
 		TTL     time.Duration
@@ -95,38 +97,19 @@ type (
 		Seq     int
 		Len     int
 	}
-	dropSegReq struct {
-		Job string
-	}
-	listMetaReq struct {
-		Prefix string
-	}
-	listMetaResp struct {
-		Names []string
-	}
-	deleteBlockReq struct {
-		Key hashing.Key
-	}
-	deleteMetaReq struct {
-		Name string
-	}
 	empty struct{}
 )
 
 // Method names mounted by the cluster node dispatcher.
 const (
-	MethodPutBlock   = "fs.putBlock"
-	MethodGetBlock   = "fs.getBlock"
-	MethodHasBlock   = "fs.hasBlock"
-	MethodPutMeta    = "fs.putMeta"
-	MethodGetMeta    = "fs.getMeta"
-	MethodAppendSeg  = "fs.appendSegment"
-	MethodReadSeg    = "fs.readSegments"
-	MethodReadSegTag = "fs.readTaggedSegments"
-	// The *Batch/*Raw methods are the shuffle fast path: raw-frame bodies
-	// (length-prefixed KV bytes behind a small gob header) instead of gob
-	// all the way down. The gob methods above stay mounted for
-	// compatibility with older callers.
+	MethodPutBlock  = "fs.putBlock"
+	MethodGetBlock  = "fs.getBlock"
+	MethodHasBlock  = "fs.hasBlock"
+	MethodPutMeta   = "fs.putMeta"
+	MethodGetMeta   = "fs.getMeta"
+	MethodAppendSeg = "fs.appendSegment"
+	// The *Batch/*Raw methods are the shuffle path: raw-frame bodies
+	// (length-prefixed KV bytes behind a small header).
 	MethodAppendSegBatch = "fs.appendSegmentBatch"
 	MethodReadSegRaw     = "fs.readSegmentsRaw"
 	MethodReadSegTagRaw  = "fs.readTaggedSegmentsRaw"
@@ -218,107 +201,32 @@ func (s *Service) SetClock(now func() time.Time) {
 	s.store.SetClock(now)
 }
 
-// Handle serves one inbound fs.* call. The second return value reports
-// whether the method belongs to this service.
+// Handle serves one inbound fs.* call: decode, serve, encode. The second
+// return value reports whether the method belongs to this service.
 func (s *Service) Handle(ctx context.Context, method string, body []byte) ([]byte, bool, error) {
 	switch method {
-	case MethodPutBlock:
-		var req putBlockReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		s.reg.Counter("fs.blocks.written").Inc()
-		s.reg.Counter("fs.bytes.written").Add(int64(len(req.Data)))
-		if err := s.store.PutBlock(req.Key, req.Data); err != nil {
-			return nil, true, err
-		}
-		out, err := transport.Encode(empty{})
-		return out, true, err
-	case MethodGetBlock:
-		var req getBlockReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		data, err := s.store.GetBlock(req.Key)
-		if err != nil {
-			return nil, true, err
-		}
-		s.reg.Counter("fs.blocks.read").Inc()
-		s.reg.Counter("fs.bytes.read").Add(int64(len(data)))
-		out, err := transport.Encode(getBlockResp{Data: data})
-		return out, true, err
-	case MethodHasBlock:
-		var req getBlockReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		out, err := transport.Encode(hasBlockResp{Has: s.store.HasBlock(req.Key)})
-		return out, true, err
-	case MethodPutMeta:
-		var req putMetaReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		s.store.PutMeta(req.Meta)
-		out, err := transport.Encode(empty{})
-		return out, true, err
-	case MethodGetMeta:
-		var req getMetaReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		meta, err := s.store.GetMeta(req.Name)
-		if err != nil {
-			return nil, true, err
-		}
-		// The paper's read path checks access permission at the metadata
-		// owner before revealing partitioning information.
-		if !meta.CanRead(req.User) {
-			return nil, true, fmt.Errorf("%w: %s by %q", ErrPermission, req.Name, req.User)
-		}
-		out, err := transport.Encode(getMetaResp{Meta: meta})
-		return out, true, err
-	case MethodAppendSeg:
-		var req appendSegReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		s.reg.Counter("fs.segments.appended").Inc()
-		s.reg.Counter("fs.segments.bytes").Add(int64(len(req.Data)))
-		disp := s.store.AppendTaskSegment(req.Job, req.Partition, req.Task, req.Attempt, req.Seq, req.Data, req.TTL)
-		s.noteSegDisposition(disp, req.Job, req.Task, req.Attempt)
-		out, err := transport.Encode(empty{})
-		return out, true, err
 	case MethodAppendSegBatch:
 		var hdr segBatchHdr
 		payload, err := transport.DecodeFrame(body, &hdr)
 		if err != nil {
 			return nil, true, err
 		}
+		entries := make([]SegBatchEntry, len(hdr.Entries))
 		off := 0
 		for i, e := range hdr.Entries {
 			if e.Len < 0 || e.Len > len(payload)-off {
 				return nil, true, fmt.Errorf("dhtfs: batch entry %d overruns payload (%d bytes at offset %d of %d)",
 					i, e.Len, off, len(payload))
 			}
-			data := payload[off : off+e.Len]
+			entries[i] = SegBatchEntry{
+				Partition: e.Partition,
+				Tag:       SegTag{Task: e.Task, Attempt: e.Attempt, Seq: e.Seq},
+				Data:      payload[off : off+e.Len],
+			}
 			off += e.Len
-			s.reg.Counter("fs.segments.appended").Inc()
-			s.reg.Counter("fs.segments.bytes").Add(int64(len(data)))
-			// AppendTaskSegment copies, so handing it a payload sub-slice
-			// is safe.
-			disp := s.store.AppendTaskSegment(hdr.Job, e.Partition, e.Task, e.Attempt, e.Seq, data, hdr.TTL)
-			s.noteSegDisposition(disp, hdr.Job, e.Task, e.Attempt)
 		}
-		s.reg.Counter("fs.segments.batches").Inc()
+		s.appendBatch(hdr.Job, hdr.TTL, entries)
 		out, err := transport.Encode(empty{})
-		return out, true, err
-	case MethodReadSeg:
-		var req readSegReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		out, err := transport.Encode(readSegResp{Segments: s.store.ReadSegments(req.Job, req.Partition)})
 		return out, true, err
 	case MethodReadSegRaw:
 		var req readSegReq
@@ -346,63 +254,131 @@ func (s *Service) Handle(ctx context.Context, method string, body []byte) ([]byt
 		}
 		out, err := transport.EncodeFrame(hdr, payload...)
 		return out, true, err
-	case MethodReadSegTag:
-		var req readSegReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		out, err := transport.Encode(readTaggedSegResp{Segments: s.store.ReadTaggedSegments(req.Job, req.Partition)})
-		return out, true, err
-	case MethodDropSeg:
-		var req dropSegReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		s.store.DropJobSegments(req.Job)
-		out, err := transport.Encode(empty{})
-		return out, true, err
+	}
+	req, resp := messages(method)
+	if req == nil {
+		return nil, false, nil
+	}
+	if err := transport.Decode(body, req); err != nil {
+		return nil, true, err
+	}
+	if err := s.serve(ctx, method, req, resp); err != nil {
+		return nil, true, err
+	}
+	out, err := transport.Encode(resp)
+	return out, true, err
+}
+
+// messages returns a fresh request and response for a method serve
+// handles, or nils for any other method.
+func messages(method string) (req, resp transport.Wire) {
+	switch method {
+	case MethodPutBlock:
+		return new(putBlockReq), new(empty)
+	case MethodGetBlock:
+		return new(getBlockReq), new(getBlockResp)
+	case MethodHasBlock:
+		return new(getBlockReq), new(hasResp)
 	case MethodDeleteBlock:
-		var req deleteBlockReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		s.store.DeleteBlock(req.Key)
-		out, err := transport.Encode(empty{})
-		return out, true, err
+		return new(getBlockReq), new(empty)
+	case MethodPutMeta:
+		return new(Metadata), new(empty)
+	case MethodGetMeta:
+		return new(getMetaReq), new(Metadata)
 	case MethodHasMeta:
-		var req getMetaReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		_, merr := s.store.GetMeta(req.Name)
-		out, err := transport.Encode(hasBlockResp{Has: merr == nil})
-		return out, true, err
+		return new(getMetaReq), new(hasResp)
+	case MethodDeleteMeta:
+		return new(nameReq), new(empty)
 	case MethodListMeta:
-		var req listMetaReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
+		return new(nameReq), new(listMetaResp)
+	case MethodAppendSeg:
+		return new(appendSegReq), new(empty)
+	case MethodDropSeg:
+		return new(nameReq), new(empty)
+	case MethodRoutedGet:
+		return new(routedGetReq), new(routedGetResp)
+	}
+	return nil, nil
+}
+
+// serve executes one method against the local shard on decoded messages
+// of the types messages returns for it: the middle of Handle, and the
+// whole of a call to this node itself. Nothing the request references is
+// retained (the Store copies what it keeps), and what the response
+// references belongs to the caller.
+func (s *Service) serve(ctx context.Context, method string, req, resp transport.Wire) error {
+	switch method {
+	case MethodPutBlock:
+		req := req.(*putBlockReq)
+		s.reg.Counter("fs.blocks.written").Inc()
+		s.reg.Counter("fs.bytes.written").Add(int64(len(req.Data)))
+		return s.store.PutBlock(req.Key, req.Data)
+	case MethodGetBlock:
+		data, err := s.store.GetBlock(req.(*getBlockReq).Key)
+		if err != nil {
+			return err
 		}
+		s.reg.Counter("fs.blocks.read").Inc()
+		s.reg.Counter("fs.bytes.read").Add(int64(len(data)))
+		resp.(*getBlockResp).Data = data
+	case MethodHasBlock:
+		resp.(*hasResp).Has = s.store.HasBlock(req.(*getBlockReq).Key)
+	case MethodDeleteBlock:
+		s.store.DeleteBlock(req.(*getBlockReq).Key)
+	case MethodPutMeta:
+		s.store.PutMeta(req.(*Metadata).clone())
+	case MethodGetMeta:
+		req := req.(*getMetaReq)
+		meta, err := s.store.GetMeta(req.Name)
+		if err != nil {
+			return err
+		}
+		// The paper's read path checks access permission at the metadata
+		// owner before revealing partitioning information.
+		if !meta.CanRead(req.User) {
+			return fmt.Errorf("%w: %s by %q", ErrPermission, req.Name, req.User)
+		}
+		*resp.(*Metadata) = meta.clone()
+	case MethodHasMeta:
+		_, err := s.store.GetMeta(req.(*getMetaReq).Name)
+		resp.(*hasResp).Has = err == nil
+	case MethodDeleteMeta:
+		s.store.DeleteMeta(req.(*nameReq).Name)
+	case MethodListMeta:
+		prefix := req.(*nameReq).Name
 		var names []string
 		for _, name := range s.store.MetaNames() {
-			if strings.HasPrefix(name, req.Prefix) {
+			if strings.HasPrefix(name, prefix) {
 				names = append(names, name)
 			}
 		}
-		out, err := transport.Encode(listMetaResp{Names: names})
-		return out, true, err
+		resp.(*listMetaResp).Names = names
+	case MethodAppendSeg:
+		req := req.(*appendSegReq)
+		s.reg.Counter("fs.segments.appended").Inc()
+		s.reg.Counter("fs.segments.bytes").Add(int64(len(req.Data)))
+		disp := s.store.AppendTaskSegment(req.Job, req.Partition, req.Task, req.Attempt, req.Seq, req.Data, req.TTL)
+		s.noteSegDisposition(disp, req.Job, req.Task, req.Attempt)
+	case MethodDropSeg:
+		s.store.DropJobSegments(req.(*nameReq).Name)
 	case MethodRoutedGet:
-		out, err := s.handleRoutedGet(ctx, body)
-		return out, true, err
-	case MethodDeleteMeta:
-		var req deleteMetaReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		s.store.DeleteMeta(req.Name)
-		out, err := transport.Encode(empty{})
-		return out, true, err
+		return s.routedGet(ctx, req.(*routedGetReq), resp.(*routedGetResp))
+	default:
+		return fmt.Errorf("dhtfs: no local handler for %s", method)
 	}
-	return nil, false, nil
+	return nil
+}
+
+// appendBatch stores the spills of one batch push, each with exactly the
+// semantics of a tagged single append.
+func (s *Service) appendBatch(job string, ttl time.Duration, entries []SegBatchEntry) {
+	for _, e := range entries {
+		s.reg.Counter("fs.segments.appended").Inc()
+		s.reg.Counter("fs.segments.bytes").Add(int64(len(e.Data)))
+		disp := s.store.AppendTaskSegment(job, e.Partition, e.Tag.Task, e.Tag.Attempt, e.Tag.Seq, e.Data, ttl)
+		s.noteSegDisposition(disp, job, e.Tag.Task, e.Tag.Attempt)
+	}
+	s.reg.Counter("fs.segments.batches").Inc()
 }
 
 // noteSegDisposition records non-trivial spill-append outcomes in the
@@ -418,47 +394,25 @@ func (s *Service) noteSegDisposition(disp SegDisposition, job, task string, atte
 	}
 }
 
-// call invokes an fs.* method, short-circuiting to the local store when
-// the destination is this node (zero-hop fast path).
-func (s *Service) call(ctx context.Context, to hashing.NodeID, method string, req, resp any) error {
+// call invokes an fs.* method on a node. When the destination is this
+// node the decoded messages go straight to serve: a local replica costs
+// no encoding, no copy and no hop. A nil resp discards the (empty) reply.
+func (s *Service) call(ctx context.Context, to hashing.NodeID, method string, req, resp transport.Wire) error {
+	if resp == nil {
+		resp = &empty{}
+	}
+	if to == s.self {
+		return s.serve(ctx, method, req, resp)
+	}
 	body, err := transport.Encode(req)
 	if err != nil {
 		return err
 	}
-	var out []byte
-	if to == s.self {
-		out, _, err = s.Handle(ctx, method, body)
-	} else {
-		out, err = s.net.Call(ctx, to, method, body)
-	}
+	out, err := s.net.Call(ctx, to, method, body)
 	if err != nil {
 		return err
-	}
-	if resp == nil {
-		return nil
 	}
 	return transport.Decode(out, resp)
-}
-
-// callRaw invokes an fs.* method whose request body is already encoded
-// (gob or raw frame), short-circuiting to the local handler when the
-// destination is this node. When resp is non-nil the reply bytes are
-// returned through it undecoded, for the caller to frame-decode.
-func (s *Service) callRaw(ctx context.Context, to hashing.NodeID, method string, body []byte, resp *[]byte) error {
-	var out []byte
-	var err error
-	if to == s.self {
-		out, _, err = s.Handle(ctx, method, body)
-	} else {
-		out, err = s.net.Call(ctx, to, method, body)
-	}
-	if err != nil {
-		return err
-	}
-	if resp != nil {
-		*resp = out
-	}
-	return nil
 }
 
 // replicaSet returns the nodes that should hold key k under the current
@@ -493,7 +447,7 @@ func (s *Service) UploadRecords(ctx context.Context, name, owner string, perm Pe
 // is skipped as long as at least one copy lands; re-replication restores
 // the invariant once the membership settles.
 func (s *Service) storeFile(ctx context.Context, name, owner string, perm Perm, data []byte, blockSize int, chunks [][]byte, keys []hashing.Key) (Metadata, error) {
-	putAll := func(ctx context.Context, method string, req interface{}, targets []hashing.NodeID, what string) error {
+	putAll := func(ctx context.Context, method string, req transport.Wire, targets []hashing.NodeID, what string) error {
 		stored := 0
 		var lastErr error
 		for _, t := range targets {
@@ -517,7 +471,7 @@ func (s *Service) storeFile(ctx context.Context, name, owner string, perm Perm, 
 		if err != nil {
 			return Metadata{}, err
 		}
-		req := putBlockReq{Key: keys[i], Data: chunk}
+		req := &putBlockReq{Key: keys[i], Data: chunk}
 		bctx, sp := s.tracer.StartSpan(ctx, "fs.write_block")
 		t := s.reg.Histogram("fs.write_block_ns").Start()
 		err = putAll(bctx, MethodPutBlock, req, targets, fmt.Sprintf("block %d", i))
@@ -545,7 +499,7 @@ func (s *Service) storeFile(ctx context.Context, name, owner string, perm Perm, 
 	if err != nil {
 		return Metadata{}, err
 	}
-	if err := putAll(ctx, MethodPutMeta, putMetaReq{Meta: meta}, targets, "metadata"); err != nil {
+	if err := putAll(ctx, MethodPutMeta, &meta, targets, "metadata"); err != nil {
 		return Metadata{}, err
 	}
 	return meta, nil
@@ -570,10 +524,10 @@ func (s *Service) Lookup(ctx context.Context, name, user string) (Metadata, erro
 		if ctx.Err() != nil {
 			return Metadata{}, fmt.Errorf("dhtfs: lookup %q: %w", name, ctx.Err())
 		}
-		var resp getMetaResp
-		err := s.call(ctx, t, MethodGetMeta, getMetaReq{Name: name, User: user}, &resp)
+		var meta Metadata
+		err := s.call(ctx, t, MethodGetMeta, &getMetaReq{Name: name, User: user}, &meta)
 		if err == nil {
-			return resp.Meta, nil
+			return meta, nil
 		}
 		lastErr = err
 		if errors.Is(err, transport.ErrUnreachable) || transport.IsTransient(err) {
@@ -612,7 +566,7 @@ func (s *Service) ReadBlock(ctx context.Context, k hashing.Key) ([]byte, error) 
 			return nil, fmt.Errorf("dhtfs: read block %s: %w", k, ctx.Err())
 		}
 		var resp getBlockResp
-		if err := s.call(ctx, t, MethodGetBlock, getBlockReq{Key: k}, &resp); err == nil {
+		if err := s.call(ctx, t, MethodGetBlock, &getBlockReq{Key: k}, &resp); err == nil {
 			if i > 0 {
 				s.reg.Counter("fs.read.failover").Inc()
 				sp.Annotate("failover", string(t))
@@ -644,7 +598,7 @@ func (s *Service) ReadBlockVerified(ctx context.Context, k hashing.Key, sum [sha
 			return nil, fmt.Errorf("dhtfs: read block %s: %w", k, ctx.Err())
 		}
 		var resp getBlockResp
-		if err := s.call(ctx, t, MethodGetBlock, getBlockReq{Key: k}, &resp); err != nil {
+		if err := s.call(ctx, t, MethodGetBlock, &getBlockReq{Key: k}, &resp); err != nil {
 			lastErr = err
 			continue
 		}
@@ -696,7 +650,7 @@ func (s *Service) ReadFile(ctx context.Context, name, user string) ([]byte, erro
 // node owning the partition key (the proactive-shuffle write). A positive
 // ttl invalidates the data after that duration.
 func (s *Service) PushSegment(ctx context.Context, to hashing.NodeID, job, partition string, data []byte, ttl time.Duration) error {
-	return s.call(ctx, to, MethodAppendSeg, appendSegReq{Job: job, Partition: partition, Data: data, TTL: ttl}, nil)
+	return s.call(ctx, to, MethodAppendSeg, &appendSegReq{Job: job, Partition: partition, Data: data, TTL: ttl}, nil)
 }
 
 // SegTag attributes a spill to one map-task attempt (see
@@ -710,7 +664,7 @@ type SegTag struct {
 // PushTaggedSegment is PushSegment with task attribution, the idempotent
 // write path retried and re-executed mappers must use.
 func (s *Service) PushTaggedSegment(ctx context.Context, to hashing.NodeID, job, partition string, tag SegTag, data []byte, ttl time.Duration) error {
-	return s.call(ctx, to, MethodAppendSeg, appendSegReq{
+	return s.call(ctx, to, MethodAppendSeg, &appendSegReq{
 		Job: job, Partition: partition, Data: data, TTL: ttl,
 		Task: tag.Task, Attempt: tag.Attempt, Seq: tag.Seq,
 	}, nil)
@@ -729,6 +683,10 @@ type SegBatchEntry struct {
 // with exactly the semantics of PushTaggedSegment (idempotent per
 // (task, attempt, seq)), so a retried batch is safe.
 func (s *Service) PushTaggedSegmentBatch(ctx context.Context, to hashing.NodeID, job string, entries []SegBatchEntry, ttl time.Duration) error {
+	if to == s.self {
+		s.appendBatch(job, ttl, entries)
+		return nil
+	}
 	hdr := segBatchHdr{Job: job, TTL: ttl, Entries: make([]segBatchPart, len(entries))}
 	payload := make([][]byte, len(entries))
 	for i, e := range entries {
@@ -743,7 +701,8 @@ func (s *Service) PushTaggedSegmentBatch(ctx context.Context, to hashing.NodeID,
 	if err != nil {
 		return err
 	}
-	return s.callRaw(ctx, to, MethodAppendSegBatch, body, nil)
+	_, err = s.net.Call(ctx, to, MethodAppendSegBatch, body)
+	return err
 }
 
 // splitPayload cuts a raw-frame payload into per-segment slices by
@@ -763,18 +722,14 @@ func splitPayload(payload []byte, lens []int) ([][]byte, error) {
 }
 
 // FetchSegments reads all intermediate-result spills for a job partition
-// from the given node, over the raw-frame fast path.
+// from the given node — over the raw-frame path, or straight from the
+// local shard when that node is this one.
 func (s *Service) FetchSegments(ctx context.Context, from hashing.NodeID, job, partition string) ([][]byte, error) {
-	req, err := transport.Encode(readSegReq{Job: job, Partition: partition})
-	if err != nil {
-		return nil, err
-	}
-	var body []byte
-	if err := s.callRaw(ctx, from, MethodReadSegRaw, req, &body); err != nil {
-		return nil, err
+	if from == s.self {
+		return s.store.ReadSegments(job, partition), nil
 	}
 	var hdr rawSegsHdr
-	payload, err := transport.DecodeFrame(body, &hdr)
+	payload, err := s.fetchRaw(ctx, from, MethodReadSegRaw, job, partition, &hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -782,19 +737,13 @@ func (s *Service) FetchSegments(ctx context.Context, from hashing.NodeID, job, p
 }
 
 // FetchTaggedSegments reads all spills with task attribution from the
-// given node (the replica union-merge read path), over the raw-frame fast
-// path.
+// given node (the replica union-merge read path), like FetchSegments.
 func (s *Service) FetchTaggedSegments(ctx context.Context, from hashing.NodeID, job, partition string) ([]TaggedSegment, error) {
-	req, err := transport.Encode(readSegReq{Job: job, Partition: partition})
-	if err != nil {
-		return nil, err
-	}
-	var body []byte
-	if err := s.callRaw(ctx, from, MethodReadSegTagRaw, req, &body); err != nil {
-		return nil, err
+	if from == s.self {
+		return s.store.ReadTaggedSegments(job, partition), nil
 	}
 	var hdr rawTaggedHdr
-	payload, err := transport.DecodeFrame(body, &hdr)
+	payload, err := s.fetchRaw(ctx, from, MethodReadSegTagRaw, job, partition, &hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -813,6 +762,20 @@ func (s *Service) FetchTaggedSegments(ctx context.Context, from hashing.NodeID, 
 	return out, nil
 }
 
+// fetchRaw issues one raw-frame segment read to a remote node, decodes
+// the reply's header into hdr and returns the payload behind it.
+func (s *Service) fetchRaw(ctx context.Context, from hashing.NodeID, method, job, partition string, hdr transport.Wire) ([]byte, error) {
+	req, err := transport.Encode(readSegReq{Job: job, Partition: partition})
+	if err != nil {
+		return nil, err
+	}
+	body, err := s.net.Call(ctx, from, method, req)
+	if err != nil {
+		return nil, err
+	}
+	return transport.DecodeFrame(body, hdr)
+}
+
 // ListPrefix returns the names of all metadata entries with the given
 // prefix, unioned across every reachable ring member (metadata is placed
 // by file-name hash, so a prefix scan has no single owner). Unreachable
@@ -823,7 +786,7 @@ func (s *Service) ListPrefix(ctx context.Context, prefix string) ([]string, erro
 	var lastErr error
 	for _, id := range s.ring().Members() {
 		var resp listMetaResp
-		if err := s.call(ctx, id, MethodListMeta, listMetaReq{Prefix: prefix}, &resp); err != nil {
+		if err := s.call(ctx, id, MethodListMeta, &nameReq{Name: prefix}, &resp); err != nil {
 			lastErr = err
 			continue
 		}
@@ -846,7 +809,7 @@ func (s *Service) ListPrefix(ctx context.Context, prefix string) ([]string, erro
 // DropJob removes a job's intermediate data across the whole ring.
 func (s *Service) DropJob(ctx context.Context, job string) {
 	for _, id := range s.ring().Members() {
-		_ = s.call(ctx, id, MethodDropSeg, dropSegReq{Job: job}, nil) // best effort
+		_ = s.call(ctx, id, MethodDropSeg, &nameReq{Name: job}, nil) // best effort
 	}
 }
 
@@ -868,7 +831,7 @@ func (s *Service) Delete(ctx context.Context, name, user string) error {
 			return err
 		}
 		for _, t := range targets {
-			_ = s.call(ctx, t, MethodDeleteBlock, deleteBlockReq{Key: k}, nil) // best effort
+			_ = s.call(ctx, t, MethodDeleteBlock, &getBlockReq{Key: k}, nil) // best effort
 		}
 	}
 	targets, err := s.replicaSet(hashing.KeyOfString(name))
@@ -876,7 +839,7 @@ func (s *Service) Delete(ctx context.Context, name, user string) error {
 		return err
 	}
 	for _, t := range targets {
-		_ = s.call(ctx, t, MethodDeleteMeta, deleteMetaReq{Name: name}, nil) // best effort
+		_ = s.call(ctx, t, MethodDeleteMeta, &nameReq{Name: name}, nil) // best effort
 	}
 	return nil
 }
@@ -907,8 +870,8 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 				mine = true
 				continue
 			}
-			var has hasBlockResp
-			if cerr := s.call(ctx, t, MethodHasBlock, getBlockReq{Key: k}, &has); cerr != nil {
+			var has hasResp
+			if cerr := s.call(ctx, t, MethodHasBlock, &getBlockReq{Key: k}, &has); cerr != nil {
 				err = cerr
 				continue
 			}
@@ -919,7 +882,7 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 			if gerr != nil {
 				continue // raced with deletion
 			}
-			if cerr := s.call(ctx, t, MethodPutBlock, putBlockReq{Key: k, Data: data}, nil); cerr != nil {
+			if cerr := s.call(ctx, t, MethodPutBlock, &putBlockReq{Key: k, Data: data}, nil); cerr != nil {
 				err = cerr
 				continue
 			}
@@ -946,15 +909,15 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 			}
 			// Idempotence: only restore missing copies (matching the block
 			// path); full-copy updates propagate at write time via Upload.
-			var has hasBlockResp
-			if cerr := s.call(ctx, t, MethodHasMeta, getMetaReq{Name: name}, &has); cerr != nil {
+			var has hasResp
+			if cerr := s.call(ctx, t, MethodHasMeta, &getMetaReq{Name: name}, &has); cerr != nil {
 				err = cerr
 				continue
 			}
 			if has.Has {
 				continue
 			}
-			if cerr := s.call(ctx, t, MethodPutMeta, putMetaReq{Meta: meta}, nil); cerr != nil {
+			if cerr := s.call(ctx, t, MethodPutMeta, &meta, nil); cerr != nil {
 				err = cerr
 				continue
 			}

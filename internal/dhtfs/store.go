@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -62,6 +63,14 @@ func (m Metadata) Blocks() int { return len(m.BlockKeys) }
 // CanRead reports whether user may read the file.
 func (m Metadata) CanRead(user string) bool {
 	return m.Perm == PermPublic || m.Owner == user
+}
+
+// clone returns m with its own BlockKeys and BlockSums, so a copy kept by
+// a Store and a copy held by a caller never share memory.
+func (m Metadata) clone() Metadata {
+	m.BlockKeys = slices.Clone(m.BlockKeys)
+	m.BlockSums = slices.Clone(m.BlockSums)
+	return m
 }
 
 // ErrNotFound is returned for missing blocks, metadata or segments.

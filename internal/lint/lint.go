@@ -4,7 +4,7 @@
 // PR 2's metrics layer only catch at runtime.
 //
 // The suite loads every package under a module (go/parser + go/types with
-// the source importer; no golang.org/x/tools dependency) and runs ten
+// the source importer; no golang.org/x/tools dependency) and runs eleven
 // analyzers:
 //
 //   - ringcmp:    raw <, <=, >, >= between hashing.Key values outside
@@ -38,6 +38,10 @@
 //     context.Background()/TODO() below cmd/, examples/ and
 //     internal/nodecmd, no context stored in struct fields,
 //     and no bare time.Sleep in context-aware functions.
+//   - wiremsg:    inside internal/mapreduce and internal/dhtfs, a value
+//     given to transport.Encode/Decode/EncodeFrame/DecodeFrame
+//     must statically implement transport.Wire, or it would
+//     quietly cross the wire as gob.
 //
 // Findings print as "file:line: analyzer: message". A finding is
 // suppressed by a comment on the same line or the line above:
@@ -144,6 +148,7 @@ func Analyzers() []*Analyzer {
 		SpanEnd(),
 		GoroLeak(),
 		CtxFlow(),
+		WireMsg(),
 	}
 }
 

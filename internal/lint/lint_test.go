@@ -207,7 +207,7 @@ func TestGoroLeakLoopCapturePre122(t *testing.T) {
 // these names.
 func TestSuiteNames(t *testing.T) {
 	got := strings.Join(AnalyzerNames(), ",")
-	want := "ringcmp,lockedrpc,lockorder,metricname,eventname,timesource,droppederr,spanend,goroleak,ctxflow"
+	want := "ringcmp,lockedrpc,lockorder,metricname,eventname,timesource,droppederr,spanend,goroleak,ctxflow,wiremsg"
 	if got != want {
 		t.Fatalf("AnalyzerNames() = %s, want %s", got, want)
 	}
@@ -221,10 +221,10 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the full module is slow; covered by make lint in CI")
 	}
-	// The concurrency-invariant analyzers must be part of the enforced
-	// suite, not merely available: a rename or a dropped registration
-	// would silently stop gating the repo.
-	for _, name := range []string{"lockorder", "goroleak", "ctxflow", "eventname"} {
+	// The concurrency-invariant analyzers (and the data-path codec gate)
+	// must be part of the enforced suite, not merely available: a rename
+	// or a dropped registration would silently stop gating the repo.
+	for _, name := range []string{"lockorder", "goroleak", "ctxflow", "eventname", "wiremsg"} {
 		analyzerByName(t, name)
 	}
 	loader, err := NewLoader(".")

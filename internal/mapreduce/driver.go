@@ -304,6 +304,7 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 		mk = copyMarker(&prior.Mk)
 	} else if spec.ReuseTag != "" {
 		if data, err := d.fs.ReadFile(ctx, markerFile(ns), spec.User); err == nil {
+			//lint:ignore wiremsg durable file (the reuse marker in dhtfs), written once per job and read back by later binaries: it stays on gob
 			if err := transport.Decode(data, &mk); err != nil {
 				return Result{}, fmt.Errorf("mapreduce: corrupt reuse marker for %q: %w", ns, err)
 			}
@@ -416,6 +417,7 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 			if spec.IntermediateTTL > 0 {
 				mk.Expires = d.fs.Now().Add(spec.IntermediateTTL)
 			}
+			//lint:ignore wiremsg durable file (the reuse marker in dhtfs), written once per job and read back by later binaries: it stays on gob
 			data, err := transport.Encode(mk)
 			if err != nil {
 				return Result{}, err
@@ -604,8 +606,8 @@ func (d *Driver) dispatchLoop() {
 }
 
 // mapReq builds the RunMapReq for one execution attempt of a map task.
-func (d *Driver) mapReq(j *activeJob, t scheduler.Task, attempt int) RunMapReq {
-	return RunMapReq{
+func (d *Driver) mapReq(j *activeJob, t scheduler.Task, attempt int) *RunMapReq {
+	return &RunMapReq{
 		Job:            j.spec.ID,
 		Namespace:      j.ns,
 		App:            j.spec.App,
@@ -1037,7 +1039,7 @@ func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) 
 		}
 		var resp RunReduceResp
 		rpcTimer := d.reg.Histogram("mr.driver.reduce_rpc_ns").Start()
-		err := d.call(tctx, cand, MethodRunReduce, req, &resp)
+		err := d.call(tctx, cand, MethodRunReduce, &req, &resp)
 		rpcTimer.Stop()
 		if err == nil {
 			d.reg.Counter("mr.driver.partition_reduces").Inc()
@@ -1312,7 +1314,7 @@ func (d *Driver) reshuffleLostPartitions(ctx context.Context, st *runState, prio
 
 // call invokes a worker method over the network (the driver node is
 // itself a listening worker, so self-calls take the same path).
-func (d *Driver) call(ctx context.Context, to hashing.NodeID, method string, req, resp any) error {
+func (d *Driver) call(ctx context.Context, to hashing.NodeID, method string, req, resp transport.Wire) error {
 	body, err := transport.Encode(req)
 	if err != nil {
 		return err

@@ -221,6 +221,7 @@ func (w *journalWriter) doFlush(ctx context.Context) {
 		return
 	}
 	w.dirty = false
+	//lint:ignore wiremsg durable file (the job journal in dhtfs), adopted by restarted and newly elected managers: it stays on gob
 	data, err := transport.Encode(w.j)
 	jobID := w.j.Spec.ID
 	phase := w.j.Phase
@@ -283,6 +284,7 @@ func (d *Driver) loadJournal(ctx context.Context, jobID string) (*journal, error
 		return nil, fmt.Errorf("mapreduce: job %s has no journal: %w", jobID, err)
 	}
 	var j journal
+	//lint:ignore wiremsg durable file (the job journal in dhtfs), adopted by restarted and newly elected managers: it stays on gob
 	if err := transport.Decode(data, &j); err != nil {
 		return nil, fmt.Errorf("mapreduce: corrupt journal for job %s: %w", jobID, err)
 	}
@@ -350,6 +352,7 @@ func JournalSnapshots(ctx context.Context, fs *dhtfs.Service, job string) ([]Jou
 			continue
 		}
 		var j journal
+		//lint:ignore wiremsg durable file (the job journal in dhtfs), adopted by restarted and newly elected managers: it stays on gob
 		if err := transport.Decode(data, &j); err != nil {
 			continue
 		}

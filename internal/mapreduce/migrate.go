@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -117,7 +118,10 @@ func (w *Worker) adoptRange(ctx context.Context, req AdoptRangeReq) (int, error)
 			if _, ok := w.cache.ICache.Peek(cache.BlockKey(blk.Key)); ok {
 				continue
 			}
-			if w.cache.PutBlock(blk.Key, blk.Data) {
+			// blk.Data is a view of the one reply body that carried every
+			// block: cache a copy, or a single surviving entry would pin
+			// the whole reply behind the cache's byte accounting.
+			if w.cache.PutBlock(blk.Key, bytes.Clone(blk.Data)) {
 				migrated++
 			}
 		}

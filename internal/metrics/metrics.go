@@ -275,8 +275,12 @@ func (k kind) String() string {
 
 // Registry names and collects metrics. The zero value is not usable; use
 // NewRegistry.
+//
+// Lookups of an existing metric — the per-RPC, per-task path, on a
+// registry every node of an in-process cluster may share — take only the
+// read lock; creating a metric takes the write lock.
 type Registry struct {
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	kinds    map[string]kind
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -320,10 +324,16 @@ func (r *Registry) SetClock(c Clock) {
 // dotted paths like "mr.map.tasks". Requesting a name registered as a
 // different kind panics.
 func (r *Registry) Counter(name string) *Counter {
+	r.mu.RLock()
+	c, ok := r.counters[name]
+	r.mu.RUnlock()
+	if ok {
+		return c
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.checkKind(name, kindCounter)
-	c, ok := r.counters[name]
+	c, ok = r.counters[name]
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
@@ -333,10 +343,16 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns (creating if needed) the named gauge.
 func (r *Registry) Gauge(name string) *Gauge {
+	r.mu.RLock()
+	g, ok := r.gauges[name]
+	r.mu.RUnlock()
+	if ok {
+		return g
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.checkKind(name, kindGauge)
-	g, ok := r.gauges[name]
+	g, ok = r.gauges[name]
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
@@ -355,10 +371,16 @@ func (r *Registry) Histogram(name string) *Histogram {
 // use identical bounds for a given name or cluster-wide merges degrade to
 // bound-folding (see Merge).
 func (r *Registry) HistogramWith(name string, bounds []int64) *Histogram {
+	r.mu.RLock()
+	h, ok := r.hists[name]
+	r.mu.RUnlock()
+	if ok {
+		return h
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.checkKind(name, kindHistogram)
-	h, ok := r.hists[name]
+	h, ok = r.hists[name]
 	if !ok {
 		h = newHistogram(bounds)
 		if r.clock != nil {
@@ -387,8 +409,8 @@ func (s Snapshot) Get(name string) int64 { return s.Values[name] }
 
 // Snapshot returns every metric's current state, keyed by name.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	out := Snapshot{
 		Values: make(map[string]int64, len(r.counters)+len(r.gauges)),
 		Hists:  make(map[string]HistSnapshot, len(r.hists)),

@@ -268,3 +268,40 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Fatalf("lat count = %d", n)
 	}
 }
+
+// TestLookupOfExistingMetricIsReadOnly pins the per-RPC path: fetching a
+// metric that exists returns the same instrument without allocating, and
+// goroutines racing to create one name all end up with one instrument.
+func TestLookupOfExistingMetricIsReadOnly(t *testing.T) {
+	r := NewRegistry()
+	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h")
+	allocs := testing.AllocsPerRun(100, func() {
+		if r.Counter("c") != c || r.Gauge("g") != g || r.Histogram("h") != h {
+			t.Fatal("lookup returned a different instrument")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("lookups of existing metrics allocate %v times", allocs)
+	}
+
+	fresh := NewRegistry()
+	got := make([]*Counter, 16)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = fresh.Counter("raced")
+			got[i].Inc()
+		}(i)
+	}
+	wg.Wait()
+	for _, c := range got {
+		if c != got[0] {
+			t.Fatal("concurrent creation produced two counters for one name")
+		}
+	}
+	if got[0].Value() != 16 {
+		t.Fatalf("raced = %d, want 16", got[0].Value())
+	}
+}

@@ -92,9 +92,14 @@ type Retry struct {
 	inner  Network
 	policy RetryPolicy
 	reg    *metrics.Registry
+	// The per-call instruments are resolved once, not by name per call.
+	calls, retries, exhausted *metrics.Counter
 
 	mu  sync.Mutex
 	rnd *rand.Rand
+
+	histMu sync.RWMutex
+	hists  map[string]*metrics.Histogram // method -> net.rpc.<method>_ns
 }
 
 // NewRetry wraps a network. A zero policy selects DefaultRetryPolicy.
@@ -105,11 +110,12 @@ func NewRetry(inner Network, policy RetryPolicy) *Retry {
 		policy: policy,
 		reg:    metrics.NewRegistry(),
 		rnd:    rand.New(rand.NewSource(policy.Seed)),
+		hists:  make(map[string]*metrics.Histogram),
 	}
-	// Pre-create so every metrics snapshot shows the retry counters.
-	for _, name := range []string{"net.calls", "net.retries", "net.retry_exhausted"} {
-		r.reg.Counter(name)
-	}
+	// Created up front, so every metrics snapshot shows the retry counters.
+	r.calls = r.reg.Counter("net.calls")
+	r.retries = r.reg.Counter("net.retries")
+	r.exhausted = r.reg.Counter("net.retry_exhausted")
 	return r
 }
 
@@ -142,6 +148,24 @@ func (r *Retry) Unwrap() Network { return r.inner }
 // NetMetrics exposes the retry counters.
 func (r *Retry) NetMetrics() *metrics.Registry { return r.reg }
 
+// rpcHist returns the method's latency histogram. The method set is
+// small and fixed, so after the first call of each method this is a map
+// hit under a read lock, with no name built.
+func (r *Retry) rpcHist(method string) *metrics.Histogram {
+	r.histMu.RLock()
+	h, ok := r.hists[method]
+	r.histMu.RUnlock()
+	if ok {
+		return h
+	}
+	//lint:ignore metricname per-RPC-method histogram family; the name space is bounded by the cluster's fixed method set
+	h = r.reg.Histogram("net.rpc." + method + "_ns")
+	r.histMu.Lock()
+	r.hists[method] = h
+	r.histMu.Unlock()
+	return h
+}
+
 func (r *Retry) uniform() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -154,13 +178,12 @@ func (r *Retry) uniform() float64 {
 // delay from an inner Chaos network — the latency the caller actually
 // experienced.
 func (r *Retry) callOn(ctx context.Context, inner Network, to hashing.NodeID, method string, body []byte) ([]byte, error) {
-	r.reg.Counter("net.calls").Inc()
-	//lint:ignore metricname per-RPC-method histogram family; the name space is bounded by the cluster's fixed method set
-	defer r.reg.Histogram("net.rpc." + method + "_ns").Start().Stop()
+	r.calls.Inc()
+	defer r.rpcHist(method).Start().Stop()
 	var lastErr error
 	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			r.reg.Counter("net.retries").Inc()
+			r.retries.Inc()
 			backoff := r.policy.Backoff(attempt-1, r.uniform())
 			// Each retry attempt is a span event on the caller side, and
 			// the (last) attempt number an annotation, so retried RPCs are
@@ -184,7 +207,7 @@ func (r *Retry) callOn(ctx context.Context, inner Network, to hashing.NodeID, me
 			return nil, err
 		}
 	}
-	r.reg.Counter("net.retry_exhausted").Inc()
+	r.exhausted.Inc()
 	return nil, fmt.Errorf("transport: %d attempts to %s exhausted: %w",
 		r.policy.MaxAttempts, to, lastErr)
 }

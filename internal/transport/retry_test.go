@@ -177,3 +177,41 @@ func TestTCPReconnectAfterRegister(t *testing.T) {
 		t.Fatalf("reply = %q", reply)
 	}
 }
+
+// TestRetryPerMethodHistogramCached: the per-call instruments keep their
+// names (bench/ and the dashboards read them) while the hit path no
+// longer builds the name: one histogram per method, one observation per
+// call, retries included in the call they belong to.
+func TestRetryPerMethodHistogramCached(t *testing.T) {
+	inner := NewLocal()
+	defer inner.Close()
+	r := NewRetry(inner, RetryPolicy{})
+	if err := r.Listen("a", echoHandler); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		if _, err := r.Call(ctx, "a", "fs.getBlock", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.From("b").Call(ctx, "a", "mr.runMap", nil); err != nil {
+		t.Fatal(err)
+	}
+	snap := r.NetMetrics().Snapshot()
+	if got := snap.Get("net.calls"); got != 6 {
+		t.Fatalf("net.calls = %d, want 6", got)
+	}
+	if got := snap.Hists["net.rpc.fs.getBlock_ns"].Count(); got != 5 {
+		t.Fatalf("net.rpc.fs.getBlock_ns count = %d, want 5", got)
+	}
+	if got := snap.Hists["net.rpc.mr.runMap_ns"].Count(); got != 1 {
+		t.Fatalf("net.rpc.mr.runMap_ns count = %d, want 1", got)
+	}
+	if h := r.rpcHist("fs.getBlock"); h != r.rpcHist("fs.getBlock") || h != r.NetMetrics().Histogram("net.rpc.fs.getBlock_ns") {
+		t.Fatal("rpcHist does not return the registry's histogram")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.rpcHist("fs.getBlock") }); allocs != 0 {
+		t.Fatalf("cached histogram lookup allocates %v times", allocs)
+	}
+}

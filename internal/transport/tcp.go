@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -32,7 +33,15 @@ import (
 // small envelope header (today: the trace.SpanContext) between method
 // and body. Writers emit v1 whenever the header would be empty — an
 // untraced new node is byte-identical to an old one — and readers accept
-// both, so old and new binaries interoperate within a rolling upgrade.
+// both. (The framing is stable across versions; the message bodies are
+// not — see DESIGN.md "Wire format".)
+//
+// Each connection is read through one bufio.Reader, so a small request
+// or reply costs one read syscall instead of one per field; a body is
+// always read into its own exactly-sized allocation, which the handler
+// (or the caller, for a reply) owns from then on. Frames are written as
+// header + body in one vectored write: a body is never copied into a
+// frame buffer.
 type TCP struct {
 	mu       sync.Mutex
 	registry map[hashing.NodeID]string // node -> host:port
@@ -138,12 +147,13 @@ func (t *TCP) Listen(id hashing.NodeID, h Handler) error {
 }
 
 // serveConn reads requests and dispatches each to the handler on its own
-// goroutine; responses are serialized through a write lock.
+// goroutine; responses are serialized through the frame writer's lock.
 func (t *TCP) serveConn(conn net.Conn, h Handler) {
 	defer conn.Close()
-	var wmu sync.Mutex
+	br := bufio.NewReaderSize(conn, connReadBuf)
+	fw := &frameWriter{conn: conn}
 	for {
-		reqID, method, hdr, body, err := readRequest(conn)
+		reqID, method, hdr, body, err := readRequest(br)
 		if err != nil {
 			return
 		}
@@ -157,13 +167,15 @@ func (t *TCP) serveConn(conn net.Conn, h Handler) {
 				}
 			}
 			reply, herr := h(ctx, method, body)
-			wmu.Lock()
-			defer wmu.Unlock()
 			status, payload := byte(0), reply
 			if herr != nil {
 				status, payload = byte(1), []byte(herr.Error())
+			} else if len(reply) > maxFrameBytes {
+				// Nothing is on the wire yet, so the stream stays in sync:
+				// the caller gets an application error, not a dead link.
+				status, payload = byte(1), []byte(frameTooLarge(method+" reply", len(reply)).Error())
 			}
-			if err := writeResponse(conn, reqID, status, payload); err != nil {
+			if err := fw.writeResponse(reqID, status, payload); err != nil {
 				// A failed — possibly partial — response write desyncs the
 				// framing for every later reply multiplexed on this
 				// connection. Tear it down so the peer fails fast and
@@ -183,7 +195,7 @@ func (t *TCP) Call(ctx context.Context, to hashing.NodeID, method string, body [
 	reply, err := c.roundTrip(method, trace.Outbound(ctx).Encode(), body, t.timeout)
 	if err != nil {
 		var re *RemoteError
-		if !errors.As(err, &re) {
+		if !errors.As(err, &re) && !errors.Is(err, ErrFrameTooLarge) {
 			// Transport-level failure: drop the cached connection so the
 			// next call redials.
 			t.dropConn(to, c)
@@ -285,7 +297,7 @@ func (t *TCP) Close() error {
 // tcpConn is one multiplexed client connection.
 type tcpConn struct {
 	raw     net.Conn
-	wmu     sync.Mutex
+	fw      frameWriter
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan tcpReply
@@ -298,24 +310,17 @@ type tcpReply struct {
 }
 
 func newTCPConn(raw net.Conn) *tcpConn {
-	c := &tcpConn{raw: raw, pending: make(map[uint64]chan tcpReply)}
+	c := &tcpConn{raw: raw, fw: frameWriter{conn: raw}, pending: make(map[uint64]chan tcpReply)}
 	//lint:ignore goroleak readLoop exits when the connection closes: readReply errors out and the loop returns
 	go c.readLoop()
 	return c
 }
 
 func (c *tcpConn) readLoop() {
+	br := bufio.NewReaderSize(c.raw, connReadBuf)
 	for {
-		var hdr [13]byte
-		if _, err := io.ReadFull(c.raw, hdr[:]); err != nil {
-			c.close(fmt.Errorf("%w: %v", ErrUnreachable, err))
-			return
-		}
-		reqID := binary.BigEndian.Uint64(hdr[0:8])
-		status := hdr[8]
-		n := binary.BigEndian.Uint32(hdr[9:13])
-		data := make([]byte, n)
-		if _, err := io.ReadFull(c.raw, data); err != nil {
+		reqID, status, data, err := readResponse(br)
+		if err != nil {
 			c.close(fmt.Errorf("%w: %v", ErrUnreachable, err))
 			return
 		}
@@ -342,10 +347,13 @@ func (c *tcpConn) roundTrip(method string, hdr, body []byte, timeout time.Durati
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	if err := c.writeRequest(id, method, hdr, body); err != nil {
+	if err := c.fw.writeRequest(id, method, hdr, body); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
+		if errors.Is(err, ErrFrameTooLarge) {
+			return nil, err // refused before anything was sent
+		}
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
 
@@ -377,33 +385,88 @@ func (c *tcpConn) roundTrip(method string, hdr, body []byte, timeout time.Durati
 // names are bounded well below 32 KiB so the bit is free.
 const frameV2Flag = 0x8000
 
-func (c *tcpConn) writeRequest(id uint64, method string, envHdr, body []byte) error {
+// maxFrameBytes bounds one request or response body. The length fields
+// are u32 and arrive from the network: a reader rejects a larger length
+// before allocating for it and drops the connection (the stream cannot
+// be resynchronized), a writer refuses a larger body instead of letting
+// the u32 cast truncate it. 1 GiB is an order of magnitude above the
+// largest body the engine builds (a batch of 32 MiB spills).
+const maxFrameBytes = 1 << 30
+
+// connReadBuf sizes each connection's read buffer: room for a burst of
+// small frames per read syscall, and 32 connections stay at 1 MiB.
+const connReadBuf = 32 << 10
+
+// readRequest peeks a whole method name, so the buffer must hold one.
+const _ = uint(connReadBuf - frameV2Flag)
+
+// ErrFrameTooLarge is returned for a request body over maxFrameBytes.
+// Nothing was sent, so the connection stays usable.
+var ErrFrameTooLarge = errors.New("transport: frame exceeds the size limit")
+
+func frameTooLarge(what string, n int) error {
+	return fmt.Errorf("%w: %s is %d bytes, limit %d", ErrFrameTooLarge, what, n, maxFrameBytes)
+}
+
+// frameWriter serializes frames onto one connection. The frame header is
+// built in a reused scratch buffer and handed to the kernel together
+// with the caller's body (writev on a TCP socket, consecutive writes on
+// any other net.Conn), so a body is never copied into a frame buffer.
+type frameWriter struct {
+	conn net.Conn
+
+	mu  sync.Mutex
+	hdr []byte      // header scratch
+	arr [2][]byte   // backing array of vec
+	vec net.Buffers // a field, not a local: WriteTo takes its address
+}
+
+// flush writes w.hdr followed by body. Caller holds w.mu.
+func (w *frameWriter) flush(body []byte) error {
+	w.arr[0], w.arr[1] = w.hdr, body
+	w.vec = w.arr[:]
+	_, err := w.vec.WriteTo(w.conn)
+	w.arr[1] = nil // do not pin the caller's body until the next frame
+	return err
+}
+
+func (w *frameWriter) writeRequest(id uint64, method string, envHdr, body []byte) error {
 	if len(method) >= frameV2Flag {
 		return errors.New("transport: method name too long")
 	}
 	if len(envHdr) > 1<<16-1 {
 		return errors.New("transport: envelope header too long")
 	}
-	buf := make([]byte, 0, 16+len(method)+len(envHdr)+len(body))
-	var scratch [8]byte
-	binary.BigEndian.PutUint64(scratch[:], id)
-	buf = append(buf, scratch[:]...)
+	if len(body) > maxFrameBytes {
+		return frameTooLarge(method+" request", len(body))
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	h := binary.BigEndian.AppendUint64(w.hdr[:0], id)
 	mlen := uint16(len(method))
 	if len(envHdr) > 0 {
 		mlen |= frameV2Flag // v2 frame: envelope header follows the method
 	}
-	buf = binary.BigEndian.AppendUint16(buf, mlen)
-	buf = append(buf, method...)
+	h = binary.BigEndian.AppendUint16(h, mlen)
+	h = append(h, method...)
 	if len(envHdr) > 0 {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(envHdr)))
-		buf = append(buf, envHdr...)
+		h = binary.BigEndian.AppendUint16(h, uint16(len(envHdr)))
+		h = append(h, envHdr...)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	_, err := c.raw.Write(buf)
-	return err
+	w.hdr = binary.BigEndian.AppendUint32(h, uint32(len(body)))
+	return w.flush(body)
+}
+
+func (w *frameWriter) writeResponse(reqID uint64, status byte, payload []byte) error {
+	if len(payload) > maxFrameBytes {
+		return frameTooLarge("response", len(payload))
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	h := binary.BigEndian.AppendUint64(w.hdr[:0], reqID)
+	h = append(h, status)
+	w.hdr = binary.BigEndian.AppendUint32(h, uint32(len(payload)))
+	return w.flush(payload)
 }
 
 func (c *tcpConn) close(err error) {
@@ -425,49 +488,71 @@ func (c *tcpConn) close(err error) {
 // handler (status 1).
 const statusTransportErr = 2
 
-func readRequest(r io.Reader) (reqID uint64, method string, envHdr, body []byte, err error) {
-	var hdr [10]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, "", nil, nil, err
+// readBody reads one length-checked body into its own allocation, whose
+// ownership passes to whoever receives it. A body at least as large as
+// the read buffer is read straight from the socket into that allocation.
+func readBody(br *bufio.Reader, n uint32) ([]byte, error) {
+	if n > maxFrameBytes {
+		return nil, fmt.Errorf("transport: frame length %d exceeds limit %d", n, maxFrameBytes)
+	}
+	body := make([]byte, n)
+	_, err := io.ReadFull(br, body)
+	return body, err
+}
+
+func readRequest(br *bufio.Reader) (reqID uint64, method string, envHdr, body []byte, err error) {
+	fail := func(err error) (uint64, string, []byte, []byte, error) { return 0, "", nil, nil, err }
+	// Fixed-size fields are parsed in place in the read buffer (Peek,
+	// then Discard once used); only what outlives this call is copied.
+	hdr, err := br.Peek(10)
+	if err != nil {
+		return fail(err)
 	}
 	reqID = binary.BigEndian.Uint64(hdr[0:8])
 	mlen := binary.BigEndian.Uint16(hdr[8:10])
+	br.Discard(10)
 	v2 := mlen&frameV2Flag != 0
-	mbuf := make([]byte, mlen&^frameV2Flag)
-	if _, err = io.ReadFull(r, mbuf); err != nil {
-		return 0, "", nil, nil, err
+	n := int(mlen &^ frameV2Flag) // < 32 KiB: always fits the read buffer
+	mbuf, err := br.Peek(n)
+	if err != nil {
+		return fail(err)
 	}
+	method = string(mbuf)
+	br.Discard(n)
 	if v2 {
-		var lbuf [2]byte
-		if _, err = io.ReadFull(r, lbuf[:]); err != nil {
-			return 0, "", nil, nil, err
+		lbuf, err := br.Peek(2)
+		if err != nil {
+			return fail(err)
 		}
-		envHdr = make([]byte, binary.BigEndian.Uint16(lbuf[:]))
-		if _, err = io.ReadFull(r, envHdr); err != nil {
-			return 0, "", nil, nil, err
+		envHdr = make([]byte, binary.BigEndian.Uint16(lbuf))
+		br.Discard(2)
+		if _, err = io.ReadFull(br, envHdr); err != nil {
+			return fail(err)
 		}
 	}
-	var lbuf [4]byte
-	if _, err = io.ReadFull(r, lbuf[:]); err != nil {
-		return 0, "", nil, nil, err
+	lbuf, err := br.Peek(4)
+	if err != nil {
+		return fail(err)
 	}
-	body = make([]byte, binary.BigEndian.Uint32(lbuf[:]))
-	if _, err = io.ReadFull(r, body); err != nil {
-		return 0, "", nil, nil, err
+	blen := binary.BigEndian.Uint32(lbuf)
+	br.Discard(4)
+	if body, err = readBody(br, blen); err != nil {
+		return fail(err)
 	}
-	return reqID, string(mbuf), envHdr, body, nil
+	return reqID, method, envHdr, body, nil
 }
 
-func writeResponse(w io.Writer, reqID uint64, status byte, payload []byte) error {
-	buf := make([]byte, 0, 13+len(payload))
-	var hdr [13]byte
-	binary.BigEndian.PutUint64(hdr[0:8], reqID)
-	hdr[8] = status
-	binary.BigEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	return err
+func readResponse(br *bufio.Reader) (reqID uint64, status byte, payload []byte, err error) {
+	hdr, err := br.Peek(13)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	reqID = binary.BigEndian.Uint64(hdr[0:8])
+	status = hdr[8]
+	n := binary.BigEndian.Uint32(hdr[9:13])
+	br.Discard(13)
+	payload, err = readBody(br, n)
+	return reqID, status, payload, err
 }
 
 var _ Network = (*TCP)(nil)

@@ -4,8 +4,10 @@
 // a TCP network (cmd/eclipse-node) for real multi-machine deployment.
 //
 // The unit of communication is a named method call carrying opaque bytes;
-// the cluster layer defines the method set and encodes payloads with gob
-// (see Codec). Keeping the transport byte-oriented means every protocol
+// the layers above define the method set and encode payloads with Encode:
+// a hand-written Wire codec for the messages whose count scales with
+// tasks, blocks or spills, gob for the cold control plane. Keeping the
+// transport byte-oriented means every protocol
 // interaction — metadata lookup, block reads, proactive shuffle pushes,
 // heartbeats, election messages — crosses the same boundary whether the
 // peers share a process or a data center.
@@ -181,8 +183,22 @@ func (l *Local) Close() error {
 	return nil
 }
 
-// Encode gob-encodes a value for a call payload.
+// wireAppender is the encoding half of Wire, which value types satisfy
+// too (ParseWire needs a pointer).
+type wireAppender interface {
+	AppendWire(dst []byte) []byte
+}
+
+// Encode encodes a value for a call payload: through its compiled codec
+// when it implements Wire (every per-task, per-block and per-spill
+// message does), through gob otherwise (the cold control-plane and
+// client messages, and the durable files that share this entry point).
 func Encode(v any) ([]byte, error) {
+	if m, ok := v.(wireAppender); ok {
+		// Small messages fit the initial capacity; the ones carrying
+		// bulk bytes size dst themselves before appending.
+		return m.AppendWire(make([]byte, 0, 64)), nil
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, fmt.Errorf("transport: encode: %w", err)
@@ -190,8 +206,15 @@ func Encode(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode gob-decodes a call payload into out (a pointer).
+// Decode decodes a call payload into out (a pointer), by the same rule
+// as Encode. A Wire message's []byte fields alias data afterwards.
 func Decode(data []byte, out any) error {
+	if m, ok := out.(Wire); ok {
+		if err := m.ParseWire(data); err != nil {
+			return fmt.Errorf("transport: decode: %w", err)
+		}
+		return nil
+	}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(out); err != nil {
 		return fmt.Errorf("transport: decode: %w", err)
 	}

@@ -3,7 +3,7 @@
 # eclipse-lint suite (ring-comparison safety, no RPCs under node mutexes,
 # acyclic lock order, constant single-kind metric names, simulator
 # determinism, checked I/O-boundary errors, ended spans, terminating
-# goroutines, inherited contexts). Findings print as
+# goroutines, inherited contexts, compiled codecs on data-path messages). Findings print as
 # file:line: analyzer: message; see EXPERIMENTS.md for the //lint:ignore
 # suppression syntax.
 #
