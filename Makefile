@@ -31,10 +31,12 @@ bench-repo:
 	bash bench/run.sh --workload $(WORKLOAD) --seconds 10
 
 # Every micro-benchmark of the RPC plane (codecs against their gob
-# reference, TCP round trips) compiled and run once, so none can rot; CI
-# runs the same. For numbers, raise -benchtime.
+# reference, TCP round trips), of the map/reduce kernels and of the
+# applications' map functions (k-means with and without a decoded split,
+# grep, the line walk) compiled and run once, so none can rot; CI runs the
+# same. For numbers, raise -benchtime.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/transport ./internal/dhtfs ./internal/mapreduce
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/transport ./internal/dhtfs ./internal/mapreduce ./internal/apps
 
 # Short bursts of the native fuzz targets; CI runs the same.
 # FuzzGroupByKey's seeds are long pair lists, so minimizing each new

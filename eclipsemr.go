@@ -47,7 +47,18 @@ type (
 	Result = mapreduce.Result
 	// KV is one key-value pair.
 	KV = mapreduce.KV
-	// App is a registered MapReduce application.
+	// App is a registered MapReduce application: Reduce, an optional
+	// Combine, and exactly one map path. Map processes a block's raw
+	// bytes. Decode + MapDecoded split that in two for applications whose
+	// jobs re-read their input (iterative jobs above all): Decode parses
+	// a block into an in-memory split and reports its size, the worker
+	// keeps the split in its iCache under that size, and MapDecoded runs
+	// over it in every later task on the block until the LRU evicts it —
+	// so the block is parsed once per cache residency, not once per
+	// iteration. Decode must be a pure function of the block's bytes (it
+	// sees no Params; MapDecoded checks what they say about the data),
+	// the split must not alias the block, and nobody may write to it once
+	// Decode has returned, because concurrent tasks share it.
 	App = mapreduce.App
 	// Params carries per-job application parameters.
 	Params = mapreduce.Params
@@ -87,7 +98,9 @@ func NewClusterWithNodes(ids []NodeID, opts Options) (*Cluster, error) {
 }
 
 // Register installs a MapReduce application under a name; jobs reference
-// applications by name because tasks execute on remote workers.
+// applications by name because tasks execute on remote workers. It panics
+// on a duplicate name and on an App that sets both map paths, neither, or
+// half of the Decode/MapDecoded pair.
 func Register(name string, app App) {
 	mapreduce.Register(name, app)
 }

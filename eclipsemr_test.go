@@ -111,6 +111,64 @@ func TestFacadeCustomApplication(t *testing.T) {
 	}
 }
 
+// TestFacadeDecodingApplication: the same histogram written as a decoder
+// plus a map over its split; the second job is served the first's splits.
+func TestFacadeDecodingApplication(t *testing.T) {
+	eclipsemr.Register("facade-linelen-decoded", eclipsemr.App{
+		Decode: func(block []byte) (any, int64, error) {
+			var lens []int
+			for _, line := range strings.Split(string(block), "\n") {
+				if line != "" {
+					lens = append(lens, len(line))
+				}
+			}
+			return lens, int64(8 * cap(lens)), nil
+		},
+		MapDecoded: func(p eclipsemr.Params, split any, emit eclipsemr.Emit) error {
+			for _, n := range split.([]int) {
+				if err := emit(p.Get("prefix")+strconv.Itoa(n), []byte("1")); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		Reduce: func(_ eclipsemr.Params, key string, values [][]byte, emit eclipsemr.Emit) error {
+			return emit(key, []byte(strconv.Itoa(len(values))))
+		},
+	})
+	// One node: the second job cannot be scheduled away from the splits.
+	c := newFacadeCluster(t, 1, eclipsemr.Options{})
+	text := []byte("aa\nbbb\naa\ncccc\nbbb\nbbb\n")
+	if _, err := c.UploadRecords("lines.txt", "u", eclipsemr.PermPublic, text, '\n'); err != nil {
+		t.Fatal(err)
+	}
+	for _, prefix := range []string{"len", "n"} {
+		res, err := c.Run(eclipsemr.JobSpec{
+			ID: "facade-lld-" + prefix, App: "facade-linelen-decoded", Inputs: []string{"lines.txt"}, User: "u",
+			Params: eclipsemr.Params{"prefix": []byte(prefix)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, err := c.Collect(res, "u")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, kv := range pairs {
+			got[kv.Key] = string(kv.Value)
+		}
+		if got[prefix+"2"] != "2" || got[prefix+"3"] != "3" || got[prefix+"4"] != "1" {
+			t.Fatalf("line-length histogram under %q = %v", prefix, got)
+		}
+	}
+	snap := c.MetricsSnapshot()
+	if snap.Get("mr.map.decode_misses") == 0 || snap.Get("mr.map.decode_hits") == 0 {
+		t.Fatalf("decode misses/hits = %d/%d, want the first job to decode and the second to reuse",
+			snap.Get("mr.map.decode_misses"), snap.Get("mr.map.decode_hits"))
+	}
+}
+
 func TestFacadeFileLifecycle(t *testing.T) {
 	c := newFacadeCluster(t, 3, eclipsemr.Options{})
 	data := workloads.Text(5, 8<<10, 100)

@@ -6,6 +6,7 @@
 package apps
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -52,19 +53,25 @@ func init() {
 		Map:    sortMap,
 		Reduce: sortReduce,
 	})
+	// The iterative applications read the same blocks every iteration, so
+	// they register a decoder: a block is parsed when it enters a node's
+	// iCache, not once per iteration (split.go).
 	mapreduce.Register(KMeans, mapreduce.App{
-		Map:     kmeansMap,
-		Reduce:  kmeansReduce,
-		Combine: kmeansReduce,
+		Decode:     decodePoints,
+		MapDecoded: kmeansMap,
+		Reduce:     kmeansReduce,
+		Combine:    kmeansReduce,
 	})
 	mapreduce.Register(PageRank, mapreduce.App{
-		Map:    pageRankMap,
-		Reduce: pageRankReduce,
+		Decode:     decodeGraph,
+		MapDecoded: pageRankMap,
+		Reduce:     pageRankReduce,
 	})
 	mapreduce.Register(LogReg, mapreduce.App{
-		Map:     logRegMap,
-		Reduce:  logRegReduce,
-		Combine: logRegReduce,
+		Decode:     decodeLabeledPoints,
+		MapDecoded: logRegMap,
+		Reduce:     logRegReduce,
+		Combine:    logRegReduce,
 	})
 }
 
@@ -97,16 +104,30 @@ func sumReduce(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.E
 // grepMap emits matching lines; the pattern comes from the "pattern"
 // parameter.
 func grepMap(params mapreduce.Params, input []byte, emit mapreduce.Emit) error {
-	pattern := params.Get("pattern")
-	if pattern == "" {
+	pattern := params["pattern"]
+	if len(pattern) == 0 {
 		return fmt.Errorf("apps: grep requires a %q parameter", "pattern")
 	}
-	for _, line := range strings.Split(string(input), "\n") {
-		if strings.Contains(line, pattern) {
-			if err := emit(line, one); err != nil {
-				return err
-			}
+	if bytes.IndexByte(pattern, '\n') >= 0 {
+		return nil // no line contains a line break
+	}
+	// Search the block, not its lines: only a line with a match is cut out
+	// and copied.
+	for off := 0; off < len(input); {
+		at := bytes.Index(input[off:], pattern)
+		if at < 0 {
+			break
 		}
+		at += off
+		start := bytes.LastIndexByte(input[:at], '\n') + 1
+		end := len(input)
+		if nl := bytes.IndexByte(input[at:], '\n'); nl >= 0 {
+			end = at + nl
+		}
+		if err := emit(string(input[start:end]), one); err != nil {
+			return err
+		}
+		off = end + 1
 	}
 	return nil
 }
@@ -150,7 +171,16 @@ func invertedIndexReduce(_ mapreduce.Params, key string, values [][]byte, emit m
 // shuffle and reducer-side grouping do the sorting work, which is what
 // the paper's sort benchmark stresses.
 func sortMap(_ mapreduce.Params, input []byte, emit mapreduce.Emit) error {
-	for _, line := range strings.Split(string(input), "\n") {
+	// Every line leaves as a key, so one conversion of the block is the
+	// cheapest way to make the strings.
+	text := string(input)
+	for len(text) > 0 {
+		line := text
+		if nl := strings.IndexByte(text, '\n'); nl >= 0 {
+			line, text = text[:nl], text[nl+1:]
+		} else {
+			text = ""
+		}
 		if line == "" {
 			continue
 		}
@@ -167,10 +197,16 @@ func sortReduce(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.
 	return emit(key, []byte(strconv.Itoa(len(values))))
 }
 
-// splitLines iterates non-empty lines.
-func splitLines(input []byte, fn func(line string) error) error {
-	for _, line := range strings.Split(string(input), "\n") {
-		if line == "" {
+// splitLines iterates the block's non-empty lines in place.
+func splitLines(input []byte, fn func(line []byte) error) error {
+	for len(input) > 0 {
+		line := input
+		if nl := bytes.IndexByte(input, '\n'); nl >= 0 {
+			line, input = input[:nl], input[nl+1:]
+		} else {
+			input = nil
+		}
+		if len(line) == 0 {
 			continue
 		}
 		if err := fn(line); err != nil {
@@ -178,23 +214,6 @@ func splitLines(input []byte, fn func(line string) error) error {
 		}
 	}
 	return nil
-}
-
-// parsePoint parses a comma-separated float vector.
-func parsePoint(line string, dim int) ([]float64, error) {
-	parts := strings.Split(line, ",")
-	if len(parts) != dim {
-		return nil, fmt.Errorf("apps: point %.40q has %d dims, want %d", line, len(parts), dim)
-	}
-	p := make([]float64, dim)
-	for j, s := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return nil, fmt.Errorf("apps: bad coordinate %q: %w", s, err)
-		}
-		p[j] = v
-	}
-	return p, nil
 }
 
 func sqDist(a, b []float64) float64 {

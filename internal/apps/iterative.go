@@ -17,7 +17,7 @@ import (
 // partial (sum, count) accumulator per centroid per block — local
 // aggregation keeps shuffle volume tiny, which is why the paper's k-means
 // iteration outputs are only ~1.7 KB.
-func kmeansMap(params mapreduce.Params, input []byte, emit mapreduce.Emit) error {
+func kmeansMap(params mapreduce.Params, split any, emit mapreduce.Emit) error {
 	k, err := strconv.Atoi(params.Get("k"))
 	if err != nil || k < 1 {
 		return fmt.Errorf("apps: kmeans: bad k %q", params.Get("k"))
@@ -30,13 +30,14 @@ func kmeansMap(params mapreduce.Params, input []byte, emit mapreduce.Emit) error
 	if err != nil {
 		return fmt.Errorf("apps: kmeans: %w", err)
 	}
+	pts, err := points(KMeans, split, dim)
+	if err != nil {
+		return err
+	}
 	// acc[c] holds sum vector followed by count.
 	acc := make([][]float64, k)
-	err = splitLines(input, func(line string) error {
-		p, err := parsePoint(line, dim)
-		if err != nil {
-			return err
-		}
+	for off := 0; off < len(pts.vals); off += dim {
+		p := pts.vals[off : off+dim]
 		best, bestD := 0, sqDist(p, centroids[0])
 		for c := 1; c < k; c++ {
 			if d := sqDist(p, centroids[c]); d < bestD {
@@ -48,10 +49,6 @@ func kmeansMap(params mapreduce.Params, input []byte, emit mapreduce.Emit) error
 		}
 		addVec(acc[best][:dim], p)
 		acc[best][dim]++
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	for c, a := range acc {
 		if a == nil {
@@ -174,7 +171,7 @@ const (
 // pageRankMap distributes each node's current rank over its out-edges.
 // Ranks arrive as a "ranks" parameter ("node rank" lines); missing nodes
 // start at 1/N.
-func pageRankMap(params mapreduce.Params, input []byte, emit mapreduce.Emit) error {
+func pageRankMap(params mapreduce.Params, split any, emit mapreduce.Emit) error {
 	n, err := strconv.ParseFloat(params.Get("n"), 64)
 	if err != nil || n <= 0 {
 		return fmt.Errorf("apps: pagerank: bad node count %q", params.Get("n"))
@@ -183,31 +180,37 @@ func pageRankMap(params mapreduce.Params, input []byte, emit mapreduce.Emit) err
 	if err != nil {
 		return err
 	}
-	return splitLines(input, func(line string) error {
-		fields := strings.Fields(line)
-		src := fields[0]
+	g, ok := split.(*graphSplit)
+	if !ok {
+		return fmt.Errorf("apps: pagerank: split is a %T", split)
+	}
+	var share []byte
+	first := uint32(0)
+	for _, end := range g.lineEnd {
+		src := g.name(first)
 		rank, ok := ranks[src]
 		if !ok {
 			rank = 1 / n
 		}
 		// Emitting the source with zero contribution keeps dangling and
 		// unreferenced nodes alive in the output.
-		if err := emit(src, []byte("0")); err != nil {
+		if err := emit(src, zero); err != nil {
 			return err
 		}
-		dsts := fields[1:]
-		if len(dsts) == 0 {
-			return nil
-		}
-		share := strconv.FormatFloat(rank/float64(len(dsts)), 'g', 17, 64)
-		for _, dst := range dsts {
-			if err := emit(dst, []byte(share)); err != nil {
-				return err
+		if dsts := end - first - 1; dsts > 0 {
+			share = strconv.AppendFloat(share[:0], rank/float64(dsts), 'g', 17, 64)
+			for i := first + 1; i < end; i++ {
+				if err := emit(g.name(i), share); err != nil {
+					return err
+				}
 			}
 		}
-		return nil
-	})
+		first = end
+	}
+	return nil
 }
+
+var zero = []byte("0")
 
 // pageRankReduce applies the damped update rule.
 func pageRankReduce(params mapreduce.Params, key string, values [][]byte, emit mapreduce.Emit) error {
@@ -314,7 +317,7 @@ func RunPageRank(r Runner, input, user string, n, iters int, cacheOutputs bool) 
 // logRegMap computes each block's gradient contribution for logistic
 // regression with ±1 labels, emitting one accumulated (gradient, count)
 // vector per block.
-func logRegMap(params mapreduce.Params, input []byte, emit mapreduce.Emit) error {
+func logRegMap(params mapreduce.Params, split any, emit mapreduce.Emit) error {
 	dim, err := strconv.Atoi(params.Get("dim"))
 	if err != nil || dim < 1 {
 		return fmt.Errorf("apps: logreg: bad dim %q", params.Get("dim"))
@@ -326,20 +329,13 @@ func logRegMap(params mapreduce.Params, input []byte, emit mapreduce.Emit) error
 	if len(w) != dim {
 		return fmt.Errorf("apps: logreg: weights have %d dims, want %d", len(w), dim)
 	}
+	pts, err := points(LogReg, split, dim+1)
+	if err != nil {
+		return err
+	}
 	grad := make([]float64, dim+1)
-	err = splitLines(input, func(line string) error {
-		parts := strings.SplitN(line, " ", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("apps: logreg: malformed point %.40q", line)
-		}
-		y, err := strconv.ParseFloat(parts[0], 64)
-		if err != nil {
-			return err
-		}
-		x, err := parsePoint(parts[1], dim)
-		if err != nil {
-			return err
-		}
+	for off := 0; off < len(pts.vals); off += dim + 1 {
+		y, x := pts.vals[off], pts.vals[off+1:off+1+dim]
 		dot := 0.0
 		for j := range x {
 			dot += w[j] * x[j]
@@ -350,10 +346,6 @@ func logRegMap(params mapreduce.Params, input []byte, emit mapreduce.Emit) error
 			grad[j] += coef * x[j]
 		}
 		grad[dim]++
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	return emit("grad", encodeVec(grad))
 }

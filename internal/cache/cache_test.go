@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -367,5 +370,112 @@ func TestNewSharedSplitsCapacity(t *testing.T) {
 	nc := NewShared(1001)
 	if nc.ICache.Capacity()+nc.OCache.Capacity() != 1001 {
 		t.Fatal("NewShared lost capacity to rounding")
+	}
+}
+
+// TestBlockVersionsDoNotCollide: the same ring key under two digests is
+// two blocks, and the digest-less PutBlock/GetBlock pair is a third.
+func TestBlockVersionsDoNotCollide(t *testing.T) {
+	nc := New(1024, 0)
+	k := hashing.KeyOfString("f:0")
+	v1 := BlockID{Key: k, Sum: [20]byte{1}}
+	v2 := BlockID{Key: k, Sum: [20]byte{2}}
+	nc.PutBlockVersion(v1, []byte("old"))
+	if _, ok := nc.GetBlockVersion(v2); ok {
+		t.Fatal("a block answered for another digest")
+	}
+	if _, ok := nc.GetBlock(k); ok {
+		t.Fatal("a digested block answered for the digest-less key")
+	}
+	nc.PutBlockVersion(v2, []byte("new"))
+	if data, _ := nc.GetBlockVersion(v1); string(data) != "old" {
+		t.Fatalf("v1 = %q", data)
+	}
+	if data, _ := nc.GetBlockVersion(v2); string(data) != "new" {
+		t.Fatalf("v2 = %q", data)
+	}
+	if !nc.HasBlockVersion(v1) || nc.HasBlockVersion(BlockID{Key: k, Sum: [20]byte{3}}) {
+		t.Fatal("HasBlockVersion disagrees with GetBlockVersion")
+	}
+	for _, e := range nc.ICache.EntriesInRange(k, k+1) {
+		if e.HashKey != k {
+			t.Fatalf("entry %q sits under ring key %s, want %s", e.Key, e.HashKey, k)
+		}
+	}
+}
+
+// TestDecodeSharesOneBuild: callers that miss one split together run one
+// decode between them; all get its split, and later callers get it from
+// the cache, charged at the size the decoder reported.
+func TestDecodeSharesOneBuild(t *testing.T) {
+	nc := New(1024, 0)
+	id := BlockID{Key: 7, Sum: [20]byte{9}}
+	const callers = 8
+	var calls, builders atomic.Int64
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	decode := func() (any, int64, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		return "split", 100, nil
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			split, built, err := nc.Decode("app", id, decode)
+			if err != nil || split != "split" {
+				t.Errorf("Decode = %v, %v", split, err)
+			}
+			if built {
+				builders.Add(1)
+			}
+		}()
+	}
+	<-entered
+	close(release)
+	wg.Wait()
+	if calls.Load() != 1 || builders.Load() != 1 {
+		t.Fatalf("%d decodes by %d builders for %d concurrent callers, want 1 by 1", calls.Load(), builders.Load(), callers)
+	}
+	if split, ok := nc.GetDecoded("app", id); !ok || split != "split" {
+		t.Fatalf("GetDecoded = %v, %v", split, ok)
+	}
+	if _, ok := nc.GetDecoded("other-app", id); ok {
+		t.Fatal("one application's split answered for another")
+	}
+	if nc.ICache.Bytes() != 100 {
+		t.Fatalf("iCache charges %d bytes for a split of reported size 100", nc.ICache.Bytes())
+	}
+	// A caller that missed before the build finished finds the entry.
+	if _, built, _ := nc.Decode("app", id, decode); built {
+		t.Fatal("Decode rebuilt a cached split")
+	}
+}
+
+// TestDecodeErrorAndOversizeCacheNothing: a failed decode is returned and
+// not remembered; a split larger than the partition is used once and not
+// kept.
+func TestDecodeErrorAndOversizeCacheNothing(t *testing.T) {
+	nc := New(64, 0)
+	id := BlockID{Key: 7}
+	boom := errors.New("boom")
+	for i := 0; i < 2; i++ {
+		_, built, err := nc.Decode("app", id, func() (any, int64, error) { return nil, 0, boom })
+		if !built || !errors.Is(err, boom) {
+			t.Fatalf("failing decode %d: built=%v err=%v", i, built, err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		split, built, err := nc.Decode("app", id, func() (any, int64, error) { return "big", 65, nil })
+		if !built || err != nil || split != "big" {
+			t.Fatalf("oversize decode %d: %v built=%v err=%v", i, split, built, err)
+		}
+	}
+	if nc.ICache.Len() != 0 {
+		t.Fatalf("iCache holds %d entries", nc.ICache.Len())
 	}
 }

@@ -24,15 +24,17 @@ func init() {
 			}
 			return nil
 		},
-		Reduce: func(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.Emit) error {
-			total := 0
-			for _, v := range values {
-				n, _ := strconv.Atoi(string(v))
-				total += n
-			}
-			return emit(key, []byte(strconv.Itoa(total)))
-		},
+		Reduce: sumCounts,
 	})
+}
+
+func sumCounts(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.Emit) error {
+	total := 0
+	for _, v := range values {
+		n, _ := strconv.Atoi(string(v))
+		total += n
+	}
+	return emit(key, []byte(strconv.Itoa(total)))
 }
 
 func newTestCluster(t *testing.T, n int, opts Options) *Cluster {

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"crypto/sha1"
 	"errors"
 	"fmt"
 	"sort"
@@ -79,6 +80,8 @@ type activeJob struct {
 	mk       *marker
 	res      *Result
 	attempts map[string]int
+	// blockSums is the run's runState.blockSums.
+	blockSums map[string][sha1.Size]byte
 	// completed guards per-task completion accounting: with speculative
 	// hedges, retries and failovers racing, only the first finisher
 	// counts.
@@ -229,6 +232,10 @@ type runState struct {
 	// re-execution (nil when the map phase was reused via tag and the
 	// intermediates are shared).
 	mapTasks []scheduler.Task
+	// blockSums holds, by map task ID, the digest the input file's
+	// metadata records for the task's block; tasks over files stored
+	// without digests have no entry.
+	blockSums map[string][sha1.Size]byte
 	// partsDone maps finished partitions to their recorded output file
 	// ("" = no output).
 	partsDone map[int]string
@@ -363,11 +370,11 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 		// they are expanded even when the journal says the map phase is
 		// done. (A tag-reused map phase shares its intermediates with
 		// other jobs and is not re-executable here.)
-		tasks, err := d.mapTasks(ctx, spec)
+		var err error
+		st.mapTasks, st.blockSums, err = d.mapTasks(ctx, spec)
 		if err != nil {
 			return Result{}, err
 		}
-		st.mapTasks = tasks
 	}
 
 	// A journal adoption may find partition owners that died with the
@@ -402,12 +409,13 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 				Job: spec.ID, Detail: fmt.Sprintf("tasks=%d", len(todo)),
 			})
 			j := &activeJob{
-				spec:     spec,
-				ns:       ns,
-				mk:       &mk,
-				res:      &res,
-				attempts: st.attempts,
-				jw:       st.jw,
+				spec:      spec,
+				ns:        ns,
+				mk:        &mk,
+				res:       &res,
+				attempts:  st.attempts,
+				blockSums: st.blockSums,
+				jw:        st.jw,
 			}
 			if err := d.runMapPhase(ctx, j, todo); err != nil {
 				return Result{}, err
@@ -460,23 +468,25 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 	return res, nil
 }
 
-// mapTasks expands the job's input files into one task per block.
-func (d *Driver) mapTasks(ctx context.Context, spec JobSpec) ([]scheduler.Task, error) {
+// mapTasks expands the job's input files into one task per block, with
+// the blocks' digests by task ID.
+func (d *Driver) mapTasks(ctx context.Context, spec JobSpec) ([]scheduler.Task, map[string][sha1.Size]byte, error) {
 	var tasks []scheduler.Task
+	sums := make(map[string][sha1.Size]byte)
 	for _, input := range spec.Inputs {
 		meta, err := d.fs.Lookup(ctx, input, spec.User)
 		if err != nil {
-			return nil, fmt.Errorf("mapreduce: input %q: %w", input, err)
+			return nil, nil, fmt.Errorf("mapreduce: input %q: %w", input, err)
 		}
 		for i, bk := range meta.BlockKeys {
-			tasks = append(tasks, scheduler.Task{
-				Job:     spec.ID,
-				ID:      fmt.Sprintf("%s/m/%s/%d", spec.ID, input, i),
-				HashKey: bk,
-			})
+			id := fmt.Sprintf("%s/m/%s/%d", spec.ID, input, i)
+			tasks = append(tasks, scheduler.Task{Job: spec.ID, ID: id, HashKey: bk})
+			if i < len(meta.BlockSums) {
+				sums[id] = meta.BlockSums[i]
+			}
 		}
 	}
-	return tasks, nil
+	return tasks, sums, nil
 }
 
 // runMapPhase registers the job with the dispatcher, submits its tasks,
@@ -613,6 +623,7 @@ func (d *Driver) mapReq(j *activeJob, t scheduler.Task, attempt int) *RunMapReq 
 		App:            j.spec.App,
 		Params:         j.spec.Params,
 		BlockKey:       t.HashKey,
+		BlockSum:       j.blockSums[t.ID],
 		Task:           t.ID,
 		Attempt:        attempt,
 		ReduceServers:  j.mk.Servers,
@@ -1162,12 +1173,13 @@ func (d *Driver) recoverPartitions(ctx context.Context, st *runState, lost []los
 	rmk := copyMarker(st.mk)
 	rmk.PartBytes = make([]int64, len(st.mk.PartBytes))
 	j := &activeJob{
-		spec:     st.spec,
-		ns:       st.ns,
-		mk:       &rmk,
-		res:      &scratch,
-		attempts: st.attempts,
-		only:     only,
+		spec:      st.spec,
+		ns:        st.ns,
+		mk:        &rmk,
+		res:       &scratch,
+		attempts:  st.attempts,
+		blockSums: st.blockSums,
+		only:      only,
 	}
 	if err := d.runMapPhase(ctx, j, st.mapTasks); err != nil {
 		return nil, fmt.Errorf("mapreduce: partition-recovery map re-execution: %w", err)
@@ -1297,11 +1309,12 @@ func (d *Driver) reshuffleLostPartitions(ctx context.Context, st *runState, prio
 		ns:   st.ns,
 		// The live marker, on purpose: the re-homed partitions' PartBytes
 		// must accumulate where the reduce phase reads them.
-		mk:       st.mk,
-		res:      &scratch,
-		attempts: st.attempts,
-		jw:       st.jw,
-		only:     only,
+		mk:        st.mk,
+		res:       &scratch,
+		attempts:  st.attempts,
+		blockSums: st.blockSums,
+		jw:        st.jw,
+		only:      only,
 	}
 	if err := d.runMapPhase(ctx, j, redo); err != nil {
 		return fmt.Errorf("mapreduce: lost-partition re-shuffle: %w", err)

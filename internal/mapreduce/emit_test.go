@@ -78,13 +78,26 @@ func referenceSpills(app App, table *hashing.RangeTable, req RunMapReq, input []
 		spills = append(spills, spillRecord{part, seq, data})
 	}))
 	defer out.release()
-	if err := app.Map(req.Params, input, out.emit); err != nil {
+	if err := mapUncached(app, req.Params, input, out.emit); err != nil {
 		return nil, err
 	}
 	if err := out.flushAll(); err != nil {
 		return nil, err
 	}
 	return spills, combineErr
+}
+
+// mapUncached runs the application's map path over a raw block with no
+// cache in between: a decoding application decodes, then maps.
+func mapUncached(app App, params Params, input []byte, emit Emit) error {
+	if app.Decode == nil {
+		return app.Map(params, input, emit)
+	}
+	split, _, err := app.Decode(input)
+	if err != nil {
+		return err
+	}
+	return app.MapDecoded(params, split, emit)
 }
 
 func mustLookup(name string) App {

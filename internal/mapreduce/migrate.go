@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"eclipsemr/internal/cache"
+	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/transport"
 )
@@ -17,7 +18,8 @@ import (
 // data objects, and to migrate the cached data if either one has". The
 // worker serves its cached blocks by range (mr.cacheRange) and adopts a
 // new range by pulling misplaced entries from both ring neighbors
-// (mr.adoptRange).
+// (mr.adoptRange). Only the blocks' bytes migrate: a decoded split is
+// rebuilt from them where it is next needed.
 
 // Wire messages for cache migration.
 type (
@@ -115,13 +117,17 @@ func (w *Worker) adoptRange(ctx context.Context, req AdoptRangeReq) (int, error)
 			return migrated, err
 		}
 		for _, blk := range resp.Blocks {
-			if _, ok := w.cache.ICache.Peek(cache.BlockKey(blk.Key)); ok {
+			// The digest that names a cached block is its content's, so the
+			// receiver derives it; a block damaged on the way lands under a
+			// name no task asks for.
+			id := cache.BlockID{Key: blk.Key, Sum: dhtfs.SumBlock(blk.Data)}
+			if w.cache.HasBlockVersion(id) {
 				continue
 			}
 			// blk.Data is a view of the one reply body that carried every
 			// block: cache a copy, or a single surviving entry would pin
 			// the whole reply behind the cache's byte accounting.
-			if w.cache.PutBlock(blk.Key, bytes.Clone(blk.Data)) {
+			if w.cache.PutBlockVersion(id, bytes.Clone(blk.Data)) {
 				migrated++
 			}
 		}

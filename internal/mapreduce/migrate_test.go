@@ -4,9 +4,19 @@ import (
 	"context"
 	"testing"
 
+	"eclipsemr/internal/cache"
+	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/transport"
 )
+
+// putCached caches data on w the way a map task over the block does: under
+// the block's ring key and content digest.
+func putCached(w *Worker, k hashing.Key, data string) cache.BlockID {
+	id := cache.BlockID{Key: k, Sum: dhtfs.SumBlock([]byte(data))}
+	w.Cache().PutBlockVersion(id, []byte(data))
+	return id
+}
 
 // callWorker invokes a worker method through the test network.
 func callWorker(t *testing.T, ec *engineCluster, to hashing.NodeID, method string, req, resp any) {
@@ -27,8 +37,8 @@ func callWorker(t *testing.T, ec *engineCluster, to hashing.NodeID, method strin
 func TestCacheRangeServesOnlyMatchingBlocks(t *testing.T) {
 	ec := newEngineCluster(t, engineOpts{nodes: 3})
 	w := ec.workers[ec.ids[0]]
-	w.Cache().PutBlock(100, []byte("inside"))
-	w.Cache().PutBlock(900, []byte("outside"))
+	putCached(w, 100, "inside")
+	putCached(w, 900, "outside")
 	var resp CacheRangeResp
 	callWorker(t, ec, ec.ids[0], MethodCacheRange, CacheRangeReq{Start: 50, End: 500}, &resp)
 	if len(resp.Blocks) != 1 || resp.Blocks[0].Key != 100 || string(resp.Blocks[0].Data) != "inside" {
@@ -41,11 +51,11 @@ func TestAdoptRangeMigratesFromNeighbors(t *testing.T) {
 	left, mid, right := ec.workers[ec.ids[0]], ec.workers[ec.ids[1]], ec.workers[ec.ids[2]]
 	// Blocks cached on the neighbors under old ranges, now covered by
 	// mid's new range [0, 1000).
-	left.Cache().PutBlock(10, []byte("from-left"))
-	right.Cache().PutBlock(20, []byte("from-right"))
-	right.Cache().PutBlock(5000, []byte("stays")) // outside the range
+	putCached(left, 10, "from-left")
+	migrating := putCached(right, 20, "from-right")
+	staying := putCached(right, 5000, "stays") // outside the range
 	// mid already holds one of them: no double count.
-	mid.Cache().PutBlock(10, []byte("from-left"))
+	putCached(mid, 10, "from-left")
 
 	var resp AdoptRangeResp
 	callWorker(t, ec, ec.ids[1], MethodAdoptRange, AdoptRangeReq{
@@ -54,17 +64,17 @@ func TestAdoptRangeMigratesFromNeighbors(t *testing.T) {
 	if resp.Migrated != 1 {
 		t.Fatalf("migrated = %d, want 1 (only the right neighbor's block 20)", resp.Migrated)
 	}
-	if data, ok := mid.Cache().GetBlock(20); !ok || string(data) != "from-right" {
+	if data, ok := mid.Cache().GetBlockVersion(migrating); !ok || string(data) != "from-right" {
 		t.Fatalf("block 20 not migrated: %q %v", data, ok)
 	}
-	if _, ok := mid.Cache().GetBlock(5000); ok {
+	if _, ok := mid.Cache().GetBlockVersion(staying); ok {
 		t.Fatal("out-of-range block migrated")
 	}
 }
 
 func TestAdoptRangeToleratesDeadNeighbor(t *testing.T) {
 	ec := newEngineCluster(t, engineOpts{nodes: 3})
-	ec.workers[ec.ids[2]].Cache().PutBlock(42, []byte("survivor"))
+	putCached(ec.workers[ec.ids[2]], 42, "survivor")
 	ec.net.Unlisten(ec.ids[0]) // left neighbor is dead
 	var resp AdoptRangeResp
 	callWorker(t, ec, ec.ids[1], MethodAdoptRange, AdoptRangeReq{

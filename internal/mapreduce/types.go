@@ -47,14 +47,39 @@ type Emit func(key string, value []byte) error
 // MapFunc processes one input block.
 type MapFunc func(params Params, input []byte, emit Emit) error
 
+// DecodeFunc parses one input block into the application's in-memory
+// split and reports the split's memory footprint in bytes. The worker
+// keeps the split in its iCache next to the block's bytes, charged at
+// size, and hands it to MapDecodedFunc in every later task over the same
+// block until the LRU evicts it; then it is decoded again. So that a split
+// can serve every job, iteration and concurrent task alike:
+//
+//   - Decode is pure: the split depends on the block's bytes alone. It
+//     sees no Params; whatever a job's parameters constrain (a dimension,
+//     a column count) is recorded in the split and checked by MapDecoded.
+//   - The split does not alias block, and nobody writes to it once Decode
+//     has returned.
+//   - size counts everything the split keeps alive.
+type DecodeFunc func(block []byte) (split any, size int64, err error)
+
+// MapDecodedFunc processes one decoded split; it must not modify it.
+type MapDecodedFunc func(params Params, split any, emit Emit) error
+
 // ReduceFunc processes all values of one intermediate key. It also serves
 // as the optional combiner run over map-side buffers before spilling.
 type ReduceFunc func(params Params, key string, values [][]byte, emit Emit) error
 
-// App is a registered MapReduce application.
+// App is a registered MapReduce application. It has exactly one map path:
+// Map over the block's bytes, or Decode plus MapDecoded for applications
+// whose tasks spend their time parsing input that later jobs read again
+// (iterative jobs above all).
 type App struct {
-	// Map is required.
+	// Map processes the raw block. Required unless Decode and MapDecoded
+	// are set.
 	Map MapFunc
+	// Decode and MapDecoded replace Map; set both or neither.
+	Decode     DecodeFunc
+	MapDecoded MapDecodedFunc
 	// Reduce is required.
 	Reduce ReduceFunc
 	// Combine optionally pre-aggregates map output before each spill,
@@ -71,8 +96,14 @@ var (
 // name twice panics: application sets are program-level configuration and
 // a silent overwrite would mask a deployment bug.
 func Register(name string, app App) {
-	if app.Map == nil || app.Reduce == nil {
-		panic("mapreduce: Register " + name + ": Map and Reduce are required")
+	if app.Reduce == nil {
+		panic("mapreduce: Register " + name + ": Reduce is required")
+	}
+	if (app.Decode == nil) != (app.MapDecoded == nil) {
+		panic("mapreduce: Register " + name + ": Decode and MapDecoded come as a pair")
+	}
+	if (app.Map == nil) == (app.Decode == nil) {
+		panic("mapreduce: Register " + name + ": exactly one of Map and Decode+MapDecoded is required")
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()

@@ -65,6 +65,7 @@ func (m RunMapReq) AppendWire(dst []byte) []byte {
 	dst = transport.AppendString(dst, m.App)
 	dst = appendParams(dst, m.Params)
 	dst = transport.AppendKey(dst, m.BlockKey)
+	dst = append(dst, m.BlockSum[:]...)
 	dst = transport.AppendString(dst, m.Task)
 	dst = transport.AppendInt(dst, int64(m.Attempt))
 	dst = appendNodeIDs(dst, m.ReduceServers)
@@ -84,11 +85,10 @@ func (m RunMapReq) AppendWire(dst []byte) []byte {
 // ParseWire implements transport.Wire.
 func (m *RunMapReq) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = RunMapReq{
-		Job: r.Str(), Namespace: r.Str(), App: r.Str(), Params: readParams(&r),
-		BlockKey: r.Key(), Task: r.Str(), Attempt: r.Int(),
-		ReduceServers: readNodeIDs(&r),
-	}
+	*m = RunMapReq{Job: r.Str(), Namespace: r.Str(), App: r.Str(), Params: readParams(&r), BlockKey: r.Key()}
+	copy(m.BlockSum[:], r.Raw(len(m.BlockSum)))
+	m.Task, m.Attempt = r.Str(), r.Int()
+	m.ReduceServers = readNodeIDs(&r)
 	if n := r.Count(8); n > 0 {
 		m.ReduceBounds = make([]hashing.Key, n)
 		for i := range m.ReduceBounds {

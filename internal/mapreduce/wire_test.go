@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"math"
 	"testing"
 	"time"
@@ -29,7 +30,8 @@ func typicalMapReq() *RunMapReq {
 	return &RunMapReq{
 		Job: "grep-000123", Namespace: "job:grep-000123", App: "grep",
 		Params:   Params{"pattern": []byte("needle[0-9]+")},
-		BlockKey: 0x9e3779b97f4a7c15, Task: "grep-000123/m-0007", Attempt: 1,
+		BlockKey: 0x9e3779b97f4a7c15, BlockSum: sha1.Sum([]byte("block 7")),
+		Task: "grep-000123/m-0007", Attempt: 1,
 		ReduceServers:  []hashing.NodeID{"worker-00", "worker-01", "worker-02", "worker-03"},
 		ReduceBounds:   []hashing.Key{1 << 62, 1 << 63, 3 << 62, maxKey},
 		ReduceReplicas: []hashing.NodeID{"worker-01", "worker-02", "worker-03", "worker-00"},
@@ -45,7 +47,7 @@ func wireCases() []transport.Wire {
 		typicalMapReq(),
 		&RunMapReq{
 			Job: notUTF8, Params: Params{"": nil, "empty": {}, notUTF8: big[:100000]},
-			BlockKey: maxKey, Attempt: math.MinInt,
+			BlockKey: maxKey, BlockSum: [sha1.Size]byte(bytes.Repeat([]byte{0xff}, sha1.Size)), Attempt: math.MinInt,
 			ReduceServers: []hashing.NodeID{}, ReduceBounds: []hashing.Key{0, maxKey},
 			ReduceReplicas: []hashing.NodeID{"", notUTF8}, OnlyPartitions: []int{0, -1, math.MaxInt},
 			SpillThreshold: math.MaxInt, TTL: -time.Second,

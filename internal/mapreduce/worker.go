@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"crypto/sha1"
 	"fmt"
 	"slices"
 	"time"
@@ -25,6 +26,12 @@ type (
 		Params    Params
 		// BlockKey identifies the input block in the DHT file system.
 		BlockKey hashing.Key
+		// BlockSum is the block's SHA-1 from the input file's metadata. It
+		// verifies a remote read and, with BlockKey, names what iCache
+		// holds of the block, so entries a deleted file left behind under
+		// the same key are never served. Zero when the metadata has no
+		// digests (files stored before digests were kept).
+		BlockSum [sha1.Size]byte
 		// Task names the map task and Attempt counts its executions
 		// (0-based), so spills from retried or re-dispatched attempts
 		// supersede rather than duplicate earlier ones. An empty Task
@@ -52,7 +59,8 @@ type (
 	// the mapper's "notify the scheduler with their hash keys" step.
 	RunMapResp struct {
 		PartBytes []int64
-		// CacheHit reports the input block was served from iCache.
+		// CacheHit reports the input was served from iCache: the block's
+		// bytes or, for a decoding application, its decoded split.
 		CacheHit bool
 		// RemoteRead reports the block came from a remote server's shard.
 		RemoteRead bool
@@ -171,19 +179,23 @@ func (w *Worker) Handle(ctx context.Context, method string, body []byte) ([]byte
 // local DHT-FS shard, then a remote read that populates iCache so the
 // popular block is now cached *here*, in the range the scheduler mapped it
 // to — independent of where the file system stored it.
-func (w *Worker) fetchBlock(ctx context.Context, k hashing.Key) (data []byte, cacheHit, remote bool, err error) {
-	if data, ok := w.cache.GetBlock(k); ok {
+func (w *Worker) fetchBlock(ctx context.Context, id cache.BlockID) (data []byte, cacheHit, remote bool, err error) {
+	if data, ok := w.cache.GetBlockVersion(id); ok {
 		return data, true, false, nil
 	}
-	if data, err := w.fs.Store().GetBlock(k); err == nil {
-		w.cache.PutBlock(k, data)
+	if data, err := w.fs.Store().GetBlock(id.Key); err == nil {
+		w.cache.PutBlockVersion(id, data)
 		return data, false, false, nil
 	}
-	data, err = w.fs.ReadBlock(ctx, k)
+	if id.Sum == ([sha1.Size]byte{}) {
+		data, err = w.fs.ReadBlock(ctx, id.Key)
+	} else {
+		data, err = w.fs.ReadBlockVerified(ctx, id.Key, id.Sum)
+	}
 	if err != nil {
 		return nil, false, false, err
 	}
-	w.cache.PutBlock(k, data)
+	w.cache.PutBlockVersion(id, data)
 	return data, false, true, nil
 }
 
@@ -204,9 +216,25 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	if err != nil {
 		return RunMapResp{}, err
 	}
+	id := cache.BlockID{Key: req.BlockKey, Sum: req.BlockSum}
+	// A decoding application reads its split; the block's bytes are read
+	// only to build a split iCache does not hold.
+	var (
+		input            []byte
+		split            any
+		decoded          bool
+		cacheHit, remote bool
+	)
 	readTimer := w.reg.Histogram("mr.map.read_ns").Start()
 	rctx, rd := w.tracer.StartSpan(ctx, "map.read")
-	input, cacheHit, remote, err := w.fetchBlock(rctx, req.BlockKey)
+	if app.Decode != nil {
+		split, decoded = w.cache.GetDecoded(req.App, id)
+	}
+	if decoded {
+		cacheHit = true
+	} else {
+		input, cacheHit, remote, err = w.fetchBlock(rctx, id)
+	}
 	if cacheHit {
 		rd.Annotate("cache", "hit")
 	} else {
@@ -236,14 +264,39 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	sender := w.newSpillSender(ctx, req)
 	out := newMapEmitter(table, req, app.Combine, sender.enqueue)
 
-	// Compute covers the user map function and everything emit does on
-	// this goroutine: partitioning, buffering and, for applications with a
-	// combiner, combining each spill. The batch pushes run on the sender
+	// Compute covers the user functions (decoding a split iCache missed
+	// included) and everything emit does on this goroutine: partitioning,
+	// buffering and, for applications with a combiner, combining each
+	// spill. The batch pushes run on the sender
 	// goroutine and are timed as mr.shuffle.send_ns (their spans parent
 	// under task.map, not map.compute); waiting for them is not compute.
 	computeTimer := w.reg.Histogram("mr.map.compute_ns").Start()
 	_, comp := w.tracer.StartSpan(ctx, "map.compute")
-	mapErr := app.Map(req.Params, input, out.emit)
+	var mapErr error
+	if app.Decode == nil {
+		mapErr = app.Map(req.Params, input, out.emit)
+	} else {
+		if !decoded {
+			// Tasks that miss the same split at once share one decode.
+			var built bool
+			split, built, mapErr = w.cache.Decode(req.App, id, func() (any, int64, error) {
+				return app.Decode(input)
+			})
+			decoded = !built
+		}
+		if decoded {
+			w.reg.Counter("mr.map.decode_hits").Inc()
+			comp.Annotate("decoded", "hit")
+		} else {
+			w.reg.Counter("mr.map.decode_misses").Inc()
+			comp.Annotate("decoded", "miss")
+		}
+		if mapErr != nil {
+			mapErr = fmt.Errorf("decode: %w", mapErr)
+		} else {
+			mapErr = app.MapDecoded(req.Params, split, out.emit)
+		}
+	}
 	if mapErr == nil {
 		mapErr = out.flushAll()
 	}
