@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench bench-repo bench-micro fuzz-smoke fmt
+.PHONY: build test check lint bench-repo bench-micro fuzz-smoke fmt
 
 build:
 	$(GO) build ./...
@@ -17,11 +17,6 @@ check:
 # the same; see EXPERIMENTS.md for reading and suppressing findings.
 lint:
 	./scripts/lint.sh
-
-# Real-engine benchmark harness; writes BENCH_*.json into the repo root.
-# CI runs the same with BENCH_SHORT=1.
-bench:
-	./scripts/bench.sh
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): one workload
 # on the real 4-node TCP cluster for the length the driver uses. Prints the

@@ -1,27 +1,21 @@
 // Benchmarks regenerating every table and figure of the paper's §III
 // (one benchmark per figure, reporting the figure's own metrics via
 // ReportMetric), plus ablation benchmarks for the design choices called
-// out in DESIGN.md and microbenchmarks of the real engine.
+// out in DESIGN.md and a micro-benchmark of the density estimator. The
+// real engine is measured by the repository benchmark (bench/,
+// BENCHMARK.json), not here.
 //
 //	go test -bench=. -benchmem
 package eclipsemr_test
 
 import (
-	"os"
-	"path/filepath"
-
 	"fmt"
 	"testing"
 
-	"eclipsemr"
-	"eclipsemr/internal/apps"
-	"eclipsemr/internal/benchrun"
-	"eclipsemr/internal/bundle"
 	"eclipsemr/internal/chord"
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/kde"
 	"eclipsemr/internal/simcluster"
-	"eclipsemr/internal/trace"
 	"eclipsemr/internal/workloads"
 )
 
@@ -268,75 +262,8 @@ func BenchmarkAblationKDEBandwidth(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Real-engine benchmarks
+// Scheduler and placement costs
 // ---------------------------------------------------------------------
-
-// BenchmarkEngineWordCount measures a full word count job on the real
-// in-process engine (DHT FS + caches + proactive shuffle + LAF).
-func BenchmarkEngineWordCount(b *testing.B) {
-	c, err := eclipsemr.NewCluster(4, eclipsemr.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	text := workloads.Text(1, 1<<20, 2000)
-	if _, err := c.UploadRecords("bench.txt", "b", eclipsemr.PermPublic, text, '\n'); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := c.Run(eclipsemr.JobSpec{
-			ID: fmt.Sprintf("bench-wc-%d", i), App: apps.WordCount,
-			Inputs: []string{"bench.txt"}, User: "b",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.OutputFiles) == 0 {
-			b.Fatal("no output")
-		}
-	}
-}
-
-// BenchmarkDHTFSUploadRead measures file round trips through the real
-// distributed file system.
-func BenchmarkDHTFSUploadRead(b *testing.B) {
-	c, err := eclipsemr.NewCluster(4, eclipsemr.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	data := workloads.Text(2, 1<<20, 500)
-	b.SetBytes(int64(len(data)) * 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		name := fmt.Sprintf("rt-%d.dat", i)
-		if _, err := c.Upload(name, "b", eclipsemr.PermPublic, data); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.ReadFile(name, "b"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRingLookup measures consistent-hash owner lookups.
-func BenchmarkRingLookup(b *testing.B) {
-	ring := hashing.NewChordRing()
-	for i := 0; i < 40; i++ {
-		if err := ring.AddNode(hashing.NodeID(fmt.Sprintf("n%02d", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	keys := workloads.UniformKeys(1, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ring.Owner(keys[i%len(keys)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkKDEAdd measures density-estimator updates, the per-task cost
 // the LAF scheduler adds to the submission path.
@@ -382,176 +309,5 @@ func BenchmarkAblationVirtualNodes(b *testing.B) {
 		b.ReportMetric(spread(1), "1-token-maxmin")
 		b.ReportMetric(spread(16), "16-token-maxmin")
 		b.ReportMetric(spread(128), "128-token-maxmin")
-	}
-}
-
-// ---------------------------------------------------------------------
-// Harness benchmarks (the BENCH_*.json trajectory)
-// ---------------------------------------------------------------------
-
-// BenchmarkHarnessWordCount and BenchmarkHarnessKMeans run the benchrun
-// harness on the real engine and report the headline numbers. When
-// BENCH_DIR is set (scripts/bench.sh does this), the last run's full
-// report is written to BENCH_<workload>.json so CI records a perf point
-// per PR. BENCH_SHORT=1 (or -short) selects the CI smoke size.
-func BenchmarkHarnessWordCount(b *testing.B) { harnessBench(b, "wordcount") }
-
-func BenchmarkHarnessKMeans(b *testing.B) { harnessBench(b, "kmeans") }
-
-func harnessBench(b *testing.B, workload string) {
-	cfg := benchrun.DefaultConfig()
-	if testing.Short() || os.Getenv("BENCH_SHORT") != "" {
-		cfg = benchrun.ShortConfig()
-	}
-	var rep benchrun.Report
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = benchrun.Run(workload, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rep.WallMS, "wall-ms")
-	b.ReportMetric(rep.CacheHitRatio*100, "cache-hit-%")
-	if s, ok := rep.Stages["mr.map.read_ns"]; ok {
-		b.ReportMetric(s.P99MS, "map-read-p99-ms")
-	}
-	if dir := os.Getenv("BENCH_DIR"); dir != "" {
-		path := filepath.Join(dir, "BENCH_"+workload+".json")
-		if err := benchrun.WriteJSON(path, rep); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote %s", path)
-	}
-}
-
-// BenchmarkHarnessTraceOverhead runs wordcount untraced and traced on
-// the same config and reports the wall-time cost of span recording. The
-// traced run's Chrome export is schema-validated and, when BENCH_DIR is
-// set, written to trace.json (the CI artifact — load it in Perfetto)
-// next to BENCH_trace_overhead.json.
-func BenchmarkHarnessTraceOverhead(b *testing.B) {
-	cfg := benchrun.DefaultConfig()
-	if testing.Short() || os.Getenv("BENCH_SHORT") != "" {
-		cfg = benchrun.ShortConfig()
-	}
-	var (
-		rep    benchrun.OverheadReport
-		chrome []byte
-	)
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, chrome, err = benchrun.Overhead("wordcount", cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if rep.Traced.TraceSpans == 0 {
-		b.Fatal("traced run recorded no spans")
-	}
-	if err := trace.ValidateChrome(chrome); err != nil {
-		b.Fatalf("traced run exported invalid Chrome trace: %v", err)
-	}
-	b.ReportMetric(rep.Untraced.WallMS, "untraced-ms")
-	b.ReportMetric(rep.Traced.WallMS, "traced-ms")
-	b.ReportMetric(rep.DeltaPct, "overhead-%")
-	b.ReportMetric(float64(rep.Traced.TraceSpans), "spans")
-	if dir := os.Getenv("BENCH_DIR"); dir != "" {
-		path := filepath.Join(dir, "BENCH_trace_overhead.json")
-		if err := benchrun.WriteJSON(path, rep); err != nil {
-			b.Fatal(err)
-		}
-		tracePath := filepath.Join(dir, "trace.json")
-		if err := os.WriteFile(tracePath, chrome, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote %s and %s", path, tracePath)
-	}
-}
-
-// BenchmarkHarnessChaosBundle runs the seeded kill-a-node recovery
-// scenario with event recording on and captures the resulting debug
-// bundle — the same canonical format the engine's flight recorder
-// writes. When BENCH_DIR is set the bundle lands in bundle.json, which
-// CI re-validates with cmd/bundlecheck so a schema drift in the capture
-// path fails the build, not the person who later opens a real incident
-// bundle. The headline metrics are the recovered wall time and the size
-// of the merged timeline.
-func BenchmarkHarnessChaosBundle(b *testing.B) {
-	var (
-		data    []byte
-		stats   simcluster.JobStats
-		nEvents int
-	)
-	for i := 0; i < b.N; i++ {
-		p := simcluster.DefaultParams()
-		p.Nodes = 8
-		m, err := simcluster.NewModel(p, simcluster.Eclipse, simcluster.LAF(0.001))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.EnableEvents(99)
-		m.EnableTracing(99)
-		if err := m.KillNodeAtReduceStart(3); err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Submit(simcluster.JobDesc{
-			Name: "chaos-wc", App: simcluster.ProfileWordCount, InputBytes: 2 << 30, Seed: 1,
-		}, 0, func(s simcluster.JobStats) { stats = s }); err != nil {
-			b.Fatal(err)
-		}
-		m.Run()
-		if stats.Finish == 0 {
-			b.Fatal("chaos job never completed")
-		}
-		data, err = m.DebugBundle("", "bench_capture")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := bundle.Validate(data); err != nil {
-			b.Fatalf("captured bundle invalid: %v", err)
-		}
-		nEvents = len(m.Events(""))
-	}
-	b.ReportMetric(stats.Finish, "recovered-wall-s")
-	b.ReportMetric(float64(nEvents), "events")
-	if dir := os.Getenv("BENCH_DIR"); dir != "" {
-		path := filepath.Join(dir, "bundle.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote %s", path)
-	}
-}
-
-// BenchmarkHarnessRing compares the ring backends — lookup ns/op, keys
-// remapped per join/leave and load balance at several member counts —
-// and writes BENCH_ring.json when BENCH_DIR is set. The headline metrics
-// contrast the chord ring's lookup growth with the O(1) backends at the
-// largest configured size.
-func BenchmarkHarnessRing(b *testing.B) {
-	cfg := benchrun.DefaultRingBenchConfig()
-	if testing.Short() || os.Getenv("BENCH_SHORT") != "" {
-		cfg = benchrun.ShortRingBenchConfig()
-	}
-	var rep benchrun.RingReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = benchrun.RingBench(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, back := range rep.Backends {
-		last := back.Points[len(back.Points)-1]
-		b.ReportMetric(last.LookupNS, back.Algorithm+"-lookup-ns")
-		b.ReportMetric(last.JoinRemappedFrac*100, back.Algorithm+"-join-remap-%")
-	}
-	if dir := os.Getenv("BENCH_DIR"); dir != "" {
-		path := filepath.Join(dir, "BENCH_ring.json")
-		if err := benchrun.WriteJSON(path, rep); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote %s", path)
 	}
 }

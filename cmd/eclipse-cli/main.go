@@ -263,22 +263,11 @@ func main() {
 		var (
 			spans   []trace.Span
 			dropped int64
-			reached int
 		)
-		for _, id := range sortedIDs(hosts) {
-			var resp cluster.SpansResp
-			err := nodecmd.Call(net, id, cluster.MethodSpans, cluster.SpansReq{Trace: jobID}, &resp)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "node %s: %v\n", id, err)
-				continue
-			}
-			reached++
-			spans = append(spans, resp.Spans...)
-			dropped += resp.Dropped
-		}
-		if reached == 0 {
-			log.Fatal("eclipse-cli: trace: no node reachable")
-		}
+		collect(net, hosts, "trace", cluster.MethodSpans, cluster.SpansReq{Trace: jobID}, func(r *cluster.SpansResp) {
+			spans = append(spans, r.Spans...)
+			dropped += r.Dropped
+		})
 		spans = trace.Dedupe(spans)
 		if len(spans) == 0 {
 			log.Fatalf("eclipse-cli: trace: no spans for job %q (was the cluster started with tracing enabled?)", jobID)
@@ -326,22 +315,11 @@ func main() {
 		var (
 			evs     []events.Event
 			dropped int64
-			reached int
 		)
-		for _, id := range sortedIDs(hosts) {
-			var resp cluster.EventsResp
-			err := nodecmd.Call(net, id, cluster.MethodEvents, cluster.EventsReq{Job: jobID}, &resp)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "node %s: %v\n", id, err)
-				continue
-			}
-			reached++
-			evs = append(evs, resp.Events...)
-			dropped += resp.Dropped
-		}
-		if reached == 0 {
-			log.Fatal("eclipse-cli: events: no node reachable")
-		}
+		collect(net, hosts, "events", cluster.MethodEvents, cluster.EventsReq{Job: jobID}, func(r *cluster.EventsResp) {
+			evs = append(evs, r.Events...)
+			dropped += r.Dropped
+		})
 		evs = events.Merge(evs)
 		f := events.Filter{Kinds: kinds, Node: *nodeFlag}
 		if *sinceFlag > 0 && len(evs) > 0 {
@@ -405,6 +383,25 @@ func main() {
 
 	default:
 		log.Fatalf("eclipse-cli: unknown command %q", cmd)
+	}
+}
+
+// collect asks every node in the hosts file for its ring (spans or
+// events) and hands each reply to add. A node that does not answer is
+// reported and skipped; the command dies only if none answers.
+func collect[Resp any](net transport.Network, hosts map[hashing.NodeID]string, cmd, method string, req any, add func(*Resp)) {
+	reached := 0
+	for _, id := range sortedIDs(hosts) {
+		var resp Resp
+		if err := nodecmd.Call(net, id, method, req, &resp); err != nil {
+			fmt.Fprintf(os.Stderr, "node %s: %v\n", id, err)
+			continue
+		}
+		reached++
+		add(&resp)
+	}
+	if reached == 0 {
+		log.Fatalf("eclipse-cli: %s: no node reachable", cmd)
 	}
 }
 

@@ -478,25 +478,37 @@ func (c *Cluster) TraceSpans(jobID string) ([]trace.Span, int64, error) {
 
 // TraceSpansContext is TraceSpans with caller-controlled cancellation.
 func (c *Cluster) TraceSpansContext(ctx context.Context, jobID string) ([]trace.Span, int64, error) {
-	body, err := transport.Encode(SpansReq{Trace: jobID})
-	if err != nil {
-		return nil, 0, err
-	}
 	var all []trace.Span
 	var dropped int64
+	err := collect(ctx, c, MethodSpans, SpansReq{Trace: jobID}, func(r *SpansResp) {
+		all = append(all, r.Spans...)
+		dropped += r.Dropped
+	})
+	if err != nil {
+		return nil, dropped, err
+	}
+	return trace.Dedupe(all), dropped, nil
+}
+
+// collect sends req to every live node and hands each decoded reply to
+// add. Unreachable nodes are skipped; an undecodable reply is an error.
+func collect[Resp any](ctx context.Context, c *Cluster, method string, req any, add func(*Resp)) error {
+	body, err := transport.Encode(req)
+	if err != nil {
+		return err
+	}
 	for _, id := range c.Nodes() {
-		out, err := c.net.Call(ctx, id, MethodSpans, body)
+		out, err := c.net.Call(ctx, id, method, body)
 		if err != nil {
 			continue
 		}
-		var resp SpansResp
+		var resp Resp
 		if err := transport.Decode(out, &resp); err != nil {
-			return nil, dropped, err
+			return err
 		}
-		all = append(all, resp.Spans...)
-		dropped += resp.Dropped
+		add(&resp)
 	}
-	return trace.Dedupe(all), dropped, nil
+	return nil
 }
 
 // Events collects the retained structured events of one job (empty
@@ -512,23 +524,14 @@ func (c *Cluster) Events(jobID string) ([]events.Event, int64, error) {
 
 // EventsContext is Events with caller-controlled cancellation.
 func (c *Cluster) EventsContext(ctx context.Context, jobID string) ([]events.Event, int64, error) {
-	body, err := transport.Encode(EventsReq{Job: jobID})
-	if err != nil {
-		return nil, 0, err
-	}
 	var all []events.Event
 	var dropped int64
-	for _, id := range c.Nodes() {
-		out, err := c.net.Call(ctx, id, MethodEvents, body)
-		if err != nil {
-			continue
-		}
-		var resp EventsResp
-		if err := transport.Decode(out, &resp); err != nil {
-			return nil, dropped, err
-		}
-		all = append(all, resp.Events...)
-		dropped += resp.Dropped
+	err := collect(ctx, c, MethodEvents, EventsReq{Job: jobID}, func(r *EventsResp) {
+		all = append(all, r.Events...)
+		dropped += r.Dropped
+	})
+	if err != nil {
+		return nil, dropped, err
 	}
 	return events.Merge(all), dropped, nil
 }

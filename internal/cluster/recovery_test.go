@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"eclipsemr/internal/dhtfs"
+	"eclipsemr/internal/events"
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/mapreduce"
 	"eclipsemr/internal/transport"
@@ -106,11 +107,11 @@ func TestLostPartitionRecoveryEndToEnd(t *testing.T) {
 	}
 	victim := nonManagerNode(t, c)
 	failed := make(chan error, 1)
-	c.driver.SetEventListener(func(job, event string) {
+	c.Manager().Events().SetObserver(func(e events.Event) {
 		// Crash the victim exactly between the phases: every map has pushed
 		// its spills, no reduce has run, and the victim's partitions have no
 		// surviving copy.
-		if job == spec.ID && event == "map_done" {
+		if e.Job == spec.ID && e.Name == "job.phase.reduce" {
 			select {
 			case failed <- c.FailNow(victim):
 			default:
@@ -128,7 +129,7 @@ func TestLostPartitionRecoveryEndToEnd(t *testing.T) {
 			t.Fatal(ferr)
 		}
 	default:
-		t.Fatal("map_done event never fired; the crash was not injected")
+		t.Fatal("job.phase.reduce event never fired; the crash was not injected")
 	}
 	if res.RecoveredPartitions < 1 {
 		t.Fatalf("RecoveredPartitions = %d, want >= 1 (victim %s owned no non-empty partition?)",
@@ -193,8 +194,9 @@ func TestManagerFailoverAdoptsJournaledJob(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := 0
-	c.driver.SetEventListener(func(job, event string) {
-		if job == spec.ID && event == "map_task_done" {
+	mgrEvents := c.Manager().Events()
+	mgrEvents.SetObserver(func(e events.Event) {
+		if e.Job == spec.ID && e.Name == "map.finish" {
 			if done++; done == 5 {
 				cancel()
 			}
@@ -203,7 +205,7 @@ func TestManagerFailoverAdoptsJournaledJob(t *testing.T) {
 	if _, err := c.RunContext(ctx, spec); err == nil {
 		t.Fatal("interrupted run reported success")
 	}
-	c.driver.SetEventListener(nil)
+	mgrEvents.SetObserver(nil)
 
 	oldMgr := c.Manager().ID
 	c.Kill(oldMgr)

@@ -158,7 +158,9 @@ type Log struct {
 
 	mask atomic.Uint64 // bit per Kind; Emit is a no-op for cleared bits
 	ctr  atomic.Uint64
-	ring ring
+	// observer, when set, sees every recorded event (see SetObserver).
+	observer atomic.Pointer[func(Event)]
+	ring     *metrics.Ring[Event]
 }
 
 // New returns an event log for the named node with every kind enabled.
@@ -178,7 +180,7 @@ func New(node string, o Options) *Log {
 		node:   node,
 		clock:  clock,
 		idBase: (base & 0xffffffff) << 32,
-		ring:   newRing(capacity),
+		ring:   metrics.NewRing[Event](capacity),
 	}
 	l.mask.Store(AllKinds)
 	return l
@@ -247,6 +249,23 @@ func (l *Log) KindEnabled(k Kind) bool {
 	return l != nil && l.mask.Load()&(1<<k) != 0
 }
 
+// SetObserver registers fn to be called synchronously, on the emitting
+// goroutine, with every event the log records (masked-out kinds are never
+// seen); nil removes it. It is how tests inject a fault at an exact
+// lifecycle point. fn may run with the emitter's locks held — the driver
+// emits under its own — so it must not call back into the emitting
+// component (canceling a context is fine).
+func (l *Log) SetObserver(fn func(Event)) {
+	if l == nil {
+		return
+	}
+	if fn == nil {
+		l.observer.Store(nil)
+		return
+	}
+	l.observer.Store(&fn)
+}
+
 // Emit records one event. For a filtered-out kind (or a nil log) the
 // cost is one atomic load; otherwise one allocation and one atomic slot
 // claim. Safe for concurrent use.
@@ -254,7 +273,7 @@ func (l *Log) Emit(k Kind, name string, f F) {
 	if l == nil || l.mask.Load()&(1<<k) == 0 {
 		return
 	}
-	l.ring.put(&Event{
+	e := &Event{
 		ID:      l.idBase | (l.ctr.Add(1) & 0xffffffff),
 		Kind:    k,
 		Name:    name,
@@ -264,7 +283,11 @@ func (l *Log) Emit(k Kind, name string, f F) {
 		Node:    l.node,
 		AtNS:    l.clock.Now().UnixNano(),
 		Detail:  f.Detail,
-	})
+	}
+	l.ring.Put(e)
+	if fn := l.observer.Load(); fn != nil {
+		(*fn)(*e)
+	}
 }
 
 // Events returns copies of the retained events, oldest first. A
@@ -276,7 +299,7 @@ func (l *Log) Events(job string, sinceNS int64) []Event {
 		return nil
 	}
 	var out []Event
-	for _, e := range l.ring.snapshot() {
+	for _, e := range l.ring.Snapshot() {
 		if job != "" && e.Job != "" && e.Job != job {
 			continue
 		}
@@ -294,50 +317,5 @@ func (l *Log) Dropped() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.ring.dropped()
-}
-
-// ring is a bounded lock-free buffer of emitted events, identical in
-// discipline to the trace span ring: writers claim a slot with one
-// atomic increment; when the buffer wraps, the oldest event is
-// overwritten.
-type ring struct {
-	slots []atomic.Pointer[Event]
-	next  atomic.Uint64
-}
-
-func newRing(capacity int) ring {
-	return ring{slots: make([]atomic.Pointer[Event], capacity)}
-}
-
-func (r *ring) put(e *Event) {
-	i := r.next.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(e)
-}
-
-// snapshot returns the retained events oldest-first. Concurrent puts may
-// race individual slots; each slot read is atomic and events are
-// immutable once stored, so every returned event is complete.
-func (r *ring) snapshot() []*Event {
-	n := r.next.Load()
-	size := uint64(len(r.slots))
-	start := uint64(0)
-	if n > size {
-		start = n - size
-	}
-	out := make([]*Event, 0, n-start)
-	for i := start; i < n; i++ {
-		if e := r.slots[i%size].Load(); e != nil {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func (r *ring) dropped() int64 {
-	n := r.next.Load()
-	if size := uint64(len(r.slots)); n > size {
-		return int64(n - size)
-	}
-	return 0
+	return l.ring.Dropped()
 }

@@ -3,6 +3,7 @@ package events
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,5 +215,62 @@ func TestEmitFilteredAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("filtered Emit allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestObserverSeesEveryRecordedEventOnce: the observer is called exactly
+// once per recorded emission, in each goroutine's own emission order,
+// never for a masked-out kind, and is not bounded by the ring (far
+// smaller here than the number of emissions).
+func TestObserverSeesEveryRecordedEventOnce(t *testing.T) {
+	const goroutines, perG = 8, 200
+	l := New("node-a", Options{Capacity: 16})
+	l.SetKindEnabled(KindShuffle, false)
+	var mu sync.Mutex
+	seen := make(map[string][]int)
+	l.SetObserver(func(e Event) {
+		mu.Lock()
+		seen[e.Task] = append(seen[e.Task], e.Attempt)
+		mu.Unlock()
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(task string) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				l.Emit(KindTask, "map.finish", F{Task: task, Attempt: i})
+				l.Emit(KindShuffle, "shuffle.batch", F{Task: "masked"})
+			}
+		}(fmt.Sprintf("g%d", g))
+	}
+	wg.Wait()
+	l.SetObserver(nil)
+	l.Emit(KindTask, "map.finish", F{Task: "after-removal"})
+	if len(seen) != goroutines {
+		t.Fatalf("observer saw %d emitters, want %d (masked kind or removed observer leaked)", len(seen), goroutines)
+	}
+	for task, attempts := range seen {
+		if len(attempts) != perG {
+			t.Fatalf("%s: observer saw %d events, want %d", task, len(attempts), perG)
+		}
+		for i, a := range attempts {
+			if a != i {
+				t.Fatalf("%s: event %d arrived in position %d", task, a, i)
+			}
+		}
+	}
+}
+
+// TestEmitWithoutObserverAllocatesOnlyTheEvent pins that the hook costs an
+// unobserved log nothing: a recorded emission is still the one Event
+// allocation it was before (TestEmitFilteredAllocFree holds the masked
+// path at zero).
+func TestEmitWithoutObserverAllocatesOnlyTheEvent(t *testing.T) {
+	l := New("node-a", Options{Capacity: 64})
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.Emit(KindShuffle, "shuffle.batch", F{Job: "wc", Task: "m0", Attempt: 3})
+	}); allocs != 1 {
+		t.Fatalf("recorded Emit allocates %.1f objects per call, want 1", allocs)
 	}
 }

@@ -57,6 +57,7 @@ func RunRingConformance(t *testing.T, newRing func() hashing.Ring) {
 	t.Run("TotalCoverage", func(t *testing.T) { testTotalCoverage(t, newRing) })
 	t.Run("MonotoneJoin", func(t *testing.T) { testMonotoneJoin(t, newRing) })
 	t.Run("MonotoneJoinQuick", func(t *testing.T) { testMonotoneJoinQuick(t, newRing) })
+	t.Run("BoundedChurnJoin", func(t *testing.T) { testBoundedChurnJoin(t, newRing) })
 	t.Run("BoundedChurnLeave", func(t *testing.T) { testBoundedChurnLeave(t, newRing) })
 	t.Run("ReplicaSets", func(t *testing.T) { testReplicaSets(t, newRing) })
 	t.Run("Neighbors", func(t *testing.T) { testNeighbors(t, newRing) })
@@ -213,39 +214,78 @@ func testMonotoneJoinQuick(t *testing.T, newRing func() hashing.Ring) {
 	}
 }
 
-// testBoundedChurnLeave: removing one node remaps a bounded slice of the
-// key space. The departed node's keys must move (about 1/n); backends may
-// shuffle bookkeeping for at most another node's worth. We allow 3x the
-// fair share plus slack for sampling noise — far below the ~100% a
-// non-consistent rehash would show.
-func testBoundedChurnLeave(t *testing.T, newRing func() hashing.Ring) {
-	const n, probes = 20, 4096
+// churnSizes are the member counts the churn bounds are checked at, and
+// churnProbes the keys traced across each membership change: enough that
+// the ideal share at the largest size (1/257) is still dozens of keys.
+var churnSizes = []int{16, 64, 256}
+
+const churnProbes = 8192
+
+// churned builds an n-member ring, applies change to it and returns how
+// many probe keys changed owner, with the owners after the change.
+func churned(t *testing.T, newRing func() hashing.Ring, n int, change func(hashing.Ring)) (int, map[hashing.Key]hashing.NodeID) {
+	t.Helper()
 	r := newRing()
-	ids := nodeIDs(n)
-	for _, id := range ids {
+	for _, id := range nodeIDs(n) {
 		if err := r.AddNode(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	keys := probeKeys(probes)
+	keys := probeKeys(churnProbes)
 	before := owners(t, r, keys)
-	departed := ids[n/2]
-	if !r.Remove(departed) {
-		t.Fatalf("Remove(%s) returned false", departed)
-	}
+	change(r)
 	after := owners(t, r, keys)
 	moved := 0
 	for _, k := range keys {
 		if before[k] != after[k] {
 			moved++
 		}
-		if after[k] == departed {
-			t.Fatalf("key %v still owned by departed node %s", k, departed)
+	}
+	return moved, after
+}
+
+// testBoundedChurnJoin: one join remaps close to the ideal 1/(n+1) of the
+// key space — the property consistent hashing is chosen for (Lamping &
+// Veach, arXiv 1406.2294) — never an order of magnitude more.
+// MonotoneJoin pins where moved keys go; this pins how many move: at most
+// 4x the fair share plus 1% for sampling noise, far below the n/(n+1) of
+// a mod-N rehash.
+func testBoundedChurnJoin(t *testing.T, newRing func() hashing.Ring) {
+	for _, n := range churnSizes {
+		moved, _ := churned(t, newRing, n, func(r hashing.Ring) {
+			if err := r.AddNode("joiner-xx"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := 4*churnProbes/(n+1) + churnProbes/100; moved > limit {
+			t.Errorf("n=%d: one join moved %d/%d probed keys (limit %d, ideal %d)",
+				n, moved, churnProbes, limit, churnProbes/(n+1))
 		}
 	}
-	limit := 3*probes/n + 64
-	if moved > limit {
-		t.Fatalf("leave of 1/%d nodes moved %d/%d probed keys (limit %d)", n, moved, probes, limit)
+}
+
+// testBoundedChurnLeave: removing one node remaps a bounded slice of the
+// key space. The departed node's keys must move (about 1/n); backends may
+// shuffle bookkeeping for at most another node's worth. We allow 3x the
+// fair share plus 1% for sampling noise — far below the ~100% a
+// non-consistent rehash would show.
+func testBoundedChurnLeave(t *testing.T, newRing func() hashing.Ring) {
+	for _, n := range churnSizes {
+		departed := nodeIDs(n)[n/2]
+		moved, after := churned(t, newRing, n, func(r hashing.Ring) {
+			if !r.Remove(departed) {
+				t.Fatalf("Remove(%s) returned false", departed)
+			}
+		})
+		for k, id := range after {
+			if id == departed {
+				t.Fatalf("n=%d: key %v still owned by departed node %s", n, k, departed)
+			}
+		}
+		if limit := 3*churnProbes/n + churnProbes/100; moved > limit {
+			t.Errorf("n=%d: one leave moved %d/%d probed keys (limit %d, ideal %d)",
+				n, moved, churnProbes, limit, churnProbes/n)
+		}
 	}
 }
 

@@ -243,11 +243,12 @@ func TestRepoClean(t *testing.T) {
 
 // TestLoadPartialSetOneIdentityPerPackage pins the loader's one-identity
 // guarantee for partial pattern sets (what eclipse-lint -diff produces).
-// internal/benchrun imports internal/apps, which is outside the set;
+// examples/kmeans imports internal/apps, which is outside the set;
 // before the loader checked module-local imports itself, the fallback
 // source importer gave apps its own instances of shared dependencies,
-// and passing a checked *cluster.Cluster to the fallback's apps.Runner
-// failed type-checking with a spurious "does not implement". The load
+// and passing a checked *cluster.Cluster (the facade's Cluster is an
+// alias of it) to the fallback's apps.Runner failed type-checking with
+// a spurious "does not implement". The load
 // must succeed, the unchosen dependencies must land in Unit.All (where
 // goroleak and lockorder resolve evidence), and only the chosen
 // patterns may be analysis targets.
@@ -259,7 +260,7 @@ func TestLoadPartialSetOneIdentityPerPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit, err := loader.Load("internal/benchrun", "internal/cluster", "internal/mapreduce")
+	unit, err := loader.Load("examples/kmeans", "internal/cluster", "internal/mapreduce")
 	if err != nil {
 		t.Fatalf("partial-set load: %v", err)
 	}

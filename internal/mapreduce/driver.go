@@ -47,9 +47,6 @@ type Driver struct {
 	reg         *metrics.Registry
 	tracer      *trace.Tracer
 	events      *events.Log
-	// onEvent, when set, observes job lifecycle points (see
-	// SetEventListener).
-	onEvent func(job, event string)
 	// flight, when set, is invoked after a job fails or survives a
 	// recovery round (see SetFlightRecorder).
 	flight func(job, reason string)
@@ -167,21 +164,6 @@ func (d *Driver) SetFlightRecorder(fn func(job, reason string)) { d.flight = fn 
 func (d *Driver) recordFlight(job, reason string) {
 	if d.flight != nil {
 		d.flight(job, reason)
-	}
-}
-
-// SetEventListener registers a callback observing job lifecycle points:
-// "map_task_done" (per completed map task), "map_done" (map phase
-// complete), "partition_done" (per completed reduce partition) and
-// "job_done". Intended for tests and adoption hooks. The callback may
-// run with driver-internal locks held and must not call back into the
-// Driver (canceling a context is fine). Call before submitting jobs.
-func (d *Driver) SetEventListener(fn func(job, event string)) { d.onEvent = fn }
-
-// emitEvent invokes the lifecycle listener, if any.
-func (d *Driver) emitEvent(job, event string) {
-	if d.onEvent != nil {
-		d.onEvent(job, event)
 	}
 }
 
@@ -434,7 +416,6 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 				return Result{}, fmt.Errorf("mapreduce: store reuse marker: %w", err)
 			}
 		}
-		d.emitEvent(spec.ID, "map_done")
 	} else {
 		res.MapsSkipped = true
 		if reused {
@@ -451,18 +432,19 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 			return Result{}, err
 		}
 	}
+	// Emitted before the phase is journaled: every map has pushed its
+	// spills, no reduce has run, and the journal still says "map".
+	d.events.Emit(events.KindJob, "job.phase.reduce", events.F{Job: spec.ID})
 	if st.jw != nil && (prior == nil || prior.Phase == phaseMap) {
 		st.jw.setPhase(phaseReduce, &mk)
 	}
 
-	d.events.Emit(events.KindJob, "job.phase.reduce", events.F{Job: spec.ID})
 	if err := d.runReducePhase(ctx, st); err != nil {
 		return Result{}, err
 	}
 	if st.jw != nil {
 		st.jw.setPhase(phaseDone, &mk)
 	}
-	d.emitEvent(spec.ID, "job_done")
 	res.Elapsed = time.Since(began)
 	d.reg.Histogram("mr.driver.job_ns").ObserveDuration(res.Elapsed)
 	return res, nil
@@ -643,9 +625,6 @@ func (d *Driver) completeMapLocked(j *activeJob, taskID string, resp RunMapResp)
 		return
 	}
 	j.completed[taskID] = true
-	d.events.Emit(events.KindTask, "map.finish", events.F{
-		Job: j.spec.ID, Task: taskID, Attempt: j.attempts[taskID],
-	})
 	// The race is decided: abort whichever duplicate attempt is still in
 	// flight (the hedge when the original won, and vice versa) so it
 	// stops consuming the straggling node instead of running to the end.
@@ -670,7 +649,9 @@ func (d *Driver) completeMapLocked(j *activeJob, taskID string, resp RunMapResp)
 			jr.Mk.PartBytes = partBytes
 		})
 	}
-	d.emitEvent(j.spec.ID, "map_task_done")
+	d.events.Emit(events.KindTask, "map.finish", events.F{
+		Job: j.spec.ID, Task: taskID, Attempt: j.attempts[taskID],
+	})
 	j.remaining--
 	if j.remaining == 0 {
 		j.done <- nil
@@ -912,9 +893,6 @@ func (d *Driver) runReducePhase(ctx context.Context, st *runState) error {
 		return err
 	}
 	for round := 0; len(lost) > 0; round++ {
-		if st.spec.DisableRecovery {
-			return lost[0].err
-		}
 		if round >= st.spec.maxAttempts() {
 			return fmt.Errorf("mapreduce: partition recovery exhausted after %d rounds: %w", round, lost[0].err)
 		}
@@ -964,7 +942,7 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 			}
 			sem[t.owner] <- struct{}{}
 			defer func() { <-sem[t.owner] }()
-			resp, outFile, err := d.runReduceTask(ctx, st, t)
+			resp, outFile, ran, err := d.runReduceTask(ctx, st, t)
 			if err != nil {
 				var lp errPartitionLost
 				mu.Lock()
@@ -995,7 +973,9 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 				st.res.CacheHits++
 			}
 			mu.Unlock()
-			d.emitEvent(st.spec.ID, "partition_done")
+			d.events.Emit(events.KindTask, "reduce.finish", events.F{
+				Job: st.spec.ID, Task: partitionName(t.part), Detail: string(ran),
+			})
 		}(t)
 	}
 	wg.Wait()
@@ -1009,8 +989,9 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 // runReduceTask executes one partition's reduce, walking the candidate
 // executors (satellite of the self-healing layer: the full surviving
 // replica set, not just the single recorded replica) before declaring
-// the partition lost.
-func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) (RunReduceResp, string, error) {
+// the partition lost. It returns the response, the output file name and
+// the node that ran the reduce.
+func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) (RunReduceResp, string, hashing.NodeID, error) {
 	outFile := fmt.Sprintf("%s.out.%s", st.spec.ID, partitionName(t.part))
 	req := RunReduceReq{
 		Job:                st.spec.ID,
@@ -1054,21 +1035,18 @@ func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) 
 		rpcTimer.Stop()
 		if err == nil {
 			d.reg.Counter("mr.driver.partition_reduces").Inc()
-			d.events.Emit(events.KindTask, "reduce.finish", events.F{
-				Job: st.spec.ID, Task: partitionName(t.part), Detail: string(cand),
-			})
-			return resp, outFile, nil
+			return resp, outFile, cand, nil
 		}
 		if i == 0 && !errors.Is(err, transport.ErrUnreachable) && !transport.IsTransient(err) {
 			// The owner executed the reduce and failed: an application
 			// error, not a lost partition.
 			sp.Annotate("error", err.Error())
-			return RunReduceResp{}, "", err
+			return RunReduceResp{}, "", "", err
 		}
 		lastErr = err
 	}
 	sp.Annotate("error", "partition lost")
-	return RunReduceResp{}, "", errPartitionLost{part: t.part, owner: t.owner, cause: lastErr}
+	return RunReduceResp{}, "", "", errPartitionLost{part: t.part, owner: t.owner, cause: lastErr}
 }
 
 // reduceCandidates orders the nodes that may be able to execute a
@@ -1146,7 +1124,6 @@ func (d *Driver) recoverPartitions(ctx context.Context, st *runState, lost []los
 		only = append(only, l.t.part)
 		retry = append(retry, reduceTask{part: l.t.part, owner: newOwner, replica: newReplica})
 	}
-	d.emitEvent(st.spec.ID, "recovery")
 	d.events.Emit(events.KindJob, "job.recovery", events.F{
 		Job: st.spec.ID, Detail: fmt.Sprintf("partitions=%d", len(lost)),
 	})
@@ -1264,7 +1241,6 @@ func (d *Driver) rehomeDeadPartitions(ctx context.Context, st *runState) ([]int,
 		changed = true
 	}
 	if len(dead) > 0 {
-		d.emitEvent(st.spec.ID, "recovery")
 		d.events.Emit(events.KindJob, "job.recovery", events.F{
 			Job: st.spec.ID, Detail: fmt.Sprintf("partitions=%d", len(dead)),
 		})

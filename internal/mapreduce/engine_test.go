@@ -11,6 +11,7 @@ import (
 
 	"eclipsemr/internal/cache"
 	"eclipsemr/internal/dhtfs"
+	"eclipsemr/internal/events"
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/scheduler"
 	"eclipsemr/internal/transport"
@@ -89,6 +90,9 @@ type engineCluster struct {
 	ids     []hashing.NodeID
 	sched   scheduler.Scheduler
 	driver  *Driver
+	// events is the driver's structured log; tests observe it to act at
+	// an exact lifecycle point.
+	events *events.Log
 }
 
 type engineOpts struct {
@@ -179,6 +183,8 @@ func newEngineCluster(t *testing.T, o engineOpts) *engineCluster {
 		t.Fatal(err)
 	}
 	ec.driver = driver
+	ec.events = events.New(string(ec.ids[0]), events.Options{})
+	driver.SetEvents(ec.events)
 	return ec
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"eclipsemr/internal/events"
 	"eclipsemr/internal/hashing"
 )
 
@@ -87,8 +88,8 @@ func TestLostPartitionRecovery(t *testing.T) {
 
 	victim := ec.ids[1] // not the driver node
 	var once sync.Once
-	ec.driver.SetEventListener(func(job, event string) {
-		if event != "map_done" {
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Name != "job.phase.reduce" {
 			return
 		}
 		once.Do(func() {
@@ -126,40 +127,6 @@ func TestLostPartitionRecovery(t *testing.T) {
 	checkCounts(t, countsFromKVs(t, kvs), want)
 }
 
-// TestLostPartitionLegacyFailFast pins the DisableRecovery escape hatch:
-// the pre-recovery behavior (job fails when a partition's holders die)
-// stays available.
-func TestLostPartitionLegacyFailFast(t *testing.T) {
-	ec := newEngineCluster(t, engineOpts{nodes: 4})
-	text, _ := wideCorpus(120, 4)
-	ec.upload(t, "legacy.txt", text, 512)
-
-	victim := ec.ids[1]
-	var once sync.Once
-	ec.driver.SetEventListener(func(job, event string) {
-		if event != "map_done" {
-			return
-		}
-		once.Do(func() {
-			ec.net.Unlisten(victim)
-			ec.mu.Lock()
-			ec.ring.Remove(victim)
-			ec.mu.Unlock()
-			ec.sched.RemoveNode(victim)
-		})
-	})
-	_, err := ec.driver.Run(JobSpec{
-		ID: "legacy-1", App: "test-wordcount", Inputs: []string{"legacy.txt"},
-		User: "tester", DisableRecovery: true,
-	})
-	if err == nil {
-		t.Fatal("DisableRecovery job succeeded despite a lost partition")
-	}
-	if !strings.Contains(err.Error(), "lost with node") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
 // TestResumeAfterMidMapCancel interrupts a job mid-map-phase (the driver
 // dying) and resumes it from the durable journal: only the unfinished map
 // tasks re-execute and the output is exact.
@@ -180,8 +147,8 @@ func TestResumeAfterMidMapCancel(t *testing.T) {
 	defer cancel()
 	done := 0
 	var mu sync.Mutex
-	ec.driver.SetEventListener(func(job, event string) {
-		if event != "map_task_done" {
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Name != "map.finish" {
 			return
 		}
 		mu.Lock()
@@ -195,7 +162,7 @@ func TestResumeAfterMidMapCancel(t *testing.T) {
 	if _, err := ec.driver.RunContext(ctx, spec); err == nil {
 		t.Fatal("canceled run reported success")
 	}
-	ec.driver.SetEventListener(nil)
+	ec.events.SetObserver(nil)
 
 	res, err := ec.driver.Resume("resume-1")
 	if err != nil {
@@ -228,8 +195,8 @@ func TestResumeAfterMidReduceCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	ec.driver.SetEventListener(func(job, event string) {
-		if event == "partition_done" {
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Name == "reduce.finish" {
 			once.Do(cancel)
 		}
 	})
@@ -239,7 +206,7 @@ func TestResumeAfterMidReduceCancel(t *testing.T) {
 		// a completed job and resume must be a pure no-op replay below.
 		t.Log("job finished before the cancel took effect")
 	}
-	ec.driver.SetEventListener(nil)
+	ec.events.SetObserver(nil)
 
 	res, err := ec.driver.Resume("resume-2")
 	if err != nil {
@@ -324,8 +291,8 @@ func TestOrphansListsInterruptedJobs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	ec.driver.SetEventListener(func(job, event string) {
-		if event == "map_task_done" {
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Name == "map.finish" {
 			once.Do(cancel)
 		}
 	})
@@ -333,7 +300,7 @@ func TestOrphansListsInterruptedJobs(t *testing.T) {
 	if _, err := ec.driver.RunContext(ctx, spec); err == nil {
 		t.Fatal("canceled run reported success")
 	}
-	ec.driver.SetEventListener(nil)
+	ec.events.SetObserver(nil)
 
 	jobs, err := ec.driver.Orphans(context.Background())
 	if err != nil {
@@ -492,8 +459,8 @@ func TestLostPartitionRecoveryCachedIntermediates(t *testing.T) {
 
 	victim := ec.ids[1]
 	var once sync.Once
-	ec.driver.SetEventListener(func(job, event string) {
-		if event != "map_done" {
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Name != "job.phase.reduce" {
 			return
 		}
 		once.Do(func() {

@@ -189,11 +189,6 @@ type JobSpec struct {
 	// interrupted job cannot be resumed by a restarted or newly elected
 	// manager; completed work is lost with the driver.
 	DisableJournal bool
-	// DisableRecovery restores the legacy fail-fast behavior when a
-	// reduce partition's intermediates are lost with their owner: the job
-	// fails instead of re-executing the contributing map tasks and
-	// re-homing the partition on a surviving ring node.
-	DisableRecovery bool
 }
 
 // DefaultSpillThreshold matches the paper's 32 MB payload buffer.

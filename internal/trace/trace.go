@@ -112,7 +112,7 @@ func (s *Span) End() {
 		s.DurNS = 0
 	}
 	s.mu.Unlock()
-	s.tr.ring.put(s)
+	s.tr.ring.Put(s)
 }
 
 // snapshot returns a detached copy safe to serialize.
@@ -157,7 +157,7 @@ type Tracer struct {
 
 	enabled atomic.Bool
 	ctr     atomic.Uint64
-	ring    ring
+	ring    *metrics.Ring[Span]
 }
 
 // New returns a tracer for the named node. Tracing starts disabled;
@@ -179,7 +179,7 @@ func New(node string, o Options) *Tracer {
 		clock:       clock,
 		idBase:      (base & 0xffffffff) << 32,
 		sampleEvery: uint64(o.SampleEvery),
-		ring:        newRing(capacity),
+		ring:        metrics.NewRing[Span](capacity),
 	}
 	return t
 }
@@ -255,7 +255,7 @@ func (t *Tracer) Spans(traceID string) []Span {
 		return nil
 	}
 	var out []Span
-	for _, s := range t.ring.snapshot() {
+	for _, s := range t.ring.Snapshot() {
 		if traceID == "" || s.Trace == traceID {
 			out = append(out, s.snapshot())
 		}
@@ -265,48 +265,4 @@ func (t *Tracer) Spans(traceID string) []Span {
 
 // Dropped returns how many finished spans have been overwritten before
 // collection.
-func (t *Tracer) Dropped() int64 { return t.ring.dropped() }
-
-// ring is a bounded lock-free buffer of finished spans. Writers claim a
-// slot with one atomic increment and store the span pointer; when the
-// buffer wraps, the oldest span is overwritten.
-type ring struct {
-	slots []atomic.Pointer[Span]
-	next  atomic.Uint64
-}
-
-func newRing(capacity int) ring {
-	return ring{slots: make([]atomic.Pointer[Span], capacity)}
-}
-
-func (r *ring) put(s *Span) {
-	i := r.next.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(s)
-}
-
-// snapshot returns the retained spans oldest-first. Concurrent puts may
-// race individual slots; each slot read is atomic, so every returned
-// span is complete.
-func (r *ring) snapshot() []*Span {
-	n := r.next.Load()
-	size := uint64(len(r.slots))
-	start := uint64(0)
-	if n > size {
-		start = n - size
-	}
-	out := make([]*Span, 0, n-start)
-	for i := start; i < n; i++ {
-		if s := r.slots[i%size].Load(); s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func (r *ring) dropped() int64 {
-	n := r.next.Load()
-	if size := uint64(len(r.slots)); n > size {
-		return int64(n - size)
-	}
-	return 0
-}
+func (t *Tracer) Dropped() int64 { return t.ring.Dropped() }

@@ -56,10 +56,12 @@ if ls "$ECLIPSE_BUNDLE_DIR"/*.json >/dev/null 2>&1; then
 	go run ./cmd/bundlecheck "$ECLIPSE_BUNDLE_DIR"/*.json
 fi
 
-# A traced engine run for the artifact, re-validated on disk so the
-# nightly also notices a broken export path.
-BENCH_DIR="$SOAK_DIR" go test -run '^$' -bench 'BenchmarkHarnessTraceOverhead$' -benchtime 1x .
-go run ./cmd/tracecheck "$SOAK_DIR/trace.json"
+# A traced run of the repository benchmark's smallest workload for the
+# artifact (load it in Perfetto), re-validated on disk so the nightly
+# also notices a broken export path.
+bash bench/run.sh --workload wc_warm --trace 1 --short
+go run ./cmd/tracecheck bench/out/trace-wc_warm.json
+cp bench/out/trace-wc_warm.json "$SOAK_DIR/trace.json"
 
 echo "soak: artifacts in $SOAK_DIR"
 ls -l "$SOAK_DIR"
