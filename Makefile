@@ -8,7 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector gate over the whole suite (vet + build + go test -race).
+# Race-detector gate over the whole suite (vet + lint + build + go test
+# -race), then the map-task lifecycle suites five times over under -race.
 check:
 	./scripts/check.sh
 

@@ -43,8 +43,10 @@ type Options struct {
 	// Retry tunes the transparent retry layer wrapped around the network
 	// (zero fields select transport.DefaultRetryPolicy).
 	Retry transport.RetryPolicy
-	// DisableRetry mounts the network bare, without the retry layer.
-	DisableRetry bool
+	// bareNetwork mounts the network without the retry layer; settable
+	// only by this package's tests, which need a path to prove that it
+	// retries by itself.
+	bareNetwork bool
 	// BundleDir, when set, arms the flight recorder: a job failure or a
 	// recovery sweep snapshots a cluster-wide debug bundle into this
 	// directory as bundle-<job>-<reason>.json. Falls back to the
@@ -106,7 +108,7 @@ func NewWithNodes(ids []hashing.NodeID, opts Options) (*Cluster, error) {
 	if net == nil {
 		net = transport.NewLocal()
 	}
-	if !opts.DisableRetry {
+	if !opts.bareNetwork {
 		// Transient message loss (a chaos-injected drop, a TCP timeout) is
 		// absorbed here; structural failures still surface immediately.
 		net = transport.NewRetry(net, opts.Retry)

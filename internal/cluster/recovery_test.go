@@ -348,9 +348,9 @@ func TestSuspectVerifyRetriesUnderDrops(t *testing.T) {
 	// (while individual drops still occur and are asserted below).
 	chaos := transport.NewChaos(transport.NewLocal(), transport.ChaosConfig{Seed: 2})
 	c := newTestCluster(t, 3, Options{
-		Network:      chaos,
-		DisableRetry: true, // the verification path must bring its own retries
-		Config:       Config{HeartbeatInterval: time.Hour},
+		Network:     chaos,
+		bareNetwork: true, // the verification path must bring its own retries
+		Config:      Config{HeartbeatInterval: time.Hour},
 	})
 	mgrNode := c.Manager()
 	mgr := mgrNode.Manager()

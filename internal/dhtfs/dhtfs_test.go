@@ -168,10 +168,10 @@ func TestStoreMeta(t *testing.T) {
 
 func TestStoreSegments(t *testing.T) {
 	s := NewStore()
-	s.AppendSegment("job1", "p0", []byte("aa"), 0)
-	s.AppendSegment("job1", "p0", []byte("bb"), 0)
-	s.AppendSegment("job1", "p1", []byte("cc"), 0)
-	s.AppendSegment("job2", "p0", []byte("dd"), 0)
+	s.AppendTaskSegment("job1", "p0", "", 0, 0, []byte("aa"), 0)
+	s.AppendTaskSegment("job1", "p0", "", 0, 0, []byte("bb"), 0)
+	s.AppendTaskSegment("job1", "p1", "", 0, 0, []byte("cc"), 0)
+	s.AppendTaskSegment("job2", "p0", "", 0, 0, []byte("dd"), 0)
 	segs := s.ReadSegments("job1", "p0")
 	if len(segs) != 2 || string(segs[0]) != "aa" || string(segs[1]) != "bb" {
 		t.Fatalf("segments = %q", segs)
@@ -340,10 +340,10 @@ func TestReReplicateRestoresInvariant(t *testing.T) {
 func TestSegmentsPushFetchDrop(t *testing.T) {
 	tc := newTestCluster(t, 4, 2)
 	a, b := tc.services[tc.ids[0]], tc.services[tc.ids[1]]
-	if err := a.PushSegment(context.Background(), tc.ids[1], "job9", "r0", []byte("spill-1"), 0); err != nil {
+	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", []SegBatchEntry{{Partition: "r0", Data: []byte("spill-1")}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.PushSegment(context.Background(), tc.ids[1], "job9", "r0", []byte("spill-2"), 0); err != nil {
+	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", []SegBatchEntry{{Partition: "r0", Data: []byte("spill-2")}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := b.FetchSegments(context.Background(), tc.ids[1], "job9", "r0")
@@ -485,8 +485,8 @@ func TestSegmentTTLExpiry(t *testing.T) {
 	s := NewStore()
 	now := time.Unix(0, 0)
 	s.SetClock(func() time.Time { return now })
-	s.AppendSegment("j", "p0", []byte("short"), time.Minute)
-	s.AppendSegment("j", "p0", []byte("forever"), 0)
+	s.AppendTaskSegment("j", "p0", "", 0, 0, []byte("short"), time.Minute)
+	s.AppendTaskSegment("j", "p0", "", 0, 0, []byte("forever"), 0)
 	if segs := s.ReadSegments("j", "p0"); len(segs) != 2 {
 		t.Fatalf("segments = %d before expiry", len(segs))
 	}
@@ -500,7 +500,7 @@ func TestSegmentTTLExpiry(t *testing.T) {
 		t.Fatalf("bytes = %d", s.Bytes())
 	}
 	// A partition whose spills all expire disappears entirely.
-	s.AppendSegment("j", "p1", []byte("gone"), time.Second)
+	s.AppendTaskSegment("j", "p1", "", 0, 0, []byte("gone"), time.Second)
 	now = now.Add(time.Hour)
 	if segs := s.ReadSegments("j", "p1"); len(segs) != 0 {
 		t.Fatalf("expired partition returned %q", segs)

@@ -11,7 +11,7 @@ import (
 
 // TestPushTaggedSegmentBatch drives the coalesced raw-frame push path:
 // one RPC carrying spills for several partitions must land each entry
-// with PushTaggedSegment semantics, both across the network and through
+// with AppendTaskSegment semantics, both across the network and through
 // the local self short-circuit.
 func TestPushTaggedSegmentBatch(t *testing.T) {
 	tc := newTestCluster(t, 3, 2)
@@ -49,8 +49,8 @@ func TestPushTaggedSegmentBatch(t *testing.T) {
 	}
 }
 
-// TestBatchRetransmitAndSupersede pins that batch entries keep the exact
-// (task, attempt, seq) dedup semantics of the single-spill path.
+// TestBatchRetransmitAndSupersede pins that batch entries keep the
+// store's exact (task, attempt, seq) dedup semantics.
 func TestBatchRetransmitAndSupersede(t *testing.T) {
 	tc := newTestCluster(t, 2, 1)
 	a := tc.services[tc.ids[0]]
@@ -103,16 +103,15 @@ func TestBatchMalformedEntryRejected(t *testing.T) {
 }
 
 // TestRawTaggedFetchRoundTrip checks the raw-frame read path end to end
-// against data written through the gob single-spill path, so both wire
-// generations stay interoperable.
+// against data written one spill per push, empty spill included.
 func TestRawTaggedFetchRoundTrip(t *testing.T) {
 	tc := newTestCluster(t, 2, 1)
 	a := tc.services[tc.ids[0]]
 	to := tc.ids[1]
 	want := [][]byte{[]byte("s0"), {}, bytes.Repeat([]byte{0xab}, 1<<10)}
 	for i, data := range want {
-		if err := a.PushTaggedSegment(context.Background(), to, "jobF", "p0000",
-			SegTag{Task: "m1", Seq: i}, data, 0); err != nil {
+		if err := a.PushTaggedSegmentBatch(context.Background(), to, "jobF",
+			[]SegBatchEntry{{Partition: "p0000", Tag: SegTag{Task: "m1", Seq: i}, Data: data}}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

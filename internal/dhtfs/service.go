@@ -50,18 +50,6 @@ type (
 	listMetaResp struct {
 		Names []string
 	}
-	appendSegReq struct {
-		Job       string
-		Partition string
-		Data      []byte
-		TTL       time.Duration
-		// Task/Attempt/Seq attribute the spill to one map-task attempt so
-		// retried pushes and re-executed attempts stay idempotent (Task ""
-		// is an untracked legacy append).
-		Task    string
-		Attempt int
-		Seq     int
-	}
 	readSegReq struct {
 		Job       string
 		Partition string
@@ -102,12 +90,11 @@ type (
 
 // Method names mounted by the cluster node dispatcher.
 const (
-	MethodPutBlock  = "fs.putBlock"
-	MethodGetBlock  = "fs.getBlock"
-	MethodHasBlock  = "fs.hasBlock"
-	MethodPutMeta   = "fs.putMeta"
-	MethodGetMeta   = "fs.getMeta"
-	MethodAppendSeg = "fs.appendSegment"
+	MethodPutBlock = "fs.putBlock"
+	MethodGetBlock = "fs.getBlock"
+	MethodHasBlock = "fs.hasBlock"
+	MethodPutMeta  = "fs.putMeta"
+	MethodGetMeta  = "fs.getMeta"
 	// The *Batch/*Raw methods are the shuffle path: raw-frame bodies
 	// (length-prefixed KV bytes behind a small header).
 	MethodAppendSegBatch = "fs.appendSegmentBatch"
@@ -291,8 +278,6 @@ func messages(method string) (req, resp transport.Wire) {
 		return new(nameReq), new(empty)
 	case MethodListMeta:
 		return new(nameReq), new(listMetaResp)
-	case MethodAppendSeg:
-		return new(appendSegReq), new(empty)
 	case MethodDropSeg:
 		return new(nameReq), new(empty)
 	case MethodRoutedGet:
@@ -353,12 +338,6 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 			}
 		}
 		resp.(*listMetaResp).Names = names
-	case MethodAppendSeg:
-		req := req.(*appendSegReq)
-		s.reg.Counter("fs.segments.appended").Inc()
-		s.reg.Counter("fs.segments.bytes").Add(int64(len(req.Data)))
-		disp := s.store.AppendTaskSegment(req.Job, req.Partition, req.Task, req.Attempt, req.Seq, req.Data, req.TTL)
-		s.noteSegDisposition(disp, req.Job, req.Task, req.Attempt)
 	case MethodDropSeg:
 		s.store.DropJobSegments(req.(*nameReq).Name)
 	case MethodRoutedGet:
@@ -369,8 +348,8 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 	return nil
 }
 
-// appendBatch stores the spills of one batch push, each with exactly the
-// semantics of a tagged single append.
+// appendBatch stores the spills of one batch push, each with the
+// semantics of Store.AppendTaskSegment.
 func (s *Service) appendBatch(job string, ttl time.Duration, entries []SegBatchEntry) {
 	for _, e := range entries {
 		s.reg.Counter("fs.segments.appended").Inc()
@@ -646,28 +625,12 @@ func (s *Service) ReadFile(ctx context.Context, name, user string) ([]byte, erro
 	return out, nil
 }
 
-// PushSegment appends intermediate-result data for a job partition on the
-// node owning the partition key (the proactive-shuffle write). A positive
-// ttl invalidates the data after that duration.
-func (s *Service) PushSegment(ctx context.Context, to hashing.NodeID, job, partition string, data []byte, ttl time.Duration) error {
-	return s.call(ctx, to, MethodAppendSeg, &appendSegReq{Job: job, Partition: partition, Data: data, TTL: ttl}, nil)
-}
-
 // SegTag attributes a spill to one map-task attempt (see
 // Store.AppendTaskSegment).
 type SegTag struct {
 	Task    string
 	Attempt int
 	Seq     int
-}
-
-// PushTaggedSegment is PushSegment with task attribution, the idempotent
-// write path retried and re-executed mappers must use.
-func (s *Service) PushTaggedSegment(ctx context.Context, to hashing.NodeID, job, partition string, tag SegTag, data []byte, ttl time.Duration) error {
-	return s.call(ctx, to, MethodAppendSeg, &appendSegReq{
-		Job: job, Partition: partition, Data: data, TTL: ttl,
-		Task: tag.Task, Attempt: tag.Attempt, Seq: tag.Seq,
-	}, nil)
 }
 
 // SegBatchEntry is one spill in a coalesced batch push: the partition it
@@ -679,9 +642,11 @@ type SegBatchEntry struct {
 }
 
 // PushTaggedSegmentBatch delivers many spills — possibly for different
-// partitions — to one node in a single raw-frame RPC. Each entry lands
-// with exactly the semantics of PushTaggedSegment (idempotent per
-// (task, attempt, seq)), so a retried batch is safe.
+// partitions — to one node in a single raw-frame RPC (the proactive-
+// shuffle write). Each entry lands with the semantics of
+// Store.AppendTaskSegment (idempotent per (task, attempt, seq)), so a
+// retried batch is safe. A positive ttl invalidates the data after that
+// duration.
 func (s *Service) PushTaggedSegmentBatch(ctx context.Context, to hashing.NodeID, job string, entries []SegBatchEntry, ttl time.Duration) error {
 	if to == s.self {
 		s.appendBatch(job, ttl, entries)

@@ -343,19 +343,14 @@ const (
 	SegStale
 )
 
-// AppendSegment appends one spill of intermediate results for a job
+// AppendTaskSegment appends one spill of intermediate results for a job
 // partition (the proactive-shuffle write path: mappers push buffered
-// results here as they are generated). A positive ttl invalidates the
-// spill after that duration, per the paper's application-set TTL on
-// stored intermediate results.
-func (s *Store) AppendSegment(job, partition string, data []byte, ttl time.Duration) {
-	s.AppendTaskSegment(job, partition, "", 0, 0, data, ttl)
-}
-
-// AppendTaskSegment is AppendSegment for a spill attributed to one map
-// task attempt (seq numbers the task's spills into this partition). The
-// attribution makes the write path idempotent under the failure modes a
-// lossy network creates:
+// results here as they are generated), attributed to one map task
+// attempt; seq numbers the task's spills into this partition. A positive
+// ttl invalidates the spill after that duration, per the paper's
+// application-set TTL on stored intermediate results. The attribution
+// makes the write path idempotent under the failure modes a lossy network
+// creates:
 //
 //   - an exact retransmit (same task, attempt, seq) replaces the stored
 //     copy instead of appending a duplicate;

@@ -102,26 +102,6 @@ func (*empty) ParseWire(src []byte) error {
 	return r.Done()
 }
 
-func (m appendSegReq) AppendWire(dst []byte) []byte {
-	dst = slices.Grow(dst, 64+len(m.Job)+len(m.Partition)+len(m.Task)+len(m.Data))
-	dst = transport.AppendString(dst, m.Job)
-	dst = transport.AppendString(dst, m.Partition)
-	dst = transport.AppendBytes(dst, m.Data)
-	dst = transport.AppendDuration(dst, m.TTL)
-	dst = transport.AppendString(dst, m.Task)
-	dst = transport.AppendInt(dst, int64(m.Attempt))
-	return transport.AppendInt(dst, int64(m.Seq))
-}
-
-func (m *appendSegReq) ParseWire(src []byte) error {
-	r := transport.NewWireReader(src)
-	*m = appendSegReq{
-		Job: r.Str(), Partition: r.Str(), Data: r.Bytes(), TTL: r.Duration(),
-		Task: r.Str(), Attempt: r.Int(), Seq: r.Int(),
-	}
-	return r.Done()
-}
-
 func (m readSegReq) AppendWire(dst []byte) []byte {
 	dst = transport.AppendString(dst, m.Job)
 	return transport.AppendString(dst, m.Partition)

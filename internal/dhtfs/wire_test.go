@@ -18,7 +18,7 @@ import (
 // FuzzWireDecode corpus tags them (append only).
 var wireTypes = []transport.Wire{
 	&putBlockReq{}, &getBlockReq{}, &getBlockResp{}, &hasResp{}, &getMetaReq{},
-	&nameReq{}, &listMetaResp{}, &empty{}, &appendSegReq{}, &readSegReq{},
+	&nameReq{}, &listMetaResp{}, &empty{}, &readSegReq{},
 	&segBatchHdr{}, &rawSegsHdr{}, &rawTaggedHdr{}, &routedGetReq{}, &routedGetResp{},
 	&Metadata{},
 }
@@ -54,9 +54,6 @@ func wireCases() []transport.Wire {
 		&listMetaResp{Names: []string{}},
 		&listMetaResp{Names: []string{"a", "", notUTF8, "out/part-0003"}},
 		&empty{},
-		&appendSegReq{},
-		&appendSegReq{Job: "job:wc", Partition: "p0001", Data: []byte("kvs"), TTL: time.Minute, Task: "m-7", Attempt: 2, Seq: 9},
-		&appendSegReq{Job: notUTF8, Data: big, TTL: -time.Nanosecond, Attempt: math.MinInt, Seq: math.MaxInt},
 		&readSegReq{},
 		&readSegReq{Job: "tag:shared", Partition: "p0000"},
 		&segBatchHdr{},

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"context"
-	"crypto/sha1"
 	"errors"
 	"fmt"
 	"sort"
@@ -51,48 +50,19 @@ type Driver struct {
 	// recovery round (see SetFlightRecorder).
 	flight func(job, reason string)
 
-	mu   sync.Mutex
-	jobs map[string]*activeJob
+	// mu guards the fields below and, for every registered job, its map
+	// phase and map tasks (runState, maptask.go).
+	mu sync.Mutex
+	// jobs holds the jobs currently in a map phase, by job ID.
+	jobs map[string]*runState
 	// wake nudges the dispatcher; buffered so signalling never blocks.
 	wake    chan struct{}
 	started bool
 	closed  bool
-
-	// Speculative-execution state: tracked in-flight map executions and
-	// the lazily started straggler scanner (speculate.go).
-	specMu   sync.Mutex
-	inflight map[string]*inflightTask
+	// specOn says the straggler scanner runs; hedgeSem bounds concurrent
+	// hedge RPCs (speculate.go).
 	specOn   bool
 	hedgeSem chan struct{}
-}
-
-// activeJob is the dispatcher-side state of one running map phase.
-type activeJob struct {
-	// ctx carries the job's root span; dispatcher goroutines parent their
-	// task spans under it.
-	//lint:ignore ctxflow activeJob IS the per-call state of one RunContext invocation — the field scopes the job's ctx to the job, not beyond it
-	ctx      context.Context
-	spec     JobSpec
-	ns       string
-	mk       *marker
-	res      *Result
-	attempts map[string]int
-	// blockSums is the run's runState.blockSums.
-	blockSums map[string][sha1.Size]byte
-	// completed guards per-task completion accounting: with speculative
-	// hedges, retries and failovers racing, only the first finisher
-	// counts.
-	completed map[string]bool
-	// only, when non-empty, restricts the tasks' shuffle output to the
-	// listed reduce partitions (partition recovery re-executions).
-	only []int
-	// jw, when non-nil, journals task completions (nil for recovery
-	// re-executions, whose tasks are already journaled as done).
-	jw        *journalWriter
-	taskByID  map[string]scheduler.Task
-	remaining int
-	done      chan error // buffered(1); receives the phase outcome
-	failed    bool
 }
 
 // NewDriver builds a Driver. The scheduler must already know the worker
@@ -115,9 +85,8 @@ func NewDriver(self hashing.NodeID, net transport.Network, fs *dhtfs.Service,
 		reduceSlots: reduceSlots,
 		start:       time.Now(),
 		reg:         metrics.NewRegistry(),
-		jobs:        make(map[string]*activeJob),
+		jobs:        make(map[string]*runState),
 		wake:        make(chan struct{}, 1),
-		inflight:    make(map[string]*inflightTask),
 		hedgeSem:    make(chan struct{}, speculationMaxHedges),
 	}
 	// Pre-created so every metrics snapshot shows the retry, failover,
@@ -191,17 +160,20 @@ type marker struct {
 
 func markerFile(namespace string) string { return "_mr/" + namespace + "/done" }
 
-// runState threads one run's cross-phase state: the partition table, the
-// journal writer, and what partition recovery needs to re-execute maps.
+// runState is the driver's one record of a running job: the partition
+// table, the journal writer, every map task, and the map phase the tasks
+// are currently in, if any. A run opens one map phase for the job's
+// unfinished maps and one per partition-recovery round.
 type runState struct {
+	// ctx carries the job's root span; task spans parent under it and
+	// task RPCs are cancelled through it.
+	//lint:ignore ctxflow runState IS the per-call state of one run invocation — the field scopes the job's ctx to the job, not beyond it
+	ctx  context.Context
 	spec JobSpec
 	ns   string
 	mk   *marker
 	res  *Result
 	jw   *journalWriter // nil with DisableJournal
-	// attempts records the last attempt used per map task this run;
-	// recovery re-executions bump strictly past it.
-	attempts map[string]int
 	// attemptBase is this driver generation's first attempt number
 	// (resumed runs start a fresh stride above every prior generation).
 	attemptBase int
@@ -210,17 +182,24 @@ type runState struct {
 	// bumped on every partition-recovery round, so merged blobs cached
 	// before superseding attempts were pushed are never served again.
 	reduceEpoch int
-	// mapTasks lists every contributing map task, for partition-recovery
-	// re-execution (nil when the map phase was reused via tag and the
-	// intermediates are shared).
-	mapTasks []scheduler.Task
-	// blockSums holds, by map task ID, the digest the input file's
-	// metadata records for the task's block; tasks over files stored
-	// without digests have no entry.
-	blockSums map[string][sha1.Size]byte
+	// tasks lists every contributing map task in input order, byID
+	// indexes them for the dispatcher (both empty when the map phase was
+	// reused via tag: the intermediates are shared, not re-executable).
+	tasks []*mapTask
+	byID  map[string]*mapTask
 	// partsDone maps finished partitions to their recorded output file
 	// ("" = no output).
 	partsDone map[int]string
+
+	// The map phase, valid while open. only, when non-empty, makes it a
+	// re-shuffle: the tasks push just the listed reduce partitions, which
+	// mk.PartBytes already counts and whose tasks the journal already
+	// lists, so completions touch neither. remaining counts unfinished
+	// tasks; outcome (buffered, 1) receives the result through end.
+	open      bool
+	only      []int
+	remaining int
+	outcome   chan error
 }
 
 // Run executes one job to completion. Run may be called concurrently for
@@ -325,11 +304,11 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 	}
 
 	st := &runState{
+		ctx:       ctx,
 		spec:      spec,
 		ns:        ns,
 		mk:        &mk,
 		res:       &res,
-		attempts:  make(map[string]int),
 		partsDone: make(map[int]string),
 	}
 	if prior != nil {
@@ -347,15 +326,24 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 	}
 
 	runMaps := !reused && (prior == nil || prior.Phase == phaseMap)
+	// todo are the maps this run still owes; journaled are the ones an
+	// adopted journal records as done.
+	var todo, journaled []*mapTask
 	if !reused {
 		// Partition recovery re-executes the contributing map tasks, so
 		// they are expanded even when the journal says the map phase is
 		// done. (A tag-reused map phase shares its intermediates with
 		// other jobs and is not re-executable here.)
-		var err error
-		st.mapTasks, st.blockSums, err = d.mapTasks(ctx, spec)
-		if err != nil {
+		if err := d.expandMapTasks(st); err != nil {
 			return Result{}, err
+		}
+		for _, mt := range st.tasks {
+			if prior != nil && prior.MapsDone[mt.t.ID] {
+				mt.state = taskDone
+				journaled = append(journaled, mt)
+			} else {
+				todo = append(todo, mt)
+			}
 		}
 	}
 
@@ -366,40 +354,19 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 	var deadParts []int
 	if prior != nil {
 		var err error
-		deadParts, err = d.rehomeDeadPartitions(ctx, st)
+		deadParts, err = d.adoptPartitions(st)
 		if err != nil {
 			return Result{}, err
 		}
 	}
 
 	if runMaps {
-		todo := st.mapTasks
-		if prior != nil {
-			todo = nil
-			for _, t := range st.mapTasks {
-				if !prior.MapsDone[t.ID] {
-					todo = append(todo, t)
-				}
-			}
-		}
-		for _, t := range todo {
-			st.attempts[t.ID] = st.attemptBase
-		}
 		res.MapTasks = len(todo)
 		if len(todo) > 0 {
 			d.events.Emit(events.KindJob, "job.phase.map", events.F{
 				Job: spec.ID, Detail: fmt.Sprintf("tasks=%d", len(todo)),
 			})
-			j := &activeJob{
-				spec:      spec,
-				ns:        ns,
-				mk:        &mk,
-				res:       &res,
-				attempts:  st.attempts,
-				blockSums: st.blockSums,
-				jw:        st.jw,
-			}
-			if err := d.runMapPhase(ctx, j, todo); err != nil {
+			if err := d.runMapPhase(st, todo, nil); err != nil {
 				return Result{}, err
 			}
 		}
@@ -426,9 +393,10 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 	}
 	// Journaled-done maps never re-ran, so their spills for any re-homed
 	// partition died with the old owner: re-shuffle exactly those
-	// partitions from exactly those maps before reducing.
+	// partitions from exactly those maps before reducing. (The maps that
+	// did re-run this generation already pushed to the new owners.)
 	if len(deadParts) > 0 {
-		if err := d.reshuffleLostPartitions(ctx, st, prior, deadParts); err != nil {
+		if err := d.reshuffle(st, journaled, deadParts); err != nil {
 			return Result{}, err
 		}
 	}
@@ -450,97 +418,82 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 	return res, nil
 }
 
-// mapTasks expands the job's input files into one task per block, with
-// the blocks' digests by task ID.
-func (d *Driver) mapTasks(ctx context.Context, spec JobSpec) ([]scheduler.Task, map[string][sha1.Size]byte, error) {
-	var tasks []scheduler.Task
-	sums := make(map[string][sha1.Size]byte)
-	for _, input := range spec.Inputs {
-		meta, err := d.fs.Lookup(ctx, input, spec.User)
+// expandMapTasks expands the job's input files into one pending task per
+// block, at the generation's first attempt.
+func (d *Driver) expandMapTasks(st *runState) error {
+	st.byID = make(map[string]*mapTask)
+	for _, input := range st.spec.Inputs {
+		meta, err := d.fs.Lookup(st.ctx, input, st.spec.User)
 		if err != nil {
-			return nil, nil, fmt.Errorf("mapreduce: input %q: %w", input, err)
+			return fmt.Errorf("mapreduce: input %q: %w", input, err)
 		}
 		for i, bk := range meta.BlockKeys {
-			id := fmt.Sprintf("%s/m/%s/%d", spec.ID, input, i)
-			tasks = append(tasks, scheduler.Task{Job: spec.ID, ID: id, HashKey: bk})
-			if i < len(meta.BlockSums) {
-				sums[id] = meta.BlockSums[i]
+			mt := &mapTask{
+				t:       scheduler.Task{Job: st.spec.ID, ID: fmt.Sprintf("%s/m/%s/%d", st.spec.ID, input, i), HashKey: bk},
+				attempt: st.attemptBase,
 			}
+			if i < len(meta.BlockSums) {
+				mt.sum = meta.BlockSums[i]
+			}
+			st.tasks = append(st.tasks, mt)
+			st.byID[mt.t.ID] = mt
 		}
 	}
-	return tasks, sums, nil
+	return nil
 }
 
-// runMapPhase registers the job with the dispatcher, submits its tasks,
-// and waits for the phase to finish.
-func (d *Driver) runMapPhase(ctx context.Context, j *activeJob, tasks []scheduler.Task) error {
-	j.ctx = ctx
-	j.taskByID = make(map[string]scheduler.Task, len(tasks))
-	j.completed = make(map[string]bool, len(tasks))
-	j.remaining = len(tasks)
-	j.done = make(chan error, 1)
-	if j.attempts == nil {
-		j.attempts = make(map[string]int, len(tasks))
-	}
-	for _, t := range tasks {
-		j.taskByID[t.ID] = t
-	}
-
+// runMapPhase opens a map phase over tasks (all pending), registers the
+// job with the dispatcher, submits the tasks, and waits for the phase's
+// outcome. A non-empty only makes the phase a filtered re-shuffle.
+func (d *Driver) runMapPhase(st *runState, tasks []*mapTask, only []int) error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return errors.New("mapreduce: driver closed")
 	}
-	if _, dup := d.jobs[j.spec.ID]; dup {
+	if _, dup := d.jobs[st.spec.ID]; dup {
 		d.mu.Unlock()
-		return fmt.Errorf("mapreduce: job %s is already running", j.spec.ID)
+		return fmt.Errorf("mapreduce: job %s is already running", st.spec.ID)
 	}
-	d.jobs[j.spec.ID] = j
+	st.open, st.only, st.remaining = true, only, len(tasks)
+	st.outcome = make(chan error, 1)
+	d.jobs[st.spec.ID] = st
 	if !d.started {
 		d.started = true
 		go d.dispatchLoop()
 	}
-	d.mu.Unlock()
-	d.maybeStartSpeculator(j.spec)
-
-	// Cancellation aborts the phase between dispatches; in-flight worker
-	// RPCs run to completion (and are journaled), so a later Resume skips
-	// exactly what finished.
-	if ctx.Done() != nil {
-		stopWatch := make(chan struct{})
-		defer close(stopWatch)
-		go func() {
-			select {
-			case <-ctx.Done():
-				d.failJob(j, ctx.Err())
-			case <-stopWatch:
-			}
-		}()
+	if st.spec.speculative() && !d.specOn {
+		// The straggler scanner starts with the first speculative job and
+		// lives until the driver closes.
+		d.specOn = true
+		go d.speculationLoop()
 	}
+	d.mu.Unlock()
+
+	// Cancellation aborts the phase between dispatches; a later Resume
+	// re-runs exactly what had not finished by then.
+	stopWatch := context.AfterFunc(st.ctx, func() { d.endMapPhase(st, st.ctx.Err()) })
+	defer stopWatch()
 
 	now := d.since()
-	for _, t := range tasks {
-		d.events.Emit(events.KindSched, "sched.admit", events.F{Job: t.Job, Task: t.ID})
-		d.sched.Submit(t, now)
+	for _, mt := range tasks {
+		d.events.Emit(events.KindSched, "sched.admit", events.F{Job: mt.t.Job, Task: mt.t.ID})
+		d.sched.Submit(mt.t, now)
 	}
 	d.signal()
-	err := <-j.done
+	err := <-st.outcome
 
 	d.mu.Lock()
-	delete(d.jobs, j.spec.ID)
+	delete(d.jobs, st.spec.ID)
 	d.mu.Unlock()
 	return err
 }
 
-// failJob marks a job failed and delivers the outcome once.
-func (d *Driver) failJob(j *activeJob, err error) {
+// endMapPhase ends a job's map phase with err, unless it already ended.
+func (d *Driver) endMapPhase(st *runState, err error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if j.failed {
-		return
-	}
-	j.failed = true
-	j.done <- err
+	st.end(err)
+	d.mu.Unlock()
 }
 
 // signal nudges the dispatcher without blocking.
@@ -565,15 +518,19 @@ func (d *Driver) dispatchLoop() {
 
 		for _, a := range d.sched.Dispatch(d.since()) {
 			d.mu.Lock()
-			j := d.jobs[a.Task.Job]
+			st := d.jobs[a.Task.Job]
 			d.mu.Unlock()
-			if j == nil {
+			var mt *mapTask
+			if st != nil {
+				mt = st.byID[a.Task.ID]
+			}
+			if mt == nil {
 				// The job failed and deregistered while this task sat in
 				// the queue; give the slot back.
 				d.sched.Release(a.Node)
 				continue
 			}
-			go d.runMapTask(j, a)
+			go d.runMapTask(st, mt, a)
 		}
 
 		var timerC <-chan time.Time
@@ -597,107 +554,101 @@ func (d *Driver) dispatchLoop() {
 	}
 }
 
-// mapReq builds the RunMapReq for one execution attempt of a map task.
-func (d *Driver) mapReq(j *activeJob, t scheduler.Task, attempt int) *RunMapReq {
+// mapReq builds the RunMapReq for one execution of a map task. Caller
+// holds d.mu (the phase's partition filter is phase state).
+func (st *runState) mapReq(mt *mapTask, attempt int) *RunMapReq {
 	return &RunMapReq{
-		Job:            j.spec.ID,
-		Namespace:      j.ns,
-		App:            j.spec.App,
-		Params:         j.spec.Params,
-		BlockKey:       t.HashKey,
-		BlockSum:       j.blockSums[t.ID],
-		Task:           t.ID,
+		Job:            st.spec.ID,
+		Namespace:      st.ns,
+		App:            st.spec.App,
+		Params:         st.spec.Params,
+		BlockKey:       mt.t.HashKey,
+		BlockSum:       mt.sum,
+		Task:           mt.t.ID,
 		Attempt:        attempt,
-		ReduceServers:  j.mk.Servers,
-		ReduceBounds:   j.mk.Bounds,
-		ReduceReplicas: j.mk.Replicas,
-		OnlyPartitions: j.only,
-		SpillThreshold: j.spec.SpillThreshold,
-		TTL:            j.spec.IntermediateTTL,
+		ReduceServers:  st.mk.Servers,
+		ReduceBounds:   st.mk.Bounds,
+		ReduceReplicas: st.mk.Replicas,
+		OnlyPartitions: st.only,
+		SpillThreshold: st.spec.SpillThreshold,
+		TTL:            st.spec.IntermediateTTL,
 	}
 }
 
-// completeMapLocked accounts one successful map execution; duplicate
-// finishers (a speculative hedge losing to the original, a stale retry)
-// are ignored. Caller holds d.mu.
-func (d *Driver) completeMapLocked(j *activeJob, taskID string, resp RunMapResp) {
-	if j.failed || j.completed[taskID] {
-		return
-	}
-	j.completed[taskID] = true
-	// The race is decided: abort whichever duplicate attempt is still in
-	// flight (the hedge when the original won, and vice versa) so it
-	// stops consuming the straggling node instead of running to the end.
-	d.cancelInflight(j.spec.ID, taskID)
-	for i, b := range resp.PartBytes {
-		j.mk.PartBytes[i] += b
-	}
-	j.res.ShuffleBytes += sum(resp.PartBytes)
-	if resp.CacheHit {
-		j.res.CacheHits++
-	} else {
-		j.res.CacheMisses++
-	}
-	if j.jw != nil {
-		attempt := j.attempts[taskID]
-		partBytes := append([]int64(nil), j.mk.PartBytes...)
-		j.jw.update(func(jr *journal) {
-			jr.MapsDone[taskID] = true
-			if jr.Attempts[taskID] < attempt {
-				jr.Attempts[taskID] = attempt
-			}
-			jr.Mk.PartBytes = partBytes
-		})
-	}
-	d.events.Emit(events.KindTask, "map.finish", events.F{
-		Job: j.spec.ID, Task: taskID, Attempt: j.attempts[taskID],
-	})
-	j.remaining--
-	if j.remaining == 0 {
-		j.done <- nil
-	}
+// mapResult reports one execution of a map task back to the path that
+// launched it.
+type mapResult struct {
+	verdict verdict
+	attempt int
+	// evict and err describe a failed execution (see runState.fail).
+	evict bool
+	err   error
 }
 
-// runMapTask executes one assignment against its worker and accounts the
-// completion.
-func (d *Driver) runMapTask(j *activeJob, a scheduler.Assignment) {
+// execMap runs one execution of a map task on x.node — the only place
+// the driver calls MethodRunMap — and settles it: a success is offered to
+// finish (first finisher wins), a failed dispatched or failover execution
+// to fail, a failed hedge is dropped. The execution runs under its own
+// cancellable ctx, registered with the task, so whichever duplicate wins
+// aborts the other's RPC instead of letting it run to completion against
+// a straggling node.
+func (d *Driver) execMap(st *runState, mt *mapTask, x mapExec) mapResult {
+	actx, cancel := context.WithCancel(st.ctx)
+	defer cancel()
 	d.mu.Lock()
-	if j.failed || j.completed[a.Task.ID] {
-		// A hedge or an earlier attempt finished this task while the
-		// assignment sat in the queue; just return the slot.
-		d.sched.Release(a.Node)
-		d.mu.Unlock()
-		d.signal()
-		return
+	attempt, ok := st.begin(mt, x, cancel, time.Now())
+	var req *RunMapReq
+	if ok {
+		req = st.mapReq(mt, attempt)
 	}
-	attempt := j.attempts[a.Task.ID]
 	d.mu.Unlock()
+	if !ok {
+		return mapResult{}
+	}
 	// The queue wait is only known at dispatch; reconstruct it as a span
 	// ending now so the timeline shows time-in-scheduler per task.
-	if a.Waited > 0 {
-		_, qs := d.tracer.StartSpanAt(j.ctx, "sched.queue_wait", d.tracer.NowNS()-int64(a.Waited))
-		qs.Annotate("task", a.Task.ID)
+	if x.waited > 0 {
+		_, qs := d.tracer.StartSpanAt(st.ctx, "sched.queue_wait", d.tracer.NowNS()-int64(x.waited))
+		qs.Annotate("task", mt.t.ID)
 		qs.End()
 	}
-	tctx, sp := d.tracer.StartSpan(j.ctx, "driver.map_task")
-	sp.Annotate("task", a.Task.ID)
-	sp.Annotate("node", string(a.Node))
-	sp.Annotate("local", strconv.FormatBool(a.Local))
-	d.events.Emit(events.KindTask, "map.dispatch", events.F{
-		Job: j.spec.ID, Task: a.Task.ID, Attempt: attempt, Detail: string(a.Node),
-	})
-	// The attempt runs under its own cancellable context, registered with
-	// the straggler scanner: if a speculative hedge wins the task, it
-	// aborts this RPC through cancelInflight instead of letting it run to
-	// completion against the straggling node.
-	actx, cancel := context.WithCancel(tctx)
-	defer cancel()
-	d.trackInflight(j, a.Task, attempt, a.Node, cancel)
+	tctx, sp := d.tracer.StartSpan(actx, "driver.map_task")
+	defer sp.End()
+	sp.Annotate("task", mt.t.ID)
+	sp.Annotate("node", string(x.node))
+	ev := events.F{Job: st.spec.ID, Task: mt.t.ID, Attempt: attempt, Detail: string(x.node)}
+	switch x.kind {
+	case execDispatch:
+		sp.Annotate("local", strconv.FormatBool(x.local))
+		d.events.Emit(events.KindTask, "map.dispatch", ev)
+	case execFailover:
+		sp.Annotate("failover", "true")
+		sp.Annotate("attempt", strconv.Itoa(attempt))
+		d.events.Emit(events.KindTask, "map.failover", ev)
+	case execHedge:
+		// Same attempt as the execution it duplicates, on purpose (see
+		// speculate.go).
+		sp.Annotate("speculative", "true")
+		sp.Annotate("attempt", strconv.Itoa(attempt))
+		d.reg.Counter("mr.driver.speculative_launched").Inc()
+		d.events.Emit(events.KindSpec, "spec.launch", ev)
+	}
 	var resp RunMapResp
 	rpcTimer := d.reg.Histogram("mr.driver.map_rpc_ns").Start()
-	err := d.call(actx, a.Node, MethodRunMap, d.mapReq(j, a.Task, attempt), &resp)
+	err := d.call(tctx, x.node, MethodRunMap, req, &resp)
 	rpcTimer.Stop()
-	d.untrackInflight(a.Task.Job, a.Task.ID)
+
+	r := mapResult{verdict: lost, attempt: attempt, err: err}
+	d.mu.Lock()
+	switch {
+	case err == nil:
+		if d.finishMap(st, mt, attempt, resp) {
+			r.verdict = won
+		}
+	case x.kind != execHedge:
+		r.verdict, r.evict = st.fail(mt, attempt, err)
+	}
+	d.mu.Unlock()
 	switch {
 	case err != nil:
 		sp.Annotate("error", err.Error())
@@ -706,102 +657,104 @@ func (d *Driver) runMapTask(j *activeJob, a scheduler.Assignment) {
 	default:
 		sp.Annotate("cache", "miss")
 	}
-	sp.End()
-
-	maxAttempts := j.spec.maxAttempts()
-
-	d.mu.Lock()
-	defer func() {
-		d.mu.Unlock()
-		d.signal()
-	}()
-	if err == nil {
-		d.sched.Release(a.Node)
-		d.completeMapLocked(j, a.Task.ID, resp)
-		return
+	if x.kind == execHedge && err == nil {
+		if r.verdict == won {
+			sp.Annotate("speculation", "won")
+		} else {
+			sp.Annotate("speculation", "lost")
+		}
 	}
-	// Failure handling: unreachable workers leave the pool; application
-	// errors are retried elsewhere up to the limit.
-	if errors.Is(err, transport.ErrUnreachable) {
+	return r
+}
+
+// finishMap settles a successful execution. The first finisher of the
+// task's current attempt is accounted — result counters, and for a first
+// execution (not a re-shuffle) the partition sizes and the journal — and
+// only then finishes the task: a phase's outcome is delivered after its
+// last completion is queued for the journal. Caller holds d.mu.
+func (d *Driver) finishMap(st *runState, mt *mapTask, attempt int, resp RunMapResp) bool {
+	if !st.current(mt, attempt) {
+		return false
+	}
+	st.res.ShuffleBytes += sum(resp.PartBytes)
+	if resp.CacheHit {
+		st.res.CacheHits++
+	} else {
+		st.res.CacheMisses++
+	}
+	if len(st.only) == 0 {
+		for i, b := range resp.PartBytes {
+			st.mk.PartBytes[i] += b
+		}
+		if st.jw != nil {
+			taskID := mt.t.ID
+			partBytes := append([]int64(nil), st.mk.PartBytes...)
+			st.jw.update(func(jr *journal) {
+				jr.MapsDone[taskID] = true
+				if jr.Attempts[taskID] < attempt {
+					jr.Attempts[taskID] = attempt
+				}
+				jr.Mk.PartBytes = partBytes
+			})
+		}
+	}
+	d.events.Emit(events.KindTask, "map.finish", events.F{
+		Job: st.spec.ID, Task: mt.t.ID, Attempt: attempt,
+	})
+	return st.finish(mt, attempt)
+}
+
+// runMapTask executes one scheduler assignment and acts on its verdict.
+func (d *Driver) runMapTask(st *runState, mt *mapTask, a scheduler.Assignment) {
+	r := d.execMap(st, mt, mapExec{kind: execDispatch, node: a.Node, local: a.Local, waited: a.Waited})
+	if r.evict {
 		d.sched.RemoveNode(a.Node)
 	} else {
 		d.sched.Release(a.Node)
 	}
-	if j.failed || j.completed[a.Task.ID] {
-		// A speculative hedge already finished the task; the straggler's
-		// failure needs no retry.
-		return
-	}
-	j.attempts[a.Task.ID]++
-	if j.attempts[a.Task.ID] >= st1Base(attempt)+maxAttempts {
-		// The scheduler's retry budget is spent. Fall back to the paper's
-		// recovery rule: hand the task straight to the replica set of its
-		// input's hash key — the successor that takes over a faulty
-		// server's range also holds the block's replica.
+	switch r.verdict {
+	case retry:
+		d.reg.Counter("mr.driver.map_retries").Inc()
+		d.events.Emit(events.KindTask, "map.retry", events.F{
+			Job: st.spec.ID, Task: mt.t.ID, Attempt: r.attempt, Detail: r.err.Error(),
+		})
+		d.sched.Submit(mt.t, d.since())
+	case failover:
 		d.reg.Counter("mr.driver.map_failovers").Inc()
 		d.events.Emit(events.KindTask, "map.giveup", events.F{
-			Job: j.spec.ID, Task: a.Task.ID, Attempt: attempt, Detail: err.Error(),
+			Job: st.spec.ID, Task: mt.t.ID, Attempt: r.attempt, Detail: r.err.Error(),
 		})
-		go d.failoverMapTask(j, j.taskByID[a.Task.ID], a.Node, err)
-		return
+		d.failoverMap(st, mt, a.Node, r.err)
 	}
-	d.reg.Counter("mr.driver.map_retries").Inc()
-	d.events.Emit(events.KindTask, "map.retry", events.F{
-		Job: j.spec.ID, Task: a.Task.ID, Attempt: attempt, Detail: err.Error(),
-	})
-	d.sched.Submit(j.taskByID[a.Task.ID], d.since())
+	d.signal()
 }
 
-// st1Base floors an attempt number to its generation's stride base, so
-// the per-generation retry budget stays maxAttempts regardless of how
-// many earlier generations ran.
-func st1Base(attempt int) int { return attempt - attempt%attemptStride }
-
-// failoverMapTask dispatches a map task directly (off the scheduler) to
-// the members of its hash key's replica set, excluding the node that just
-// failed it. The job fails only when every candidate has failed too.
-func (d *Driver) failoverMapTask(j *activeJob, t scheduler.Task, exclude hashing.NodeID, lastErr error) {
-	candidates, _ := d.ring().ReplicaSet(t.HashKey, 3)
-	for _, cand := range candidates {
-		if cand == exclude {
-			continue
+// replicasExcept lists the replica set of a task's input block without
+// one node.
+func (d *Driver) replicasExcept(mt *mapTask, not hashing.NodeID) []hashing.NodeID {
+	set, _ := d.ring().ReplicaSet(mt.t.HashKey, 3)
+	out := make([]hashing.NodeID, 0, len(set))
+	for _, n := range set {
+		if n != not {
+			out = append(out, n)
 		}
-		d.mu.Lock()
-		if j.failed || j.completed[t.ID] {
-			d.mu.Unlock()
-			return
-		}
-		attempt := j.attempts[t.ID]
-		j.attempts[t.ID]++
-		d.mu.Unlock()
-		tctx, sp := d.tracer.StartSpan(j.ctx, "driver.map_task")
-		sp.Annotate("task", t.ID)
-		sp.Annotate("node", string(cand))
-		sp.Annotate("failover", "true")
-		sp.Annotate("attempt", strconv.Itoa(attempt))
-		d.events.Emit(events.KindTask, "map.failover", events.F{
-			Job: j.spec.ID, Task: t.ID, Attempt: attempt, Detail: string(cand),
-		})
-		var resp RunMapResp
-		rpcTimer := d.reg.Histogram("mr.driver.map_rpc_ns").Start()
-		err := d.call(tctx, cand, MethodRunMap, d.mapReq(j, t, attempt), &resp)
-		rpcTimer.Stop()
-		if err != nil {
-			sp.Annotate("error", err.Error())
-		}
-		sp.End()
-		if err == nil {
-			d.mu.Lock()
-			d.completeMapLocked(j, t.ID, resp)
-			d.mu.Unlock()
-			d.signal()
-			return
-		}
-		lastErr = err
 	}
-	d.failJob(j, fmt.Errorf("mapreduce: task %s failed (failover exhausted), last error: %w",
-		t.ID, lastErr))
-	d.signal()
+	return out
+}
+
+// failoverMap walks a map task directly (off the scheduler) over the
+// members of its hash key's replica set, excluding the node that just
+// failed it. The phase fails only when every candidate has failed too.
+func (d *Driver) failoverMap(st *runState, mt *mapTask, exclude hashing.NodeID, lastErr error) {
+	for _, cand := range d.replicasExcept(mt, exclude) {
+		r := d.execMap(st, mt, mapExec{kind: execFailover, node: cand})
+		if r.verdict != failover {
+			return // done here or elsewhere, or the phase is over
+		}
+		lastErr = r.err
+	}
+	d.endMapPhase(st, fmt.Errorf("mapreduce: task %s failed (failover exhausted), last error: %w",
+		mt.t.ID, lastErr))
 }
 
 // Close stops the dispatcher goroutine. Intended for process shutdown;
@@ -809,17 +762,10 @@ func (d *Driver) failoverMapTask(j *activeJob, t scheduler.Task, exclude hashing
 func (d *Driver) Close() {
 	d.mu.Lock()
 	d.closed = true
-	jobs := make([]*activeJob, 0, len(d.jobs))
-	for _, j := range d.jobs {
-		jobs = append(jobs, j)
+	for _, st := range d.jobs {
+		st.end(errors.New("mapreduce: driver closed"))
 	}
 	d.mu.Unlock()
-	for _, j := range jobs {
-		select {
-		case j.done <- errors.New("mapreduce: driver closed"):
-		default:
-		}
-	}
 	d.signal()
 }
 
@@ -1075,112 +1021,49 @@ func (d *Driver) reduceCandidates(st *runState, t reduceTask) []hashing.NodeID {
 	return out
 }
 
-// recoverPartitions is lost-partition recovery, the heart of the
-// self-healing layer: each lost partition is re-homed to a surviving
-// ring node, the contributing map tasks are re-executed through the
-// scheduler with a strictly higher attempt and a partition filter (only
-// the lost partitions are re-shuffled; surviving partitions keep their
-// segments untouched), and the returned tasks re-run the reduces at the
-// new owners. The store's attempt/seq dedup discards any stale straggler
-// spills from the dead node's generation.
+// recoverPartitions is in-run lost-partition recovery, the heart of the
+// self-healing layer: each lost partition is re-homed to a surviving ring
+// node, every contributing map is re-shuffled into just the lost
+// partitions (surviving partitions keep their segments untouched), and
+// the returned tasks re-run the reduces at the new owners.
 func (d *Driver) recoverPartitions(ctx context.Context, st *runState, lost []lostPart) ([]reduceTask, error) {
-	if len(st.mapTasks) == 0 {
-		return nil, fmt.Errorf("mapreduce: cannot recover: map tasks are not re-executable (tag-reused intermediates): %w", lost[0].err)
-	}
 	_, sp := d.tracer.StartSpan(ctx, "driver.partition_recovery")
 	defer sp.End()
 	ring := d.ring()
 	var retry []reduceTask
 	var only []int
 	for _, l := range lost {
-		var newOwner hashing.NodeID
-		if l.t.part < len(st.mk.Bounds) {
-			if set, err := ring.ReplicaSet(st.mk.Bounds[l.t.part], 3); err == nil {
-				for _, c := range set {
-					if c != l.t.owner && c != l.t.replica {
-						newOwner = c
-						break
-					}
-				}
-			}
+		t, err := d.rehome(st, sp, ring, l.t.part)
+		if err != nil {
+			return nil, fmt.Errorf("%v: %w", err, l.err)
 		}
-		if newOwner == "" {
-			return nil, fmt.Errorf("mapreduce: no surviving node can adopt reduce partition %d: %w", l.t.part, l.err)
-		}
-		d.reg.Counter("mr.driver.partition_recoveries").Inc()
-		st.res.RecoveredPartitions++
-		sp.Annotate(partitionName(l.t.part), string(newOwner))
-		d.events.Emit(events.KindTask, "partition.rehome", events.F{
-			Job: st.spec.ID, Task: partitionName(l.t.part), Detail: string(newOwner),
-		})
-		st.mk.Servers[l.t.part] = newOwner
-		var newReplica hashing.NodeID
-		if len(st.mk.Replicas) > 0 {
-			if succ, err := ring.Successor(newOwner); err == nil && succ != newOwner && succ != l.t.owner {
-				newReplica = succ
-			}
-			st.mk.Replicas[l.t.part] = newReplica
-		}
+		retry = append(retry, t)
 		only = append(only, l.t.part)
-		retry = append(retry, reduceTask{part: l.t.part, owner: newOwner, replica: newReplica})
 	}
-	d.events.Emit(events.KindJob, "job.recovery", events.F{
-		Job: st.spec.ID, Detail: fmt.Sprintf("partitions=%d", len(lost)),
-	})
-	d.recordFlight(st.spec.ID, "recovery")
+	d.commitRehome(st, len(lost))
 	// The recovery maps push strictly higher attempts: invalidate every
 	// merged-intermediate cache entry by moving the reduces to a new
 	// epoch key.
 	st.reduceEpoch++
-	// Record the re-homing durably before re-shuffling, so a resume after
-	// a further failure reduces at the adopted owners.
-	if st.jw != nil {
-		snap := copyMarker(st.mk)
-		st.jw.updateSync(func(j *journal) { j.Mk = snap })
+	if err := d.reshuffle(st, st.tasks, only); err != nil {
+		return nil, err
 	}
-	// Re-execute every contributing map with an attempt strictly above
-	// anything pushed before (including prior driver generations).
-	for _, t := range st.mapTasks {
-		if st.attempts[t.ID] < st.attemptBase {
-			st.attempts[t.ID] = st.attemptBase
-		}
-		st.attempts[t.ID]++
-	}
-	scratch := Result{Job: st.spec.ID}
-	rmk := copyMarker(st.mk)
-	rmk.PartBytes = make([]int64, len(st.mk.PartBytes))
-	j := &activeJob{
-		spec:      st.spec,
-		ns:        st.ns,
-		mk:        &rmk,
-		res:       &scratch,
-		attempts:  st.attempts,
-		blockSums: st.blockSums,
-		only:      only,
-	}
-	if err := d.runMapPhase(ctx, j, st.mapTasks); err != nil {
-		return nil, fmt.Errorf("mapreduce: partition-recovery map re-execution: %w", err)
-	}
-	// The re-shuffle and re-reads are real work the job paid for.
-	st.res.ShuffleBytes += scratch.ShuffleBytes
-	st.res.CacheHits += scratch.CacheHits
-	st.res.CacheMisses += scratch.CacheMisses
 	return retry, nil
 }
 
-// rehomeDeadPartitions repairs an adopted job's partition table against
-// the current ring before any task runs: partitions whose journaled owner
-// left the ring are promoted to their intermediate replica when one is
-// alive (the replica holds full spill copies), or re-homed to a surviving
-// node otherwise. Re-homed partitions lost their data with the owner and
-// are returned for a filtered re-shuffle.
-func (d *Driver) rehomeDeadPartitions(ctx context.Context, st *runState) ([]int, error) {
+// adoptPartitions repairs an adopted job's partition table against the
+// current ring before any task runs: partitions whose journaled owner left
+// the ring are promoted to their intermediate replica when one is alive
+// (the replica holds full spill copies), or re-homed otherwise. Re-homed
+// partitions lost their data with the owner and are returned for a
+// re-shuffle.
+func (d *Driver) adoptPartitions(st *runState) ([]int, error) {
 	ring := d.ring()
 	live := make(map[hashing.NodeID]bool)
 	for _, id := range ring.Members() {
 		live[id] = true
 	}
-	_, sp := d.tracer.StartSpan(ctx, "driver.partition_rehome")
+	_, sp := d.tracer.StartSpan(st.ctx, "driver.partition_rehome")
 	defer sp.End()
 	var dead []int
 	changed := false
@@ -1191,13 +1074,11 @@ func (d *Driver) rehomeDeadPartitions(ctx context.Context, st *runState) ([]int,
 		if _, done := st.partsDone[p]; done {
 			continue // output already stored and replicated in the FS
 		}
-		var replica hashing.NodeID
-		if p < len(st.mk.Replicas) {
-			replica = st.mk.Replicas[p]
-		}
-		if replica != "" && live[replica] {
+		changed = true
+		if p < len(st.mk.Replicas) && live[st.mk.Replicas[p]] {
 			// The replica holds a full copy of every pushed spill: promote
 			// it and grow a fresh replica behind it.
+			replica := st.mk.Replicas[p]
 			st.mk.Servers[p] = replica
 			var next hashing.NodeID
 			if succ, err := ring.Successor(replica); err == nil && succ != replica {
@@ -1208,96 +1089,97 @@ func (d *Driver) rehomeDeadPartitions(ctx context.Context, st *runState) ([]int,
 			d.events.Emit(events.KindTask, "partition.rehome", events.F{
 				Job: st.spec.ID, Task: partitionName(p), Detail: "promoted " + string(replica),
 			})
-			changed = true
 			continue
 		}
-		// Owner (and replica, if any) died with the intermediates. The ring
-		// no longer contains them, so any replica-set member is a live home.
-		var newOwner hashing.NodeID
-		if p < len(st.mk.Bounds) {
-			if set, err := ring.ReplicaSet(st.mk.Bounds[p], 3); err == nil && len(set) > 0 {
-				newOwner = set[0]
-			}
+		if _, err := d.rehome(st, sp, ring, p); err != nil {
+			return nil, err
 		}
-		if newOwner == "" {
-			return nil, fmt.Errorf("mapreduce: no surviving node can adopt reduce partition %d of resumed job %s", p, st.spec.ID)
-		}
-		d.reg.Counter("mr.driver.partition_recoveries").Inc()
-		st.res.RecoveredPartitions++
-		st.mk.Servers[p] = newOwner
-		if len(st.mk.Replicas) > 0 {
-			var next hashing.NodeID
-			if succ, err := ring.Successor(newOwner); err == nil && succ != newOwner {
-				next = succ
-			}
-			st.mk.Replicas[p] = next
-		}
-		st.mk.PartBytes[p] = 0 // nothing survives; the re-shuffle refills it
-		sp.Annotate(partitionName(p), "re-homed "+string(newOwner))
-		d.events.Emit(events.KindTask, "partition.rehome", events.F{
-			Job: st.spec.ID, Task: partitionName(p), Detail: string(newOwner),
-		})
 		dead = append(dead, p)
-		changed = true
 	}
-	if len(dead) > 0 {
-		d.events.Emit(events.KindJob, "job.recovery", events.F{
-			Job: st.spec.ID, Detail: fmt.Sprintf("partitions=%d", len(dead)),
-		})
-		d.recordFlight(st.spec.ID, "recovery")
-	}
-	// Persist the repaired table before any spill is pushed at it, so a
-	// further failure resumes against the adopted owners.
-	if changed && st.jw != nil {
-		snap := copyMarker(st.mk)
-		st.jw.updateSync(func(j *journal) { j.Mk = snap })
+	if changed {
+		d.commitRehome(st, len(dead))
 	}
 	return dead, nil
 }
 
-// reshuffleLostPartitions re-executes an adopted job's journaled-done map
-// tasks with a partition filter, restoring exactly the re-homed
-// partitions' intermediates at their new owners. The resumed generation's
-// attempt stride makes these spills supersede any stale ones a dying
-// pusher may still deliver.
-func (d *Driver) reshuffleLostPartitions(ctx context.Context, st *runState, prior *journal, only []int) error {
-	if len(st.mapTasks) == 0 {
-		return fmt.Errorf("mapreduce: cannot re-shuffle lost partitions of job %s: map tasks are not re-executable", st.spec.ID)
+// rehome moves a reduce partition whose spills died with their holders to
+// a surviving member of its bound's replica set that is neither the old
+// owner nor the old replica (both may still sit in the ring, unreachable),
+// and grows a fresh replica behind it when the job replicates. It refuses
+// when the spills cannot be rebuilt, before anything is recorded.
+func (d *Driver) rehome(st *runState, sp *trace.Span, ring hashing.Ring, part int) (reduceTask, error) {
+	if len(st.tasks) == 0 {
+		return reduceTask{}, fmt.Errorf("mapreduce: cannot recover reduce partition %d of job %s: map tasks are not re-executable (tag-reused intermediates)", part, st.spec.ID)
 	}
-	var redo []scheduler.Task
-	for _, t := range st.mapTasks {
-		if prior.MapsDone[t.ID] {
-			redo = append(redo, t)
+	owner := st.mk.Servers[part]
+	var replica hashing.NodeID
+	if part < len(st.mk.Replicas) {
+		replica = st.mk.Replicas[part]
+	}
+	t := reduceTask{part: part}
+	if part < len(st.mk.Bounds) {
+		if set, err := ring.ReplicaSet(st.mk.Bounds[part], 3); err == nil {
+			for _, c := range set {
+				if c != owner && c != replica {
+					t.owner = c
+					break
+				}
+			}
 		}
 	}
-	if len(redo) == 0 {
-		return nil // every map re-ran this generation and already pushed to the new owners
+	if t.owner == "" {
+		return reduceTask{}, fmt.Errorf("mapreduce: no surviving node can adopt reduce partition %d of job %s", part, st.spec.ID)
 	}
-	for _, t := range redo {
-		if st.attempts[t.ID] < st.attemptBase {
-			st.attempts[t.ID] = st.attemptBase
+	d.reg.Counter("mr.driver.partition_recoveries").Inc()
+	st.res.RecoveredPartitions++
+	sp.Annotate(partitionName(part), "re-homed "+string(t.owner))
+	d.events.Emit(events.KindTask, "partition.rehome", events.F{
+		Job: st.spec.ID, Task: partitionName(part), Detail: string(t.owner),
+	})
+	st.mk.Servers[part] = t.owner
+	if len(st.mk.Replicas) > 0 {
+		if succ, err := ring.Successor(t.owner); err == nil && succ != t.owner && succ != owner {
+			t.replica = succ
 		}
-		st.attempts[t.ID]++
+		st.mk.Replicas[part] = t.replica
 	}
-	scratch := Result{Job: st.spec.ID}
-	j := &activeJob{
-		spec: st.spec,
-		ns:   st.ns,
-		// The live marker, on purpose: the re-homed partitions' PartBytes
-		// must accumulate where the reduce phase reads them.
-		mk:        st.mk,
-		res:       &scratch,
-		attempts:  st.attempts,
-		blockSums: st.blockSums,
-		jw:        st.jw,
-		only:      only,
+	return t, nil
+}
+
+// commitRehome announces a repaired partition table and makes it durable
+// before any spill is pushed at it, so a resume after a further failure
+// runs against the adopted owners.
+func (d *Driver) commitRehome(st *runState, rehomed int) {
+	if rehomed > 0 {
+		d.events.Emit(events.KindJob, "job.recovery", events.F{
+			Job: st.spec.ID, Detail: fmt.Sprintf("partitions=%d", rehomed),
+		})
+		d.recordFlight(st.spec.ID, "recovery")
 	}
-	if err := d.runMapPhase(ctx, j, redo); err != nil {
+	if st.jw != nil {
+		snap := copyMarker(st.mk)
+		st.jw.updateSync(func(j *journal) { j.Mk = snap })
+	}
+}
+
+// reshuffle re-executes settled map tasks through the scheduler with a
+// partition filter, restoring exactly the re-homed partitions' spills at
+// their new owners. Every task runs one attempt above anything it has
+// pushed (including prior driver generations, by the attempt stride), so
+// the store's attempt dedup discards whatever a dying pusher may still
+// deliver.
+func (d *Driver) reshuffle(st *runState, tasks []*mapTask, only []int) error {
+	if len(tasks) == 0 {
+		return nil
+	}
+	d.mu.Lock()
+	for _, mt := range tasks {
+		mt.rearm()
+	}
+	d.mu.Unlock()
+	if err := d.runMapPhase(st, tasks, only); err != nil {
 		return fmt.Errorf("mapreduce: lost-partition re-shuffle: %w", err)
 	}
-	st.res.ShuffleBytes += scratch.ShuffleBytes
-	st.res.CacheHits += scratch.CacheHits
-	st.res.CacheMisses += scratch.CacheMisses
 	return nil
 }
 

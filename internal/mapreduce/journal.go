@@ -277,9 +277,9 @@ func copyMarker(mk *marker) marker {
 	return out
 }
 
-// loadJournal fetches and decodes a job's journal.
-func (d *Driver) loadJournal(ctx context.Context, jobID string) (*journal, error) {
-	data, err := d.fs.ReadFile(ctx, journalFile(jobID), "")
+// readJournal fetches and decodes the journal file of a job through fs.
+func readJournal(ctx context.Context, fs *dhtfs.Service, jobID string) (*journal, error) {
+	data, err := fs.ReadFile(ctx, journalFile(jobID), "")
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s has no journal: %w", jobID, err)
 	}
@@ -292,6 +292,11 @@ func (d *Driver) loadJournal(ctx context.Context, jobID string) (*journal, error
 		return nil, fmt.Errorf("mapreduce: journal for job %s names job %s", jobID, j.Spec.ID)
 	}
 	return &j, nil
+}
+
+// loadJournal fetches and decodes a job's journal.
+func (d *Driver) loadJournal(ctx context.Context, jobID string) (*journal, error) {
+	return readJournal(ctx, d.fs, jobID)
 }
 
 // Resume loads the durable journal of an interrupted job and drives it
@@ -347,13 +352,8 @@ func JournalSnapshots(ctx context.Context, fs *dhtfs.Service, job string) ([]Jou
 		if job != "" && jobID != job {
 			continue
 		}
-		data, err := fs.ReadFile(ctx, name, "")
+		j, err := readJournal(ctx, fs, jobID)
 		if err != nil {
-			continue
-		}
-		var j journal
-		//lint:ignore wiremsg durable file (the job journal in dhtfs), adopted by restarted and newly elected managers: it stays on gob
-		if err := transport.Decode(data, &j); err != nil {
 			continue
 		}
 		out = append(out, JournalSnapshot{

@@ -4,52 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"eclipsemr/internal/hashing"
-	"eclipsemr/internal/scheduler"
 )
-
-// TestCancelInflightCancelsBothAttempts pins the loser-abort wiring: when
-// a task completes, cancelInflight must fire both the original attempt's
-// cancel and the hedge's, and drop the scanner entry, so whichever
-// duplicate lost the race has its RPC unblocked immediately.
-func TestCancelInflightCancelsBothAttempts(t *testing.T) {
-	ec := newEngineCluster(t, engineOpts{nodes: 3})
-	d := ec.driver
-	j := &activeJob{spec: JobSpec{ID: "spec-cancel", SpeculativeDeadline: time.Millisecond}}
-	task := scheduler.Task{Job: "spec-cancel", ID: "m0"}
-
-	octx, ocancel := context.WithCancel(context.Background())
-	d.trackInflight(j, task, 0, ec.ids[1], ocancel)
-	hctx, hcancel := context.WithCancel(context.Background())
-	defer hcancel()
-	d.specMu.Lock()
-	if it := d.inflight[inflightKey("spec-cancel", "m0")]; it != nil {
-		it.hedgeCancel = hcancel
-	}
-	d.specMu.Unlock()
-
-	d.cancelInflight("spec-cancel", "m0")
-	select {
-	case <-octx.Done():
-	default:
-		t.Fatal("original attempt's ctx not cancelled")
-	}
-	select {
-	case <-hctx.Done():
-	default:
-		t.Fatal("hedge attempt's ctx not cancelled")
-	}
-	d.specMu.Lock()
-	_, still := d.inflight[inflightKey("spec-cancel", "m0")]
-	d.specMu.Unlock()
-	if still {
-		t.Fatal("inflight entry not removed")
-	}
-	// Idempotent: a second call (the other attempt finishing) is a no-op.
-	d.cancelInflight("spec-cancel", "m0")
-}
 
 // TestJournalFailedFlushNotLost pins two journalWriter fixes at once: a
 // flush that fails to upload must re-mark the state dirty (not silently

@@ -1,22 +1,19 @@
 package mapreduce
 
 import (
-	"context"
-	"strconv"
 	"time"
 
 	"eclipsemr/internal/events"
 	"eclipsemr/internal/hashing"
-	"eclipsemr/internal/scheduler"
 )
 
 // Speculative straggler re-execution: a single scanner goroutine watches
-// the driver's in-flight map RPCs and hedges a duplicate execution of any
-// task that has been running suspiciously long — longer than a
-// configurable multiple of the job-wide p99 map latency observed so far,
-// or past a hard per-task deadline. The hedge runs on a ring replica of
-// the task's input block; the first finisher wins and the loser's result
-// is discarded by the completed-task guard.
+// the map tasks in flight and hedges a duplicate execution of any that
+// has been running suspiciously long — longer than a configurable
+// multiple of the driver-wide p99 map latency observed so far, or past a
+// hard per-task deadline. The hedge runs on a ring replica of the task's
+// input block; what happens next is the task's state machine
+// (maptask.go, DESIGN.md §7).
 //
 // Hedges reuse the original attempt number on purpose. Map execution is
 // deterministic, so the hedge pushes byte-identical (task, attempt, seq)
@@ -27,9 +24,9 @@ import (
 // destroyed the original's data.
 
 const (
-	// speculationTick is the scanner period; cheap (a map walk and one
-	// histogram snapshot), so it can be tight enough to catch stragglers
-	// in short test jobs.
+	// speculationTick is the scanner period; cheap (a walk over the
+	// speculative jobs' tasks and one histogram snapshot), so it can be
+	// tight enough to catch stragglers in short test jobs.
 	speculationTick = 2 * time.Millisecond
 	// speculationMinSamples gates p99-relative detection until the
 	// latency histogram has enough completions to mean something.
@@ -38,85 +35,6 @@ const (
 	// slow cluster cannot amplify its own load with duplicate work.
 	speculationMaxHedges = 16
 )
-
-// inflightTask records one running map RPC for the straggler scanner.
-type inflightTask struct {
-	j       *activeJob
-	t       scheduler.Task
-	attempt int
-	node    hashing.NodeID
-	started time.Time
-	hedged  bool
-	// cancel aborts the original attempt's RPC; hedgeCancel (set under
-	// specMu once a hedge launches) aborts the duplicate. Whichever
-	// attempt completes the task cancels the other through
-	// cancelInflight, so the loser's RPC unblocks immediately instead of
-	// running to completion against a straggling node.
-	cancel      context.CancelFunc
-	hedgeCancel context.CancelFunc
-}
-
-func inflightKey(job, task string) string { return job + "\x00" + task }
-
-// trackInflight registers a dispatched map RPC with the straggler
-// scanner. Only jobs that enable speculation are tracked. cancel aborts
-// the attempt's RPC and is invoked when a duplicate attempt wins.
-func (d *Driver) trackInflight(j *activeJob, t scheduler.Task, attempt int, node hashing.NodeID, cancel context.CancelFunc) {
-	if !j.spec.speculative() {
-		return
-	}
-	d.specMu.Lock()
-	d.inflight[inflightKey(t.Job, t.ID)] = &inflightTask{
-		j: j, t: t, attempt: attempt, node: node, started: time.Now(), cancel: cancel,
-	}
-	d.specMu.Unlock()
-}
-
-// untrackInflight removes a finished map RPC from the scanner.
-func (d *Driver) untrackInflight(job, task string) {
-	d.specMu.Lock()
-	delete(d.inflight, inflightKey(job, task))
-	d.specMu.Unlock()
-}
-
-// cancelInflight drops a completed task from the straggler scanner and
-// cancels whichever of its attempts is still in flight — the original
-// when a hedge won, the hedge when the original won. Safe to call with
-// d.mu held: the lock order is d.mu before specMu, and context cancel
-// functions take neither.
-func (d *Driver) cancelInflight(job, task string) {
-	key := inflightKey(job, task)
-	d.specMu.Lock()
-	it := d.inflight[key]
-	delete(d.inflight, key)
-	d.specMu.Unlock()
-	if it == nil {
-		return
-	}
-	if it.cancel != nil {
-		it.cancel()
-	}
-	if it.hedgeCancel != nil {
-		it.hedgeCancel()
-	}
-}
-
-// maybeStartSpeculator lazily starts the scanner the first time a
-// speculative job runs. The scanner lives until the driver closes.
-func (d *Driver) maybeStartSpeculator(spec JobSpec) {
-	if !spec.speculative() {
-		return
-	}
-	d.mu.Lock()
-	start := !d.specOn && !d.closed
-	if start {
-		d.specOn = true
-	}
-	d.mu.Unlock()
-	if start {
-		go d.speculationLoop()
-	}
-}
 
 // speculationLoop drives the periodic straggler scan.
 func (d *Driver) speculationLoop() {
@@ -133,119 +51,63 @@ func (d *Driver) speculationLoop() {
 	}
 }
 
-// speculatePass hedges every tracked RPC that exceeds its job's
-// straggler threshold.
+// speculatePass hedges every map execution that exceeds its job's
+// straggler threshold, as far as the hedge budget reaches; the next pass
+// retries the rest.
 func (d *Driver) speculatePass(now time.Time) {
 	snap := d.reg.Histogram("mr.driver.map_rpc_ns").Snapshot()
 	var p99 time.Duration
 	if snap.Count() >= speculationMinSamples {
 		p99 = time.Duration(snap.Quantile(0.99))
 	}
-	var launch []*inflightTask
-	d.specMu.Lock()
-	for _, it := range d.inflight {
-		if it.hedged {
-			continue
-		}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, st := range d.jobs {
 		threshold := time.Duration(0)
-		if m := it.j.spec.SpeculativeMultiple; m > 0 && p99 > 0 {
+		if m := st.spec.SpeculativeMultiple; m > 0 && p99 > 0 {
 			threshold = time.Duration(float64(p99) * m)
 		}
-		if dl := it.j.spec.SpeculativeDeadline; dl > 0 && (threshold == 0 || dl < threshold) {
+		if dl := st.spec.SpeculativeDeadline; dl > 0 && (threshold == 0 || dl < threshold) {
 			threshold = dl
 		}
-		if threshold <= 0 || now.Sub(it.started) < threshold {
+		if threshold <= 0 {
 			continue
 		}
-		it.hedged = true
-		launch = append(launch, it)
-	}
-	d.specMu.Unlock()
-	for _, it := range launch {
-		select {
-		case d.hedgeSem <- struct{}{}:
-			go func(ctx context.Context, it *inflightTask) {
-				defer func() { <-d.hedgeSem }()
-				d.hedgeMapTask(ctx, it)
-			}(it.j.ctx, it)
-		default:
-			// Hedge budget exhausted: let the next pass retry this task.
-			d.specMu.Lock()
-			it.hedged = false
-			d.specMu.Unlock()
+		for _, mt := range st.tasks {
+			if !mt.overdue(now, threshold) {
+				continue
+			}
+			select {
+			case d.hedgeSem <- struct{}{}:
+				mt.hedged = true
+				go func(st *runState, mt *mapTask, attempt int, from hashing.NodeID) {
+					d.hedgeMap(st, mt, attempt, from)
+					<-d.hedgeSem
+				}(st, mt, mt.attempt, mt.node)
+			default:
+			}
 		}
 	}
 }
 
-// hedgeMapTask runs one speculative duplicate of a straggling map task on
-// a ring replica of its input block. ctx is the job's root context; the
-// hedge RPC runs under its own cancellable child so the original's
-// completion can abort it mid-flight.
-func (d *Driver) hedgeMapTask(ctx context.Context, it *inflightTask) {
-	j := it.j
-	d.mu.Lock()
-	dead := j.failed || j.completed[it.t.ID]
-	d.mu.Unlock()
-	if dead {
-		return
-	}
-	var target hashing.NodeID
-	if set, err := d.ring().ReplicaSet(it.t.HashKey, 3); err == nil {
-		for _, cand := range set {
-			if cand != it.node {
-				target = cand
-				break
-			}
-		}
-	}
-	if target == "" {
+// hedgeMap runs one speculative duplicate of a straggling execution on a
+// ring replica of its input block other than the straggler.
+func (d *Driver) hedgeMap(st *runState, mt *mapTask, attempt int, from hashing.NodeID) {
+	replicas := d.replicasExcept(mt, from)
+	if len(replicas) == 0 {
 		return // no distinct replica to hedge on
 	}
-	d.reg.Counter("mr.driver.speculative_launched").Inc()
-	d.events.Emit(events.KindSpec, "spec.launch", events.F{
-		Job: it.t.Job, Task: it.t.ID, Attempt: it.attempt, Detail: string(target),
-	})
-	tctx, sp := d.tracer.StartSpan(ctx, "driver.map_task")
-	sp.Annotate("task", it.t.ID)
-	sp.Annotate("node", string(target))
-	sp.Annotate("speculative", "true")
-	sp.Annotate("attempt", strconv.Itoa(it.attempt))
-	hctx, hcancel := context.WithCancel(tctx)
-	defer hcancel()
-	// Register the hedge's cancel so the original attempt, if it wins,
-	// aborts this RPC. Guarded against the entry having been replaced by
-	// a retry's re-track while the hedge sat behind the semaphore.
-	d.specMu.Lock()
-	if cur := d.inflight[inflightKey(it.t.Job, it.t.ID)]; cur == it {
-		it.hedgeCancel = hcancel
-	}
-	d.specMu.Unlock()
-	var resp RunMapResp
-	// Same attempt as the original on purpose: identical spills are
-	// idempotent retransmits (see the file comment).
-	err := d.call(hctx, target, MethodRunMap, d.mapReq(j, it.t, it.attempt), &resp)
-	d.mu.Lock()
-	won := err == nil && !j.failed && !j.completed[it.t.ID]
-	if won {
+	r := d.execMap(st, mt, mapExec{kind: execHedge, node: replicas[0], attempt: attempt})
+	ev := events.F{Job: st.spec.ID, Task: mt.t.ID, Attempt: attempt, Detail: string(replicas[0])}
+	switch r.verdict {
+	case skipped:
+		return // the execution to duplicate was over before the hedge began
+	case won:
 		d.reg.Counter("mr.driver.speculative_won").Inc()
-		d.events.Emit(events.KindSpec, "spec.win", events.F{
-			Job: it.t.Job, Task: it.t.ID, Attempt: it.attempt, Detail: string(target),
-		})
-		d.completeMapLocked(j, it.t.ID, resp)
-	} else {
+		d.events.Emit(events.KindSpec, "spec.win", ev)
+	default:
 		d.reg.Counter("mr.driver.speculative_wasted").Inc()
-		d.events.Emit(events.KindSpec, "spec.waste", events.F{
-			Job: it.t.Job, Task: it.t.ID, Attempt: it.attempt, Detail: string(target),
-		})
+		d.events.Emit(events.KindSpec, "spec.waste", ev)
 	}
-	d.mu.Unlock()
-	if err != nil {
-		sp.Annotate("error", err.Error())
-	} else if won {
-		sp.Annotate("speculation", "won")
-	} else {
-		sp.Annotate("speculation", "lost")
-	}
-	sp.End()
 	d.signal()
 }

@@ -19,4 +19,7 @@ go build ./...
 echo "== go test -race ./..."
 go test -race "$@" ./...
 
+echo "== map-task lifecycle, -race -count=5"
+go test -race -count=5 -run 'MapTask|SelfHeal|LostPartition|Resume|Speculat|Failover|AttemptStride' ./internal/mapreduce ./internal/cluster
+
 echo "check: OK"
