@@ -27,7 +27,8 @@ bench-repo:
 	bash bench/run.sh --workload $(WORKLOAD) --seconds 10
 
 # Every micro-benchmark of the RPC plane (codecs against their gob
-# reference, TCP round trips), of the map/reduce kernels and of the
+# reference, TCP round trips, a small file's life in dhtfs with its
+# RPCs/op), of the map/reduce kernels and of the
 # applications' map functions (k-means with and without a decoded split,
 # grep, the line walk) compiled and run once, so none can rot; CI runs the
 # same. For numbers, raise -benchtime.

@@ -36,14 +36,29 @@ type (
 	hasResp struct {
 		Has bool
 	}
-	// getMetaReq is the request of getMeta and hasMeta (which ignores
-	// User). putMeta sends a Metadata and getMeta answers with one.
+	// getMetaReq names a file and the user asking: the request of getMeta,
+	// getFile, deleteFile and hasMeta (which ignores User). putMeta sends a
+	// Metadata; getMeta and deleteFile answer with one.
 	getMetaReq struct {
 		Name string
 		User string
 	}
-	// nameReq carries the one string deleteMeta (a file name), listMeta
-	// (a prefix) and dropJobSegments (a job namespace) take.
+	// putFileReq writes a file's metadata and, for a one-block file, the
+	// block that lives beside it (see blockKeys): Data is that block when
+	// Meta is colocated and is unused otherwise.
+	putFileReq struct {
+		Meta Metadata
+		Data []byte
+	}
+	// getFileResp is a file's metadata plus, when its only block lives
+	// beside it and the replica holds it, that block.
+	getFileResp struct {
+		Meta    Metadata
+		HasData bool
+		Data    []byte
+	}
+	// nameReq carries the one string listMeta (a prefix) and
+	// dropJobSegments (a job namespace) take.
 	nameReq struct {
 		Name string
 	}
@@ -95,6 +110,11 @@ const (
 	MethodHasBlock = "fs.hasBlock"
 	MethodPutMeta  = "fs.putMeta"
 	MethodGetMeta  = "fs.getMeta"
+	// The *File methods act on a file's metadata and the block co-located
+	// with it in one round trip per replica.
+	MethodPutFile    = "fs.putFile"
+	MethodGetFile    = "fs.getFile"
+	MethodDeleteFile = "fs.deleteFile"
 	// The *Batch/*Raw methods are the shuffle path: raw-frame bodies
 	// (length-prefixed KV bytes behind a small header).
 	MethodAppendSegBatch = "fs.appendSegmentBatch"
@@ -102,7 +122,6 @@ const (
 	MethodReadSegTagRaw  = "fs.readTaggedSegmentsRaw"
 	MethodDropSeg        = "fs.dropJobSegments"
 	MethodDeleteBlock    = "fs.deleteBlock"
-	MethodDeleteMeta     = "fs.deleteMeta"
 	MethodHasMeta        = "fs.hasMeta"
 	MethodListMeta       = "fs.listMeta"
 )
@@ -274,8 +293,12 @@ func messages(method string) (req, resp transport.Wire) {
 		return new(getMetaReq), new(Metadata)
 	case MethodHasMeta:
 		return new(getMetaReq), new(hasResp)
-	case MethodDeleteMeta:
-		return new(nameReq), new(empty)
+	case MethodPutFile:
+		return new(putFileReq), new(empty)
+	case MethodGetFile:
+		return new(getMetaReq), new(getFileResp)
+	case MethodDeleteFile:
+		return new(getMetaReq), new(Metadata)
 	case MethodListMeta:
 		return new(nameReq), new(listMetaResp)
 	case MethodDropSeg:
@@ -295,16 +318,12 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 	switch method {
 	case MethodPutBlock:
 		req := req.(*putBlockReq)
-		s.reg.Counter("fs.blocks.written").Inc()
-		s.reg.Counter("fs.bytes.written").Add(int64(len(req.Data)))
-		return s.store.PutBlock(req.Key, req.Data)
+		return s.putBlock(req.Key, req.Data)
 	case MethodGetBlock:
-		data, err := s.store.GetBlock(req.(*getBlockReq).Key)
+		data, err := s.getBlock(req.(*getBlockReq).Key)
 		if err != nil {
 			return err
 		}
-		s.reg.Counter("fs.blocks.read").Inc()
-		s.reg.Counter("fs.bytes.read").Add(int64(len(data)))
 		resp.(*getBlockResp).Data = data
 	case MethodHasBlock:
 		resp.(*hasResp).Has = s.store.HasBlock(req.(*getBlockReq).Key)
@@ -313,22 +332,57 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 	case MethodPutMeta:
 		s.store.PutMeta(req.(*Metadata).clone())
 	case MethodGetMeta:
-		req := req.(*getMetaReq)
-		meta, err := s.store.GetMeta(req.Name)
+		meta, err := s.readableMeta(req.(*getMetaReq))
 		if err != nil {
 			return err
-		}
-		// The paper's read path checks access permission at the metadata
-		// owner before revealing partitioning information.
-		if !meta.CanRead(req.User) {
-			return fmt.Errorf("%w: %s by %q", ErrPermission, req.Name, req.User)
 		}
 		*resp.(*Metadata) = meta.clone()
 	case MethodHasMeta:
 		_, err := s.store.GetMeta(req.(*getMetaReq).Name)
 		resp.(*hasResp).Has = err == nil
-	case MethodDeleteMeta:
-		s.store.DeleteMeta(req.(*nameReq).Name)
+	case MethodPutFile:
+		// Block before metadata, as the client orders a multi-block write:
+		// metadata never names a block this replica was not handed.
+		req := req.(*putFileReq)
+		if req.Meta.colocated() {
+			if err := s.putBlock(req.Meta.BlockKeys[0], req.Data); err != nil {
+				return err
+			}
+		}
+		s.store.PutMeta(req.Meta.clone())
+	case MethodGetFile:
+		meta, err := s.readableMeta(req.(*getMetaReq))
+		if err != nil {
+			return err
+		}
+		file := getFileResp{Meta: meta.clone()}
+		if meta.colocated() {
+			// A replica missing the block still answers with the metadata;
+			// the client finds the block on a neighbor.
+			if data, err := s.getBlock(meta.BlockKeys[0]); err == nil {
+				file.HasData, file.Data = true, data
+			}
+		}
+		*resp.(*getFileResp) = file
+	case MethodDeleteFile:
+		// Only the owner may delete, checked here so the client needs no
+		// lookup first. Whatever block sits at the name key goes with the
+		// metadata: the block of a one-block file, or the stale one a
+		// re-upload as several blocks left behind. A name whose key may be
+		// another file's block never had one there (see blockKeys).
+		req := req.(*getMetaReq)
+		meta, err := s.store.GetMeta(req.Name)
+		if err != nil {
+			return err
+		}
+		if meta.Owner != req.User {
+			return fmt.Errorf("%w: delete %s by %q", ErrPermission, req.Name, req.User)
+		}
+		s.store.DeleteMeta(req.Name)
+		if !namesABlock(req.Name) {
+			s.store.DeleteBlock(hashing.KeyOfString(req.Name))
+		}
+		*resp.(*Metadata) = meta // the store has let go of it
 	case MethodListMeta:
 		prefix := req.(*nameReq).Name
 		var names []string
@@ -346,6 +400,38 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 		return fmt.Errorf("dhtfs: no local handler for %s", method)
 	}
 	return nil
+}
+
+// putBlock stores one block in the local shard, counting it as written.
+func (s *Service) putBlock(k hashing.Key, data []byte) error {
+	s.reg.Counter("fs.blocks.written").Inc()
+	s.reg.Counter("fs.bytes.written").Add(int64(len(data)))
+	return s.store.PutBlock(k, data)
+}
+
+// getBlock fetches one block from the local shard, counting it as read.
+func (s *Service) getBlock(k hashing.Key) ([]byte, error) {
+	data, err := s.store.GetBlock(k)
+	if err != nil {
+		return nil, err
+	}
+	s.reg.Counter("fs.blocks.read").Inc()
+	s.reg.Counter("fs.bytes.read").Add(int64(len(data)))
+	return data, nil
+}
+
+// readableMeta returns the local metadata of the file req names if
+// req.User may read it. The paper's read path checks access permission at
+// the metadata owner before revealing partitioning information.
+func (s *Service) readableMeta(req *getMetaReq) (Metadata, error) {
+	meta, err := s.store.GetMeta(req.Name)
+	if err != nil {
+		return Metadata{}, err
+	}
+	if !meta.CanRead(req.User) {
+		return Metadata{}, fmt.Errorf("%w: %s by %q", ErrPermission, req.Name, req.User)
+	}
+	return meta, nil
 }
 
 // appendBatch stores the spills of one batch push, each with the
@@ -373,25 +459,42 @@ func (s *Service) noteSegDisposition(disp SegDisposition, job, task string, atte
 	}
 }
 
-// call invokes an fs.* method on a node. When the destination is this
-// node the decoded messages go straight to serve: a local replica costs
-// no encoding, no copy and no hop. A nil resp discards the (empty) reply.
-func (s *Service) call(ctx context.Context, to hashing.NodeID, method string, req, resp transport.Wire) error {
+// request is one fs.* call bound for one or more nodes: every replica of
+// an object is sent the same message, so its encoding is made on the first
+// remote send and shared by the rest.
+type request struct {
+	method string
+	msg    transport.Wire
+	body   []byte
+}
+
+// send delivers r to a node. When the destination is this node the
+// decoded messages go straight to serve: a local replica costs no
+// encoding, no copy and no hop. A nil resp discards the (empty) reply.
+func (s *Service) send(ctx context.Context, to hashing.NodeID, r *request, resp transport.Wire) error {
 	if resp == nil {
 		resp = &empty{}
 	}
 	if to == s.self {
-		return s.serve(ctx, method, req, resp)
+		return s.serve(ctx, r.method, r.msg, resp)
 	}
-	body, err := transport.Encode(req)
-	if err != nil {
-		return err
+	if r.body == nil {
+		body, err := transport.Encode(r.msg)
+		if err != nil {
+			return err
+		}
+		r.body = body
 	}
-	out, err := s.net.Call(ctx, to, method, body)
+	out, err := s.net.Call(ctx, to, r.method, r.body)
 	if err != nil {
 		return err
 	}
 	return transport.Decode(out, resp)
+}
+
+// call invokes an fs.* method on a single node (see send).
+func (s *Service) call(ctx context.Context, to hashing.NodeID, method string, req, resp transport.Wire) error {
+	return s.send(ctx, to, &request{method: method, msg: req}, resp)
 }
 
 // replicaSet returns the nodes that should hold key k under the current
@@ -421,50 +524,15 @@ func (s *Service) UploadRecords(ctx context.Context, name, owner string, perm Pe
 	return s.storeFile(ctx, name, owner, perm, data, blockSize, chunks, keys)
 }
 
-// storeFile distributes pre-split chunks and their metadata. A replica
-// target that is unreachable (crashed but not yet evicted from the ring)
-// is skipped as long as at least one copy lands; re-replication restores
-// the invariant once the membership settles.
+// storeFile distributes pre-split chunks and their metadata: blocks first
+// and metadata last, or a block that lives beside its metadata as one
+// message holding both.
 func (s *Service) storeFile(ctx context.Context, name, owner string, perm Perm, data []byte, blockSize int, chunks [][]byte, keys []hashing.Key) (Metadata, error) {
-	putAll := func(ctx context.Context, method string, req transport.Wire, targets []hashing.NodeID, what string) error {
-		stored := 0
-		var lastErr error
-		for _, t := range targets {
-			if err := s.call(ctx, t, method, req, nil); err != nil {
-				if errors.Is(err, transport.ErrUnreachable) {
-					s.reg.Counter("fs.store.skipped").Inc()
-					lastErr = err
-					continue
-				}
-				return fmt.Errorf("dhtfs: store %s on %s: %w", what, t, err)
-			}
-			stored++
-		}
-		if stored == 0 {
-			return fmt.Errorf("dhtfs: store %s: no replica reachable: %w", what, lastErr)
-		}
-		return nil
-	}
-	for i, chunk := range chunks {
-		targets, err := s.replicaSet(keys[i])
-		if err != nil {
-			return Metadata{}, err
-		}
-		req := &putBlockReq{Key: keys[i], Data: chunk}
-		bctx, sp := s.tracer.StartSpan(ctx, "fs.write_block")
-		t := s.reg.Histogram("fs.write_block_ns").Start()
-		err = putAll(bctx, MethodPutBlock, req, targets, fmt.Sprintf("block %d", i))
-		t.Stop()
-		sp.End()
-		if err != nil {
-			return Metadata{}, err
-		}
-	}
 	sums := make([][sha1.Size]byte, len(chunks))
 	for i, chunk := range chunks {
 		sums[i] = SumBlock(chunk)
 	}
-	meta := Metadata{
+	file := &putFileReq{Meta: Metadata{
 		Name:      name,
 		Owner:     owner,
 		Perm:      perm,
@@ -473,40 +541,93 @@ func (s *Service) storeFile(ctx context.Context, name, owner string, perm Perm, 
 		BlockKeys: keys,
 		BlockSums: sums,
 		Created:   s.now(),
+	}}
+	putFile := s.putAll
+	if file.Meta.colocated() {
+		file.Data = chunks[0]
+		putFile = s.writeBlock
+	} else {
+		for i, chunk := range chunks {
+			if err := s.writeBlock(ctx, keys[i], MethodPutBlock, &putBlockReq{Key: keys[i], Data: chunk}, fmt.Sprintf("block %d", i)); err != nil {
+				return Metadata{}, err
+			}
+		}
 	}
-	targets, err := s.replicaSet(hashing.KeyOfString(name))
+	if err := putFile(ctx, hashing.KeyOfString(name), MethodPutFile, file, "metadata"); err != nil {
+		return Metadata{}, err
+	}
+	return file.Meta, nil
+}
+
+// writeBlock is putAll for a message that carries a block, traced and
+// timed as one block write.
+func (s *Service) writeBlock(ctx context.Context, k hashing.Key, method string, msg transport.Wire, what string) error {
+	ctx, sp := s.tracer.StartSpan(ctx, "fs.write_block")
+	defer sp.End()
+	defer s.reg.Histogram("fs.write_block_ns").Start().Stop()
+	return s.putAll(ctx, k, method, msg, what)
+}
+
+// putAll stores one object on every replica of key k. A replica target
+// that is unreachable (crashed but not yet evicted from the ring) is
+// skipped as long as at least one copy lands; re-replication restores the
+// invariant once the membership settles.
+func (s *Service) putAll(ctx context.Context, k hashing.Key, method string, msg transport.Wire, what string) error {
+	targets, err := s.replicaSet(k)
 	if err != nil {
-		return Metadata{}, err
+		return err
 	}
-	if err := putAll(ctx, MethodPutMeta, &meta, targets, "metadata"); err != nil {
-		return Metadata{}, err
+	req := &request{method: method, msg: msg}
+	stored := 0
+	var lastErr error
+	for _, t := range targets {
+		if err := s.send(ctx, t, req, nil); err != nil {
+			if errors.Is(err, transport.ErrUnreachable) {
+				s.reg.Counter("fs.store.skipped").Inc()
+				lastErr = err
+				continue
+			}
+			return fmt.Errorf("dhtfs: store %s on %s: %w", what, t, err)
+		}
+		stored++
 	}
-	return meta, nil
+	if stored == 0 {
+		return fmt.Errorf("dhtfs: store %s: no replica reachable: %w", what, lastErr)
+	}
+	return nil
 }
 
 // Lookup fetches a file's metadata from its metadata owner, checking the
 // user's read permission there, and falling back to replicas if the owner
 // is unreachable.
 func (s *Service) Lookup(ctx context.Context, name, user string) (Metadata, error) {
+	var meta Metadata
+	err := s.lookup(ctx, name, user, MethodGetMeta, &meta)
+	return meta, err
+}
+
+// lookup asks the metadata replicas of a file, owner first, for the reply
+// of getMeta or getFile, stopping at the first that answers.
+func (s *Service) lookup(ctx context.Context, name, user, method string, resp transport.Wire) error {
 	ctx, sp := s.tracer.StartSpan(ctx, "fs.lookup")
 	defer sp.End()
 	sp.Annotate("file", name)
 	defer s.reg.Histogram("fs.lookup_ns").Start().Stop()
 	targets, err := s.replicaSet(hashing.KeyOfString(name))
 	if err != nil {
-		return Metadata{}, err
+		return err
 	}
+	req := &request{method: method, msg: &getMetaReq{Name: name, User: user}}
 	var lastErr error
 	for _, t := range targets {
 		// A cancelled caller must not keep racing down the replica list;
 		// each further probe is a full retry-with-backoff round.
 		if ctx.Err() != nil {
-			return Metadata{}, fmt.Errorf("dhtfs: lookup %q: %w", name, ctx.Err())
+			return fmt.Errorf("dhtfs: lookup %q: %w", name, ctx.Err())
 		}
-		var meta Metadata
-		err := s.call(ctx, t, MethodGetMeta, &getMetaReq{Name: name, User: user}, &meta)
+		err := s.send(ctx, t, req, resp)
 		if err == nil {
-			return meta, nil
+			return nil
 		}
 		lastErr = err
 		if errors.Is(err, transport.ErrUnreachable) || transport.IsTransient(err) {
@@ -515,9 +636,9 @@ func (s *Service) Lookup(ctx context.Context, name, user string) (Metadata, erro
 		}
 		// Application-level failure (missing or forbidden): replicas hold
 		// the same answer, so report it immediately.
-		return Metadata{}, err
+		return err
 	}
-	return Metadata{}, fmt.Errorf("dhtfs: lookup %q: %w", name, lastErr)
+	return fmt.Errorf("dhtfs: lookup %q: %w", name, lastErr)
 }
 
 // ReadBlock fetches one block by key from its owner, falling back to
@@ -599,16 +720,22 @@ func (s *Service) ReadBlockVerified(ctx context.Context, k hashing.Key, sum [sha
 
 // ReadFile fetches metadata and then all blocks, reassembling the file.
 // Blocks are integrity-checked against the metadata digests (files
-// uploaded by older stores without digests skip the check).
+// uploaded by older stores without digests skip the check). The block of
+// a one-block file arrives with the metadata; when the answering replica
+// lacks it or its copy fails the check, the block is read like any other.
 func (s *Service) ReadFile(ctx context.Context, name, user string) ([]byte, error) {
-	meta, err := s.Lookup(ctx, name, user)
-	if err != nil {
+	var file getFileResp
+	if err := s.lookup(ctx, name, user, MethodGetFile, &file); err != nil {
 		return nil, err
 	}
+	meta := file.Meta
 	out := make([]byte, 0, meta.Size)
 	for i, k := range meta.BlockKeys {
 		var block []byte
-		if i < len(meta.BlockSums) {
+		var err error
+		if i == 0 && file.HasData && s.verifyInline(ctx, file.Data, meta) {
+			block = file.Data
+		} else if i < len(meta.BlockSums) {
 			block, err = s.ReadBlockVerified(ctx, k, meta.BlockSums[i])
 		} else {
 			block, err = s.ReadBlock(ctx, k)
@@ -623,6 +750,15 @@ func (s *Service) ReadFile(ctx context.Context, name, user string) ([]byte, erro
 			name, len(out), meta.Size)
 	}
 	return out, nil
+}
+
+// verifyInline checks the block that came with a file's metadata against
+// the metadata's digest, traced and timed as the block read it replaces.
+func (s *Service) verifyInline(ctx context.Context, block []byte, meta Metadata) bool {
+	_, sp := s.tracer.StartSpan(ctx, "fs.read_block")
+	defer sp.End()
+	defer s.reg.Histogram("fs.read_block_ns").Start().Stop()
+	return len(meta.BlockSums) == 0 || SumBlock(block) == meta.BlockSums[0]
 }
 
 // SegTag attributes a spill to one map-task attempt (see
@@ -749,9 +885,14 @@ func (s *Service) ListPrefix(ctx context.Context, prefix string) ([]string, erro
 	seen := make(map[string]bool)
 	reached := 0
 	var lastErr error
+	req := &request{method: MethodListMeta, msg: &nameReq{Name: prefix}}
 	for _, id := range s.ring().Members() {
+		// Like the replica walks: no further probes for a caller that left.
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("dhtfs: list %q: %w", prefix, ctx.Err())
+		}
 		var resp listMetaResp
-		if err := s.call(ctx, id, MethodListMeta, &nameReq{Name: prefix}, &resp); err != nil {
+		if err := s.send(ctx, id, req, &resp); err != nil {
 			lastErr = err
 			continue
 		}
@@ -771,42 +912,74 @@ func (s *Service) ListPrefix(ctx context.Context, prefix string) ([]string, erro
 	return names, nil
 }
 
-// DropJob removes a job's intermediate data across the whole ring.
+// DropJob removes a job's intermediate data across the whole ring, best
+// effort: it stops early only when the caller cancels.
 func (s *Service) DropJob(ctx context.Context, job string) {
+	req := &request{method: MethodDropSeg, msg: &nameReq{Name: job}}
 	for _, id := range s.ring().Members() {
-		_ = s.call(ctx, id, MethodDropSeg, &nameReq{Name: job}, nil) // best effort
+		if ctx.Err() != nil {
+			return
+		}
+		_ = s.send(ctx, id, req, nil) // best effort
 	}
 }
 
-// Delete removes a file: its blocks and metadata are deleted from every
-// replica. Only the file's owner may delete it. Unreachable replicas are
-// tolerated (re-replication after their recovery is driven off live
-// copies, which no longer exist, so the delete is effective).
+// Delete removes a file: its metadata and blocks are deleted from every
+// replica. Only the file's owner may delete it, which each metadata
+// replica checks before it lets go of its copy and of the block stored
+// beside it; the metadata the first of them returns names the blocks
+// stored elsewhere. Unreachable replicas are tolerated (re-replication
+// after their recovery is driven off live copies, which no longer exist,
+// so the delete is effective). A caller that cancels stops the metadata
+// wave between replicas, and a retry finds the copies that are left; once
+// the wave is through nothing else names the remaining blocks, so their
+// deletes go out whether or not the caller still waits.
 func (s *Service) Delete(ctx context.Context, name, user string) error {
-	meta, err := s.Lookup(ctx, name, user)
+	nameKey := hashing.KeyOfString(name)
+	targets, err := s.replicaSet(nameKey)
 	if err != nil {
 		return err
 	}
-	if meta.Owner != user {
-		return fmt.Errorf("%w: delete %s by %q", ErrPermission, name, user)
+	req := &request{method: MethodDeleteFile, msg: &getMetaReq{Name: name, User: user}}
+	var meta *Metadata
+	var lastErr error
+	for _, t := range targets {
+		if ctx.Err() != nil {
+			return fmt.Errorf("dhtfs: delete %q: %w", name, ctx.Err())
+		}
+		var removed Metadata
+		err := s.send(ctx, t, req, &removed)
+		switch {
+		case err == nil:
+			if meta == nil {
+				meta = &removed
+			}
+		case IsPermission(err):
+			return err // replicas hold the same answer
+		default:
+			lastErr = err // unreachable, or this replica never had a copy
+		}
 	}
+	if meta == nil {
+		return fmt.Errorf("dhtfs: delete %q: %w", name, lastErr)
+	}
+	if meta.colocated() {
+		return nil // the block went with the metadata
+	}
+	ctx = context.WithoutCancel(ctx)
+	var sweepErr error
 	for _, k := range meta.BlockKeys {
 		targets, err := s.replicaSet(k)
 		if err != nil {
-			return err
+			sweepErr = err
+			continue
 		}
+		req := &request{method: MethodDeleteBlock, msg: &getBlockReq{Key: k}}
 		for _, t := range targets {
-			_ = s.call(ctx, t, MethodDeleteBlock, &getBlockReq{Key: k}, nil) // best effort
+			_ = s.send(ctx, t, req, nil) // best effort
 		}
 	}
-	targets, err := s.replicaSet(hashing.KeyOfString(name))
-	if err != nil {
-		return err
-	}
-	for _, t := range targets {
-		_ = s.call(ctx, t, MethodDeleteMeta, &nameReq{Name: name}, nil) // best effort
-	}
-	return nil
+	return sweepErr
 }
 
 // ReReplicate runs after a membership change: for every block and

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -83,6 +84,49 @@ var ErrPermission = errors.New("dhtfs: permission denied")
 // replica.
 var ErrCorrupt = errors.New("dhtfs: block corrupt")
 
+// blockKeys returns the ring keys of a file split into n blocks: the one
+// placement rule of the file system. Block i of several lives at
+// hashing.BlockKey(name, i), spreading a large file over the ring; the
+// only block of a one-block file lives at the file-name key, beside the
+// file's metadata, so the two share a replica set and one RPC per replica
+// writes, reads or deletes the whole file. Readers never derive keys from
+// names: they follow Metadata.BlockKeys.
+//
+// No two files share a block key. BlockKey hashes name+":"+index, so the
+// name key of "data:0" is the key of block 0 of "data": a name that reads
+// as another file's block (see namesABlock) keeps its only block at
+// BlockKey(name, 0) like any other, which leaves every key that ends in
+// ":index" to the one (name, index) it spells and every other key to the
+// one-block file of that name.
+func blockKeys(name string, n int) []hashing.Key {
+	if n == 1 && !namesABlock(name) {
+		return []hashing.Key{hashing.KeyOfString(name)}
+	}
+	keys := make([]hashing.Key, n)
+	for i := range keys {
+		keys[i] = hashing.BlockKey(name, i)
+	}
+	return keys
+}
+
+// namesABlock reports whether name ends in ":" and decimal digits, the
+// form hashing.BlockKey hashes: such a name's key may be a block of the
+// file named before the colon.
+func namesABlock(name string) bool {
+	digits := name[strings.LastIndexByte(name, ':')+1:]
+	if len(digits) == 0 || len(digits) == len(name) {
+		return false // "x:", or no colon at all
+	}
+	return strings.Trim(digits, "0123456789") == ""
+}
+
+// colocated reports whether the file's only block lives at the file-name
+// key, beside this metadata (see blockKeys). A file written before that
+// rule, with its only block at BlockKey(name, 0), is not.
+func (m Metadata) colocated() bool {
+	return len(m.BlockKeys) == 1 && m.BlockKeys[0] == hashing.KeyOfString(m.Name) && !namesABlock(m.Name)
+}
+
 // Split partitions data into blockSize chunks and returns the chunks with
 // their deterministic ring keys for the given file name.
 func Split(name string, data []byte, blockSize int) ([][]byte, []hashing.Key, error) {
@@ -90,30 +134,27 @@ func Split(name string, data []byte, blockSize int) ([][]byte, []hashing.Key, er
 		return nil, nil, fmt.Errorf("dhtfs: block size must be positive, got %d", blockSize)
 	}
 	var chunks [][]byte
-	var keys []hashing.Key
 	for i := 0; i*blockSize < len(data) || (i == 0 && len(data) == 0); i++ {
 		end := (i + 1) * blockSize
 		if end > len(data) {
 			end = len(data)
 		}
 		chunks = append(chunks, data[i*blockSize:end])
-		keys = append(keys, hashing.BlockKey(name, i))
 	}
-	return chunks, keys, nil
+	return chunks, blockKeys(name, len(chunks)), nil
 }
 
 // SplitRecords partitions data into chunks of at most blockSize bytes,
 // cutting only after a delimiter byte so no record straddles a block
 // boundary (the role Hadoop's line-oriented input format plays for HDFS
 // blocks). A record longer than blockSize is hard-cut. Returned chunks
-// carry the same deterministic per-index ring keys as Split.
+// carry the same deterministic ring keys as Split.
 func SplitRecords(name string, data []byte, blockSize int, delim byte) ([][]byte, []hashing.Key, error) {
 	if blockSize <= 0 {
 		return nil, nil, fmt.Errorf("dhtfs: block size must be positive, got %d", blockSize)
 	}
 	var chunks [][]byte
-	var keys []hashing.Key
-	for offset, idx := 0, 0; offset < len(data) || idx == 0; idx++ {
+	for offset := 0; offset < len(data) || len(chunks) == 0; {
 		end := offset + blockSize
 		if end >= len(data) {
 			end = len(data)
@@ -121,10 +162,9 @@ func SplitRecords(name string, data []byte, blockSize int, delim byte) ([][]byte
 			end = offset + cut + 1
 		}
 		chunks = append(chunks, data[offset:end])
-		keys = append(keys, hashing.BlockKey(name, idx))
 		offset = end
 	}
-	return chunks, keys, nil
+	return chunks, blockKeys(name, len(chunks)), nil
 }
 
 func lastIndexByte(b []byte, c byte) int {

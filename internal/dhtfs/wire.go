@@ -67,6 +67,31 @@ func (m *getMetaReq) ParseWire(src []byte) error {
 	return r.Done()
 }
 
+func (m putFileReq) AppendWire(dst []byte) []byte {
+	dst = slices.Grow(dst, m.Meta.wireSize()+binary.MaxVarintLen64+len(m.Data))
+	dst = m.Meta.AppendWire(dst)
+	return transport.AppendBytes(dst, m.Data)
+}
+
+func (m *putFileReq) ParseWire(src []byte) error {
+	r := transport.NewWireReader(src)
+	*m = putFileReq{Meta: parseMetadata(&r), Data: r.Bytes()}
+	return r.Done()
+}
+
+func (m getFileResp) AppendWire(dst []byte) []byte {
+	dst = slices.Grow(dst, m.Meta.wireSize()+1+binary.MaxVarintLen64+len(m.Data))
+	dst = m.Meta.AppendWire(dst)
+	dst = transport.AppendBool(dst, m.HasData)
+	return transport.AppendBytes(dst, m.Data)
+}
+
+func (m *getFileResp) ParseWire(src []byte) error {
+	r := transport.NewWireReader(src)
+	*m = getFileResp{Meta: parseMetadata(&r), HasData: r.Bool(), Data: r.Bytes()}
+	return r.Done()
+}
+
 func (m nameReq) AppendWire(dst []byte) []byte { return transport.AppendString(dst, m.Name) }
 
 func (m *nameReq) ParseWire(src []byte) error {
@@ -209,7 +234,7 @@ func (m *routedGetResp) ParseWire(src []byte) error {
 // time.Time.MarshalBinary's format, which is what gob sent: the instant
 // and the zone offset survive, the monotonic reading does not.
 func (m Metadata) AppendWire(dst []byte) []byte {
-	dst = slices.Grow(dst, 64+len(m.Name)+len(m.Owner)+8*len(m.BlockKeys)+sha1.Size*len(m.BlockSums))
+	dst = slices.Grow(dst, m.wireSize())
 	dst = transport.AppendString(dst, m.Name)
 	dst = transport.AppendString(dst, m.Owner)
 	dst = append(dst, byte(m.Perm))
@@ -232,10 +257,22 @@ func (m Metadata) AppendWire(dst []byte) []byte {
 	return transport.AppendBytes(dst, created)
 }
 
+// wireSize bounds the length of m's encoding.
+func (m Metadata) wireSize() int {
+	return 64 + len(m.Name) + len(m.Owner) + 8*len(m.BlockKeys) + sha1.Size*len(m.BlockSums)
+}
+
 // ParseWire implements transport.Wire.
 func (m *Metadata) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = Metadata{Name: r.Str(), Owner: r.Str()}
+	*m = parseMetadata(&r)
+	return r.Done()
+}
+
+// parseMetadata reads one Metadata, alone in a message or a field of a
+// larger one.
+func parseMetadata(r *transport.WireReader) Metadata {
+	m := Metadata{Name: r.Str(), Owner: r.Str()}
 	if perm := r.Raw(1); perm != nil {
 		m.Perm = Perm(perm[0])
 	}
@@ -258,5 +295,5 @@ func (m *Metadata) ParseWire(src []byte) error {
 			r.Fail(fmt.Errorf("dhtfs: metadata timestamp: %w", err))
 		}
 	}
-	return r.Done()
+	return m
 }

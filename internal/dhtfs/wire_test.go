@@ -20,7 +20,7 @@ var wireTypes = []transport.Wire{
 	&putBlockReq{}, &getBlockReq{}, &getBlockResp{}, &hasResp{}, &getMetaReq{},
 	&nameReq{}, &listMetaResp{}, &empty{}, &readSegReq{},
 	&segBatchHdr{}, &rawSegsHdr{}, &rawTaggedHdr{}, &routedGetReq{}, &routedGetResp{},
-	&Metadata{},
+	&Metadata{}, &putFileReq{}, &getFileResp{},
 }
 
 const maxKey = ^hashing.Key(0)
@@ -32,6 +32,11 @@ const notUTF8 = "\xff\xfe\x00bad\x80"
 func wireCases() []transport.Wire {
 	big := bytes.Repeat([]byte("0123456789abcdef"), 3<<16) // 3 MiB
 	sum := func(s string) [sha1.Size]byte { return sha1.Sum([]byte(s)) }
+	small := Metadata{
+		Name: "out/part-0003", Owner: "alice", Perm: PermPublic, Size: 5, BlockSize: 1 << 20,
+		BlockKeys: []hashing.Key{hashing.KeyOfString("out/part-0003")}, BlockSums: [][sha1.Size]byte{sum("block")},
+		Created: time.Date(2017, 9, 5, 12, 30, 0, 0, time.UTC),
+	}
 	return []transport.Wire{
 		&putBlockReq{},
 		&putBlockReq{Key: 42, Data: []byte("block")},
@@ -82,6 +87,15 @@ func wireCases() []transport.Wire {
 			BlockKeys: []hashing.Key{}, BlockSums: [][sha1.Size]byte{{}},
 			Created: time.Date(-9, 1, 1, 0, 0, 0, 0, time.FixedZone("odd", -(7*3600+1800))),
 		},
+		&putFileReq{},
+		&putFileReq{Meta: small, Data: []byte("block")},
+		&putFileReq{Meta: Metadata{Name: notUTF8, BlockKeys: []hashing.Key{0, maxKey}, BlockSums: [][sha1.Size]byte{{}, sum("b")}}},
+		&putFileReq{Meta: small, Data: big},
+		&getFileResp{},
+		&getFileResp{Meta: small, HasData: true, Data: []byte("block")},
+		&getFileResp{Meta: small, HasData: true, Data: []byte{}},
+		&getFileResp{Meta: Metadata{Name: "corpus.txt", BlockKeys: []hashing.Key{1, 2, 3}}},
+		&getFileResp{Meta: small, HasData: true, Data: big},
 	}
 }
 
@@ -107,6 +121,9 @@ func TestWireHostileCounts(t *testing.T) {
 		"getBlock data":   {&getBlockResp{}, append(transport.AppendUvarint(nil, 1<<62), 'x')},
 		"batch entries":   {&segBatchHdr{}, append([]byte{0, 0}, huge...)},
 		"metadata keys":   {&Metadata{}, append([]byte{0, 0, 0, 0, 0}, huge...)},
+		"putFile keys":    {&putFileReq{}, append([]byte{0, 0, 0, 0, 0}, huge...)},
+		"putFile data":    {&putFileReq{}, append(Metadata{}.AppendWire(nil), append(transport.AppendUvarint(nil, 1<<62), 'x')...)},
+		"getFile data":    {&getFileResp{}, append(Metadata{}.AppendWire(nil), append([]byte{1}, huge...)...)},
 		"tagged tags":     {&rawTaggedHdr{}, transport.AppendUvarint(nil, 1<<33)},
 		"overlong varint": {&rawSegsHdr{}, bytes.Repeat([]byte{0xff}, 11)},
 	}
