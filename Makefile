@@ -28,12 +28,13 @@ bench-repo:
 
 # Every micro-benchmark of the RPC plane (codecs against their gob
 # reference, TCP round trips, a small file's life in dhtfs with its
-# RPCs/op), of the map/reduce kernels and of the
+# RPCs/op, metadata churn on a disk store by resident files, Key.String),
+# of the map/reduce kernels and of the
 # applications' map functions (k-means with and without a decoded split,
 # grep, the line walk) compiled and run once, so none can rot; CI runs the
 # same. For numbers, raise -benchtime.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/transport ./internal/dhtfs ./internal/mapreduce ./internal/apps
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/hashing ./internal/transport ./internal/dhtfs ./internal/mapreduce ./internal/apps
 
 # Short bursts of the native fuzz targets; CI runs the same.
 # FuzzGroupByKey's seeds are long pair lists, so minimizing each new
@@ -43,6 +44,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzGroupByKey -fuzztime=10s -fuzzminimizetime=10x
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzDecodeFrame -fuzztime=10s
 	$(GO) test ./internal/dhtfs -run '^$$' -fuzz FuzzWireDecode -fuzztime=10s
+	$(GO) test ./internal/dhtfs -run '^$$' -fuzz FuzzMetaLogReplay -fuzztime=10s
 	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzWireDecode -fuzztime=10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzPartitionCDF -fuzztime=10s
 

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"eclipsemr/internal/apps"
 	"eclipsemr/internal/dhtfs"
+	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/mapreduce"
 	"eclipsemr/internal/metrics"
 )
@@ -30,7 +32,8 @@ func rpcCounts(snap metrics.Snapshot) map[string]int64 {
 // deletes on 4 nodes. Every file the job itself writes — journal
 // snapshots and reduce outputs — is one block, and such a file moves in
 // one message per replica (fs.putFile, fs.getFile, fs.deleteFile), never
-// as a block wave followed by a metadata wave.
+// as a block wave followed by a metadata wave; reading one costs no
+// message at all on a node that holds a copy.
 func TestSmallJobRoundTrips(t *testing.T) {
 	const blockSize = 4 << 10
 	c := newTestCluster(t, 4, Options{Config: Config{BlockSize: blockSize, MapSlots: 2, ReduceSlots: 2}})
@@ -98,10 +101,33 @@ func TestSmallJobRoundTrips(t *testing.T) {
 	if delta["fs.getBlock"] != remoteReads {
 		t.Errorf("%d fs.getBlock calls for %d remote input reads: a one-block file is read whole", delta["fs.getBlock"], remoteReads)
 	}
-	for _, method := range []string{"fs.putFile", "fs.getFile", "fs.deleteFile"} {
+	for _, method := range []string{"fs.putFile", "fs.deleteFile"} {
 		if delta[method] == 0 {
 			t.Errorf("no %s call: the job's files went some other way", method)
 		}
+	}
+	// Every read is made by the manager, where the driver runs, and crosses
+	// the network only for a file the manager holds no replica of: the
+	// input's metadata during Run, each output during Collect.
+	mgr := c.Manager()
+	unheld := func(files ...string) (n int64) {
+		for _, f := range files {
+			set, err := mgr.Ring().ReplicaSet(hashing.KeyOfString(f), mgr.cfg.Replicas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(set, mgr.ID) {
+				n++
+			}
+		}
+		return n
+	}
+	if want := unheld("budget.txt"); delta["fs.getMeta"] != want {
+		t.Errorf("%d fs.getMeta calls, want %d: the manager reads its own copy first", delta["fs.getMeta"], want)
+	}
+	if want := unheld(res.OutputFiles...); delta["fs.getFile"] != want {
+		t.Errorf("%d fs.getFile calls for %d outputs, want %d: the manager reads its own copy first",
+			delta["fs.getFile"], len(res.OutputFiles), want)
 	}
 	// Measured 55-63, the journal's coalescing deciding how many snapshots
 	// a run flushes; the same job took 107-111 when a one-block file was

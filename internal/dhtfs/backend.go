@@ -1,9 +1,13 @@
 package dhtfs
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -102,7 +106,10 @@ type diskBackend struct {
 	total int64
 }
 
-const blockExt = ".blk"
+const (
+	blockExt = ".blk"
+	tmpExt   = ".tmp" // a file being written, renamed into place when whole
+)
 
 func newDiskBackend(dir string) (*diskBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -114,13 +121,19 @@ func newDiskBackend(dir string) (*diskBackend, error) {
 		return nil, err
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, blockExt) {
-			continue
-		}
-		var raw uint64
-		if _, err := fmt.Sscanf(strings.TrimSuffix(name, blockExt), "%016x", &raw); err != nil {
+		name, torn := strings.CutSuffix(e.Name(), tmpExt)
+		stem, isBlock := strings.CutSuffix(name, blockExt)
+		raw, err := strconv.ParseUint(stem, 16, 64)
+		if e.IsDir() || !isBlock || len(stem) != 16 || err != nil {
 			continue // foreign file; leave it alone
+		}
+		if torn {
+			// A put that died before its rename; the block is whatever the
+			// last whole put left.
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, fmt.Errorf("dhtfs: block dir: %w", err)
+			}
+			continue
 		}
 		info, err := e.Info()
 		if err != nil {
@@ -140,7 +153,7 @@ func (b *diskBackend) put(k hashing.Key, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	// Write-then-rename so a crash mid-write never leaves a torn block.
-	tmp := b.path(k) + ".tmp"
+	tmp := b.path(k) + tmpExt
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("dhtfs: write block %s: %w", k, err)
 	}
@@ -155,18 +168,28 @@ func (b *diskBackend) put(k hashing.Key, data []byte) error {
 	return nil
 }
 
+// get reads exactly the bytes the index promises. The index and the
+// directory agree while the lock is held, and a block file is never
+// written in place (put renames a new one over it), so the file opened
+// under the lock has that size for as long as it stays open.
 func (b *diskBackend) get(k hashing.Key) ([]byte, bool, error) {
 	b.mu.RLock()
-	_, ok := b.sizes[k]
-	b.mu.RUnlock()
+	size, ok := b.sizes[k]
 	if !ok {
+		b.mu.RUnlock()
 		return nil, false, nil
 	}
-	data, err := os.ReadFile(b.path(k))
+	f, err := os.Open(b.path(k))
+	b.mu.RUnlock()
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, false, nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
+		return nil, false, fmt.Errorf("dhtfs: read block %s: %w", k, err)
+	}
+	defer f.Close()
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, false, fmt.Errorf("dhtfs: read block %s: %w", k, err)
 	}
 	return data, true, nil

@@ -150,7 +150,9 @@ func TestStoreBasics(t *testing.T) {
 func TestStoreMeta(t *testing.T) {
 	s := NewStore()
 	m := Metadata{Name: "f", Owner: "alice", Size: 10}
-	s.PutMeta(m)
+	if err := s.PutMeta(m); err != nil {
+		t.Fatal(err)
+	}
 	got, err := s.GetMeta("f")
 	if err != nil || got.Owner != "alice" {
 		t.Fatalf("GetMeta = %+v, %v", got, err)
@@ -158,8 +160,11 @@ func TestStoreMeta(t *testing.T) {
 	if names := s.MetaNames(); len(names) != 1 || names[0] != "f" {
 		t.Fatalf("MetaNames = %v", names)
 	}
-	if !s.DeleteMeta("f") || s.DeleteMeta("f") {
-		t.Fatal("DeleteMeta semantics")
+	if ok, err := s.DeleteMeta("f"); !ok || err != nil {
+		t.Fatalf("DeleteMeta = %v, %v", ok, err)
+	}
+	if ok, err := s.DeleteMeta("f"); ok || err != nil {
+		t.Fatalf("second DeleteMeta = %v, %v", ok, err)
 	}
 	if _, err := s.GetMeta("f"); !IsNotFound(err) {
 		t.Fatalf("err = %v", err)

@@ -5,6 +5,7 @@ import (
 	"crypto/sha1"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -330,7 +331,7 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 	case MethodDeleteBlock:
 		s.store.DeleteBlock(req.(*getBlockReq).Key)
 	case MethodPutMeta:
-		s.store.PutMeta(req.(*Metadata).clone())
+		s.putMeta(req.(*Metadata).clone())
 	case MethodGetMeta:
 		meta, err := s.readableMeta(req.(*getMetaReq))
 		if err != nil {
@@ -349,7 +350,7 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 				return err
 			}
 		}
-		s.store.PutMeta(req.Meta.clone())
+		s.putMeta(req.Meta.clone())
 	case MethodGetFile:
 		meta, err := s.readableMeta(req.(*getMetaReq))
 		if err != nil {
@@ -378,7 +379,7 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 		if meta.Owner != req.User {
 			return fmt.Errorf("%w: delete %s by %q", ErrPermission, req.Name, req.User)
 		}
-		s.store.DeleteMeta(req.Name)
+		s.deleteMeta(req.Name)
 		if !namesABlock(req.Name) {
 			s.store.DeleteBlock(hashing.KeyOfString(req.Name))
 		}
@@ -418,6 +419,22 @@ func (s *Service) getBlock(k hashing.Key) ([]byte, error) {
 	s.reg.Counter("fs.blocks.read").Inc()
 	s.reg.Counter("fs.bytes.read").Add(int64(len(data)))
 	return data, nil
+}
+
+// putMeta stores metadata in the local shard. A shard that cannot log the
+// change to its disk still serves it from memory, and the other replicas
+// hold it too, so the write stands; the failure is counted.
+func (s *Service) putMeta(m Metadata) {
+	if err := s.store.PutMeta(m); err != nil {
+		s.reg.Counter("fs.meta.persist_errors").Inc()
+	}
+}
+
+// deleteMeta removes metadata from the local shard, like putMeta.
+func (s *Service) deleteMeta(name string) {
+	if _, err := s.store.DeleteMeta(name); err != nil {
+		s.reg.Counter("fs.meta.persist_errors").Inc()
+	}
 }
 
 // readableMeta returns the local metadata of the file req names if
@@ -501,6 +518,20 @@ func (s *Service) call(ctx context.Context, to hashing.NodeID, method string, re
 // membership.
 func (s *Service) replicaSet(k hashing.Key) ([]hashing.NodeID, error) {
 	return s.ring().ReplicaSet(k, s.replicas)
+}
+
+// readOrder returns the replica set of key k in the order a read asks it:
+// this node first when it is a member, since its own copy costs no message,
+// then the rest in ring order. Every copy passes the same checks wherever
+// it comes from, so which replica answers changes the cost of a read and
+// nothing else.
+func (s *Service) readOrder(k hashing.Key) ([]hashing.NodeID, error) {
+	targets, err := s.replicaSet(k)
+	if i := slices.Index(targets, s.self); i > 0 {
+		copy(targets[1:i+1], targets[:i])
+		targets[0] = s.self
+	}
+	return targets, err
 }
 
 // Upload splits a file into blocks, distributes the blocks (and replicas)
@@ -606,14 +637,14 @@ func (s *Service) Lookup(ctx context.Context, name, user string) (Metadata, erro
 	return meta, err
 }
 
-// lookup asks the metadata replicas of a file, owner first, for the reply
+// lookup asks the metadata replicas of a file, in read order, for the reply
 // of getMeta or getFile, stopping at the first that answers.
 func (s *Service) lookup(ctx context.Context, name, user, method string, resp transport.Wire) error {
 	ctx, sp := s.tracer.StartSpan(ctx, "fs.lookup")
 	defer sp.End()
 	sp.Annotate("file", name)
 	defer s.reg.Histogram("fs.lookup_ns").Start().Stop()
-	targets, err := s.replicaSet(hashing.KeyOfString(name))
+	targets, err := s.readOrder(hashing.KeyOfString(name))
 	if err != nil {
 		return err
 	}
@@ -634,6 +665,11 @@ func (s *Service) lookup(ctx context.Context, name, user, method string, resp tr
 			s.reg.Counter("fs.lookup.failover").Inc()
 			continue // ask the next replica
 		}
+		if t == s.self && IsNotFound(err) {
+			// This shard's miss cost no message and may be its own (a copy
+			// that has yet to reach a new replica): a neighbour decides.
+			continue
+		}
 		// Application-level failure (missing or forbidden): replicas hold
 		// the same answer, so report it immediately.
 		return err
@@ -641,8 +677,8 @@ func (s *Service) lookup(ctx context.Context, name, user, method string, resp tr
 	return fmt.Errorf("dhtfs: lookup %q: %w", name, lastErr)
 }
 
-// ReadBlock fetches one block by key from its owner, falling back to
-// replicas if the owner is unreachable or missing the block. With
+// ReadBlock fetches one block by key from the first replica in read order
+// that has it, passing over those that are unreachable or miss it. With
 // zero-hop routing disabled the request instead travels hop by hop
 // through finger tables.
 func (s *Service) ReadBlock(ctx context.Context, k hashing.Key) ([]byte, error) {
@@ -653,7 +689,7 @@ func (s *Service) ReadBlock(ctx context.Context, k hashing.Key) ([]byte, error) 
 		data, _, err := s.ReadBlockRouted(ctx, k)
 		return data, err
 	}
-	targets, err := s.replicaSet(k)
+	targets, err := s.readOrder(k)
 	if err != nil {
 		return nil, err
 	}
@@ -681,13 +717,14 @@ func (s *Service) ReadBlock(ctx context.Context, k hashing.Key) ([]byte, error) 
 }
 
 // ReadBlockVerified fetches a block and checks it against the expected
-// digest, trying each replica in turn until one passes — a corrupted copy
-// on one server is healed by reading its neighbor's replica.
+// digest, trying each replica in read order until one passes — a corrupted
+// copy on one server, this one included, is healed by reading its
+// neighbor's replica, and counted.
 func (s *Service) ReadBlockVerified(ctx context.Context, k hashing.Key, sum [sha1.Size]byte) ([]byte, error) {
 	ctx, sp := s.tracer.StartSpan(ctx, "fs.read_block")
 	defer sp.End()
 	defer s.reg.Histogram("fs.read_block_ns").Start().Stop()
-	targets, err := s.replicaSet(k)
+	targets, err := s.readOrder(k)
 	if err != nil {
 		return nil, err
 	}
@@ -704,6 +741,8 @@ func (s *Service) ReadBlockVerified(ctx context.Context, k hashing.Key, sum [sha
 		}
 		if SumBlock(resp.Data) != sum {
 			sawCorrupt = true
+			s.reg.Counter("fs.read.corrupt").Inc()
+			s.events.Emit(events.KindFS, "fs.read_corrupt", events.F{Detail: string(t)})
 			continue
 		}
 		if i > 0 {
@@ -1062,7 +1101,7 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 			pushed++
 		}
 		if !mine {
-			s.store.DeleteMeta(name)
+			s.deleteMeta(name)
 		}
 	}
 	return pushed, err

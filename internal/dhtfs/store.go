@@ -10,13 +10,9 @@
 package dhtfs
 
 import (
-	"bytes"
 	"crypto/sha1"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -188,9 +184,9 @@ type Store struct {
 	segments map[string][]segment // jobID "/" partition -> ordered spills
 	segBytes int64
 	now      func() time.Time
-	// metaPath, when set, persists the metadata map (gob) so a restarted
+	// metaLog, when set, persists every metadata change so a restarted
 	// disk-backed node recovers both blocks and the files they belong to.
-	metaPath string
+	metaLog *metaLog
 }
 
 // segment is one stored intermediate-result spill; Expires implements the
@@ -234,50 +230,17 @@ func NewStoreAt(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		backend:  backend,
-		metas:    make(map[string]Metadata),
-		segments: make(map[string][]segment),
-		now:      time.Now,
-		metaPath: filepath.Join(dir, "metadata.gob"),
-	}
-	if err := s.loadMetas(); err != nil {
+	metas, log, err := openMetaLog(dir)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// loadMetas restores the persisted metadata map, if present.
-func (s *Store) loadMetas() error {
-	data, err := os.ReadFile(s.metaPath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("dhtfs: load metadata: %w", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s.metas); err != nil {
-		return fmt.Errorf("dhtfs: corrupt metadata file %s: %w", s.metaPath, err)
-	}
-	return nil
-}
-
-// persistMetasLocked rewrites the metadata file (write-then-rename).
-// Caller holds s.mu. The map is small — one entry per file, not per
-// block — so a full rewrite per update is cheap and crash-safe.
-func (s *Store) persistMetasLocked() {
-	if s.metaPath == "" {
-		return
-	}
-	var buf bytes.Buffer
-	if gob.NewEncoder(&buf).Encode(s.metas) != nil {
-		return // metadata is replicated ring-wide; best effort locally
-	}
-	tmp := s.metaPath + ".tmp"
-	if os.WriteFile(tmp, buf.Bytes(), 0o644) != nil {
-		return
-	}
-	_ = os.Rename(tmp, s.metaPath)
+	return &Store{
+		backend:  backend,
+		metas:    metas,
+		segments: make(map[string][]segment),
+		now:      time.Now,
+		metaLog:  log,
+	}, nil
 }
 
 // SetClock overrides the TTL time source (tests, simulation).
@@ -322,12 +285,17 @@ func (s *Store) BlockKeys() []hashing.Key {
 	return s.backend.keys()
 }
 
-// PutMeta stores file metadata.
-func (s *Store) PutMeta(m Metadata) {
+// PutMeta stores file metadata. The entry is held in memory whatever
+// happens; the error reports a disk-backed shard that could not log it
+// (see metaLog), so a restart may not bring it back.
+func (s *Store) PutMeta(m Metadata) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.metas[m.Name] = m
-	s.persistMetasLocked()
+	if s.metaLog == nil {
+		return nil
+	}
+	return s.metaLog.put(m, s.metas)
 }
 
 // GetMeta fetches metadata by file name.
@@ -341,16 +309,19 @@ func (s *Store) GetMeta(name string) (Metadata, error) {
 	return m, nil
 }
 
-// DeleteMeta removes metadata, reporting whether it existed.
-func (s *Store) DeleteMeta(name string) bool {
+// DeleteMeta removes metadata, reporting whether it existed; the error is
+// PutMeta's.
+func (s *Store) DeleteMeta(name string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.metas[name]
-	delete(s.metas, name)
-	if ok {
-		s.persistMetasLocked()
+	if _, ok := s.metas[name]; !ok {
+		return false, nil
 	}
-	return ok
+	delete(s.metas, name)
+	if s.metaLog == nil {
+		return true, nil
+	}
+	return true, s.metaLog.delete(name, s.metas)
 }
 
 // MetaNames lists every file whose metadata is held locally.

@@ -8,7 +8,7 @@ package hashing
 import (
 	"crypto/sha1"
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
 	"strconv"
 )
 
@@ -40,9 +40,14 @@ func BlockKey(name string, idx int) Key {
 	return KeyOfString(name + ":" + strconv.Itoa(idx))
 }
 
-// String renders the key as fixed-width hexadecimal.
+// String renders the key as fixed-width hexadecimal: sixteen lower-case
+// digits. It names every block file and cache entry, so it formats by hand.
 func (k Key) String() string {
-	return fmt.Sprintf("%016x", uint64(k))
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], uint64(k))
+	var digits [16]byte
+	hex.Encode(digits[:], raw[:])
+	return string(digits[:])
 }
 
 // Distance returns the clockwise distance from a to b on the ring.

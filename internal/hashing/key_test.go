@@ -1,6 +1,7 @@
 package hashing
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -132,5 +133,27 @@ func TestDistanceComposes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyStringFormat pins Key.String to the sixteen hex digits %016x
+// prints: block file names and cache keys on disk and in logs depend on it.
+func TestKeyStringFormat(t *testing.T) {
+	for _, k := range []Key{0, 1, 0xf, 0x10, 0xdeadbeef, 0x0123456789abcdef, 1 << 63, MaxKey - 1, MaxKey, KeyOfString("x")} {
+		if got, want := k.String(), fmt.Sprintf("%016x", uint64(k)); got != want {
+			t.Errorf("Key(%d).String() = %q, want %q", uint64(k), got, want)
+		}
+	}
+	f := func(k Key) bool { return k.String() == fmt.Sprintf("%016x", uint64(k)) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var keyStringSink string
+
+func BenchmarkKeyString(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		keyStringSink = Key(uint64(i) * 0x9e3779b97f4a7c15).String()
 	}
 }

@@ -80,7 +80,11 @@ func rehomeAsParentWrote(t *testing.T, ec *engineCluster, name string) hashing.K
 			t.Fatal(err)
 		}
 	})
-	place(hashing.KeyOfString(name), func(s *dhtfs.Store) { s.PutMeta(meta) })
+	place(hashing.KeyOfString(name), func(s *dhtfs.Store) {
+		if err := s.PutMeta(meta); err != nil {
+			t.Fatal(err)
+		}
+	})
 	return old
 }
 
