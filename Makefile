@@ -9,7 +9,8 @@ test:
 	$(GO) test ./...
 
 # Race-detector gate over the whole suite (vet + lint + build + go test
-# -race), then the map-task lifecycle suites five times over under -race.
+# -race), then the map-task and block-buffer lifecycle suites five times
+# over under -race.
 check:
 	./scripts/check.sh
 
@@ -29,7 +30,8 @@ bench-repo:
 # Every micro-benchmark of the RPC plane (codecs against their gob
 # reference, TCP round trips, a small file's life in dhtfs with its
 # RPCs/op, metadata churn on a disk store by resident files, Key.String),
-# of the map/reduce kernels and of the
+# of the map/reduce kernels, of a cold block read through a full iCache
+# (BenchmarkColdBlockRead: B/op is what it costs the collector) and of the
 # applications' map functions (k-means with and without a decoded split,
 # grep, the line walk) compiled and run once, so none can rot; CI runs the
 # same. For numbers, raise -benchtime.

@@ -49,7 +49,9 @@ type (
 	KV = mapreduce.KV
 	// App is a registered MapReduce application: Reduce, an optional
 	// Combine, and exactly one map path. Map processes a block's raw
-	// bytes. Decode + MapDecoded split that in two for applications whose
+	// bytes, which are the worker's shared, recycled buffer: neither Map
+	// nor Decode may write to them or keep any part of them after
+	// returning (emit copies what it is handed). Decode + MapDecoded split that in two for applications whose
 	// jobs re-read their input (iterative jobs above all): Decode parses
 	// a block into an in-memory split and reports its size, the worker
 	// keeps the split in its iCache under that size, and MapDecoded runs

@@ -1,0 +1,5 @@
+//go:build race
+
+package blockbuf
+
+const raceEnabled = true

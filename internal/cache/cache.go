@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/hashing"
 )
 
@@ -34,11 +35,31 @@ type Entry struct {
 	// partition capacity. For simulated workloads Value may be nil while
 	// Size is still accounted.
 	Size int64
-	// Value holds the cached object.
+	// Value holds the cached object. A *blockbuf.Buf is held by reference:
+	// the resident entry owns one, taken in Put and given up wherever the
+	// entry leaves the partition, and every copy of the entry a lookup
+	// hands out carries one of its own, taken under the partition's lock,
+	// for the caller to drop with Release.
 	Value any
 	// Expires, when non-zero, invalidates the entry after this instant
 	// (the paper's TTL on stored intermediate results).
 	Expires time.Time
+}
+
+// retain takes the reference one holder of the entry owns.
+func (e Entry) retain() {
+	if b, ok := e.Value.(*blockbuf.Buf); ok {
+		b.Retain()
+	}
+}
+
+// Release gives up the reference a lookup took for the caller on the
+// entry's block buffer; the caller must be done with the bytes. Entries
+// holding anything else need no release and ignore it.
+func (e Entry) Release() {
+	if b, ok := e.Value.(*blockbuf.Buf); ok {
+		b.Release()
+	}
 }
 
 // Stats are cumulative counters for one partition.
@@ -109,29 +130,27 @@ func (c *LRU) Resize(capacity int64) {
 
 // Put inserts or replaces an entry, evicting least-recently-used entries
 // to make room. It reports whether the entry was stored; entries larger
-// than the whole partition are rejected.
+// than the whole partition are rejected. Either way whatever the key held
+// before is gone: a value that no longer fits must not leave its
+// predecessor answering for it.
 func (c *LRU) Put(e Entry) bool {
-	if e.Size < 0 {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// capacity <= 0 means "store nothing": without the explicit check a
 	// zero-size entry would slip past the size comparison and live forever,
 	// because evictOverflow never fires at bytes == capacity == 0.
-	if c.capacity <= 0 || e.Size > c.capacity {
-		return false
+	fits := e.Size >= 0 && c.capacity > 0 && e.Size <= c.capacity
+	if fits {
+		e.retain() // before the old entry lets go: it may hold the same buffer
 	}
 	if el, ok := c.table[e.Key]; ok {
-		old := el.Value.(*Entry)
-		c.bytes += e.Size - old.Size
-		*old = e
-		c.ll.MoveToFront(el)
-	} else {
-		el := c.ll.PushFront(&e)
-		c.table[e.Key] = el
-		c.bytes += e.Size
+		c.removeElement(el)
 	}
+	if !fits {
+		return false
+	}
+	c.table[e.Key] = c.ll.PushFront(&e)
+	c.bytes += e.Size
 	c.stats.Insertions++
 	c.evictOverflow()
 	return true
@@ -150,12 +169,22 @@ func (c *LRU) evictOverflow() {
 	}
 }
 
-// removeElement unlinks an element. Caller holds c.mu.
+// removeElement unlinks an element and gives up the entry's reference:
+// the one way an entry leaves the partition. Caller holds c.mu.
 func (c *LRU) removeElement(el *list.Element) {
 	e := el.Value.(*Entry)
 	c.ll.Remove(el)
 	delete(c.table, e.Key)
 	c.bytes -= e.Size
+	e.Release()
+}
+
+// handOut copies a resident entry for a caller, with a reference of the
+// caller's own. Caller holds c.mu, which is what keeps the entry's
+// reference, and so the buffer, alive while the new one is taken.
+func handOut(e *Entry) Entry {
+	e.retain()
+	return *e
 }
 
 // Get looks up a key, promoting it to most-recently-used on a hit.
@@ -177,7 +206,7 @@ func (c *LRU) Get(key string) (Entry, bool) {
 	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
-	return *e, true
+	return handOut(e), true
 }
 
 // Peek looks up a key without promoting it or counting hit/miss stats.
@@ -198,7 +227,7 @@ func (c *LRU) Peek(key string) (Entry, bool) {
 		c.stats.Expirations++
 		return Entry{}, false
 	}
-	return *e, true
+	return handOut(e), true
 }
 
 // Remove deletes a key, reporting whether it was present.
@@ -247,7 +276,7 @@ func (c *LRU) EntriesInRange(start, end hashing.Key) []Entry {
 			continue // dead data must not migrate across the ring
 		}
 		if hashing.InRange(e.HashKey, start, end) {
-			out = append(out, *e)
+			out = append(out, handOut(e))
 		}
 	}
 	return out
@@ -278,7 +307,7 @@ func (c *LRU) Stats() Stats {
 func (c *LRU) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.table = make(map[string]*list.Element)
-	c.bytes = 0
+	for el := c.ll.Front(); el != nil; el = c.ll.Front() {
+		c.removeElement(el)
+	}
 }

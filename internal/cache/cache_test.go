@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/hashing"
 )
 
@@ -380,19 +382,19 @@ func TestBlockVersionsDoNotCollide(t *testing.T) {
 	k := hashing.KeyOfString("f:0")
 	v1 := BlockID{Key: k, Sum: [20]byte{1}}
 	v2 := BlockID{Key: k, Sum: [20]byte{2}}
-	nc.PutBlockVersion(v1, []byte("old"))
+	nc.PutBlockVersion(v1, blockbuf.Of([]byte("old")))
 	if _, ok := nc.GetBlockVersion(v2); ok {
 		t.Fatal("a block answered for another digest")
 	}
 	if _, ok := nc.GetBlock(k); ok {
 		t.Fatal("a digested block answered for the digest-less key")
 	}
-	nc.PutBlockVersion(v2, []byte("new"))
-	if data, _ := nc.GetBlockVersion(v1); string(data) != "old" {
-		t.Fatalf("v1 = %q", data)
+	nc.PutBlockVersion(v2, blockbuf.Of([]byte("new")))
+	if data, _ := nc.GetBlockVersion(v1); string(data.Bytes()) != "old" {
+		t.Fatalf("v1 = %q", data.Bytes())
 	}
-	if data, _ := nc.GetBlockVersion(v2); string(data) != "new" {
-		t.Fatalf("v2 = %q", data)
+	if data, _ := nc.GetBlockVersion(v2); string(data.Bytes()) != "new" {
+		t.Fatalf("v2 = %q", data.Bytes())
 	}
 	if !nc.HasBlockVersion(v1) || nc.HasBlockVersion(BlockID{Key: k, Sum: [20]byte{3}}) {
 		t.Fatal("HasBlockVersion disagrees with GetBlockVersion")
@@ -478,4 +480,129 @@ func TestDecodeErrorAndOversizeCacheNothing(t *testing.T) {
 	if nc.ICache.Len() != 0 {
 		t.Fatalf("iCache holds %d entries", nc.ICache.Len())
 	}
+}
+
+// TestRejectedPutDropsThePreviousValue: a value that no longer fits the
+// partition must not leave its predecessor answering under the same key
+// (an oCache tag whose new iteration output outgrew the partition served
+// the old iteration's bytes).
+func TestRejectedPutDropsThePreviousValue(t *testing.T) {
+	nc := New(0, 8)
+	if !nc.PutTagged("app", "out:p0", 1, []byte("iter-1"), 0) {
+		t.Fatal("a value that fits was rejected")
+	}
+	if nc.PutTagged("app", "out:p0", 1, []byte("iteration-2"), 0) {
+		t.Fatal("a value larger than the partition was stored")
+	}
+	if data, ok := nc.GetTagged("app", "out:p0"); ok {
+		t.Fatalf("the tag still answers with %q after a newer value was rejected", data)
+	}
+	if nc.OCache.Len() != 0 || nc.OCache.Bytes() != 0 {
+		t.Fatalf("oCache holds %d entries, %d bytes", nc.OCache.Len(), nc.OCache.Bytes())
+	}
+}
+
+// TestBufferLifecycleEveryLRUExit walks a cached block buffer
+// out of the partition by each door while a reader holds its own
+// reference: the reader's bytes stay intact until it releases, and its
+// release is the last one, so the exit gave up exactly the entry's own.
+func TestBufferLifecycleEveryLRUExit(t *testing.T) {
+	const key = "block:a"
+	content := bytes.Repeat([]byte{0x5A}, 64)
+	other := func() Entry { return Entry{Key: "block:b", Size: 64, Value: blockbuf.Of(make([]byte, 64))} }
+	cases := []struct {
+		name string
+		exit func(t *testing.T, c *LRU, now *time.Time)
+	}{
+		{"evict", func(t *testing.T, c *LRU, _ *time.Time) {
+			c.Put(other())
+			c.Put(Entry{Key: "block:c", Size: 64, Value: blockbuf.Of(make([]byte, 64))})
+		}},
+		{"replace", func(t *testing.T, c *LRU, _ *time.Time) {
+			c.Put(Entry{Key: key, Size: 64, Value: blockbuf.Of(make([]byte, 64))})
+		}},
+		{"replace by another kind of value", func(t *testing.T, c *LRU, _ *time.Time) {
+			c.Put(Entry{Key: key, Size: 1, Value: "split"})
+		}},
+		{"rejected put", func(t *testing.T, c *LRU, _ *time.Time) {
+			if c.Put(Entry{Key: key, Size: 1 << 20, Value: blockbuf.Of(make([]byte, 1<<20))}) {
+				t.Fatal("oversized entry stored")
+			}
+		}},
+		{"remove", func(t *testing.T, c *LRU, _ *time.Time) {
+			if !c.Remove(key) {
+				t.Fatal("Remove found nothing")
+			}
+		}},
+		{"expiry in Get", func(t *testing.T, c *LRU, now *time.Time) {
+			*now = now.Add(time.Hour)
+			if _, ok := c.Get(key); ok {
+				t.Fatal("expired entry answered")
+			}
+		}},
+		{"expiry in Peek", func(t *testing.T, c *LRU, now *time.Time) {
+			*now = now.Add(time.Hour)
+			if _, ok := c.Peek(key); ok {
+				t.Fatal("expired entry answered")
+			}
+		}},
+		{"expiry in SweepExpired", func(t *testing.T, c *LRU, now *time.Time) {
+			*now = now.Add(time.Hour)
+			if n := c.SweepExpired(); n != 1 {
+				t.Fatalf("swept %d entries", n)
+			}
+		}},
+		{"resize", func(t *testing.T, c *LRU, _ *time.Time) { c.Resize(0) }},
+		{"clear", func(t *testing.T, c *LRU, _ *time.Time) { c.Clear() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			now := time.Unix(1000, 0)
+			c := NewLRU(128)
+			c.SetClock(func() time.Time { return now })
+			buf := blockbuf.Adopt(bytes.Clone(content))
+			if !c.Put(Entry{Key: key, HashKey: 1, Size: 64, Value: buf, Expires: now.Add(time.Minute)}) {
+				t.Fatal("Put rejected")
+			}
+			buf.Release() // the entry has its own
+			// Every way of reading pins; two of the three readers are done
+			// before the entry leaves.
+			reader, ok := c.Get(key)
+			if !ok {
+				t.Fatal("Get missed")
+			}
+			peeked, _ := c.Peek(key)
+			peeked.Release()
+			for _, e := range c.EntriesInRange(0, 0) {
+				e.Release()
+			}
+
+			tc.exit(t, c, &now)
+
+			if el, ok := c.table[key]; ok && el.Value.(*Entry).Value == any(buf) {
+				t.Fatal("the entry is still resident")
+			}
+			// Had the exit recycled the array, this read would land in it.
+			scribble, _ := blockbuf.Get(len(content))
+			for i := range scribble.Bytes() {
+				scribble.Bytes()[i] = 0xEE
+			}
+			held := reader.Value.(*blockbuf.Buf)
+			if !bytes.Equal(held.Bytes(), content) {
+				t.Fatalf("the reader's bytes changed under it: %x", held.Bytes()[:8])
+			}
+			scribble.Release()
+			reader.Release() // must be the last reference...
+			if !panicsOn(held.Release) {
+				t.Fatal("after the reader's release the buffer was still held: the exit released nothing")
+			}
+		})
+	}
+}
+
+// panicsOn reports whether f panicked.
+func panicsOn(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/hashing"
 )
 
@@ -83,42 +84,49 @@ func TagKey(appID, dataID string) string {
 	return "ocache:" + appID + ":" + dataID
 }
 
-// PutBlock caches an input data block of unknown digest in iCache.
+// PutBlock caches an input data block of unknown digest in iCache. The
+// cache shares data with the caller, who must not write to it afterwards.
 func (nc *NodeCache) PutBlock(k hashing.Key, data []byte) bool {
-	return nc.PutBlockVersion(BlockID{Key: k}, data)
+	buf := blockbuf.Of(data)
+	defer buf.Release()
+	return nc.PutBlockVersion(BlockID{Key: k}, buf)
 }
 
-// GetBlock fetches an input block of unknown digest from iCache.
+// GetBlock fetches an input block of unknown digest from iCache. The
+// reference behind the bytes is never given up, so they stay valid and
+// their buffer is never recycled.
 func (nc *NodeCache) GetBlock(k hashing.Key) ([]byte, bool) {
-	return nc.GetBlockVersion(BlockID{Key: k})
+	buf, ok := nc.GetBlockVersion(BlockID{Key: k})
+	if !ok {
+		return nil, false
+	}
+	return buf.Bytes(), true
 }
 
 // PutBlockVersion caches the bytes of one version of an input block in
-// iCache.
-func (nc *NodeCache) PutBlockVersion(id BlockID, data []byte) bool {
+// iCache. The entry takes a reference of its own; the caller keeps theirs.
+func (nc *NodeCache) PutBlockVersion(id BlockID, buf *blockbuf.Buf) bool {
 	return nc.ICache.Put(Entry{
 		Key:     id.rawKey(),
 		HashKey: id.Key,
-		Size:    int64(len(data)),
-		Value:   data,
+		Size:    int64(buf.Len()),
+		Value:   buf,
 	})
 }
 
 // GetBlockVersion fetches the bytes of one version of an input block
-// from iCache.
-func (nc *NodeCache) GetBlockVersion(id BlockID) ([]byte, bool) {
-	e, ok := nc.ICache.Get(id.rawKey())
-	if !ok {
-		return nil, false
-	}
-	data, _ := e.Value.([]byte)
-	return data, true
+// from iCache, with a reference the caller releases when done reading.
+func (nc *NodeCache) GetBlockVersion(id BlockID) (*blockbuf.Buf, bool) {
+	e, _ := nc.ICache.Get(id.rawKey())
+	buf, ok := e.Value.(*blockbuf.Buf)
+	return buf, ok
 }
 
 // HasBlockVersion reports whether iCache holds the block's bytes, without
 // promoting the entry or counting a lookup.
 func (nc *NodeCache) HasBlockVersion(id BlockID) bool {
-	_, ok := nc.ICache.Peek(id.rawKey())
+	e, ok := nc.ICache.Peek(id.rawKey())
+	e.Release()
 	return ok
 }
 

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"sync"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/hashing"
+	"eclipsemr/internal/metrics"
 )
 
 // blockBackend abstracts where a shard's block payloads live. The default
@@ -21,7 +23,8 @@ import (
 // "persistent".
 type blockBackend interface {
 	put(k hashing.Key, data []byte) error
-	get(k hashing.Key) ([]byte, bool, error)
+	// get returns the block with a reference the caller releases.
+	get(k hashing.Key) (*blockbuf.Buf, bool, error)
 	has(k hashing.Key) bool
 	delete(k hashing.Key) (int64, bool)
 	keys() []hashing.Key
@@ -29,36 +32,36 @@ type blockBackend interface {
 	bytes() int64
 }
 
-// memBackend keeps blocks in process memory.
+// memBackend keeps blocks in process memory: a copy of what put was
+// given, in a buffer the backend holds a reference to for as long as it
+// stores the block and readers share.
 type memBackend struct {
 	mu     sync.RWMutex
-	blocks map[hashing.Key][]byte
+	blocks map[hashing.Key]*blockbuf.Buf
 	total  int64
 }
 
 func newMemBackend() *memBackend {
-	return &memBackend{blocks: make(map[hashing.Key][]byte)}
+	return &memBackend{blocks: make(map[hashing.Key]*blockbuf.Buf)}
 }
 
 func (b *memBackend) put(k hashing.Key, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if old, ok := b.blocks[k]; ok {
-		b.total -= int64(len(old))
-	}
-	b.blocks[k] = append([]byte(nil), data...)
+	b.dropLocked(k)
+	b.blocks[k] = blockbuf.Of(append([]byte(nil), data...))
 	b.total += int64(len(data))
 	return nil
 }
 
-func (b *memBackend) get(k hashing.Key) ([]byte, bool, error) {
+func (b *memBackend) get(k hashing.Key) (*blockbuf.Buf, bool, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	data, ok := b.blocks[k]
+	buf, ok := b.blocks[k]
 	if !ok {
 		return nil, false, nil
 	}
-	return append([]byte(nil), data...), true, nil
+	return buf.Retain(), true, nil
 }
 
 func (b *memBackend) has(k hashing.Key) bool {
@@ -71,13 +74,21 @@ func (b *memBackend) has(k hashing.Key) bool {
 func (b *memBackend) delete(k hashing.Key) (int64, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	data, ok := b.blocks[k]
+	return b.dropLocked(k)
+}
+
+// dropLocked forgets a block and the backend's reference to its buffer,
+// which readers holding their own keep reading. Caller holds b.mu.
+func (b *memBackend) dropLocked(k hashing.Key) (int64, bool) {
+	buf, ok := b.blocks[k]
 	if !ok {
 		return 0, false
 	}
+	size := int64(buf.Len())
 	delete(b.blocks, k)
-	b.total -= int64(len(data))
-	return int64(len(data)), true
+	b.total -= size
+	buf.Release()
+	return size, true
 }
 
 func (b *memBackend) keys() []hashing.Key {
@@ -104,6 +115,9 @@ type diskBackend struct {
 	dir   string
 	sizes map[hashing.Key]int64
 	total int64
+	// reused and allocated count the reads that filled a buffer off the
+	// free list and the ones that had to make one.
+	reused, allocated *metrics.Counter
 }
 
 const (
@@ -115,7 +129,10 @@ func newDiskBackend(dir string) (*diskBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dhtfs: block dir: %w", err)
 	}
-	b := &diskBackend{dir: dir, sizes: make(map[hashing.Key]int64)}
+	b := &diskBackend{
+		dir: dir, sizes: make(map[hashing.Key]int64),
+		reused: new(metrics.Counter), allocated: new(metrics.Counter),
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -168,11 +185,12 @@ func (b *diskBackend) put(k hashing.Key, data []byte) error {
 	return nil
 }
 
-// get reads exactly the bytes the index promises. The index and the
-// directory agree while the lock is held, and a block file is never
-// written in place (put renames a new one over it), so the file opened
-// under the lock has that size for as long as it stays open.
-func (b *diskBackend) get(k hashing.Key) ([]byte, bool, error) {
+// get reads exactly the bytes the index promises, into a buffer the last
+// release recycles. The index and the directory agree while the lock is
+// held, and a block file is never written in place (put renames a new one
+// over it), so the file opened under the lock has that size for as long as
+// it stays open.
+func (b *diskBackend) get(k hashing.Key) (*blockbuf.Buf, bool, error) {
 	b.mu.RLock()
 	size, ok := b.sizes[k]
 	if !ok {
@@ -188,11 +206,17 @@ func (b *diskBackend) get(k hashing.Key) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("dhtfs: read block %s: %w", k, err)
 	}
 	defer f.Close()
-	data := make([]byte, size)
-	if _, err := io.ReadFull(f, data); err != nil {
+	buf, reused := blockbuf.Get(int(size))
+	if reused {
+		b.reused.Inc()
+	} else {
+		b.allocated.Inc()
+	}
+	if _, err := io.ReadFull(f, buf.Bytes()); err != nil {
+		buf.Release()
 		return nil, false, fmt.Errorf("dhtfs: read block %s: %w", k, err)
 	}
-	return data, true, nil
+	return buf, true, nil
 }
 
 func (b *diskBackend) has(k hashing.Key) bool {

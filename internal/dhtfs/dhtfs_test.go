@@ -118,7 +118,8 @@ func TestSplit(t *testing.T) {
 func TestStoreBasics(t *testing.T) {
 	s := NewStore()
 	k := hashing.KeyOfString("blk")
-	s.PutBlock(k, []byte("data"))
+	given := []byte("data")
+	s.PutBlock(k, given)
 	if !s.HasBlock(k) {
 		t.Fatal("HasBlock false")
 	}
@@ -126,11 +127,12 @@ func TestStoreBasics(t *testing.T) {
 	if err != nil || string(got) != "data" {
 		t.Fatalf("GetBlock = %q, %v", got, err)
 	}
-	// Stored copy must be isolated from caller mutation.
-	got[0] = 'X'
+	// The stored copy is isolated from what the writer does next; what
+	// readers get is the shard's own buffer, shared and read-only.
+	given[0] = 'X'
 	again, _ := s.GetBlock(k)
 	if string(again) != "data" {
-		t.Fatal("stored block aliased to returned slice")
+		t.Fatal("stored block aliased to the slice PutBlock was given")
 	}
 	s.PutBlock(k, []byte("xy")) // overwrite adjusts byte accounting
 	if s.Bytes() != 2 {

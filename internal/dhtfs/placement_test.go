@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/cache"
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/transport"
@@ -101,7 +102,7 @@ func TestFileShapes(t *testing.T) {
 			ic := cache.NewShared(1 << 20)
 			for _, old := range earlier {
 				for i, k := range old.BlockKeys {
-					ic.PutBlockVersion(cache.BlockID{Key: k, Sum: old.BlockSums[i]}, []byte("stale"))
+					ic.PutBlockVersion(cache.BlockID{Key: k, Sum: old.BlockSums[i]}, blockbuf.Of([]byte("stale")))
 				}
 			}
 			for i, k := range meta.BlockKeys {

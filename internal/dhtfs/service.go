@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/events"
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/metrics"
@@ -165,6 +166,8 @@ func NewServiceWithStore(self hashing.NodeID, net transport.Network, ring func()
 	if store == nil {
 		return nil, errors.New("dhtfs: nil store")
 	}
+	reg := metrics.NewRegistry()
+	store.countBuffers(reg.Counter("fs.blockbuf.reused"), reg.Counter("fs.blockbuf.allocated"))
 	return &Service{
 		self:     self,
 		store:    store,
@@ -172,7 +175,7 @@ func NewServiceWithStore(self hashing.NodeID, net transport.Network, ring func()
 		ring:     ring,
 		replicas: replicas,
 		now:      time.Now,
-		reg:      metrics.NewRegistry(),
+		reg:      reg,
 	}, nil
 }
 
@@ -235,6 +238,18 @@ func (s *Service) Handle(ctx context.Context, method string, body []byte) ([]byt
 		s.appendBatch(hdr.Job, hdr.TTL, entries)
 		out, err := transport.Encode(empty{})
 		return out, true, err
+	case MethodGetBlock:
+		var req getBlockReq
+		if err := transport.Decode(body, &req); err != nil {
+			return nil, true, err
+		}
+		buf, err := s.getBlock(req.Key)
+		if err != nil {
+			return nil, true, err
+		}
+		out, err := transport.Encode(getBlockResp{Data: buf.Bytes()})
+		buf.Release() // the reply has its copy
+		return out, true, err
 	case MethodReadSegRaw:
 		var req readSegReq
 		if err := transport.Decode(body, &req); err != nil {
@@ -282,8 +297,6 @@ func messages(method string) (req, resp transport.Wire) {
 	switch method {
 	case MethodPutBlock:
 		return new(putBlockReq), new(empty)
-	case MethodGetBlock:
-		return new(getBlockReq), new(getBlockResp)
 	case MethodHasBlock:
 		return new(getBlockReq), new(hasResp)
 	case MethodDeleteBlock:
@@ -320,12 +333,6 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 	case MethodPutBlock:
 		req := req.(*putBlockReq)
 		return s.putBlock(req.Key, req.Data)
-	case MethodGetBlock:
-		data, err := s.getBlock(req.(*getBlockReq).Key)
-		if err != nil {
-			return err
-		}
-		resp.(*getBlockResp).Data = data
 	case MethodHasBlock:
 		resp.(*hasResp).Has = s.store.HasBlock(req.(*getBlockReq).Key)
 	case MethodDeleteBlock:
@@ -360,8 +367,9 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 		if meta.colocated() {
 			// A replica missing the block still answers with the metadata;
 			// the client finds the block on a neighbor.
-			if data, err := s.getBlock(meta.BlockKeys[0]); err == nil {
-				file.HasData, file.Data = true, data
+			// The reference behind the block is left to the collector.
+			if buf, err := s.getBlock(meta.BlockKeys[0]); err == nil {
+				file.HasData, file.Data = true, buf.Bytes()
 			}
 		}
 		*resp.(*getFileResp) = file
@@ -411,14 +419,15 @@ func (s *Service) putBlock(k hashing.Key, data []byte) error {
 }
 
 // getBlock fetches one block from the local shard, counting it as read.
-func (s *Service) getBlock(k hashing.Key) ([]byte, error) {
-	data, err := s.store.GetBlock(k)
+// The caller releases the buffer.
+func (s *Service) getBlock(k hashing.Key) (*blockbuf.Buf, error) {
+	buf, err := s.store.PinBlock(k)
 	if err != nil {
 		return nil, err
 	}
 	s.reg.Counter("fs.blocks.read").Inc()
-	s.reg.Counter("fs.bytes.read").Add(int64(len(data)))
-	return data, nil
+	s.reg.Counter("fs.bytes.read").Add(int64(buf.Len()))
+	return buf, nil
 }
 
 // putMeta stores metadata in the local shard. A shard that cannot log the
@@ -677,22 +686,51 @@ func (s *Service) lookup(ctx context.Context, name, user, method string, resp tr
 	return fmt.Errorf("dhtfs: lookup %q: %w", name, lastErr)
 }
 
-// ReadBlock fetches one block by key from the first replica in read order
-// that has it, passing over those that are unreachable or miss it. With
-// zero-hop routing disabled the request instead travels hop by hop
-// through finger tables.
+// ReadBlock is PinBlock for a block whose digest is not known, as
+// read-only bytes.
 func (s *Service) ReadBlock(ctx context.Context, k hashing.Key) ([]byte, error) {
+	return unpinned(s.PinBlock(ctx, k, [sha1.Size]byte{}))
+}
+
+// ReadBlockVerified is PinBlock as read-only bytes.
+func (s *Service) ReadBlockVerified(ctx context.Context, k hashing.Key, sum [sha1.Size]byte) ([]byte, error) {
+	return unpinned(s.PinBlock(ctx, k, sum))
+}
+
+// unpinned returns a block as read-only bytes whose reference is never
+// given up, so they stay valid and their buffer is never recycled.
+func unpinned(buf *blockbuf.Buf, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// PinBlock fetches one block by key from the first replica in read order
+// that has it, passing over those that are unreachable or miss it, in a
+// buffer the caller releases when done reading. sum is the block's SHA-1,
+// or zero when it is not known (no content hashes to zero): a copy that
+// fails it, this server's own included, is passed over too, so a
+// corrupted replica is healed by reading its neighbor's, and counted.
+// Without a digest and with zero-hop routing disabled the request instead
+// travels hop by hop through finger tables.
+func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]byte) (*blockbuf.Buf, error) {
+	verify := sum != [sha1.Size]byte{}
 	ctx, sp := s.tracer.StartSpan(ctx, "fs.read_block")
 	defer sp.End()
 	defer s.reg.Histogram("fs.read_block_ns").Start().Stop()
-	if s.zeroHopOff {
+	if s.zeroHopOff && !verify {
 		data, _, err := s.ReadBlockRouted(ctx, k)
-		return data, err
+		if err != nil {
+			return nil, err
+		}
+		return blockbuf.Of(data), nil
 	}
 	targets, err := s.readOrder(k)
 	if err != nil {
 		return nil, err
 	}
+	sawCorrupt := false
 	var lastErr error
 	for i, t := range targets {
 		// Stop the replica walk as soon as the caller cancels: the
@@ -701,45 +739,13 @@ func (s *Service) ReadBlock(ctx context.Context, k hashing.Key) ([]byte, error) 
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("dhtfs: read block %s: %w", k, ctx.Err())
 		}
-		var resp getBlockResp
-		if err := s.call(ctx, t, MethodGetBlock, &getBlockReq{Key: k}, &resp); err == nil {
-			if i > 0 {
-				s.reg.Counter("fs.read.failover").Inc()
-				sp.Annotate("failover", string(t))
-				s.events.Emit(events.KindFS, "fs.read_failover", events.F{Detail: string(t)})
-			}
-			return resp.Data, nil
-		} else {
-			lastErr = err
-		}
-	}
-	return nil, fmt.Errorf("dhtfs: read block %s: %w", k, lastErr)
-}
-
-// ReadBlockVerified fetches a block and checks it against the expected
-// digest, trying each replica in read order until one passes — a corrupted
-// copy on one server, this one included, is healed by reading its
-// neighbor's replica, and counted.
-func (s *Service) ReadBlockVerified(ctx context.Context, k hashing.Key, sum [sha1.Size]byte) ([]byte, error) {
-	ctx, sp := s.tracer.StartSpan(ctx, "fs.read_block")
-	defer sp.End()
-	defer s.reg.Histogram("fs.read_block_ns").Start().Stop()
-	targets, err := s.readOrder(k)
-	if err != nil {
-		return nil, err
-	}
-	sawCorrupt := false
-	var lastErr error
-	for i, t := range targets {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("dhtfs: read block %s: %w", k, ctx.Err())
-		}
-		var resp getBlockResp
-		if err := s.call(ctx, t, MethodGetBlock, &getBlockReq{Key: k}, &resp); err != nil {
+		buf, err := s.pinReplica(ctx, t, k)
+		if err != nil {
 			lastErr = err
 			continue
 		}
-		if SumBlock(resp.Data) != sum {
+		if verify && SumBlock(buf.Bytes()) != sum {
+			buf.Release()
 			sawCorrupt = true
 			s.reg.Counter("fs.read.corrupt").Inc()
 			s.events.Emit(events.KindFS, "fs.read_corrupt", events.F{Detail: string(t)})
@@ -747,14 +753,30 @@ func (s *Service) ReadBlockVerified(ctx context.Context, k hashing.Key, sum [sha
 		}
 		if i > 0 {
 			s.reg.Counter("fs.read.failover").Inc()
+			sp.Annotate("failover", string(t))
 			s.events.Emit(events.KindFS, "fs.read_failover", events.F{Detail: string(t)})
 		}
-		return resp.Data, nil
+		return buf, nil
 	}
 	if sawCorrupt {
 		return nil, fmt.Errorf("%w: %s on every reachable replica", ErrCorrupt, k)
 	}
 	return nil, fmt.Errorf("dhtfs: read block %s: %w", k, lastErr)
+}
+
+// pinReplica fetches node t's copy of a block: this node's own is the
+// buffer its shard shares with every reader, and costs no message; another
+// node's arrives as a reply body that is nobody else's, so the last
+// release recycles it.
+func (s *Service) pinReplica(ctx context.Context, t hashing.NodeID, k hashing.Key) (*blockbuf.Buf, error) {
+	if t == s.self {
+		return s.getBlock(k)
+	}
+	var resp getBlockResp
+	if err := s.call(ctx, t, MethodGetBlock, &getBlockReq{Key: k}, &resp); err != nil {
+		return nil, err
+	}
+	return blockbuf.Adopt(resp.Data), nil
 }
 
 // ReadFile fetches metadata and then all blocks, reassembling the file.
@@ -1055,11 +1077,13 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 			if has.Has {
 				continue
 			}
-			data, gerr := s.store.GetBlock(k)
+			buf, gerr := s.store.PinBlock(k)
 			if gerr != nil {
 				continue // raced with deletion
 			}
-			if cerr := s.call(ctx, t, MethodPutBlock, &putBlockReq{Key: k, Data: data}, nil); cerr != nil {
+			cerr := s.call(ctx, t, MethodPutBlock, &putBlockReq{Key: k, Data: buf.Bytes()}, nil)
+			buf.Release() // the request is encoded and the reply is in
+			if cerr != nil {
 				err = cerr
 				continue
 			}

@@ -19,7 +19,9 @@ import (
 	"sync"
 	"time"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/hashing"
+	"eclipsemr/internal/metrics"
 )
 
 // Perm is a minimal access-permission word for file metadata; the paper's
@@ -257,16 +259,38 @@ func (s *Store) PutBlock(k hashing.Key, data []byte) error {
 	return s.backend.put(k, data)
 }
 
-// GetBlock fetches a block.
-func (s *Store) GetBlock(k hashing.Key) ([]byte, error) {
-	data, ok, err := s.backend.get(k)
+// PinBlock fetches a block in the buffer the shard shares with every
+// reader (see blockbuf), with a reference the caller releases when done
+// reading.
+func (s *Store) PinBlock(k hashing.Key) (*blockbuf.Buf, error) {
+	buf, ok, err := s.backend.get(k)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: block %s", ErrNotFound, k)
 	}
-	return data, nil
+	return buf, nil
+}
+
+// GetBlock fetches a block as read-only bytes. The reference behind them
+// is never given up, so they stay valid and their buffer is never
+// recycled.
+func (s *Store) GetBlock(k hashing.Key) ([]byte, error) {
+	buf, err := s.PinBlock(k)
+	if err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// countBuffers has a disk shard count in the given counters the block
+// reads that filled a recycled buffer and the ones that made a new one.
+// Call before the shard serves reads.
+func (s *Store) countBuffers(reused, allocated *metrics.Counter) {
+	if disk, ok := s.backend.(*diskBackend); ok {
+		disk.reused, disk.allocated = reused, allocated
+	}
 }
 
 // HasBlock reports block presence without copying.

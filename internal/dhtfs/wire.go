@@ -37,8 +37,9 @@ func (m *getBlockReq) ParseWire(src []byte) error {
 	return r.Done()
 }
 
+// AppendWire leaves the one growth of dst to the append of the block: a
+// slices.Grow ahead of it would clear the 256 KiB the block then fills.
 func (m getBlockResp) AppendWire(dst []byte) []byte {
-	dst = slices.Grow(dst, binary.MaxVarintLen64+len(m.Data))
 	return transport.AppendBytes(dst, m.Data)
 }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -216,8 +217,9 @@ type parsedPkg struct {
 	files []*ast.File
 }
 
-// parseDir parses the non-test Go files of one directory, or returns nil
-// if it holds none.
+// parseDir parses the non-test Go files of one directory that the default
+// build (no race detector, this platform) compiles, or returns nil if it
+// holds none.
 func (l *Loader) parseDir(dir string) (*parsedPkg, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -228,6 +230,11 @@ func (l *Loader) parseDir(dir string) (*parsedPkg, error) {
 	for _, e := range ents {
 		fn := e.Name()
 		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
+			continue
+		}
+		if match, err := build.Default.MatchFile(dir, fn); err != nil {
+			return nil, err
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, fn), nil, parser.ParseComments)

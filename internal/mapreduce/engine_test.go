@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -101,6 +102,7 @@ type engineOpts struct {
 	cacheSize int64
 	policy    string // "laf" (default), "delay", "fair"
 	replicas  int
+	disk      bool // shards persist under t.TempDir()
 }
 
 func newEngineCluster(t *testing.T, o engineOpts) *engineCluster {
@@ -136,7 +138,14 @@ func newEngineCluster(t *testing.T, o engineOpts) *engineCluster {
 		ec.ids = append(ec.ids, id)
 	}
 	for _, id := range ec.ids {
-		fs, err := dhtfs.NewService(id, ec.net, ringFn, o.replicas)
+		store := dhtfs.NewStore()
+		if o.disk {
+			var err error
+			if store, err = dhtfs.NewStoreAt(filepath.Join(t.TempDir(), string(id))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs, err := dhtfs.NewServiceWithStore(id, ec.net, ringFn, o.replicas, store)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/cache"
 	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/hashing"
@@ -68,14 +69,17 @@ func (w *Worker) handleMigration(ctx context.Context, method string, body []byte
 			return nil, true, err
 		}
 		var resp CacheRangeResp
-		for _, e := range w.cache.ICache.EntriesInRange(req.Start, req.End) {
-			data, _ := e.Value.([]byte)
-			if data == nil {
-				continue
+		entries := w.cache.ICache.EntriesInRange(req.Start, req.End)
+		for _, e := range entries {
+			if buf, ok := e.Value.(*blockbuf.Buf); ok {
+				resp.Blocks = append(resp.Blocks, CachedBlock{Key: e.HashKey, Data: buf.Bytes()})
 			}
-			resp.Blocks = append(resp.Blocks, CachedBlock{Key: e.HashKey, Data: data})
 		}
 		out, err := transport.Encode(resp)
+		// The reply has its copy; the blocks may leave the cache.
+		for _, e := range entries {
+			e.Release()
+		}
 		return out, true, err
 	case MethodAdoptRange:
 		var req AdoptRangeReq
@@ -127,9 +131,11 @@ func (w *Worker) adoptRange(ctx context.Context, req AdoptRangeReq) (int, error)
 			// blk.Data is a view of the one reply body that carried every
 			// block: cache a copy, or a single surviving entry would pin
 			// the whole reply behind the cache's byte accounting.
-			if w.cache.PutBlockVersion(id, bytes.Clone(blk.Data)) {
+			buf := blockbuf.Adopt(bytes.Clone(blk.Data))
+			if w.cache.PutBlockVersion(id, buf) {
 				migrated++
 			}
+			buf.Release()
 		}
 	}
 	if migrated == 0 && firstErr != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/cache"
 	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/hashing"
@@ -14,7 +15,7 @@ import (
 // the block's ring key and content digest.
 func putCached(w *Worker, k hashing.Key, data string) cache.BlockID {
 	id := cache.BlockID{Key: k, Sum: dhtfs.SumBlock([]byte(data))}
-	w.Cache().PutBlockVersion(id, []byte(data))
+	w.Cache().PutBlockVersion(id, blockbuf.Of([]byte(data)))
 	return id
 }
 
@@ -64,8 +65,8 @@ func TestAdoptRangeMigratesFromNeighbors(t *testing.T) {
 	if resp.Migrated != 1 {
 		t.Fatalf("migrated = %d, want 1 (only the right neighbor's block 20)", resp.Migrated)
 	}
-	if data, ok := mid.Cache().GetBlockVersion(migrating); !ok || string(data) != "from-right" {
-		t.Fatalf("block 20 not migrated: %q %v", data, ok)
+	if data, ok := mid.Cache().GetBlockVersion(migrating); !ok || string(data.Bytes()) != "from-right" {
+		t.Fatalf("block 20 not migrated: %q %v", data.Bytes(), ok)
 	}
 	if _, ok := mid.Cache().GetBlockVersion(staying); ok {
 		t.Fatal("out-of-range block migrated")

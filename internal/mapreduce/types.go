@@ -44,7 +44,12 @@ func (p Params) Clone() Params {
 // Emit receives one intermediate or output key-value pair.
 type Emit func(key string, value []byte) error
 
-// MapFunc processes one input block.
+// MapFunc processes one input block. input is the worker's block buffer,
+// shared with the iCache and with other tasks over the same block: it is
+// read-only, and valid only until the function returns, when the worker
+// gives up its reference and the buffer may be refilled with another
+// block (DESIGN.md §15). Whatever must outlive the call is copied; emit
+// copies the key and value it is handed.
 type MapFunc func(params Params, input []byte, emit Emit) error
 
 // DecodeFunc parses one input block into the application's in-memory
@@ -57,8 +62,9 @@ type MapFunc func(params Params, input []byte, emit Emit) error
 //   - Decode is pure: the split depends on the block's bytes alone. It
 //     sees no Params; whatever a job's parameters constrain (a dimension,
 //     a column count) is recorded in the split and checked by MapDecoded.
-//   - The split does not alias block, and nobody writes to it once Decode
-//     has returned.
+//   - The split does not alias block, which like a MapFunc's input is
+//     read-only and valid only until Decode returns, and nobody writes to
+//     the split once Decode has returned.
 //   - size counts everything the split keeps alive.
 type DecodeFunc func(block []byte) (split any, size int64, err error)
 
@@ -72,7 +78,8 @@ type ReduceFunc func(params Params, key string, values [][]byte, emit Emit) erro
 // App is a registered MapReduce application. It has exactly one map path:
 // Map over the block's bytes, or Decode plus MapDecoded for applications
 // whose tasks spend their time parsing input that later jobs read again
-// (iterative jobs above all).
+// (iterative jobs above all). Neither Map nor Decode may write to its
+// input or keep any part of it after returning.
 type App struct {
 	// Map processes the raw block. Required unless Decode and MapDecoded
 	// are set.

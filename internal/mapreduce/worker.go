@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/cache"
 	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/events"
@@ -178,25 +179,21 @@ func (w *Worker) Handle(ctx context.Context, method string, body []byte) ([]byte
 // fetchBlock implements the paper's map-side read path: iCache, then the
 // local DHT-FS shard, then a remote read that populates iCache so the
 // popular block is now cached *here*, in the range the scheduler mapped it
-// to — independent of where the file system stored it.
-func (w *Worker) fetchBlock(ctx context.Context, id cache.BlockID) (data []byte, cacheHit, remote bool, err error) {
-	if data, ok := w.cache.GetBlockVersion(id); ok {
-		return data, true, false, nil
+// to — independent of where the file system stored it. The caller releases
+// the buffer when done reading; the iCache entry holds its own reference.
+func (w *Worker) fetchBlock(ctx context.Context, id cache.BlockID) (buf *blockbuf.Buf, cacheHit, remote bool, err error) {
+	if buf, ok := w.cache.GetBlockVersion(id); ok {
+		return buf, true, false, nil
 	}
-	if data, err := w.fs.Store().GetBlock(id.Key); err == nil {
-		w.cache.PutBlockVersion(id, data)
-		return data, false, false, nil
+	if buf, err := w.fs.Store().PinBlock(id.Key); err == nil {
+		w.cache.PutBlockVersion(id, buf)
+		return buf, false, false, nil
 	}
-	if id.Sum == ([sha1.Size]byte{}) {
-		data, err = w.fs.ReadBlock(ctx, id.Key)
-	} else {
-		data, err = w.fs.ReadBlockVerified(ctx, id.Key, id.Sum)
-	}
-	if err != nil {
+	if buf, err = w.fs.PinBlock(ctx, id.Key, id.Sum); err != nil {
 		return nil, false, false, err
 	}
-	w.cache.PutBlockVersion(id, data)
-	return data, false, true, nil
+	w.cache.PutBlockVersion(id, buf)
+	return buf, false, true, nil
 }
 
 // runMap executes one map task with proactive shuffling.
@@ -220,7 +217,7 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	// A decoding application reads its split; the block's bytes are read
 	// only to build a split iCache does not hold.
 	var (
-		input            []byte
+		block            *blockbuf.Buf // nil when iCache holds the split
 		split            any
 		decoded          bool
 		cacheHit, remote bool
@@ -233,7 +230,7 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	if decoded {
 		cacheHit = true
 	} else {
-		input, cacheHit, remote, err = w.fetchBlock(rctx, id)
+		block, cacheHit, remote, err = w.fetchBlock(rctx, id)
 	}
 	if cacheHit {
 		rd.Annotate("cache", "hit")
@@ -249,6 +246,7 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 		return RunMapResp{}, fmt.Errorf("mapreduce: map input %s: %w", req.BlockKey, err)
 	}
 	w.reg.Counter("mr.map.tasks").Inc()
+	input := block.Bytes()
 	w.reg.Counter("mr.map.input_bytes").Add(int64(len(input)))
 	if cacheHit {
 		w.reg.Counter("mr.map.cache_hits").Inc()
@@ -302,6 +300,9 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	}
 	comp.End()
 	computeTimer.Stop()
+	// The user functions have returned and may not have kept input (see
+	// App): the task is done reading the block.
+	block.Release()
 	out.release() // whatever a failed map left unflushed
 	// The task is not done until every queued push is acknowledged;
 	// errors from background pushes fail the attempt exactly like the old

@@ -19,7 +19,7 @@ go build ./...
 echo "== go test -race ./..."
 go test -race "$@" ./...
 
-echo "== map-task lifecycle, -race -count=5"
-go test -race -count=5 -run 'MapTask|SelfHeal|LostPartition|Resume|Speculat|Failover|AttemptStride' ./internal/mapreduce ./internal/cluster
+echo "== map-task and block-buffer lifecycles, -race -count=5"
+go test -race -count=5 -run 'MapTask|SelfHeal|LostPartition|Resume|Speculat|Failover|AttemptStride|BufferLifecycle' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache
 
 echo "check: OK"
