@@ -29,12 +29,14 @@ bench-repo:
 
 # Every micro-benchmark of the RPC plane (codecs against their gob
 # reference, TCP round trips, a small file's life in dhtfs with its
-# RPCs/op, metadata churn on a disk store by resident files, Key.String),
-# of the map/reduce kernels, of a cold block read through a full iCache
+# RPCs/op, metadata churn on a disk store by resident files, Key.String,
+# ShuffleKey beside the SHA-1 it replaced for intermediate keys), of the
+# map/reduce kernels (BenchmarkMapEmit/{append,combine}: a map task's emit
+# path per pair), of a cold block read through a full iCache
 # (BenchmarkColdBlockRead: B/op is what it costs the collector) and of the
 # applications' map functions (k-means with and without a decoded split,
-# grep, the line walk) compiled and run once, so none can rot; CI runs the
-# same. For numbers, raise -benchtime.
+# grep, the line walk, the word-count tokenizer) compiled and run once, so
+# none can rot; CI runs the same. For numbers, raise -benchtime.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/hashing ./internal/transport ./internal/dhtfs ./internal/mapreduce ./internal/apps
 
@@ -49,6 +51,8 @@ fuzz-smoke:
 	$(GO) test ./internal/dhtfs -run '^$$' -fuzz FuzzMetaLogReplay -fuzztime=10s
 	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzWireDecode -fuzztime=10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzPartitionCDF -fuzztime=10s
+	$(GO) test ./internal/hashing -run '^$$' -fuzz FuzzShuffleKey -fuzztime=10s
+	$(GO) test ./internal/apps -run '^$$' -fuzz FuzzWordCountMap -fuzztime=10s
 
 fmt:
 	gofmt -l -w .

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"eclipsemr/internal/mapreduce"
 )
@@ -75,12 +76,41 @@ func init() {
 	})
 }
 
-// wordCountMap emits (word, 1) for every whitespace-separated token.
+// wordCountMap emits (word, 1) for every whitespace-separated token, the
+// tokens being exactly strings.Fields's. One conversion of the block makes
+// every word a substring of it; ASCII text is then cut in place, with no
+// list of words built first, and from the first byte that is not ASCII on
+// (where what counts as a space takes decoding) strings.Fields does the
+// rest.
 func wordCountMap(_ mapreduce.Params, input []byte, emit mapreduce.Emit) error {
-	for _, w := range strings.Fields(string(input)) {
-		if err := emit(w, one); err != nil {
-			return err
+	text := string(input)
+	start := -1 // where the word being read began, -1 between words
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			if start < 0 {
+				start = i
+			}
+			for _, w := range strings.Fields(text[start:]) {
+				if err := emit(w, one); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
+		if c == ' ' || c-'\t' < 5 { // \t \n \v \f \r
+			if start >= 0 {
+				if err := emit(text[start:i], one); err != nil {
+					return err
+				}
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		return emit(text[start:], one)
 	}
 	return nil
 }
@@ -88,17 +118,24 @@ func wordCountMap(_ mapreduce.Params, input []byte, emit mapreduce.Emit) error {
 var one = []byte("1")
 
 // sumReduce adds integer-encoded values, the shared reducer/combiner of
-// word count and grep.
+// word count and grep. Nearly every value a combiner sees is the mapper's
+// "1": one digit is added as it stands, anything else goes through
+// strconv.ParseInt, which also words every error.
 func sumReduce(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.Emit) error {
 	total := int64(0)
 	for _, v := range values {
+		if len(v) == 1 && v[0]-'0' <= 9 {
+			total += int64(v[0] - '0')
+			continue
+		}
 		n, err := strconv.ParseInt(string(v), 10, 64)
 		if err != nil {
 			return fmt.Errorf("apps: bad count %q for key %q: %w", v, key, err)
 		}
 		total += n
 	}
-	return emit(key, []byte(strconv.FormatInt(total, 10)))
+	var digits [20]byte // fits any int64
+	return emit(key, strconv.AppendInt(digits[:0], total, 10))
 }
 
 // grepMap emits matching lines; the pattern comes from the "pattern"

@@ -86,3 +86,17 @@ func BenchmarkSplitLines(b *testing.B) {
 		b.Fatal("no lines")
 	}
 }
+
+// BenchmarkWordCountMap: the tokenizer alone (wc_warm's map function with
+// an emit that does nothing) over Zipf text, all ASCII.
+func BenchmarkWordCountMap(b *testing.B) {
+	text := workloads.Text(1, benchBlock, 20000)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := wordCountMap(nil, text, discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -285,7 +285,7 @@ func TestSpeculativeHedgeBeatsStraggler(t *testing.T) {
 	// Straggler: a non-manager node that does not own the word's reduce
 	// partition (its owner must stay fast, or every map task — original and
 	// hedge alike — would stall on the same spill push).
-	partOwner, err := c.Manager().Ring().Owner(hashing.KeyOfString("zebra"))
+	partOwner, err := c.Manager().Ring().Owner(hashing.ShuffleKey("zebra"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package dhtfs
 
 import (
 	"crypto/sha1"
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -17,8 +16,12 @@ import (
 // once. Data fields decode as sub-slices of the received body: the Store
 // copies what it keeps and never writes through what it is handed.
 
+// The messages that carry a block's bytes (putBlockReq, getBlockResp,
+// putFileReq, getFileResp, routedGetResp) leave the one large growth of
+// dst to the append of the block: a slices.Grow ahead of it would clear
+// the 256 KiB the block then fills.
+
 func (m putBlockReq) AppendWire(dst []byte) []byte {
-	dst = slices.Grow(dst, 8+binary.MaxVarintLen64+len(m.Data))
 	dst = transport.AppendKey(dst, m.Key)
 	return transport.AppendBytes(dst, m.Data)
 }
@@ -37,8 +40,6 @@ func (m *getBlockReq) ParseWire(src []byte) error {
 	return r.Done()
 }
 
-// AppendWire leaves the one growth of dst to the append of the block: a
-// slices.Grow ahead of it would clear the 256 KiB the block then fills.
 func (m getBlockResp) AppendWire(dst []byte) []byte {
 	return transport.AppendBytes(dst, m.Data)
 }
@@ -69,7 +70,6 @@ func (m *getMetaReq) ParseWire(src []byte) error {
 }
 
 func (m putFileReq) AppendWire(dst []byte) []byte {
-	dst = slices.Grow(dst, m.Meta.wireSize()+binary.MaxVarintLen64+len(m.Data))
 	dst = m.Meta.AppendWire(dst)
 	return transport.AppendBytes(dst, m.Data)
 }
@@ -81,7 +81,6 @@ func (m *putFileReq) ParseWire(src []byte) error {
 }
 
 func (m getFileResp) AppendWire(dst []byte) []byte {
-	dst = slices.Grow(dst, m.Meta.wireSize()+1+binary.MaxVarintLen64+len(m.Data))
 	dst = m.Meta.AppendWire(dst)
 	dst = transport.AppendBool(dst, m.HasData)
 	return transport.AppendBytes(dst, m.Data)
@@ -220,7 +219,6 @@ func (m *routedGetReq) ParseWire(src []byte) error {
 }
 
 func (m routedGetResp) AppendWire(dst []byte) []byte {
-	dst = slices.Grow(dst, 2*binary.MaxVarintLen64+len(m.Data))
 	dst = transport.AppendBytes(dst, m.Data)
 	return transport.AppendInt(dst, int64(m.Hops))
 }

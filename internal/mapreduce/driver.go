@@ -156,6 +156,31 @@ type marker struct {
 	// intermediates) once the job's IntermediateTTL lapses; zero means no
 	// TTL.
 	Expires time.Time
+	// Partitioner is the partitionerID of the binary whose maps filled the
+	// table's partitions.
+	Partitioner int
+}
+
+// partitionerID names how this binary's map tasks place an intermediate
+// key in the reduce table: 1 is hashing.ShuffleKey; 0, the gob zero value
+// and so what every marker and journal written before the field existed
+// says, was hashing.KeyOfString (SHA-1). Which partition holds a key is
+// part of what stored spills mean: maps run under one id and maps run
+// under another may not feed the same reduce, or a key's values end up
+// in two partitions. Change the emitters' placement, change the id.
+const partitionerID = 1
+
+// dropForeignIntermediates empties a namespace whose stored spills another
+// partitioner placed, so that nothing of them is resumed or reused
+// piecemeal, and leaves one record saying why the maps run again. found is
+// what recorded the other id ("journal", "reuse marker").
+func (d *Driver) dropForeignIntermediates(ctx context.Context, spec JobSpec, found string, id int) {
+	d.events.Emit(events.KindJournal, "journal.partitioner_mismatch", events.F{
+		Job: spec.ID,
+		Detail: fmt.Sprintf("%s written under partitioner %d, this binary is %d: stored intermediates dropped, maps re-run",
+			found, id, partitionerID),
+	})
+	d.fs.DropJob(ctx, spec.Namespace())
 }
 
 func markerFile(namespace string) string { return "_mr/" + namespace + "/done" }
@@ -261,6 +286,21 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 		root.Annotate("resume", prior.Phase)
 		d.reg.Counter("mr.driver.journal_resumes").Inc()
 		d.events.Emit(events.KindJournal, "journal.resume", events.F{Job: spec.ID, Detail: prior.Phase})
+		if prior.Mk.Partitioner != partitionerID {
+			// Nothing the journal lists as done can be kept: adopt the job
+			// (its table, and its generation, so the new attempts outrank
+			// whatever a node that missed the drop still holds) at the
+			// start of its map phase.
+			d.dropForeignIntermediates(ctx, spec, "journal", prior.Mk.Partitioner)
+			for _, out := range prior.PartsDone {
+				if out != "" {
+					_ = d.fs.Delete(ctx, out, spec.User) // best effort: a non-empty partition overwrites its file anyway
+				}
+			}
+			prior.Phase, prior.MapsDone, prior.PartsDone = phaseMap, nil, nil
+			prior.Mk.PartBytes = make([]int64, len(prior.Mk.Servers))
+			prior.Mk.Partitioner = partitionerID
+		}
 	}
 
 	// Reuse path: a completed map phase under this namespace lets the job
@@ -276,10 +316,14 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 			if err := transport.Decode(data, &mk); err != nil {
 				return Result{}, fmt.Errorf("mapreduce: corrupt reuse marker for %q: %w", ns, err)
 			}
-			// The TTL on stored intermediate results invalidates reuse.
-			if mk.Expires.IsZero() || d.fs.Now().Before(mk.Expires) {
+			switch {
+			case mk.Partitioner != partitionerID:
+				d.dropForeignIntermediates(ctx, spec, "reuse marker", mk.Partitioner)
+				mk = marker{}
+			case mk.Expires.IsZero() || d.fs.Now().Before(mk.Expires):
 				reused = true
-			} else {
+			default:
+				// The TTL on stored intermediate results invalidates reuse.
 				mk = marker{}
 			}
 		}
@@ -289,6 +333,7 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 		if err != nil {
 			return Result{}, err
 		}
+		mk.Partitioner = partitionerID
 		mk.Servers = table.Servers()
 		mk.Bounds = table.Bounds()
 		mk.PartBytes = make([]int64, table.Len())

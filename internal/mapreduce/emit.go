@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 
 	"eclipsemr/internal/hashing"
 )
@@ -22,13 +23,15 @@ type mapEmitter interface {
 }
 
 // newMapEmitter picks the emitter for one map task: the combining one
-// exactly when the application registered a combiner.
-func newMapEmitter(table *hashing.RangeTable, req RunMapReq, combine ReduceFunc, handoff func(part, seq int, buf *[]byte)) mapEmitter {
+// exactly when the application registered a combiner. inputLen is the
+// length of the block the task maps (0 when it maps a cached split), from
+// which the combining emitter sizes its arrays.
+func newMapEmitter(table *hashing.RangeTable, req RunMapReq, combine ReduceFunc, inputLen int, handoff func(part, seq int, buf *[]byte)) mapEmitter {
 	route := newSpillRoute(table, req, handoff)
 	if combine == nil {
 		return newAppendEmitter(route)
 	}
-	return newCombineEmitter(route, combine, req.Params)
+	return newCombineEmitter(route, combine, req.Params, inputLen)
 }
 
 // spillRoute is what both emitters share: how a key picks its partition,
@@ -68,11 +71,12 @@ func newSpillRoute(table *hashing.RangeTable, req RunMapReq, handoff func(part, 
 	return r
 }
 
-// partition places key on the ring exactly as the paper's shuffle does
-// (SHA-1 of the intermediate key, looked up in the job's reduce table),
-// or returns -1 when the request filters that partition out.
-func (r *spillRoute) partition(key string) int {
-	part := r.table.LookupIndex(hashing.KeyOfString(key))
+// partition places an intermediate key on the ring as the paper's shuffle
+// does: its ring key h (hashing.ShuffleKey; see partitionerID) looked up in
+// the job's reduce table. It returns -1 when the request filters that
+// partition out.
+func (r *spillRoute) partition(h hashing.Key) int {
+	part := r.table.LookupIndex(h)
 	if r.wanted != nil && !r.wanted[part] {
 		return -1
 	}
@@ -99,7 +103,7 @@ func newAppendEmitter(route spillRoute) *appendEmitter {
 }
 
 func (e *appendEmitter) emit(key string, value []byte) error {
-	part := e.partition(key)
+	part := e.partition(hashing.ShuffleKey(key))
 	if part < 0 {
 		return nil
 	}
@@ -160,21 +164,31 @@ type partSpill struct {
 
 // combineEmitter is the fused emit-side combiner: pairs are hash-grouped
 // as they are emitted, and when a partition's buffered pairs reach the
-// spill threshold the combiner runs once per key, in key order, over the
-// key's values in emit order, its output encoded directly into the pooled
-// buffer the sender ships. A spill therefore carries exactly the bytes
-// the combiner would have produced from the appendEmitter's buffer.
+// spill threshold the combiner runs once per key over the key's values in
+// emit order, its output encoded directly into the pooled buffer the
+// sender ships. A spill lists its keys in the order each was first emitted
+// since the partition's last spill: no reader wants them sorted (the
+// reduce side groups every stream by hash and orders the groups itself),
+// so the emit side does not sort. A spill therefore carries the pairs the
+// combiner would have produced from the appendEmitter's buffer, grouped.
 //
-// The grouping kernel is keyed by emitted key for the whole task, so a
-// key's partition (the SHA-1 ring lookup) is computed once per distinct
-// key instead of once per pair. The table is task-local garbage, not
-// pooled: an idle pooled table is live heap, and on the repository
-// benchmark that cost resident memory without buying throughput.
+// One hashing.ShuffleKey per pair serves both the grouping kernel and the
+// ring lookup. The kernel is keyed by emitted key for the whole task, so
+// the lookup itself runs once per distinct key (part). The table is
+// task-local garbage, not pooled: an idle pooled table is live heap, and
+// on the repository benchmark that cost resident memory without buying
+// throughput. Its arrays and the partitions' are made at the task's first
+// emit (a task that emits nothing allocates nothing) and sized in two
+// steps, see sparsePairs, so that a block of text grows them a few times,
+// not from empty.
 type combineEmitter struct {
 	spillRoute
 	combine ReduceFunc
 	params  Params
-	g       *grouper
+	// groups and pairs estimate, from the input's length, the distinct
+	// keys of the task and the pairs a partition buffers.
+	groups, pairs int
+	g             *grouper
 	// part[id] is the group's partition, -1 when filtered out.
 	part  []int32
 	parts []partSpill
@@ -185,23 +199,59 @@ type combineEmitter struct {
 	err error
 }
 
-func newCombineEmitter(route spillRoute, combine ReduceFunc, params Params) *combineEmitter {
+// What a block of text yields, for sizing: a pair (a short word and its
+// separator) per 4 bytes, a distinct key per 24 (Zipf words, blocks of
+// 64 KiB; larger blocks repeat more). A dense emitter that yields less
+// wastes at most some three times its block in array space.
+const (
+	inputBytesPerPair  = 4
+	inputBytesPerGroup = 24
+)
+
+// sparsePairs is how many pairs a partition's arrays start with room for.
+// Most tasks that emit at all emit either a handful of pairs (a selective
+// grep, k-means' one pair per centroid) or a pair per few bytes of input:
+// the arrays stay this small until they fill, then go straight to the
+// input's estimate.
+const sparsePairs = 64
+
+func newCombineEmitter(route spillRoute, combine ReduceFunc, params Params, inputLen int) *combineEmitter {
 	return &combineEmitter{
 		spillRoute: route,
 		combine:    combine,
 		params:     params,
-		g:          newGrouper(),
+		groups:     inputLen / inputBytesPerGroup,
+		pairs:      inputLen / inputBytesPerPair / route.table.Len(),
 		parts:      make([]partSpill, route.table.Len()),
 	}
+}
+
+// room returns s with space for one more element: for sparse elements
+// when s is empty, for dense once those are used up, and as it is after
+// that (append's own doubling takes over).
+func room[T any](s []T, sparse, dense int) []T {
+	switch {
+	case len(s) < cap(s):
+		return s
+	case cap(s) == 0:
+		return make([]T, 0, sparse)
+	case cap(s) < dense:
+		return slices.Grow(s, dense-len(s))
+	}
+	return s
 }
 
 func (e *combineEmitter) emit(key string, value []byte) error {
 	if e.err != nil {
 		return e.err
 	}
-	id, fresh := e.g.id(key)
+	if e.g == nil {
+		e.g = newGrouper(e.groups)
+	}
+	h := hashing.ShuffleKey(key)
+	id, fresh := e.g.id(key, h)
 	if fresh {
-		e.part = append(e.part, int32(e.partition(key)))
+		e.part = append(room(e.part, sparsePairs, e.groups), int32(e.partition(h)))
 	}
 	part := int(e.part[id])
 	if part < 0 {
@@ -209,11 +259,11 @@ func (e *combineEmitter) emit(key string, value []byte) error {
 	}
 	ps := &e.parts[part]
 	if e.g.at[id] == 0 {
-		ps.active = append(ps.active, id)
+		ps.active = append(room(ps.active, sparsePairs, e.groups/len(e.parts)), id)
 	}
 	e.g.at[id]++
-	ps.pairs = append(ps.pairs, pairRef{id: id, vlen: uint32(len(value))})
-	ps.arena = append(ps.arena, value...)
+	ps.pairs = append(room(ps.pairs, sparsePairs, e.pairs), pairRef{id: id, vlen: uint32(len(value))})
+	ps.arena = append(room(ps.arena, 2*sparsePairs, 2*e.pairs), value...)
 	ps.raw += 8 + len(key) + len(value)
 	if ps.raw >= e.threshold {
 		return e.flush(part)
@@ -232,7 +282,7 @@ func (e *combineEmitter) flush(part int) error {
 	if len(ps.pairs) == 0 {
 		return nil
 	}
-	n := e.g.layout(ps.active)
+	n := e.g.layout(ps.active) // first-emit order: see the type comment
 	if cap(e.slab) < n {
 		e.slab = make([][]byte, n)
 	}

@@ -11,18 +11,23 @@ import (
 	"eclipsemr/internal/hashing"
 )
 
-// referenceCombineStream is the sender-side combiner the engine ran
-// before the emit-side table: decode one raw spill, stable-sort it with
-// the reference grouping, run the combiner per key and re-encode. It is
-// the oracle for what a combined spill must contain.
+// referenceCombineStream is the oracle for what a combined spill must
+// contain: decode one raw spill (the pairs an appendEmitter buffered for
+// the partition), collect each key's values in emit order, run the
+// combiner once per key in the order the keys first appear, and re-encode.
+// It shares nothing with the grouping kernel.
 func referenceCombineStream(fn ReduceFunc, params Params, data []byte) ([]byte, error) {
-	var kvs []KV
+	var keys []string
+	values := make(map[string][][]byte)
 	for off := 0; off < len(data); {
 		key, value, next, err := nextKV(data, off)
 		if err != nil {
 			return nil, err
 		}
-		kvs = append(kvs, KV{Key: string(key), Value: value})
+		if _, seen := values[string(key)]; !seen {
+			keys = append(keys, string(key))
+		}
+		values[string(key)] = append(values[string(key)], value)
 		off = next
 	}
 	out := []byte{}
@@ -30,8 +35,8 @@ func referenceCombineStream(fn ReduceFunc, params Params, data []byte) ([]byte, 
 		out = AppendKV(out, KV{Key: key, Value: value})
 		return nil
 	}
-	for _, g := range referenceGroupByKey(kvs) {
-		if err := fn(params, g.Key, g.Values, emit); err != nil {
+	for _, key := range keys {
+		if err := fn(params, key, values[key], emit); err != nil {
 			return nil, err
 		}
 	}
@@ -48,7 +53,7 @@ type spillRecord struct {
 // records every spill handed off, in hand-off order.
 func emitterSpills(app App, table *hashing.RangeTable, req RunMapReq, input []byte) ([]spillRecord, error) {
 	var spills []spillRecord
-	out := newMapEmitter(table, req, app.Combine, func(part, seq int, buf *[]byte) {
+	out := newMapEmitter(table, req, app.Combine, len(input), func(part, seq int, buf *[]byte) {
 		spills = append(spills, spillRecord{part, seq, append([]byte{}, *buf...)})
 		putSpillBuf(buf)
 	})
@@ -59,9 +64,9 @@ func emitterSpills(app App, table *hashing.RangeTable, req RunMapReq, input []by
 	return spills, out.flushAll()
 }
 
-// referenceSpills is the parent pipeline: every pair appended raw to its
-// partition's buffer, a buffer that reaches the threshold handed to the
-// sender, which ran the reference combiner over it before pushing.
+// referenceSpills is the pipeline a combined spill is defined by: every
+// pair appended raw to its partition's buffer, and a buffer that reaches
+// the threshold run through the reference combiner before it is pushed.
 func referenceSpills(app App, table *hashing.RangeTable, req RunMapReq, input []byte) ([]spillRecord, error) {
 	var spills []spillRecord
 	var combineErr error
@@ -109,9 +114,10 @@ func mustLookup(name string) App {
 }
 
 // TestEmitterSpillsMatchReference checks both emitters, spill by spill
-// and byte for byte, against the parent pipeline over the in-package test
-// applications; the registered paper applications are covered by the
-// external identity test.
+// and byte for byte, against the reference pipeline over the in-package
+// test applications: same spill boundaries, same partition and sequence
+// numbers, each combined spill's keys in first-emit order. The registered
+// paper applications are covered by the external identity test.
 func TestEmitterSpillsMatchReference(t *testing.T) {
 	table, err := hashing.UniformRangeTable([]hashing.NodeID{"n0", "n1", "n2"})
 	if err != nil {
@@ -227,7 +233,7 @@ func TestCombinerErrorIsStickyAndReturnsBuffer(t *testing.T) {
 		out := newMapEmitter(table, RunMapReq{SpillThreshold: 1 << 30}, func(Params, string, [][]byte, Emit) error {
 			calls++
 			return boom
-		}, func(int, int, *[]byte) { shipped++ })
+		}, 0, func(int, int, *[]byte) { shipped++ })
 		if err := out.emit("k", []byte("v")); err != nil {
 			t.Fatalf("emit below the threshold: %v", err)
 		}
@@ -252,5 +258,27 @@ func TestCombinerErrorIsStickyAndReturnsBuffer(t *testing.T) {
 	}
 	if !returned {
 		t.Fatal("the failed flush never returned its spill buffer to the pool")
+	}
+}
+
+// TestEmitOfSeenKeyDoesNotAllocate pins the steady state of both
+// emitters: with their arrays sized from the input's length, a pair whose
+// key the task has already emitted is hashed, looked up and buffered
+// without touching the allocator.
+func TestEmitOfSeenKeyDoesNotAllocate(t *testing.T) {
+	table, err := hashing.UniformRangeTable([]hashing.NodeID{"n0", "n1", "n2", "n3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, combine := range map[string]ReduceFunc{"append": nil, "combine": testSumReduce} {
+		out := newMapEmitter(table, RunMapReq{}, combine, 64<<10, func(_, _ int, buf *[]byte) { putSpillBuf(buf) })
+		one := []byte("1")
+		if err := out.emit("seen", one); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(1000, func() { _ = out.emit("seen", one) }); n != 0 {
+			t.Errorf("%s emitter: %v allocations per emit of an already-seen key, want 0", name, n)
+		}
+		out.release()
 	}
 }

@@ -11,8 +11,9 @@ import (
 // paper applications (they import this package). It runs req as one map
 // task over input on a fresh in-process cluster and returns, per reduce
 // partition, the segments the partition's owner holds afterwards, in
-// push order, next to what the parent pipeline produces for the same
-// request: raw append, then the reference stable-sort combiner per spill.
+// push order, next to what the reference pipeline produces for the same
+// request: raw append, then the reference combiner (keys in first-emit
+// order) per spill.
 // Block, namespace and reduce table are filled in here.
 func MapTaskSegments(t *testing.T, req RunMapReq, input []byte) (pushed, reference [][][]byte) {
 	t.Helper()
@@ -57,4 +58,33 @@ func MapTaskSegments(t *testing.T, req RunMapReq, input []byte) (pushed, referen
 		reference[s.part] = append(reference[s.part], s.data)
 	}
 	return pushed, reference
+}
+
+// ReduceSegments is for the external test package: it stores segments, in
+// order, as one reduce partition's spills on a fresh in-process cluster,
+// runs the partition's reduce task on their owner and returns the output
+// file's bytes.
+func ReduceSegments(t *testing.T, app string, params Params, segments [][]byte) []byte {
+	t.Helper()
+	ec := newEngineCluster(t, engineOpts{nodes: 3})
+	owner := ec.ids[0]
+	req := RunReduceReq{
+		Job: "order", Namespace: "job:order", App: app, Params: params,
+		SegmentOwner: owner, OutputFile: "order.out", User: "tester",
+	}
+	for seq, seg := range segments {
+		ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(req.Partition), "", 0, seq, seg, 0)
+	}
+	resp, err := ec.workers[owner].runReduce(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.HasOutput {
+		t.Fatal("the reduce task wrote no output")
+	}
+	out, err := ec.fs[owner].ReadFile(context.Background(), req.OutputFile, req.User)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -4,10 +4,11 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"slices"
 	"strings"
+
+	"eclipsemr/internal/hashing"
 )
 
 // Group is one reduce input: a key and all of its values.
@@ -17,16 +18,24 @@ type Group struct {
 }
 
 // grouper is the grouping kernel behind GroupByKey, the reduce path and
-// the emit-side combiner. It hashes every pair once, in arrival order, to
-// a dense group id, then orders only the distinct keys; the values of all
-// groups share one slab laid out in key order, each group's values in
-// arrival order (the reducer contract). Three steps:
+// the emit-side combiner. It maps every pair, in arrival order, to a dense
+// group id, then orders only the distinct keys; the values of all groups
+// share one slab laid out group by group, each group's values in arrival
+// order (the reducer contract). Three steps:
 //
-//  1. id(key) per pair, with at[id]++ counting the group's pairs;
-//  2. layout(ids) sorts the groups by key and turns every count into the
-//     group's first slot in the slab;
+//  1. id(key, h) per pair, with at[id]++ counting the group's pairs;
+//  2. layout(ids) turns every count into the group's first slot in the
+//     slab, in the order of ids: as given (the combiner, whose spills
+//     nobody reads in order) or sorted by key first (sortByKey, what a
+//     reducer is promised);
 //  3. the caller places the pairs in arrival order with slab[at[id]++],
 //     after which at[id] is the group's end and each() walks the groups.
+//
+// The kernel does not hash: h is the key's hashing.ShuffleKey, which the
+// emit side has computed anyway to place the pair on the ring, so a pair
+// is hashed once. The table uses the low bits for the slot and keeps the
+// high 32 to skip key compares; all keys of one reduce partition share a
+// few leading bits (their ring range) and nothing else.
 //
 // The index is an open-addressing table of group ids (4 bytes a slot)
 // beside the dense per-group arrays, a fraction of a map[string]int32's
@@ -34,17 +43,17 @@ type Group struct {
 // pooled table is live heap. Group ids and slab offsets are int32, so one
 // grouper takes at most 2^31-1 pairs.
 type grouper struct {
-	seed maphash.Seed
 	// slots holds id+1 at the key's probe position, 0 when empty; its
 	// length is a power of two kept at least twice the group count.
 	slots  []int32
 	hashes []uint32 // per group: the high hash bits, to skip most key compares
 	keys   []string
 	at     []int32
-	recs   []sortRec // layout scratch
+	expect int       // see newGrouper
+	recs   []sortRec // sortByKey scratch
 }
 
-// sortRec is what layout sorts: a group and the first 8 bytes of its key,
+// sortRec is what sortByKey sorts: a group and the first 8 bytes of its key,
 // big-endian and zero-padded, so that prefix order agrees with byte-wise
 // key order wherever the prefixes differ.
 type sortRec struct {
@@ -52,29 +61,39 @@ type sortRec struct {
 	id     int32
 }
 
-func newGrouper() *grouper {
-	return &grouper{seed: maphash.MakeSeed(), slots: make([]int32, 64)}
+// newGrouper returns a kernel that expects about groups distinct keys
+// (0: no idea). It starts with room for firstGroups whatever it expects;
+// the first time those fill it goes straight to room for groups.
+func newGrouper(groups int) *grouper {
+	return &grouper{
+		slots:  make([]int32, 2*firstGroups),
+		hashes: make([]uint32, 0, firstGroups),
+		keys:   make([]string, 0, firstGroups),
+		at:     make([]int32, 0, firstGroups),
+		expect: groups,
+	}
 }
 
-// id returns the group of key, creating it on first sight.
-func (g *grouper) id(key string) (id int32, fresh bool) {
-	h := maphash.String(g.seed, key)
-	id, slot := find(g, h, key)
+const firstGroups = 32
+
+// id returns the group of key, whose hashing.ShuffleKey is h, creating it
+// on first sight.
+func (g *grouper) id(key string, h hashing.Key) (id int32, fresh bool) {
+	id, slot := find(g, uint64(h), key)
 	if id >= 0 {
 		return id, false
 	}
-	return g.insert(slot, h, key), true
+	return g.insert(slot, uint64(h), key), true
 }
 
 // idBytes is id for a key still sitting in an encoded stream: the lookup
 // converts nothing, only a first sighting allocates the key.
-func (g *grouper) idBytes(key []byte) int32 {
-	h := maphash.Bytes(g.seed, key)
-	id, slot := find(g, h, key)
+func (g *grouper) idBytes(key []byte, h hashing.Key) int32 {
+	id, slot := find(g, uint64(h), key)
 	if id >= 0 {
 		return id
 	}
-	return g.insert(slot, h, string(key))
+	return g.insert(slot, uint64(h), string(key))
 }
 
 // find probes for key, whose hash is h: its group id, or -1 and the empty
@@ -104,14 +123,22 @@ func (g *grouper) insert(slot int, h uint64, key string) int32 {
 	return id
 }
 
-// grow doubles the table. Slot positions need the low hash bits, which
-// are not kept, so every key is hashed again: log2(groups) times a key at
-// most, against once per pair for everything else.
+// grow doubles the table, or makes it and the per-group arrays large enough
+// for the expected groups if that is more. Slot positions need the low
+// hash bits, which are not kept, so every key is hashed again: log2(groups)
+// times a key at most, against once per pair for everything else.
 func (g *grouper) grow() {
-	g.slots = make([]int32, 2*len(g.slots))
+	slots := 2 * len(g.slots)
+	for slots < 2*g.expect {
+		slots *= 2
+	}
+	if n := g.expect - len(g.keys); n > 0 {
+		g.keys, g.hashes, g.at = slices.Grow(g.keys, n), slices.Grow(g.hashes, n), slices.Grow(g.at, n)
+	}
+	g.slots = make([]int32, slots)
 	mask := len(g.slots) - 1
 	for id, key := range g.keys {
-		i := int(maphash.String(g.seed, key)) & mask
+		i := int(hashing.ShuffleKey(key)) & mask
 		for g.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -128,11 +155,10 @@ func (g *grouper) all() []int32 {
 	return ids
 }
 
-// layout sorts ids by key and assigns the groups consecutive slab ranges
-// in that order, returning the slots used (the pairs counted). Nearly
-// every comparison is settled by the records' inline prefixes without
-// touching key memory, which keeps ordering many distinct keys cheap.
-func (g *grouper) layout(ids []int32) int {
+// sortByKey puts ids in byte-wise key order. Nearly every comparison is
+// settled by the records' inline prefixes without touching key memory,
+// which keeps ordering many distinct keys cheap.
+func (g *grouper) sortByKey(ids []int32) {
 	if cap(g.recs) < len(ids) {
 		g.recs = make([]sortRec, 0, len(ids))
 	}
@@ -148,17 +174,24 @@ func (g *grouper) layout(ids []int32) int {
 		}
 		return strings.Compare(g.keys[a.id], g.keys[b.id])
 	})
-	off := int32(0)
 	for i, r := range g.recs {
 		ids[i] = r.id
-		n := g.at[r.id]
-		g.at[r.id] = off
+	}
+}
+
+// layout assigns the groups consecutive slab ranges in the order of ids,
+// returning the slots used (the pairs counted).
+func (g *grouper) layout(ids []int32) int {
+	off := int32(0)
+	for _, id := range ids {
+		n := g.at[id]
+		g.at[id] = off
 		off += n
 	}
 	return int(off)
 }
 
-// each calls fn once per group of ids, in layout's order, with the
+// each calls fn once per group of ids, in the order layout saw, with the
 // group's range of the filled slab, and zeroes the groups' counts so the
 // same ids can collect another round.
 func (g *grouper) each(ids []int32, slab [][]byte, fn func(key string, values [][]byte) error) error {
@@ -195,14 +228,15 @@ func GroupByKey(kvs []KV) []Group {
 	if len(kvs) == 0 {
 		return nil
 	}
-	g := newGrouper()
+	g := newGrouper(0)
 	ids := make([]int32, len(kvs))
 	for i, kv := range kvs {
-		id, _ := g.id(kv.Key)
+		id, _ := g.id(kv.Key, hashing.ShuffleKey(kv.Key))
 		g.at[id]++
 		ids[i] = id
 	}
 	gd := grouped{g: g, order: g.all()}
+	g.sortByKey(gd.order)
 	gd.slab = make([][]byte, g.layout(gd.order))
 	for i, kv := range kvs {
 		id := ids[i]
@@ -235,18 +269,19 @@ func groupStreams(streams [][]byte) (grouped, error) {
 	if pairs > math.MaxInt32 {
 		return grouped{}, fmt.Errorf("mapreduce: %d pairs to group, the kernel takes at most %d", pairs, math.MaxInt32)
 	}
-	g := newGrouper()
+	g := newGrouper(0)
 	ids := make([]int32, 0, pairs)
 	for _, data := range streams {
 		for off := 0; off < len(data); {
 			key, _, next, _ := nextKV(data, off) // cannot fail: the counting pass validated the stream
-			id := g.idBytes(key)
+			id := g.idBytes(key, hashing.ShuffleKey(key))
 			g.at[id]++
 			ids = append(ids, id)
 			off = next
 		}
 	}
 	gd := grouped{g: g, order: g.all()}
+	g.sortByKey(gd.order)
 	gd.slab = make([][]byte, g.layout(gd.order))
 	i := 0
 	for _, data := range streams {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"eclipsemr/internal/hashing"
 )
 
 // referenceGroupByKey is the grouping the engine used before the hash
@@ -157,17 +159,19 @@ func TestGroupStreamsRejectsCorruptStream(t *testing.T) {
 // relies on: after each() a group's count is zero again and the same ids
 // collect the next round, while the table keeps every key it has seen.
 func TestGrouperReusesGroupsAcrossRounds(t *testing.T) {
-	g := newGrouper()
+	g := newGrouper(0)
+	idOf := func(k string) (int32, bool) { return g.id(k, hashing.ShuffleKey(k)) }
 	round := func(keys ...string) []Group {
 		var ids, active []int32
 		for _, k := range keys {
-			id, _ := g.id(k)
+			id, _ := idOf(k)
 			if g.at[id] == 0 {
 				active = append(active, id)
 			}
 			g.at[id]++
 			ids = append(ids, id)
 		}
+		g.sortByKey(active)
 		slab := make([][]byte, g.layout(active))
 		for i, id := range ids {
 			slab[g.at[id]] = tagged(i)
@@ -194,20 +198,20 @@ func TestGrouperReusesGroupsAcrossRounds(t *testing.T) {
 	// Enough keys to force several table doublings; every one must still
 	// be found afterwards.
 	for i := 0; i < 5000; i++ {
-		g.id(fmt.Sprintf("k%d", i))
+		idOf(fmt.Sprintf("k%d", i))
 	}
 	for i := 0; i < 5000; i++ {
-		if _, fresh := g.id(fmt.Sprintf("k%d", i)); fresh {
+		if _, fresh := idOf(fmt.Sprintf("k%d", i)); fresh {
 			t.Fatalf("key k%d lost by table growth", i)
 		}
 	}
 	k42 := []byte("k42")
-	if id := g.idBytes(k42); g.keys[id] != "k42" {
+	if id := g.idBytes(k42, hashing.ShuffleKey(k42)); g.keys[id] != "k42" {
 		t.Fatalf("idBytes found %q", g.keys[id])
 	}
 	// A key already in the table is looked up straight from the stream's
 	// bytes: the reduce path allocates per distinct key, not per pair.
-	if n := testing.AllocsPerRun(100, func() { g.idBytes(k42) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { g.idBytes(k42, hashing.ShuffleKey(k42)) }); n != 0 {
 		t.Fatalf("idBytes allocates %v times on a hit", n)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -21,13 +23,9 @@ func vec(v ...float64) []byte {
 	return out
 }
 
-// TestMapSpillsByteIdenticalToParentPipeline pins the emit-side combiner's
-// contract on the applications the paper evaluates: the segments a map
-// task pushes are, byte for byte and spill for spill, what the parent
-// pipeline produced (raw per-partition append, then the stable-sort
-// combiner over each spill), so neither spill boundaries nor shuffle
-// volume nor any job output can differ.
-func TestMapSpillsByteIdenticalToParentPipeline(t *testing.T) {
+// identityInputs are the paper's three applications with a combiner, each
+// over an input that fills several spills at a small threshold.
+func identityInputs() []identityInput {
 	rng := rand.New(rand.NewSource(11))
 	var text, points, labeled strings.Builder
 	for i := 0; i < 6000; i++ {
@@ -43,11 +41,7 @@ func TestMapSpillsByteIdenticalToParentPipeline(t *testing.T) {
 		fmt.Fprintf(&points, "%.6f,%.6f\n", x, y)
 		fmt.Fprintf(&labeled, "%d %.6f,%.6f\n", 2*rng.Intn(2)-1, x, y)
 	}
-	inputs := []struct {
-		app    string
-		params mapreduce.Params
-		input  string
-	}{
+	return []identityInput{
 		{apps.WordCount, nil, text.String()},
 		{apps.KMeans, mapreduce.Params{
 			"k": []byte("5"), "dim": []byte("2"),
@@ -55,6 +49,21 @@ func TestMapSpillsByteIdenticalToParentPipeline(t *testing.T) {
 		}, points.String()},
 		{apps.LogReg, mapreduce.Params{"dim": []byte("2"), "weights": vec(0.25, -0.5)}, labeled.String()},
 	}
+}
+
+type identityInput struct {
+	app    string
+	params mapreduce.Params
+	input  string
+}
+
+// TestMapSpillsByteIdenticalToReferencePipeline pins the emit-side
+// combiner's contract on the applications the paper evaluates: the
+// segments a map task pushes are, byte for byte and spill for spill, what
+// the reference pipeline produces (raw per-partition append, then each
+// spill combined key by key in first-emit order), so spill boundaries,
+// shuffle volume and every job output follow from the raw pairs alone.
+func TestMapSpillsByteIdenticalToReferencePipeline(t *testing.T) {
 	shapes := []struct {
 		name string
 		req  mapreduce.RunMapReq
@@ -66,7 +75,7 @@ func TestMapSpillsByteIdenticalToParentPipeline(t *testing.T) {
 		{"only partitions 1 and 3", mapreduce.RunMapReq{Task: "m0", SpillThreshold: 48, OnlyPartitions: []int{1, 3}}},
 		{"legacy untracked task", mapreduce.RunMapReq{SpillThreshold: 48}},
 	}
-	for _, in := range inputs {
+	for _, in := range identityInputs() {
 		for _, shape := range shapes {
 			t.Run(in.app+"/"+shape.name, func(t *testing.T) {
 				req := shape.req
@@ -75,7 +84,7 @@ func TestMapSpillsByteIdenticalToParentPipeline(t *testing.T) {
 				segments := 0
 				for part := range reference {
 					if len(pushed[part]) != len(reference[part]) {
-						t.Fatalf("partition %d holds %d segments, the parent pipeline pushes %d",
+						t.Fatalf("partition %d holds %d segments, the reference pipeline pushes %d",
 							part, len(pushed[part]), len(reference[part]))
 					}
 					for i := range reference[part] {
@@ -96,5 +105,54 @@ func TestMapSpillsByteIdenticalToParentPipeline(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReduceOutputIgnoresKeyOrderWithinSpills is why a combined spill may
+// list its keys in any order: the same map output, reduced from the spills
+// as pushed (first-emit order), from the same spills with their pairs
+// sorted by key (what the emit side shipped before it stopped sorting) and
+// from those reversed, gives byte-identical reduce output each time,
+// floating-point sums included.
+func TestReduceOutputIgnoresKeyOrderWithinSpills(t *testing.T) {
+	for _, in := range identityInputs() {
+		t.Run(in.app, func(t *testing.T) {
+			req := mapreduce.RunMapReq{Task: "m0", SpillThreshold: 512, App: in.app, Params: in.params}
+			pushed, _ := mapreduce.MapTaskSegments(t, req, []byte(in.input))
+			reordered := 0
+			for part, asPushed := range pushed {
+				if len(asPushed) == 0 {
+					continue
+				}
+				sorted := make([][]byte, len(asPushed))
+				reversed := make([][]byte, len(asPushed))
+				for i, seg := range asPushed {
+					kvs, err := mapreduce.DecodeKVs(seg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sort.SliceStable(kvs, func(a, b int) bool { return kvs[a].Key < kvs[b].Key })
+					sorted[i] = mapreduce.EncodeKVs(kvs)
+					slices.Reverse(kvs) // a combined spill holds each key once
+					reversed[i] = mapreduce.EncodeKVs(kvs)
+					if !bytes.Equal(sorted[i], seg) {
+						reordered++
+					}
+					if !bytes.Equal(reversed[i], seg) {
+						reordered++
+					}
+				}
+				want := mapreduce.ReduceSegments(t, in.app, in.params, asPushed)
+				for order, segments := range map[string][][]byte{"sorted": sorted, "reverse-sorted": reversed} {
+					if got := mapreduce.ReduceSegments(t, in.app, in.params, segments); !bytes.Equal(got, want) {
+						t.Fatalf("partition %d reduces to\n%q\nfrom %s spills and to\n%q\nfrom the spills as pushed", part, got, order, want)
+					}
+				}
+			}
+			// logreg emits one key per task: its spills have no order to lose.
+			if reordered == 0 && in.app != apps.LogReg {
+				t.Fatal("no spill changed under sorting or reversal: the case compares nothing")
+			}
+		})
 	}
 }

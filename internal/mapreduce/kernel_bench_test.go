@@ -58,11 +58,11 @@ func BenchmarkMapEmit(b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		combine ReduceFunc
-	}{{"combine", testSumReduce}, {"nocombine", nil}} {
+	}{{"combine", testSumReduce}, {"append", nil}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out := newMapEmitter(table, RunMapReq{}, c.combine, func(_, _ int, buf *[]byte) {
+				out := newMapEmitter(table, RunMapReq{}, c.combine, 64<<10, func(_, _ int, buf *[]byte) {
 					benchSink += len(*buf)
 					putSpillBuf(buf)
 				})

@@ -90,7 +90,12 @@ type App struct {
 	// Reduce is required.
 	Reduce ReduceFunc
 	// Combine optionally pre-aggregates map output before each spill,
-	// cutting shuffle volume (word count sums counts map-side, etc.).
+	// cutting shuffle volume (word count sums counts map-side, etc.). It
+	// is called once per key per spill, with the key's values in emit
+	// order; the keys of a spill come in no particular order (today the
+	// order each was first emitted), so a combiner may not depend on
+	// having seen a smaller key first. Reduce does see its partition's
+	// keys in ascending order.
 	Combine ReduceFunc
 }
 

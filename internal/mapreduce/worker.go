@@ -260,7 +260,7 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	// map compute. All error state lives in locally-scoped variables: the
 	// sender goroutine never touches this function's err.
 	sender := w.newSpillSender(ctx, req)
-	out := newMapEmitter(table, req, app.Combine, sender.enqueue)
+	out := newMapEmitter(table, req, app.Combine, len(input), sender.enqueue)
 
 	// Compute covers the user functions (decoding a split iCache missed
 	// included) and everything emit does on this goroutine: partitioning,

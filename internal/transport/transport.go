@@ -196,7 +196,7 @@ type wireAppender interface {
 func Encode(v any) ([]byte, error) {
 	if m, ok := v.(wireAppender); ok {
 		// Small messages fit the initial capacity; the ones carrying
-		// bulk bytes size dst themselves before appending.
+		// bulk bytes let the append of those bytes grow dst once.
 		return m.AppendWire(make([]byte, 0, 64)), nil
 	}
 	var buf bytes.Buffer
