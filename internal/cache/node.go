@@ -74,6 +74,17 @@ func (id BlockID) version() string { return id.Key.String() + ":" + string(id.Su
 // rawKey is the iCache lookup key of the block's bytes.
 func (id BlockID) rawKey() string { return "block:" + id.version() }
 
+// BlockIDOf returns the version whose bytes an iCache entry holds, and
+// false for any other entry.
+func BlockIDOf(e Entry) (BlockID, bool) {
+	id := BlockID{Key: e.HashKey}
+	if len(e.Key) < len(id.Sum) {
+		return id, false
+	}
+	copy(id.Sum[:], e.Key[len(e.Key)-len(id.Sum):])
+	return id, e.Key == id.rawKey()
+}
+
 // decodedKey is the iCache lookup key of app's decoded split of the block.
 func (id BlockID) decodedKey(app string) string { return "split:" + app + ":" + id.version() }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -60,8 +59,6 @@ const (
 	metaLogMinDead   = 256
 )
 
-var metaLogCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // appendMetaPut appends a record that stores m.
 func appendMetaPut(dst []byte, m Metadata) []byte {
 	start := len(dst)
@@ -81,7 +78,7 @@ func appendMetaDelete(dst []byte, name string) []byte {
 func sealMetaRecord(dst []byte, start int) []byte {
 	body := dst[start+metaLogHeader:]
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, metaLogCRC))
+	binary.LittleEndian.PutUint32(dst[start+4:], BlockCRC(body))
 	return dst
 }
 
@@ -97,7 +94,7 @@ func replayMetaLog(data []byte, metas map[string]Metadata) (records, valid int) 
 			break
 		}
 		body := data[valid+metaLogHeader : valid+metaLogHeader+n]
-		if crc32.Checksum(body, metaLogCRC) != binary.LittleEndian.Uint32(data[valid+4:]) {
+		if BlockCRC(body) != binary.LittleEndian.Uint32(data[valid+4:]) {
 			break
 		}
 		switch body[0] {

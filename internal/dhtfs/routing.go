@@ -23,9 +23,12 @@ type (
 		// Hops counts forwards so far; guards against routing loops.
 		Hops int
 	}
+	// routedGetResp is the block as getBlockResp's, through however many
+	// hops: the reader at the end checks it.
 	routedGetResp struct {
-		Data []byte
-		Hops int
+		Data  []byte
+		Check BlockCheck
+		Hops  int
 	}
 )
 
@@ -44,8 +47,9 @@ func (s *Service) SetZeroHop(enabled bool) { s.zeroHopOff = !enabled }
 // local shard if the block is here, otherwise forward to the next hop
 // from this node's finger table.
 func (s *Service) routedGet(ctx context.Context, req *routedGetReq, resp *routedGetResp) error {
-	if data, err := s.store.GetBlock(req.Key); err == nil {
-		*resp = routedGetResp{Data: data, Hops: req.Hops}
+	// The reference behind the block is left to the collector.
+	if buf, check, err := s.store.pin(req.Key); err == nil {
+		*resp = routedGetResp{Data: buf.Bytes(), Check: check, Hops: req.Hops}
 		return nil
 	}
 	if req.Hops >= maxRouteHops {
@@ -111,6 +115,9 @@ func (s *Service) ReadBlockRouted(ctx context.Context, k hashing.Key) ([]byte, i
 	}
 	var resp routedGetResp
 	if err := s.call(ctx, next, MethodRoutedGet, &routedGetReq{Key: k, Hops: 1}, &resp); err != nil {
+		return nil, 0, err
+	}
+	if err := resp.Check.verify(k, resp.Data); err != nil {
 		return nil, 0, err
 	}
 	return resp.Data, resp.Hops, nil

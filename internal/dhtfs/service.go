@@ -23,16 +23,22 @@ import (
 // and TCP, and a call to this node itself skips encoding altogether (see
 // call).
 type (
+	// putBlockReq stores one block and what is kept beside it: the replica
+	// checks Data against Check.CRC before it stores anything.
 	putBlockReq struct {
-		Key  hashing.Key
-		Data []byte
+		Key   hashing.Key
+		Check BlockCheck
+		Data  []byte
 	}
 	// getBlockReq names one block: the request of get, has and delete.
 	getBlockReq struct {
 		Key hashing.Key
 	}
+	// getBlockResp is a block as its holder stores it, unchecked: the
+	// reader checks Data against Check.CRC, disk and wire in one pass.
 	getBlockResp struct {
-		Data []byte
+		Check BlockCheck
+		Data  []byte
 	}
 	// hasResp answers hasBlock and hasMeta.
 	hasResp struct {
@@ -46,18 +52,23 @@ type (
 		User string
 	}
 	// putFileReq writes a file's metadata and, for a one-block file, the
-	// block that lives beside it (see blockKeys): Data is that block when
-	// Meta is colocated and is unused otherwise.
+	// block that lives beside it (see blockKeys): Check and Data are that
+	// block as putBlockReq's when Meta is colocated and are unused otherwise.
 	putFileReq struct {
-		Meta Metadata
-		Data []byte
+		Meta  Metadata
+		Check BlockCheck
+		Data  []byte
 	}
 	// getFileResp is a file's metadata plus, when its only block lives
-	// beside it and the replica holds it, that block.
+	// beside it and the replica holds it, that block as getBlockResp's.
 	getFileResp struct {
 		Meta    Metadata
 		HasData bool
+		Check   BlockCheck
 		Data    []byte
+		// pinned is the reference behind Data while Data is the buffer of
+		// this node's shard: whoever is done with Data releases it.
+		pinned *blockbuf.Buf
 	}
 	// nameReq carries the one string listMeta (a prefix) and
 	// dropJobSegments (a job namespace) take.
@@ -243,11 +254,11 @@ func (s *Service) Handle(ctx context.Context, method string, body []byte) ([]byt
 		if err := transport.Decode(body, &req); err != nil {
 			return nil, true, err
 		}
-		buf, err := s.getBlock(req.Key)
+		buf, check, err := s.getBlock(req.Key)
 		if err != nil {
 			return nil, true, err
 		}
-		out, err := transport.Encode(getBlockResp{Data: buf.Bytes()})
+		out, err := transport.Encode(getBlockResp{Check: check, Data: buf.Bytes()})
 		buf.Release() // the reply has its copy
 		return out, true, err
 	case MethodReadSegRaw:
@@ -288,6 +299,9 @@ func (s *Service) Handle(ctx context.Context, method string, body []byte) ([]byt
 		return nil, true, err
 	}
 	out, err := transport.Encode(resp)
+	if file, ok := resp.(*getFileResp); ok {
+		file.pinned.Release() // the reply has its copy
+	}
 	return out, true, err
 }
 
@@ -332,7 +346,7 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 	switch method {
 	case MethodPutBlock:
 		req := req.(*putBlockReq)
-		return s.putBlock(req.Key, req.Data)
+		return s.putBlock(req.Key, req.Data, req.Check)
 	case MethodHasBlock:
 		resp.(*hasResp).Has = s.store.HasBlock(req.(*getBlockReq).Key)
 	case MethodDeleteBlock:
@@ -353,7 +367,7 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 		// metadata never names a block this replica was not handed.
 		req := req.(*putFileReq)
 		if req.Meta.colocated() {
-			if err := s.putBlock(req.Meta.BlockKeys[0], req.Data); err != nil {
+			if err := s.putBlock(req.Meta.BlockKeys[0], req.Data, req.Check); err != nil {
 				return err
 			}
 		}
@@ -367,9 +381,9 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 		if meta.colocated() {
 			// A replica missing the block still answers with the metadata;
 			// the client finds the block on a neighbor.
-			// The reference behind the block is left to the collector.
-			if buf, err := s.getBlock(meta.BlockKeys[0]); err == nil {
-				file.HasData, file.Data = true, buf.Bytes()
+			// A replica missing the version the metadata names likewise.
+			if buf, check, err := s.pinLocal(meta.BlockKeys[0], meta.sum(0)); err == nil {
+				file.HasData, file.Check, file.Data, file.pinned = true, check, buf.Bytes(), buf
 			}
 		}
 		*resp.(*getFileResp) = file
@@ -411,23 +425,76 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 	return nil
 }
 
-// putBlock stores one block in the local shard, counting it as written.
-func (s *Service) putBlock(k hashing.Key, data []byte) error {
+// putBlock stores one block and what its writer sent with it in the local
+// shard, counting it as written. Bytes that fail the CRC were damaged on
+// the way here: they are refused and nothing is stored.
+func (s *Service) putBlock(k hashing.Key, data []byte, check BlockCheck) error {
+	if err := check.verify(k, data); err != nil {
+		s.reg.Counter("fs.put.corrupt").Inc()
+		s.events.Emit(events.KindFS, "fs.put_corrupt", events.F{Detail: fmt.Sprintf("%s %s", s.self, k)})
+		return err
+	}
 	s.reg.Counter("fs.blocks.written").Inc()
 	s.reg.Counter("fs.bytes.written").Add(int64(len(data)))
-	return s.store.PutBlock(k, data)
+	return s.store.backend.put(k, data, check)
 }
 
-// getBlock fetches one block from the local shard, counting it as read.
-// The caller releases the buffer.
-func (s *Service) getBlock(k hashing.Key) (*blockbuf.Buf, error) {
-	buf, err := s.store.PinBlock(k)
+// getBlock fetches one block as stored, unchecked, from the local shard,
+// counting it as read. The caller releases the buffer.
+func (s *Service) getBlock(k hashing.Key) (*blockbuf.Buf, BlockCheck, error) {
+	buf, check, err := s.store.pin(k)
 	if err != nil {
-		return nil, err
+		return nil, BlockCheck{}, err
 	}
 	s.reg.Counter("fs.blocks.read").Inc()
 	s.reg.Counter("fs.bytes.read").Add(int64(buf.Len()))
-	return buf, nil
+	return buf, check, nil
+}
+
+// checkCopy is the one check a copy of block k passes before a reader on
+// this node uses it (DESIGN.md "Block integrity"). check is what its holder
+// keeps beside the block, local says the holder is this node's shard, and
+// want is the digest the reader names, zero for none. Bytes that came off
+// a socket or out of a file are checked against the CRC; the buffer a put
+// made in this node's memory is not. The version is told by comparing
+// digests, and only a block stored without one (Store.PutBlock, a file
+// older than trailers) is summed, which its own shard remembers. The check
+// comes back with the digest filled in.
+func (s *Service) checkCopy(k hashing.Key, data []byte, check BlockCheck, local bool, want [sha1.Size]byte) (BlockCheck, error) {
+	if !local || s.store.onDisk() {
+		if err := check.verify(k, data); err != nil {
+			return check, err
+		}
+	}
+	if want == ([sha1.Size]byte{}) {
+		return check, nil
+	}
+	if check.Sum == ([sha1.Size]byte{}) {
+		s.reg.Counter("fs.read.summed").Inc()
+		stored := check
+		check.Sum = SumBlock(data)
+		if local {
+			s.store.backend.adopt(k, stored, check.Sum)
+		}
+	}
+	if check.Sum != want {
+		return check, fmt.Errorf("%w: block %s is another version", ErrCorrupt, k)
+	}
+	return check, nil
+}
+
+// pinLocal fetches this node's own copy of a block, checked (see
+// checkCopy), in the buffer its shard shares with every reader.
+func (s *Service) pinLocal(k hashing.Key, want [sha1.Size]byte) (*blockbuf.Buf, BlockCheck, error) {
+	buf, check, err := s.getBlock(k)
+	if err != nil {
+		return nil, BlockCheck{}, err
+	}
+	if check, err = s.checkCopy(k, buf.Bytes(), check, true, want); err != nil {
+		buf.Release()
+		return nil, BlockCheck{}, err
+	}
+	return buf, check, nil
 }
 
 // putMeta stores metadata in the local shard. A shard that cannot log the
@@ -568,9 +635,13 @@ func (s *Service) UploadRecords(ctx context.Context, name, owner string, perm Pe
 // and metadata last, or a block that lives beside its metadata as one
 // message holding both.
 func (s *Service) storeFile(ctx context.Context, name, owner string, perm Perm, data []byte, blockSize int, chunks [][]byte, keys []hashing.Key) (Metadata, error) {
+	// The one pass a block's writer makes over it: the SHA-1 that names
+	// this version wherever it is stored or cached, and the CRC-32C every
+	// later copy is checked against.
 	sums := make([][sha1.Size]byte, len(chunks))
+	crcs := make([]uint32, len(chunks))
 	for i, chunk := range chunks {
-		sums[i] = SumBlock(chunk)
+		sums[i], crcs[i] = SumBlock(chunk), BlockCRC(chunk)
 	}
 	file := &putFileReq{Meta: Metadata{
 		Name:      name,
@@ -584,11 +655,12 @@ func (s *Service) storeFile(ctx context.Context, name, owner string, perm Perm, 
 	}}
 	putFile := s.putAll
 	if file.Meta.colocated() {
-		file.Data = chunks[0]
+		file.Check, file.Data = BlockCheck{CRC: crcs[0], Sum: sums[0]}, chunks[0]
 		putFile = s.writeBlock
 	} else {
 		for i, chunk := range chunks {
-			if err := s.writeBlock(ctx, keys[i], MethodPutBlock, &putBlockReq{Key: keys[i], Data: chunk}, fmt.Sprintf("block %d", i)); err != nil {
+			req := &putBlockReq{Key: keys[i], Check: BlockCheck{CRC: crcs[i], Sum: sums[i]}, Data: chunk}
+			if err := s.writeBlock(ctx, keys[i], MethodPutBlock, req, fmt.Sprintf("block %d", i)); err != nil {
 				return Metadata{}, err
 			}
 		}
@@ -709,11 +781,12 @@ func unpinned(buf *blockbuf.Buf, err error) ([]byte, error) {
 // PinBlock fetches one block by key from the first replica in read order
 // that has it, passing over those that are unreachable or miss it, in a
 // buffer the caller releases when done reading. sum is the block's SHA-1,
-// or zero when it is not known (no content hashes to zero): a copy that
-// fails it, this server's own included, is passed over too, so a
-// corrupted replica is healed by reading its neighbor's, and counted.
-// Without a digest and with zero-hop routing disabled the request instead
-// travels hop by hop through finger tables.
+// or zero when it is not known (no content hashes to zero). A copy that
+// fails its check (see checkCopy: damaged, or another version than sum
+// names), this server's own included, is passed over too, so a corrupted
+// replica is healed by reading its neighbor's, and counted. Without a
+// digest and with zero-hop routing disabled the request instead travels
+// hop by hop through finger tables.
 func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]byte) (*blockbuf.Buf, error) {
 	verify := sum != [sha1.Size]byte{}
 	ctx, sp := s.tracer.StartSpan(ctx, "fs.read_block")
@@ -739,16 +812,14 @@ func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]by
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("dhtfs: read block %s: %w", k, ctx.Err())
 		}
-		buf, err := s.pinReplica(ctx, t, k)
-		if err != nil {
-			lastErr = err
+		buf, err := s.pinReplica(ctx, t, k, sum)
+		if errors.Is(err, ErrCorrupt) {
+			sawCorrupt = true
+			s.noteCorrupt(t)
 			continue
 		}
-		if verify && SumBlock(buf.Bytes()) != sum {
-			buf.Release()
-			sawCorrupt = true
-			s.reg.Counter("fs.read.corrupt").Inc()
-			s.events.Emit(events.KindFS, "fs.read_corrupt", events.F{Detail: string(t)})
+		if err != nil {
+			lastErr = err
 			continue
 		}
 		if i > 0 {
@@ -764,47 +835,57 @@ func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]by
 	return nil, fmt.Errorf("dhtfs: read block %s: %w", k, lastErr)
 }
 
-// pinReplica fetches node t's copy of a block: this node's own is the
-// buffer its shard shares with every reader, and costs no message; another
-// node's arrives as a reply body that is nobody else's, so the last
-// release recycles it.
-func (s *Service) pinReplica(ctx context.Context, t hashing.NodeID, k hashing.Key) (*blockbuf.Buf, error) {
+// noteCorrupt records that replica t's copy of a block failed its check.
+func (s *Service) noteCorrupt(t hashing.NodeID) {
+	s.reg.Counter("fs.read.corrupt").Inc()
+	s.events.Emit(events.KindFS, "fs.read_corrupt", events.F{Detail: string(t)})
+}
+
+// pinReplica fetches node t's copy of a block, checked (see checkCopy):
+// this node's own is the buffer its shard shares with every reader, and
+// costs no message; another node's arrives as a reply body that is nobody
+// else's, so the last release recycles it.
+func (s *Service) pinReplica(ctx context.Context, t hashing.NodeID, k hashing.Key, want [sha1.Size]byte) (*blockbuf.Buf, error) {
 	if t == s.self {
-		return s.getBlock(k)
+		buf, _, err := s.pinLocal(k, want)
+		return buf, err
 	}
 	var resp getBlockResp
 	if err := s.call(ctx, t, MethodGetBlock, &getBlockReq{Key: k}, &resp); err != nil {
+		return nil, err
+	}
+	if _, err := s.checkCopy(k, resp.Data, resp.Check, false, want); err != nil {
 		return nil, err
 	}
 	return blockbuf.Adopt(resp.Data), nil
 }
 
 // ReadFile fetches metadata and then all blocks, reassembling the file.
-// Blocks are integrity-checked against the metadata digests (files
-// uploaded by older stores without digests skip the check). The block of
-// a one-block file arrives with the metadata; when the answering replica
-// lacks it or its copy fails the check, the block is read like any other.
+// Blocks are checked against the metadata digests (files uploaded by older
+// stores without digests are checked for damage only). Each block is
+// copied into the result and its buffer given back, so a client's reads
+// feed the free list the next disk reads draw from. The block of a
+// one-block file arrives with the metadata; when the answering replica
+// lacks it or the copy fails the check, the block is read like any other.
 func (s *Service) ReadFile(ctx context.Context, name, user string) ([]byte, error) {
 	var file getFileResp
 	if err := s.lookup(ctx, name, user, MethodGetFile, &file); err != nil {
 		return nil, err
 	}
+	defer file.pinned.Release()
 	meta := file.Meta
 	out := make([]byte, 0, meta.Size)
 	for i, k := range meta.BlockKeys {
-		var block []byte
-		var err error
-		if i == 0 && file.HasData && s.verifyInline(ctx, file.Data, meta) {
-			block = file.Data
-		} else if i < len(meta.BlockSums) {
-			block, err = s.ReadBlockVerified(ctx, k, meta.BlockSums[i])
-		} else {
-			block, err = s.ReadBlock(ctx, k)
+		if i == 0 && file.HasData && s.verifyInline(ctx, &file) {
+			out = append(out, file.Data...)
+			continue
 		}
+		buf, err := s.PinBlock(ctx, k, meta.sum(i))
 		if err != nil {
 			return nil, fmt.Errorf("dhtfs: file %q block %d: %w", name, i, err)
 		}
-		out = append(out, block...)
+		out = append(out, buf.Bytes()...)
+		buf.Release()
 	}
 	if int64(len(out)) != meta.Size {
 		return nil, fmt.Errorf("dhtfs: file %q reassembled to %d bytes, metadata says %d",
@@ -813,13 +894,15 @@ func (s *Service) ReadFile(ctx context.Context, name, user string) ([]byte, erro
 	return out, nil
 }
 
-// verifyInline checks the block that came with a file's metadata against
-// the metadata's digest, traced and timed as the block read it replaces.
-func (s *Service) verifyInline(ctx context.Context, block []byte, meta Metadata) bool {
+// verifyInline checks the block that came with a file's metadata like one
+// that came off a socket, which it did unless this node answered, traced
+// and timed as the block read it replaces.
+func (s *Service) verifyInline(ctx context.Context, file *getFileResp) bool {
 	_, sp := s.tracer.StartSpan(ctx, "fs.read_block")
 	defer sp.End()
 	defer s.reg.Histogram("fs.read_block_ns").Start().Stop()
-	return len(meta.BlockSums) == 0 || SumBlock(block) == meta.BlockSums[0]
+	_, err := s.checkCopy(file.Meta.BlockKeys[0], file.Data, file.Check, false, file.Meta.sum(0))
+	return err == nil
 }
 
 // SegTag attributes a spill to one map-task attempt (see
@@ -1063,10 +1146,9 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 		if rerr != nil {
 			return pushed, rerr
 		}
-		mine := false
+		mine := slices.Contains(targets, s.self)
 		for _, t := range targets {
 			if t == s.self {
-				mine = true
 				continue
 			}
 			var has hasResp
@@ -1077,11 +1159,23 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 			if has.Has {
 				continue
 			}
-			buf, gerr := s.store.PinBlock(k)
+			// This node's copy goes out checked and with what is kept beside
+			// it, so the new holder checks it in turn and knows its digest. A
+			// damaged copy is not spread: a neighbour's fills the gap.
+			buf, check, gerr := s.store.pin(k)
+			if gerr == nil {
+				if _, gerr = s.checkCopy(k, buf.Bytes(), check, true, [sha1.Size]byte{}); gerr != nil {
+					buf.Release()
+				}
+			}
+			if errors.Is(gerr, ErrCorrupt) {
+				s.noteCorrupt(s.self)
+				break
+			}
 			if gerr != nil {
 				continue // raced with deletion
 			}
-			cerr := s.call(ctx, t, MethodPutBlock, &putBlockReq{Key: k, Data: buf.Bytes()}, nil)
+			cerr := s.call(ctx, t, MethodPutBlock, &putBlockReq{Key: k, Check: check, Data: buf.Bytes()}, nil)
 			buf.Release() // the request is encoded and the reply is in
 			if cerr != nil {
 				err = cerr

@@ -56,6 +56,15 @@ type Metadata struct {
 // SumBlock computes a block's integrity digest.
 func SumBlock(data []byte) [sha1.Size]byte { return sha1.Sum(data) }
 
+// sum returns the digest of block i, zero for a file uploaded by a store
+// that recorded none.
+func (m Metadata) sum(i int) [sha1.Size]byte {
+	if i < len(m.BlockSums) {
+		return m.BlockSums[i]
+	}
+	return [sha1.Size]byte{}
+}
+
 // Blocks returns the number of blocks in the file.
 func (m Metadata) Blocks() int { return len(m.BlockKeys) }
 
@@ -78,8 +87,8 @@ var ErrNotFound = errors.New("dhtfs: not found")
 // ErrPermission is returned when the metadata permission check fails.
 var ErrPermission = errors.New("dhtfs: permission denied")
 
-// ErrCorrupt is returned when a block fails its integrity check on every
-// replica.
+// ErrCorrupt is returned for a copy of a block that fails its integrity
+// check, and by a read when every reachable replica's does.
 var ErrCorrupt = errors.New("dhtfs: block corrupt")
 
 // blockKeys returns the ring keys of a file split into n blocks: the one
@@ -252,30 +261,59 @@ func (s *Store) SetClock(now func() time.Time) {
 	s.now = now
 }
 
-// PutBlock stores a block, overwriting any previous content. On a
-// disk-backed shard an IO failure is reported; the in-memory backend
-// never fails.
+// PutBlock stores a block whose digest the caller does not give,
+// overwriting any previous content: the CRC-32C is taken here and the
+// SHA-1 on the first read that names one. On a disk-backed shard an IO
+// failure is reported; the in-memory backend never fails.
 func (s *Store) PutBlock(k hashing.Key, data []byte) error {
-	return s.backend.put(k, data)
+	return s.backend.put(k, data, BlockCheck{CRC: BlockCRC(data)})
 }
 
-// PinBlock fetches a block in the buffer the shard shares with every
-// reader (see blockbuf), with a reference the caller releases when done
-// reading.
-func (s *Store) PinBlock(k hashing.Key) (*blockbuf.Buf, error) {
-	buf, ok, err := s.backend.get(k)
+// pin fetches a block as stored, unchecked, with what is kept beside it
+// and a reference the caller releases when done reading: the buffer the
+// shard shares with every reader (see blockbuf).
+func (s *Store) pin(k hashing.Key) (*blockbuf.Buf, BlockCheck, error) {
+	buf, check, ok, err := s.backend.get(k)
 	if err != nil {
-		return nil, err
+		return nil, BlockCheck{}, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("%w: block %s", ErrNotFound, k)
+		return nil, BlockCheck{}, fmt.Errorf("%w: block %s", ErrNotFound, k)
 	}
-	return buf, nil
+	return buf, check, nil
 }
 
-// GetBlock fetches a block as read-only bytes. The reference behind them
-// is never given up, so they stay valid and their buffer is never
-// recycled.
+// verify checks a copy of a block that crossed a disk or a socket against
+// the CRC stored beside the block.
+func (c BlockCheck) verify(k hashing.Key, data []byte) error {
+	if BlockCRC(data) != c.CRC {
+		return fmt.Errorf("%w: block %s fails its CRC", ErrCorrupt, k)
+	}
+	return nil
+}
+
+// onDisk reports whether a block read comes out of a file.
+func (s *Store) onDisk() bool {
+	_, disk := s.backend.(*diskBackend)
+	return disk
+}
+
+// PinBlock fetches a block, checked when it came out of a file, in the
+// buffer the shard shares with every reader (see blockbuf), with a
+// reference the caller releases when done reading.
+func (s *Store) PinBlock(k hashing.Key) (*blockbuf.Buf, error) {
+	buf, check, err := s.pin(k)
+	if err == nil && s.onDisk() {
+		if err = check.verify(k, buf.Bytes()); err != nil {
+			buf.Release()
+			return nil, err
+		}
+	}
+	return buf, err
+}
+
+// GetBlock is PinBlock as read-only bytes. The reference behind them is
+// never given up, so they stay valid and their buffer is never recycled.
 func (s *Store) GetBlock(k hashing.Key) ([]byte, error) {
 	buf, err := s.PinBlock(k)
 	if err != nil {

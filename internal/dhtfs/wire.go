@@ -2,6 +2,7 @@ package dhtfs
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -21,14 +22,35 @@ import (
 // dst to the append of the block: a slices.Grow ahead of it would clear
 // the 256 KiB the block then fills.
 
+// AppendBlockCheck appends a BlockCheck, a field of every message that
+// carries a block: the CRC as 4 bytes, big endian, then the 20 bytes of the
+// digest.
+func AppendBlockCheck(dst []byte, c BlockCheck) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, c.CRC)
+	return append(dst, c.Sum[:]...)
+}
+
+// checkSize is the length of an encoded BlockCheck.
+const checkSize = 4 + sha1.Size
+
+// ReadBlockCheck reads what AppendBlockCheck appended.
+func ReadBlockCheck(r *transport.WireReader) (c BlockCheck) {
+	if raw := r.Raw(checkSize); raw != nil {
+		c.CRC = binary.BigEndian.Uint32(raw)
+		copy(c.Sum[:], raw[4:])
+	}
+	return c
+}
+
 func (m putBlockReq) AppendWire(dst []byte) []byte {
 	dst = transport.AppendKey(dst, m.Key)
+	dst = AppendBlockCheck(dst, m.Check)
 	return transport.AppendBytes(dst, m.Data)
 }
 
 func (m *putBlockReq) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = putBlockReq{Key: r.Key(), Data: r.Bytes()}
+	*m = putBlockReq{Key: r.Key(), Check: ReadBlockCheck(&r), Data: r.Bytes()}
 	return r.Done()
 }
 
@@ -41,12 +63,13 @@ func (m *getBlockReq) ParseWire(src []byte) error {
 }
 
 func (m getBlockResp) AppendWire(dst []byte) []byte {
+	dst = AppendBlockCheck(dst, m.Check)
 	return transport.AppendBytes(dst, m.Data)
 }
 
 func (m *getBlockResp) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = getBlockResp{Data: r.Bytes()}
+	*m = getBlockResp{Check: ReadBlockCheck(&r), Data: r.Bytes()}
 	return r.Done()
 }
 
@@ -71,24 +94,26 @@ func (m *getMetaReq) ParseWire(src []byte) error {
 
 func (m putFileReq) AppendWire(dst []byte) []byte {
 	dst = m.Meta.AppendWire(dst)
+	dst = AppendBlockCheck(dst, m.Check)
 	return transport.AppendBytes(dst, m.Data)
 }
 
 func (m *putFileReq) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = putFileReq{Meta: parseMetadata(&r), Data: r.Bytes()}
+	*m = putFileReq{Meta: parseMetadata(&r), Check: ReadBlockCheck(&r), Data: r.Bytes()}
 	return r.Done()
 }
 
 func (m getFileResp) AppendWire(dst []byte) []byte {
 	dst = m.Meta.AppendWire(dst)
 	dst = transport.AppendBool(dst, m.HasData)
+	dst = AppendBlockCheck(dst, m.Check)
 	return transport.AppendBytes(dst, m.Data)
 }
 
 func (m *getFileResp) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = getFileResp{Meta: parseMetadata(&r), HasData: r.Bool(), Data: r.Bytes()}
+	*m = getFileResp{Meta: parseMetadata(&r), HasData: r.Bool(), Check: ReadBlockCheck(&r), Data: r.Bytes()}
 	return r.Done()
 }
 
@@ -220,12 +245,13 @@ func (m *routedGetReq) ParseWire(src []byte) error {
 
 func (m routedGetResp) AppendWire(dst []byte) []byte {
 	dst = transport.AppendBytes(dst, m.Data)
+	dst = AppendBlockCheck(dst, m.Check)
 	return transport.AppendInt(dst, int64(m.Hops))
 }
 
 func (m *routedGetResp) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = routedGetResp{Data: r.Bytes(), Hops: r.Int()}
+	*m = routedGetResp{Data: r.Bytes(), Check: ReadBlockCheck(&r), Hops: r.Int()}
 	return r.Done()
 }
 

@@ -6,6 +6,7 @@ import (
 	"crypto/sha1"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,16 +38,20 @@ func wireCases() []transport.Wire {
 		BlockKeys: []hashing.Key{hashing.KeyOfString("out/part-0003")}, BlockSums: [][sha1.Size]byte{sum("block")},
 		Created: time.Date(2017, 9, 5, 12, 30, 0, 0, time.UTC),
 	}
+	// What travels beside a block: with a digest, and as Store.PutBlock
+	// leaves it, without one.
+	check := BlockCheck{CRC: BlockCRC([]byte("block")), Sum: sum("block")}
+	noSum := BlockCheck{CRC: math.MaxUint32}
 	return []transport.Wire{
 		&putBlockReq{},
-		&putBlockReq{Key: 42, Data: []byte("block")},
-		&putBlockReq{Key: maxKey, Data: []byte{}},
-		&putBlockReq{Key: 1 << 63, Data: big},
+		&putBlockReq{Key: 42, Check: check, Data: []byte("block")},
+		&putBlockReq{Key: maxKey, Check: noSum, Data: []byte{}},
+		&putBlockReq{Key: 1 << 63, Check: check, Data: big},
 		&getBlockReq{},
 		&getBlockReq{Key: maxKey},
 		&getBlockResp{},
-		&getBlockResp{Data: []byte{0}},
-		&getBlockResp{Data: big},
+		&getBlockResp{Check: noSum, Data: []byte{0}},
+		&getBlockResp{Check: check, Data: big},
 		&hasResp{},
 		&hasResp{Has: true},
 		&getMetaReq{},
@@ -75,7 +80,8 @@ func wireCases() []transport.Wire {
 		&routedGetReq{},
 		&routedGetReq{Key: maxKey, Hops: maxRouteHops},
 		&routedGetResp{},
-		&routedGetResp{Data: []byte("blk"), Hops: 3},
+		&routedGetResp{Data: []byte("blk"), Check: check, Hops: 3},
+		&routedGetResp{Data: []byte{}, Check: noSum, Hops: maxRouteHops},
 		&Metadata{},
 		&Metadata{
 			Name: "corpus.txt", Owner: "alice", Perm: PermPublic, Size: 1 << 40, BlockSize: 64 << 20,
@@ -88,14 +94,14 @@ func wireCases() []transport.Wire {
 			Created: time.Date(-9, 1, 1, 0, 0, 0, 0, time.FixedZone("odd", -(7*3600+1800))),
 		},
 		&putFileReq{},
-		&putFileReq{Meta: small, Data: []byte("block")},
+		&putFileReq{Meta: small, Check: check, Data: []byte("block")},
 		&putFileReq{Meta: Metadata{Name: notUTF8, BlockKeys: []hashing.Key{0, maxKey}, BlockSums: [][sha1.Size]byte{{}, sum("b")}}},
-		&putFileReq{Meta: small, Data: big},
+		&putFileReq{Meta: small, Check: noSum, Data: big},
 		&getFileResp{},
-		&getFileResp{Meta: small, HasData: true, Data: []byte("block")},
-		&getFileResp{Meta: small, HasData: true, Data: []byte{}},
+		&getFileResp{Meta: small, HasData: true, Check: check, Data: []byte("block")},
+		&getFileResp{Meta: small, HasData: true, Check: noSum, Data: []byte{}},
 		&getFileResp{Meta: Metadata{Name: "corpus.txt", BlockKeys: []hashing.Key{1, 2, 3}}},
-		&getFileResp{Meta: small, HasData: true, Data: big},
+		&getFileResp{Meta: small, HasData: true, Check: check, Data: big},
 	}
 }
 
@@ -112,18 +118,21 @@ func TestWireMetadataLocalTime(t *testing.T) {
 // it is rejected before anything is sized by it.
 func TestWireHostileCounts(t *testing.T) {
 	huge := transport.AppendUvarint(nil, math.MaxUint64)
+	check := slices.Clip(AppendBlockCheck(nil, BlockCheck{})) // what sits before a block's length
 	cases := map[string]struct {
 		m    transport.Wire
 		body []byte
 	}{
 		"listMeta names":  {&listMetaResp{}, huge},
 		"rawSegs lens":    {&rawSegsHdr{}, append(transport.AppendUvarint(nil, 1<<40), 0)},
-		"getBlock data":   {&getBlockResp{}, append(transport.AppendUvarint(nil, 1<<62), 'x')},
+		"getBlock data":   {&getBlockResp{}, append(transport.AppendUvarint(check, 1<<62), 'x')},
+		"putBlock data":   {&putBlockReq{}, append(transport.AppendUvarint(append(make([]byte, 8), check...), 1<<62), 'x')},
 		"batch entries":   {&segBatchHdr{}, append([]byte{0, 0}, huge...)},
 		"metadata keys":   {&Metadata{}, append([]byte{0, 0, 0, 0, 0}, huge...)},
 		"putFile keys":    {&putFileReq{}, append([]byte{0, 0, 0, 0, 0}, huge...)},
-		"putFile data":    {&putFileReq{}, append(Metadata{}.AppendWire(nil), append(transport.AppendUvarint(nil, 1<<62), 'x')...)},
-		"getFile data":    {&getFileResp{}, append(Metadata{}.AppendWire(nil), append([]byte{1}, huge...)...)},
+		"putFile data":    {&putFileReq{}, append(Metadata{}.AppendWire(nil), append(transport.AppendUvarint(check, 1<<62), 'x')...)},
+		"getFile data":    {&getFileResp{}, append(Metadata{}.AppendWire(nil), append(append([]byte{1}, check...), huge...)...)},
+		"routedGet data":  {&routedGetResp{}, append(transport.AppendUvarint(nil, 1<<62), 'x')},
 		"tagged tags":     {&rawTaggedHdr{}, transport.AppendUvarint(nil, 1<<33)},
 		"overlong varint": {&rawSegsHdr{}, bytes.Repeat([]byte{0xff}, 11)},
 	}

@@ -30,10 +30,13 @@ type (
 		Start hashing.Key
 		End   hashing.Key
 	}
-	// CachedBlock is one migrating iCache entry.
+	// CachedBlock is one migrating iCache entry: the block's bytes, the
+	// digest they are cached under (zero when it was not known) and a CRC
+	// taken as they leave, which the adopting node checks them against.
 	CachedBlock struct {
-		Key  hashing.Key
-		Data []byte
+		Key   hashing.Key
+		Check dhtfs.BlockCheck
+		Data  []byte
 	}
 	// CacheRangeResp carries the matching entries.
 	CacheRangeResp struct {
@@ -71,8 +74,10 @@ func (w *Worker) handleMigration(ctx context.Context, method string, body []byte
 		var resp CacheRangeResp
 		entries := w.cache.ICache.EntriesInRange(req.Start, req.End)
 		for _, e := range entries {
-			if buf, ok := e.Value.(*blockbuf.Buf); ok {
-				resp.Blocks = append(resp.Blocks, CachedBlock{Key: e.HashKey, Data: buf.Bytes()})
+			id, isBlock := cache.BlockIDOf(e)
+			if buf, ok := e.Value.(*blockbuf.Buf); ok && isBlock {
+				check := dhtfs.BlockCheck{CRC: dhtfs.BlockCRC(buf.Bytes()), Sum: id.Sum}
+				resp.Blocks = append(resp.Blocks, CachedBlock{Key: id.Key, Check: check, Data: buf.Bytes()})
 			}
 		}
 		out, err := transport.Encode(resp)
@@ -121,11 +126,10 @@ func (w *Worker) adoptRange(ctx context.Context, req AdoptRangeReq) (int, error)
 			return migrated, err
 		}
 		for _, blk := range resp.Blocks {
-			// The digest that names a cached block is its content's, so the
-			// receiver derives it; a block damaged on the way lands under a
-			// name no task asks for.
-			id := cache.BlockID{Key: blk.Key, Sum: dhtfs.SumBlock(blk.Data)}
-			if w.cache.HasBlockVersion(id) {
+			// The block keeps the name it was cached under; one damaged on
+			// the way is left behind, to be read again from the file system.
+			id := cache.BlockID{Key: blk.Key, Sum: blk.Check.Sum}
+			if w.cache.HasBlockVersion(id) || dhtfs.BlockCRC(blk.Data) != blk.Check.CRC {
 				continue
 			}
 			// blk.Data is a view of the one reply body that carried every

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -96,5 +97,39 @@ func TestAdoptRangeAllNeighborsDeadErrors(t *testing.T) {
 	}
 	if _, err := ec.net.Call(context.Background(), ec.ids[1], MethodAdoptRange, body); err == nil {
 		t.Fatal("adopt with all neighbors dead succeeded")
+	}
+}
+
+// TestAdoptRangeDropsDamagedBlock: a migrating block keeps the digest it
+// was cached under, and one whose bytes were damaged in the reply body is
+// left behind rather than cached under any name.
+func TestAdoptRangeDropsDamagedBlock(t *testing.T) {
+	ec := newEngineCluster(t, engineOpts{nodes: 3, cacheSize: 4 << 20})
+	mid, right := ec.workers[ec.ids[1]], ec.workers[ec.ids[2]]
+	whole := putCached(right, 20, "arrives whole")
+	damaged := putCached(right, 30, "arrives damaged")
+	// The right neighbour's replies pass through a network that flips one
+	// byte of the second block's payload.
+	ec.net.Unlisten(ec.ids[2])
+	err := ec.net.Listen(ec.ids[2], func(ctx context.Context, method string, body []byte) ([]byte, error) {
+		out, _, err := right.Handle(ctx, method, body)
+		if i := bytes.Index(out, []byte("arrives damaged")); i >= 0 {
+			out[i] ^= 0x01
+		}
+		return out, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp AdoptRangeResp
+	callWorker(t, ec, ec.ids[1], MethodAdoptRange, AdoptRangeReq{Start: 0, End: 1000, Right: ec.ids[2]}, &resp)
+	if resp.Migrated != 1 {
+		t.Fatalf("migrated = %d, want the undamaged block alone", resp.Migrated)
+	}
+	if data, ok := mid.Cache().GetBlockVersion(whole); !ok || string(data.Bytes()) != "arrives whole" {
+		t.Fatalf("block 20 not migrated under its digest: %q %v", data.Bytes(), ok)
+	}
+	if entries := mid.Cache().ICache.EntriesInRange(30, 31); len(entries) != 0 || mid.Cache().HasBlockVersion(damaged) {
+		t.Fatalf("the damaged block was cached: %d entries under its key", len(entries))
 	}
 }

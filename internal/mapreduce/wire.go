@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"slices"
 
+	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/transport"
 )
@@ -196,12 +197,13 @@ func (m *CacheRangeReq) ParseWire(src []byte) error {
 func (m CacheRangeResp) AppendWire(dst []byte) []byte {
 	size := binary.MaxVarintLen64
 	for _, b := range m.Blocks {
-		size += 8 + binary.MaxVarintLen64 + len(b.Data)
+		size += 8 + 4 + len(b.Check.Sum) + binary.MaxVarintLen64 + len(b.Data)
 	}
 	dst = slices.Grow(dst, size)
 	dst = transport.AppendUvarint(dst, uint64(len(m.Blocks)))
 	for _, b := range m.Blocks {
 		dst = transport.AppendKey(dst, b.Key)
+		dst = dhtfs.AppendBlockCheck(dst, b.Check)
 		dst = transport.AppendBytes(dst, b.Data)
 	}
 	return dst
@@ -211,10 +213,10 @@ func (m CacheRangeResp) AppendWire(dst []byte) []byte {
 func (m *CacheRangeResp) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
 	*m = CacheRangeResp{}
-	if n := r.Count(9); n > 0 {
+	if n := r.Count(33); n > 0 {
 		m.Blocks = make([]CachedBlock, n)
 		for i := range m.Blocks {
-			m.Blocks[i] = CachedBlock{Key: r.Key(), Data: r.Bytes()}
+			m.Blocks[i] = CachedBlock{Key: r.Key(), Check: dhtfs.ReadBlockCheck(&r), Data: r.Bytes()}
 		}
 	}
 	return r.Done()

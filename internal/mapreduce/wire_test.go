@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/transport"
 	"eclipsemr/internal/transport/wiretest"
@@ -70,7 +71,11 @@ func wireCases() []transport.Wire {
 		&CacheRangeReq{Start: maxKey, End: 0},
 		&CacheRangeResp{},
 		&CacheRangeResp{Blocks: []CachedBlock{}},
-		&CacheRangeResp{Blocks: []CachedBlock{{Key: 1, Data: []byte("a")}, {}, {Key: maxKey, Data: big}}},
+		&CacheRangeResp{Blocks: []CachedBlock{
+			{Key: 1, Check: dhtfs.BlockCheck{CRC: dhtfs.BlockCRC([]byte("a")), Sum: dhtfs.SumBlock([]byte("a"))}, Data: []byte("a")},
+			{},
+			{Key: maxKey, Check: dhtfs.BlockCheck{CRC: math.MaxUint32}, Data: big},
+		}},
 		&AdoptRangeReq{},
 		&AdoptRangeReq{Start: 5, End: maxKey, Left: "worker-00", Right: notUTF8},
 		&AdoptRangeResp{},

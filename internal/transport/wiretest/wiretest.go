@@ -44,6 +44,9 @@ func same(a, b reflect.Value) bool {
 		return same(a.Elem(), b.Elem())
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
+			if !a.Type().Field(i).IsExported() {
+				continue // process-local state: neither encoding carries it
+			}
 			if !same(a.Field(i), b.Field(i)) {
 				return false
 			}

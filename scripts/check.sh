@@ -20,6 +20,6 @@ echo "== go test -race ./..."
 go test -race "$@" ./...
 
 echo "== map-task and block-buffer lifecycles, -race -count=5"
-go test -race -count=5 -run 'MapTask|SelfHeal|LostPartition|Resume|Speculat|Failover|AttemptStride|BufferLifecycle' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache
+go test -race -count=5 -run 'MapTask|SelfHeal|LostPartition|Resume|Speculat|Failover|AttemptStride|BufferLifecycle' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs
 
 echo "check: OK"
