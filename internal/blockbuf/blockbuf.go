@@ -39,7 +39,7 @@ var free sync.Pool
 // poisonRecycled makes the last release overwrite the array before it
 // joins the free list, so bytes read through a reference already given up
 // are wrong at once and not only when the next read lands in them.
-var poisonRecycled = raceEnabled
+var poisonRecycled = RaceEnabled
 
 // deadRefs is the count of a buffer whose last reference went: far enough
 // below zero that every later Retain and Release panics, however many a

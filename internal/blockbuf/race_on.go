@@ -2,4 +2,6 @@
 
 package blockbuf
 
-const raceEnabled = true
+// RaceEnabled reports a build with the race detector, in which memory that
+// was given up is overwritten (see poisonRecycled).
+const RaceEnabled = true

@@ -4,7 +4,7 @@ import "math/bits"
 
 // ShuffleKey returns the ring key of an intermediate (map output) key: the
 // position the proactive shuffle looks up in a job's reduce RangeTable,
-// and the hash the grouping kernel indexes its table with. Intermediate
+// and the hash the emit-side combiner indexes its table with. Intermediate
 // keys are hashed once per emitted pair, so they get a fast non-
 // cryptographic function instead of KeyOf's SHA-1: 16 bytes per 64x64→128
 // multiply folded to 64 bits (the wyhash construction), then MurmurHash3's

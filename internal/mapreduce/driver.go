@@ -1246,17 +1246,29 @@ func (d *Driver) call(ctx context.Context, to hashing.NodeID, method string, req
 // returning the merged key-value pairs (sorted within each partition;
 // partitions concatenated in partition order).
 func (d *Driver) Collect(ctx context.Context, res Result, user string) ([]KV, error) {
-	var out []KV
-	for _, f := range res.OutputFiles {
+	// Every file is read and counted first, so that the job's pairs are
+	// decoded into one slice made at its final size.
+	files := make([][]byte, len(res.OutputFiles))
+	sizes := make([]kvSize, len(res.OutputFiles))
+	pairs := 0
+	for i, f := range res.OutputFiles {
 		data, err := d.fs.ReadFile(ctx, f, user)
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: collect %q: %w", f, err)
 		}
-		kvs, err := DecodeKVs(data)
-		if err != nil {
+		if sizes[i], err = sizeKVs(data); err != nil {
 			return nil, fmt.Errorf("mapreduce: collect %q: %w", f, err)
 		}
-		out = append(out, kvs...)
+		files[i] = data
+		pairs += sizes[i].pairs
+	}
+	if pairs == 0 {
+		return nil, nil
+	}
+	out := make([]KV, 0, pairs)
+	for i, data := range files {
+		out = appendKVs(out, data, sizes[i])
+		files[i] = nil // decoded: the file's bytes can go
 	}
 	return out, nil
 }

@@ -168,12 +168,12 @@ type partSpill struct {
 // emit order, its output encoded directly into the pooled buffer the
 // sender ships. A spill lists its keys in the order each was first emitted
 // since the partition's last spill: no reader wants them sorted (the
-// reduce side groups every stream by hash and orders the groups itself),
-// so the emit side does not sort. A spill therefore carries the pairs the
+// reduce side orders all of a partition's pairs itself, groupStreams), so
+// the emit side does not sort. A spill therefore carries the pairs the
 // combiner would have produced from the appendEmitter's buffer, grouped.
 //
-// One hashing.ShuffleKey per pair serves both the grouping kernel and the
-// ring lookup. The kernel is keyed by emitted key for the whole task, so
+// One hashing.ShuffleKey per pair serves both the table (grouper) and the
+// ring lookup. The table is keyed by emitted key for the whole task, so
 // the lookup itself runs once per distinct key (part). The table is
 // task-local garbage, not pooled: an idle pooled table is live heap, and
 // on the repository benchmark that cost resident memory without buying

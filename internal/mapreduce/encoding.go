@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // KV is one key-value pair in the intermediate and output streams.
@@ -45,35 +46,53 @@ func EncodeKVs(kvs []KV) []byte {
 	return buf
 }
 
-// DecodeKVs parses a stream back into pairs. Values are copied out of
-// data (into one allocation the pairs share), so the result outlives the
-// input buffer.
+// DecodeKVs parses a stream back into pairs. Keys and values are copied
+// out of data, so the result outlives the input buffer, into one
+// allocation each for the whole stream: every KV.Key is a substring of one
+// string and every KV.Value a subslice of one array, which a pair that is
+// kept keeps alive whole.
 func DecodeKVs(data []byte) ([]KV, error) {
-	// Count first: the pair slice and the value copy are then allocated
-	// once at their exact sizes instead of grown pair by pair.
-	pairs, valueBytes := 0, 0
-	for off := 0; off < len(data); {
-		_, value, next, err := nextKV(data, off)
+	size, err := sizeKVs(data)
+	if err != nil || size.pairs == 0 {
+		return nil, err
+	}
+	return appendKVs(make([]KV, 0, size.pairs), data, size), nil
+}
+
+// kvSize is what decoding a stream takes: the pair slice, the key string
+// and the value array are each allocated once at their exact sizes
+// instead of grown pair by pair.
+type kvSize struct{ pairs, keyBytes, valueBytes int }
+
+// sizeKVs validates a stream and counts what is in it.
+func sizeKVs(data []byte) (kvSize, error) {
+	var size kvSize
+	for off := 0; off < len(data); size.pairs++ {
+		key, value, next, err := nextKV(data, off)
 		if err != nil {
-			return nil, err
+			return kvSize{}, err
 		}
-		pairs++
-		valueBytes += len(value)
+		size.keyBytes += len(key)
+		size.valueBytes += len(value)
 		off = next
 	}
-	if pairs == 0 {
-		return nil, nil
-	}
-	out := make([]KV, 0, pairs)
-	values := make([]byte, 0, valueBytes)
+	return size, nil
+}
+
+// appendKVs decodes onto dst the stream sizeKVs found to be size.
+func appendKVs(dst []KV, data []byte, size kvSize) []KV {
+	var keys strings.Builder
+	keys.Grow(size.keyBytes)
+	values := make([]byte, 0, size.valueBytes)
 	for off := 0; off < len(data); {
-		key, value, next, _ := nextKV(data, off) // cannot fail: the counting pass validated the stream
-		at := len(values)
+		key, value, next, _ := nextKV(data, off) // cannot fail: sizeKVs validated the stream
+		k, v := keys.Len(), len(values)
+		keys.Write(key)
 		values = append(values, value...)
-		out = append(out, KV{Key: string(key), Value: values[at:len(values):len(values)]})
+		dst = append(dst, KV{Key: keys.String()[k:], Value: values[v:len(values):len(values)]})
 		off = next
 	}
-	return out, nil
+	return dst
 }
 
 // nextKV parses the pair at data[off:]. Key and value alias data; next is

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -49,19 +50,27 @@ func FuzzDecodeKVs(f *testing.F) {
 }
 
 // fuzzPairs turns arbitrary bytes into a pair list with plenty of repeated
-// keys: each pair is a length byte (mod 4), that many key bytes and one
-// value byte, read until the input runs out.
+// keys: each pair is a head byte, head%4 key bytes and one value byte, read
+// until the input runs out. The head's next two bits put zero to three
+// eight-byte windows of one repeated byte in front of the key bytes ('p',
+// or NUL if the fifth bit is set), so that keys share whole windows of the
+// ordering kernel, end exactly where one does, and differ in trailing NULs.
 func fuzzPairs(data []byte) []KV {
 	var kvs []KV
 	for len(data) > 0 {
-		klen := int(data[0]) % 4
+		head := data[0]
+		klen := int(head) % 4
 		data = data[1:]
 		if klen > len(data) {
 			klen = len(data)
 		}
-		key := string(data[:klen])
+		lead := "p"
+		if head&16 != 0 {
+			lead = "\x00"
+		}
+		key := strings.Repeat(lead, 8*int(head>>2&3)) + string(data[:klen])
 		data = data[klen:]
-		var value []byte
+		value := []byte{} // not nil: neither entry point of the kernel carries nil-ness
 		if len(data) > 0 {
 			value, data = data[:1:1], data[1:]
 		}
@@ -70,17 +79,21 @@ func fuzzPairs(data []byte) []KV {
 	return kvs
 }
 
-// FuzzGroupByKey checks the hash-grouping kernel against the retained
+// FuzzGroupByKey checks the ordering kernel against the retained
 // stable-sort reference on arbitrary pair lists, through both of its
 // entry points: GroupByKey, and groupStreams over the encoded pairs cut
-// into two streams.
+// into two streams with an empty one between them.
 func FuzzGroupByKey(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 'v'})                                               // one pair, empty key
-	f.Add([]byte{1, 'k', '1', 1, 'k', '2', 1, 'j', '3'})                // a repeated key around another
-	f.Add([]byte{2, 'a', 'b', 'x', 1, 'a', 'y', 3, 'a', 'b', 'c', 'z'}) // shared prefixes
-	f.Add([]byte{1, 0xff, 1, 1, 0xfe, 2, 1, 0xff, 3, 2, 0xff, 0x00, 4}) // non-UTF-8 keys
-	f.Add([]byte{1, 'k'})                                               // last pair has no value byte
+	f.Add([]byte{0, 'v'})                                                                             // one pair, empty key
+	f.Add([]byte{1, 'k', '1', 1, 'k', '2', 1, 'j', '3'})                                              // a repeated key around another
+	f.Add([]byte{2, 'a', 'b', 'x', 1, 'a', 'y', 3, 'a', 'b', 'c', 'z'})                               // shared prefixes
+	f.Add([]byte{1, 0xff, 1, 1, 0xfe, 2, 1, 0xff, 3, 2, 0xff, 0x00, 4})                               // non-UTF-8 keys
+	f.Add([]byte{1, 'k'})                                                                             // last pair has no value byte
+	f.Add([]byte{2, 'a', 0, '1', 1, 'a', '2', 3, 'a', 0, 0, '3', 0, '4', 1, 0, '5', 2, 'a', 0, '6'})  // keys that differ only in trailing NULs
+	f.Add([]byte{4, '1', 5, 'a', '2', 8, '3', 4, '4', 9, 'a', '5', 4 + 1, 0, '6'})                    // keys of exactly 8 and 16 bytes, one byte more, a NUL more
+	f.Add([]byte{13, 'b', '1', 9, 'a', '2', 13, 'a', '3', 12, '4', 5, 'a', '5', 13, 'b', '6'})        // keys sharing 8-, 16- and 24-byte prefixes
+	f.Add([]byte{16 + 4, '1', 16 + 8, '2', 16, '3', 16 + 1, 0, '4', 16 + 4 + 1, 0, '5', 16 + 4, '6'}) // keys of NULs only, one to sixteen
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kvs := fuzzPairs(data)
 		before := append([]KV(nil), kvs...)
@@ -93,7 +106,7 @@ func FuzzGroupByKey(f *testing.F) {
 				t.Fatalf("GroupByKey changed input pair %d", i)
 			}
 		}
-		streams := [][]byte{EncodeKVs(kvs[:len(kvs)/2]), EncodeKVs(kvs[len(kvs)/2:])}
+		streams := [][]byte{EncodeKVs(kvs[:len(kvs)/2]), nil, EncodeKVs(kvs[len(kvs)/2:])}
 		gd, err := groupStreams(streams)
 		if err != nil {
 			t.Fatalf("groupStreams: %v", err)

@@ -73,6 +73,13 @@ type MapDecodedFunc func(params Params, split any, emit Emit) error
 
 // ReduceFunc processes all values of one intermediate key. It also serves
 // as the optional combiner run over map-side buffers before spilling.
+// values is the engine's scratch and the bytes behind it are the stored
+// spills (or the emitter's buffer): both are read-only, and valid only
+// until the function returns, when the slice is refilled for the next key.
+// Whatever must outlive the call is copied; emit copies the key and value
+// it is handed, and key is the function's to keep. Builds with -race
+// overwrite values after each call, so a function that kept it reads
+// 0xDB bytes at once.
 type ReduceFunc func(params Params, key string, values [][]byte, emit Emit) error
 
 // App is a registered MapReduce application. It has exactly one map path:

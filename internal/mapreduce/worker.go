@@ -418,16 +418,18 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 	if inputBytes == 0 {
 		return resp, nil // empty partition
 	}
-	var output []byte
+	computeTimer := w.reg.Histogram("mr.reduce.compute_ns").Start()
+	_, comp := w.tracer.StartSpan(ctx, "reduce.compute")
+	// A reducer mostly writes about what it read (sort: exactly that), so
+	// the output is sized once instead of grown pair by pair.
+	output := make([]byte, 0, inputBytes)
 	emit := func(key string, value []byte) error {
 		output = AppendKV(output, KV{Key: key, Value: value})
 		return nil
 	}
-	computeTimer := w.reg.Histogram("mr.reduce.compute_ns").Start()
-	_, comp := w.tracer.StartSpan(ctx, "reduce.compute")
-	// The kernel groups straight off the encoded streams: values alias
-	// them (they outlive the loop and are never written), so no pair is
-	// copied on its way to the reducer.
+	// The kernel orders the pairs where they lie in the encoded streams:
+	// keys and values alias them (they outlive the loop and are never
+	// written), so no pair is copied or hashed on its way to the reducer.
 	groups, err := groupStreams(streams)
 	if err != nil {
 		comp.End()
@@ -458,8 +460,13 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 		return RunReduceResp{}, fmt.Errorf("mapreduce: store output %q: %w", req.OutputFile, err)
 	}
 	if req.CacheOutputs {
+		// oCache charges an entry its length: it gets no spare capacity.
+		cached := output
+		if cap(cached) > len(cached) {
+			cached = slices.Clone(cached)
+		}
 		w.cache.PutTagged(req.Namespace, "out:"+partitionName(req.Partition),
-			hashing.KeyOfString(req.OutputFile), output, req.TTL)
+			hashing.KeyOfString(req.OutputFile), cached, req.TTL)
 	}
 	resp.OutputBytes = int64(len(output))
 	resp.HasOutput = true
