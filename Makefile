@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench-repo bench-micro fuzz-smoke fmt
+.PHONY: build test check lifecycle lint bench-repo bench-micro fuzz-smoke fmt
 
 build:
 	$(GO) build ./...
@@ -9,10 +9,19 @@ test:
 	$(GO) test ./...
 
 # Race-detector gate over the whole suite (vet + lint + build + go test
-# -race), then the map-task and block-buffer lifecycle suites five times
-# over under -race.
+# -race), then `make lifecycle`.
 check:
 	./scripts/check.sh
+
+# The map-task and block-buffer lifecycle suites, and the block-version
+# regressions, five schedules over under -race. Retries, failover,
+# hedging, recovery and resume all go through one per-task state machine
+# whose risks are schedule-dependent, and a block buffer released too
+# early is overwritten only in race builds (internal/blockbuf). This is
+# the one list: CI and scripts/check.sh run this target.
+LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Speculat|Failover|AttemptStride|BufferLifecycle|StaleLocalCopy|RoutedReadNames|Trailerless
+lifecycle:
+	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs
 
 # Project invariants (ring comparisons, RPC-under-mutex, metric names,
 # sim determinism, dropped I/O errors) plus gofmt cleanliness. CI runs
@@ -38,7 +47,8 @@ bench-repo:
 # (BenchmarkColdBlockRead: B/op is what it costs the collector) and of the
 # applications' map functions (k-means with and without a decoded split,
 # grep, the line walk, the word-count tokenizer) compiled and run once, so
-# none can rot; CI runs the same. For numbers, raise -benchtime.
+# none can rot. This is the one list: CI runs this target. For numbers,
+# raise -benchtime.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/hashing ./internal/transport ./internal/dhtfs ./internal/mapreduce ./internal/apps
 

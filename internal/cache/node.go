@@ -97,6 +97,8 @@ func TagKey(appID, dataID string) string {
 
 // PutBlock caches an input data block of unknown digest in iCache. The
 // cache shares data with the caller, who must not write to it afterwards.
+// It remains for bench/probes.go until the [benchmark] PR; the engine
+// caches through PutBlockVersion.
 func (nc *NodeCache) PutBlock(k hashing.Key, data []byte) bool {
 	buf := blockbuf.Of(data)
 	defer buf.Release()
@@ -105,7 +107,8 @@ func (nc *NodeCache) PutBlock(k hashing.Key, data []byte) bool {
 
 // GetBlock fetches an input block of unknown digest from iCache. The
 // reference behind the bytes is never given up, so they stay valid and
-// their buffer is never recycled.
+// their buffer is never recycled. It remains for bench/probes.go until the
+// [benchmark] PR; the engine reads through GetBlockVersion.
 func (nc *NodeCache) GetBlock(k hashing.Key) ([]byte, bool) {
 	buf, ok := nc.GetBlockVersion(BlockID{Key: k})
 	if !ok {

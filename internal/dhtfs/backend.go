@@ -31,9 +31,6 @@ type blockBackend interface {
 	// get returns the block as stored, unchecked, with a reference the
 	// caller releases, and what is kept beside it.
 	get(k hashing.Key) (*blockbuf.Buf, BlockCheck, bool, error)
-	// adopt records sum as the digest of the block get returned with have,
-	// unless the block has changed since.
-	adopt(k hashing.Key, have BlockCheck, sum [sha1.Size]byte)
 	has(k hashing.Key) bool
 	delete(k hashing.Key) (int64, bool)
 	keys() []hashing.Key
@@ -42,9 +39,9 @@ type blockBackend interface {
 }
 
 // BlockCheck is what a shard keeps beside a block and sends with it
-// (DESIGN.md "Block integrity"): the CRC-32C a copy of the bytes is checked
-// against after it crossed a disk or a socket, and the SHA-1 that names the
-// version, zero when the writer gave none (no content hashes to zero).
+// (DESIGN.md "A block's life"): the CRC-32C a copy of the bytes is checked
+// against after it crossed a disk or a socket, and the SHA-1 its writer took,
+// which names the version.
 type BlockCheck struct {
 	CRC uint32
 	Sum [sha1.Size]byte
@@ -92,15 +89,6 @@ func (b *memBackend) get(k hashing.Key) (*blockbuf.Buf, BlockCheck, bool, error)
 		return nil, BlockCheck{}, false, nil
 	}
 	return blk.buf.Retain(), blk.check, true, nil
-}
-
-func (b *memBackend) adopt(k hashing.Key, have BlockCheck, sum [sha1.Size]byte) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if blk, ok := b.blocks[k]; ok && blk.check == have {
-		blk.check.Sum = sum
-		b.blocks[k] = blk
-	}
 }
 
 func (b *memBackend) has(k hashing.Key) bool {
@@ -164,23 +152,11 @@ type diskBackend struct {
 type diskBlock struct {
 	size  int64 // payload bytes
 	check BlockCheck
-	state diskState
+	// damaged: the file does not end in a whole trailer, so neither its
+	// payload's length nor its check is known: reads fail as corrupt, and
+	// has says no so that re-replication replaces the copy.
+	damaged bool
 }
-
-type diskState uint8
-
-const (
-	// diskChecked: check is known, from the file's trailer or, for a file
-	// that has none, from the first read of it.
-	diskChecked diskState = iota
-	// diskBare: a file written before trailers existed, all payload. The
-	// first read takes the CRC of what it finds as the block's.
-	diskBare
-	// diskDamaged: the file ends in a trailer that fails its own checksum,
-	// so neither its payload's length nor its CRC is known: reads fail as
-	// corrupt, and has says no so that re-replication replaces the copy.
-	diskDamaged
-)
 
 const (
 	blockExt = ".blk"
@@ -194,9 +170,8 @@ const (
 //	magic  4 bytes: "EBT1"
 //	crc    uint32, big endian: CRC-32C of the 28 bytes before it
 //
-// A file without the magic in that place is one written before trailers
-// existed. Flipped bits in the magic make a file read as such a one, 32
-// bytes too long, which the SHA-1 of a read that names one then catches.
+// A file that does not end in a whole trailer is damaged, whatever the
+// reason: torn, truncated, or a flipped bit in the trailer itself.
 const (
 	trailerSize  = checkSize + 8
 	trailerMagic = "EBT1"
@@ -209,17 +184,15 @@ func appendTrailer(dst []byte, check BlockCheck) []byte {
 	return binary.BigEndian.AppendUint32(dst, BlockCRC(dst[start:]))
 }
 
-// parseTrailer reads the last bytes of a block file: how the file is to be
-// read and, for a whole trailer, what it holds.
-func parseTrailer(tail []byte) (BlockCheck, diskState) {
-	if len(tail) < trailerSize || string(tail[checkSize:checkSize+4]) != trailerMagic {
-		return BlockCheck{}, diskBare
-	}
-	if binary.BigEndian.Uint32(tail[trailerSize-4:]) != BlockCRC(tail[:trailerSize-4]) {
-		return BlockCheck{}, diskDamaged
+// parseTrailer reads the last bytes of a block file: what the trailer
+// holds, if they are a whole one.
+func parseTrailer(tail []byte) (BlockCheck, bool) {
+	if string(tail[checkSize:checkSize+4]) != trailerMagic ||
+		binary.BigEndian.Uint32(tail[trailerSize-4:]) != BlockCRC(tail[:trailerSize-4]) {
+		return BlockCheck{}, false
 	}
 	r := transport.NewWireReader(tail[:checkSize])
-	return ReadBlockCheck(&r), diskChecked
+	return ReadBlockCheck(&r), true
 }
 
 func newDiskBackend(dir string) (*diskBackend, error) {
@@ -271,17 +244,18 @@ func statBlock(path string) (diskBlock, error) {
 	if err != nil {
 		return diskBlock{}, err
 	}
-	blk := diskBlock{size: info.Size(), state: diskBare}
-	if blk.size >= trailerSize {
-		var tail [trailerSize]byte
-		if _, err := f.ReadAt(tail[:], blk.size-trailerSize); err != nil {
-			return diskBlock{}, fmt.Errorf("dhtfs: block dir: %w", err)
-		}
-		if blk.check, blk.state = parseTrailer(tail[:]); blk.state != diskBare {
-			blk.size -= trailerSize
-		}
+	if info.Size() < trailerSize {
+		return diskBlock{damaged: true}, nil
 	}
-	return blk, nil
+	var tail [trailerSize]byte
+	if _, err := f.ReadAt(tail[:], info.Size()-trailerSize); err != nil {
+		return diskBlock{}, fmt.Errorf("dhtfs: block dir: %w", err)
+	}
+	check, ok := parseTrailer(tail[:])
+	if !ok {
+		return diskBlock{damaged: true}, nil
+	}
+	return diskBlock{size: info.Size() - trailerSize, check: check}, nil
 }
 
 func (b *diskBackend) path(k hashing.Key) string {
@@ -332,9 +306,9 @@ func (b *diskBackend) get(k hashing.Key) (*blockbuf.Buf, BlockCheck, bool, error
 		b.mu.RUnlock()
 		return nil, BlockCheck{}, false, nil
 	}
-	if blk.state == diskDamaged {
+	if blk.damaged {
 		b.mu.RUnlock()
-		return nil, BlockCheck{}, false, fmt.Errorf("%w: block %s: damaged trailer", ErrCorrupt, k)
+		return nil, BlockCheck{}, false, fmt.Errorf("%w: block %s: no whole trailer", ErrCorrupt, k)
 	}
 	f, err := os.Open(b.path(k))
 	b.mu.RUnlock()
@@ -355,31 +329,14 @@ func (b *diskBackend) get(k hashing.Key) (*blockbuf.Buf, BlockCheck, bool, error
 		buf.Release()
 		return nil, BlockCheck{}, false, fmt.Errorf("dhtfs: read block %s: %w", k, err)
 	}
-	if blk.state == diskBare {
-		blk.check.CRC = BlockCRC(buf.Bytes())
-		b.mu.Lock()
-		if b.index[k].state == diskBare {
-			b.index[k] = diskBlock{size: blk.size, check: blk.check}
-		}
-		b.mu.Unlock()
-	}
 	return buf, blk.check, true, nil
-}
-
-func (b *diskBackend) adopt(k hashing.Key, have BlockCheck, sum [sha1.Size]byte) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if blk, ok := b.index[k]; ok && blk.state == diskChecked && blk.check == have {
-		blk.check.Sum = sum
-		b.index[k] = blk
-	}
 }
 
 func (b *diskBackend) has(k hashing.Key) bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	blk, ok := b.index[k]
-	return ok && blk.state != diskDamaged
+	return ok && !blk.damaged
 }
 
 func (b *diskBackend) delete(k hashing.Key) (int64, bool) {

@@ -25,11 +25,8 @@ func TestReplicaWalkStopsOnCancel(t *testing.T) {
 
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := svc.ReadBlock(cctx, meta.BlockKeys[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ReadBlock under cancelled ctx = %v, want context.Canceled", err)
-	}
-	if _, err := svc.ReadBlockVerified(cctx, meta.BlockKeys[0], meta.BlockSums[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ReadBlockVerified under cancelled ctx = %v, want context.Canceled", err)
+	if _, _, err := svc.PinBlock(cctx, meta.BlockKeys[0], meta.BlockSums[0]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PinBlock under cancelled ctx = %v, want context.Canceled", err)
 	}
 	if _, err := svc.Lookup(cctx, "walk.dat", "alice"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Lookup under cancelled ctx = %v, want context.Canceled", err)

@@ -175,10 +175,10 @@ func TestStoreMeta(t *testing.T) {
 
 func TestStoreSegments(t *testing.T) {
 	s := NewStore()
-	s.AppendTaskSegment("job1", "p0", "", 0, 0, []byte("aa"), 0)
-	s.AppendTaskSegment("job1", "p0", "", 0, 0, []byte("bb"), 0)
-	s.AppendTaskSegment("job1", "p1", "", 0, 0, []byte("cc"), 0)
-	s.AppendTaskSegment("job2", "p0", "", 0, 0, []byte("dd"), 0)
+	s.AppendTaskSegment("job1", "p0", "m0", 0, 0, []byte("aa"), 0)
+	s.AppendTaskSegment("job1", "p0", "m0", 0, 1, []byte("bb"), 0)
+	s.AppendTaskSegment("job1", "p1", "m0", 0, 0, []byte("cc"), 0)
+	s.AppendTaskSegment("job2", "p0", "m0", 0, 0, []byte("dd"), 0)
 	segs := s.ReadSegments("job1", "p0")
 	if len(segs) != 2 || string(segs[0]) != "aa" || string(segs[1]) != "bb" {
 		t.Fatalf("segments = %q", segs)
@@ -347,10 +347,10 @@ func TestReReplicateRestoresInvariant(t *testing.T) {
 func TestSegmentsPushFetchDrop(t *testing.T) {
 	tc := newTestCluster(t, 4, 2)
 	a, b := tc.services[tc.ids[0]], tc.services[tc.ids[1]]
-	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", []SegBatchEntry{{Partition: "r0", Data: []byte("spill-1")}}, 0); err != nil {
+	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", []SegBatchEntry{{Partition: "r0", Tag: SegTag{Task: "m0", Seq: 0}, Data: []byte("spill-1")}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", []SegBatchEntry{{Partition: "r0", Data: []byte("spill-2")}}, 0); err != nil {
+	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", []SegBatchEntry{{Partition: "r0", Tag: SegTag{Task: "m0", Seq: 1}, Data: []byte("spill-2")}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := b.FetchSegments(context.Background(), tc.ids[1], "job9", "r0")
@@ -492,8 +492,8 @@ func TestSegmentTTLExpiry(t *testing.T) {
 	s := NewStore()
 	now := time.Unix(0, 0)
 	s.SetClock(func() time.Time { return now })
-	s.AppendTaskSegment("j", "p0", "", 0, 0, []byte("short"), time.Minute)
-	s.AppendTaskSegment("j", "p0", "", 0, 0, []byte("forever"), 0)
+	s.AppendTaskSegment("j", "p0", "m0", 0, 0, []byte("short"), time.Minute)
+	s.AppendTaskSegment("j", "p0", "m0", 0, 1, []byte("forever"), 0)
 	if segs := s.ReadSegments("j", "p0"); len(segs) != 2 {
 		t.Fatalf("segments = %d before expiry", len(segs))
 	}
@@ -507,7 +507,7 @@ func TestSegmentTTLExpiry(t *testing.T) {
 		t.Fatalf("bytes = %d", s.Bytes())
 	}
 	// A partition whose spills all expire disappears entirely.
-	s.AppendTaskSegment("j", "p1", "", 0, 0, []byte("gone"), time.Second)
+	s.AppendTaskSegment("j", "p1", "m0", 0, 0, []byte("gone"), time.Second)
 	now = now.Add(time.Hour)
 	if segs := s.ReadSegments("j", "p1"); len(segs) != 0 {
 		t.Fatalf("expired partition returned %q", segs)
@@ -560,16 +560,16 @@ func TestRoutedReadMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxHops := 0
-	for _, k := range meta.BlockKeys {
-		got, hops, err := svc.ReadBlockRouted(context.Background(), k)
+	for i, k := range meta.BlockKeys {
+		got, hops, err := svc.readBlockRouted(context.Background(), k, meta.BlockSums[i])
 		if err != nil {
 			t.Fatalf("routed read %s: %v", k, err)
 		}
-		direct, err := svc.ReadBlock(context.Background(), k)
+		direct, _, err := svc.PinBlock(context.Background(), k, meta.BlockSums[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, direct) {
+		if !bytes.Equal(got.Bytes(), direct.Bytes()) {
 			t.Fatalf("routed read of %s differs from direct", k)
 		}
 		if hops > maxHops {
@@ -603,8 +603,50 @@ func TestZeroHopToggleRoutesReads(t *testing.T) {
 func TestRoutedReadMissingBlock(t *testing.T) {
 	tc := newTestCluster(t, 4, 1)
 	svc := tc.any()
-	if _, _, err := svc.ReadBlockRouted(context.Background(), hashing.KeyOfString("never-stored")); !IsNotFound(err) {
+	if _, _, err := svc.readBlockRouted(context.Background(), hashing.KeyOfString("never-stored"), SumBlock(nil)); !IsNotFound(err) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRoutedReadNamesItsDigest: with zero-hop routing off, every block read
+// travels hop by hop, reads that name a digest included, and the copy it
+// comes back with passes the check a direct read's does: a stale version
+// on the owner is refused and counted, never returned.
+func TestRoutedReadNamesItsDigest(t *testing.T) {
+	ctx := context.Background()
+	tc := newTestCluster(t, 8, 1) // one copy: the route ends at the owner
+	old, current := randomData(600, 87), randomData(600, 88)
+	if _, err := tc.any().Upload(ctx, "hop.dat", "u", PermPublic, old, 256); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := tc.any().Upload(ctx, "hop.dat", "u", PermPublic, current, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := meta.BlockKeys[1]
+	owner, _ := tc.ring.Owner(k)
+	reader := tc.ids[0]
+	if reader == owner {
+		reader = tc.ids[1]
+	}
+	routed := countCalls(t, tc, MethodRoutedGet)
+	svc := tc.services[reader]
+	svc.SetZeroHop(false)
+	if got, err := svc.ReadFile(ctx, "hop.dat", "u"); err != nil || !bytes.Equal(got, current) {
+		t.Fatalf("routed ReadFile = %d bytes, %v", len(got), err)
+	}
+	if routed() == 0 {
+		t.Fatal("no fs.routedGet call: the reads that named a digest went straight to the owner")
+	}
+	// The owner missed the second upload's write of this block.
+	if err := tc.services[owner].Store().PutBlock(k, old[256:512]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.ReadFile(ctx, "hop.dat", "u"); err == nil || !strings.Contains(err.Error(), ErrCorrupt.Error()) {
+		t.Fatalf("routed ReadFile over a stale owner = %v, want ErrCorrupt", err)
+	}
+	if n := svc.Metrics().Snapshot().Get("fs.read.corrupt"); n != 1 {
+		t.Fatalf("fs.read.corrupt = %d, want 1", n)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkSumBlock is the arithmetic behind the block integrity design
-// (DESIGN.md "Block integrity"): what one pass over a block costs as the
+// (DESIGN.md "A block's life"): what one pass over a block costs as the
 // SHA-1 that names its version and as the CRC-32C that checks a copy.
 func BenchmarkSumBlock(b *testing.B) {
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)

@@ -18,10 +18,10 @@ import (
 	"eclipsemr/internal/transport"
 )
 
-// The contract of DESIGN.md "Block integrity": a block is hashed once, by
-// its writer; a replica checks the CRC before it stores; a reader checks
-// the CRC of bytes that crossed a disk or a socket and tells the version by
-// comparing digests; only a block stored without a digest is ever summed.
+// The contract of DESIGN.md "A block's life": a block is hashed once, by
+// its writer, and every stored copy carries that digest; a replica checks
+// the CRC before it stores; a reader checks the CRC of bytes that crossed a
+// disk or a socket and tells the version by comparing digests.
 
 // integrityCluster is a testCluster whose shards may live on disk, each in
 // a directory of its own so that a node can be restarted over it.
@@ -78,7 +78,8 @@ type blockbufRef struct {
 // counter reads one counter of a service's registry.
 func counter(svc *Service, name string) int64 { return svc.Metrics().Snapshot().Get(name) }
 
-// summedEverywhere adds up fs.read.summed over the cluster.
+// summedEverywhere adds up fs.read.summed over the cluster, where a read
+// that hashed a block would be counted. No read does: it reads 0.
 func summedEverywhere(tc *testCluster) (n int64) {
 	for _, svc := range tc.services {
 		n += counter(svc, "fs.read.summed")
@@ -114,9 +115,9 @@ func outsider(tc *testCluster, set []hashing.NodeID) hashing.NodeID {
 	return ""
 }
 
-// TestFaultFreeReadsNeverSum: with every block put by an upload, no read
-// computes a SHA-1, whichever node reads, by whichever entry point, on
-// either backend.
+// TestFaultFreeReadsNeverSum: with every block put by an upload, every
+// read succeeds without finding a corrupt copy, whichever node reads, by
+// whichever entry point, on either backend.
 func TestFaultFreeReadsNeverSum(t *testing.T) {
 	ctx := context.Background()
 	for _, backend := range []string{"mem", "disk"} {
@@ -138,60 +139,16 @@ func TestFaultFreeReadsNeverSum(t *testing.T) {
 						t.Fatalf("ReadFile(%s) on %s = %d bytes, %v", file, who, len(got), err)
 					}
 				}
-				buf, err := svc.PinBlock(ctx, meta.BlockKeys[1], meta.BlockSums[1])
+				buf, _, err := svc.PinBlock(ctx, meta.BlockKeys[1], meta.BlockSums[1])
 				if err != nil || !bytes.Equal(buf.Bytes(), large[1<<10:2<<10]) {
 					t.Fatalf("PinBlock on %s: %v", who, err)
 				}
 				buf.Release()
 			}
-			if n := summedEverywhere(tc); n != 0 {
-				t.Fatalf("fs.read.summed = %d over fault-free reads, want 0", n)
-			}
 			for id, svc := range tc.services {
 				if n := counter(svc, "fs.read.corrupt") + counter(svc, "fs.put.corrupt"); n != 0 {
 					t.Fatalf("%s counted %d corrupt copies in a fault-free run", id, n)
 				}
-			}
-		})
-	}
-}
-
-// TestDigestlessBlockSummedOnce: a block put without a digest is summed by
-// the first read that names one and never again; a read that names another
-// digest than the bytes have finds the copy corrupt without a second sum.
-func TestDigestlessBlockSummedOnce(t *testing.T) {
-	ctx := context.Background()
-	for _, backend := range []string{"mem", "disk"} {
-		t.Run(backend, func(t *testing.T) {
-			tc, _ := integrityCluster(t, 1, 1, backend == "disk")
-			svc := tc.any()
-			k, data := hashing.KeyOfString("bare"), randomData(2000, 73)
-			if err := svc.Store().PutBlock(k, data); err != nil {
-				t.Fatal(err)
-			}
-			if buf, err := svc.PinBlock(ctx, k, [sha1.Size]byte{}); err != nil {
-				t.Fatal(err)
-			} else {
-				buf.Release()
-			}
-			if n := counter(svc, "fs.read.summed"); n != 0 {
-				t.Fatalf("a read naming no digest summed %d blocks", n)
-			}
-			for read := 1; read <= 2; read++ {
-				buf, err := svc.PinBlock(ctx, k, SumBlock(data))
-				if err != nil || !bytes.Equal(buf.Bytes(), data) {
-					t.Fatalf("read %d: %v", read, err)
-				}
-				buf.Release()
-				if n := counter(svc, "fs.read.summed"); n != 1 {
-					t.Fatalf("fs.read.summed = %d after read %d, want 1", n, read)
-				}
-			}
-			if _, err := svc.PinBlock(ctx, k, SumBlock([]byte("another version"))); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("a read naming another version: %v", err)
-			}
-			if n := counter(svc, "fs.read.summed"); n != 1 {
-				t.Fatalf("fs.read.summed = %d after a mismatch on the adopted digest, want 1", n)
 			}
 		})
 	}
@@ -286,6 +243,48 @@ func TestPutCorruptedInFlightIsRefused(t *testing.T) {
 			}
 			if n := counter(victim, "fs.put.corrupt"); n != 1 {
 				t.Fatalf("fs.put.corrupt on %s = %d, want 1", set[1], n)
+			}
+		})
+	}
+}
+
+// TestDigestlessPutIsRefused: a put that names no digest is refused whole,
+// intact bytes and all, so every block a shard holds carries its writer's
+// SHA-1. It is not counted as a damaged put: nothing was damaged.
+func TestDigestlessPutIsRefused(t *testing.T) {
+	ctx := context.Background()
+	data := randomData(700, 75)
+	check := BlockCheck{CRC: BlockCRC(data)} // a valid CRC, no digest
+	key := hashing.KeyOfString("nodigest.dat")
+	meta := Metadata{Name: "nodigest.dat", Owner: "alice", Perm: PermPublic, Size: int64(len(data)), BlockSize: 1 << 10,
+		BlockKeys: []hashing.Key{key}, BlockSums: [][sha1.Size]byte{{}}}
+	bodies := map[string]transport.Wire{
+		MethodPutBlock: &putBlockReq{Key: key, Check: check, Data: data},
+		MethodPutFile:  &putFileReq{Meta: meta, Check: check, Data: data},
+	}
+	for method, msg := range bodies {
+		t.Run(method, func(t *testing.T) {
+			tc := newTestCluster(t, 1, 1)
+			svc := tc.any()
+			body, err := transport.Encode(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = svc.Handle(ctx, method, body)
+			if err == nil || !strings.Contains(err.Error(), "names no digest") {
+				t.Fatalf("Handle(%s) without a digest = %v, want a refusal", method, err)
+			}
+			if svc.Store().HasBlock(key) {
+				t.Fatal("a block with no digest was stored")
+			}
+			if _, err := svc.Store().GetMeta(meta.Name); !IsNotFound(err) {
+				t.Fatalf("metadata stored beside a refused block: %v", err)
+			}
+			if n := counter(svc, "fs.blocks.written"); n != 0 {
+				t.Fatalf("fs.blocks.written = %d for a refused put", n)
+			}
+			if n := counter(svc, "fs.put.corrupt"); n != 0 {
+				t.Fatalf("fs.put.corrupt = %d for an undamaged put", n)
 			}
 		})
 	}
@@ -406,8 +405,7 @@ func TestStaleVersionIsPassedOverByDigest(t *testing.T) {
 
 // TestBlockFilesAcrossRestart: a shard reopened over block files with
 // trailers knows every block's size, CRC and digest without reading a
-// payload; over files written before trailers existed it serves them,
-// summing each once per process.
+// payload.
 func TestBlockFilesAcrossRestart(t *testing.T) {
 	ctx := context.Background()
 	tc, dirs := integrityCluster(t, 1, 1, true)
@@ -442,34 +440,57 @@ func TestBlockFilesAcrossRestart(t *testing.T) {
 	if got, err := svc.ReadFile(ctx, "kept.dat", "alice"); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("ReadFile after a restart = %d bytes, %v", len(got), err)
 	}
-	if n := counter(svc, "fs.read.summed"); n != 0 {
-		t.Fatalf("fs.read.summed = %d after a restart over trailers, want 0", n)
-	}
+}
 
-	// The same files as the commit before trailers wrote them.
-	for k := range want {
-		path := filepath.Join(dirs[id], k.String()+blockExt)
-		info, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(path, info.Size()-trailerSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for open := 0; open < 2; open++ {
-		svc = restartNode(t, tc, id, dirs[id])
-		if n := svc.Store().Bytes(); n != int64(len(data)) {
-			t.Fatalf("open %d: Store.Bytes() over bare files = %d, want %d", open, n, len(data))
-		}
-		for read := 0; read < 2; read++ {
-			if got, err := svc.ReadFile(ctx, "kept.dat", "alice"); err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("open %d: ReadFile over bare files = %d bytes, %v", open, len(got), err)
+// TestTrailerlessBlockFileIsDamaged: a block file that does not end in a
+// whole trailer (none at all, or one cut short) is never served: the reader
+// passes over it, HasBlock says no, and re-replication restores a checked
+// copy from a neighbour in its place.
+func TestTrailerlessBlockFileIsDamaged(t *testing.T) {
+	ctx := context.Background()
+	for _, cut := range []int{trailerSize, trailerSize / 2} {
+		t.Run(fmt.Sprintf("cut %d bytes", cut), func(t *testing.T) {
+			tc, dirs := integrityCluster(t, 4, 3, true)
+			data := randomData(3000, 84)
+			meta, err := tc.any().Upload(ctx, "bare.dat", "alice", PermPublic, data, 1<<10)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if n := counter(svc, "fs.read.summed"); n != int64(len(want)) {
-				t.Fatalf("open %d, read %d: fs.read.summed = %d, want one per block (%d)", open, read, n, len(want))
+			k := meta.BlockKeys[1]
+			set, _ := tc.ring.ReplicaSet(k, 3)
+			self := set[0]
+			path := filepath.Join(dirs[self], k.String()+blockExt)
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if err := os.Truncate(path, info.Size()-int64(cut)); err != nil {
+				t.Fatal(err)
+			}
+			svc := restartNode(t, tc, self, dirs[self])
+			if svc.Store().HasBlock(k) {
+				t.Fatal("HasBlock vouches for a block file without a whole trailer")
+			}
+			if _, err := svc.Store().GetBlock(k); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Store.GetBlock of the trailerless copy = %v, want ErrCorrupt", err)
+			}
+			if got, err := svc.ReadFile(ctx, "bare.dat", "alice"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("ReadFile = %d bytes, %v", len(got), err)
+			}
+			if c, f := counter(svc, "fs.read.corrupt"), counter(svc, "fs.read.failover"); c != 1 || f != 1 {
+				t.Fatalf("fs.read.corrupt = %d, fs.read.failover = %d, want 1 and 1", c, f)
+			}
+			if _, err := tc.services[set[1]].ReReplicate(ctx); err != nil {
+				t.Fatal(err)
+			}
+			buf, check, err := svc.Store().pin(k)
+			if err != nil || !bytes.Equal(buf.Bytes(), data[1<<10:2<<10]) || check.Sum != meta.BlockSums[1] {
+				t.Fatalf("after a neighbour re-replicated, %s holds %+v, %v", self, check, err)
+			}
+			if info, err := os.Stat(path); err != nil || info.Size() != 1<<10+trailerSize {
+				t.Fatalf("the restored block file: %v, want %d bytes and a trailer", info, 1<<10)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,7 @@
 package dhtfs
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -51,7 +49,6 @@ type metaLog struct {
 
 const (
 	metaLogName      = "metadata.log"
-	legacyMetaName   = "metadata.gob" // the whole map, rewritten per change by earlier versions
 	metaLogHeader    = 8
 	metaLogPut       = 1
 	metaLogDelete    = 2
@@ -117,17 +114,10 @@ func replayMetaLog(data []byte, metas map[string]Metadata) (records, valid int) 
 }
 
 // openMetaLog restores the metadata persisted under dir and returns it with
-// the log that will record the changes to come. A metadata.gob left by an
-// earlier version is adopted: its entries, overlaid with the log's in case
-// an adoption was interrupted, become the new log and the file is removed.
+// the log that will record the changes to come.
 func openMetaLog(dir string) (map[string]Metadata, *metaLog, error) {
 	l := &metaLog{path: filepath.Join(dir, metaLogName)}
 	metas := make(map[string]Metadata)
-	legacy := filepath.Join(dir, legacyMetaName)
-	adopt, err := loadLegacyMetas(legacy, metas)
-	if err != nil {
-		return nil, nil, err
-	}
 	data, err := os.ReadFile(l.path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, fmt.Errorf("dhtfs: load metadata: %w", err)
@@ -135,31 +125,7 @@ func openMetaLog(dir string) (map[string]Metadata, *metaLog, error) {
 	var valid int
 	l.records, valid = replayMetaLog(data, metas)
 	l.damaged = valid < len(data)
-	if adopt {
-		if err := l.rewrite(metas); err != nil {
-			return nil, nil, fmt.Errorf("dhtfs: adopt %s: %w", legacy, err)
-		}
-		if err := os.Remove(legacy); err != nil {
-			return nil, nil, fmt.Errorf("dhtfs: adopt %s: %w", legacy, err)
-		}
-	}
 	return metas, l, nil
-}
-
-// loadLegacyMetas decodes an earlier version's metadata file into metas,
-// reporting whether there was one.
-func loadLegacyMetas(path string, metas map[string]Metadata) (bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return false, nil
-		}
-		return false, fmt.Errorf("dhtfs: load metadata: %w", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&metas); err != nil {
-		return false, fmt.Errorf("dhtfs: corrupt metadata file %s: %w", path, err)
-	}
-	return true, nil
 }
 
 // put records that m was stored.

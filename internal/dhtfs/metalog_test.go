@@ -2,7 +2,6 @@ package dhtfs
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha1"
 	"fmt"
 	"maps"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"eclipsemr/internal/hashing"
-	"eclipsemr/internal/transport"
 )
 
 // logMeta is a metadata entry of n blocks with a recognisable size.
@@ -119,6 +117,11 @@ func TestMetaLogDamagedTail(t *testing.T) {
 			log = append(log[:last], 0, 0, 0, 0, 0, 0, 0, 0, metaLogPut, 0xff, 0xff)
 			return sealMetaRecord(log, last)
 		},
+		"put with a digest short": func(log []byte, last int) []byte {
+			m := logMeta("last", 4, 4)
+			m.BlockSums = m.BlockSums[:3]
+			return appendMetaPut(log[:last], m)
+		},
 	}
 	for name, damage := range damages {
 		t.Run(name, func(t *testing.T) {
@@ -197,82 +200,6 @@ func TestMetaLogStaysBounded(t *testing.T) {
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 {
 		t.Fatalf("rewrites left files behind: %v", entries)
-	}
-}
-
-// TestLegacyMetadataAdopted opens a data directory written by the commit
-// before the log existed (testdata/parent-datadir: three files uploaded and
-// one deleted through a one-node service, blocks of 256 bytes): every file
-// reads back and can be deleted, and metadata.gob is replaced by the log in
-// that one open.
-func TestLegacyMetadataAdopted(t *testing.T) {
-	dir := t.TempDir()
-	fixture := filepath.Join("testdata", "parent-datadir")
-	entries, err := os.ReadDir(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ring := hashing.NewChordRing()
-	if err := ring.AddNode("solo"); err != nil {
-		t.Fatal(err)
-	}
-	open := func() *Service {
-		t.Helper()
-		store, err := NewStoreAt(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc, err := NewServiceWithStore("solo", transport.NewLocal(), func() hashing.Ring { return ring.Clone() }, 1, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, legacyMetaName)); !os.IsNotExist(err) {
-			t.Fatalf("%s is still there after an open (stat: %v)", legacyMetaName, err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, metaLogName)); err != nil {
-			t.Fatalf("no %s after adopting: %v", metaLogName, err)
-		}
-		return svc
-	}
-	ctx := context.Background()
-	files := map[string][]byte{
-		"small.dat":   randomData(100, 61),
-		"large.dat":   randomData(1000, 62),
-		"private.dat": randomData(300, 63),
-	}
-	for round := 0; round < 2; round++ { // the adopting open, then one of the log alone
-		svc := open()
-		if names := svc.Store().MetaNames(); len(names) != len(files) {
-			t.Fatalf("open %d: the shard holds %v, want %d files", round, names, len(files))
-		}
-		for name, want := range files {
-			got, err := svc.ReadFile(ctx, name, "alice")
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("open %d: ReadFile(%s) = %d bytes, %v", round, name, len(got), err)
-			}
-		}
-		if _, err := svc.ReadFile(ctx, "private.dat", "eve"); !IsPermission(err) {
-			t.Fatalf("open %d: a stranger read private.dat: %v", round, err)
-		}
-	}
-	svc := open()
-	for name := range files {
-		if err := svc.Delete(ctx, name, "alice"); err != nil {
-			t.Fatalf("Delete(%s) = %v", name, err)
-		}
-	}
-	svc = open()
-	if blocks, metas, _ := svc.Store().Counts(); blocks != 0 || metas != 0 {
-		t.Fatalf("after deleting everything and restarting: %d blocks, %d metadata entries", blocks, metas)
 	}
 }
 

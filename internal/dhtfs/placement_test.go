@@ -302,17 +302,17 @@ func TestOneBlockFileRoutedRead(t *testing.T) {
 	owner, _ := tc.ring.Owner(k)
 	forwarded := false
 	for id, svc := range tc.services {
-		got, hops, err := svc.ReadBlockRouted(context.Background(), k)
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("routed read from %s = %d bytes, %v", id, len(got), err)
+		got, hops, err := svc.readBlockRouted(context.Background(), k, meta.BlockSums[0])
+		if err != nil || !bytes.Equal(got.Bytes(), data) {
+			t.Fatalf("routed read from %s = %v", id, err)
 		}
 		if (hops == 0) != (id == owner) {
 			t.Fatalf("routed read from %s took %d hops; the owner is %s", id, hops, owner)
 		}
 		forwarded = forwarded || hops > 0
 		svc.SetZeroHop(false)
-		if got, err := svc.ReadBlock(context.Background(), k); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("ReadBlock with zero-hop off from %s = %d bytes, %v", id, len(got), err)
+		if got, _, err := svc.PinBlock(context.Background(), k, meta.BlockSums[0]); err != nil || !bytes.Equal(got.Bytes(), data) {
+			t.Fatalf("PinBlock with zero-hop off from %s = %v", id, err)
 		}
 		if got, err := svc.ReadFile(context.Background(), "routed-small.dat", "u"); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("ReadFile with zero-hop off from %s = %d bytes, %v", id, len(got), err)

@@ -13,20 +13,22 @@ import (
 )
 
 // countCalls re-mounts every node of tc behind a counter of the calls that
-// reach it over the network; a replica on the calling node is served
-// without one.
-func countCalls(t *testing.T, tc *testCluster) func() int {
+// reach it over the network, of one method or of any when method is empty;
+// a replica on the calling node is served without one.
+func countCalls(t *testing.T, tc *testCluster, method string) func() int {
 	t.Helper()
 	var mu sync.Mutex
 	calls := 0
 	for _, id := range tc.ids {
 		peer := tc.services[id]
 		tc.net.Unlisten(id)
-		err := tc.net.Listen(id, func(ctx context.Context, method string, body []byte) ([]byte, error) {
-			mu.Lock()
-			calls++
-			mu.Unlock()
-			out, _, err := peer.Handle(ctx, method, body)
+		err := tc.net.Listen(id, func(ctx context.Context, m string, body []byte) ([]byte, error) {
+			if method == "" || m == method {
+				mu.Lock()
+				calls++
+				mu.Unlock()
+			}
+			out, _, err := peer.Handle(ctx, m, body)
 			return out, err
 		})
 		if err != nil {
@@ -42,7 +44,7 @@ func countCalls(t *testing.T, tc *testCluster) func() int {
 
 // TestReadOrder pins the one replica-order rule of the read path: a read
 // starts at this node's own copy when it holds one and costs a message only
-// when it does not, whichever of the four read entry points is used; a
+// when it does not, whichever of the three read entry points is used; a
 // missing or corrupt local copy sends the read on to the neighbours.
 func TestReadOrder(t *testing.T) {
 	ctx := context.Background()
@@ -66,8 +68,14 @@ func TestReadOrder(t *testing.T) {
 			return nil, err
 		}},
 		{"getFile", false, true, func(svc *Service) ([]byte, error) { return svc.ReadFile(ctx, file, "alice") }},
-		{"ReadBlock", true, false, func(svc *Service) ([]byte, error) { return svc.ReadBlock(ctx, key) }},
-		{"ReadBlockVerified", true, true, func(svc *Service) ([]byte, error) { return svc.ReadBlockVerified(ctx, key, sum) }},
+		{"PinBlock", true, true, func(svc *Service) ([]byte, error) {
+			buf, _, err := svc.PinBlock(ctx, key, sum)
+			if err != nil {
+				return nil, err
+			}
+			defer buf.Release()
+			return bytes.Clone(buf.Bytes()), nil
+		}},
 	}
 	// The reader by its place in the key's replica set; with 3 copies on 4
 	// nodes exactly one node holds none.
@@ -142,7 +150,7 @@ func TestReadOrder(t *testing.T) {
 					log := events.New(string(self), events.Options{})
 					svc.SetEvents(log)
 					st.apply(tc, self, set)
-					calls := countCalls(t, tc)
+					calls := countCalls(t, tc, "")
 
 					got, err := rd.run(svc)
 					if err != nil || (got != nil && !bytes.Equal(got, data)) {

@@ -64,16 +64,16 @@ func TestRoutedReadOnNonChordRings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range meta.BlockKeys {
-				got, hops, err := svc.ReadBlockRouted(context.Background(), k)
+			for i, k := range meta.BlockKeys {
+				got, hops, err := svc.readBlockRouted(context.Background(), k, meta.BlockSums[i])
 				if err != nil {
 					t.Fatalf("routed read %s: %v", k, err)
 				}
-				direct, err := svc.ReadBlock(context.Background(), k)
+				direct, _, err := svc.PinBlock(context.Background(), k, meta.BlockSums[i])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got, direct) {
+				if !bytes.Equal(got.Bytes(), direct.Bytes()) {
 					t.Fatalf("routed read of %s differs from direct", k)
 				}
 				if hops > 1 {
@@ -92,7 +92,7 @@ func TestRoutedReadOnNonChordRings(t *testing.T) {
 			}
 
 			// A missing block still reports not-found, not a routing loop.
-			if _, _, err := services[1].ReadBlockRouted(context.Background(), hashing.KeyOfString("never-stored")); !IsNotFound(err) {
+			if _, _, err := services[1].readBlockRouted(context.Background(), hashing.KeyOfString("never-stored"), SumBlock(nil)); !IsNotFound(err) {
 				t.Fatalf("missing block err = %v, want not-found", err)
 			}
 		})

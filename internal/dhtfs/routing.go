@@ -2,8 +2,11 @@ package dhtfs
 
 import (
 	"context"
+	"crypto/sha1"
+	"errors"
 	"fmt"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/chord"
 	"eclipsemr/internal/hashing"
 )
@@ -24,7 +27,7 @@ type (
 		Hops int
 	}
 	// routedGetResp is the block as getBlockResp's, through however many
-	// hops: the reader at the end checks it.
+	// hops: the reader at the end checks it (see readBlockRouted).
 	routedGetResp struct {
 		Data  []byte
 		Check BlockCheck
@@ -98,16 +101,22 @@ func (s *Service) nextHop(ring hashing.Ring, k hashing.Key) (hashing.NodeID, err
 	return next, nil
 }
 
-// ReadBlockRouted fetches a block via classic DHT routing, returning the
-// data and the number of hops taken.
-func (s *Service) ReadBlockRouted(ctx context.Context, k hashing.Key) ([]byte, int, error) {
-	// Serve locally when possible (hop zero).
-	if data, err := s.store.GetBlock(k); err == nil {
-		return data, 0, nil
+// readBlockRouted is PinBlock with zero-hop routing disabled: this node's
+// own copy when it holds a good one (hop zero), otherwise the copy of the
+// first node on the finger-table route that holds the block. Both pass
+// checkCopy; a bad reply is counted against the first hop, the node it
+// came back through.
+func (s *Service) readBlockRouted(ctx context.Context, k hashing.Key, want [sha1.Size]byte) (*blockbuf.Buf, int, error) {
+	buf, _, err := s.pinLocal(k, want)
+	if err == nil {
+		return buf, 0, nil
+	}
+	if errors.Is(err, ErrCorrupt) {
+		s.noteCorrupt(s.self)
 	}
 	ring := s.ring()
-	if owner, err := ring.Owner(k); err == nil && owner == s.self {
-		return nil, 0, fmt.Errorf("%w: block %s", ErrNotFound, k)
+	if owner, oerr := ring.Owner(k); oerr == nil && owner == s.self {
+		return nil, 0, err // we own the key: no other node is asked
 	}
 	next, err := s.nextHop(ring, k)
 	if err != nil {
@@ -117,8 +126,9 @@ func (s *Service) ReadBlockRouted(ctx context.Context, k hashing.Key) ([]byte, i
 	if err := s.call(ctx, next, MethodRoutedGet, &routedGetReq{Key: k, Hops: 1}, &resp); err != nil {
 		return nil, 0, err
 	}
-	if err := resp.Check.verify(k, resp.Data); err != nil {
+	if err := s.checkCopy(k, resp.Data, resp.Check, false, want); err != nil {
+		s.noteCorrupt(next)
 		return nil, 0, err
 	}
-	return resp.Data, resp.Hops, nil
+	return blockbuf.Adopt(resp.Data), resp.Hops, nil
 }

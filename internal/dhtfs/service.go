@@ -382,7 +382,7 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 			// A replica missing the block still answers with the metadata;
 			// the client finds the block on a neighbor.
 			// A replica missing the version the metadata names likewise.
-			if buf, check, err := s.pinLocal(meta.BlockKeys[0], meta.sum(0)); err == nil {
+			if buf, check, err := s.pinLocal(meta.BlockKeys[0], meta.BlockSums[0]); err == nil {
 				file.HasData, file.Check, file.Data, file.pinned = true, check, buf.Bytes(), buf
 			}
 		}
@@ -426,9 +426,13 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 }
 
 // putBlock stores one block and what its writer sent with it in the local
-// shard, counting it as written. Bytes that fail the CRC were damaged on
-// the way here: they are refused and nothing is stored.
+// shard, counting it as written. A put that names no digest is refused:
+// every stored block carries its writer's. Bytes that fail the CRC were
+// damaged on the way here: they are refused and nothing is stored.
 func (s *Service) putBlock(k hashing.Key, data []byte, check BlockCheck) error {
+	if check.Sum == ([sha1.Size]byte{}) {
+		return fmt.Errorf("dhtfs: put of block %s names no digest", k)
+	}
 	if err := check.verify(k, data); err != nil {
 		s.reg.Counter("fs.put.corrupt").Inc()
 		s.events.Emit(events.KindFS, "fs.put_corrupt", events.F{Detail: fmt.Sprintf("%s %s", s.self, k)})
@@ -452,35 +456,22 @@ func (s *Service) getBlock(k hashing.Key) (*blockbuf.Buf, BlockCheck, error) {
 }
 
 // checkCopy is the one check a copy of block k passes before a reader on
-// this node uses it (DESIGN.md "Block integrity"). check is what its holder
+// this node uses it (DESIGN.md "A block's life"). check is what its holder
 // keeps beside the block, local says the holder is this node's shard, and
-// want is the digest the reader names, zero for none. Bytes that came off
-// a socket or out of a file are checked against the CRC; the buffer a put
-// made in this node's memory is not. The version is told by comparing
-// digests, and only a block stored without one (Store.PutBlock, a file
-// older than trailers) is summed, which its own shard remembers. The check
-// comes back with the digest filled in.
-func (s *Service) checkCopy(k hashing.Key, data []byte, check BlockCheck, local bool, want [sha1.Size]byte) (BlockCheck, error) {
+// want is the digest the reader names. Bytes that came off a socket or out
+// of a file are checked against the CRC; the buffer a put made in this
+// node's memory is not. The version is told by comparing digests: the
+// holder's is its writer's, so no read hashes a block.
+func (s *Service) checkCopy(k hashing.Key, data []byte, check BlockCheck, local bool, want [sha1.Size]byte) error {
 	if !local || s.store.onDisk() {
 		if err := check.verify(k, data); err != nil {
-			return check, err
-		}
-	}
-	if want == ([sha1.Size]byte{}) {
-		return check, nil
-	}
-	if check.Sum == ([sha1.Size]byte{}) {
-		s.reg.Counter("fs.read.summed").Inc()
-		stored := check
-		check.Sum = SumBlock(data)
-		if local {
-			s.store.backend.adopt(k, stored, check.Sum)
+			return err
 		}
 	}
 	if check.Sum != want {
-		return check, fmt.Errorf("%w: block %s is another version", ErrCorrupt, k)
+		return fmt.Errorf("%w: block %s is another version", ErrCorrupt, k)
 	}
-	return check, nil
+	return nil
 }
 
 // pinLocal fetches this node's own copy of a block, checked (see
@@ -490,7 +481,7 @@ func (s *Service) pinLocal(k hashing.Key, want [sha1.Size]byte) (*blockbuf.Buf, 
 	if err != nil {
 		return nil, BlockCheck{}, err
 	}
-	if check, err = s.checkCopy(k, buf.Bytes(), check, true, want); err != nil {
+	if err = s.checkCopy(k, buf.Bytes(), check, true, want); err != nil {
 		buf.Release()
 		return nil, BlockCheck{}, err
 	}
@@ -758,50 +749,25 @@ func (s *Service) lookup(ctx context.Context, name, user, method string, resp tr
 	return fmt.Errorf("dhtfs: lookup %q: %w", name, lastErr)
 }
 
-// ReadBlock is PinBlock for a block whose digest is not known, as
-// read-only bytes.
-func (s *Service) ReadBlock(ctx context.Context, k hashing.Key) ([]byte, error) {
-	return unpinned(s.PinBlock(ctx, k, [sha1.Size]byte{}))
-}
-
-// ReadBlockVerified is PinBlock as read-only bytes.
-func (s *Service) ReadBlockVerified(ctx context.Context, k hashing.Key, sum [sha1.Size]byte) ([]byte, error) {
-	return unpinned(s.PinBlock(ctx, k, sum))
-}
-
-// unpinned returns a block as read-only bytes whose reference is never
-// given up, so they stay valid and their buffer is never recycled.
-func unpinned(buf *blockbuf.Buf, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// PinBlock fetches one block by key from the first replica in read order
-// that has it, passing over those that are unreachable or miss it, in a
-// buffer the caller releases when done reading. sum is the block's SHA-1,
-// or zero when it is not known (no content hashes to zero). A copy that
-// fails its check (see checkCopy: damaged, or another version than sum
-// names), this server's own included, is passed over too, so a corrupted
-// replica is healed by reading its neighbor's, and counted. Without a
-// digest and with zero-hop routing disabled the request instead travels
-// hop by hop through finger tables.
-func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]byte) (*blockbuf.Buf, error) {
-	verify := sum != [sha1.Size]byte{}
+// PinBlock is the file system's one block read. It fetches block k, whose
+// SHA-1 is sum (from the file's metadata), in a buffer the caller releases
+// when done reading, and says how many hops the copy travelled: 0 for this
+// node's own. Every copy passes checkCopy, this node's own included: one
+// that is damaged or holds another version than sum names is counted and
+// passed over, so a corrupted replica is healed by reading its neighbor's.
+// With zero-hop routing (the default) the replicas are asked directly in
+// read order, passing over those that are unreachable or miss the block;
+// with it disabled the request travels hop by hop (readBlockRouted).
+func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]byte) (*blockbuf.Buf, int, error) {
 	ctx, sp := s.tracer.StartSpan(ctx, "fs.read_block")
 	defer sp.End()
 	defer s.reg.Histogram("fs.read_block_ns").Start().Stop()
-	if s.zeroHopOff && !verify {
-		data, _, err := s.ReadBlockRouted(ctx, k)
-		if err != nil {
-			return nil, err
-		}
-		return blockbuf.Of(data), nil
+	if s.zeroHopOff {
+		return s.readBlockRouted(ctx, k, sum)
 	}
 	targets, err := s.readOrder(k)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sawCorrupt := false
 	var lastErr error
@@ -810,7 +776,7 @@ func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]by
 		// remaining probes would each burn a retry-with-backoff round
 		// against servers whose answer nobody is waiting for.
 		if ctx.Err() != nil {
-			return nil, fmt.Errorf("dhtfs: read block %s: %w", k, ctx.Err())
+			return nil, 0, fmt.Errorf("dhtfs: read block %s: %w", k, ctx.Err())
 		}
 		buf, err := s.pinReplica(ctx, t, k, sum)
 		if errors.Is(err, ErrCorrupt) {
@@ -827,12 +793,15 @@ func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]by
 			sp.Annotate("failover", string(t))
 			s.events.Emit(events.KindFS, "fs.read_failover", events.F{Detail: string(t)})
 		}
-		return buf, nil
+		if t == s.self {
+			return buf, 0, nil
+		}
+		return buf, 1, nil
 	}
 	if sawCorrupt {
-		return nil, fmt.Errorf("%w: %s on every reachable replica", ErrCorrupt, k)
+		return nil, 0, fmt.Errorf("%w: %s on every reachable replica", ErrCorrupt, k)
 	}
-	return nil, fmt.Errorf("dhtfs: read block %s: %w", k, lastErr)
+	return nil, 0, fmt.Errorf("dhtfs: read block %s: %w", k, lastErr)
 }
 
 // noteCorrupt records that replica t's copy of a block failed its check.
@@ -854,15 +823,14 @@ func (s *Service) pinReplica(ctx context.Context, t hashing.NodeID, k hashing.Ke
 	if err := s.call(ctx, t, MethodGetBlock, &getBlockReq{Key: k}, &resp); err != nil {
 		return nil, err
 	}
-	if _, err := s.checkCopy(k, resp.Data, resp.Check, false, want); err != nil {
+	if err := s.checkCopy(k, resp.Data, resp.Check, false, want); err != nil {
 		return nil, err
 	}
 	return blockbuf.Adopt(resp.Data), nil
 }
 
 // ReadFile fetches metadata and then all blocks, reassembling the file.
-// Blocks are checked against the metadata digests (files uploaded by older
-// stores without digests are checked for damage only). Each block is
+// Blocks are checked against the metadata digests. Each block is
 // copied into the result and its buffer given back, so a client's reads
 // feed the free list the next disk reads draw from. The block of a
 // one-block file arrives with the metadata; when the answering replica
@@ -880,7 +848,7 @@ func (s *Service) ReadFile(ctx context.Context, name, user string) ([]byte, erro
 			out = append(out, file.Data...)
 			continue
 		}
-		buf, err := s.PinBlock(ctx, k, meta.sum(i))
+		buf, _, err := s.PinBlock(ctx, k, meta.BlockSums[i])
 		if err != nil {
 			return nil, fmt.Errorf("dhtfs: file %q block %d: %w", name, i, err)
 		}
@@ -901,8 +869,7 @@ func (s *Service) verifyInline(ctx context.Context, file *getFileResp) bool {
 	_, sp := s.tracer.StartSpan(ctx, "fs.read_block")
 	defer sp.End()
 	defer s.reg.Histogram("fs.read_block_ns").Start().Stop()
-	_, err := s.checkCopy(file.Meta.BlockKeys[0], file.Data, file.Check, false, file.Meta.sum(0))
-	return err == nil
+	return s.checkCopy(file.Meta.BlockKeys[0], file.Data, file.Check, false, file.Meta.BlockSums[0]) == nil
 }
 
 // SegTag attributes a spill to one map-task attempt (see
@@ -1164,7 +1131,7 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 			// damaged copy is not spread: a neighbour's fills the gap.
 			buf, check, gerr := s.store.pin(k)
 			if gerr == nil {
-				if _, gerr = s.checkCopy(k, buf.Bytes(), check, true, [sha1.Size]byte{}); gerr != nil {
+				if gerr = s.checkCopy(k, buf.Bytes(), check, true, check.Sum); gerr != nil {
 					buf.Release()
 				}
 			}

@@ -46,24 +46,15 @@ type Metadata struct {
 	// BlockKeys holds the ring key of every block, in file order. Block i
 	// holds bytes [i*BlockSize, min((i+1)*BlockSize, Size)).
 	BlockKeys []hashing.Key
-	// BlockSums holds the SHA-1 digest of every block; reads verify
-	// against it and fall back to a replica on mismatch, so a corrupted
-	// copy cannot silently reach an application.
+	// BlockSums holds the SHA-1 digest of every block, one per key; reads
+	// verify against it and fall back to a replica on mismatch, so a
+	// corrupted copy cannot silently reach an application.
 	BlockSums [][sha1.Size]byte
 	Created   time.Time
 }
 
 // SumBlock computes a block's integrity digest.
 func SumBlock(data []byte) [sha1.Size]byte { return sha1.Sum(data) }
-
-// sum returns the digest of block i, zero for a file uploaded by a store
-// that recorded none.
-func (m Metadata) sum(i int) [sha1.Size]byte {
-	if i < len(m.BlockSums) {
-		return m.BlockSums[i]
-	}
-	return [sha1.Size]byte{}
-}
 
 // Blocks returns the number of blocks in the file.
 func (m Metadata) Blocks() int { return len(m.BlockKeys) }
@@ -203,8 +194,7 @@ type Store struct {
 // segment is one stored intermediate-result spill; Expires implements the
 // paper's TTL invalidation of stored intermediate results (zero = no
 // TTL). Task/attempt/seq identify the producing map-task attempt so
-// re-executions supersede their predecessors instead of double-counting
-// (task "" marks a legacy untracked spill).
+// re-executions supersede their predecessors instead of double-counting.
 type segment struct {
 	data    []byte
 	expires time.Time
@@ -261,12 +251,13 @@ func (s *Store) SetClock(now func() time.Time) {
 	s.now = now
 }
 
-// PutBlock stores a block whose digest the caller does not give,
-// overwriting any previous content: the CRC-32C is taken here and the
-// SHA-1 on the first read that names one. On a disk-backed shard an IO
-// failure is reported; the in-memory backend never fails.
+// PutBlock stores a block, overwriting any previous content, with the
+// SHA-1 and CRC-32C it takes here as an upload's writer does. On a
+// disk-backed shard an IO failure is reported; the in-memory
+// backend never fails. It remains for bench/probes.go until the
+// [benchmark] PR; the file system writes through Service.Upload.
 func (s *Store) PutBlock(k hashing.Key, data []byte) error {
-	return s.backend.put(k, data, BlockCheck{CRC: BlockCRC(data)})
+	return s.backend.put(k, data, BlockCheck{CRC: BlockCRC(data), Sum: SumBlock(data)})
 }
 
 // pin fetches a block as stored, unchecked, with what is kept beside it
@@ -298,26 +289,21 @@ func (s *Store) onDisk() bool {
 	return disk
 }
 
-// PinBlock fetches a block, checked when it came out of a file, in the
-// buffer the shard shares with every reader (see blockbuf), with a
-// reference the caller releases when done reading.
-func (s *Store) PinBlock(k hashing.Key) (*blockbuf.Buf, error) {
+// GetBlock fetches a block, checked when it came out of a file, as
+// read-only bytes of the buffer the shard shares with every reader. The
+// reference behind them is never given up, so they stay valid and their
+// buffer is never recycled. It remains for bench/probes.go until the
+// [benchmark] PR; the file system reads through Service.PinBlock.
+func (s *Store) GetBlock(k hashing.Key) ([]byte, error) {
 	buf, check, err := s.pin(k)
-	if err == nil && s.onDisk() {
-		if err = check.verify(k, buf.Bytes()); err != nil {
+	if err != nil {
+		return nil, err
+	}
+	if s.onDisk() {
+		if err := check.verify(k, buf.Bytes()); err != nil {
 			buf.Release()
 			return nil, err
 		}
-	}
-	return buf, err
-}
-
-// GetBlock is PinBlock as read-only bytes. The reference behind them is
-// never given up, so they stay valid and their buffer is never recycled.
-func (s *Store) GetBlock(k hashing.Key) ([]byte, error) {
-	buf, err := s.PinBlock(k)
-	if err != nil {
-		return nil, err
 	}
 	return buf.Bytes(), nil
 }
@@ -431,8 +417,6 @@ const (
 //     the task's earlier attempts — a mapper whose success reply was
 //     lost and that is re-dispatched cannot double its output;
 //   - a stale attempt's stragglers (lower attempt) are ignored.
-//
-// task "" skips all tracking and appends unconditionally.
 func (s *Store) AppendTaskSegment(job, partition, task string, attempt, seq int, data []byte, ttl time.Duration) SegDisposition {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -443,35 +427,33 @@ func (s *Store) AppendTaskSegment(job, partition, task string, attempt, seq int,
 	k := segKey(job, partition)
 	segs := s.segments[k]
 	disp := SegAppended
-	if task != "" {
-		maxAttempt := -1
-		for i := range segs {
-			if segs[i].task == task && segs[i].attempt > maxAttempt {
-				maxAttempt = segs[i].attempt
-			}
+	maxAttempt := -1
+	for i := range segs {
+		if segs[i].task == task && segs[i].attempt > maxAttempt {
+			maxAttempt = segs[i].attempt
 		}
-		if maxAttempt >= 0 && attempt < maxAttempt {
-			return SegStale // straggler from a superseded attempt
-		}
-		if attempt > maxAttempt && maxAttempt >= 0 {
-			live := segs[:0]
-			for _, old := range segs {
-				if old.task == task {
-					s.segBytes -= int64(len(old.data))
-					continue
-				}
-				live = append(live, old)
+	}
+	if maxAttempt >= 0 && attempt < maxAttempt {
+		return SegStale // straggler from a superseded attempt
+	}
+	if attempt > maxAttempt && maxAttempt >= 0 {
+		live := segs[:0]
+		for _, old := range segs {
+			if old.task == task {
+				s.segBytes -= int64(len(old.data))
+				continue
 			}
-			segs = live
-			disp = SegSuperseded
+			live = append(live, old)
 		}
-		for i := range segs {
-			if segs[i].task == task && segs[i].attempt == attempt && segs[i].seq == seq {
-				s.segBytes += int64(len(seg.data)) - int64(len(segs[i].data))
-				segs[i] = seg // idempotent retransmit
-				s.segments[k] = segs
-				return SegRetransmit
-			}
+		segs = live
+		disp = SegSuperseded
+	}
+	for i := range segs {
+		if segs[i].task == task && segs[i].attempt == attempt && segs[i].seq == seq {
+			s.segBytes += int64(len(seg.data)) - int64(len(segs[i].data))
+			segs[i] = seg // idempotent retransmit
+			s.segments[k] = segs
+			return SegRetransmit
 		}
 	}
 	s.segments[k] = append(segs, seg)

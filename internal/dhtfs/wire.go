@@ -295,7 +295,9 @@ func (m *Metadata) ParseWire(src []byte) error {
 }
 
 // parseMetadata reads one Metadata, alone in a message or a field of a
-// larger one.
+// larger one. A block without its digest, or a digest without its block,
+// is refused: it comes from a peer or from metadata.log, and every reader
+// indexes one by the other.
 func parseMetadata(r *transport.WireReader) Metadata {
 	m := Metadata{Name: r.Str(), Owner: r.Str()}
 	if perm := r.Raw(1); perm != nil {
@@ -319,6 +321,9 @@ func parseMetadata(r *transport.WireReader) Metadata {
 		if err := m.Created.UnmarshalBinary(created); err != nil {
 			r.Fail(fmt.Errorf("dhtfs: metadata timestamp: %w", err))
 		}
+	}
+	if len(m.BlockSums) != len(m.BlockKeys) && r.Err() == nil {
+		r.Fail(fmt.Errorf("dhtfs: metadata of %q has %d digests for %d blocks", m.Name, len(m.BlockSums), len(m.BlockKeys)))
 	}
 	return m
 }

@@ -38,8 +38,8 @@ func wireCases() []transport.Wire {
 		BlockKeys: []hashing.Key{hashing.KeyOfString("out/part-0003")}, BlockSums: [][sha1.Size]byte{sum("block")},
 		Created: time.Date(2017, 9, 5, 12, 30, 0, 0, time.UTC),
 	}
-	// What travels beside a block: with a digest, and as Store.PutBlock
-	// leaves it, without one.
+	// What travels beside a block, and the extremes the codec carries
+	// whether or not a replica would store them.
 	check := BlockCheck{CRC: BlockCRC([]byte("block")), Sum: sum("block")}
 	noSum := BlockCheck{CRC: math.MaxUint32}
 	return []transport.Wire{
@@ -90,9 +90,11 @@ func wireCases() []transport.Wire {
 		},
 		&Metadata{
 			Name: notUTF8, Perm: 255, Size: -1, BlockSize: math.MinInt,
-			BlockKeys: []hashing.Key{}, BlockSums: [][sha1.Size]byte{{}},
+			BlockKeys: []hashing.Key{}, BlockSums: [][sha1.Size]byte{},
 			Created: time.Date(-9, 1, 1, 0, 0, 0, 0, time.FixedZone("odd", -(7*3600+1800))),
 		},
+		// Every key has its digest, whatever the digest holds.
+		&Metadata{Name: "zeros", BlockKeys: []hashing.Key{maxKey, 0}, BlockSums: [][sha1.Size]byte{{}, sum("z")}},
 		&putFileReq{},
 		&putFileReq{Meta: small, Check: check, Data: []byte("block")},
 		&putFileReq{Meta: Metadata{Name: notUTF8, BlockKeys: []hashing.Key{0, maxKey}, BlockSums: [][sha1.Size]byte{{}, sum("b")}}},
@@ -100,7 +102,7 @@ func wireCases() []transport.Wire {
 		&getFileResp{},
 		&getFileResp{Meta: small, HasData: true, Check: check, Data: []byte("block")},
 		&getFileResp{Meta: small, HasData: true, Check: noSum, Data: []byte{}},
-		&getFileResp{Meta: Metadata{Name: "corpus.txt", BlockKeys: []hashing.Key{1, 2, 3}}},
+		&getFileResp{Meta: Metadata{Name: "corpus.txt", BlockKeys: []hashing.Key{1, 2, 3}, BlockSums: make([][sha1.Size]byte, 3)}},
 		&getFileResp{Meta: small, HasData: true, Check: check, Data: big},
 	}
 }
@@ -115,10 +117,13 @@ func TestWireMetadataLocalTime(t *testing.T) {
 }
 
 // TestWireHostileCounts: a count or length larger than the bytes behind
-// it is rejected before anything is sized by it.
+// it is rejected before anything is sized by it, and so is metadata whose
+// digests and blocks differ in number (a reader indexes one by the other).
 func TestWireHostileCounts(t *testing.T) {
 	huge := transport.AppendUvarint(nil, math.MaxUint64)
 	check := slices.Clip(AppendBlockCheck(nil, BlockCheck{})) // what sits before a block's length
+	digestShort := Metadata{Name: "short", BlockKeys: []hashing.Key{1, 2}, BlockSums: make([][sha1.Size]byte, 1)}
+	blockShort := Metadata{Name: "long", BlockKeys: []hashing.Key{1}, BlockSums: make([][sha1.Size]byte, 2)}
 	cases := map[string]struct {
 		m    transport.Wire
 		body []byte
@@ -135,6 +140,10 @@ func TestWireHostileCounts(t *testing.T) {
 		"routedGet data":  {&routedGetResp{}, append(transport.AppendUvarint(nil, 1<<62), 'x')},
 		"tagged tags":     {&rawTaggedHdr{}, transport.AppendUvarint(nil, 1<<33)},
 		"overlong varint": {&rawSegsHdr{}, bytes.Repeat([]byte{0xff}, 11)},
+		"sums < keys":     {&Metadata{}, digestShort.AppendWire(nil)},
+		"sums > keys":     {&Metadata{}, blockShort.AppendWire(nil)},
+		"putFile sums":    {&putFileReq{}, putFileReq{Meta: digestShort}.AppendWire(nil)},
+		"getFile sums":    {&getFileResp{}, getFileResp{Meta: blockShort}.AppendWire(nil)},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) { wiretest.Rejects(t, c.m, c.body) })

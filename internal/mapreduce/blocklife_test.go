@@ -174,12 +174,80 @@ func TestBufferLifecycleUnderChurn(t *testing.T) {
 	t.Logf("%d tasks checked, %d blocks migrated, %d evictions", sumCheck.matched.Load(), moved, evictions)
 }
 
+// TestStaleLocalCopyIsNeverCached: a replica left holding the previous
+// version of a block (it missed a re-upload's write) does not feed it to a
+// map task scheduled on it. The file system reads that node's own shard
+// first, finds another version than the task names, counts it and reads a
+// neighbour's copy: the task maps the current bytes, and those are what
+// iCache keeps under the current digest.
+func TestStaleLocalCopyIsNeverCached(t *testing.T) {
+	ec := newEngineCluster(t, engineOpts{nodes: 4})
+	ctx := context.Background()
+	old, current := corpus(map[string]int{"before": 30}), corpus(map[string]int{"after": 30})
+	ec.upload(t, "v.txt", old, 1<<20)
+	ec.upload(t, "v.txt", current, 1<<20)
+	meta, err := ec.fs[ec.ids[0]].Lookup(ctx, "v.txt", "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := cache.BlockID{Key: meta.BlockKeys[0], Sum: meta.BlockSums[0]}
+	set, err := ec.ring.ReplicaSet(id.Key, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := set[0]
+	if err := ec.fs[node].Store().PutBlock(id.Key, old); err != nil {
+		t.Fatal(err)
+	}
+	table, err := hashing.AlignedRangeTable(ec.ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := RunMapReq{
+		Job: "stale", Namespace: "job:stale", App: "test-wordcount",
+		BlockKey: id.Key, BlockSum: id.Sum, Task: "m0",
+		ReduceServers: table.Servers(), ReduceBounds: table.Bounds(),
+	}
+	w := ec.workers[node]
+	resp, err := w.runMap(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words []string
+	for part, owner := range table.Servers() {
+		for _, seg := range ec.fs[owner].Store().ReadSegments(req.Namespace, partitionName(part)) {
+			kvs, err := DecodeKVs(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kv := range kvs {
+				words = append(words, kv.Key)
+			}
+		}
+	}
+	if fmt.Sprint(words) != "[after]" {
+		t.Fatalf("the task mapped %v, want the current version's [after]", words)
+	}
+	buf, ok := w.Cache().GetBlockVersion(id)
+	if !ok || !bytes.Equal(buf.Bytes(), current) {
+		t.Fatalf("iCache holds %q under the current digest (present %v)", buf.Bytes(), ok)
+	}
+	buf.Release()
+	if !resp.RemoteRead {
+		t.Fatal("the task reports a local read: its input was the stale copy")
+	}
+	if n := ec.fs[node].Metrics().Snapshot().Get("fs.read.corrupt"); n != 1 {
+		t.Fatalf("fs.read.corrupt on %s = %d, want the stale copy counted once", node, n)
+	}
+}
+
 // BenchmarkColdBlockRead is one cold map read without the map: a block
-// goes from the shard into a two-block iCache (evicting one), is read
-// through the task's reference, and is released. 64 blocks of 256 KiB take
-// turns, so nothing is ever a hit. B/op is what a cold read costs the
-// collector: about a block's worth before buffers were shared and
-// recycled, the bookkeeping of an entry after.
+// goes from the node's own shard through the file system's read into a
+// two-block iCache (evicting one), is read through the task's reference,
+// and is released. 64 blocks of 256 KiB take turns, so nothing is ever a
+// hit. B/op is what a cold read costs the collector: about a block's worth
+// before buffers were shared and recycled, the bookkeeping of an entry
+// after.
 func BenchmarkColdBlockRead(b *testing.B) {
 	const (
 		blockSize = 256 << 10
@@ -203,13 +271,22 @@ func BenchmarkColdBlockRead(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			ring := hashing.NewChordRing()
+			if err := ring.AddNode("solo"); err != nil {
+				b.Fatal(err)
+			}
+			fs, err := dhtfs.NewServiceWithStore("solo", transport.NewLocal(), func() hashing.Ring { return ring }, 1, store)
+			if err != nil {
+				b.Fatal(err)
+			}
 			nc := cache.New(2*blockSize, 0)
+			ctx := context.Background()
 			b.ReportAllocs()
 			b.SetBytes(blockSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id := ids[i%blocks]
-				buf, err := store.PinBlock(id.Key)
+				buf, _, err := fs.PinBlock(ctx, id.Key, id.Sum)
 				if err != nil {
 					b.Fatal(err)
 				}

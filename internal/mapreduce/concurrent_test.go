@@ -165,7 +165,7 @@ func testAsyncSpillOrderedSeq(t *testing.T, app string) {
 	}
 	req := RunMapReq{
 		Job: "seq-1", Namespace: "job:seq-1", App: app,
-		BlockKey: meta.BlockKeys[0], Task: "t0", Attempt: 2,
+		BlockKey: meta.BlockKeys[0], BlockSum: meta.BlockSums[0], Task: "t0", Attempt: 2,
 		ReduceServers: table.Servers(), ReduceBounds: table.Bounds(),
 		SpillThreshold: 64,
 	}
@@ -225,7 +225,7 @@ func testAsyncSpillBoundedInflight(t *testing.T, app string) {
 	}
 	req := RunMapReq{
 		Job: "win-1", Namespace: "job:win-1", App: app,
-		BlockKey: meta.BlockKeys[0], Task: "t0",
+		BlockKey: meta.BlockKeys[0], BlockSum: meta.BlockSums[0], Task: "t0",
 		ReduceServers: []hashing.NodeID{sink}, ReduceBounds: []hashing.Key{0},
 		SpillThreshold: 32,
 	}
@@ -308,7 +308,7 @@ func TestAsyncSpillPushErrorFailsAttempt(t *testing.T) {
 	}
 	req := RunMapReq{
 		Job: "pe-1", Namespace: "job:pe-1", App: "test-wordcount",
-		BlockKey: meta.BlockKeys[0], Task: "t0",
+		BlockKey: meta.BlockKeys[0], BlockSum: meta.BlockSums[0], Task: "t0",
 		ReduceServers: []hashing.NodeID{sink}, ReduceBounds: []hashing.Key{0},
 		SpillThreshold: 32,
 	}

@@ -476,9 +476,7 @@ func (d *Driver) expandMapTasks(st *runState) error {
 			mt := &mapTask{
 				t:       scheduler.Task{Job: st.spec.ID, ID: fmt.Sprintf("%s/m/%s/%d", st.spec.ID, input, i), HashKey: bk},
 				attempt: st.attemptBase,
-			}
-			if i < len(meta.BlockSums) {
-				mt.sum = meta.BlockSums[i]
+				sum:     meta.BlockSums[i],
 			}
 			st.tasks = append(st.tasks, mt)
 			st.byID[mt.t.ID] = mt

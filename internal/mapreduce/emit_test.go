@@ -190,7 +190,7 @@ func TestCombinerErrorFailsAttempt(t *testing.T) {
 		req := RunMapReq{
 			Job: "poison", Namespace: fmt.Sprintf("job:poison-%d", threshold), App: "test-failing-combine",
 			Params:   Params{"poison": []byte("word150")},
-			BlockKey: meta.BlockKeys[0], Task: "t0",
+			BlockKey: meta.BlockKeys[0], BlockSum: meta.BlockSums[0], Task: "t0",
 			ReduceServers: table.Servers(), ReduceBounds: table.Bounds(),
 			SpillThreshold: threshold,
 		}

@@ -14,7 +14,7 @@ import (
 // push order, next to what the reference pipeline produces for the same
 // request: raw append, then the reference combiner (keys in first-emit
 // order) per spill.
-// Block, namespace and reduce table are filled in here.
+// Block, digest, namespace and reduce table are filled in here.
 func MapTaskSegments(t *testing.T, req RunMapReq, input []byte) (pushed, reference [][][]byte) {
 	t.Helper()
 	ec := newEngineCluster(t, engineOpts{nodes: 4})
@@ -30,19 +30,15 @@ func MapTaskSegments(t *testing.T, req RunMapReq, input []byte) (pushed, referen
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Job, req.Namespace, req.BlockKey = "identity", "job:identity", meta.BlockKeys[0]
+	req.Job, req.Namespace = "identity", "job:identity"
+	req.BlockKey, req.BlockSum = meta.BlockKeys[0], meta.BlockSums[0]
 	req.ReduceServers, req.ReduceBounds = table.Servers(), table.Bounds()
 	if _, err := ec.workers[ec.ids[0]].runMap(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	pushed = make([][][]byte, table.Len())
 	for part, owner := range table.Servers() {
-		store := ec.fs[owner].Store()
-		if req.Task == "" {
-			pushed[part] = store.ReadSegments(req.Namespace, partitionName(part))
-			continue
-		}
-		for _, seg := range store.ReadTaggedSegments(req.Namespace, partitionName(part)) {
+		for _, seg := range ec.fs[owner].Store().ReadTaggedSegments(req.Namespace, partitionName(part)) {
 			pushed[part] = append(pushed[part], seg.Data)
 		}
 	}
@@ -73,7 +69,7 @@ func ReduceSegments(t *testing.T, app string, params Params, segments [][]byte) 
 		SegmentOwner: owner, OutputFile: "order.out", User: "tester",
 	}
 	for seq, seg := range segments {
-		ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(req.Partition), "", 0, seq, seg, 0)
+		ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(req.Partition), "m0", 0, seq, seg, 0)
 	}
 	resp, err := ec.workers[owner].runReduce(context.Background(), req)
 	if err != nil {

@@ -73,7 +73,6 @@ func TestMapSpillsByteIdenticalToReferencePipeline(t *testing.T) {
 		// logreg emits one key, so only one of the two filters lets it through.
 		{"only partitions 0 and 2", mapreduce.RunMapReq{Task: "m0", SpillThreshold: 48, OnlyPartitions: []int{0, 2}}},
 		{"only partitions 1 and 3", mapreduce.RunMapReq{Task: "m0", SpillThreshold: 48, OnlyPartitions: []int{1, 3}}},
-		{"legacy untracked task", mapreduce.RunMapReq{SpillThreshold: 48}},
 	}
 	for _, in := range identityInputs() {
 		for _, shape := range shapes {

@@ -37,7 +37,7 @@ const (
 type mapTask struct {
 	t scheduler.Task
 	// sum is the digest the input file's metadata records for the task's
-	// block (zero for files stored without digests).
+	// block.
 	sum [sha1.Size]byte
 	// attempt tags the task's current execution. Only fail and rearm
 	// move it, always up, so it stays at or above the generation's

@@ -61,7 +61,7 @@ func TestForeignPartitionerIsNeverMixed(t *testing.T) {
 	// binary would have pushed there.
 	poison := func(spec JobSpec, mk marker) {
 		for part, owner := range mk.Servers {
-			ec.fs[owner].Store().AppendTaskSegment(spec.Namespace(), partitionName(part), "", 0, 0,
+			ec.fs[owner].Store().AppendTaskSegment(spec.Namespace(), partitionName(part), "foreign-map", 0, 0,
 				EncodeKVs([]KV{{Key: "placed-by-sha1", Value: []byte("1")}}), 0)
 		}
 	}

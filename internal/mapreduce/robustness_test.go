@@ -3,6 +3,8 @@ package mapreduce
 import (
 	"bytes"
 	"context"
+	"crypto/sha1"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +101,60 @@ func TestDecodeKVsHugeLength(t *testing.T) {
 	}
 }
 
+// TestMapRequestNamesTaskAndDigest: a map request must name its task (its
+// spills are tracked by task and attempt) and its block's digest (every
+// read is checked against it). One missing either is refused before
+// anything is read or shipped; the same request with both runs.
+func TestMapRequestNamesTaskAndDigest(t *testing.T) {
+	ec := newEngineCluster(t, engineOpts{nodes: 3})
+	text, _ := wideCorpus(40, 5)
+	ec.upload(t, "named.txt", text, 1<<20)
+	meta, err := ec.fs[ec.ids[0]].Lookup(context.Background(), "named.txt", "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := hashing.AlignedRangeTable(ec.ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segments := func(ns string) int {
+		n := 0
+		for part, owner := range table.Servers() {
+			n += len(ec.fs[owner].Store().ReadSegments(ns, partitionName(part)))
+		}
+		return n
+	}
+	full := RunMapReq{
+		Job: "named", App: "test-wordcount",
+		BlockKey: meta.BlockKeys[0], BlockSum: meta.BlockSums[0], Task: "t0",
+		ReduceServers: table.Servers(), ReduceBounds: table.Bounds(),
+	}
+	w := ec.workers[ec.ids[0]]
+	for name, drop := range map[string]func(*RunMapReq){
+		"no task":   func(r *RunMapReq) { r.Task = "" },
+		"no digest": func(r *RunMapReq) { r.BlockSum = [sha1.Size]byte{} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			req := full
+			req.Namespace = "job:named-" + strings.ReplaceAll(name, " ", "-")
+			drop(&req)
+			if _, err := w.runMap(context.Background(), req); err == nil || !strings.Contains(err.Error(), "names no task or no block digest") {
+				t.Fatalf("runMap(%s) = %v, want a refusal", name, err)
+			}
+			if n := segments(req.Namespace); n != 0 {
+				t.Fatalf("a refused request shipped %d spills", n)
+			}
+		})
+	}
+	full.Namespace = "job:named-full"
+	if _, err := w.runMap(context.Background(), full); err != nil {
+		t.Fatalf("runMap with task and digest: %v", err)
+	}
+	if segments(full.Namespace) == 0 {
+		t.Fatal("the full request shipped no spills")
+	}
+}
+
 // TestAsyncSpillRetransmitDedup pins that the coalesced batch path keeps
 // the store's (task, attempt, seq) dedup exactly: re-running the same map
 // attempt (a duplicate dispatch) replaces its spills instead of
@@ -117,7 +173,7 @@ func TestAsyncSpillRetransmitDedup(t *testing.T) {
 	}
 	req := RunMapReq{
 		Job: "dd-1", Namespace: "job:dd-1", App: "test-wordcount",
-		BlockKey: meta.BlockKeys[0], Task: "t0", Attempt: 0,
+		BlockKey: meta.BlockKeys[0], BlockSum: meta.BlockSums[0], Task: "t0", Attempt: 0,
 		ReduceServers: table.Servers(), ReduceBounds: table.Bounds(),
 		SpillThreshold: 64,
 	}

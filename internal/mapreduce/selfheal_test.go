@@ -370,7 +370,7 @@ func TestOnlyPartitionsFiltersShuffle(t *testing.T) {
 	}
 	req := RunMapReq{
 		Job: "only-1", Namespace: "job:only-1", App: "test-wordcount",
-		BlockKey: meta.BlockKeys[0], Task: "t0", Attempt: 0,
+		BlockKey: meta.BlockKeys[0], BlockSum: meta.BlockSums[0], Task: "t0", Attempt: 0,
 		ReduceServers: table.Servers(), ReduceBounds: table.Bounds(),
 		OnlyPartitions: []int{1},
 	}

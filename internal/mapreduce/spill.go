@@ -232,9 +232,7 @@ func (s *spillSender) partitionName(part int) string {
 	return s.names[part]
 }
 
-// push delivers one coalesced batch to one node. The legacy untracked
-// path (Task "") keeps its one-append-per-spill wire semantics through
-// the same batch method: the store appends unconditionally per entry.
+// push delivers one coalesced batch to one node.
 func (s *spillSender) push(ctx context.Context, node hashing.NodeID, entries []dhtfs.SegBatchEntry) error {
 	defer s.w.reg.Histogram("mr.shuffle.send_ns").Start().Stop()
 	ctx, sp := s.w.tracer.StartSpan(ctx, "shuffle.send")

@@ -48,7 +48,7 @@ type Emit func(key string, value []byte) error
 // shared with the iCache and with other tasks over the same block: it is
 // read-only, and valid only until the function returns, when the worker
 // gives up its reference and the buffer may be refilled with another
-// block (DESIGN.md §15). Whatever must outlive the call is copied; emit
+// block (DESIGN.md §14). Whatever must outlive the call is copied; emit
 // copies the key and value it is handed.
 type MapFunc func(params Params, input []byte, emit Emit) error
 

@@ -28,15 +28,13 @@ type (
 		// BlockKey identifies the input block in the DHT file system.
 		BlockKey hashing.Key
 		// BlockSum is the block's SHA-1 from the input file's metadata. It
-		// verifies a remote read and, with BlockKey, names what iCache
-		// holds of the block, so entries a deleted file left behind under
-		// the same key are never served. Zero when the metadata has no
-		// digests (files stored before digests were kept).
+		// names the version every copy read is checked against and, with
+		// BlockKey, what iCache holds of the block, so entries a deleted
+		// file left behind under the same key are never served. Required.
 		BlockSum [sha1.Size]byte
 		// Task names the map task and Attempt counts its executions
 		// (0-based), so spills from retried or re-dispatched attempts
-		// supersede rather than duplicate earlier ones. An empty Task
-		// selects the legacy untracked append path.
+		// supersede rather than duplicate earlier ones. Required.
 		Task    string
 		Attempt int
 		// ReduceServers / ReduceBounds describe the reduce partition
@@ -63,7 +61,7 @@ type (
 		// CacheHit reports the input was served from iCache: the block's
 		// bytes or, for a decoding application, its decoded split.
 		CacheHit bool
-		// RemoteRead reports the block came from a remote server's shard.
+		// RemoteRead reports the block came from another node's shard.
 		RemoteRead bool
 	}
 	// RunReduceReq asks a worker to execute one reduce task.
@@ -177,23 +175,22 @@ func (w *Worker) Handle(ctx context.Context, method string, body []byte) ([]byte
 }
 
 // fetchBlock implements the paper's map-side read path: iCache, then the
-// local DHT-FS shard, then a remote read that populates iCache so the
-// popular block is now cached *here*, in the range the scheduler mapped it
-// to — independent of where the file system stored it. The caller releases
-// the buffer when done reading; the iCache entry holds its own reference.
+// file system, which reads this node's own shard first when it holds a
+// replica and another node's otherwise. Either way the copy is of the
+// version id names, and it populates iCache so the popular block is now
+// cached *here*, in the range the scheduler mapped it to — independent of
+// where the file system stored it. The caller releases the buffer when
+// done reading; the iCache entry holds its own reference.
 func (w *Worker) fetchBlock(ctx context.Context, id cache.BlockID) (buf *blockbuf.Buf, cacheHit, remote bool, err error) {
 	if buf, ok := w.cache.GetBlockVersion(id); ok {
 		return buf, true, false, nil
 	}
-	if buf, err := w.fs.Store().PinBlock(id.Key); err == nil {
-		w.cache.PutBlockVersion(id, buf)
-		return buf, false, false, nil
-	}
-	if buf, err = w.fs.PinBlock(ctx, id.Key, id.Sum); err != nil {
+	buf, hops, err := w.fs.PinBlock(ctx, id.Key, id.Sum)
+	if err != nil {
 		return nil, false, false, err
 	}
 	w.cache.PutBlockVersion(id, buf)
-	return buf, false, true, nil
+	return buf, false, hops > 0, nil
 }
 
 // runMap executes one map task with proactive shuffling.
@@ -204,6 +201,9 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	app, err := lookupApp(req.App)
 	if err != nil {
 		return RunMapResp{}, err
+	}
+	if req.Task == "" || req.BlockSum == ([sha1.Size]byte{}) {
+		return RunMapResp{}, fmt.Errorf("mapreduce: map request names no task or no block digest (task %q)", req.Task)
 	}
 	if len(req.ReduceServers) == 0 || len(req.ReduceServers) != len(req.ReduceBounds) {
 		return RunMapResp{}, fmt.Errorf("mapreduce: malformed reduce table (%d servers, %d bounds)",

@@ -19,7 +19,7 @@ go build ./...
 echo "== go test -race ./..."
 go test -race "$@" ./...
 
-echo "== map-task and block-buffer lifecycles, -race -count=5"
-go test -race -count=5 -run 'MapTask|SelfHeal|LostPartition|Resume|Speculat|Failover|AttemptStride|BufferLifecycle' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs
+echo "== lifecycles, -race -count=5 (make lifecycle)"
+make lifecycle
 
 echo "check: OK"
