@@ -17,9 +17,10 @@ check:
 # regressions, five schedules over under -race. Retries, failover,
 # hedging, recovery and resume all go through one per-task state machine
 # whose risks are schedule-dependent, and a block buffer released too
-# early is overwritten only in race builds (internal/blockbuf). This is
-# the one list: CI and scripts/check.sh run this target.
-LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Speculat|Failover|AttemptStride|BufferLifecycle|StaleLocalCopy|RoutedReadNames|Trailerless
+# early is overwritten only in race builds (internal/blockbuf), as is a
+# worker's combine state when a map task gives it back. This is the one
+# list: CI and scripts/check.sh run this target.
+LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Speculat|Failover|AttemptStride|BufferLifecycle|StaleLocalCopy|RoutedReadNames|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep
 lifecycle:
 	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs
 
@@ -40,9 +41,10 @@ bench-repo:
 # reference, TCP round trips, a small file's life in dhtfs with its
 # RPCs/op, metadata churn on a disk store by resident files, Key.String,
 # ShuffleKey beside the SHA-1 it replaced for intermediate keys), of the
-# map/reduce kernels (BenchmarkMapEmit/{append,combine}: a map task's emit
-# path per pair; BenchmarkGroupStreams/{sort,wc,shared-prefix,hot-key}: a
-# reduce partition ordered and walked, per pair), of a cold block read
+# map/reduce kernels (BenchmarkMapEmit/{append,combine,combine-reused}: a
+# map task's emit path per pair, on a fresh and on a worker's lent state;
+# BenchmarkGroupStreams/{sort,wc,shared-prefix,hot-key}: a reduce
+# partition ordered and walked, per pair), of a cold block read
 # through a full iCache
 # (BenchmarkColdBlockRead: B/op is what it costs the collector) and of the
 # applications' map functions (k-means with and without a decoded split,

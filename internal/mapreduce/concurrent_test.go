@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"eclipsemr/internal/cache"
 	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/hashing"
 )
@@ -319,5 +320,93 @@ func TestAsyncSpillPushErrorFailsAttempt(t *testing.T) {
 	}
 	if v := w.Metrics().Gauge("mr.shuffle.inflight").Value(); v != 0 {
 		t.Fatalf("inflight gauge = %d after failed attempt, want 0", v)
+	}
+}
+
+// TestConcurrentMapTasksOnOneWorker runs map tasks through one Worker
+// from eight goroutines at once, so that tasks borrow its combine state,
+// find it taken and build their own, and give states back over each other:
+// every task must push exactly what it pushes when the tasks run one at a
+// time (a failing combiner included), and afterwards the worker keeps one
+// idle state, empty.
+func TestConcurrentMapTasksOnOneWorker(t *testing.T) {
+	ec := newEngineCluster(t, engineOpts{nodes: 3})
+	wide, _ := wideCorpus(150, 4)
+	narrow, _ := wideCorpus(40, 9)
+	files := map[string][]byte{"wide.txt": wide, "narrow.txt": narrow, "numbers.txt": numbers(400)}
+	blocks := make(map[string]cache.BlockID)
+	for name, data := range files {
+		ec.upload(t, name, data, 1<<20)
+		meta, err := ec.fs[ec.ids[0]].Lookup(context.Background(), name, "tester")
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks[name] = cache.BlockID{Key: meta.BlockKeys[0], Sum: meta.BlockSums[0]}
+	}
+	table, err := hashing.AlignedRangeTable(ec.ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := []struct {
+		app, file string
+		params    Params
+		threshold int
+	}{
+		{"test-wordcount", "wide.txt", nil, 64},
+		{"test-wordcount", "narrow.txt", nil, 0},
+		{"test-decoded-sum", "numbers.txt", Params{"scale": []byte("3")}, 32},
+		{"test-wordcount-nocombine", "wide.txt", nil, 128},
+		{"test-failing-combine", "narrow.txt", Params{"poison": []byte("word030")}, 0},
+	}
+	w := ec.workers[ec.ids[0]]
+	// run executes task i under namespace ns and returns its error and
+	// every partition's segments, in push order, as one string.
+	run := func(ns string, i int) string {
+		tk := tasks[i]
+		req := RunMapReq{
+			Job: ns, Namespace: ns, App: tk.app, Params: tk.params,
+			BlockKey: blocks[tk.file].Key, BlockSum: blocks[tk.file].Sum, Task: "t0",
+			ReduceServers: table.Servers(), ReduceBounds: table.Bounds(),
+			SpillThreshold: tk.threshold,
+		}
+		_, err := w.runMap(context.Background(), req)
+		var out strings.Builder
+		fmt.Fprintf(&out, "error: %v\n", err)
+		for part, owner := range table.Servers() {
+			for _, seg := range ec.fs[owner].Store().ReadTaggedSegments(ns, partitionName(part)) {
+				fmt.Fprintf(&out, "p%d/%d %q\n", part, seg.Seq, seg.Data)
+			}
+		}
+		return out.String()
+	}
+	want := make([]string, len(tasks))
+	for i := range tasks {
+		want[i] = run(fmt.Sprintf("job:alone-%d", i), i)
+	}
+	if !strings.Contains(want[len(tasks)-1], "poisoned key word030") {
+		t.Fatalf("the failing combiner's task did not fail: %s", want[len(tasks)-1])
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < len(tasks); r++ {
+				i := (g + r) % len(tasks)
+				if got := run(fmt.Sprintf("job:g%d-%d", g, i), i); got != want[i] {
+					t.Errorf("goroutine %d, task %d (%s) pushed\n%s\nalone it pushed\n%s", g, i, tasks[i].app, got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	idle := w.idleCombine.Load()
+	if idle == nil {
+		t.Fatal("the worker keeps no idle combine state after its tasks")
+	}
+	if len(idle.g.keys) != 0 || len(idle.part) != 0 || len(idle.parts) != 0 || idle.err != nil {
+		t.Fatalf("the idle combine state was not reset: %d keys, %d groups, %d partitions, err %v",
+			len(idle.g.keys), len(idle.part), len(idle.parts), idle.err)
 	}
 }

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"eclipsemr/internal/hashing"
@@ -23,15 +24,18 @@ type mapEmitter interface {
 }
 
 // newMapEmitter picks the emitter for one map task: the combining one
-// exactly when the application registered a combiner. inputLen is the
-// length of the block the task maps (0 when it maps a cached split), from
-// which the combining emitter sizes its arrays.
-func newMapEmitter(table *hashing.RangeTable, req RunMapReq, combine ReduceFunc, inputLen int, handoff func(part, seq int, buf *[]byte)) mapEmitter {
+// exactly when the application registered a combiner, working in state
+// (a fresh one when nil), which is the task's until flushAll and release
+// have returned. The appending emitter ignores state.
+func newMapEmitter(table *hashing.RangeTable, req RunMapReq, combine ReduceFunc, state *combineState, handoff func(part, seq int, buf *[]byte)) mapEmitter {
 	route := newSpillRoute(table, req, handoff)
 	if combine == nil {
 		return newAppendEmitter(route)
 	}
-	return newCombineEmitter(route, combine, req.Params, inputLen)
+	if state == nil {
+		state = new(combineState)
+	}
+	return newCombineEmitter(route, combine, req.Params, state)
 }
 
 // spillRoute is what both emitters share: how a key picks its partition,
@@ -143,11 +147,11 @@ func (e *appendEmitter) release() {
 }
 
 // pairRef is one buffered pair of a partition's current spill: its group
-// and its value's length. The value bytes sit back to back in the
-// partition's arena in the same order, so offsets need no storing.
+// and where its value ends in the partition's arena. The values sit back to
+// back in emit order, so a value starts where the pair before it ends.
 type pairRef struct {
-	id   int32
-	vlen uint32
+	id  int32
+	end uint32
 }
 
 // partSpill is the pairs one partition has buffered since its last spill.
@@ -162,6 +166,62 @@ type partSpill struct {
 	raw int
 }
 
+// value is the value of pairs[i].
+func (ps *partSpill) value(i uint32) []byte {
+	start := uint32(0)
+	if i > 0 {
+		start = ps.pairs[i-1].end
+	}
+	end := ps.pairs[i].end
+	return ps.arena[start:end:end]
+}
+
+// maxArenaLen is the most value bytes a partition buffers: pairRef.end is
+// 32 bits. A variable so that a test can reach it without 4 GiB of values.
+var maxArenaLen uint64 = math.MaxUint32
+
+// combineState is everything a combining emitter keeps between pairs: the
+// table, each group's partition, the partitions' buffered pairs and the
+// scratch a flush lays them out in. A Worker owns one and lends it to its
+// map tasks one at a time (Worker.borrowCombineState); every array grows
+// by append and stays grown, so a task on a borrowed state allocates for
+// none of them once an earlier task has needed as much. The per-pair
+// arrays hold no pointers: the collector does not scan them and a pair
+// costs no write barrier.
+type combineState struct {
+	g grouper
+	// part[id] is the group's partition, -1 when filtered out.
+	part  []int32
+	parts []partSpill
+	// order is a flush's pairs, as indexes into its partition's pairs,
+	// grouped by group id; values is one group's values as the combiner
+	// is handed them.
+	order  []uint32
+	values [][]byte
+	// err is the first combiner failure; once set the task is doomed and
+	// every later emit returns it without buffering.
+	err error
+}
+
+// reset readies s for another task: every array is emptied and keeps its
+// capacity, no key of the finished task stays referenced (a key may hold
+// the task's input alive), and in race builds the partitions' value bytes
+// are overwritten, so a combiner that kept a value reads poison in the
+// next task instead of another task's bytes.
+func (s *combineState) reset() {
+	s.g.reset()
+	s.part = s.part[:0]
+	parts := s.parts[:cap(s.parts)]
+	for i := range parts {
+		ps := &parts[i]
+		poisonArena(ps.arena)
+		ps.pairs, ps.arena, ps.active, ps.raw = ps.pairs[:0], ps.arena[:0], ps.active[:0], 0
+	}
+	s.parts = s.parts[:0]
+	s.order, s.values = s.order[:0], s.values[:0]
+	s.err = nil
+}
+
 // combineEmitter is the fused emit-side combiner: pairs are hash-grouped
 // as they are emitted, and when a partition's buffered pairs reach the
 // spill threshold the combiner runs once per key over the key's values in
@@ -174,96 +234,47 @@ type partSpill struct {
 //
 // One hashing.ShuffleKey per pair serves both the table (grouper) and the
 // ring lookup. The table is keyed by emitted key for the whole task, so
-// the lookup itself runs once per distinct key (part). The table is
-// task-local garbage, not pooled: an idle pooled table is live heap, and
-// on the repository benchmark that cost resident memory without buying
-// throughput. Its arrays and the partitions' are made at the task's first
-// emit (a task that emits nothing allocates nothing) and sized in two
-// steps, see sparsePairs, so that a block of text grows them a few times,
-// not from empty.
+// the lookup itself runs once per distinct key (part). The table and the
+// partitions' pairs live in a combineState the task has borrowed from its
+// worker, not in the emitter.
 type combineEmitter struct {
 	spillRoute
+	*combineState
 	combine ReduceFunc
 	params  Params
-	// groups and pairs estimate, from the input's length, the distinct
-	// keys of the task and the pairs a partition buffers.
-	groups, pairs int
-	g             *grouper
-	// part[id] is the group's partition, -1 when filtered out.
-	part  []int32
-	parts []partSpill
-	// slab is layout scratch, reused by every flush.
-	slab [][]byte
-	// err is the first combiner failure; once set the task is doomed and
-	// every later emit returns it without buffering.
-	err error
 }
 
-// What a block of text yields, for sizing: a pair (a short word and its
-// separator) per 4 bytes, a distinct key per 24 (Zipf words, blocks of
-// 64 KiB; larger blocks repeat more). A dense emitter that yields less
-// wastes at most some three times its block in array space.
-const (
-	inputBytesPerPair  = 4
-	inputBytesPerGroup = 24
-)
-
-// sparsePairs is how many pairs a partition's arrays start with room for.
-// Most tasks that emit at all emit either a handful of pairs (a selective
-// grep, k-means' one pair per centroid) or a pair per few bytes of input:
-// the arrays stay this small until they fill, then go straight to the
-// input's estimate.
-const sparsePairs = 64
-
-func newCombineEmitter(route spillRoute, combine ReduceFunc, params Params, inputLen int) *combineEmitter {
-	return &combineEmitter{
-		spillRoute: route,
-		combine:    combine,
-		params:     params,
-		groups:     inputLen / inputBytesPerGroup,
-		pairs:      inputLen / inputBytesPerPair / route.table.Len(),
-		parts:      make([]partSpill, route.table.Len()),
-	}
-}
-
-// room returns s with space for one more element: for sparse elements
-// when s is empty, for dense once those are used up, and as it is after
-// that (append's own doubling takes over).
-func room[T any](s []T, sparse, dense int) []T {
-	switch {
-	case len(s) < cap(s):
-		return s
-	case cap(s) == 0:
-		return make([]T, 0, sparse)
-	case cap(s) < dense:
-		return slices.Grow(s, dense-len(s))
-	}
-	return s
+func newCombineEmitter(route spillRoute, combine ReduceFunc, params Params, state *combineState) *combineEmitter {
+	n := route.table.Len()
+	state.parts = slices.Grow(state.parts[:0], n)[:n]
+	return &combineEmitter{spillRoute: route, combineState: state, combine: combine, params: params}
 }
 
 func (e *combineEmitter) emit(key string, value []byte) error {
 	if e.err != nil {
 		return e.err
 	}
-	if e.g == nil {
-		e.g = newGrouper(e.groups)
-	}
 	h := hashing.ShuffleKey(key)
 	id, fresh := e.g.id(key, h)
 	if fresh {
-		e.part = append(room(e.part, sparsePairs, e.groups), int32(e.partition(h)))
+		e.part = append(e.part, int32(e.partition(h)))
 	}
 	part := int(e.part[id])
 	if part < 0 {
 		return nil
 	}
 	ps := &e.parts[part]
+	if uint64(len(ps.arena))+uint64(len(value)) > maxArenaLen {
+		if err := e.flush(part); err != nil {
+			return err
+		}
+	}
 	if e.g.at[id] == 0 {
-		ps.active = append(room(ps.active, sparsePairs, e.groups/len(e.parts)), id)
+		ps.active = append(ps.active, id)
 	}
 	e.g.at[id]++
-	ps.pairs = append(room(ps.pairs, sparsePairs, e.pairs), pairRef{id: id, vlen: uint32(len(value))})
-	ps.arena = append(room(ps.arena, 2*sparsePairs, 2*e.pairs), value...)
+	ps.arena = append(ps.arena, value...)
+	ps.pairs = append(ps.pairs, pairRef{id: id, end: uint32(len(ps.arena))})
 	ps.raw += 8 + len(key) + len(value)
 	if ps.raw >= e.threshold {
 		return e.flush(part)
@@ -283,24 +294,25 @@ func (e *combineEmitter) flush(part int) error {
 		return nil
 	}
 	n := e.g.layout(ps.active) // first-emit order: see the type comment
-	if cap(e.slab) < n {
-		e.slab = make([][]byte, n)
-	}
-	slab := e.slab[:n]
-	off := 0
-	for _, p := range ps.pairs {
-		end := off + int(p.vlen)
-		slab[e.g.at[p.id]] = ps.arena[off:end:end]
+	e.order = slices.Grow(e.order[:0], n)[:n]
+	for i, p := range ps.pairs {
+		e.order[e.g.at[p.id]] = uint32(i)
 		e.g.at[p.id]++
-		off = end
 	}
 	out := getSpillBuf()
 	collect := func(key string, value []byte) error {
 		*out = AppendKV(*out, KV{Key: key, Value: value})
 		return nil
 	}
-	err := e.g.each(ps.active, slab, func(key string, values [][]byte) error {
-		if err := e.combine(e.params, key, values, collect); err != nil {
+	err := e.g.each(ps.active, e.order, func(key string, pairs []uint32) error {
+		values := e.values[:0]
+		for _, i := range pairs {
+			values = append(values, ps.value(i))
+		}
+		e.values = values
+		err := e.combine(e.params, key, values, collect)
+		poisonValues(values)
+		if err != nil {
 			return fmt.Errorf("mapreduce: combine key %q: %w", key, err)
 		}
 		return nil
@@ -325,5 +337,6 @@ func (e *combineEmitter) flushAll() error {
 }
 
 // release has nothing to return: a combined spill's buffer is taken from
-// the pool and shipped (or put back) within one flush.
+// the pool and shipped (or put back) within one flush, and the state goes
+// back to the worker that lent it.
 func (e *combineEmitter) release() {}

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/hashing"
+	"eclipsemr/internal/workloads"
 )
 
 // referenceCombineStream is the oracle for what a combined spill must
@@ -49,17 +52,19 @@ type spillRecord struct {
 	data      []byte
 }
 
-// emitterSpills runs app.Map over input through the engine's emitter and
-// records every spill handed off, in hand-off order.
-func emitterSpills(app App, table *hashing.RangeTable, req RunMapReq, input []byte) ([]spillRecord, error) {
+// emitterSpills runs the application's map path over input through the
+// engine's emitter, a combining one working in state (nil: a fresh one),
+// and records every spill handed off, in hand-off order, also when the
+// task fails.
+func emitterSpills(app App, table *hashing.RangeTable, req RunMapReq, input []byte, state *combineState) ([]spillRecord, error) {
 	var spills []spillRecord
-	out := newMapEmitter(table, req, app.Combine, len(input), func(part, seq int, buf *[]byte) {
+	out := newMapEmitter(table, req, app.Combine, state, func(part, seq int, buf *[]byte) {
 		spills = append(spills, spillRecord{part, seq, append([]byte{}, *buf...)})
 		putSpillBuf(buf)
 	})
 	defer out.release()
-	if err := app.Map(req.Params, input, out.emit); err != nil {
-		return nil, err
+	if err := mapUncached(app, req.Params, input, out.emit); err != nil {
+		return spills, err
 	}
 	return spills, out.flushAll()
 }
@@ -134,7 +139,7 @@ func TestEmitterSpillsMatchReference(t *testing.T) {
 		} {
 			t.Run(fmt.Sprintf("%s/threshold=%d/only=%v", appName, req.SpillThreshold, req.OnlyPartitions), func(t *testing.T) {
 				app := mustLookup(appName)
-				got, err := emitterSpills(app, table, req, text)
+				got, err := emitterSpills(app, table, req, text, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -233,7 +238,7 @@ func TestCombinerErrorIsStickyAndReturnsBuffer(t *testing.T) {
 		out := newMapEmitter(table, RunMapReq{SpillThreshold: 1 << 30}, func(Params, string, [][]byte, Emit) error {
 			calls++
 			return boom
-		}, 0, func(int, int, *[]byte) { shipped++ })
+		}, nil, func(int, int, *[]byte) { shipped++ })
 		if err := out.emit("k", []byte("v")); err != nil {
 			t.Fatalf("emit below the threshold: %v", err)
 		}
@@ -261,24 +266,87 @@ func TestCombinerErrorIsStickyAndReturnsBuffer(t *testing.T) {
 	}
 }
 
-// TestEmitOfSeenKeyDoesNotAllocate pins the steady state of both
-// emitters: with their arrays sized from the input's length, a pair whose
-// key the task has already emitted is hashed, looked up and buffered
-// without touching the allocator.
-func TestEmitOfSeenKeyDoesNotAllocate(t *testing.T) {
+// TestFullArenaSpillsEarly: a pair whose value would carry a partition's
+// arena past what a 32-bit offset addresses spills the partition first,
+// below the threshold, instead of wrapping the offset.
+func TestFullArenaSpillsEarly(t *testing.T) {
+	defer func(limit uint64) { maxArenaLen = limit }(maxArenaLen)
+	maxArenaLen = 3
+	table, err := hashing.UniformRangeTable([]hashing.NodeID{"n0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spills []string
+	out := newMapEmitter(table, RunMapReq{SpillThreshold: 1 << 30}, testSumReduce, nil, func(_, _ int, buf *[]byte) {
+		spills = append(spills, string(*buf))
+		putSpillBuf(buf)
+	})
+	for _, v := range []string{"1", "2", "3", "4", "5"} {
+		if err := out.emit("k", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := out.flushAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{string(EncodeKVs([]KV{{Key: "k", Value: []byte("6")}})), string(EncodeKVs([]KV{{Key: "k", Value: []byte("9")}}))}
+	if fmt.Sprint(spills) != fmt.Sprint(want) {
+		t.Fatalf("spills %q, want %q", spills, want)
+	}
+}
+
+// emitOnWorker runs the emit side of one map task with combine on a
+// combine state borrowed from w: every pair, then the final flush, each
+// spill recycled as it is handed off. The state goes back to w.
+func emitOnWorker(t testing.TB, w *Worker, table *hashing.RangeTable, combine ReduceFunc, pairs []KV) {
+	state := w.borrowCombineState()
+	out := newMapEmitter(table, RunMapReq{}, combine, state, func(_, _ int, buf *[]byte) { putSpillBuf(buf) })
+	for _, kv := range pairs {
+		if err := out.emit(kv.Key, kv.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := out.flushAll(); err != nil {
+		t.Fatal(err)
+	}
+	out.release()
+	w.returnCombineState(state)
+}
+
+// borrowedTaskAllocs is what one 64 KiB word-count map task allocates on
+// the emit side, every pair emitted and every partition flushed, once an
+// earlier task on the same worker has grown the combine state: the
+// emitter and its spill route (two), and per flushed partition the
+// closure that appends the combiner's output to the spill (four). Nothing
+// scales with the pairs or keys; on a fresh state the same task allocates
+// some 240 times, growing each array from empty.
+const borrowedTaskAllocs = 6
+
+// TestBorrowedStateTaskAllocates pins the reason a worker lends its map
+// tasks one combine state: the second task on it finds every array large
+// enough. The combiner reuses its own digits so that only the emitter's
+// allocations are counted (testSumReduce allocates one string per key).
+func TestBorrowedStateTaskAllocates(t *testing.T) {
+	if blockbuf.RaceEnabled {
+		t.Skip("the race detector allocates too")
+	}
 	table, err := hashing.UniformRangeTable([]hashing.NodeID{"n0", "n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, combine := range map[string]ReduceFunc{"append": nil, "combine": testSumReduce} {
-		out := newMapEmitter(table, RunMapReq{}, combine, 64<<10, func(_, _ int, buf *[]byte) { putSpillBuf(buf) })
-		one := []byte("1")
-		if err := out.emit("seen", one); err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(1000, func() { _ = out.emit("seen", one) }); n != 0 {
-			t.Errorf("%s emitter: %v allocations per emit of an already-seen key, want 0", name, n)
-		}
-		out.release()
+	var pairs []KV
+	for _, word := range strings.Fields(string(workloads.Text(1, 64<<10, 20000))) {
+		pairs = append(pairs, KV{Key: word, Value: []byte("1")})
+	}
+	var digits []byte
+	count := func(_ Params, key string, values [][]byte, emit Emit) error {
+		digits = strconv.AppendInt(digits[:0], int64(len(values)), 10)
+		return emit(key, digits)
+	}
+	w := &Worker{}
+	task := func() { emitOnWorker(t, w, table, count, pairs) }
+	task() // grows the worker's state
+	if n := testing.AllocsPerRun(20, task); n > borrowedTaskAllocs {
+		t.Errorf("a task on a borrowed combine state allocates %v times, want at most %d", n, borrowedTaskAllocs)
 	}
 }

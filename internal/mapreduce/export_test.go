@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"eclipsemr/internal/hashing"
@@ -54,6 +55,60 @@ func MapTaskSegments(t *testing.T, req RunMapReq, input []byte) (pushed, referen
 		reference[s.part] = append(reference[s.part], s.data)
 	}
 	return pushed, reference
+}
+
+// ReuseStep is one map task of a CombineStateReuse sequence: App's map
+// path over Input, with Req's spill threshold and partition filter, into a
+// uniform table of Partitions reduce partitions.
+type ReuseStep struct {
+	App        string
+	Params     Params
+	Req        RunMapReq
+	Partitions int
+	Input      []byte
+}
+
+// CombineStateReuse is for the external test package, which may use the
+// paper applications. It runs steps in order as map tasks on one worker's
+// combine state, each again on a fresh emitter, and returns the tasks'
+// errors and the first difference between the two: a spill (partition,
+// seq or bytes), an error, or a state that was not the one the worker got
+// back from the step before.
+func CombineStateReuse(steps []ReuseStep) (taskErrs []error, diff error) {
+	w := &Worker{}
+	var last *combineState
+	for i, s := range steps {
+		ids := make([]hashing.NodeID, s.Partitions)
+		for j := range ids {
+			ids[j] = hashing.NodeID(fmt.Sprintf("n%d", j))
+		}
+		table, err := hashing.UniformRangeTable(ids)
+		if err != nil {
+			return taskErrs, err
+		}
+		app, err := lookupApp(s.App)
+		if err != nil {
+			return taskErrs, err
+		}
+		req := s.Req
+		req.App, req.Params = s.App, s.Params
+		want, wantErr := emitterSpills(app, table, req, s.Input, nil)
+		state := w.borrowCombineState()
+		if last != nil && state != last {
+			return taskErrs, fmt.Errorf("step %d: the worker lent a new combine state, not the one step %d gave back", i, i-1)
+		}
+		got, gotErr := emitterSpills(app, table, req, s.Input, state)
+		w.returnCombineState(state)
+		last = state
+		taskErrs = append(taskErrs, gotErr)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			return taskErrs, fmt.Errorf("step %d (%s): error %v on the reused state, %v on a fresh one", i, s.App, gotErr, wantErr)
+		}
+		if err := sameSpills(got, want); err != nil {
+			return taskErrs, fmt.Errorf("step %d (%s): %w", i, s.App, err)
+		}
+	}
+	return taskErrs, nil
 }
 
 // ReduceSegments is for the external test package: it stores segments, in

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"eclipsemr/internal/blockbuf"
@@ -19,15 +18,15 @@ type Group struct {
 }
 
 // grouper is the emit-side combiner's table (combineEmitter). It maps
-// every pair, in emit order, to a dense group id; the values of a spill's
-// groups share one slab laid out group by group, each group's values in
-// emit order (what a ReduceFunc is promised). Three steps:
+// every pair, in emit order, to a dense group id; a spill's pairs are then
+// laid out group by group in one order array of pair indexes, each group's
+// pairs in emit order (what a ReduceFunc is promised). Three steps:
 //
 //  1. id(key, h) per pair, with at[id]++ counting the group's pairs;
-//  2. layout(ids) turns every count into the group's first slot in the
-//     slab, in the order of ids;
-//  3. the caller places the pairs in emit order with slab[at[id]++], after
-//     which at[id] is the group's end and each() walks the groups.
+//  2. layout(ids) turns every count into the group's first position in
+//     the order, in the order of ids;
+//  3. the caller places the pairs in emit order with order[at[id]++] = i,
+//     after which at[id] is the group's end and each() walks the groups.
 //
 // The table does not hash: h is the key's hashing.ShuffleKey, which the
 // emitter has computed anyway to place the pair on the ring, so a pair is
@@ -36,10 +35,10 @@ type Group struct {
 //
 // The index is an open-addressing table of group ids (4 bytes a slot)
 // beside the dense per-group arrays, a fraction of a map[string]int32's
-// footprint. A grouper is task-local garbage, never pooled: an idle
-// pooled table is live heap. Group ids and slab offsets are int32, so one
-// grouper takes at most 2^31-1 pairs. The reduce side uses no table: see
-// groupStreams.
+// footprint. The zero grouper is an empty table; it lives in a worker's
+// combineState and is reset, not rebuilt, between tasks. Group ids and
+// order positions are int32, so one grouper takes at most 2^31-1 pairs.
+// The reduce side uses no table: see groupStreams.
 type grouper struct {
 	// slots holds id+1 at the key's probe position, 0 when empty; its
 	// length is a power of two kept at least twice the group count.
@@ -47,27 +46,25 @@ type grouper struct {
 	hashes []uint32 // per group: the high hash bits, to skip most key compares
 	keys   []string
 	at     []int32
-	expect int // see newGrouper
 }
 
-// newGrouper returns a table that expects about groups distinct keys
-// (0: no idea). It starts with room for firstGroups whatever it expects;
-// the first time those fill it goes straight to room for groups.
-func newGrouper(groups int) *grouper {
-	return &grouper{
-		slots:  make([]int32, 2*firstGroups),
-		hashes: make([]uint32, 0, firstGroups),
-		keys:   make([]string, 0, firstGroups),
-		at:     make([]int32, 0, firstGroups),
-		expect: groups,
-	}
-}
+// firstSlots is the table's size before its first growth.
+const firstSlots = 64
 
-const firstGroups = 32
+// reset empties the table and keeps its arrays. keys is cleared, not only
+// truncated: a key of the last task may hold that task's input alive.
+func (g *grouper) reset() {
+	clear(g.slots)
+	clear(g.keys)
+	g.keys, g.hashes, g.at = g.keys[:0], g.hashes[:0], g.at[:0]
+}
 
 // id returns the group of key, whose hashing.ShuffleKey is h, creating it
 // on first sight.
 func (g *grouper) id(key string, h hashing.Key) (id int32, fresh bool) {
+	if len(g.slots) == 0 {
+		g.slots = make([]int32, firstSlots)
+	}
 	mask := len(g.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		s := g.slots[i]
@@ -92,19 +89,12 @@ func (g *grouper) insert(slot int, h uint64, key string) int32 {
 	return id
 }
 
-// grow doubles the table, or makes it and the per-group arrays large enough
-// for the expected groups if that is more. Slot positions need the low
-// hash bits, which are not kept, so every key is hashed again: log2(groups)
-// times a key at most, against once per pair for everything else.
+// grow doubles the table. Slot positions need the low hash bits, which are
+// not kept, so every key is hashed again: log2(groups) times a key at
+// most, against once per pair for everything else. A table that has grown
+// stays grown for the tasks after.
 func (g *grouper) grow() {
-	slots := 2 * len(g.slots)
-	for slots < 2*g.expect {
-		slots *= 2
-	}
-	if n := g.expect - len(g.keys); n > 0 {
-		g.keys, g.hashes, g.at = slices.Grow(g.keys, n), slices.Grow(g.hashes, n), slices.Grow(g.at, n)
-	}
-	g.slots = make([]int32, slots)
+	g.slots = make([]int32, 2*len(g.slots))
 	mask := len(g.slots) - 1
 	for id, key := range g.keys {
 		i := int(hashing.ShuffleKey(key)) & mask
@@ -115,8 +105,8 @@ func (g *grouper) grow() {
 	}
 }
 
-// layout assigns the groups consecutive slab ranges in the order of ids,
-// returning the slots used (the pairs counted).
+// layout assigns the groups consecutive ranges of the order in the order
+// of ids, returning the positions used (the pairs counted).
 func (g *grouper) layout(ids []int32) int {
 	off := int32(0)
 	for _, id := range ids {
@@ -128,16 +118,15 @@ func (g *grouper) layout(ids []int32) int {
 }
 
 // each calls fn once per group of ids, in the order layout saw, with the
-// group's range of the filled slab, and zeroes the groups' counts so the
-// same ids can collect another round.
-func (g *grouper) each(ids []int32, slab [][]byte, fn func(key string, values [][]byte) error) error {
+// group's range of the filled order, and zeroes the groups' counts so the
+// same ids can collect another round. A group it does not reach, fn having
+// failed, keeps its count until reset.
+func (g *grouper) each(ids []int32, order []uint32, fn func(key string, pairs []uint32) error) error {
 	start := int32(0)
 	for _, id := range ids {
 		end := g.at[id]
 		g.at[id] = 0
-		err := fn(g.keys[id], slab[start:end:end])
-		poisonValues(slab[start:end])
-		if err != nil {
+		if err := fn(g.keys[id], order[start:end:end]); err != nil {
 			return err
 		}
 		start = end
@@ -157,7 +146,22 @@ func poisonValues(values [][]byte) {
 	}
 }
 
-var poisonedValue = bytes.Repeat([]byte{0xDB}, 8)
+// poisonArena overwrites, in race builds, the whole of a combining
+// emitter's value arena when its state is reset: a combiner that kept one
+// of the values (not the slice, which poisonValues covers) reads poison
+// in the next task.
+func poisonArena(arena []byte) {
+	if blockbuf.RaceEnabled {
+		arena = arena[:cap(arena)]
+		for i := range arena {
+			arena[i] = poisonByte
+		}
+	}
+}
+
+const poisonByte = 0xDB
+
+var poisonedValue = bytes.Repeat([]byte{poisonByte}, 8)
 
 // pairRec is one pair of a reduce partition as the ordering kernel sees
 // it: where the pair sits, and the digit of its key being ordered on.

@@ -267,7 +267,9 @@ func TestGroupStreamsAllocatesPerPartition(t *testing.T) {
 
 // TestReducerMayNotKeepValues: in race builds the values a function was
 // handed are overwritten when it returns, on the reduce side and in the
-// combiner's table alike, so keeping them shows at once.
+// combining emitter alike, so keeping them shows at once; and a value a
+// combiner kept past its task reads poison in the worker's next task,
+// which works in the same arena.
 func TestReducerMayNotKeepValues(t *testing.T) {
 	if !blockbuf.RaceEnabled {
 		t.Skip("values are poisoned in race builds only")
@@ -287,26 +289,38 @@ func TestReducerMayNotKeepValues(t *testing.T) {
 	if len(kept) != 2 || !bytes.Equal(kept[0], poisonedValue) || !bytes.Equal(kept[1], poisonedValue) {
 		t.Errorf("groupStreams left %q with a function that kept its values", kept)
 	}
-	g := newGrouper(0)
-	id, _ := g.id("k", hashing.ShuffleKey("k"))
-	g.at[id]++
-	slab := make([][]byte, g.layout([]int32{id}))
-	slab[g.at[id]] = []byte("1")
-	g.at[id]++
-	if err := g.each([]int32{id}, slab, keep); err != nil {
+	table, err := hashing.UniformRangeTable([]hashing.NodeID{"n0"})
+	if err != nil {
 		t.Fatal(err)
 	}
+	w := &Worker{}
+	var keptValue []byte
+	emitOnWorker(t, w, table, func(_ Params, key string, values [][]byte, _ Emit) error {
+		kept = values
+		if key == "b" {
+			keptValue = values[0]
+		}
+		return nil
+	}, []KV{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("2")}})
 	if len(kept) != 1 || !bytes.Equal(kept[0], poisonedValue) {
-		t.Errorf("grouper.each left %q with a function that kept its values", kept)
+		t.Errorf("the combining emitter left %q with a combiner that kept its values", kept)
+	}
+	var read []byte
+	emitOnWorker(t, w, table, func(Params, string, [][]byte, Emit) error {
+		read = bytes.Clone(keptValue)
+		return nil
+	}, []KV{{Key: "c", Value: []byte("x")}})
+	if !bytes.Equal(read, []byte{poisonByte}) {
+		t.Errorf("a value a combiner kept from its last task reads %q in the next, want poison", read)
 	}
 }
 
 // TestGrouperReusesGroupsAcrossRounds pins what the emit-side combiner
 // relies on: a round's groups come in first-emit order, after each() a
 // group's count is zero again and the same ids collect the next round,
-// while the table keeps every key it has seen.
+// while the table keeps every key it has seen until reset empties it.
 func TestGrouperReusesGroupsAcrossRounds(t *testing.T) {
-	g := newGrouper(0)
+	g := &grouper{}
 	idOf := func(k string) (int32, bool) { return g.id(k, hashing.ShuffleKey(k)) }
 	round := func(keys ...string) []Group {
 		var ids, active []int32
@@ -318,14 +332,18 @@ func TestGrouperReusesGroupsAcrossRounds(t *testing.T) {
 			g.at[id]++
 			ids = append(ids, id)
 		}
-		slab := make([][]byte, g.layout(active))
+		order := make([]uint32, g.layout(active))
 		for i, id := range ids {
-			slab[g.at[id]] = tagged(i)
+			order[g.at[id]] = uint32(i)
 			g.at[id]++
 		}
 		var out []Group
-		_ = g.each(active, slab, func(key string, values [][]byte) error {
-			out = append(out, Group{Key: key, Values: slices.Clone(values)})
+		_ = g.each(active, order, func(key string, pairs []uint32) error {
+			var values [][]byte
+			for _, i := range pairs {
+				values = append(values, tagged(int(i)))
+			}
+			out = append(out, Group{Key: key, Values: values})
 			return nil
 		})
 		return out
@@ -355,5 +373,21 @@ func TestGrouperReusesGroupsAcrossRounds(t *testing.T) {
 	// per distinct key, not per pair.
 	if n := testing.AllocsPerRun(100, func() { idOf("k42") }); n != 0 {
 		t.Fatalf("id allocates %v times on a hit", n)
+	}
+	// reset forgets every key, drops its reference to each and keeps the
+	// grown table.
+	slots := len(g.slots)
+	g.reset()
+	if len(g.keys) != 0 || slices.ContainsFunc(g.keys[:cap(g.keys)], func(k string) bool { return k != "" }) {
+		t.Fatal("reset left keys referenced")
+	}
+	if len(g.slots) != slots {
+		t.Fatalf("reset shrank the table from %d slots to %d", slots, len(g.slots))
+	}
+	for _, k := range []string{"k42", "a", "k42"} {
+		id, _ := idOf(k)
+		if want := map[string]int32{"k42": 0, "a": 1}[k]; id != want {
+			t.Fatalf("after reset %q is group %d, want %d", k, id, want)
+		}
 	}
 }

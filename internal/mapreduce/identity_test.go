@@ -155,3 +155,37 @@ func TestReduceOutputIgnoresKeyOrderWithinSpills(t *testing.T) {
 		})
 	}
 }
+
+// TestCombineStateReuseIsInvisible runs one worker's combine state through
+// a sequence of map tasks that changes everything a task sizes or leaves
+// behind: the partition count, a partition filter and then none, a spill
+// per pair, k-means after word count, and a combiner that fails in the
+// middle of a flush (leaving the counts of the groups it did not reach)
+// followed by good tasks. Every spill must be what a fresh emitter
+// produces.
+func TestCombineStateReuseIsInvisible(t *testing.T) {
+	in := identityInputs()
+	text, points, kmeans := []byte(in[0].input), []byte(in[1].input), in[1].params
+	poison := mapreduce.Params{"poison": []byte("w30")}
+	steps := []mapreduce.ReuseStep{
+		{App: apps.WordCount, Partitions: 4, Input: text},
+		{App: apps.WordCount, Partitions: 3, Req: mapreduce.RunMapReq{SpillThreshold: 256, OnlyPartitions: []int{1}}, Input: text},
+		{App: apps.WordCount, Partitions: 7, Input: text},
+		{App: apps.WordCount, Partitions: 2, Req: mapreduce.RunMapReq{SpillThreshold: 1}, Input: text},
+		{App: apps.KMeans, Params: kmeans, Partitions: 4, Req: mapreduce.RunMapReq{SpillThreshold: 48}, Input: points},
+		{App: "test-failing-combine", Params: poison, Partitions: 1, Input: text},
+		{App: apps.WordCount, Partitions: 1, Input: text},
+		{App: "test-failing-combine", Params: poison, Partitions: 3, Req: mapreduce.RunMapReq{SpillThreshold: 512}, Input: text},
+		{App: apps.KMeans, Params: kmeans, Partitions: 2, Input: points},
+		{App: apps.WordCount, Partitions: 5, Req: mapreduce.RunMapReq{SpillThreshold: 64}, Input: text},
+	}
+	errs, err := mapreduce.CombineStateReuse(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range steps {
+		if failing := s.App == "test-failing-combine"; (errs[i] != nil) != failing {
+			t.Fatalf("step %d (%s) returned %v", i, s.App, errs[i])
+		}
+	}
+}

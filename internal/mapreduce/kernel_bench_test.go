@@ -49,7 +49,9 @@ func BenchmarkGroupByKey(b *testing.B) {
 // BenchmarkMapEmit drives the emit closure runMap hands to app.Map over
 // the block's words, then the final flush, with a hand-off that only
 // recycles the spill: everything a map task does between app.Map's
-// tokenizing and the sender.
+// tokenizing and the sender. "combine" is a task on a fresh combine state
+// (what a worker's second concurrent task gets), "combine-reused" one on
+// the state a worker lends every task, reset in between.
 func BenchmarkMapEmit(b *testing.B) {
 	words := strings.Fields(string(workloads.Text(1, 64<<10, 20000)))
 	table, err := hashing.UniformRangeTable([]hashing.NodeID{"n0", "n1", "n2", "n3"})
@@ -60,16 +62,22 @@ func BenchmarkMapEmit(b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		combine ReduceFunc
-	}{{"combine", testSumReduce}, {"append", nil}} {
+		reuse   bool
+	}{{"combine", testSumReduce, false}, {"combine-reused", testSumReduce, true}, {"append", nil, false}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			w := &Worker{}
 			for i := 0; i < b.N; i++ {
-				out := newMapEmitter(table, RunMapReq{}, c.combine, 64<<10, func(_, _ int, buf *[]byte) {
+				var state *combineState
+				if c.reuse {
+					state = w.borrowCombineState()
+				}
+				out := newMapEmitter(table, RunMapReq{}, c.combine, state, func(_, _ int, buf *[]byte) {
 					benchSink += len(*buf)
 					putSpillBuf(buf)
 				})
-				for _, w := range words {
-					if err := out.emit(w, one); err != nil {
+				for _, word := range words {
+					if err := out.emit(word, one); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -77,6 +85,7 @@ func BenchmarkMapEmit(b *testing.B) {
 					b.Fatal(err)
 				}
 				out.release()
+				w.returnCombineState(state)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(words)), "ns/pair")
 		})

@@ -5,6 +5,7 @@ import (
 	"crypto/sha1"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"eclipsemr/internal/blockbuf"
@@ -121,6 +122,9 @@ type Worker struct {
 	reg    *metrics.Registry
 	tracer *trace.Tracer
 	events *events.Log
+	// idleCombine is the one combine state no map task holds, nil while a
+	// task has it (see borrowCombineState).
+	idleCombine atomic.Pointer[combineState]
 }
 
 // NewWorker builds a Worker bound to the node's file system service and
@@ -260,7 +264,11 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	// map compute. All error state lives in locally-scoped variables: the
 	// sender goroutine never touches this function's err.
 	sender := w.newSpillSender(ctx, req)
-	out := newMapEmitter(table, req, app.Combine, len(input), sender.enqueue)
+	var state *combineState
+	if app.Combine != nil {
+		state = w.borrowCombineState()
+	}
+	out := newMapEmitter(table, req, app.Combine, state, sender.enqueue)
 
 	// Compute covers the user functions (decoding a split iCache missed
 	// included) and everything emit does on this goroutine: partitioning,
@@ -304,6 +312,7 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	// App): the task is done reading the block.
 	block.Release()
 	out.release() // whatever a failed map left unflushed
+	w.returnCombineState(state)
 	// The task is not done until every queued push is acknowledged;
 	// errors from background pushes fail the attempt exactly like the old
 	// inline path did.
@@ -315,6 +324,29 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 		return RunMapResp{}, sendErr
 	}
 	return RunMapResp{PartBytes: partBytes, CacheHit: cacheHit, RemoteRead: remote}, nil
+}
+
+// borrowCombineState lends a map task the worker's idle combine state, or
+// a new one when another task holds it. The worker keeps at most one idle
+// state, not one per slot: an idle state is live heap, which the
+// collector's heap goal doubles, and a second one cost more resident
+// memory than it bought throughput (EXPERIMENTS.md).
+func (w *Worker) borrowCombineState() *combineState {
+	if s := w.idleCombine.Swap(nil); s != nil {
+		return s
+	}
+	return new(combineState)
+}
+
+// returnCombineState resets s, whatever its task's outcome, and keeps it
+// as the idle state unless the worker has one; then it is dropped. A nil
+// s (the task had no combiner) is ignored.
+func (w *Worker) returnCombineState(s *combineState) {
+	if s == nil {
+		return
+	}
+	s.reset()
+	w.idleCombine.CompareAndSwap(nil, s)
 }
 
 // partitionName is the segment-store partition label for index part.
