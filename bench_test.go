@@ -278,36 +278,3 @@ func BenchmarkKDEAdd(b *testing.B) {
 		est.Add(keys[i%len(keys)])
 	}
 }
-
-// BenchmarkAblationVirtualNodes quantifies block-placement balance vs
-// tokens per server: the max/min key-space share across 40 nodes. The
-// paper's single-token prototype tolerates the skew via LAF scheduling;
-// virtual nodes attack it at placement time.
-func BenchmarkAblationVirtualNodes(b *testing.B) {
-	spread := func(vnodes int) float64 {
-		r, err := hashing.NewVirtualRing(vnodes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 40; i++ {
-			if err := r.AddNode(hashing.NodeID(fmt.Sprintf("n%02d", i))); err != nil {
-				b.Fatal(err)
-			}
-		}
-		min, max := 2.0, 0.0
-		for _, s := range r.LoadShare() {
-			if s < min {
-				min = s
-			}
-			if s > max {
-				max = s
-			}
-		}
-		return max / min
-	}
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(spread(1), "1-token-maxmin")
-		b.ReportMetric(spread(16), "16-token-maxmin")
-		b.ReportMetric(spread(128), "128-token-maxmin")
-	}
-}

@@ -54,7 +54,6 @@ func main() {
 		dataDir   = flag.String("data", "", "persist file system blocks under DIR/<id> (empty = in memory)")
 		metricsAt = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. :9090; empty = off)")
 		traceOn   = flag.Bool("trace", false, "record per-job spans (collect with eclipse-cli trace <job-id>)")
-		ringAlg   = flag.String("ring", "", "placement ring algorithm: chord (default), chord:<vnodes>, jump, power, rendezvous")
 		bundleDir = flag.String("debug-bundle-on-failure", "", "snapshot a cluster-wide debug bundle into DIR when a job this node drives fails (empty = off)")
 	)
 	flag.Parse()
@@ -85,7 +84,6 @@ func main() {
 		CacheBytes:  *cacheMB << 20,
 		BlockSize:   *blockKB << 10,
 		DataDir:     *dataDir,
-		Ring:        *ringAlg,
 	}
 	node, err := cluster.NewNode(hashing.NodeID(*id), net, cfg)
 	if err != nil {

@@ -126,24 +126,6 @@ func NewWithNodes(ids []hashing.NodeID, opts Options) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	// The scheduler's initial range table comes from the placement ring of
-	// the configured algorithm, built in the same member order nodes use
-	// when they adopt the bootstrap view.
-	schedRing := hashing.Ring(ring)
-	if alg := opts.Config.Ring; alg != "" && alg != hashing.AlgorithmChord {
-		pr, err := hashing.NewAlgorithmRing(alg)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		for _, id := range ring.Members() {
-			if err := pr.AddNode(id); err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		schedRing = pr
-	}
 	for _, id := range ids {
 		// Origin-stamped facets let a fault-injecting network attribute
 		// each node's outbound calls (asymmetric partitions, crash-stop).
@@ -181,11 +163,11 @@ func NewWithNodes(ids []hashing.NodeID, opts Options) (*Cluster, error) {
 	var err error
 	switch opts.Policy {
 	case PolicyLAF:
-		sched, err = scheduler.NewLAF(opts.LAF, schedRing)
+		sched, err = scheduler.NewLAF(opts.LAF, ring)
 	case PolicyDelay:
-		sched, err = scheduler.NewDelay(scheduler.DelayConfig{Wait: opts.DelayWait}, schedRing)
+		sched, err = scheduler.NewDelay(scheduler.DelayConfig{Wait: opts.DelayWait}, ring)
 	case PolicyFair:
-		sched, err = scheduler.NewFair(schedRing)
+		sched, err = scheduler.NewFair(ring)
 	default:
 		err = fmt.Errorf("cluster: unknown policy %q", opts.Policy)
 	}

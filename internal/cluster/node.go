@@ -29,7 +29,10 @@ import (
 
 // Config holds per-node and cluster-wide parameters. The defaults mirror
 // the paper's testbed where sensible (8 map + 8 reduce slots per server;
-// blocks replicated on predecessor and successor).
+// blocks replicated on predecessor and successor). Placement is not
+// configurable: blocks, metadata and intermediate keys all go by the Chord
+// ring of the adopted membership view, so every node with the same view
+// places identically.
 type Config struct {
 	// Replicas is the total copies per block/metadata entry (owner +
 	// predecessor + successor = 3). Default 3.
@@ -52,13 +55,6 @@ type Config struct {
 	// DataDir/<node-id>/ (a restarted node recovers its shard); empty
 	// keeps blocks in memory.
 	DataDir string
-	// Ring selects the consistent-hashing algorithm used for block and
-	// shuffle placement: "chord" (default), "chord:<vnodes>", "jump",
-	// "power" or "rendezvous" (see hashing.Algorithms). The membership
-	// protocol always runs on the chord ring — positions travel in views —
-	// and the placement ring of the chosen algorithm is derived from each
-	// adopted view, so every node with the same view places identically.
-	Ring string
 	// Trace configures the node's tracer (clock, seed, span-ring capacity,
 	// sampling). Tracing always starts disabled; enable it through
 	// Node.Tracer().SetEnabled or Cluster.SetTracing.
@@ -202,15 +198,12 @@ type Node struct {
 	tracer *trace.Tracer
 	events *events.Log
 
-	mu   sync.Mutex
-	view chord.View
-	ring *hashing.ChordRing // derived from view, cached
-	// placement is the cfg.Ring-algorithm ring rebuilt from every adopted
-	// view; on the default chord algorithm it is the view ring itself.
-	placement hashing.Ring
-	manager   hashing.NodeID
-	mgr       *Manager // non-nil while this node is the resource manager
-	closed    bool
+	mu      sync.Mutex
+	view    chord.View
+	ring    *hashing.ChordRing // derived from view, cached
+	manager hashing.NodeID
+	mgr     *Manager // non-nil while this node is the resource manager
+	closed  bool
 
 	stopHB chan struct{}
 	wg     sync.WaitGroup
@@ -228,9 +221,6 @@ type Node struct {
 // NewNode constructs (but does not start) a node.
 func NewNode(id hashing.NodeID, net transport.Network, cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
-	if _, err := hashing.NewAlgorithmRing(cfg.Ring); err != nil {
-		return nil, err
-	}
 	n := &Node{ID: id, cfg: cfg, net: net, stopHB: make(chan struct{})}
 	store := dhtfs.NewStore()
 	if cfg.DataDir != "" {
@@ -313,34 +303,14 @@ func (n *Node) MetricsSnapshot() metrics.Snapshot {
 	return snap
 }
 
-// Ring returns the node's current placement ring (a copy) of the
-// configured algorithm.
-func (n *Node) Ring() hashing.Ring {
+// Ring returns the node's current placement ring (a copy).
+func (n *Node) Ring() *hashing.ChordRing {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.placement == nil {
-		empty, _ := hashing.NewAlgorithmRing(n.cfg.Ring) // validated in NewNode
-		return empty
+	if n.ring == nil {
+		return hashing.NewChordRing()
 	}
-	return n.placement.Snapshot()
-}
-
-// placementFrom derives the placement ring of the configured algorithm
-// from a view ring. Members are inserted in ring-position order, a pure
-// function of the view, so every node sharing a view builds the same
-// bucket order for the O(1) backends.
-func (n *Node) placementFrom(ring *hashing.ChordRing) hashing.Ring {
-	if n.cfg.Ring == "" || n.cfg.Ring == hashing.AlgorithmChord {
-		return ring
-	}
-	p, err := hashing.NewAlgorithmRing(n.cfg.Ring)
-	if err != nil {
-		return ring // unreachable: algorithm validated in NewNode
-	}
-	for _, id := range ring.Members() {
-		_ = p.AddNode(id)
-	}
-	return p
+	return n.ring.Clone()
 }
 
 // View returns the node's current membership view.
@@ -440,7 +410,6 @@ func (n *Node) adoptView(v chord.View, manager hashing.NodeID) bool {
 	}
 	n.view = v
 	n.ring = ring
-	n.placement = n.placementFrom(ring)
 	n.manager = manager
 	return true
 }

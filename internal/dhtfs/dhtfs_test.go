@@ -31,7 +31,7 @@ func newTestCluster(t *testing.T, n, replicas int) *testCluster {
 		net:      transport.NewLocal(),
 		services: make(map[hashing.NodeID]*Service),
 	}
-	ringFn := func() hashing.Ring {
+	ringFn := func() *hashing.ChordRing {
 		tc.mu.Lock()
 		defer tc.mu.Unlock()
 		return tc.ring.Clone()
@@ -377,7 +377,7 @@ func TestNewServiceValidation(t *testing.T) {
 	if _, err := NewService("a", net, nil, 3); err == nil {
 		t.Fatal("nil ring accepted")
 	}
-	if _, err := NewService("a", net, func() hashing.Ring { return nil }, 0); err == nil {
+	if _, err := NewService("a", net, func() *hashing.ChordRing { return nil }, 0); err == nil {
 		t.Fatal("replicas=0 accepted")
 	}
 }

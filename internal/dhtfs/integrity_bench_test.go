@@ -61,7 +61,7 @@ func BenchmarkReadFile(b *testing.B) {
 			if err := ring.AddNode("solo"); err != nil {
 				b.Fatal(err)
 			}
-			svc, err := NewServiceWithStore("solo", transport.NewLocal(), func() hashing.Ring { return ring }, 1, store)
+			svc, err := NewServiceWithStore("solo", transport.NewLocal(), func() *hashing.ChordRing { return ring }, 1, store)
 			if err != nil {
 				b.Fatal(err)
 			}

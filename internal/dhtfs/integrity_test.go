@@ -48,7 +48,7 @@ func restartNode(t *testing.T, tc *testCluster, id hashing.NodeID, dir string) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	ringFn := func() hashing.Ring {
+	ringFn := func() *hashing.ChordRing {
 		tc.mu.Lock()
 		defer tc.mu.Unlock()
 		return tc.ring.Clone()

@@ -344,7 +344,7 @@ func BenchmarkSmallFileOps(b *testing.B) {
 	defer net.Close()
 	services := make([]*Service, len(ids))
 	for i, id := range ids {
-		svc, err := NewService(id, net, func() hashing.Ring { return ring }, 3)
+		svc, err := NewService(id, net, func() *hashing.ChordRing { return ring }, 3)
 		if err != nil {
 			b.Fatal(err)
 		}

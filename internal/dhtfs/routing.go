@@ -70,27 +70,11 @@ func (s *Service) routedGet(ctx context.Context, req *routedGetReq, resp *routed
 	return s.call(ctx, next, MethodRoutedGet, &routedGetReq{Key: req.Key, Hops: req.Hops + 1}, resp)
 }
 
-// nextHop computes this node's forwarding target for key k. On the chord
-// backend the target comes from the finger table (rebuilt from the
-// current view; rings are small and membership changes rare, so this
-// costs microseconds). The other ring algorithms have no positional
-// finger geometry — bucket indices and rendezvous scores are not ring
-// arcs — so routing degenerates to one direct hop to the key's owner,
-// which is still correct multi-hop semantics: the owner either serves the
-// block or reports it missing.
-func (s *Service) nextHop(ring hashing.Ring, k hashing.Key) (hashing.NodeID, error) {
-	cr, ok := ring.(*hashing.ChordRing)
-	if !ok {
-		next, err := ring.Owner(k)
-		if err != nil {
-			return "", err
-		}
-		if next == s.self {
-			return "", fmt.Errorf("dhtfs: no forward progress for key %s", k)
-		}
-		return next, nil
-	}
-	ft, err := chord.Build(cr, s.self, 64)
+// nextHop computes this node's forwarding target for key k from its
+// finger table, rebuilt from the current view (rings are small and
+// membership changes rare, so this costs microseconds).
+func (s *Service) nextHop(ring *hashing.ChordRing, k hashing.Key) (hashing.NodeID, error) {
+	ft, err := chord.Build(ring, s.self, 64)
 	if err != nil {
 		return "", err
 	}

@@ -146,7 +146,7 @@ type Service struct {
 	self     hashing.NodeID
 	store    *Store
 	net      transport.Network
-	ring     func() hashing.Ring
+	ring     func() *hashing.ChordRing
 	replicas int
 	now      func() time.Time
 	// zeroHopOff selects classic multi-hop DHT routing for block reads
@@ -161,13 +161,13 @@ type Service struct {
 // current membership view (it changes on joins and failures); replicas is
 // the total copy count per object — the paper's predecessor+successor
 // scheme is replicas=3.
-func NewService(self hashing.NodeID, net transport.Network, ring func() hashing.Ring, replicas int) (*Service, error) {
+func NewService(self hashing.NodeID, net transport.Network, ring func() *hashing.ChordRing, replicas int) (*Service, error) {
 	return NewServiceWithStore(self, net, ring, replicas, NewStore())
 }
 
 // NewServiceWithStore builds a Service over a caller-provided shard
 // (e.g. a disk-backed store from NewStoreAt).
-func NewServiceWithStore(self hashing.NodeID, net transport.Network, ring func() hashing.Ring, replicas int, store *Store) (*Service, error) {
+func NewServiceWithStore(self hashing.NodeID, net transport.Network, ring func() *hashing.ChordRing, replicas int, store *Store) (*Service, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("dhtfs: replicas must be >= 1, got %d", replicas)
 	}

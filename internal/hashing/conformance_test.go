@@ -7,63 +7,9 @@ import (
 	"eclipsemr/internal/hashing/ringtest"
 )
 
-// ringBackends is the full conformance matrix: every algorithm the -ring
-// flag can select, plus the virtual-node chord variant.
-func ringBackends(t *testing.T) map[string]func() hashing.Ring {
-	t.Helper()
-	backends := make(map[string]func() hashing.Ring)
-	for _, alg := range hashing.Algorithms() {
-		alg := alg
-		backends[alg] = func() hashing.Ring {
-			r, err := hashing.NewAlgorithmRing(alg)
-			if err != nil {
-				t.Fatalf("NewAlgorithmRing(%q): %v", alg, err)
-			}
-			return r
-		}
-	}
-	backends["chord:8"] = func() hashing.Ring {
-		r, err := hashing.NewAlgorithmRing("chord:8")
-		if err != nil {
-			t.Fatalf("NewAlgorithmRing(chord:8): %v", err)
-		}
-		return r
-	}
-	return backends
-}
-
-// TestRingConformance runs the shared invariant suite over every backend.
+// TestRingConformance runs the shared invariant suite over the ring.
 func TestRingConformance(t *testing.T) {
-	for name, newRing := range ringBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			ringtest.RunRingConformance(t, newRing)
-		})
-	}
-}
-
-// TestNewAlgorithmRing pins the factory surface: known names build rings
-// reporting their own algorithm, unknown names fail.
-func TestNewAlgorithmRing(t *testing.T) {
-	for _, alg := range hashing.Algorithms() {
-		r, err := hashing.NewAlgorithmRing(alg)
-		if err != nil {
-			t.Fatalf("NewAlgorithmRing(%q): %v", alg, err)
-		}
-		if got := r.Algorithm(); got != alg {
-			t.Errorf("NewAlgorithmRing(%q).Algorithm() = %q", alg, got)
-		}
-	}
-	if r, err := hashing.NewAlgorithmRing(""); err != nil || r.Algorithm() != hashing.AlgorithmChord {
-		t.Errorf("empty name: ring %v, err %v; want default chord", r, err)
-	}
-	if r, err := hashing.NewAlgorithmRing("chord:16"); err != nil || r.Algorithm() != "chord:16" {
-		t.Errorf("chord:16: ring %v, err %v", r, err)
-	}
-	for _, bad := range []string{"md5", "chord:x", "chord:0", "jump:4"} {
-		if _, err := hashing.NewAlgorithmRing(bad); err == nil {
-			t.Errorf("NewAlgorithmRing(%q) succeeded, want error", bad)
-		}
-	}
+	ringtest.RunRingConformance(t, hashing.NewChordRing)
 }
 
 // TestChordRingDefaultPlacementUnchanged pins that the interface refactor

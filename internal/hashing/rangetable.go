@@ -44,9 +44,8 @@ func NewRangeTable(servers []NodeID, bounds []Key) (*RangeTable, error) {
 }
 
 // UniformRangeTable assigns each server an equal-width slice of the key
-// space, in the given server order. This is the scheduler's initial state
-// before any access history exists (a uniform access PDF partitions into
-// equal-width ranges).
+// space, in the given server order: what a uniform access PDF partitions
+// into.
 func UniformRangeTable(servers []NodeID) (*RangeTable, error) {
 	if len(servers) == 0 {
 		return nil, ErrEmptyRing

@@ -18,22 +18,22 @@ type ringEntry struct {
 	id  NodeID
 }
 
-// ChordRing is the paper's consistent-hash ring of named nodes. A node at
-// ring position p owns the arc (pred(p), p]: every key is owned by its
-// clockwise successor node, exactly as in Chord. ChordRing is not safe for
-// concurrent mutation; callers synchronize externally (membership changes
-// are rare and flow through the resource manager).
+// ChordRing is the paper's consistent-hash ring of named nodes and the one
+// ring everything places by: file blocks, metadata, intermediate keys and
+// the scheduler's initial range table. A node at ring position p owns the
+// arc (pred(p), p]: every key is owned by its clockwise successor node,
+// exactly as in Chord, and its replicas sit on the owner's predecessor and
+// successor. The membership protocol ships positions on the wire and the
+// finger-table router navigates by them. The invariants callers rely on are
+// pinned by the ringtest conformance suite.
 //
-// ChordRing is the only Ring backend with explicit positions (Add, Position,
-// RangeOf): the membership protocol ships positions on the wire and the
-// finger-table router navigates by them. Placement-only consumers should
-// hold the Ring interface instead.
+// ChordRing is not safe for concurrent mutation; callers synchronize
+// externally (membership changes are rare and flow through the resource
+// manager) and hand readers a Clone.
 type ChordRing struct {
 	entries []ringEntry // sorted by pos, positions strictly increasing
 	byID    map[NodeID]Key
 }
-
-var _ Ring = (*ChordRing)(nil)
 
 // NewChordRing returns an empty ring.
 func NewChordRing() *ChordRing {
@@ -51,12 +51,6 @@ func (r *ChordRing) Clone() *ChordRing {
 	}
 	return c
 }
-
-// Snapshot returns an independent deep copy as a Ring.
-func (r *ChordRing) Snapshot() Ring { return r.Clone() }
-
-// Algorithm identifies the backend.
-func (r *ChordRing) Algorithm() string { return AlgorithmChord }
 
 // Len returns the number of member nodes.
 func (r *ChordRing) Len() int { return len(r.entries) }

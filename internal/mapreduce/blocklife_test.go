@@ -275,7 +275,7 @@ func BenchmarkColdBlockRead(b *testing.B) {
 			if err := ring.AddNode("solo"); err != nil {
 				b.Fatal(err)
 			}
-			fs, err := dhtfs.NewServiceWithStore("solo", transport.NewLocal(), func() hashing.Ring { return ring }, 1, store)
+			fs, err := dhtfs.NewServiceWithStore("solo", transport.NewLocal(), func() *hashing.ChordRing { return ring }, 1, store)
 			if err != nil {
 				b.Fatal(err)
 			}

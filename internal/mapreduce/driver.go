@@ -39,7 +39,7 @@ type Driver struct {
 	net   transport.Network
 	fs    *dhtfs.Service
 	sched scheduler.Scheduler
-	ring  func() hashing.Ring
+	ring  func() *hashing.ChordRing
 	// reduceSlots bounds concurrent reduce tasks per node.
 	reduceSlots int
 	start       time.Time
@@ -69,7 +69,7 @@ type Driver struct {
 // nodes and their map slots; reduceSlots bounds reducer concurrency per
 // node (the paper configures 8 map and 8 reduce slots per server).
 func NewDriver(self hashing.NodeID, net transport.Network, fs *dhtfs.Service,
-	sched scheduler.Scheduler, ring func() hashing.Ring, reduceSlots int) (*Driver, error) {
+	sched scheduler.Scheduler, ring func() *hashing.ChordRing, reduceSlots int) (*Driver, error) {
 	if fs == nil || sched == nil || ring == nil {
 		return nil, errors.New("mapreduce: driver requires fs, scheduler and ring")
 	}
@@ -1150,7 +1150,7 @@ func (d *Driver) adoptPartitions(st *runState) ([]int, error) {
 // owner nor the old replica (both may still sit in the ring, unreachable),
 // and grows a fresh replica behind it when the job replicates. It refuses
 // when the spills cannot be rebuilt, before anything is recorded.
-func (d *Driver) rehome(st *runState, sp *trace.Span, ring hashing.Ring, part int) (reduceTask, error) {
+func (d *Driver) rehome(st *runState, sp *trace.Span, ring *hashing.ChordRing, part int) (reduceTask, error) {
 	if len(st.tasks) == 0 {
 		return reduceTask{}, fmt.Errorf("mapreduce: cannot recover reduce partition %d of job %s: map tasks are not re-executable (tag-reused intermediates)", part, st.spec.ID)
 	}

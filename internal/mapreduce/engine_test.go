@@ -125,7 +125,7 @@ func newEngineCluster(t *testing.T, o engineOpts) *engineCluster {
 		fs:      make(map[hashing.NodeID]*dhtfs.Service),
 		workers: make(map[hashing.NodeID]*Worker),
 	}
-	ringFn := func() hashing.Ring {
+	ringFn := func() *hashing.ChordRing {
 		ec.mu.Lock()
 		defer ec.mu.Unlock()
 		return ec.ring.Clone()

@@ -51,7 +51,7 @@ var _ Scheduler = (*Delay)(nil)
 
 // NewDelay builds a Delay scheduler over the DHT file system ring; the
 // hash-key table is aligned with the ring and never changes.
-func NewDelay(cfg DelayConfig, ring hashing.Ring) (*Delay, error) {
+func NewDelay(cfg DelayConfig, ring *hashing.ChordRing) (*Delay, error) {
 	table, err := ring.RangeTable()
 	if err != nil {
 		return nil, err

@@ -35,7 +35,7 @@ var _ Scheduler = (*Fair)(nil)
 
 // NewFair builds a Fair scheduler. The ring is used only to report which
 // assignments happened to be local; it does not influence placement.
-func NewFair(ring hashing.Ring) (*Fair, error) {
+func NewFair(ring *hashing.ChordRing) (*Fair, error) {
 	table, err := ring.RangeTable()
 	if err != nil {
 		return nil, err

@@ -53,12 +53,11 @@ type pendingTask struct {
 
 var _ Scheduler = (*LAF)(nil)
 
-// NewLAF builds a LAF scheduler. The initial hash-key table comes from
-// the ring's RangeTable (arc-aligned on the chord backend — the paper's
-// starting state — uniform on the others); pass a ring containing the
-// worker servers. Workers still must be registered with AddNode to
-// receive slots.
-func NewLAF(cfg LAFConfig, ring hashing.Ring) (*LAF, error) {
+// NewLAF builds a LAF scheduler. The initial hash-key table is the ring's
+// RangeTable, aligned with its arcs (the paper's starting state); pass a
+// ring containing the worker servers. Workers still must be registered
+// with AddNode to receive slots.
+func NewLAF(cfg LAFConfig, ring *hashing.ChordRing) (*LAF, error) {
 	est, err := kde.New(cfg.KDE)
 	if err != nil {
 		return nil, err

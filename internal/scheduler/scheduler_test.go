@@ -12,7 +12,7 @@ import (
 )
 
 // testRing builds a ring of n workers named w00..w(n-1).
-func testRing(t testing.TB, n int) (hashing.Ring, []hashing.NodeID) {
+func testRing(t testing.TB, n int) (*hashing.ChordRing, []hashing.NodeID) {
 	t.Helper()
 	r := hashing.NewChordRing()
 	ids := make([]hashing.NodeID, n)
@@ -25,7 +25,7 @@ func testRing(t testing.TB, n int) (hashing.Ring, []hashing.NodeID) {
 	return r, ids
 }
 
-func newLAF(t testing.TB, ring hashing.Ring, ids []hashing.NodeID, slots int, cfg LAFConfig) *LAF {
+func newLAF(t testing.TB, ring *hashing.ChordRing, ids []hashing.NodeID, slots int, cfg LAFConfig) *LAF {
 	t.Helper()
 	s, err := NewLAF(cfg, ring)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestLAFReleaseUnknownNodeIgnored(t *testing.T) {
 	}
 }
 
-func newDelay(t testing.TB, ring hashing.Ring, ids []hashing.NodeID, slots int, wait time.Duration) *Delay {
+func newDelay(t testing.TB, ring *hashing.ChordRing, ids []hashing.NodeID, slots int, wait time.Duration) *Delay {
 	t.Helper()
 	s, err := NewDelay(DelayConfig{Wait: wait}, ring)
 	if err != nil {

@@ -51,7 +51,7 @@ type Model struct {
 	kind Framework
 
 	sched    scheduler.Scheduler
-	ring     hashing.Ring
+	ring     *hashing.ChordRing
 	ids      []hashing.NodeID
 	idx      map[hashing.NodeID]int
 	table    *hashing.RangeTable // static partition table (reduce placement, FS ownership)
@@ -111,36 +111,18 @@ func NewModel(p Params, kind Framework, pol Policy) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("simcluster: unknown framework %q", kind)
 	}
-	// The default chord ring sits nodes at near-even ring positions (even
-	// spacing plus a mild deterministic jitter). A production
-	// consistent-hashing deployment achieves the same with virtual nodes;
-	// without it, single-token arc skew (up to ln N × the mean) would
-	// dominate every experiment and mask the framework effects under
-	// study. The alternate -ring algorithms (jump, power, rendezvous) are
-	// balanced by construction and take their members by ID.
-	chordDefault := p.Ring == "" || p.Ring == hashing.AlgorithmChord
-	var chordRing *hashing.ChordRing
-	if chordDefault {
-		chordRing = hashing.NewChordRing()
-		m.ring = chordRing
-	} else {
-		r, err := hashing.NewAlgorithmRing(p.Ring)
-		if err != nil {
-			return nil, err
-		}
-		m.ring = r
-	}
+	// The Chord ring sits nodes at near-even ring positions (even spacing
+	// plus a mild deterministic jitter). Without it, single-token arc skew
+	// (up to ln N × the mean) would dominate every experiment and mask the
+	// framework effects under study.
+	m.ring = hashing.NewChordRing()
 	posRng := rand.New(rand.NewSource(7))
 	step := float64(1<<63) * 2 / float64(p.Nodes)
 	for i := 0; i < p.Nodes; i++ {
 		id := hashing.NodeID(fmt.Sprintf("node-%02d", i))
-		if chordDefault {
-			jitter := (posRng.Float64() - 0.5) * 0.8
-			pos := hashing.Key((float64(i) + 0.5 + jitter) * step)
-			if err := chordRing.Add(id, pos); err != nil {
-				return nil, err
-			}
-		} else if err := m.ring.AddNode(id); err != nil {
+		jitter := (posRng.Float64() - 0.5) * 0.8
+		pos := hashing.Key((float64(i) + 0.5 + jitter) * step)
+		if err := m.ring.Add(id, pos); err != nil {
 			return nil, err
 		}
 		m.ids = append(m.ids, id)

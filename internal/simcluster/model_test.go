@@ -206,38 +206,3 @@ func TestProactiveShuffleToggle(t *testing.T) {
 		t.Fatalf("proactive shuffle (%.0fs) not faster than pull (%.0fs)", on, off)
 	}
 }
-
-// TestModelRingBackends pins Params.Ring: the simulator runs a full job
-// deterministically on every placement backend, and an unknown name is
-// rejected at construction.
-func TestModelRingBackends(t *testing.T) {
-	job := JobDesc{Name: "ring", App: ProfileWordCount, InputBytes: 5 * gb, Seed: 3}
-	for _, alg := range []string{"", "chord", "chord:8", "jump", "power", "rendezvous"} {
-		p := DefaultParams()
-		p.Ring = alg
-		run := func() JobStats {
-			m, err := NewModel(p, Eclipse, LAF(0.001))
-			if err != nil {
-				t.Fatalf("Ring=%q: %v", alg, err)
-			}
-			var stats JobStats
-			if err := m.Submit(job, 0, func(s JobStats) { stats = s }); err != nil {
-				t.Fatal(err)
-			}
-			m.Run()
-			return stats
-		}
-		a, b := run(), run()
-		if a.Finish == 0 {
-			t.Fatalf("Ring=%q: job never completed", alg)
-		}
-		if a.Finish != b.Finish || a.BytesRead != b.BytesRead {
-			t.Fatalf("Ring=%q nondeterministic: %+v vs %+v", alg, a, b)
-		}
-	}
-	p := DefaultParams()
-	p.Ring = "md5"
-	if _, err := NewModel(p, Eclipse, LAF(0.001)); err == nil {
-		t.Fatal("unknown ring algorithm accepted")
-	}
-}

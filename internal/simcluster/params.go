@@ -23,6 +23,8 @@ import (
 // Params describes the simulated testbed. Defaults mirror §III: 40 nodes
 // (two 20-node racks joined by a third switch), dual quad-core servers
 // with 8 map + 8 reduce slots, one 7200 rpm data disk, 1 GbE NICs.
+// Placement is the Chord ring with the nodes at jittered even positions
+// (see NewModel).
 type Params struct {
 	Nodes    int
 	RackSize int
@@ -45,11 +47,6 @@ type Params struct {
 	BlockSize int64
 	// Replicas is the file system replication factor.
 	Replicas int
-	// Ring selects the consistent-hashing algorithm for placement and the
-	// initial range table: "chord" (default, the paper's jittered
-	// even-spaced ring), "chord:<vnodes>", "jump", "power" or
-	// "rendezvous" (see hashing.Algorithms).
-	Ring string
 }
 
 // DefaultParams returns the paper's testbed.
