@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"sync"
@@ -551,35 +552,43 @@ func TestDeleteRemovesBlocksAndMetadata(t *testing.T) {
 	}
 }
 
+// TestRoutedReadMatchesDirect reads every block of a file hop by hop through
+// the finger table and compares it with a direct read. Routed reads always
+// build the finger table, so the sizes include the rings where a finger
+// table degenerates: one member (every finger is the node itself) and two.
 func TestRoutedReadMatchesDirect(t *testing.T) {
-	tc := newTestCluster(t, 8, 1) // replicas=1 so routing must find the one owner
-	svc := tc.services[tc.ids[0]]
-	data := randomData(2048, 12)
-	meta, err := svc.Upload(context.Background(), "routed.dat", "u", PermPublic, data, 256)
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{1, 2, 3, 5, 8, 16} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			tc := newTestCluster(t, n, 1) // replicas=1 so routing must find the one owner
+			svc := tc.services[tc.ids[0]]
+			data := randomData(2048, 12)
+			meta, err := svc.Upload(context.Background(), "routed.dat", "u", PermPublic, data, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxHops := 0
+			for i, k := range meta.BlockKeys {
+				got, hops, err := svc.readBlockRouted(context.Background(), k, meta.BlockSums[i])
+				if err != nil {
+					t.Fatalf("routed read %s: %v", k, err)
+				}
+				direct, _, err := svc.PinBlock(context.Background(), k, meta.BlockSums[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), direct.Bytes()) {
+					t.Fatalf("routed read of %s differs from direct", k)
+				}
+				if hops > maxHops {
+					maxHops = hops
+				}
+			}
+			if limit := bits.Len(uint(n)) + 1; maxHops > limit { // floor(log2 n) + 2
+				t.Fatalf("routing took %d hops on a %d-node ring, limit %d", maxHops, n, limit)
+			}
+			t.Logf("max hops: %d", maxHops)
+		})
 	}
-	maxHops := 0
-	for i, k := range meta.BlockKeys {
-		got, hops, err := svc.readBlockRouted(context.Background(), k, meta.BlockSums[i])
-		if err != nil {
-			t.Fatalf("routed read %s: %v", k, err)
-		}
-		direct, _, err := svc.PinBlock(context.Background(), k, meta.BlockSums[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), direct.Bytes()) {
-			t.Fatalf("routed read of %s differs from direct", k)
-		}
-		if hops > maxHops {
-			maxHops = hops
-		}
-	}
-	if maxHops > 8 { // log2(8)=3 plus slack
-		t.Fatalf("routing took %d hops on an 8-node ring", maxHops)
-	}
-	t.Logf("max hops: %d", maxHops)
 }
 
 func TestZeroHopToggleRoutesReads(t *testing.T) {

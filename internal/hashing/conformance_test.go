@@ -1,15 +1,41 @@
 package hashing_test
 
 import (
+	"fmt"
 	"testing"
 
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/hashing/ringtest"
 )
 
-// TestRingConformance runs the shared invariant suite over the ring.
+// TestRingConformance runs the invariant suite over an empty ring in each
+// state a consumer can be handed one in: new, a Clone (Node.Ring hands out
+// clones of the view ring), a ring whose members have all left again (the
+// view ring lives through churn), and a Clone of that.
 func TestRingConformance(t *testing.T) {
-	ringtest.RunRingConformance(t, hashing.NewChordRing)
+	drained := func() *hashing.ChordRing {
+		r := hashing.NewChordRing()
+		for i := 0; i < 32; i++ {
+			if err := r.AddNode(hashing.NodeID(fmt.Sprintf("gone-%02d", i))); err != nil {
+				panic(err) // the names are distinct
+			}
+		}
+		for _, id := range r.Members() {
+			r.Remove(id)
+		}
+		return r
+	}
+	for _, v := range []struct {
+		name    string
+		newRing func() *hashing.ChordRing
+	}{
+		{"New", hashing.NewChordRing},
+		{"Clone", func() *hashing.ChordRing { return hashing.NewChordRing().Clone() }},
+		{"Drained", drained},
+		{"DrainedClone", func() *hashing.ChordRing { return drained().Clone() }},
+	} {
+		t.Run(v.name, func(t *testing.T) { ringtest.RunRingConformance(t, v.newRing) })
+	}
 }
 
 // TestChordRingDefaultPlacementUnchanged pins that the interface refactor

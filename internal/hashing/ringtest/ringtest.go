@@ -63,6 +63,252 @@ func RunRingConformance(t *testing.T, newRing func() *hashing.ChordRing) {
 	t.Run("RangeTable", func(t *testing.T) { testRangeTable(t, newRing) })
 	t.Run("Snapshot", func(t *testing.T) { testSnapshot(t, newRing) })
 	t.Run("Membership", func(t *testing.T) { testMembership(t, newRing) })
+	t.Run("Owns", func(t *testing.T) { testOwns(t, newRing) })
+	t.Run("Positions", func(t *testing.T) { testPositions(t, newRing) })
+	t.Run("ExplicitPositions", func(t *testing.T) { testExplicitPositions(t, newRing) })
+	t.Run("ReplicaSetShape", func(t *testing.T) { testReplicaSetShape(t, newRing) })
+	t.Run("RangeTableAligned", func(t *testing.T) { testRangeTableAligned(t, newRing) })
+	t.Run("LeaveToSuccessor", func(t *testing.T) { testLeaveToSuccessor(t, newRing) })
+	t.Run("JoinLeaveRoundTrip", func(t *testing.T) { testJoinLeaveRoundTrip(t, newRing) })
+}
+
+// populated returns a ring from newRing with the first n of nodeIDs joined.
+func populated(t *testing.T, newRing func() *hashing.ChordRing, n int) *hashing.ChordRing {
+	t.Helper()
+	r := newRing()
+	for _, id := range nodeIDs(n) {
+		if err := r.AddNode(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// memberKeys returns the probe sample plus every member's own position and
+// the keys on either side of it: the arc boundaries where an off-by-one in
+// the (pred, pos] convention would show.
+func memberKeys(r *hashing.ChordRing, n int) []hashing.Key {
+	keys := probeKeys(n)
+	for _, id := range r.Members() {
+		pos, _ := r.Position(id)
+		keys = append(keys, pos-1, pos, pos+1)
+	}
+	return keys
+}
+
+// testOwns: Owns(id, k) holds for exactly one member, the owner of k. The
+// finger-table router stops on Owns, so a key two members both claim, or
+// none does, would end a route early or never.
+func testOwns(t *testing.T, newRing func() *hashing.ChordRing) {
+	for _, n := range []int{1, 2, 5, 12} {
+		r := populated(t, newRing, n)
+		for _, k := range memberKeys(r, 256) {
+			owner, err := r.Owner(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range r.Members() {
+				if got := r.Owns(id, k); got != (id == owner) {
+					t.Fatalf("n=%d: Owns(%s, %v) = %v, owner is %s", n, id, k, got, owner)
+				}
+			}
+			if r.Owns("ghost", k) {
+				t.Fatalf("n=%d: non-member owns %v", n, k)
+			}
+		}
+	}
+}
+
+// testPositions: AddNode places a node at the hash of its ID, a node owns
+// its own position, Members is in ascending position order, and RangeOf is
+// the arc (predecessor's position, own position]. The membership protocol
+// ships these positions and the router navigates by them.
+func testPositions(t *testing.T, newRing func() *hashing.ChordRing) {
+	for _, n := range []int{1, 3, 12} {
+		r := populated(t, newRing, n)
+		var prev hashing.Key
+		for i, id := range r.Members() {
+			pos, ok := r.Position(id)
+			if !ok || pos != hashing.KeyOfString(string(id)) {
+				t.Fatalf("n=%d: Position(%s) = %v, %v; want the hash of its ID", n, id, pos, ok)
+			}
+			//lint:ignore ringcmp Members is specified in ascending ordinal position on the linear [0,2^64) axis
+			if i > 0 && pos <= prev {
+				t.Fatalf("n=%d: Members out of position order at %s", n, id)
+			}
+			prev = pos
+			if owner, _ := r.Owner(pos); owner != id {
+				t.Fatalf("n=%d: %s does not own its own position (owner %s)", n, id, owner)
+			}
+			start, end, err := r.RangeOf(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pred, _ := r.Predecessor(id)
+			predPos, _ := r.Position(pred)
+			if end != pos || start != predPos {
+				t.Fatalf("n=%d: RangeOf(%s) = (%v, %v], want (%v, %v]", n, id, start, end, predPos, pos)
+			}
+		}
+		if _, ok := r.Position("ghost"); ok {
+			t.Fatalf("n=%d: non-member has a position", n)
+		}
+		if _, _, err := r.RangeOf("ghost"); err == nil {
+			t.Fatalf("n=%d: RangeOf of non-member succeeded", n)
+		}
+	}
+}
+
+// testExplicitPositions: Add places a node at the position it is given (the
+// simulator and the membership view do), a taken position or a duplicate ID
+// is refused without changing the ring, and a freed position can be reused.
+func testExplicitPositions(t *testing.T, newRing func() *hashing.ChordRing) {
+	r := newRing()
+	for _, m := range []struct {
+		id  hashing.NodeID
+		pos hashing.Key
+	}{{"a", 100}, {"b", 200}, {"c", 1 << 63}} {
+		if err := r.Add(m.id, m.pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[hashing.Key]hashing.NodeID{
+		0: "a", 100: "a", 101: "b", 200: "b", 201: "c", 1 << 63: "c", 1<<63 + 1: "a", ^hashing.Key(0): "a",
+	}
+	check := func(want map[hashing.Key]hashing.NodeID) {
+		t.Helper()
+		for k, id := range want {
+			if got, err := r.Owner(k); err != nil || got != id {
+				t.Fatalf("Owner(%v) = %s, %v; want %s", k, got, err, id)
+			}
+		}
+	}
+	check(want)
+	if err := r.Add("d", 200); err == nil {
+		t.Fatal("Add at a taken position succeeded")
+	}
+	if err := r.Add("a", 300); err == nil {
+		t.Fatal("Add of a duplicate ID succeeded")
+	}
+	if _, ok := r.Position("d"); ok || r.Len() != 3 {
+		t.Fatalf("refused Add changed the ring: Len %d", r.Len())
+	}
+	if pos, _ := r.Position("a"); pos != 100 {
+		t.Fatalf("refused duplicate moved a to %v", pos)
+	}
+	check(want)
+	r.Remove("b")
+	if err := r.Add("d", 200); err != nil {
+		t.Fatalf("Add at a freed position: %v", err)
+	}
+	want[101], want[200] = "d", "d"
+	check(want)
+}
+
+// testReplicaSetShape: the replica set is the paper's scheme exactly, the
+// owner, its predecessor, then successors clockwise.
+func testReplicaSetShape(t *testing.T, newRing func() *hashing.ChordRing) {
+	for _, n := range []int{2, 3, 5, 12} {
+		r := populated(t, newRing, n)
+		for _, k := range memberKeys(r, 256) {
+			owner, _ := r.Owner(k)
+			expect := []hashing.NodeID{owner}
+			if pred, _ := r.Predecessor(owner); pred != owner {
+				expect = append(expect, pred)
+			}
+			for cur := owner; len(expect) < n && len(expect) < 5; {
+				cur, _ = r.Successor(cur)
+				expect = append(expect, cur)
+			}
+			set, err := r.ReplicaSet(k, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(set) != fmt.Sprint(expect) {
+				t.Fatalf("n=%d: ReplicaSet(%v, 5) = %v, want %v (owner, predecessor, successors)", n, k, set, expect)
+			}
+		}
+	}
+}
+
+// testRangeTableAligned: the scheduler's initial table mirrors the ring's
+// arcs, so task locality and block placement agree at startup. The table's
+// ranges are [start, end) where arcs are (start, end], so the two may
+// differ only on a key that is exactly a member's position.
+func testRangeTableAligned(t *testing.T, newRing func() *hashing.ChordRing) {
+	for _, n := range []int{1, 3, 8, 40} {
+		r := populated(t, newRing, n)
+		table, err := r.RangeTable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range memberKeys(r, 1024) {
+			owner, _ := r.Owner(k)
+			if got := table.Lookup(k); got != owner {
+				if pos, _ := r.Position(owner); pos != k {
+					t.Fatalf("n=%d: table sends %v to %s, ring owner is %s", n, k, got, owner)
+				}
+			}
+		}
+	}
+}
+
+// testLeaveToSuccessor: a departed node's keys go to its successor and no
+// other key moves, which is how a failed server's range is handed to the
+// take-over node.
+func testLeaveToSuccessor(t *testing.T, newRing func() *hashing.ChordRing) {
+	for _, n := range []int{2, 5, 16} {
+		r := populated(t, newRing, n)
+		departed := nodeIDs(n)[n/2]
+		heir, err := r.Successor(departed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := memberKeys(r, 2048)
+		before := owners(t, r, keys)
+		r.Remove(departed)
+		after := owners(t, r, keys)
+		for _, k := range keys {
+			switch {
+			case before[k] == departed && after[k] != heir:
+				t.Fatalf("n=%d: key %v of departed %s went to %s, want successor %s", n, k, departed, after[k], heir)
+			case before[k] != departed && after[k] != before[k]:
+				t.Fatalf("n=%d: key %v moved %s -> %s on leave of %s", n, k, before[k], after[k], departed)
+			}
+		}
+	}
+}
+
+// testJoinLeaveRoundTrip: a node that joins and leaves again leaves every
+// owner and replica set as it was, so a transient member strands nothing.
+func testJoinLeaveRoundTrip(t *testing.T, newRing func() *hashing.ChordRing) {
+	for _, n := range []int{1, 4, 16} {
+		r := populated(t, newRing, n)
+		keys := probeKeys(1024)
+		before := make(map[hashing.Key]string, len(keys))
+		for _, k := range keys {
+			set, err := r.ReplicaSet(k, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before[k] = fmt.Sprint(set)
+		}
+		if err := r.AddNode("transient-xx"); err != nil {
+			t.Fatal(err)
+		}
+		if !r.Remove("transient-xx") {
+			t.Fatal("Remove of the transient member returned false")
+		}
+		for _, k := range keys {
+			set, err := r.ReplicaSet(k, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(set); got != before[k] {
+				t.Fatalf("n=%d: ReplicaSet(%v) = %s after a join and leave, was %s", n, k, got, before[k])
+			}
+		}
+	}
 }
 
 // testEmpty: lookups on an empty ring fail with ErrEmptyRing, never panic.

@@ -385,6 +385,67 @@ func TestSchedulerInterfaceCompliance(t *testing.T) {
 	}
 }
 
+// TestSchedulersStartAlignedWithRing: every scheduler cuts its initial
+// table from the ring, so at startup a task keyed into a member's arc is
+// local on exactly that member, whatever the ring's size. LAF and Delay
+// place each such task there; Fair places by free slots and reports
+// locality against the same table.
+func TestSchedulersStartAlignedWithRing(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 40} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			ring, ids := testRing(t, n)
+			for _, kind := range []string{"laf", "delay", "fair"} {
+				t.Run(kind, func(t *testing.T) {
+					var s Scheduler
+					var err error
+					switch kind {
+					case "laf":
+						s, err = NewLAF(DefaultLAFConfig(), ring)
+					case "delay":
+						s, err = NewDelay(DefaultDelayConfig(), ring)
+					case "fair":
+						s, err = NewFair(ring)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					table := s.RangeTable()
+					if table.Len() != n {
+						t.Fatalf("table has %d ranges for %d members", table.Len(), n)
+					}
+					want := make(map[hashing.Key]hashing.NodeID, n)
+					for _, id := range ids {
+						s.AddNode(id, 1)
+						start, _, err := ring.RangeOf(id)
+						if err != nil {
+							t.Fatal(err)
+						}
+						k := start + 1 // inside id's arc (pred, pos]
+						if got := table.Lookup(k); got != id {
+							t.Fatalf("table sends %v to %s, ring owner is %s", k, got, id)
+						}
+						want[k] = id
+						s.Submit(Task{Job: "j", ID: string(id), HashKey: k}, 0)
+					}
+					as := s.Dispatch(0)
+					if len(as) != n || s.Pending() != 0 {
+						t.Fatalf("dispatched %d of %d tasks, %d pending", len(as), n, s.Pending())
+					}
+					for _, a := range as {
+						local := a.Node == want[a.Task.HashKey]
+						if a.Local != local {
+							t.Fatalf("assignment %+v reports Local=%v, owner is %s", a, a.Local, want[a.Task.HashKey])
+						}
+						if kind != "fair" && !local {
+							t.Fatalf("assignment %+v not on its arc's owner %s", a, want[a.Task.HashKey])
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
 func TestNewSchedulersRejectEmptyRing(t *testing.T) {
 	empty := hashing.NewChordRing()
 	if _, err := NewLAF(DefaultLAFConfig(), empty); err == nil {
