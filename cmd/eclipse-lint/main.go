@@ -6,14 +6,11 @@
 //
 // Usage:
 //
-//	eclipse-lint [-only name,name] [-diff ref] [pattern ...]
+//	eclipse-lint [-only name,name] [pattern ...]
 //
 // Patterns are package directories or dir/... recursive patterns,
-// relative to the module root; the default is ./... . With -diff, the
-// patterns are replaced by the packages holding files changed since the
-// given git ref (as PR builds do, keeping the gate fast); module-wide
-// analyzers still see whole packages, and main/nightly builds run the
-// full tree. Findings print as
+// relative to the module root; the default is ./... , which is what the
+// build gate runs. Findings print as
 //
 //	file:line: analyzer: message
 //
@@ -27,9 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"eclipsemr/internal/lint"
@@ -42,10 +36,9 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("eclipse-lint", flag.ContinueOnError)
 	only := fs.String("only", "", "comma-separated subset of analyzers to run")
-	diff := fs.String("diff", "", "lint only packages with files changed since this git ref")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: eclipse-lint [-only name,name] [-diff ref] [pattern ...]\n\nanalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: eclipse-lint [-only name,name] [pattern ...]\n\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(fs.Output(), "  %-11s %s\n", a.Name, a.Doc)
 		}
@@ -87,23 +80,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "eclipse-lint:", err)
 		return 2
 	}
-	patterns := fs.Args()
-	if *diff != "" {
-		if len(patterns) > 0 {
-			fmt.Fprintln(os.Stderr, "eclipse-lint: -diff replaces the pattern arguments; pass one or the other")
-			return 2
-		}
-		patterns, err = changedPackages(loader.Root, *diff)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eclipse-lint:", err)
-			return 2
-		}
-		if len(patterns) == 0 {
-			fmt.Fprintf(os.Stderr, "eclipse-lint: no Go packages changed since %s\n", *diff)
-			return 0
-		}
-	}
-	unit, err := loader.Load(patterns...)
+	unit, err := loader.Load(fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "eclipse-lint:", err)
 		return 2
@@ -117,41 +94,4 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
-}
-
-// changedPackages lists the module-relative package directories holding
-// .go files changed since ref, per git diff. Deleted files still name
-// their directory — the remaining files must keep passing — but a
-// directory whose package vanished entirely is dropped, as is testdata
-// (golden inputs violate analyzers on purpose).
-func changedPackages(root, ref string) ([]string, error) {
-	cmd := exec.Command("git", "diff", "--name-only", ref, "--", "*.go")
-	cmd.Dir = root
-	out, err := cmd.Output()
-	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-			return nil, fmt.Errorf("git diff %s: %s", ref, strings.TrimSpace(string(ee.Stderr)))
-		}
-		return nil, fmt.Errorf("git diff %s: %w", ref, err)
-	}
-	dirs := make(map[string]bool)
-	for _, file := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		if file == "" || strings.Contains(file, "testdata"+string(filepath.Separator)) ||
-			strings.Contains(file, "/testdata/") {
-			continue
-		}
-		dir := filepath.Dir(file)
-		// The package must still exist with at least one .go file.
-		matches, _ := filepath.Glob(filepath.Join(root, dir, "*.go"))
-		if len(matches) == 0 {
-			continue
-		}
-		dirs[dir] = true
-	}
-	var pkgs []string
-	for d := range dirs {
-		pkgs = append(pkgs, d)
-	}
-	sort.Strings(pkgs)
-	return pkgs, nil
 }

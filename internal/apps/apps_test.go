@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"strconv"
@@ -216,6 +217,31 @@ func TestKMeansConverges(t *testing.T) {
 		if best > 1.0 {
 			t.Fatalf("no centroid near true center %v (d²=%g): %v", truth, best, res.Centroids)
 		}
+	}
+}
+
+// TestKMeansRunsAgreeBitForBit: two fault-free k-means runs over the same
+// points, stored under two names, end with the same centroids and shifts
+// to the last bit. Floating-point sums depend on their order, so this
+// holds only because every reduce reads its spills in (map task, spill)
+// order rather than in the order they happened to arrive.
+func TestKMeansRunsAgreeBitForBit(t *testing.T) {
+	c := newCluster(t, 4)
+	points, _ := workloads.Points(11, 3000, 2, 3)
+	initial := [][]float64{{0, 0}, {1, 1}, {-1, -1}}
+	var runs []KMeansResult
+	for _, name := range []string{"pts-a.txt", "pts-b.txt"} {
+		uploadLines(t, c, name, points)
+		res, err := RunKMeans(c, name, "u", initial, 3, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, res)
+	}
+	a, b := runs[0], runs[1]
+	if !bytes.Equal(encodeMat(a.Centroids), encodeMat(b.Centroids)) || !bytes.Equal(encodeVec(a.Shifts), encodeVec(b.Shifts)) {
+		t.Errorf("two runs over the same points differ:\ncentroids %v\n      and %v\nshifts %v\n   and %v",
+			a.Centroids, b.Centroids, a.Shifts, b.Shifts)
 	}
 }
 

@@ -245,18 +245,15 @@ func TestSplitSizesCoverTheirMemory(t *testing.T) {
 	}
 }
 
-// pinnedRunner runs the iterative drivers' jobs with intermediates
-// replicated, which makes a reducer read its spills in (task, sequence)
-// order rather than arrival order, so the floating-point sums of two runs
-// are comparable bit for bit. With legacy set the job runs the parent
-// commit's map function: the "legacy-" application of the same name.
+// pinnedRunner runs the iterative drivers' jobs with a retry budget for a
+// lossy network. With legacy set the job runs the parent commit's map
+// function: the "legacy-" application of the same name.
 type pinnedRunner struct {
 	c      *cluster.Cluster
 	legacy bool
 }
 
 func (r pinnedRunner) Run(spec mapreduce.JobSpec) (mapreduce.Result, error) {
-	spec.ReplicateIntermediates = true
 	spec.MaxAttempts = 6
 	if r.legacy {
 		spec.App = "legacy-" + spec.App

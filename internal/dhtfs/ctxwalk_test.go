@@ -43,11 +43,11 @@ func TestReplicaWalkStopsOnCancel(t *testing.T) {
 	remote := tc.services[tc.ids[1]].Store()
 	remote.AppendTaskSegment("job:walk", "p0", "m-0", 0, 0, []byte("spill"), 0)
 	svc.DropJob(cctx, "job:walk")
-	if len(remote.ReadSegments("job:walk", "p0")) != 1 {
+	if len(remote.ReadTaggedSegments("job:walk", "p0")) != 1 {
 		t.Fatal("DropJob under cancelled ctx still swept a remote node")
 	}
 	svc.DropJob(context.Background(), "job:walk")
-	if len(remote.ReadSegments("job:walk", "p0")) != 0 {
+	if len(remote.ReadTaggedSegments("job:walk", "p0")) != 0 {
 		t.Fatal("DropJob under a live ctx left the spill behind")
 	}
 

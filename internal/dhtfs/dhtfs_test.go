@@ -180,18 +180,18 @@ func TestStoreSegments(t *testing.T) {
 	s.AppendTaskSegment("job1", "p0", "m0", 0, 1, []byte("bb"), 0)
 	s.AppendTaskSegment("job1", "p1", "m0", 0, 0, []byte("cc"), 0)
 	s.AppendTaskSegment("job2", "p0", "m0", 0, 0, []byte("dd"), 0)
-	segs := s.ReadSegments("job1", "p0")
-	if len(segs) != 2 || string(segs[0]) != "aa" || string(segs[1]) != "bb" {
+	segs := s.ReadTaggedSegments("job1", "p0")
+	if len(segs) != 2 || string(segs[0].Data) != "aa" || string(segs[1].Data) != "bb" {
 		t.Fatalf("segments = %q", segs)
 	}
-	if len(s.ReadSegments("job1", "missing")) != 0 {
+	if len(s.ReadTaggedSegments("job1", "missing")) != 0 {
 		t.Fatal("missing partition returned data")
 	}
 	s.DropJobSegments("job1")
-	if len(s.ReadSegments("job1", "p0")) != 0 || len(s.ReadSegments("job1", "p1")) != 0 {
+	if len(s.ReadTaggedSegments("job1", "p0")) != 0 || len(s.ReadTaggedSegments("job1", "p1")) != 0 {
 		t.Fatal("DropJobSegments left data")
 	}
-	if len(s.ReadSegments("job2", "p0")) != 1 {
+	if len(s.ReadTaggedSegments("job2", "p0")) != 1 {
 		t.Fatal("DropJobSegments removed other job's data")
 	}
 	if s.Bytes() != 2 {
@@ -354,20 +354,20 @@ func TestSegmentsPushFetchDrop(t *testing.T) {
 	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", []SegBatchEntry{{Partition: "r0", Tag: SegTag{Task: "m0", Seq: 1}, Data: []byte("spill-2")}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := b.FetchSegments(context.Background(), tc.ids[1], "job9", "r0")
+	segs, err := b.FetchTaggedSegments(context.Background(), tc.ids[1], "job9", "r0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 2 || string(segs[1]) != "spill-2" {
+	if len(segs) != 2 || string(segs[1].Data) != "spill-2" {
 		t.Fatalf("segments = %q", segs)
 	}
 	// Fetch across the network too.
-	segs, err = a.FetchSegments(context.Background(), tc.ids[1], "job9", "r0")
+	segs, err = a.FetchTaggedSegments(context.Background(), tc.ids[1], "job9", "r0")
 	if err != nil || len(segs) != 2 {
 		t.Fatalf("remote fetch = %d, %v", len(segs), err)
 	}
 	a.DropJob(context.Background(), "job9")
-	segs, _ = a.FetchSegments(context.Background(), tc.ids[1], "job9", "r0")
+	segs, _ = a.FetchTaggedSegments(context.Background(), tc.ids[1], "job9", "r0")
 	if len(segs) != 0 {
 		t.Fatal("DropJob left segments")
 	}
@@ -495,12 +495,12 @@ func TestSegmentTTLExpiry(t *testing.T) {
 	s.SetClock(func() time.Time { return now })
 	s.AppendTaskSegment("j", "p0", "m0", 0, 0, []byte("short"), time.Minute)
 	s.AppendTaskSegment("j", "p0", "m0", 0, 1, []byte("forever"), 0)
-	if segs := s.ReadSegments("j", "p0"); len(segs) != 2 {
+	if segs := s.ReadTaggedSegments("j", "p0"); len(segs) != 2 {
 		t.Fatalf("segments = %d before expiry", len(segs))
 	}
 	now = now.Add(2 * time.Minute)
-	segs := s.ReadSegments("j", "p0")
-	if len(segs) != 1 || string(segs[0]) != "forever" {
+	segs := s.ReadTaggedSegments("j", "p0")
+	if len(segs) != 1 || string(segs[0].Data) != "forever" {
 		t.Fatalf("segments after expiry = %q", segs)
 	}
 	// Expired bytes are released from the accounting.
@@ -510,7 +510,7 @@ func TestSegmentTTLExpiry(t *testing.T) {
 	// A partition whose spills all expire disappears entirely.
 	s.AppendTaskSegment("j", "p1", "m0", 0, 0, []byte("gone"), time.Second)
 	now = now.Add(time.Hour)
-	if segs := s.ReadSegments("j", "p1"); len(segs) != 0 {
+	if segs := s.ReadTaggedSegments("j", "p1"); len(segs) != 0 {
 		t.Fatalf("expired partition returned %q", segs)
 	}
 	if _, _, segCount := s.Counts(); segCount != 1 {

@@ -44,7 +44,7 @@ func TestPushTaggedSegmentBatch(t *testing.T) {
 		[]SegBatchEntry{{Partition: "p0002", Tag: SegTag{Task: "m3"}, Data: []byte("self")}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if segs := a.Store().ReadSegments("jobB", "p0002"); len(segs) != 1 || string(segs[0]) != "self" {
+	if segs := a.Store().ReadTaggedSegments("jobB", "p0002"); len(segs) != 1 || string(segs[0].Data) != "self" {
 		t.Fatalf("self batch = %q", segs)
 	}
 }
@@ -65,18 +65,18 @@ func TestBatchRetransmitAndSupersede(t *testing.T) {
 	}
 	push(0, "first")
 	push(0, "first") // exact retransmit replaces, not duplicates
-	segs, err := a.FetchSegments(context.Background(), to, "jobD", "p0000")
+	segs, err := a.FetchTaggedSegments(context.Background(), to, "jobD", "p0000")
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("after retransmit: %d segments, %v", len(segs), err)
 	}
 	push(1, "second") // higher attempt supersedes
-	segs, err = a.FetchSegments(context.Background(), to, "jobD", "p0000")
-	if err != nil || len(segs) != 1 || string(segs[0]) != "second" {
+	segs, err = a.FetchTaggedSegments(context.Background(), to, "jobD", "p0000")
+	if err != nil || len(segs) != 1 || string(segs[0].Data) != "second" {
 		t.Fatalf("after supersede: %q, %v", segs, err)
 	}
 	push(0, "stale") // straggler from a superseded attempt is ignored
-	segs, err = a.FetchSegments(context.Background(), to, "jobD", "p0000")
-	if err != nil || len(segs) != 1 || string(segs[0]) != "second" {
+	segs, err = a.FetchTaggedSegments(context.Background(), to, "jobD", "p0000")
+	if err != nil || len(segs) != 1 || string(segs[0].Data) != "second" {
 		t.Fatalf("after straggler: %q, %v", segs, err)
 	}
 }
@@ -97,7 +97,7 @@ func TestBatchMalformedEntryRejected(t *testing.T) {
 	if _, _, err := svc.Handle(context.Background(), MethodAppendSegBatch, body); err == nil {
 		t.Fatal("overrunning batch entry accepted")
 	}
-	if segs := svc.Store().ReadSegments("jobE", "p0000"); len(segs) != 0 {
+	if segs := svc.Store().ReadTaggedSegments("jobE", "p0000"); len(segs) != 0 {
 		t.Fatalf("malformed batch stored %d segments", len(segs))
 	}
 }
@@ -129,6 +129,24 @@ func TestRawTaggedFetchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRawTaggedFetchRejectsOverrun: the lengths in a read reply come off
+// the wire, so one that runs past the payload is an error, not a slice
+// of whatever follows.
+func TestRawTaggedFetchRejectsOverrun(t *testing.T) {
+	tc := newTestCluster(t, 1, 1)
+	a := tc.services[tc.ids[0]]
+	body, err := transport.EncodeFrame(rawTaggedHdr{Tags: []rawTaggedPart{{Task: "m1", Len: 2}, {Task: "m1", Seq: 1, Len: 99}}}, []byte("short"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.net.Listen("liar", func(context.Context, string, []byte) ([]byte, error) { return body, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := a.FetchTaggedSegments(context.Background(), "liar", "jobG", "p0000"); err == nil {
+		t.Fatalf("overrunning reply accepted as %+v", segs)
+	}
+}
+
 // TestStoreAccountingSweepsExpired pins the TTL accounting fix: Bytes
 // and Counts must stop reporting expired segments even when no read has
 // touched them since the TTL lapsed.
@@ -151,7 +169,7 @@ func TestStoreAccountingSweepsExpired(t *testing.T) {
 		t.Fatalf("counts after expiry = %d/%d/%d, want 0/0/1", blocks, metas, segs)
 	}
 	// The sweep dropped the data, not just the numbers.
-	if got := s.ReadSegments("j", "p0"); len(got) != 0 {
+	if got := s.ReadTaggedSegments("j", "p0"); len(got) != 0 {
 		t.Fatalf("expired partition still readable: %q", got)
 	}
 }

@@ -98,11 +98,6 @@ type (
 		Seq       int
 		Len       int
 	}
-	// rawSegsHdr heads a raw-frame untagged read reply: Lens splits the
-	// payload back into segments.
-	rawSegsHdr struct {
-		Lens []int
-	}
 	// rawTaggedHdr heads a raw-frame tagged read reply.
 	rawTaggedHdr struct {
 		Tags []rawTaggedPart
@@ -131,7 +126,6 @@ const (
 	// The *Batch/*Raw methods are the shuffle path: raw-frame bodies
 	// (length-prefixed KV bytes behind a small header).
 	MethodAppendSegBatch = "fs.appendSegmentBatch"
-	MethodReadSegRaw     = "fs.readSegmentsRaw"
 	MethodReadSegTagRaw  = "fs.readTaggedSegmentsRaw"
 	MethodDropSeg        = "fs.dropJobSegments"
 	MethodDeleteBlock    = "fs.deleteBlock"
@@ -260,18 +254,6 @@ func (s *Service) Handle(ctx context.Context, method string, body []byte) ([]byt
 		}
 		out, err := transport.Encode(getBlockResp{Check: check, Data: buf.Bytes()})
 		buf.Release() // the reply has its copy
-		return out, true, err
-	case MethodReadSegRaw:
-		var req readSegReq
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, true, err
-		}
-		segs := s.store.ReadSegments(req.Job, req.Partition)
-		hdr := rawSegsHdr{Lens: make([]int, len(segs))}
-		for i, seg := range segs {
-			hdr.Lens[i] = len(seg)
-		}
-		out, err := transport.EncodeFrame(hdr, segs...)
 		return out, true, err
 	case MethodReadSegTagRaw:
 		var req readSegReq
@@ -917,75 +899,40 @@ func (s *Service) PushTaggedSegmentBatch(ctx context.Context, to hashing.NodeID,
 	return err
 }
 
-// splitPayload cuts a raw-frame payload into per-segment slices by
-// length, validating each untrusted length against the remaining bytes.
-func splitPayload(payload []byte, lens []int) ([][]byte, error) {
-	out := make([][]byte, len(lens))
-	off := 0
-	for i, n := range lens {
-		if n < 0 || n > len(payload)-off {
-			return nil, fmt.Errorf("dhtfs: segment %d overruns reply payload (%d bytes at offset %d of %d)",
-				i, n, off, len(payload))
-		}
-		out[i] = payload[off : off+n : off+n]
-		off += n
-	}
-	return out, nil
-}
-
-// FetchSegments reads all intermediate-result spills for a job partition
-// from the given node — over the raw-frame path, or straight from the
-// local shard when that node is this one.
-func (s *Service) FetchSegments(ctx context.Context, from hashing.NodeID, job, partition string) ([][]byte, error) {
-	if from == s.self {
-		return s.store.ReadSegments(job, partition), nil
-	}
-	var hdr rawSegsHdr
-	payload, err := s.fetchRaw(ctx, from, MethodReadSegRaw, job, partition, &hdr)
-	if err != nil {
-		return nil, err
-	}
-	return splitPayload(payload, hdr.Lens)
-}
-
-// FetchTaggedSegments reads all spills with task attribution from the
-// given node (the replica union-merge read path), like FetchSegments.
+// FetchTaggedSegments reads every spill of a job partition, with its task
+// attribution, from the given node: over the raw-frame path, or straight
+// from the local shard when that node is this one.
 func (s *Service) FetchTaggedSegments(ctx context.Context, from hashing.NodeID, job, partition string) ([]TaggedSegment, error) {
 	if from == s.self {
 		return s.store.ReadTaggedSegments(job, partition), nil
 	}
-	var hdr rawTaggedHdr
-	payload, err := s.fetchRaw(ctx, from, MethodReadSegTagRaw, job, partition, &hdr)
-	if err != nil {
-		return nil, err
-	}
-	lens := make([]int, len(hdr.Tags))
-	for i, tag := range hdr.Tags {
-		lens[i] = tag.Len
-	}
-	segs, err := splitPayload(payload, lens)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TaggedSegment, len(hdr.Tags))
-	for i, tag := range hdr.Tags {
-		out[i] = TaggedSegment{Task: tag.Task, Attempt: tag.Attempt, Seq: tag.Seq, Data: segs[i]}
-	}
-	return out, nil
-}
-
-// fetchRaw issues one raw-frame segment read to a remote node, decodes
-// the reply's header into hdr and returns the payload behind it.
-func (s *Service) fetchRaw(ctx context.Context, from hashing.NodeID, method, job, partition string, hdr transport.Wire) ([]byte, error) {
 	req, err := transport.Encode(readSegReq{Job: job, Partition: partition})
 	if err != nil {
 		return nil, err
 	}
-	body, err := s.net.Call(ctx, from, method, req)
+	body, err := s.net.Call(ctx, from, MethodReadSegTagRaw, req)
 	if err != nil {
 		return nil, err
 	}
-	return transport.DecodeFrame(body, hdr)
+	var hdr rawTaggedHdr
+	payload, err := transport.DecodeFrame(body, &hdr)
+	if err != nil {
+		return nil, err
+	}
+	// The payload is cut by the header's lengths, each checked against the
+	// bytes that remain: they come off the wire.
+	out := make([]TaggedSegment, len(hdr.Tags))
+	off := 0
+	for i, tag := range hdr.Tags {
+		n := tag.Len
+		if n < 0 || n > len(payload)-off {
+			return nil, fmt.Errorf("dhtfs: segment %d overruns reply payload (%d bytes at offset %d of %d)",
+				i, n, off, len(payload))
+		}
+		out[i] = TaggedSegment{Task: tag.Task, Attempt: tag.Attempt, Seq: tag.Seq, Data: payload[off : off+n : off+n]}
+		off += n
+	}
+	return out, nil
 }
 
 // ListPrefix returns the names of all metadata entries with the given

@@ -461,70 +461,55 @@ func (s *Store) AppendTaskSegment(job, partition, task string, attempt, seq int,
 	return disp
 }
 
-// ReadSegments returns every live spill stored for a job partition, in
-// arrival order; expired spills are dropped.
-func (s *Store) ReadSegments(job, partition string) [][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := segKey(job, partition)
-	now := s.now()
-	segs := s.segments[k]
-	live := segs[:0]
-	var out [][]byte
-	for _, seg := range segs {
-		if !seg.expires.IsZero() && now.After(seg.expires) {
-			s.segBytes -= int64(len(seg.data))
-			continue
-		}
-		live = append(live, seg)
-		out = append(out, append([]byte(nil), seg.data...))
-	}
-	if len(live) == 0 {
-		delete(s.segments, k)
-	} else {
-		s.segments[k] = live
-	}
-	return out
-}
-
-// ReadTaggedSegments returns every live spill with its task attribution,
-// for replica union-merges.
+// ReadTaggedSegments returns a copy of every live spill stored for a job
+// partition with its task attribution, in arrival order; expired spills
+// are dropped. A reduce puts them in (task, seq) order with
+// MergeTaggedSegments.
 func (s *Store) ReadTaggedSegments(job, partition string) []TaggedSegment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := segKey(job, partition)
-	now := s.now()
-	segs := s.segments[k]
-	live := segs[:0]
-	var out []TaggedSegment
-	for _, seg := range segs {
-		if !seg.expires.IsZero() && now.After(seg.expires) {
-			s.segBytes -= int64(len(seg.data))
-			continue
-		}
-		live = append(live, seg)
-		out = append(out, TaggedSegment{
+	live := s.dropExpiredLocked(segKey(job, partition), s.now())
+	out := make([]TaggedSegment, len(live))
+	for i, seg := range live {
+		out[i] = TaggedSegment{
 			Task:    seg.task,
 			Attempt: seg.attempt,
 			Seq:     seg.seq,
 			Data:    append([]byte(nil), seg.data...),
-		})
+		}
+	}
+	return out
+}
+
+// dropExpiredLocked drops the spills of stream k whose TTL lapsed before
+// now, with their accounting, and returns the live ones. Caller holds
+// s.mu.
+func (s *Store) dropExpiredLocked(k string, now time.Time) []segment {
+	segs := s.segments[k]
+	live := segs[:0]
+	for _, seg := range segs {
+		if !seg.expires.IsZero() && now.After(seg.expires) {
+			s.segBytes -= int64(len(seg.data))
+			continue
+		}
+		live = append(live, seg)
 	}
 	if len(live) == 0 {
 		delete(s.segments, k)
 	} else {
 		s.segments[k] = live
 	}
-	return out
+	return live
 }
 
-// MergeTaggedSegments unions spills gathered from several replicas into
-// one deduplicated, deterministically ordered payload list: per task only
-// the newest attempt survives, (task, seq) duplicates collapse to one
-// copy, and the result is sorted by (task, seq). Because every spill
-// reached at least one replica, the union over the reachable replicas is
-// the complete intermediate data even when each individual copy is
-// partial.
+// MergeTaggedSegments unions the spills gathered from a partition's
+// holders (its owner, and its replica when intermediates are replicated)
+// into one deduplicated payload list: per task only the newest attempt
+// survives, (task, seq) duplicates collapse to one copy, and the result is
+// sorted by (task, seq), so it does not depend on the order the spills
+// arrived in. Because every spill reached at least one holder, the union
+// over the reachable holders is the complete intermediate data even when
+// each individual copy is partial.
 func MergeTaggedSegments(segs []TaggedSegment) [][]byte {
 	maxAttempt := make(map[string]int)
 	for _, s := range segs {
@@ -584,20 +569,8 @@ func (s *Store) DropJobSegments(job string) {
 // observe. Caller holds s.mu.
 func (s *Store) sweepExpiredLocked() {
 	now := s.now()
-	for k, segs := range s.segments {
-		live := segs[:0]
-		for _, seg := range segs {
-			if !seg.expires.IsZero() && now.After(seg.expires) {
-				s.segBytes -= int64(len(seg.data))
-				continue
-			}
-			live = append(live, seg)
-		}
-		if len(live) == 0 {
-			delete(s.segments, k)
-		} else {
-			s.segments[k] = live
-		}
+	for k := range s.segments {
+		s.dropExpiredLocked(k, now)
 	}
 }
 

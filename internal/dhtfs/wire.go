@@ -189,26 +189,6 @@ func (m *segBatchHdr) ParseWire(src []byte) error {
 	return r.Done()
 }
 
-func (m rawSegsHdr) AppendWire(dst []byte) []byte {
-	dst = transport.AppendUvarint(dst, uint64(len(m.Lens)))
-	for _, n := range m.Lens {
-		dst = transport.AppendInt(dst, int64(n))
-	}
-	return dst
-}
-
-func (m *rawSegsHdr) ParseWire(src []byte) error {
-	r := transport.NewWireReader(src)
-	*m = rawSegsHdr{}
-	if n := r.Count(1); n > 0 {
-		m.Lens = make([]int, n)
-		for i := range m.Lens {
-			m.Lens[i] = r.Int()
-		}
-	}
-	return r.Done()
-}
-
 func (m rawTaggedHdr) AppendWire(dst []byte) []byte {
 	dst = transport.AppendUvarint(dst, uint64(len(m.Tags)))
 	for _, t := range m.Tags {

@@ -20,7 +20,7 @@ import (
 var wireTypes = []transport.Wire{
 	&putBlockReq{}, &getBlockReq{}, &getBlockResp{}, &hasResp{}, &getMetaReq{},
 	&nameReq{}, &listMetaResp{}, &empty{}, &readSegReq{},
-	&segBatchHdr{}, &rawSegsHdr{}, &rawTaggedHdr{}, &routedGetReq{}, &routedGetResp{},
+	&segBatchHdr{}, &rawTaggedHdr{}, &routedGetReq{}, &routedGetResp{},
 	&Metadata{}, &putFileReq{}, &getFileResp{},
 }
 
@@ -72,9 +72,6 @@ func wireCases() []transport.Wire {
 			{Partition: "p0003", Task: "m-1", Attempt: 1, Seq: 4, Len: 0},
 		}},
 		&segBatchHdr{TTL: math.MinInt64, Entries: []segBatchPart{{}, {Partition: notUTF8, Attempt: -1, Seq: math.MaxInt, Len: math.MinInt}}},
-		&rawSegsHdr{},
-		&rawSegsHdr{Lens: []int{}},
-		&rawSegsHdr{Lens: []int{0, 1, 300, math.MaxInt, -5}},
 		&rawTaggedHdr{},
 		&rawTaggedHdr{Tags: []rawTaggedPart{{Task: "m-2", Attempt: 1, Seq: 2, Len: 77}, {}}},
 		&routedGetReq{},
@@ -129,7 +126,6 @@ func TestWireHostileCounts(t *testing.T) {
 		body []byte
 	}{
 		"listMeta names":  {&listMetaResp{}, huge},
-		"rawSegs lens":    {&rawSegsHdr{}, append(transport.AppendUvarint(nil, 1<<40), 0)},
 		"getBlock data":   {&getBlockResp{}, append(transport.AppendUvarint(check, 1<<62), 'x')},
 		"putBlock data":   {&putBlockReq{}, append(transport.AppendUvarint(append(make([]byte, 8), check...), 1<<62), 'x')},
 		"batch entries":   {&segBatchHdr{}, append([]byte{0, 0}, huge...)},
@@ -139,7 +135,7 @@ func TestWireHostileCounts(t *testing.T) {
 		"getFile data":    {&getFileResp{}, append(Metadata{}.AppendWire(nil), append(append([]byte{1}, check...), huge...)...)},
 		"routedGet data":  {&routedGetResp{}, append(transport.AppendUvarint(nil, 1<<62), 'x')},
 		"tagged tags":     {&rawTaggedHdr{}, transport.AppendUvarint(nil, 1<<33)},
-		"overlong varint": {&rawSegsHdr{}, bytes.Repeat([]byte{0xff}, 11)},
+		"overlong varint": {&rawTaggedHdr{}, bytes.Repeat([]byte{0xff}, 11)},
 		"sums < keys":     {&Metadata{}, digestShort.AppendWire(nil)},
 		"sums > keys":     {&Metadata{}, blockShort.AppendWire(nil)},
 		"putFile sums":    {&putFileReq{}, putFileReq{Meta: digestShort}.AppendWire(nil)},
@@ -195,7 +191,7 @@ func TestWireDataAliasesBodyAndStoreCopies(t *testing.T) {
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("%s: stored block changed with the request body (err %v)", name, err)
 		}
-		if segs := store.ReadSegments("job", "p0"); len(segs) != 1 || !bytes.Equal(segs[0], payload) {
+		if segs := store.ReadTaggedSegments("job", "p0"); len(segs) != 1 || !bytes.Equal(segs[0].Data, payload) {
 			t.Fatalf("%s: stored segment changed with the request body", name)
 		}
 		copy(body, pristine)

@@ -1,12 +1,9 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
-	"strings"
 )
 
 // GoroLeak reports go statements with no visible termination path. A
@@ -28,11 +25,6 @@ import (
 //
 // Anything else needs a //lint:ignore goroleak <reason> stating why the
 // goroutine's lifetime is actually bounded.
-//
-// When the enclosing module predates go 1.22 (per the go.mod go
-// directive), the analyzer additionally flags goroutine literals that
-// capture a loop variable: pre-1.22 all iterations share one variable,
-// so every goroutine observes the last value.
 func GoroLeak() *Analyzer {
 	return &Analyzer{
 		Name: "goroleak",
@@ -71,93 +63,43 @@ func unitDeclBodies(u *Unit) map[string]declBody {
 
 func runGoroLeak(u *Unit) []Finding {
 	decls := unitDeclBodies(u)
-	pre122 := goVersionBefore(u.GoVersion, 1, 22)
 	var findings []Finding
 	for _, p := range u.Pkgs {
+		w := &goroWalker{u: u, pkg: p, decls: decls}
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
 				}
-				w := &goroWalker{u: u, pkg: p, decls: decls, pre122: pre122}
-				w.walk(fd.Body, nil)
-				findings = append(findings, w.findings...)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						w.goStmt(g)
+					}
+					return true // arguments and nested spawns are still visited
+				})
 			}
 		}
+		findings = append(findings, w.findings...)
 	}
 	return findings
 }
 
-// goroWalker visits one function body, tracking the loop variables in
-// scope so goroutine literals that capture them can be flagged on
-// pre-1.22 modules.
+// goroWalker checks the go statements of one package.
 type goroWalker struct {
 	u        *Unit
 	pkg      *Package
 	decls    map[string]declBody
-	pre122   bool
 	findings []Finding
 }
 
-// walk visits n with the given active loop-variable objects.
-func (w *goroWalker) walk(n ast.Node, loopVars []types.Object) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			vars := loopVars
-			for _, e := range []ast.Expr{n.Key, n.Value} {
-				if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-					if obj := w.pkg.Info.Defs[id]; obj != nil {
-						vars = append(vars, obj)
-					}
-				}
-			}
-			if n.Key != nil || n.Value != nil {
-				w.walk(n.X, loopVars)
-				w.walk(n.Body, vars)
-				return false
-			}
-		case *ast.ForStmt:
-			vars := loopVars
-			if as, ok := n.Init.(*ast.AssignStmt); ok && as.Tok == token.DEFINE {
-				for _, e := range as.Lhs {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-						if obj := w.pkg.Info.Defs[id]; obj != nil {
-							vars = append(vars, obj)
-						}
-					}
-				}
-			}
-			if len(vars) > len(loopVars) {
-				w.walk(n.Init, loopVars)
-				w.walk(n.Cond, vars)
-				w.walk(n.Body, vars)
-				w.walk(n.Post, vars)
-				return false
-			}
-		case *ast.GoStmt:
-			w.goStmt(n, loopVars)
-			// Arguments and nested spawns are still visited.
-		}
-		return true
-	})
-}
-
-// goStmt checks one go statement: termination evidence plus (pre-1.22)
-// loop-variable capture.
-func (w *goroWalker) goStmt(g *ast.GoStmt, loopVars []types.Object) {
+// goStmt checks one go statement for termination evidence.
+func (w *goroWalker) goStmt(g *ast.GoStmt) {
 	var body *ast.BlockStmt
 	info := w.pkg.Info
 	switch fun := ast.Unparen(g.Call.Fun).(type) {
 	case *ast.FuncLit:
 		body = fun.Body
-		if w.pre122 {
-			w.checkLoopCapture(g, fun, loopVars)
-		}
 	default:
 		if fn := calleeFunc(info, g.Call); fn != nil {
 			if db, ok := w.decls[funcKey(fn)]; ok {
@@ -276,53 +218,4 @@ func terminationEvidence(info *types.Info, body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-// checkLoopCapture flags a goroutine literal that uses a loop variable of
-// an enclosing loop. Only meaningful pre-go1.22: later modules get one
-// variable per iteration.
-func (w *goroWalker) checkLoopCapture(g *ast.GoStmt, lit *ast.FuncLit, loopVars []types.Object) {
-	if len(loopVars) == 0 {
-		return
-	}
-	captured := make(map[types.Object]bool)
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := w.pkg.Info.Uses[id]; obj != nil {
-				for _, lv := range loopVars {
-					if obj == lv {
-						captured[obj] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	for _, lv := range loopVars {
-		if captured[lv] {
-			w.findings = append(w.findings, Finding{
-				Pos:      w.u.Fset.Position(g.Pos()),
-				Analyzer: "goroleak",
-				Message: fmt.Sprintf(
-					"goroutine captures loop variable %s; module is go %s (< 1.22), all iterations share one variable — pass it as an argument",
-					lv.Name(), w.u.GoVersion),
-			})
-		}
-	}
-}
-
-// goVersionBefore reports whether the go directive v ("1.21") names a
-// release before major.minor. An empty or unparsable version is treated
-// as current (the check stays off).
-func goVersionBefore(v string, major, minor int) bool {
-	parts := strings.SplitN(v, ".", 3)
-	if len(parts) < 2 {
-		return false
-	}
-	maj, err1 := strconv.Atoi(parts[0])
-	min, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil {
-		return false
-	}
-	return maj < major || (maj == major && min < minor)
 }

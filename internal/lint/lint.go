@@ -32,8 +32,7 @@
 //     variable with neither an End call nor an escape.
 //   - goroleak:   every go statement must show a termination path — a
 //     caller-supplied context, a channel receive or range, a
-//     select, or a WaitGroup join; plus loop-variable capture
-//     when the module predates go 1.22 semantics.
+//     select, or a WaitGroup join.
 //   - ctxflow:    contexts must flow down from entry points: no
 //     context.Background()/TODO() below cmd/, examples/ and
 //     internal/nodecmd, no context stored in struct fields,
@@ -109,14 +108,10 @@ type Unit struct {
 	// All holds every module package the loader checked — the target
 	// Pkgs plus their module-local dependencies. Analyzers report
 	// findings only for Pkgs, but evidence lookups (a callee's body, a
-	// function's lock summary) should consult All so a partial run
-	// (eclipse-lint -diff) reaches the same verdicts as a full one.
+	// function's lock summary) should consult All so a run over some
+	// packages reaches the same verdicts for them as a full one.
 	// Empty in hand-built units; see Context().
 	All []*Package
-	// GoVersion is the module's go directive ("1.22"), empty when the
-	// go.mod carries none. goroleak keys its loop-variable-capture check
-	// off it: per-iteration semantics arrived in go 1.22.
-	GoVersion string
 }
 
 // Context returns the packages cross-package lookups should scan: every
@@ -286,7 +281,7 @@ func (ign *ignoreSet) suppress(f Finding) bool {
 
 // unused reports badignore findings for directive names that named an
 // analyzer that ran but suppressed nothing. Names of analyzers outside
-// the run set are exempt: a -only or -diff run must not invalidate
+// the run set are exempt: a -only run must not invalidate
 // directives aimed at the full suite.
 func (ign *ignoreSet) unused(ran map[string]bool) []Finding {
 	var findings []Finding

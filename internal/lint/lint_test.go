@@ -171,38 +171,6 @@ func TestAnalyzerInteraction(t *testing.T) {
 	}
 }
 
-// TestGoroLeakLoopCapturePre122 loads the nested go1.21 module: the
-// loop-variable capture check must fire there (and only there — the main
-// module is past 1.22, so TestAnalyzersGolden never sees it).
-func TestGoroLeakLoopCapturePre122(t *testing.T) {
-	unit := loadTestdata(t, "goroleak121")
-	if unit.GoVersion != "1.21" {
-		t.Fatalf("unit.GoVersion = %q, want 1.21 (from the nested go.mod)", unit.GoVersion)
-	}
-	findings := Run(unit, []*Analyzer{analyzerByName(t, "goroleak")})
-
-	pkgDir := unit.Pkgs[0].Dir
-	want := expectations(t, filepath.Join(pkgDir, "trigger.go"))
-	matched := make(map[int]bool)
-	for _, f := range findings {
-		sub, ok := want[f.Pos.Line]
-		if !ok {
-			t.Errorf("finding at unmarked line %d: %s", f.Pos.Line, f)
-			continue
-		}
-		if !strings.Contains(f.Message, sub) {
-			t.Errorf("line %d: message %q does not contain %q", f.Pos.Line, f.Message, sub)
-			continue
-		}
-		matched[f.Pos.Line] = true
-	}
-	for line, sub := range want {
-		if !matched[line] {
-			t.Errorf("trigger.go:%d: expected finding containing %q, got none", line, sub)
-		}
-	}
-}
-
 // TestSuiteNames pins the advertised analyzer set; docs and CI reference
 // these names.
 func TestSuiteNames(t *testing.T) {
@@ -242,7 +210,7 @@ func TestRepoClean(t *testing.T) {
 }
 
 // TestLoadPartialSetOneIdentityPerPackage pins the loader's one-identity
-// guarantee for partial pattern sets (what eclipse-lint -diff produces).
+// guarantee for partial pattern sets (eclipse-lint given some packages).
 // examples/kmeans imports internal/apps, which is outside the set;
 // before the loader checked module-local imports itself, the fallback
 // source importer gave apps its own instances of shared dependencies,

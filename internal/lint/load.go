@@ -24,8 +24,6 @@ type Loader struct {
 	Root string
 	// Module is the module path from go.mod.
 	Module string
-	// GoVersion is the go directive from go.mod ("1.22"), if any.
-	GoVersion string
 
 	fset     *token.FileSet
 	fallback types.Importer
@@ -51,52 +49,41 @@ func NewLoader(dir string) (*Loader, error) {
 		}
 		root = parent
 	}
-	module, goVersion, err := moduleDirectives(filepath.Join(root, "go.mod"))
+	module, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
 	return &Loader{
-		Root:      root,
-		Module:    module,
-		GoVersion: goVersion,
-		fset:      fset,
-		fallback:  importer.ForCompiler(fset, "source", nil),
-		checked:   make(map[string]*Package),
-		checking:  make(map[string]bool),
+		Root:     root,
+		Module:   module,
+		fset:     fset,
+		fallback: importer.ForCompiler(fset, "source", nil),
+		checked:  make(map[string]*Package),
+		checking: make(map[string]bool),
 	}, nil
 }
 
-// moduleDirectives extracts the module path and go directive from a
-// go.mod file. The go directive is optional and returned as "" when
-// absent.
-func moduleDirectives(gomod string) (module, goVersion string, err error) {
+// modulePath extracts the module path from a go.mod file.
+func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			rest = strings.TrimSpace(rest)
-			if p, uerr := strconv.Unquote(rest); uerr == nil {
-				rest = p
-			}
-			if rest != "" && module == "" {
-				module = rest
-			}
+		rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module")
+		if !ok {
 			continue
 		}
-		if rest, ok := strings.CutPrefix(line, "go "); ok {
-			if v := strings.TrimSpace(rest); v != "" && goVersion == "" {
-				goVersion = v
-			}
+		rest = strings.TrimSpace(rest)
+		if p, uerr := strconv.Unquote(rest); uerr == nil {
+			rest = p
+		}
+		if rest != "" {
+			return rest, nil
 		}
 	}
-	if module == "" {
-		return "", "", fmt.Errorf("lint: no module directive in %s", gomod)
-	}
-	return module, goVersion, nil
+	return "", fmt.Errorf("lint: no module directive in %s", gomod)
 }
 
 // Load resolves the given patterns (directories, or dir/... recursive
@@ -139,7 +126,7 @@ func (l *Loader) Load(patterns ...string) (*Unit, error) {
 			return nil, err
 		}
 	}
-	u := &Unit{Fset: l.fset, GoVersion: l.GoVersion}
+	u := &Unit{Fset: l.fset}
 	u.All = append(u.All, l.order...)
 	for _, p := range l.order {
 		if targets[p.Path] {

@@ -215,8 +215,8 @@ func TestStaleLocalCopyIsNeverCached(t *testing.T) {
 	}
 	var words []string
 	for part, owner := range table.Servers() {
-		for _, seg := range ec.fs[owner].Store().ReadSegments(req.Namespace, partitionName(part)) {
-			kvs, err := DecodeKVs(seg)
+		for _, seg := range ec.fs[owner].Store().ReadTaggedSegments(req.Namespace, partitionName(part)) {
+			kvs, err := DecodeKVs(seg.Data)
 			if err != nil {
 				t.Fatal(err)
 			}

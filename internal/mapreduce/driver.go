@@ -988,7 +988,7 @@ func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) 
 		App:                st.spec.App,
 		Params:             st.spec.Params,
 		Partition:          t.part,
-		SegmentOwner:       t.owner,
+		SegmentHolders:     []hashing.NodeID{t.owner},
 		OutputFile:         outFile,
 		CacheIntermediates: st.spec.CacheIntermediates,
 		CacheOutputs:       st.spec.CacheOutputs,
@@ -997,7 +997,7 @@ func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) 
 		User:               st.spec.User,
 	}
 	if t.replica != "" {
-		req.SegmentReplicas = []hashing.NodeID{t.owner, t.replica}
+		req.SegmentHolders = append(req.SegmentHolders, t.replica)
 	}
 	tctx, sp := d.tracer.StartSpan(ctx, "driver.reduce_task")
 	sp.Annotate("partition", strconv.Itoa(t.part))

@@ -120,7 +120,7 @@ func TestMapRequestNamesTaskAndDigest(t *testing.T) {
 	segments := func(ns string) int {
 		n := 0
 		for part, owner := range table.Servers() {
-			n += len(ec.fs[owner].Store().ReadSegments(ns, partitionName(part)))
+			n += len(ec.fs[owner].Store().ReadTaggedSegments(ns, partitionName(part)))
 		}
 		return n
 	}

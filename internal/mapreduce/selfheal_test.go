@@ -403,7 +403,7 @@ func TestReduceEpochInvalidatesMergedCache(t *testing.T) {
 		EncodeKVs([]KV{{Key: "alpha", Value: []byte("1")}, {Key: "beta", Value: []byte("1")}}), 0)
 	req := RunReduceReq{
 		Job: "epoch-1", Namespace: ns, App: "test-wordcount",
-		Partition: 0, SegmentOwner: owner, OutputFile: "epoch-out-a",
+		Partition: 0, SegmentHolders: []hashing.NodeID{owner}, OutputFile: "epoch-out-a",
 		CacheIntermediates: true, Epoch: 0, User: "tester",
 	}
 	resp, err := ec.workers[owner].runReduce(context.Background(), req)

@@ -73,6 +73,10 @@ type MapDecodedFunc func(params Params, split any, emit Emit) error
 
 // ReduceFunc processes all values of one intermediate key. It also serves
 // as the optional combiner run over map-side buffers before spilling.
+// As a reducer it gets a key's values ordered by map task ID (byte
+// order), then by the task's spill sequence, then in emit order within a
+// spill, on every run of the job, with or without faults: a reducer that
+// sums floating-point values writes the same bits each time.
 // values is the engine's scratch and the bytes behind it are the stored
 // spills (or the emitter's buffer): both are read-only, and valid only
 // until the function returns, when the slice is refilled for the next key.

@@ -141,8 +141,7 @@ func (m RunReduceReq) AppendWire(dst []byte) []byte {
 	dst = transport.AppendString(dst, m.App)
 	dst = appendParams(dst, m.Params)
 	dst = transport.AppendInt(dst, int64(m.Partition))
-	dst = transport.AppendString(dst, string(m.SegmentOwner))
-	dst = appendNodeIDs(dst, m.SegmentReplicas)
+	dst = appendNodeIDs(dst, m.SegmentHolders)
 	dst = transport.AppendString(dst, m.OutputFile)
 	dst = transport.AppendInt(dst, int64(m.OutputBlockSize))
 	dst = transport.AppendBool(dst, m.CacheIntermediates)
@@ -157,7 +156,7 @@ func (m *RunReduceReq) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
 	*m = RunReduceReq{
 		Job: r.Str(), Namespace: r.Str(), App: r.Str(), Params: readParams(&r),
-		Partition: r.Int(), SegmentOwner: hashing.NodeID(r.Str()), SegmentReplicas: readNodeIDs(&r),
+		Partition: r.Int(), SegmentHolders: readNodeIDs(&r),
 		OutputFile: r.Str(), OutputBlockSize: r.Int(),
 		CacheIntermediates: r.Bool(), CacheOutputs: r.Bool(),
 		Epoch: r.Int(), TTL: r.Duration(), User: r.Str(),

@@ -59,7 +59,7 @@ func wireCases() []transport.Wire {
 		&RunReduceReq{},
 		&RunReduceReq{
 			Job: "wc-9", Namespace: "tag:shared", App: "wordcount", Params: Params{"k": []byte("3")},
-			Partition: 3, SegmentOwner: "worker-03", SegmentReplicas: []hashing.NodeID{"worker-03", "worker-00"},
+			Partition: 3, SegmentHolders: []hashing.NodeID{"worker-03", "worker-00"},
 			OutputFile: "wc-9/part-0003", OutputBlockSize: 64 << 20,
 			CacheIntermediates: true, CacheOutputs: true, Epoch: 2, TTL: time.Hour, User: "alice",
 		},
@@ -97,7 +97,7 @@ func TestWireHostileCounts(t *testing.T) {
 		"map resp parts": {&RunMapResp{}, huge},
 		"params":         {&RunMapReq{}, append([]byte{0, 0, 0}, huge...)},
 		"cached blocks":  {&CacheRangeResp{}, append(transport.AppendUvarint(nil, 1<<40), make([]byte, 64)...)},
-		"replicas":       {&RunReduceReq{}, append([]byte{0, 0, 0, 0, 0, 0}, huge...)},
+		"holders":        {&RunReduceReq{}, append([]byte{0, 0, 0, 0, 0}, huge...)},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) { wiretest.Rejects(t, c.m, c.body) })

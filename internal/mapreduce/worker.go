@@ -72,13 +72,12 @@ type (
 		App       string
 		Params    Params
 		Partition int
-		// SegmentOwner is the node holding the partition's spills.
-		SegmentOwner hashing.NodeID
-		// SegmentReplicas, when set, lists every node that may hold part
-		// of the partition's spills (owner plus replicas); the reduce then
-		// unions the attempt-tagged segments from all reachable members.
-		SegmentReplicas []hashing.NodeID
-		OutputFile      string
+		// SegmentHolders lists every node that may hold part of the
+		// partition's spills: its owner, then its replica when
+		// intermediates are replicated. The reduce unions the
+		// attempt-tagged spills of every reachable holder.
+		SegmentHolders []hashing.NodeID
+		OutputFile     string
 		// OutputBlockSize sizes the DHT-FS blocks of the output file.
 		OutputBlockSize    int
 		CacheIntermediates bool
@@ -360,24 +359,19 @@ func mergedTag(part, epoch int) string {
 	return fmt.Sprintf("merged:%s@e%d", partitionName(part), epoch)
 }
 
-// gatherReplicatedSegments unions the attempt-tagged spills of a partition
-// from every reachable replica. Each spill reached at least one member of
-// the set (pushSpill's invariant), so the union over the reachable members
-// is complete as long as at least one answers; duplicates and superseded
-// attempts are resolved by dhtfs.MergeTaggedSegments.
-func (w *Worker) gatherReplicatedSegments(ctx context.Context, req RunReduceReq) ([][]byte, error) {
+// gatherSegments unions the attempt-tagged spills of a partition from
+// every reachable holder, this node's own shard read in place. Each spill
+// reached at least one holder (pushSpill's invariant), so the union over
+// the reachable holders is complete as long as one answers; duplicates
+// and superseded attempts are resolved, and the spills put in (task, seq)
+// order, by dhtfs.MergeTaggedSegments.
+func (w *Worker) gatherSegments(ctx context.Context, req RunReduceReq) ([][]byte, error) {
 	partition := partitionName(req.Partition)
 	var tagged []dhtfs.TaggedSegment
 	reached := 0
 	var lastErr error
-	for _, t := range req.SegmentReplicas {
-		var segs []dhtfs.TaggedSegment
-		var err error
-		if t == w.self {
-			segs = w.fs.Store().ReadTaggedSegments(req.Namespace, partition)
-		} else {
-			segs, err = w.fs.FetchTaggedSegments(ctx, t, req.Namespace, partition)
-		}
+	for _, h := range req.SegmentHolders {
+		segs, err := w.fs.FetchTaggedSegments(ctx, h, req.Namespace, partition)
 		if err != nil {
 			lastErr = err
 			continue
@@ -386,16 +380,15 @@ func (w *Worker) gatherReplicatedSegments(ctx context.Context, req RunReduceReq)
 		tagged = append(tagged, segs...)
 	}
 	if reached == 0 {
-		return nil, fmt.Errorf("mapreduce: partition %d: no segment replica reachable: %w",
+		return nil, fmt.Errorf("mapreduce: partition %d: no segment holder reachable: %w",
 			req.Partition, lastErr)
 	}
 	return dhtfs.MergeTaggedSegments(tagged), nil
 }
 
 // runReduce executes one reduce task: gather the partition's intermediate
-// data (oCache, local segments, or a remote fetch if scheduled off the
-// segment owner), group by key, reduce, and persist the output to the DHT
-// file system.
+// data (oCache, or the spills of its holders, local ones read in place),
+// group by key, reduce, and persist the output to the DHT file system.
 func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp, error) {
 	ctx, task := w.tracer.StartSpan(ctx, "task.reduce")
 	defer task.End()
@@ -405,8 +398,8 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 		return RunReduceResp{}, err
 	}
 	var resp RunReduceResp
-	// streams is the partition's input: the spills in arrival order, or
-	// their concatenation when it comes from (or goes to) oCache.
+	// streams is the partition's input: the spills in (map task, seq)
+	// order, or their concatenation when it comes from (or goes to) oCache.
 	var streams [][]byte
 	if data, ok := w.cache.GetTagged(req.Namespace, mergedTag(req.Partition, req.Epoch)); ok {
 		streams = [][]byte{data}
@@ -416,23 +409,11 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 		task.Annotate("cache", "miss")
 		recvTimer := w.reg.Histogram("mr.shuffle.recv_ns").Start()
 		rctx, recv := w.tracer.StartSpan(ctx, "shuffle.recv")
-		if len(req.SegmentReplicas) > 0 {
-			streams, err = w.gatherReplicatedSegments(rctx, req)
-			if err != nil {
-				recv.End()
-				return RunReduceResp{}, err
-			}
-		} else if req.SegmentOwner == w.self {
-			streams = w.fs.Store().ReadSegments(req.Namespace, partitionName(req.Partition))
-		} else {
-			streams, err = w.fs.FetchSegments(rctx, req.SegmentOwner, req.Namespace, partitionName(req.Partition))
-			if err != nil {
-				recv.End()
-				return RunReduceResp{}, fmt.Errorf("mapreduce: fetch segments for partition %d: %w",
-					req.Partition, err)
-			}
-		}
+		streams, err = w.gatherSegments(rctx, req)
 		recv.End()
+		if err != nil {
+			return RunReduceResp{}, err
+		}
 		recvTimer.Stop()
 		if req.CacheIntermediates {
 			if merged := slices.Concat(streams...); len(merged) > 0 {

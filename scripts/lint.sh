@@ -5,13 +5,8 @@
 # determinism, checked I/O-boundary errors, ended spans, terminating
 # goroutines, inherited contexts, compiled codecs on data-path messages). Findings print as
 # file:line: analyzer: message; see EXPERIMENTS.md for the //lint:ignore
-# suppression syntax.
-#
-# Extra arguments pass straight through to eclipse-lint, so PR builds can
-# gate only the changed packages:
-#
-#   scripts/lint.sh                      # full tree (main, nightly)
-#   scripts/lint.sh -diff origin/main    # packages changed since the ref
+# suppression syntax. It always lints the whole tree: a lock cycle or a
+# leak can have its two halves in packages a change did not touch.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,7 +22,7 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== eclipse-lint $*"
-go run ./cmd/eclipse-lint "$@"
+echo "== eclipse-lint ./..."
+go run ./cmd/eclipse-lint ./...
 
 echo "lint: OK"
