@@ -42,6 +42,11 @@ func wireCases() []transport.Wire {
 	// whether or not a replica would store them.
 	check := BlockCheck{CRC: BlockCRC([]byte("block")), Sum: sum("block")}
 	noSum := BlockCheck{CRC: math.MaxUint32}
+	// A reduce reading a partition every map task of a large job spilled to.
+	manyTags := make([]rawTaggedPart, 300)
+	for i := range manyTags {
+		manyTags[i] = rawTaggedPart{Task: fmt.Sprintf("m-%d", i/2), Attempt: i % 3, Seq: i % 2, Len: 1 << 12}
+	}
 	return []transport.Wire{
 		&putBlockReq{},
 		&putBlockReq{Key: 42, Check: check, Data: []byte("block")},
@@ -74,6 +79,8 @@ func wireCases() []transport.Wire {
 		&segBatchHdr{TTL: math.MinInt64, Entries: []segBatchPart{{}, {Partition: notUTF8, Attempt: -1, Seq: math.MaxInt, Len: math.MinInt}}},
 		&rawTaggedHdr{},
 		&rawTaggedHdr{Tags: []rawTaggedPart{{Task: "m-2", Attempt: 1, Seq: 2, Len: 77}, {}}},
+		&rawTaggedHdr{Tags: []rawTaggedPart{{Task: notUTF8, Attempt: -1, Seq: math.MaxInt, Len: math.MinInt}}},
+		&rawTaggedHdr{Tags: manyTags},
 		&routedGetReq{},
 		&routedGetReq{Key: maxKey, Hops: maxRouteHops},
 		&routedGetResp{},
@@ -135,6 +142,7 @@ func TestWireHostileCounts(t *testing.T) {
 		"getFile data":    {&getFileResp{}, append(Metadata{}.AppendWire(nil), append(append([]byte{1}, check...), huge...)...)},
 		"routedGet data":  {&routedGetResp{}, append(transport.AppendUvarint(nil, 1<<62), 'x')},
 		"tagged tags":     {&rawTaggedHdr{}, transport.AppendUvarint(nil, 1<<33)},
+		"tagged task":     {&rawTaggedHdr{}, append([]byte{1}, huge...)},
 		"overlong varint": {&rawTaggedHdr{}, bytes.Repeat([]byte{0xff}, 11)},
 		"sums < keys":     {&Metadata{}, digestShort.AppendWire(nil)},
 		"sums > keys":     {&Metadata{}, blockShort.AppendWire(nil)},
