@@ -119,15 +119,6 @@ func (c *LRU) Capacity() int64 {
 	return c.capacity
 }
 
-// Resize changes the capacity, evicting LRU entries if the cache now
-// overflows.
-func (c *LRU) Resize(capacity int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	c.evictOverflow()
-}
-
 // Put inserts or replaces an entry, evicting least-recently-used entries
 // to make room. It reports whether the entry was stored; entries larger
 // than the whole partition are rejected. Either way whatever the key held
@@ -240,26 +231,6 @@ func (c *LRU) Remove(key string) bool {
 	}
 	c.removeElement(el)
 	return true
-}
-
-// SweepExpired removes every expired entry and returns how many were
-// dropped.
-func (c *LRU) SweepExpired() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.now()
-	var dropped int
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*Entry)
-		if !e.Expires.IsZero() && now.After(e.Expires) {
-			c.removeElement(el)
-			c.stats.Expirations++
-			dropped++
-		}
-		el = next
-	}
-	return dropped
 }
 
 // EntriesInRange returns (copies of) all live entries whose HashKey falls

@@ -102,29 +102,6 @@ func TestZeroCapacityCachesNothing(t *testing.T) {
 	}
 }
 
-func TestResizeEvicts(t *testing.T) {
-	c := NewLRU(100)
-	for i := 0; i < 10; i++ {
-		c.Put(Entry{Key: fmt.Sprint(i), Size: 10})
-	}
-	c.Resize(35)
-	if c.Bytes() > 35 {
-		t.Fatalf("bytes=%d after shrink", c.Bytes())
-	}
-	if c.Len() != 3 {
-		t.Fatalf("len=%d after shrink, want 3", c.Len())
-	}
-	if c.Capacity() != 35 {
-		t.Fatalf("capacity=%d", c.Capacity())
-	}
-	// Survivors must be the most recently used (7, 8, 9).
-	for _, k := range []string{"7", "8", "9"} {
-		if _, ok := c.Peek(k); !ok {
-			t.Fatalf("MRU entry %s evicted by Resize", k)
-		}
-	}
-}
-
 func TestTTLExpiry(t *testing.T) {
 	c := NewLRU(100)
 	now := time.Unix(1000, 0)
@@ -178,22 +155,6 @@ func TestEntriesInRangeSkipsExpired(t *testing.T) {
 	got := c.EntriesInRange(0, 500)
 	if len(got) != 1 || got[0].Key != "live" {
 		t.Fatalf("EntriesInRange returned expired entries: %+v", got)
-	}
-}
-
-func TestSweepExpired(t *testing.T) {
-	c := NewLRU(100)
-	now := time.Unix(0, 0)
-	c.SetClock(func() time.Time { return now })
-	c.Put(Entry{Key: "a", Size: 1, Expires: now.Add(time.Second)})
-	c.Put(Entry{Key: "b", Size: 1, Expires: now.Add(time.Hour)})
-	c.Put(Entry{Key: "c", Size: 1}) // no TTL
-	now = now.Add(time.Minute)
-	if n := c.SweepExpired(); n != 1 {
-		t.Fatalf("SweepExpired = %d", n)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d after sweep", c.Len())
 	}
 }
 
@@ -546,13 +507,6 @@ func TestBufferLifecycleEveryLRUExit(t *testing.T) {
 				t.Fatal("expired entry answered")
 			}
 		}},
-		{"expiry in SweepExpired", func(t *testing.T, c *LRU, now *time.Time) {
-			*now = now.Add(time.Hour)
-			if n := c.SweepExpired(); n != 1 {
-				t.Fatalf("swept %d entries", n)
-			}
-		}},
-		{"resize", func(t *testing.T, c *LRU, _ *time.Time) { c.Resize(0) }},
 		{"clear", func(t *testing.T, c *LRU, _ *time.Time) { c.Clear() }},
 	}
 	for _, tc := range cases {

@@ -1,9 +1,11 @@
-// Package chord implements the DHT routing machinery of EclipseMR's file
-// system layer: per-node finger tables in the style of Chord [29], the
-// one-hop routing configuration the paper adopts for cluster-scale
-// deployments (m chosen so every server knows every other, after [13]),
-// and epoch-numbered membership views that the resource manager
-// disseminates on join, leave and failure.
+// Package chord models the DHT routing of EclipseMR's file system layer:
+// per-node finger tables in the style of Chord [29] and the one-hop routing
+// configuration the paper adopts for cluster-scale deployments (m chosen so
+// every server knows every other, after [13]), walked in memory. It also
+// holds the epoch-numbered membership views that the resource manager
+// disseminates on join, leave and failure. Every node adopts the full view,
+// so the running file system only ever reads one hop (dhtfs.Service.PinBlock);
+// the finger-table walk pins the paper's O(log n) claim without a network.
 package chord
 
 import (
@@ -98,9 +100,8 @@ func (ft *FingerTable) NextHop(k hashing.Key) (node hashing.NodeID, resolved boo
 }
 
 // Routes holds the finger tables of every node, supporting full lookups
-// with hop counting. The real cluster performs the same walk over RPC;
-// Routes exists for the routing ablation and for unit testing the
-// topology logic without a network.
+// with hop counting. It exists for the routing ablation and for unit
+// testing the topology logic without a network.
 type Routes struct {
 	ring   *hashing.ChordRing
 	tables map[hashing.NodeID]*FingerTable

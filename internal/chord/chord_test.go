@@ -2,7 +2,7 @@ package chord
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -82,27 +82,33 @@ func TestOneHopRouting(t *testing.T) {
 	}
 }
 
+// TestLogHopRoutingBound: with classic finger tables a lookup from any node
+// reaches the owner in O(log n) hops, at most floor(log2 n) + 2. The sizes
+// include the rings where a finger table degenerates: one member (every
+// finger is the node itself) and two.
 func TestLogHopRoutingBound(t *testing.T) {
-	const n = 64
-	ring := buildRing(t, n, 5)
-	// Small m still routes correctly, in O(log N) hops.
-	m := 64 // full span is needed for correctness over the 64-bit space
-	routes, err := BuildRoutes(ring, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	bound := int(math.Log2(n)) + 2
-	for i := 0; i < 300; i++ {
-		k := hashing.Key(rng.Uint64())
-		from := hashing.NodeID(fmt.Sprintf("n%03d", rng.Intn(n)))
-		path, err := routes.Route(from, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(path) > bound {
-			t.Fatalf("route took %d hops, log bound %d", len(path), bound)
-		}
+	for _, n := range []int{1, 2, 3, 5, 8, 16, 64} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			ring := buildRing(t, n, 5)
+			m := 64 // full span is needed for correctness over the 64-bit space
+			routes, err := BuildRoutes(ring, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(6))
+			bound := bits.Len(uint(n)) + 1 // floor(log2 n) + 2
+			for i := 0; i < 300; i++ {
+				k := hashing.Key(rng.Uint64())
+				from := hashing.NodeID(fmt.Sprintf("n%03d", rng.Intn(n)))
+				path, err := routes.Route(from, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(path) > bound {
+					t.Fatalf("route took %d hops, log bound %d", len(path), bound)
+				}
+			}
+		})
 	}
 }
 

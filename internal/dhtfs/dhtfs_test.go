@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"strings"
 	"sync"
@@ -549,113 +548,6 @@ func TestDeleteRemovesBlocksAndMetadata(t *testing.T) {
 	// Deleting a missing file reports not-found.
 	if err := svc.Delete(context.Background(), "ghost.dat", "alice"); !IsNotFound(err) {
 		t.Fatalf("delete missing err = %v", err)
-	}
-}
-
-// TestRoutedReadMatchesDirect reads every block of a file hop by hop through
-// the finger table and compares it with a direct read. Routed reads always
-// build the finger table, so the sizes include the rings where a finger
-// table degenerates: one member (every finger is the node itself) and two.
-func TestRoutedReadMatchesDirect(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 16} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			tc := newTestCluster(t, n, 1) // replicas=1 so routing must find the one owner
-			svc := tc.services[tc.ids[0]]
-			data := randomData(2048, 12)
-			meta, err := svc.Upload(context.Background(), "routed.dat", "u", PermPublic, data, 256)
-			if err != nil {
-				t.Fatal(err)
-			}
-			maxHops := 0
-			for i, k := range meta.BlockKeys {
-				got, hops, err := svc.readBlockRouted(context.Background(), k, meta.BlockSums[i])
-				if err != nil {
-					t.Fatalf("routed read %s: %v", k, err)
-				}
-				direct, _, err := svc.PinBlock(context.Background(), k, meta.BlockSums[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got.Bytes(), direct.Bytes()) {
-					t.Fatalf("routed read of %s differs from direct", k)
-				}
-				if hops > maxHops {
-					maxHops = hops
-				}
-			}
-			if limit := bits.Len(uint(n)) + 1; maxHops > limit { // floor(log2 n) + 2
-				t.Fatalf("routing took %d hops on a %d-node ring, limit %d", maxHops, n, limit)
-			}
-			t.Logf("max hops: %d", maxHops)
-		})
-	}
-}
-
-func TestZeroHopToggleRoutesReads(t *testing.T) {
-	tc := newTestCluster(t, 6, 1)
-	svc := tc.services[tc.ids[0]]
-	data := randomData(1024, 13)
-	if _, err := svc.Upload(context.Background(), "zh.dat", "u", PermPublic, data, 256); err != nil {
-		t.Fatal(err)
-	}
-	svc.SetZeroHop(false)
-	got, err := svc.ReadFile(context.Background(), "zh.dat", "u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("routed ReadFile corrupted data")
-	}
-	svc.SetZeroHop(true)
-}
-
-func TestRoutedReadMissingBlock(t *testing.T) {
-	tc := newTestCluster(t, 4, 1)
-	svc := tc.any()
-	if _, _, err := svc.readBlockRouted(context.Background(), hashing.KeyOfString("never-stored"), SumBlock(nil)); !IsNotFound(err) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// TestRoutedReadNamesItsDigest: with zero-hop routing off, every block read
-// travels hop by hop, reads that name a digest included, and the copy it
-// comes back with passes the check a direct read's does: a stale version
-// on the owner is refused and counted, never returned.
-func TestRoutedReadNamesItsDigest(t *testing.T) {
-	ctx := context.Background()
-	tc := newTestCluster(t, 8, 1) // one copy: the route ends at the owner
-	old, current := randomData(600, 87), randomData(600, 88)
-	if _, err := tc.any().Upload(ctx, "hop.dat", "u", PermPublic, old, 256); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := tc.any().Upload(ctx, "hop.dat", "u", PermPublic, current, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := meta.BlockKeys[1]
-	owner, _ := tc.ring.Owner(k)
-	reader := tc.ids[0]
-	if reader == owner {
-		reader = tc.ids[1]
-	}
-	routed := countCalls(t, tc, MethodRoutedGet)
-	svc := tc.services[reader]
-	svc.SetZeroHop(false)
-	if got, err := svc.ReadFile(ctx, "hop.dat", "u"); err != nil || !bytes.Equal(got, current) {
-		t.Fatalf("routed ReadFile = %d bytes, %v", len(got), err)
-	}
-	if routed() == 0 {
-		t.Fatal("no fs.routedGet call: the reads that named a digest went straight to the owner")
-	}
-	// The owner missed the second upload's write of this block.
-	if err := tc.services[owner].Store().PutBlock(k, old[256:512]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.ReadFile(ctx, "hop.dat", "u"); err == nil || !strings.Contains(err.Error(), ErrCorrupt.Error()) {
-		t.Fatalf("routed ReadFile over a stale owner = %v, want ErrCorrupt", err)
-	}
-	if n := svc.Metrics().Snapshot().Get("fs.read.corrupt"); n != 1 {
-		t.Fatalf("fs.read.corrupt = %d, want 1", n)
 	}
 }
 

@@ -289,40 +289,6 @@ func TestNamesABlock(t *testing.T) {
 	}
 }
 
-// TestOneBlockFileRoutedRead: with zero-hop routing off, the block of a
-// one-block file is still found hop by hop — at the file-name key.
-func TestOneBlockFileRoutedRead(t *testing.T) {
-	tc := newTestCluster(t, 8, 1) // one copy, so routing must find the owner
-	data := randomData(100, 21)
-	meta, err := tc.any().Upload(context.Background(), "routed-small.dat", "u", PermPublic, data, shapeBlock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := meta.BlockKeys[0]
-	owner, _ := tc.ring.Owner(k)
-	forwarded := false
-	for id, svc := range tc.services {
-		got, hops, err := svc.readBlockRouted(context.Background(), k, meta.BlockSums[0])
-		if err != nil || !bytes.Equal(got.Bytes(), data) {
-			t.Fatalf("routed read from %s = %v", id, err)
-		}
-		if (hops == 0) != (id == owner) {
-			t.Fatalf("routed read from %s took %d hops; the owner is %s", id, hops, owner)
-		}
-		forwarded = forwarded || hops > 0
-		svc.SetZeroHop(false)
-		if got, _, err := svc.PinBlock(context.Background(), k, meta.BlockSums[0]); err != nil || !bytes.Equal(got.Bytes(), data) {
-			t.Fatalf("PinBlock with zero-hop off from %s = %v", id, err)
-		}
-		if got, err := svc.ReadFile(context.Background(), "routed-small.dat", "u"); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("ReadFile with zero-hop off from %s = %d bytes, %v", id, len(got), err)
-		}
-	}
-	if !forwarded {
-		t.Fatal("no read was forwarded")
-	}
-}
-
 // BenchmarkSmallFileOps is what a job pays per journal snapshot or reduce
 // output over its life: upload, read back and delete one 1 KiB file, 3
 // replicas on 4 nodes over loopback TCP behind the retry layer. RPCs/op

@@ -13,9 +13,9 @@ import (
 )
 
 // countCalls re-mounts every node of tc behind a counter of the calls that
-// reach it over the network, of one method or of any when method is empty;
-// a replica on the calling node is served without one.
-func countCalls(t *testing.T, tc *testCluster, method string) func() int {
+// reach it over the network; a replica on the calling node is served
+// without one.
+func countCalls(t *testing.T, tc *testCluster) func() int {
 	t.Helper()
 	var mu sync.Mutex
 	calls := 0
@@ -23,11 +23,9 @@ func countCalls(t *testing.T, tc *testCluster, method string) func() int {
 		peer := tc.services[id]
 		tc.net.Unlisten(id)
 		err := tc.net.Listen(id, func(ctx context.Context, m string, body []byte) ([]byte, error) {
-			if method == "" || m == method {
-				mu.Lock()
-				calls++
-				mu.Unlock()
-			}
+			mu.Lock()
+			calls++
+			mu.Unlock()
 			out, _, err := peer.Handle(ctx, m, body)
 			return out, err
 		})
@@ -45,7 +43,8 @@ func countCalls(t *testing.T, tc *testCluster, method string) func() int {
 // TestReadOrder pins the one replica-order rule of the read path: a read
 // starts at this node's own copy when it holds one and costs a message only
 // when it does not, whichever of the three read entry points is used; a
-// missing or corrupt local copy sends the read on to the neighbours.
+// missing or corrupt local copy sends the read on to the neighbours, and a
+// block no replica holds is not found once every replica has been asked.
 func TestReadOrder(t *testing.T) {
 	ctx := context.Background()
 	const file = "order.dat" // one block, so data and metadata share a replica set
@@ -103,6 +102,8 @@ func TestReadOrder(t *testing.T) {
 		// makes one only when the block that came with the metadata is bad.
 		calls, failovers, corrupt int
 		holdersOnly, verifiedOnly bool
+		// notFound: the read fails as not found rather than returning data.
+		notFound bool
 	}{
 		{name: "intact", apply: func(*testCluster, hashing.NodeID, []hashing.NodeID) {}},
 		{name: "local copy missing", calls: 1, failovers: 1, holdersOnly: true,
@@ -131,6 +132,16 @@ func TestReadOrder(t *testing.T) {
 					}
 				}
 			}},
+		// Every replica is asked before the read gives up: this node's own
+		// shard without a message, then the two others.
+		{name: "block on no replica", calls: 2, holdersOnly: true, verifiedOnly: true, notFound: true,
+			apply: func(tc *testCluster, _ hashing.NodeID, set []hashing.NodeID) {
+				for _, id := range set {
+					if !tc.services[id].Store().DeleteBlock(key) {
+						t.Fatalf("%s holds no block to lose", id)
+					}
+				}
+			}},
 	}
 
 	for _, rd := range reads {
@@ -150,10 +161,14 @@ func TestReadOrder(t *testing.T) {
 					log := events.New(string(self), events.Options{})
 					svc.SetEvents(log)
 					st.apply(tc, self, set)
-					calls := countCalls(t, tc, "")
+					calls := countCalls(t, tc)
 
 					got, err := rd.run(svc)
-					if err != nil || (got != nil && !bytes.Equal(got, data)) {
+					if st.notFound {
+						if !IsNotFound(err) {
+							t.Fatalf("read = %v, want not found", err)
+						}
+					} else if err != nil || (got != nil && !bytes.Equal(got, data)) {
 						t.Fatalf("read = %d bytes, %v", len(got), err)
 					}
 					wantCalls, wantFailovers := st.calls, 0

@@ -143,12 +143,9 @@ type Service struct {
 	ring     func() *hashing.ChordRing
 	replicas int
 	now      func() time.Time
-	// zeroHopOff selects classic multi-hop DHT routing for block reads
-	// instead of the paper's default one-hop direct access (§II-A).
-	zeroHopOff bool
-	reg        *metrics.Registry
-	tracer     *trace.Tracer // nil or disabled = no spans
-	events     *events.Log   // nil = no events
+	reg      *metrics.Registry
+	tracer   *trace.Tracer // nil or disabled = no spans
+	events   *events.Log   // nil = no events
 }
 
 // NewService builds a Service with an in-memory shard. ring supplies the
@@ -218,7 +215,7 @@ func (s *Service) SetClock(now func() time.Time) {
 
 // Handle serves one inbound fs.* call: decode, serve, encode. The second
 // return value reports whether the method belongs to this service.
-func (s *Service) Handle(ctx context.Context, method string, body []byte) ([]byte, bool, error) {
+func (s *Service) Handle(_ context.Context, method string, body []byte) ([]byte, bool, error) {
 	switch method {
 	case MethodAppendSegBatch:
 		var hdr segBatchHdr
@@ -277,7 +274,7 @@ func (s *Service) Handle(ctx context.Context, method string, body []byte) ([]byt
 	if err := transport.Decode(body, req); err != nil {
 		return nil, true, err
 	}
-	if err := s.serve(ctx, method, req, resp); err != nil {
+	if err := s.serve(method, req, resp); err != nil {
 		return nil, true, err
 	}
 	out, err := transport.Encode(resp)
@@ -313,8 +310,6 @@ func messages(method string) (req, resp transport.Wire) {
 		return new(nameReq), new(listMetaResp)
 	case MethodDropSeg:
 		return new(nameReq), new(empty)
-	case MethodRoutedGet:
-		return new(routedGetReq), new(routedGetResp)
 	}
 	return nil, nil
 }
@@ -324,7 +319,7 @@ func messages(method string) (req, resp transport.Wire) {
 // whole of a call to this node itself. Nothing the request references is
 // retained (the Store copies what it keeps), and what the response
 // references belongs to the caller.
-func (s *Service) serve(ctx context.Context, method string, req, resp transport.Wire) error {
+func (s *Service) serve(method string, req, resp transport.Wire) error {
 	switch method {
 	case MethodPutBlock:
 		req := req.(*putBlockReq)
@@ -399,8 +394,6 @@ func (s *Service) serve(ctx context.Context, method string, req, resp transport.
 		resp.(*listMetaResp).Names = names
 	case MethodDropSeg:
 		s.store.DropJobSegments(req.(*nameReq).Name)
-	case MethodRoutedGet:
-		return s.routedGet(ctx, req.(*routedGetReq), resp.(*routedGetResp))
 	default:
 		return fmt.Errorf("dhtfs: no local handler for %s", method)
 	}
@@ -542,7 +535,7 @@ func (s *Service) send(ctx context.Context, to hashing.NodeID, r *request, resp 
 		resp = &empty{}
 	}
 	if to == s.self {
-		return s.serve(ctx, r.method, r.msg, resp)
+		return s.serve(r.method, r.msg, resp)
 	}
 	if r.body == nil {
 		body, err := transport.Encode(r.msg)
@@ -733,23 +726,20 @@ func (s *Service) lookup(ctx context.Context, name, user, method string, resp tr
 
 // PinBlock is the file system's one block read. It fetches block k, whose
 // SHA-1 is sum (from the file's metadata), in a buffer the caller releases
-// when done reading, and says how many hops the copy travelled: 0 for this
-// node's own. Every copy passes checkCopy, this node's own included: one
-// that is damaged or holds another version than sum names is counted and
-// passed over, so a corrupted replica is healed by reading its neighbor's.
-// With zero-hop routing (the default) the replicas are asked directly in
-// read order, passing over those that are unreachable or miss the block;
-// with it disabled the request travels hop by hop (readBlockRouted).
-func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]byte) (*blockbuf.Buf, int, error) {
+// when done reading, and says whether the copy came from another node. The
+// replicas are asked directly in read order (zero-hop, §II-A: every node
+// holds the full membership view), passing over those that are unreachable
+// or miss the block. Every copy passes checkCopy, this node's own included:
+// one that is damaged or holds another version than sum names is counted
+// and passed over, so a corrupted replica is healed by reading its
+// neighbor's.
+func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]byte) (*blockbuf.Buf, bool, error) {
 	ctx, sp := s.tracer.StartSpan(ctx, "fs.read_block")
 	defer sp.End()
 	defer s.reg.Histogram("fs.read_block_ns").Start().Stop()
-	if s.zeroHopOff {
-		return s.readBlockRouted(ctx, k, sum)
-	}
 	targets, err := s.readOrder(k)
 	if err != nil {
-		return nil, 0, err
+		return nil, false, err
 	}
 	sawCorrupt := false
 	var lastErr error
@@ -758,7 +748,7 @@ func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]by
 		// remaining probes would each burn a retry-with-backoff round
 		// against servers whose answer nobody is waiting for.
 		if ctx.Err() != nil {
-			return nil, 0, fmt.Errorf("dhtfs: read block %s: %w", k, ctx.Err())
+			return nil, false, fmt.Errorf("dhtfs: read block %s: %w", k, ctx.Err())
 		}
 		buf, err := s.pinReplica(ctx, t, k, sum)
 		if errors.Is(err, ErrCorrupt) {
@@ -775,15 +765,12 @@ func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]by
 			sp.Annotate("failover", string(t))
 			s.events.Emit(events.KindFS, "fs.read_failover", events.F{Detail: string(t)})
 		}
-		if t == s.self {
-			return buf, 0, nil
-		}
-		return buf, 1, nil
+		return buf, t != s.self, nil
 	}
 	if sawCorrupt {
-		return nil, 0, fmt.Errorf("%w: %s on every reachable replica", ErrCorrupt, k)
+		return nil, false, fmt.Errorf("%w: %s on every reachable replica", ErrCorrupt, k)
 	}
-	return nil, 0, fmt.Errorf("dhtfs: read block %s: %w", k, lastErr)
+	return nil, false, fmt.Errorf("dhtfs: read block %s: %w", k, lastErr)
 }
 
 // noteCorrupt records that replica t's copy of a block failed its check.

@@ -18,9 +18,9 @@ import (
 // copies what it keeps and never writes through what it is handed.
 
 // The messages that carry a block's bytes (putBlockReq, getBlockResp,
-// putFileReq, getFileResp, routedGetResp) leave the one large growth of
-// dst to the append of the block: a slices.Grow ahead of it would clear
-// the 256 KiB the block then fills.
+// putFileReq, getFileResp) leave the one large growth of dst to the append
+// of the block: a slices.Grow ahead of it would clear the 256 KiB the
+// block then fills.
 
 // AppendBlockCheck appends a BlockCheck, a field of every message that
 // carries a block: the CRC as 4 bytes, big endian, then the 20 bytes of the
@@ -209,29 +209,6 @@ func (m *rawTaggedHdr) ParseWire(src []byte) error {
 			m.Tags[i] = rawTaggedPart{Task: r.Str(), Attempt: r.Int(), Seq: r.Int(), Len: r.Int()}
 		}
 	}
-	return r.Done()
-}
-
-func (m routedGetReq) AppendWire(dst []byte) []byte {
-	dst = transport.AppendKey(dst, m.Key)
-	return transport.AppendInt(dst, int64(m.Hops))
-}
-
-func (m *routedGetReq) ParseWire(src []byte) error {
-	r := transport.NewWireReader(src)
-	*m = routedGetReq{Key: r.Key(), Hops: r.Int()}
-	return r.Done()
-}
-
-func (m routedGetResp) AppendWire(dst []byte) []byte {
-	dst = transport.AppendBytes(dst, m.Data)
-	dst = AppendBlockCheck(dst, m.Check)
-	return transport.AppendInt(dst, int64(m.Hops))
-}
-
-func (m *routedGetResp) ParseWire(src []byte) error {
-	r := transport.NewWireReader(src)
-	*m = routedGetResp{Data: r.Bytes(), Check: ReadBlockCheck(&r), Hops: r.Int()}
 	return r.Done()
 }
 

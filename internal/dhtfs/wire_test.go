@@ -20,8 +20,7 @@ import (
 var wireTypes = []transport.Wire{
 	&putBlockReq{}, &getBlockReq{}, &getBlockResp{}, &hasResp{}, &getMetaReq{},
 	&nameReq{}, &listMetaResp{}, &empty{}, &readSegReq{},
-	&segBatchHdr{}, &rawTaggedHdr{}, &routedGetReq{}, &routedGetResp{},
-	&Metadata{}, &putFileReq{}, &getFileResp{},
+	&segBatchHdr{}, &rawTaggedHdr{}, &Metadata{}, &putFileReq{}, &getFileResp{},
 }
 
 const maxKey = ^hashing.Key(0)
@@ -81,11 +80,6 @@ func wireCases() []transport.Wire {
 		&rawTaggedHdr{Tags: []rawTaggedPart{{Task: "m-2", Attempt: 1, Seq: 2, Len: 77}, {}}},
 		&rawTaggedHdr{Tags: []rawTaggedPart{{Task: notUTF8, Attempt: -1, Seq: math.MaxInt, Len: math.MinInt}}},
 		&rawTaggedHdr{Tags: manyTags},
-		&routedGetReq{},
-		&routedGetReq{Key: maxKey, Hops: maxRouteHops},
-		&routedGetResp{},
-		&routedGetResp{Data: []byte("blk"), Check: check, Hops: 3},
-		&routedGetResp{Data: []byte{}, Check: noSum, Hops: maxRouteHops},
 		&Metadata{},
 		&Metadata{
 			Name: "corpus.txt", Owner: "alice", Perm: PermPublic, Size: 1 << 40, BlockSize: 64 << 20,
@@ -140,7 +134,6 @@ func TestWireHostileCounts(t *testing.T) {
 		"putFile keys":    {&putFileReq{}, append([]byte{0, 0, 0, 0, 0}, huge...)},
 		"putFile data":    {&putFileReq{}, append(Metadata{}.AppendWire(nil), append(transport.AppendUvarint(check, 1<<62), 'x')...)},
 		"getFile data":    {&getFileResp{}, append(Metadata{}.AppendWire(nil), append(append([]byte{1}, check...), huge...)...)},
-		"routedGet data":  {&routedGetResp{}, append(transport.AppendUvarint(nil, 1<<62), 'x')},
 		"tagged tags":     {&rawTaggedHdr{}, transport.AppendUvarint(nil, 1<<33)},
 		"tagged task":     {&rawTaggedHdr{}, append([]byte{1}, huge...)},
 		"overlong varint": {&rawTaggedHdr{}, bytes.Repeat([]byte{0xff}, 11)},

@@ -188,12 +188,12 @@ func (w *Worker) fetchBlock(ctx context.Context, id cache.BlockID) (buf *blockbu
 	if buf, ok := w.cache.GetBlockVersion(id); ok {
 		return buf, true, false, nil
 	}
-	buf, hops, err := w.fs.PinBlock(ctx, id.Key, id.Sum)
+	buf, remote, err = w.fs.PinBlock(ctx, id.Key, id.Sum)
 	if err != nil {
 		return nil, false, false, err
 	}
 	w.cache.PutBlockVersion(id, buf)
-	return buf, false, hops > 0, nil
+	return buf, false, remote, nil
 }
 
 // runMap executes one map task with proactive shuffling.
