@@ -551,6 +551,53 @@ func TestDeleteRemovesBlocksAndMetadata(t *testing.T) {
 	}
 }
 
+// TestPinBlockAtEveryRingSize reads every block of a file from every node
+// of rings of 1 to 16 members, the one- and two-member rings included,
+// where a key's successor wraps round to the reader itself. With one copy
+// per block the owner serves its own read without a message, any other
+// reader's read costs exactly one (to the owner, whom every node's view
+// names), and PinBlock says which of the two happened.
+func TestPinBlockAtEveryRingSize(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{1, 2, 3, 5, 8, 16} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			tc := newTestCluster(t, n, 1)
+			data := randomData(2048, 12)
+			meta, err := tc.any().Upload(ctx, "direct.dat", "u", PermPublic, data, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls := countCalls(t, tc)
+			for i, k := range meta.BlockKeys {
+				owner, _ := tc.ring.Owner(k)
+				want := data[i*256 : (i+1)*256]
+				for id, svc := range tc.services {
+					before := calls()
+					buf, remote, err := svc.PinBlock(ctx, k, meta.BlockSums[i])
+					if err != nil {
+						t.Fatalf("PinBlock(%s) from %s: %v", k, id, err)
+					}
+					same := bytes.Equal(buf.Bytes(), want)
+					buf.Release()
+					if !same {
+						t.Fatalf("PinBlock(%s) from %s returned other bytes than block %d", k, id, i)
+					}
+					if remote != (id != owner) {
+						t.Fatalf("PinBlock(%s) from %s: remote = %v, the owner is %s", k, id, remote, owner)
+					}
+					wantCalls := 0
+					if remote {
+						wantCalls = 1
+					}
+					if got := calls() - before; got != wantCalls {
+						t.Fatalf("PinBlock(%s) from %s cost %d calls, want %d", k, id, got, wantCalls)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestReadRecoversFromCorruptReplica(t *testing.T) {
 	tc := newTestCluster(t, 5, 3)
 	svc := tc.any()

@@ -46,6 +46,22 @@ func wireCases() []transport.Wire {
 	for i := range manyTags {
 		manyTags[i] = rawTaggedPart{Task: fmt.Sprintf("m-%d", i/2), Attempt: i % 3, Seq: i % 2, Len: 1 << 12}
 	}
+	// The same job's batch push of one spill to each of 128 partitions.
+	manyParts := make([]segBatchPart, 128)
+	for i := range manyParts {
+		manyParts[i] = segBatchPart{Partition: fmt.Sprintf("p%04d", i), Task: "m-7", Attempt: 2, Seq: i % 4, Len: 1 << 10}
+	}
+	// A listing of a job's output directory, and the metadata of a
+	// 64-block file.
+	listing := make([]string, 256)
+	for i := range listing {
+		listing[i] = fmt.Sprintf("out/part-%04d", i)
+	}
+	wide := Metadata{Name: "corpus/part-0007", Owner: "alice", Perm: PermPublic, Size: 64 << 20, BlockSize: 1 << 20}
+	for i := 0; i < 64; i++ {
+		wide.BlockKeys = append(wide.BlockKeys, hashing.BlockKey(wide.Name, i))
+		wide.BlockSums = append(wide.BlockSums, sum(fmt.Sprint(i)))
+	}
 	return []transport.Wire{
 		&putBlockReq{},
 		&putBlockReq{Key: 42, Check: check, Data: []byte("block")},
@@ -67,15 +83,18 @@ func wireCases() []transport.Wire {
 		&listMetaResp{},
 		&listMetaResp{Names: []string{}},
 		&listMetaResp{Names: []string{"a", "", notUTF8, "out/part-0003"}},
+		&listMetaResp{Names: listing},
 		&empty{},
 		&readSegReq{},
 		&readSegReq{Job: "tag:shared", Partition: "p0000"},
+		&readSegReq{Job: notUTF8, Partition: string(big[:4096])},
 		&segBatchHdr{},
 		&segBatchHdr{Job: "job:sort", TTL: time.Hour, Entries: []segBatchPart{
 			{Partition: "p0000", Task: "m-1", Attempt: 0, Seq: 0, Len: 128},
 			{Partition: "p0003", Task: "m-1", Attempt: 1, Seq: 4, Len: 0},
 		}},
 		&segBatchHdr{TTL: math.MinInt64, Entries: []segBatchPart{{}, {Partition: notUTF8, Attempt: -1, Seq: math.MaxInt, Len: math.MinInt}}},
+		&segBatchHdr{Job: "job:sort", TTL: math.MaxInt64, Entries: manyParts},
 		&rawTaggedHdr{},
 		&rawTaggedHdr{Tags: []rawTaggedPart{{Task: "m-2", Attempt: 1, Seq: 2, Len: 77}, {}}},
 		&rawTaggedHdr{Tags: []rawTaggedPart{{Task: notUTF8, Attempt: -1, Seq: math.MaxInt, Len: math.MinInt}}},
@@ -93,6 +112,7 @@ func wireCases() []transport.Wire {
 		},
 		// Every key has its digest, whatever the digest holds.
 		&Metadata{Name: "zeros", BlockKeys: []hashing.Key{maxKey, 0}, BlockSums: [][sha1.Size]byte{{}, sum("z")}},
+		&wide,
 		&putFileReq{},
 		&putFileReq{Meta: small, Check: check, Data: []byte("block")},
 		&putFileReq{Meta: Metadata{Name: notUTF8, BlockKeys: []hashing.Key{0, maxKey}, BlockSums: [][sha1.Size]byte{{}, sum("b")}}},
@@ -127,10 +147,21 @@ func TestWireHostileCounts(t *testing.T) {
 		body []byte
 	}{
 		"listMeta names":  {&listMetaResp{}, huge},
+		"listMeta name":   {&listMetaResp{}, append([]byte{1}, huge...)},
+		"getMeta name":    {&getMetaReq{}, huge},
+		"getMeta user":    {&getMetaReq{}, append([]byte{0}, huge...)},
+		"name":            {&nameReq{}, huge},
+		"readSeg job":     {&readSegReq{}, huge},
+		"readSeg part":    {&readSegReq{}, append([]byte{0}, huge...)},
 		"getBlock data":   {&getBlockResp{}, append(transport.AppendUvarint(check, 1<<62), 'x')},
 		"putBlock data":   {&putBlockReq{}, append(transport.AppendUvarint(append(make([]byte, 8), check...), 1<<62), 'x')},
+		"batch job":       {&segBatchHdr{}, huge},
 		"batch entries":   {&segBatchHdr{}, append([]byte{0, 0}, huge...)},
+		"batch partition": {&segBatchHdr{}, append([]byte{0, 0, 1}, huge...)},
+		"metadata name":   {&Metadata{}, huge},
 		"metadata keys":   {&Metadata{}, append([]byte{0, 0, 0, 0, 0}, huge...)},
+		"metadata sums":   {&Metadata{}, append([]byte{0, 0, 0, 0, 0, 0}, huge...)},
+		"metadata time":   {&Metadata{}, append([]byte{0, 0, 0, 0, 0, 0, 0}, huge...)},
 		"putFile keys":    {&putFileReq{}, append([]byte{0, 0, 0, 0, 0}, huge...)},
 		"putFile data":    {&putFileReq{}, append(Metadata{}.AppendWire(nil), append(transport.AppendUvarint(check, 1<<62), 'x')...)},
 		"getFile data":    {&getFileResp{}, append(Metadata{}.AppendWire(nil), append(append([]byte{1}, check...), huge...)...)},
