@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -326,7 +327,8 @@ func (c *Cluster) anyNode() (*Node, error) {
 //lint:ignore ctxflow the facade's ctx-less entry points root their call trees here; use the *Context variants to pass a real context
 func rootContext() context.Context { return context.Background() }
 
-// Upload stores a file in the DHT file system.
+// Upload stores a copy of data as a file in the DHT file system: the
+// caller keeps its slice and may reuse it once Upload returns.
 func (c *Cluster) Upload(name, owner string, perm dhtfs.Perm, data []byte) (dhtfs.Metadata, error) {
 	return c.UploadContext(rootContext(), name, owner, perm, data)
 }
@@ -337,10 +339,11 @@ func (c *Cluster) UploadContext(ctx context.Context, name, owner string, perm dh
 	if err != nil {
 		return dhtfs.Metadata{}, err
 	}
-	return n.fs.Upload(ctx, name, owner, perm, data, c.opts.BlockSize)
+	return n.fs.Upload(ctx, name, owner, perm, bytes.Clone(data), c.opts.BlockSize)
 }
 
-// UploadRecords stores a line-oriented file with record-aligned blocks.
+// UploadRecords stores a copy of a line-oriented file with record-aligned
+// blocks; like Upload, the caller keeps its slice.
 func (c *Cluster) UploadRecords(name, owner string, perm dhtfs.Perm, data []byte, delim byte) (dhtfs.Metadata, error) {
 	return c.UploadRecordsContext(rootContext(), name, owner, perm, data, delim)
 }
@@ -351,7 +354,7 @@ func (c *Cluster) UploadRecordsContext(ctx context.Context, name, owner string, 
 	if err != nil {
 		return dhtfs.Metadata{}, err
 	}
-	return n.fs.UploadRecords(ctx, name, owner, perm, data, c.opts.BlockSize, delim)
+	return n.fs.UploadRecords(ctx, name, owner, perm, bytes.Clone(data), c.opts.BlockSize, delim)
 }
 
 // ReadFile fetches a file from the DHT file system.

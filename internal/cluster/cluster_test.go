@@ -155,6 +155,44 @@ func TestFileReadAfterFailNow(t *testing.T) {
 	}
 }
 
+// TestUploadSharesNoMemoryWithCaller: a store keeps the bytes it is
+// handed (DESIGN.md §12), so the facade hands it a copy: a caller that
+// scribbles on its slice once Upload returns does not change the file, on
+// either backend. On one node every replica is the uploader's own shard.
+func TestUploadSharesNoMemoryWithCaller(t *testing.T) {
+	for _, backend := range []string{"memory", "disk"} {
+		t.Run(backend, func(t *testing.T) {
+			var opts Options
+			if backend == "disk" {
+				opts.DataDir = t.TempDir()
+			}
+			c := newTestCluster(t, 1, opts)
+			uploads := map[string]func(name string, data []byte) error{
+				"plain.dat": func(name string, data []byte) error {
+					_, err := c.Upload(name, "u", dhtfs.PermPublic, data)
+					return err
+				},
+				"records.txt": func(name string, data []byte) error {
+					_, err := c.UploadRecords(name, "u", dhtfs.PermPublic, data, '\n')
+					return err
+				},
+			}
+			for name, upload := range uploads {
+				data := bytes.Repeat([]byte("caller's line\n"), 100) // several blocks
+				want := bytes.Clone(data)
+				if err := upload(name, data); err != nil {
+					t.Fatal(err)
+				}
+				clear(data)
+				got, err := c.ReadFile(name, "u")
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s: the file changed with the caller's slice (err %v)", name, err)
+				}
+			}
+		})
+	}
+}
+
 func TestHeartbeatDetectsFailure(t *testing.T) {
 	c := newTestCluster(t, 5, Options{
 		Config: Config{HeartbeatInterval: 20 * time.Millisecond, HeartbeatTimeout: 60 * time.Millisecond},

@@ -26,7 +26,8 @@ import (
 // the durability the paper relies on when it calls the DHT file system
 // "persistent".
 type blockBackend interface {
-	// put stores data, which the caller has checked against check.CRC.
+	// put stores data, which the caller has checked against check.CRC and
+	// hands over: it never writes to data again.
 	put(k hashing.Key, data []byte, check BlockCheck) error
 	// get returns the block as stored, unchecked, with a reference the
 	// caller releases, and what is kept beside it.
@@ -59,9 +60,11 @@ type memBlock struct {
 	check BlockCheck
 }
 
-// memBackend keeps blocks in process memory: a copy of what put was
-// given, in a buffer the backend holds a reference to for as long as it
-// stores the block and readers share.
+// memBackend keeps blocks in process memory: the very bytes put was
+// handed, which their writer gave up (DESIGN.md §12 "Ownership of aliased
+// bytes"), in a buffer the backend holds a reference to for as long as it
+// stores the block and readers share. Their array is never recycled: the
+// collector takes it once the last holder lets go.
 type memBackend struct {
 	mu     sync.RWMutex
 	blocks map[hashing.Key]memBlock
@@ -76,17 +79,25 @@ func (b *memBackend) put(k hashing.Key, data []byte, check BlockCheck) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.dropLocked(k)
-	b.blocks[k] = memBlock{buf: blockbuf.Of(append([]byte(nil), data...)), check: check}
+	b.blocks[k] = memBlock{buf: blockbuf.Of(data), check: check}
 	b.total += int64(len(data))
 	return nil
 }
 
+// get returns the stored buffer. Race builds check it against the CRC put
+// was handed with: a writer that touched its bytes after handing them over
+// then fails the read instead of serving what it wrote.
 func (b *memBackend) get(k hashing.Key) (*blockbuf.Buf, BlockCheck, bool, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	blk, ok := b.blocks[k]
 	if !ok {
 		return nil, BlockCheck{}, false, nil
+	}
+	if blockbuf.RaceEnabled {
+		if err := blk.check.verify(k, blk.buf.Bytes()); err != nil {
+			return nil, BlockCheck{}, false, fmt.Errorf("%w after its writer handed it over", err)
+		}
 	}
 	return blk.buf.Retain(), blk.check, true, nil
 }

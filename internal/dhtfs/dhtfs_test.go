@@ -24,7 +24,7 @@ type testCluster struct {
 	ids      []hashing.NodeID
 }
 
-func newTestCluster(t *testing.T, n, replicas int) *testCluster {
+func newTestCluster(t testing.TB, n, replicas int) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		ring:     hashing.NewChordRing(),
@@ -617,6 +617,7 @@ func TestReadRecoversFromCorruptReplica(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		blk = bytes.Clone(blk) // the shard's bytes are read-only
 		blk[0] ^= 0xFF
 		store.PutBlock(k, blk)
 	}

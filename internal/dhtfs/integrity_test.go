@@ -621,3 +621,32 @@ func TestBufferLifecycleReadFile(t *testing.T) {
 		})
 	}
 }
+
+// TestBufferLifecycleHandOverScribble: a writer hands its bytes over and
+// never touches them again (DESIGN.md §12). Race builds hold it to that: a
+// memory shard checks a block against its CRC on every read, so a writer
+// that scribbles on bytes it handed over makes the next read of the block
+// fail as corrupt instead of serving what the writer wrote.
+func TestBufferLifecycleHandOverScribble(t *testing.T) {
+	if !blockbuf.RaceEnabled {
+		t.Skip("the hand-over check runs in race builds only")
+	}
+	tc, _ := integrityCluster(t, 1, 1, false)
+	svc := tc.any()
+	ctx := context.Background()
+	data := randomData(4096, 90)
+	meta, err := svc.Upload(ctx, "handed.dat", "alice", PermPublic, data, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, sum := meta.BlockKeys[0], meta.BlockSums[0]
+	buf, _, err := svc.PinBlock(ctx, k, sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Release()
+	data[100] ^= 0x01 // the writer breaks the rule
+	if _, _, err := svc.PinBlock(ctx, k, sum); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a block its writer scribbled on after handing it over was read: err %v", err)
+	}
+}

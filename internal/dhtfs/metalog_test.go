@@ -297,7 +297,7 @@ func TestMetaLogFormatPinned(t *testing.T) {
 	records, valid := replayMetaLog([]byte(log), metas)
 	want := map[string]Metadata{
 		"a":                logMeta("a", 11, 2),
-		"corpus/part-0007": logMeta("corpus/part-0007", 1<<20, 4),
+		"corpus/part-0007": logMeta("corpus/part-0007", 1<<10, 4),
 		"":                 logMeta("", 0, 0),
 	}
 	if records != 5 || valid != len(log) || !sameMetas(metas, want) {
@@ -348,11 +348,11 @@ func BenchmarkStoreMetaChurn(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < resident; i++ {
-				if err := s.PutMeta(logMeta(fmt.Sprintf("resident-%05d", i), 1<<20, 4)); err != nil {
+				if err := s.PutMeta(logMeta(fmt.Sprintf("resident-%05d", i), 1<<10, 4)); err != nil {
 					b.Fatal(err)
 				}
 			}
-			churn := logMeta("churn", 1<<20, 4)
+			churn := logMeta("churn", 1<<10, 4)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

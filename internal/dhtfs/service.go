@@ -1,6 +1,7 @@
 package dhtfs
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha1"
 	"errors"
@@ -223,6 +224,8 @@ func (s *Service) Handle(_ context.Context, method string, body []byte) ([]byte,
 		if err != nil {
 			return nil, true, err
 		}
+		// The entries are views of the body, which is this handler's to
+		// give: the store keeps them as they are.
 		entries := make([]SegBatchEntry, len(hdr.Entries))
 		off := 0
 		for i, e := range hdr.Entries {
@@ -316,9 +319,11 @@ func messages(method string) (req, resp transport.Wire) {
 
 // serve executes one method against the local shard on decoded messages
 // of the types messages returns for it: the middle of Handle, and the
-// whole of a call to this node itself. Nothing the request references is
-// retained (the Store copies what it keeps), and what the response
-// references belongs to the caller.
+// whole of a call to this node itself. The block bytes a request carries
+// are handed over: the Store keeps what it is handed, so the caller (a
+// decoded body, or a writer on this node) never writes to them again. A
+// Metadata is cloned in both directions, and what the response references
+// belongs to the caller.
 func (s *Service) serve(method string, req, resp transport.Wire) error {
 	switch method {
 	case MethodPutBlock:
@@ -434,8 +439,9 @@ func (s *Service) getBlock(k hashing.Key) (*blockbuf.Buf, BlockCheck, error) {
 // this node uses it (DESIGN.md "A block's life"). check is what its holder
 // keeps beside the block, local says the holder is this node's shard, and
 // want is the digest the reader names. Bytes that came off a socket or out
-// of a file are checked against the CRC; the buffer a put made in this
-// node's memory is not. The version is told by comparing digests: the
+// of a file are checked against the CRC; the bytes a checked put left in
+// this node's memory are not (race builds check them as the shard reads
+// them, see memBackend.get). The version is told by comparing digests: the
 // holder's is its writer's, so no read hashes a block.
 func (s *Service) checkCopy(k hashing.Key, data []byte, check BlockCheck, local bool, want [sha1.Size]byte) error {
 	if !local || s.store.onDisk() {
@@ -578,7 +584,10 @@ func (s *Service) readOrder(k hashing.Key) ([]hashing.NodeID, error) {
 
 // Upload splits a file into blocks, distributes the blocks (and replicas)
 // across the ring by hash key, and stores the metadata at the file-name
-// owner (and replicas). It returns the stored metadata.
+// owner (and replicas). It returns the stored metadata. Upload takes the
+// bytes: a memory shard on this node keeps views of data, so the caller
+// must never write to it again (cluster.Cluster's Upload copies a user's
+// slice first).
 func (s *Service) Upload(ctx context.Context, name, owner string, perm Perm, data []byte, blockSize int) (Metadata, error) {
 	chunks, keys, err := Split(name, data, blockSize)
 	if err != nil {
@@ -589,6 +598,7 @@ func (s *Service) Upload(ctx context.Context, name, owner string, perm Perm, dat
 
 // UploadRecords is Upload with record-aligned block boundaries: blocks are
 // cut only after delim so line-oriented map tasks never see a torn record.
+// It takes the bytes as Upload does.
 func (s *Service) UploadRecords(ctx context.Context, name, owner string, perm Perm, data []byte, blockSize int, delim byte) (Metadata, error) {
 	chunks, keys, err := SplitRecords(name, data, blockSize, delim)
 	if err != nil {
@@ -862,10 +872,24 @@ type SegBatchEntry struct {
 // shuffle write). Each entry lands with the semantics of
 // Store.AppendTaskSegment (idempotent per (task, attempt, seq)), so a
 // retried batch is safe. A positive ttl invalidates the data after that
-// duration.
+// duration. The caller keeps the entries' bytes: a push to this node
+// itself stores one copy of them, as a remote one stores the body it
+// received.
 func (s *Service) PushTaggedSegmentBatch(ctx context.Context, to hashing.NodeID, job string, entries []SegBatchEntry, ttl time.Duration) error {
 	if to == s.self {
-		s.appendBatch(job, ttl, entries)
+		spills := make([][]byte, len(entries))
+		for i, e := range entries {
+			spills[i] = e.Data
+		}
+		body := bytes.Join(spills, nil) // not cleared before it is filled
+		kept := slices.Clone(entries)
+		off := 0
+		for i := range kept {
+			n := len(kept[i].Data)
+			kept[i].Data = body[off : off+n : off+n]
+			off += n
+		}
+		s.appendBatch(job, ttl, kept)
 		return nil
 	}
 	hdr := segBatchHdr{Job: job, TTL: ttl, Entries: make([]segBatchPart, len(entries))}
@@ -888,7 +912,8 @@ func (s *Service) PushTaggedSegmentBatch(ctx context.Context, to hashing.NodeID,
 
 // FetchTaggedSegments reads every spill of a job partition, with its task
 // attribution, from the given node: over the raw-frame path, or straight
-// from the local shard when that node is this one.
+// from the local shard when that node is this one, as read-only views of
+// the stored spills (see Store.ReadTaggedSegments).
 func (s *Service) FetchTaggedSegments(ctx context.Context, from hashing.NodeID, job, partition string) ([]TaggedSegment, error) {
 	if from == s.self {
 		return s.store.ReadTaggedSegments(job, partition), nil

@@ -251,13 +251,17 @@ func (s *Store) SetClock(now func() time.Time) {
 	s.now = now
 }
 
-// PutBlock stores a block, overwriting any previous content, with the
-// SHA-1 and CRC-32C it takes here as an upload's writer does. On a
-// disk-backed shard an IO failure is reported; the in-memory
-// backend never fails. It remains for bench/probes.go until the
+// PutBlock stores a copy of a block, overwriting any previous content,
+// with the SHA-1 and CRC-32C it takes here as an upload's writer does; the
+// caller keeps data. On a disk-backed shard an IO failure is reported; the
+// in-memory backend never fails. It remains for bench/probes.go until the
 // [benchmark] PR; the file system writes through Service.Upload.
 func (s *Store) PutBlock(k hashing.Key, data []byte) error {
-	return s.backend.put(k, data, BlockCheck{CRC: BlockCRC(data), Sum: SumBlock(data)})
+	check := BlockCheck{CRC: BlockCRC(data), Sum: SumBlock(data)}
+	if !s.onDisk() {
+		data = slices.Clone(data)
+	}
+	return s.backend.put(k, data, check)
 }
 
 // pin fetches a block as stored, unchecked, with what is kept beside it
@@ -405,11 +409,13 @@ const (
 // AppendTaskSegment appends one spill of intermediate results for a job
 // partition (the proactive-shuffle write path: mappers push buffered
 // results here as they are generated), attributed to one map task
-// attempt; seq numbers the task's spills into this partition. A positive
-// ttl invalidates the spill after that duration, per the paper's
-// application-set TTL on stored intermediate results. The attribution
-// makes the write path idempotent under the failure modes a lossy network
-// creates:
+// attempt; seq numbers the task's spills into this partition. The store
+// keeps data itself: the caller hands it over and never writes to it
+// again (a batch push's entries are views of a request body nobody else
+// holds). A positive ttl invalidates the spill after that duration, per
+// the paper's application-set TTL on stored intermediate results. The
+// attribution makes the write path idempotent under the failure modes a
+// lossy network creates:
 //
 //   - an exact retransmit (same task, attempt, seq) replaces the stored
 //     copy instead of appending a duplicate;
@@ -420,7 +426,7 @@ const (
 func (s *Store) AppendTaskSegment(job, partition, task string, attempt, seq int, data []byte, ttl time.Duration) SegDisposition {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seg := segment{data: append([]byte(nil), data...), task: task, attempt: attempt, seq: seq}
+	seg := segment{data: data, task: task, attempt: attempt, seq: seq}
 	if ttl > 0 {
 		seg.expires = s.now().Add(ttl)
 	}
@@ -461,9 +467,12 @@ func (s *Store) AppendTaskSegment(job, partition, task string, attempt, seq int,
 	return disp
 }
 
-// ReadTaggedSegments returns a copy of every live spill stored for a job
-// partition with its task attribution, in arrival order; expired spills
-// are dropped. A reduce puts them in (task, seq) order with
+// ReadTaggedSegments returns every live spill stored for a job partition
+// with its task attribution, in arrival order; expired spills are dropped.
+// Data is the stored bytes themselves, read-only, capacity clipped: nobody
+// writes to a stored spill, so a view stays valid after the spill is
+// superseded, expires or is dropped (the collector frees it once the last
+// view goes). A reduce puts them in (task, seq) order with
 // MergeTaggedSegments.
 func (s *Store) ReadTaggedSegments(job, partition string) []TaggedSegment {
 	s.mu.Lock()
@@ -475,7 +484,7 @@ func (s *Store) ReadTaggedSegments(job, partition string) []TaggedSegment {
 			Task:    seg.task,
 			Attempt: seg.attempt,
 			Seq:     seg.seq,
-			Data:    append([]byte(nil), seg.data...),
+			Data:    slices.Clip(seg.data),
 		}
 	}
 	return out

@@ -14,8 +14,9 @@ import (
 // order, in the primitive encodings transport/wire.go lists. A ParseWire
 // reads every field unconditionally (the reader's error is sticky; the
 // calls inside a composite literal run left to right) and checks Done
-// once. Data fields decode as sub-slices of the received body: the Store
-// copies what it keeps and never writes through what it is handed.
+// once. Data fields decode as sub-slices of the received body, which is
+// its receiver's to give: the Store keeps what it is handed as it is and
+// never writes through it.
 
 // The messages that carry a block's bytes (putBlockReq, getBlockResp,
 // putFileReq, getFileResp) leave the one large growth of dst to the append
@@ -254,7 +255,8 @@ func (m *Metadata) ParseWire(src []byte) error {
 // parseMetadata reads one Metadata, alone in a message or a field of a
 // larger one. A block without its digest, or a digest without its block,
 // is refused: it comes from a peer or from metadata.log, and every reader
-// indexes one by the other.
+// indexes one by the other. So is a size its blocks cannot hold (see
+// checkSize).
 func parseMetadata(r *transport.WireReader) Metadata {
 	m := Metadata{Name: r.Str(), Owner: r.Str()}
 	if perm := r.Raw(1); perm != nil {
@@ -282,5 +284,27 @@ func parseMetadata(r *transport.WireReader) Metadata {
 	if len(m.BlockSums) != len(m.BlockKeys) && r.Err() == nil {
 		r.Fail(fmt.Errorf("dhtfs: metadata of %q has %d digests for %d blocks", m.Name, len(m.BlockSums), len(m.BlockKeys)))
 	}
+	if err := m.checkSize(); err != nil && r.Err() == nil {
+		r.Fail(err)
+	}
 	return m
+}
+
+// checkSize refuses a size no upload writes: a negative one, a block size
+// that is not positive for a file with blocks, or more bytes than the
+// blocks hold at BlockSize each (Split and SplitRecords cut no longer
+// block). ReadFile sizes its result by Size.
+func (m Metadata) checkSize() error {
+	blocks := int64(len(m.BlockKeys))
+	switch {
+	case m.Size < 0:
+		return fmt.Errorf("dhtfs: metadata of %q has size %d", m.Name, m.Size)
+	case blocks > 0 && m.BlockSize <= 0:
+		return fmt.Errorf("dhtfs: metadata of %q has block size %d", m.Name, m.BlockSize)
+	case m.Size > 0 && (blocks == 0 || (m.Size-1)/int64(m.BlockSize) >= blocks):
+		// (Size-1)/BlockSize >= blocks is Size > blocks×BlockSize, which
+		// could overflow.
+		return fmt.Errorf("dhtfs: metadata of %q has size %d in %d blocks of %d", m.Name, m.Size, blocks, m.BlockSize)
+	}
+	return nil
 }

@@ -101,26 +101,28 @@ func wireCases() []transport.Wire {
 		&rawTaggedHdr{Tags: manyTags},
 		&Metadata{},
 		&Metadata{
-			Name: "corpus.txt", Owner: "alice", Perm: PermPublic, Size: 1 << 40, BlockSize: 64 << 20,
+			Name: "corpus.txt", Owner: "alice", Perm: PermPublic, Size: 3 << 26, BlockSize: 64 << 20,
 			BlockKeys: []hashing.Key{0, 7, maxKey}, BlockSums: [][sha1.Size]byte{sum("a"), sum("b"), sum("c")},
 			Created: time.Date(2017, 9, 5, 12, 30, 0, 123456789, time.UTC),
 		},
 		&Metadata{
-			Name: notUTF8, Perm: 255, Size: -1, BlockSize: math.MinInt,
+			Name: notUTF8, Perm: 255, BlockSize: math.MinInt,
 			BlockKeys: []hashing.Key{}, BlockSums: [][sha1.Size]byte{},
 			Created: time.Date(-9, 1, 1, 0, 0, 0, 0, time.FixedZone("odd", -(7*3600+1800))),
 		},
 		// Every key has its digest, whatever the digest holds.
-		&Metadata{Name: "zeros", BlockKeys: []hashing.Key{maxKey, 0}, BlockSums: [][sha1.Size]byte{{}, sum("z")}},
+		&Metadata{Name: "zeros", BlockSize: 1, BlockKeys: []hashing.Key{maxKey, 0}, BlockSums: [][sha1.Size]byte{{}, sum("z")}},
 		&wide,
+		// Blocks whose total size overflows an int64 hold any size.
+		&Metadata{Name: "vast", Size: 10, BlockSize: 1 << 62, BlockKeys: []hashing.Key{1, 2, 3, 4}, BlockSums: make([][sha1.Size]byte, 4)},
 		&putFileReq{},
 		&putFileReq{Meta: small, Check: check, Data: []byte("block")},
-		&putFileReq{Meta: Metadata{Name: notUTF8, BlockKeys: []hashing.Key{0, maxKey}, BlockSums: [][sha1.Size]byte{{}, sum("b")}}},
+		&putFileReq{Meta: Metadata{Name: notUTF8, BlockSize: 1, BlockKeys: []hashing.Key{0, maxKey}, BlockSums: [][sha1.Size]byte{{}, sum("b")}}},
 		&putFileReq{Meta: small, Check: noSum, Data: big},
 		&getFileResp{},
 		&getFileResp{Meta: small, HasData: true, Check: check, Data: []byte("block")},
 		&getFileResp{Meta: small, HasData: true, Check: noSum, Data: []byte{}},
-		&getFileResp{Meta: Metadata{Name: "corpus.txt", BlockKeys: []hashing.Key{1, 2, 3}, BlockSums: make([][sha1.Size]byte, 3)}},
+		&getFileResp{Meta: Metadata{Name: "corpus.txt", BlockSize: 1 << 20, BlockKeys: []hashing.Key{1, 2, 3}, BlockSums: make([][sha1.Size]byte, 3)}},
 		&getFileResp{Meta: small, HasData: true, Check: check, Data: big},
 	}
 }
@@ -134,14 +136,27 @@ func TestWireMetadataLocalTime(t *testing.T) {
 	wiretest.Check(t, &Metadata{Name: "now", Created: time.Now().Round(0)})
 }
 
+// metaSized is a file's metadata with the given size, block size and
+// number of blocks.
+func metaSized(size int64, blockSize, blocks int) Metadata {
+	m := Metadata{Name: "sized", Size: size, BlockSize: blockSize, BlockSums: make([][sha1.Size]byte, blocks)}
+	for i := 0; i < blocks; i++ {
+		m.BlockKeys = append(m.BlockKeys, hashing.BlockKey(m.Name, i))
+	}
+	return m
+}
+
 // TestWireHostileCounts: a count or length larger than the bytes behind
 // it is rejected before anything is sized by it, and so is metadata whose
-// digests and blocks differ in number (a reader indexes one by the other).
+// digests and blocks differ in number (a reader indexes one by the other)
+// or whose size its blocks cannot hold.
 func TestWireHostileCounts(t *testing.T) {
 	huge := transport.AppendUvarint(nil, math.MaxUint64)
 	check := slices.Clip(AppendBlockCheck(nil, BlockCheck{})) // what sits before a block's length
 	digestShort := Metadata{Name: "short", BlockKeys: []hashing.Key{1, 2}, BlockSums: make([][sha1.Size]byte, 1)}
 	blockShort := Metadata{Name: "long", BlockKeys: []hashing.Key{1}, BlockSums: make([][sha1.Size]byte, 2)}
+	// Sizes no upload writes: ReadFile sizes its result by them.
+	negSize, overSize, noBlocks, zeroBlockSize, vastSize := metaSized(-5, 4, 1), metaSized(9, 4, 2), metaSized(1, 4, 0), metaSized(0, 0, 1), metaSized(math.MaxInt64, 1<<62, 1)
 	cases := map[string]struct {
 		m    transport.Wire
 		body []byte
@@ -172,87 +187,157 @@ func TestWireHostileCounts(t *testing.T) {
 		"sums > keys":     {&Metadata{}, blockShort.AppendWire(nil)},
 		"putFile sums":    {&putFileReq{}, putFileReq{Meta: digestShort}.AppendWire(nil)},
 		"getFile sums":    {&getFileResp{}, getFileResp{Meta: blockShort}.AppendWire(nil)},
+		"negative size":   {&Metadata{}, negSize.AppendWire(nil)},
+		"size > blocks":   {&Metadata{}, overSize.AppendWire(nil)},
+		"size, no blocks": {&Metadata{}, noBlocks.AppendWire(nil)},
+		"zero block size": {&Metadata{}, zeroBlockSize.AppendWire(nil)},
+		"vast size":       {&Metadata{}, vastSize.AppendWire(nil)},
+		"putFile size":    {&putFileReq{}, putFileReq{Meta: overSize}.AppendWire(nil)},
+		"getFile size":    {&getFileResp{}, getFileResp{Meta: negSize}.AppendWire(nil)},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) { wiretest.Rejects(t, c.m, c.body) })
 	}
 }
 
-// TestWireDataAliasesBodyAndStoreCopies pins the ownership rule of the
-// zero-copy decode: Data is a view of the received body, the store copies
-// what it keeps, and nothing writes through the view.
-func TestWireDataAliasesBodyAndStoreCopies(t *testing.T) {
+// TestWireDataAliasesBodyAndStoreKeepsIt pins the ownership rule of the
+// zero-copy decode (DESIGN.md §12): Data is a view of the received body,
+// which is its receiver's to give. A memory store keeps a block and a
+// spill as the body's own bytes, a disk store writes the block out, and
+// nothing writes through the view.
+func TestWireDataAliasesBodyAndStoreKeepsIt(t *testing.T) {
 	payload := bytes.Repeat([]byte("payload-"), 512)
-	body, err := transport.Encode(putBlockReq{Key: 9, Data: payload})
+	check := BlockCheck{CRC: BlockCRC(payload), Sum: SumBlock(payload)}
+	block, err := transport.Encode(putBlockReq{Key: 9, Check: check, Data: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine := bytes.Clone(body)
 	var req putBlockReq
-	if err := transport.Decode(body, &req); err != nil {
+	if err := transport.Decode(block, &req); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(req.Data, payload) {
 		t.Fatal("decoded Data differs from what was encoded")
 	}
-	if &req.Data[0] != &body[len(body)-len(payload)] {
+	if &req.Data[0] != &block[len(block)-len(payload)] {
 		t.Fatal("decoded Data is a copy, not a view of the body")
 	}
 	if cap(req.Data) != len(req.Data) {
 		t.Fatalf("decoded Data has spare capacity %d: an append would write into the body", cap(req.Data)-len(req.Data))
 	}
-
-	disk, err := NewStoreAt(t.TempDir())
+	spill, err := transport.EncodeFrame(segBatchHdr{Job: "job", Entries: []segBatchPart{{Partition: "p0", Task: "m-1", Len: len(payload)}}}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, store := range map[string]*Store{"memory": NewStore(), "disk": disk} {
-		if err := store.PutBlock(req.Key, req.Data); err != nil {
+
+	for _, disk := range []bool{false, true} {
+		name := map[bool]string{false: "memory", true: "disk"}[disk]
+		tc, _ := integrityCluster(t, 1, 1, disk)
+		svc := tc.any()
+		// Each store is handed bodies of its own, as a transport hands them.
+		bodies := map[string][]byte{MethodPutBlock: bytes.Clone(block), MethodAppendSegBatch: bytes.Clone(spill)}
+		for method, body := range bodies {
+			if _, _, err := svc.Handle(context.Background(), method, body); err != nil {
+				t.Fatalf("%s: %s: %v", name, method, err)
+			}
+		}
+		buf, _, err := svc.Store().pin(9)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		store.AppendTaskSegment("job", "p0", "m-1", 0, 0, req.Data, 0)
-		store.AppendTaskSegment("job", "p0", "m-1", 1, 0, req.Data, 0) // supersede path
-		if !bytes.Equal(body, pristine) {
+		stored := buf.Bytes()
+		segs := svc.Store().ReadTaggedSegments("job", "p0")
+		if !bytes.Equal(bodies[MethodPutBlock], block) || !bytes.Equal(bodies[MethodAppendSegBatch], spill) {
 			t.Fatalf("%s: the store wrote through the decoded view", name)
 		}
-		// The body's owner may recycle it: what the store kept must not move.
-		for i := range body {
-			body[i] ^= 0xff
+		body := bodies[MethodPutBlock]
+		if aliased := &stored[0] == &body[len(body)-len(payload)]; aliased == disk {
+			t.Fatalf("%s: the stored block aliases the body = %v, want %v", name, aliased, !disk)
 		}
-		got, err := store.GetBlock(req.Key)
-		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("%s: stored block changed with the request body (err %v)", name, err)
+		body = bodies[MethodAppendSegBatch]
+		if len(segs) != 1 || &segs[0].Data[0] != &body[len(body)-len(payload)] || cap(segs[0].Data) != len(payload) {
+			t.Fatalf("%s: the stored spill is not the body's own bytes, capacity clipped", name)
 		}
-		if segs := store.ReadTaggedSegments("job", "p0"); len(segs) != 1 || !bytes.Equal(segs[0].Data, payload) {
-			t.Fatalf("%s: stored segment changed with the request body", name)
+		buf.Release()
+		if disk {
+			// A block written out does not move with the body it came in.
+			clear(bodies[MethodPutBlock])
+			if got, err := svc.Store().GetBlock(9); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("disk: stored block changed with the request body (err %v)", err)
+			}
 		}
-		copy(body, pristine)
 	}
 }
 
 // TestSelfCallSharesNoMemory: a call to this node itself skips the codec,
 // so serve must give the isolation the codec used to: metadata kept by
-// the store and metadata held by callers never share slices.
+// the store and metadata held by callers never share slices, and a batch
+// push to this node stores its own copy of the spills, whose buffers the
+// caller recycles once the push returns.
 func TestSelfCallSharesNoMemory(t *testing.T) {
-	tc := newTestCluster(t, 1, 1)
-	svc := tc.services[tc.ids[0]]
-	ctx := context.Background()
-	meta, err := svc.Upload(ctx, "f", "u", PermPublic, []byte("0123456789"), 4)
-	if err != nil {
-		t.Fatal(err)
+	for _, disk := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memory", true: "disk"}[disk], func(t *testing.T) {
+			tc, _ := integrityCluster(t, 1, 1, disk)
+			svc := tc.any()
+			ctx := context.Background()
+			meta, err := svc.Upload(ctx, "f", "u", PermPublic, []byte("0123456789"), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantKey, wantSum := meta.BlockKeys[0], meta.BlockSums[0]
+			meta.BlockKeys[0], meta.BlockSums[0] = 0, [sha1.Size]byte{}
+			got, err := svc.Lookup(ctx, "f", "u")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.BlockKeys[0] != wantKey || got.BlockSums[0] != wantSum {
+				t.Fatal("mutating Upload's result changed the stored metadata")
+			}
+			got.BlockKeys[0] = 0
+			if again, _ := svc.Lookup(ctx, "f", "u"); again.BlockKeys[0] != wantKey {
+				t.Fatal("mutating Lookup's result changed the stored metadata")
+			}
+
+			entries := []SegBatchEntry{
+				{Partition: "p0", Tag: SegTag{Task: "m-0"}, Data: []byte("spill-zero")},
+				{Partition: "p0", Tag: SegTag{Task: "m-0", Seq: 1}, Data: []byte("spill-one")},
+			}
+			if err := svc.PushTaggedSegmentBatch(ctx, tc.ids[0], "job", entries, 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				clear(e.Data)
+			}
+			segs := svc.Store().ReadTaggedSegments("job", "p0")
+			if len(segs) != 2 || string(segs[0].Data) != "spill-zero" || string(segs[1].Data) != "spill-one" {
+				t.Fatalf("scribbling on pushed entries changed the stored spills: %q", segs)
+			}
+		})
 	}
-	wantKey, wantSum := meta.BlockKeys[0], meta.BlockSums[0]
-	meta.BlockKeys[0], meta.BlockSums[0] = 0, [sha1.Size]byte{}
-	got, err := svc.Lookup(ctx, "f", "u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.BlockKeys[0] != wantKey || got.BlockSums[0] != wantSum {
-		t.Fatal("mutating Upload's result changed the stored metadata")
-	}
-	got.BlockKeys[0] = 0
-	if again, _ := svc.Lookup(ctx, "f", "u"); again.BlockKeys[0] != wantKey {
-		t.Fatal("mutating Lookup's result changed the stored metadata")
+}
+
+// TestReadFileRefusesImpossibleSize: a replica that answers with metadata
+// whose size its blocks cannot hold makes ReadFile fail, not panic sizing
+// its result.
+func TestReadFileRefusesImpossibleSize(t *testing.T) {
+	for name, meta := range map[string]Metadata{
+		"negative": {Name: "f", Size: -5},
+		"oversize": {Name: "f", Size: 10, BlockSize: 4, BlockKeys: []hashing.Key{1}, BlockSums: make([][sha1.Size]byte, 1)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tc := newTestCluster(t, 2, 2)
+			liar := tc.ids[1]
+			tc.net.Unlisten(liar)
+			err := tc.net.Listen(liar, func(context.Context, string, []byte) ([]byte, error) {
+				return getFileResp{Meta: meta}.AppendWire(nil), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tc.services[tc.ids[0]].ReadFile(context.Background(), "f", "u"); err == nil {
+				t.Fatal("metadata with an impossible size was read")
+			}
+		})
 	}
 }
 

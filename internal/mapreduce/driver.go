@@ -424,6 +424,7 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 			if err != nil {
 				return Result{}, err
 			}
+			// data is handed over to the store, never touched again.
 			if _, err := d.fs.Upload(ctx, markerFile(ns), spec.User, dhtfs.PermPublic, data, 1<<20); err != nil {
 				return Result{}, fmt.Errorf("mapreduce: store reuse marker: %w", err)
 			}

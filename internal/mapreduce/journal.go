@@ -227,6 +227,7 @@ func (w *journalWriter) doFlush(ctx context.Context) {
 	phase := w.j.Phase
 	w.mu.Unlock()
 	if err == nil {
+		// A fresh encoding per flush, handed over to the store.
 		_, err = w.d.fs.Upload(ctx, w.file, w.user, dhtfs.PermPublic, data, 1<<20)
 	}
 	if err != nil {

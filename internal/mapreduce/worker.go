@@ -466,6 +466,8 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 	}
 	writeTimer := w.reg.Histogram("mr.reduce.write_ns").Start()
 	wctx, wr := w.tracer.StartSpan(ctx, "reduce.write")
+	// The output is handed over, not copied: from here on it is read only,
+	// by the store that keeps its blocks and by the oCache.
 	_, err = w.fs.Upload(wctx, req.OutputFile, req.User, dhtfs.PermPublic, output, blockSize)
 	wr.End()
 	writeTimer.Stop()

@@ -178,6 +178,7 @@ func ClientHandler(node *cluster.Node, ensureDriver func() (*mapreduce.Driver, e
 			if req.Public {
 				perm = dhtfs.PermPublic
 			}
+			// req.Data is this request's own body: the upload takes it.
 			var meta dhtfs.Metadata
 			var err error
 			if req.Records {
