@@ -258,10 +258,7 @@ func (s *Store) SetClock(now func() time.Time) {
 // [benchmark] PR; the file system writes through Service.Upload.
 func (s *Store) PutBlock(k hashing.Key, data []byte) error {
 	check := BlockCheck{CRC: BlockCRC(data), Sum: SumBlock(data)}
-	if !s.onDisk() {
-		data = slices.Clone(data)
-	}
-	return s.backend.put(k, data, check)
+	return s.backend.put(k, slices.Clone(data), check)
 }
 
 // pin fetches a block as stored, unchecked, with what is kept beside it
