@@ -51,7 +51,8 @@ func runWordCount(t *testing.T, c *Cluster, spec mapreduce.JobSpec, text string)
 // WordCount over a chaos-wrapped cluster with message drops plus one
 // worker crash-stopped mid-job must produce output byte-identical to a
 // fault-free run, with the retry and failover counters visible in the
-// metrics snapshot.
+// metrics snapshot. Intermediates have one copy, at their partition's
+// owner: what the crash takes, lost-partition recovery rebuilds.
 func TestChaosWordCountSurvivesDropsAndCrash(t *testing.T) {
 	text := chaosJobText(testing.Short())
 	drop := 0.10
@@ -60,7 +61,7 @@ func TestChaosWordCountSurvivesDropsAndCrash(t *testing.T) {
 	}
 	spec := mapreduce.JobSpec{
 		ID: "chaos-wc", App: "cluster-wordcount", Inputs: []string{"chaos.txt"},
-		User: "u", MaxAttempts: 5, ReplicateIntermediates: true,
+		User: "u", MaxAttempts: 5,
 	}
 
 	// Fault-free baseline.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -70,96 +71,139 @@ func nonManagerNode(t *testing.T, c *Cluster) hashing.NodeID {
 }
 
 // TestLostPartitionRecoveryEndToEnd is the acceptance chaos test: a
-// 4-node WordCount under seeded message drops, with the owner of an
-// unreplicated reduce partition crash-stopped after the shuffle. The job
-// must complete with output byte-identical to a fault-free run — without
-// restarting from scratch and without re-reducing partitions that
-// survived, both pinned via the driver's counters.
+// 4-node WordCount under seeded message drops loses the owner of a reduce
+// partition, whose spills have no other copy. The job must complete with
+// output byte-identical to a fault-free run — without restarting from
+// scratch and without re-reducing partitions that survived, both pinned
+// via the driver's counters.
 func TestLostPartitionRecoveryEndToEnd(t *testing.T) {
 	text, _ := recoveryText(300, 40)
 	spec := mapreduce.JobSpec{
 		ID: "heal-e2e", App: "cluster-wordcount", Inputs: []string{"chaos.txt"},
 		User: "u", MaxAttempts: 5,
-		// No ReplicateIntermediates: the crash genuinely loses the victim's
-		// partition spills, forcing the recovery path rather than failover.
 	}
 
 	// Fault-free baseline for the byte-identity check.
 	base := newTestCluster(t, 4, Options{})
 	want := runWordCount(t, base, spec, text)
 
-	chaos := transport.NewChaos(transport.NewLocal(), transport.ChaosConfig{
-		Seed:    20260806,
-		Latency: 50 * time.Microsecond,
-		Jitter:  100 * time.Microsecond,
-	})
-	c := newTestCluster(t, 4, Options{
-		Network: chaos,
-		Retry:   transport.RetryPolicy{MaxAttempts: 5, BaseDelay: 200 * time.Microsecond},
-	})
-	if _, err := c.UploadRecords("chaos.txt", "u", dhtfs.PermPublic, []byte(text), '\n'); err != nil {
-		t.Fatal(err)
-	}
-	chaos.SetDrop(0.05) // upload ran fault-free; the job does not
-
-	if err := c.rebindDriver(); err != nil {
-		t.Fatal(err)
-	}
-	victim := nonManagerNode(t, c)
-	failed := make(chan error, 1)
-	c.Manager().Events().SetObserver(func(e events.Event) {
-		// Crash the victim exactly between the phases: every map has pushed
-		// its spills, no reduce has run, and the victim's partitions have no
-		// surviving copy.
-		if e.Job == spec.ID && e.Name == "job.phase.reduce" {
-			select {
-			case failed <- c.FailNow(victim):
-			default:
+	for _, tc := range []struct {
+		name string
+		// at is the event whose first occurrence crash-stops the owner.
+		at string
+		// cut, instead of a crash, cuts the link from another worker to
+		// the owner before the job starts: the owner stays reachable from
+		// the driver and every other node, so only the maps on that worker
+		// know their spills missed it.
+		cut bool
+		// resume stops the driver at the first map that finishes with the
+		// owner's partitions lost, and finishes the job with Resume.
+		resume bool
+	}{
+		// Every spill has landed; no reduce has run.
+		{name: "after-maps", at: "job.phase.reduce"},
+		{name: "mid-map", at: "map.finish"},
+		{name: "asymmetric", cut: true},
+		{name: "resume", at: "map.finish", resume: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			chaos := transport.NewChaos(transport.NewLocal(), transport.ChaosConfig{
+				Seed:    20260806,
+				Latency: 50 * time.Microsecond,
+				Jitter:  100 * time.Microsecond,
+			})
+			c := newTestCluster(t, 4, Options{
+				Network: chaos,
+				Retry:   transport.RetryPolicy{MaxAttempts: 5, BaseDelay: 200 * time.Microsecond},
+			})
+			if _, err := c.UploadRecords("chaos.txt", "u", dhtfs.PermPublic, []byte(text), '\n'); err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
+			chaos.SetDrop(0.05) // upload ran fault-free; the job does not
 
-	res, err := c.Run(spec)
-	if err != nil {
-		t.Fatalf("job did not self-heal after losing %s: %v", victim, err)
-	}
-	select {
-	case ferr := <-failed:
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-	default:
-		t.Fatal("job.phase.reduce event never fired; the crash was not injected")
-	}
-	if res.RecoveredPartitions < 1 {
-		t.Fatalf("RecoveredPartitions = %d, want >= 1 (victim %s owned no non-empty partition?)",
-			res.RecoveredPartitions, victim)
-	}
+			if err := c.rebindDriver(); err != nil {
+				t.Fatal(err)
+			}
+			victim := nonManagerNode(t, c)
+			if tc.cut {
+				for _, id := range c.Nodes() {
+					if id != victim && id != c.Manager().ID {
+						chaos.Partition(id, victim, true)
+						break
+					}
+				}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// The crash is a chaos crash-stop where the event fires (nothing
+			// reaches the victim after it), then the manager's eviction.
+			failed := make(chan error, 1)
+			var crashed, stopped sync.Once
+			c.Manager().Events().SetObserver(func(e events.Event) {
+				if e.Job != spec.ID || tc.at == "" {
+					return
+				}
+				if e.Name == tc.at {
+					crashed.Do(func() {
+						chaos.Crash(victim)
+						go func() { failed <- c.FailNow(victim) }()
+					})
+				}
+				if tc.resume && e.Name == "map.finish" && strings.HasPrefix(e.Detail, "lost=") {
+					stopped.Do(cancel)
+				}
+			})
 
-	kvs, err := c.Collect(res, "u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mapreduce.EncodeKVs(kvs); !bytes.Equal(got, want) {
-		t.Fatalf("recovered output diverged from fault-free run: %d vs %d bytes", len(got), len(want))
-	}
+			res, err := c.RunContext(ctx, spec)
+			if tc.resume {
+				if err == nil {
+					t.Fatal("the run finished before any map reported a lost partition")
+				}
+				if ferr := <-failed; ferr != nil {
+					t.Fatal(ferr)
+				}
+				res, err = c.Resume(spec.ID)
+			}
+			if err != nil {
+				t.Fatalf("job did not self-heal after losing %s: %v", victim, err)
+			}
+			if tc.at != "" && !tc.resume {
+				if ferr := <-failed; ferr != nil {
+					t.Fatal(ferr)
+				}
+			}
+			if res.RecoveredPartitions < 1 {
+				t.Fatalf("RecoveredPartitions = %d, want >= 1 (victim %s owned no non-empty partition?)",
+					res.RecoveredPartitions, victim)
+			}
 
-	snap := c.MetricsSnapshot()
-	if got := snap.Get("mr.driver.partition_recoveries"); got < 1 {
-		t.Errorf("partition_recoveries = %d, want >= 1", got)
+			kvs, err := c.Collect(res, "u")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mapreduce.EncodeKVs(kvs); !bytes.Equal(got, want) {
+				t.Fatalf("recovered output diverged from fault-free run: %d vs %d bytes", len(got), len(want))
+			}
+
+			snap := c.MetricsSnapshot()
+			if got := snap.Get("mr.driver.partition_recoveries"); got < 1 {
+				t.Errorf("partition_recoveries = %d, want >= 1", got)
+			}
+			// Exactly one successful reduce per partition: the recovery
+			// round re-reduced only the lost partitions, never the
+			// completed ones.
+			if got := snap.Get("mr.driver.partition_reduces"); got != int64(res.ReduceTasks) {
+				t.Errorf("partition_reduces = %d with %d reduce tasks: completed partitions were re-reduced",
+					got, res.ReduceTasks)
+			}
+			if snap.Get("chaos.drops") == 0 {
+				t.Error("chaos.drops = 0: the schedule injected no message loss")
+			}
+			t.Logf("recovered %d partition(s) after losing %s: recoveries=%d reduces=%d/%d drops=%d",
+				res.RecoveredPartitions, victim, snap.Get("mr.driver.partition_recoveries"),
+				snap.Get("mr.driver.partition_reduces"), res.ReduceTasks, snap.Get("chaos.drops"))
+		})
 	}
-	// Exactly one successful reduce per partition: the recovery round
-	// re-reduced only the lost partitions, never the completed ones.
-	if got := snap.Get("mr.driver.partition_reduces"); got != int64(res.ReduceTasks) {
-		t.Errorf("partition_reduces = %d with %d reduce tasks: completed partitions were re-reduced",
-			got, res.ReduceTasks)
-	}
-	if snap.Get("chaos.drops") == 0 {
-		t.Error("chaos.drops = 0: the schedule injected no message loss")
-	}
-	t.Logf("recovered %d partition(s) after crashing %s: recoveries=%d reduces=%d/%d drops=%d",
-		res.RecoveredPartitions, victim, snap.Get("mr.driver.partition_recoveries"),
-		snap.Get("mr.driver.partition_reduces"), res.ReduceTasks, snap.Get("chaos.drops"))
 }
 
 // TestManagerFailoverAdoptsJournaledJob is the acceptance resume test:

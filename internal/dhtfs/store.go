@@ -508,14 +508,11 @@ func (s *Store) dropExpiredLocked(k string, now time.Time) []segment {
 	return live
 }
 
-// MergeTaggedSegments unions the spills gathered from a partition's
-// holders (its owner, and its replica when intermediates are replicated)
-// into one deduplicated payload list: per task only the newest attempt
+// MergeTaggedSegments turns the spills read from a partition's owner into
+// one deduplicated payload list: per task only the newest attempt
 // survives, (task, seq) duplicates collapse to one copy, and the result is
 // sorted by (task, seq), so it does not depend on the order the spills
-// arrived in. Because every spill reached at least one holder, the union
-// over the reachable holders is the complete intermediate data even when
-// each individual copy is partial.
+// arrived in.
 func MergeTaggedSegments(segs []TaggedSegment) [][]byte {
 	maxAttempt := make(map[string]int)
 	for _, s := range segs {

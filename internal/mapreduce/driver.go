@@ -147,11 +147,6 @@ type marker struct {
 	Servers   []hashing.NodeID
 	Bounds    []hashing.Key
 	PartBytes []int64
-	// Replicas, when the job replicates intermediates, names each
-	// partition owner's ring successor at job start; recording it here
-	// keeps the spill-target table stable even if the ring changes
-	// mid-job.
-	Replicas []hashing.NodeID
 	// Expires invalidates the marker (and with it reuse of the stored
 	// intermediates) once the job's IntermediateTTL lapses; zero means no
 	// TTL.
@@ -202,11 +197,6 @@ type runState struct {
 	// attemptBase is this driver generation's first attempt number
 	// (resumed runs start a fresh stride above every prior generation).
 	attemptBase int
-	// reduceEpoch keys the workers' merged-intermediate cache entries for
-	// this run. It starts at attemptBase (unique per generation) and is
-	// bumped on every partition-recovery round, so merged blobs cached
-	// before superseding attempts were pushed are never served again.
-	reduceEpoch int
 	// tasks lists every contributing map task in input order, byID
 	// indexes them for the dispatcher (both empty when the map phase was
 	// reused via tag: the intermediates are shared, not re-executable).
@@ -215,6 +205,10 @@ type runState struct {
 	// partsDone maps finished partitions to their recorded output file
 	// ("" = no output).
 	partsDone map[int]string
+	// lost marks the partitions a map of this run could not push to (its
+	// RunMapResp.Lost) and that no recovery has re-homed since: they are
+	// re-homed and re-shuffled before they are reduced. Guarded by d.mu.
+	lost map[int]bool
 
 	// The map phase, valid while open. only, when non-empty, makes it a
 	// re-shuffle: the tasks push just the listed reduce partitions, which
@@ -337,15 +331,6 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 		mk.Servers = table.Servers()
 		mk.Bounds = table.Bounds()
 		mk.PartBytes = make([]int64, table.Len())
-		if spec.ReplicateIntermediates {
-			mk.Replicas = make([]hashing.NodeID, len(mk.Servers))
-			ring := d.ring()
-			for i, owner := range mk.Servers {
-				if succ, err := ring.Successor(owner); err == nil && succ != owner {
-					mk.Replicas[i] = succ
-				}
-			}
-		}
 	}
 
 	st := &runState{
@@ -355,6 +340,7 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 		mk:        &mk,
 		res:       &res,
 		partsDone: make(map[int]string),
+		lost:      make(map[int]bool),
 	}
 	if prior != nil {
 		for part, out := range prior.PartsDone {
@@ -362,7 +348,6 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 		}
 		st.attemptBase = (prior.Generation + 1) * attemptStride
 	}
-	st.reduceEpoch = st.attemptBase
 	if !spec.DisableJournal {
 		st.jw = d.newJournalWriter(ctx, spec, &mk, prior)
 		// The final flush on every exit path leaves even an aborted run
@@ -393,13 +378,14 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 	}
 
 	// A journal adoption may find partition owners that died with the
-	// previous driver (most commonly the old manager itself). They must be
-	// re-homed before any map runs, or the resumed maps would push their
-	// spills at dead nodes and fail the phase.
+	// previous driver (most commonly the old manager itself), and
+	// partitions a map could not push to. They are re-homed before any map
+	// runs, so the resumed maps push to live owners, and none is reduced
+	// before it is re-shuffled.
 	var deadParts []int
 	if prior != nil {
 		var err error
-		deadParts, err = d.adoptPartitions(st)
+		deadParts, err = d.adoptPartitions(st, prior.Lost)
 		if err != nil {
 			return Result{}, err
 		}
@@ -415,19 +401,8 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 				return Result{}, err
 			}
 		}
-		if spec.ReuseTag != "" {
-			if spec.IntermediateTTL > 0 {
-				mk.Expires = d.fs.Now().Add(spec.IntermediateTTL)
-			}
-			//lint:ignore wiremsg durable file (the reuse marker in dhtfs), written once per job and read back by later binaries: it stays on gob
-			data, err := transport.Encode(mk)
-			if err != nil {
-				return Result{}, err
-			}
-			// data is handed over to the store, never touched again.
-			if _, err := d.fs.Upload(ctx, markerFile(ns), spec.User, dhtfs.PermPublic, data, 1<<20); err != nil {
-				return Result{}, fmt.Errorf("mapreduce: store reuse marker: %w", err)
-			}
+		if spec.ReuseTag != "" && spec.IntermediateTTL > 0 {
+			mk.Expires = d.fs.Now().Add(spec.IntermediateTTL)
 		}
 	} else {
 		res.MapsSkipped = true
@@ -455,6 +430,20 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 
 	if err := d.runReducePhase(ctx, st); err != nil {
 		return Result{}, err
+	}
+	// The reuse marker is written once recovery is over, so the owners it
+	// names hold their whole partitions: a later job never reduces where a
+	// map could not push.
+	if spec.ReuseTag != "" && !reused {
+		//lint:ignore wiremsg durable file (the reuse marker in dhtfs), written once per job and read back by later binaries: it stays on gob
+		data, err := transport.Encode(mk)
+		if err != nil {
+			return Result{}, err
+		}
+		// data is handed over to the store, never touched again.
+		if _, err := d.fs.Upload(ctx, markerFile(ns), spec.User, dhtfs.PermPublic, data, 1<<20); err != nil {
+			return Result{}, fmt.Errorf("mapreduce: store reuse marker: %w", err)
+		}
 	}
 	if st.jw != nil {
 		st.jw.setPhase(phaseDone, &mk)
@@ -612,7 +601,6 @@ func (st *runState) mapReq(mt *mapTask, attempt int) *RunMapReq {
 		Attempt:        attempt,
 		ReduceServers:  st.mk.Servers,
 		ReduceBounds:   st.mk.Bounds,
-		ReduceReplicas: st.mk.Replicas,
 		OnlyPartitions: st.only,
 		SpillThreshold: st.spec.SpillThreshold,
 		TTL:            st.spec.IntermediateTTL,
@@ -712,10 +700,13 @@ func (d *Driver) execMap(st *runState, mt *mapTask, x mapExec) mapResult {
 }
 
 // finishMap settles a successful execution. The first finisher of the
-// task's current attempt is accounted — result counters, and for a first
-// execution (not a re-shuffle) the partition sizes and the journal — and
-// only then finishes the task: a phase's outcome is delivered after its
-// last completion is queued for the journal. Caller holds d.mu.
+// task's current attempt is accounted — result counters, the partitions
+// it could not push to, and for a first execution (not a re-shuffle) the
+// partition sizes and the journal — and only then finishes the task: a
+// phase's outcome is delivered after its last completion is queued for
+// the journal. A re-shuffle's lost partitions need no journal record:
+// recovery listed them as lost before the re-shuffle began. Caller holds
+// d.mu.
 func (d *Driver) finishMap(st *runState, mt *mapTask, attempt int, resp RunMapResp) bool {
 	if !st.current(mt, attempt) {
 		return false
@@ -725,6 +716,9 @@ func (d *Driver) finishMap(st *runState, mt *mapTask, attempt int, resp RunMapRe
 		st.res.CacheHits++
 	} else {
 		st.res.CacheMisses++
+	}
+	for _, p := range resp.Lost {
+		st.lost[p] = true
 	}
 	if len(st.only) == 0 {
 		for i, b := range resp.PartBytes {
@@ -739,12 +733,17 @@ func (d *Driver) finishMap(st *runState, mt *mapTask, attempt int, resp RunMapRe
 					jr.Attempts[taskID] = attempt
 				}
 				jr.Mk.PartBytes = partBytes
+				for _, p := range resp.Lost {
+					jr.Lost[p] = true
+				}
 			})
 		}
 	}
-	d.events.Emit(events.KindTask, "map.finish", events.F{
-		Job: st.spec.ID, Task: mt.t.ID, Attempt: attempt,
-	})
+	ev := events.F{Job: st.spec.ID, Task: mt.t.ID, Attempt: attempt}
+	if len(resp.Lost) > 0 {
+		ev.Detail = fmt.Sprintf("lost=%v", resp.Lost)
+	}
+	d.events.Emit(events.KindTask, "map.finish", ev)
 	return st.finish(mt, attempt)
 }
 
@@ -815,13 +814,12 @@ func (d *Driver) Close() {
 
 // reduceTask describes one partition's reduce execution target.
 type reduceTask struct {
-	part    int
-	owner   hashing.NodeID
-	replica hashing.NodeID
+	part  int
+	owner hashing.NodeID
 }
 
-// errPartitionLost marks a reduce partition whose segment holders are all
-// unreachable — the trigger for lost-partition recovery.
+// errPartitionLost marks a reduce partition whose spills are out of reach
+// at its owner — the trigger for lost-partition recovery.
 type errPartitionLost struct {
 	part  int
 	owner hashing.NodeID
@@ -834,6 +832,9 @@ func (e errPartitionLost) Error() string {
 
 func (e errPartitionLost) Unwrap() error { return e.cause }
 
+// errSpillsLost is the cause of a partition a map reported lost.
+var errSpillsLost = fmt.Errorf("a map could not push its spills: %w", transport.ErrUnreachable)
+
 // lostPart pairs a lost partition with its terminal error.
 type lostPart struct {
 	t   reduceTask
@@ -844,10 +845,11 @@ type lostPart struct {
 // directly at the node storing the partition's segments (the paper's
 // reduce placement: "the scheduler schedules reduce tasks where the
 // intermediate results are stored"). Partitions the journal records as
-// done are skipped; partitions whose segment holders all died are
-// recovered by re-executing the contributing maps and re-homing the
-// partition on a surviving node. Per-node concurrency is bounded by
-// reduceSlots.
+// done are skipped. A partition is lost when a map could not push to its
+// owner, or when no reduce candidate can reach the owner's spills; it is
+// recovered by re-homing it on a surviving node and re-executing the
+// contributing maps, and no reduce runs while a partition a map reported
+// lost waits for that. Per-node concurrency is bounded by reduceSlots.
 func (d *Driver) runReducePhase(ctx context.Context, st *runState) error {
 	var tasks []reduceTask
 	skipped := 0
@@ -864,25 +866,26 @@ func (d *Driver) runReducePhase(ctx context.Context, st *runState) error {
 			skipped++
 			continue
 		}
-		t := reduceTask{part: part, owner: st.mk.Servers[part]}
-		if part < len(st.mk.Replicas) {
-			t.replica = st.mk.Replicas[part]
-		}
-		tasks = append(tasks, t)
+		tasks = append(tasks, reduceTask{part: part, owner: st.mk.Servers[part]})
 	}
 	if skipped > 0 {
 		d.reg.Counter("mr.driver.parts_skipped_resume").Add(int64(skipped))
 	}
 	st.res.ReduceTasks = len(tasks)
-	if len(tasks) == 0 {
-		sort.Strings(st.res.OutputFiles)
-		return nil
-	}
-	lost, err := d.reduceWave(ctx, st, tasks)
-	if err != nil {
-		return err
-	}
-	for round := 0; len(lost) > 0; round++ {
+	for round := 0; len(tasks) > 0; round++ {
+		// A partition a map reported lost is recovered before any reduce
+		// runs; a wave runs once none is left, and may lose more.
+		var lost []lostPart
+		if tasks, lost = d.takeLost(st, tasks); len(lost) == 0 {
+			var err error
+			if lost, err = d.reduceWave(ctx, st, tasks); err != nil {
+				return err
+			}
+			tasks = nil
+		}
+		if len(lost) == 0 {
+			continue
+		}
 		if round >= st.spec.maxAttempts() {
 			return fmt.Errorf("mapreduce: partition recovery exhausted after %d rounds: %w", round, lost[0].err)
 		}
@@ -890,10 +893,7 @@ func (d *Driver) runReducePhase(ctx context.Context, st *runState) error {
 		if err != nil {
 			return err
 		}
-		lost, err = d.reduceWave(ctx, st, retry)
-		if err != nil {
-			return err
-		}
+		tasks = append(tasks, retry...)
 	}
 	// Completion order is scheduling-dependent; sort (lexicographic =
 	// partition order under the fixed-width partition naming) so results
@@ -902,9 +902,27 @@ func (d *Driver) runReducePhase(ctx context.Context, st *runState) error {
 	return nil
 }
 
+// takeLost moves the tasks of the partitions maps reported lost out of
+// tasks, in task order, and clears their marks: the recovery they go to
+// re-executes every contributing map, so a mark set again afterwards is
+// news.
+func (d *Driver) takeLost(st *runState, tasks []reduceTask) (rest []reduceTask, lost []lostPart) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, t := range tasks {
+		if !st.lost[t.part] {
+			rest = append(rest, t)
+			continue
+		}
+		delete(st.lost, t.part)
+		lost = append(lost, lostPart{t: t, err: errPartitionLost{part: t.part, owner: t.owner, cause: errSpillsLost}})
+	}
+	return rest, lost
+}
+
 // reduceWave runs one wave of reduce tasks, journaling each completed
-// partition, and returns the partitions whose segment holders were all
-// unreachable (sorted by partition for deterministic recovery order).
+// partition, and returns the partitions whose owner's spills no candidate
+// could reach (sorted by partition for deterministic recovery order).
 func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTask) ([]lostPart, error) {
 	sem := make(map[hashing.NodeID]chan struct{})
 	for _, t := range tasks {
@@ -959,9 +977,6 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 			if resp.HasOutput {
 				st.res.OutputFiles = append(st.res.OutputFiles, outFile)
 			}
-			if resp.InputCached {
-				st.res.CacheHits++
-			}
 			mu.Unlock()
 			d.events.Emit(events.KindTask, "reduce.finish", events.F{
 				Job: st.spec.ID, Task: partitionName(t.part), Detail: string(ran),
@@ -977,28 +992,22 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 }
 
 // runReduceTask executes one partition's reduce, walking the candidate
-// executors (satellite of the self-healing layer: the full surviving
-// replica set, not just the single recorded replica) before declaring
-// the partition lost. It returns the response, the output file name and
-// the node that ran the reduce.
+// executors (the owner, then the surviving members of the partition
+// bound's replica set) before declaring the partition lost. It returns
+// the response, the output file name and the node that ran the reduce.
 func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) (RunReduceResp, string, hashing.NodeID, error) {
 	outFile := fmt.Sprintf("%s.out.%s", st.spec.ID, partitionName(t.part))
 	req := RunReduceReq{
-		Job:                st.spec.ID,
-		Namespace:          st.ns,
-		App:                st.spec.App,
-		Params:             st.spec.Params,
-		Partition:          t.part,
-		SegmentHolders:     []hashing.NodeID{t.owner},
-		OutputFile:         outFile,
-		CacheIntermediates: st.spec.CacheIntermediates,
-		CacheOutputs:       st.spec.CacheOutputs,
-		Epoch:              st.reduceEpoch,
-		TTL:                st.spec.IntermediateTTL,
-		User:               st.spec.User,
-	}
-	if t.replica != "" {
-		req.SegmentHolders = append(req.SegmentHolders, t.replica)
+		Job:          st.spec.ID,
+		Namespace:    st.ns,
+		App:          st.spec.App,
+		Params:       st.spec.Params,
+		Partition:    t.part,
+		SegmentOwner: t.owner,
+		OutputFile:   outFile,
+		CacheOutputs: st.spec.CacheOutputs,
+		TTL:          st.spec.IntermediateTTL,
+		User:         st.spec.User,
 	}
 	tctx, sp := d.tracer.StartSpan(ctx, "driver.reduce_task")
 	sp.Annotate("partition", strconv.Itoa(t.part))
@@ -1007,8 +1016,8 @@ func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) 
 	var lastErr error
 	for i, cand := range d.reduceCandidates(st, t) {
 		if i > 0 {
-			// Walking past the recorded owner is a failover, whether to
-			// the recorded replica or further around the ring.
+			// Walking past the recorded owner is a failover: a ring
+			// neighbour reads the owner's spills remotely.
 			d.reg.Counter("mr.driver.reduce_failovers").Inc()
 			sp.Annotate("failover", string(cand))
 			d.events.Emit(events.KindTask, "reduce.failover", events.F{
@@ -1040,24 +1049,18 @@ func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) 
 }
 
 // reduceCandidates orders the nodes that may be able to execute a
-// partition's reduce: the recorded segment owner first, then the
-// recorded intermediate replica, then the surviving members of the
-// partition bound's current ring replica set. Any of the latter gather
-// the segments remotely, which also recovers asymmetric partitions where
-// the owner is unreachable from the driver but not from a peer.
+// partition's reduce: the recorded segment owner first, then the other
+// surviving members of the partition bound's current ring replica set.
+// Those gather the segments remotely, which also recovers asymmetric
+// partitions where the owner is unreachable from the driver but not from
+// a peer.
 func (d *Driver) reduceCandidates(st *runState, t reduceTask) []hashing.NodeID {
 	out := []hashing.NodeID{t.owner}
-	seen := map[hashing.NodeID]bool{t.owner: true}
-	if t.replica != "" && !seen[t.replica] {
-		out = append(out, t.replica)
-		seen[t.replica] = true
-	}
 	if t.part < len(st.mk.Bounds) {
 		if set, err := d.ring().ReplicaSet(st.mk.Bounds[t.part], 3); err == nil {
 			for _, c := range set {
-				if !seen[c] {
+				if c != t.owner {
 					out = append(out, c)
-					seen[c] = true
 				}
 			}
 		}
@@ -1084,11 +1087,7 @@ func (d *Driver) recoverPartitions(ctx context.Context, st *runState, lost []los
 		retry = append(retry, t)
 		only = append(only, l.t.part)
 	}
-	d.commitRehome(st, len(lost))
-	// The recovery maps push strictly higher attempts: invalidate every
-	// merged-intermediate cache entry by moving the reduces to a new
-	// epoch key.
-	st.reduceEpoch++
+	d.commitRehome(st, only)
 	if err := d.reshuffle(st, st.tasks, only); err != nil {
 		return nil, err
 	}
@@ -1096,12 +1095,11 @@ func (d *Driver) recoverPartitions(ctx context.Context, st *runState, lost []los
 }
 
 // adoptPartitions repairs an adopted job's partition table against the
-// current ring before any task runs: partitions whose journaled owner left
-// the ring are promoted to their intermediate replica when one is alive
-// (the replica holds full spill copies), or re-homed otherwise. Re-homed
-// partitions lost their data with the owner and are returned for a
+// current ring before any task runs: a partition whose journaled owner
+// left the ring lost its spills with it, and one the journal lists as
+// lost may miss some at its owner. Both are re-homed and returned for a
 // re-shuffle.
-func (d *Driver) adoptPartitions(st *runState) ([]int, error) {
+func (d *Driver) adoptPartitions(st *runState, lost map[int]bool) ([]int, error) {
 	ring := d.ring()
 	live := make(map[hashing.NodeID]bool)
 	for _, id := range ring.Members() {
@@ -1110,61 +1108,38 @@ func (d *Driver) adoptPartitions(st *runState) ([]int, error) {
 	_, sp := d.tracer.StartSpan(st.ctx, "driver.partition_rehome")
 	defer sp.End()
 	var dead []int
-	changed := false
 	for p, owner := range st.mk.Servers {
-		if live[owner] {
+		if live[owner] && !lost[p] {
 			continue
 		}
 		if _, done := st.partsDone[p]; done {
 			continue // output already stored and replicated in the FS
-		}
-		changed = true
-		if p < len(st.mk.Replicas) && live[st.mk.Replicas[p]] {
-			// The replica holds a full copy of every pushed spill: promote
-			// it and grow a fresh replica behind it.
-			replica := st.mk.Replicas[p]
-			st.mk.Servers[p] = replica
-			var next hashing.NodeID
-			if succ, err := ring.Successor(replica); err == nil && succ != replica {
-				next = succ
-			}
-			st.mk.Replicas[p] = next
-			sp.Annotate(partitionName(p), "promoted "+string(replica))
-			d.events.Emit(events.KindTask, "partition.rehome", events.F{
-				Job: st.spec.ID, Task: partitionName(p), Detail: "promoted " + string(replica),
-			})
-			continue
 		}
 		if _, err := d.rehome(st, sp, ring, p); err != nil {
 			return nil, err
 		}
 		dead = append(dead, p)
 	}
-	if changed {
-		d.commitRehome(st, len(dead))
+	if len(dead) > 0 {
+		d.commitRehome(st, dead)
 	}
 	return dead, nil
 }
 
-// rehome moves a reduce partition whose spills died with their holders to
-// a surviving member of its bound's replica set that is neither the old
-// owner nor the old replica (both may still sit in the ring, unreachable),
-// and grows a fresh replica behind it when the job replicates. It refuses
-// when the spills cannot be rebuilt, before anything is recorded.
+// rehome moves a reduce partition whose spills are out of reach to the
+// first member of its bound's replica set that is not the old owner
+// (which may still sit in the ring, unreachable). It refuses when the
+// spills cannot be rebuilt, before anything is recorded.
 func (d *Driver) rehome(st *runState, sp *trace.Span, ring *hashing.ChordRing, part int) (reduceTask, error) {
 	if len(st.tasks) == 0 {
 		return reduceTask{}, fmt.Errorf("mapreduce: cannot recover reduce partition %d of job %s: map tasks are not re-executable (tag-reused intermediates)", part, st.spec.ID)
 	}
 	owner := st.mk.Servers[part]
-	var replica hashing.NodeID
-	if part < len(st.mk.Replicas) {
-		replica = st.mk.Replicas[part]
-	}
 	t := reduceTask{part: part}
 	if part < len(st.mk.Bounds) {
 		if set, err := ring.ReplicaSet(st.mk.Bounds[part], 3); err == nil {
 			for _, c := range set {
-				if c != owner && c != replica {
+				if c != owner {
 					t.owner = c
 					break
 				}
@@ -1181,28 +1156,26 @@ func (d *Driver) rehome(st *runState, sp *trace.Span, ring *hashing.ChordRing, p
 		Job: st.spec.ID, Task: partitionName(part), Detail: string(t.owner),
 	})
 	st.mk.Servers[part] = t.owner
-	if len(st.mk.Replicas) > 0 {
-		if succ, err := ring.Successor(t.owner); err == nil && succ != t.owner && succ != owner {
-			t.replica = succ
-		}
-		st.mk.Replicas[part] = t.replica
-	}
 	return t, nil
 }
 
-// commitRehome announces a repaired partition table and makes it durable
-// before any spill is pushed at it, so a resume after a further failure
-// runs against the adopted owners.
-func (d *Driver) commitRehome(st *runState, rehomed int) {
-	if rehomed > 0 {
-		d.events.Emit(events.KindJob, "job.recovery", events.F{
-			Job: st.spec.ID, Detail: fmt.Sprintf("partitions=%d", rehomed),
-		})
-		d.recordFlight(st.spec.ID, "recovery")
-	}
+// commitRehome announces the re-homed partitions and makes the repaired
+// table durable, with the partitions listed as lost until their
+// re-shuffle is over, before any spill is pushed at it: a resume after a
+// further failure runs against the adopted owners and re-shuffles them.
+func (d *Driver) commitRehome(st *runState, parts []int) {
+	d.events.Emit(events.KindJob, "job.recovery", events.F{
+		Job: st.spec.ID, Detail: fmt.Sprintf("partitions=%d", len(parts)),
+	})
+	d.recordFlight(st.spec.ID, "recovery")
 	if st.jw != nil {
 		snap := copyMarker(st.mk)
-		st.jw.updateSync(func(j *journal) { j.Mk = snap })
+		st.jw.updateSync(func(j *journal) {
+			j.Mk = snap
+			for _, p := range parts {
+				j.Lost[p] = true
+			}
+		})
 	}
 }
 
@@ -1211,18 +1184,33 @@ func (d *Driver) commitRehome(st *runState, rehomed int) {
 // their new owners. Every task runs one attempt above anything it has
 // pushed (including prior driver generations, by the attempt stride), so
 // the store's attempt dedup discards whatever a dying pusher may still
-// deliver.
+// deliver. The partitions of only that no map has reported lost since
+// are whole again, and the journal stops listing them.
 func (d *Driver) reshuffle(st *runState, tasks []*mapTask, only []int) error {
-	if len(tasks) == 0 {
-		return nil
+	if len(tasks) > 0 {
+		d.mu.Lock()
+		for _, mt := range tasks {
+			mt.rearm()
+		}
+		d.mu.Unlock()
+		if err := d.runMapPhase(st, tasks, only); err != nil {
+			return fmt.Errorf("mapreduce: lost-partition re-shuffle: %w", err)
+		}
 	}
-	d.mu.Lock()
-	for _, mt := range tasks {
-		mt.rearm()
-	}
-	d.mu.Unlock()
-	if err := d.runMapPhase(st, tasks, only); err != nil {
-		return fmt.Errorf("mapreduce: lost-partition re-shuffle: %w", err)
+	if st.jw != nil {
+		d.mu.Lock()
+		var whole []int
+		for _, p := range only {
+			if !st.lost[p] {
+				whole = append(whole, p)
+			}
+		}
+		d.mu.Unlock()
+		st.jw.update(func(j *journal) {
+			for _, p := range whole {
+				delete(j.Lost, p)
+			}
+		})
 	}
 	return nil
 }

@@ -401,26 +401,6 @@ func TestReuseTagSkipsMapPhase(t *testing.T) {
 	}
 }
 
-func TestCacheIntermediatesServesSecondReduce(t *testing.T) {
-	ec := newEngineCluster(t, engineOpts{cacheSize: 8 << 20})
-	ec.upload(t, "c.txt", corpus(map[string]int{"k": 50}), 128)
-	spec := JobSpec{
-		ID: "ci1", App: "test-wordcount", Inputs: []string{"c.txt"},
-		User: "tester", ReuseTag: "ci-shared", CacheIntermediates: true,
-	}
-	if _, err := ec.driver.Run(spec); err != nil {
-		t.Fatal(err)
-	}
-	spec.ID = "ci2"
-	res2, err := ec.driver.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.CacheHits == 0 {
-		t.Fatal("second reduce did not hit oCache for merged input")
-	}
-}
-
 func TestFailingMapSurfacesError(t *testing.T) {
 	ec := newEngineCluster(t, engineOpts{})
 	ec.upload(t, "c.txt", []byte("data"), 64)

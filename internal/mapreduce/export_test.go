@@ -121,7 +121,7 @@ func ReduceSegments(t *testing.T, app string, params Params, segments [][]byte) 
 	owner := ec.ids[0]
 	req := RunReduceReq{
 		Job: "order", Namespace: "job:order", App: app, Params: params,
-		SegmentHolders: []hashing.NodeID{owner}, OutputFile: "order.out", User: "tester",
+		SegmentOwner: owner, OutputFile: "order.out", User: "tester",
 	}
 	for seq, seg := range segments {
 		ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(req.Partition), "m0", 0, seq, seg, 0)

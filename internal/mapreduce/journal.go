@@ -56,6 +56,12 @@ type journal struct {
 	// PartsDone maps completed reduce partitions to their output file
 	// ("" for an empty partition with no output).
 	PartsDone map[int]string
+	// Lost marks the partitions whose spills may be missing at the owner
+	// Mk names: one a finished map could not push to (recorded with the
+	// map's completion), or one re-homed and not yet re-shuffled. A
+	// resume re-homes and re-shuffles them before reducing any; a
+	// journal written before the field existed loads it empty.
+	Lost map[int]bool
 }
 
 // journalPrefix namespaces journal files inside the framework-internal
@@ -117,6 +123,9 @@ func (d *Driver) newJournalWriter(ctx context.Context, spec JobSpec, mk *marker,
 	}
 	if w.j.PartsDone == nil {
 		w.j.PartsDone = make(map[int]string)
+	}
+	if w.j.Lost == nil {
+		w.j.Lost = make(map[int]bool)
 	}
 	w.j.Mk = copyMarker(mk)
 	w.dirty = true
@@ -274,7 +283,6 @@ func copyMarker(mk *marker) marker {
 	out.Servers = append([]hashing.NodeID(nil), mk.Servers...)
 	out.Bounds = append([]hashing.Key(nil), mk.Bounds...)
 	out.PartBytes = append([]int64(nil), mk.PartBytes...)
-	out.Replicas = append([]hashing.NodeID(nil), mk.Replicas...)
 	return out
 }
 

@@ -76,49 +76,109 @@ func checkCounts(t *testing.T, got map[string]int, want map[string]int) {
 	}
 }
 
-// TestLostPartitionRecovery kills a reduce-partition owner after the map
-// phase (unreplicated intermediates, so its partitions' spills are gone)
-// and verifies the job self-heals: the contributing maps re-execute with
-// a partition filter, the lost partitions re-home to survivors, and the
-// output is exact — without re-reducing the partitions that survived.
+// TestLostPartitionRecovery crash-stops a reduce-partition owner at each
+// point of a job (intermediates are not replicated, so its partitions'
+// spills are gone) and verifies the job self-heals: the lost partitions
+// re-home to survivors, the contributing maps re-execute with a partition
+// filter, and the output is exact — without re-reducing the partitions
+// that survived.
 func TestLostPartitionRecovery(t *testing.T) {
-	ec := newEngineCluster(t, engineOpts{nodes: 5})
-	text, want := wideCorpus(200, 8)
-	ec.upload(t, "heal.txt", text, 512)
+	for _, tc := range []struct {
+		name string
+		// at is the event whose first occurrence crashes the owner.
+		at string
+	}{
+		// Every spill has landed; the reduce finds the owner gone.
+		{"after-maps", "job.phase.reduce"},
+		// The maps still running cannot push to the owner and report its
+		// partitions lost, which are recovered before any reduce.
+		{"mid-map", "map.finish"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ec := newEngineCluster(t, engineOpts{nodes: 5})
+			text, want := wideCorpus(200, 8)
+			ec.upload(t, "heal.txt", text, 512)
 
-	victim := ec.ids[1] // not the driver node
-	var once sync.Once
+			victim := ec.ids[1] // not the driver node
+			var once sync.Once
+			ec.events.SetObserver(func(e events.Event) {
+				if e.Name != tc.at {
+					return
+				}
+				once.Do(func() {
+					// Crash-stop the victim and evict it, as the manager
+					// would after failure detection.
+					ec.net.Unlisten(victim)
+					ec.mu.Lock()
+					ec.ring.Remove(victim)
+					ec.mu.Unlock()
+					ec.sched.RemoveNode(victim)
+				})
+			})
+			res, err := ec.driver.Run(JobSpec{
+				ID: "heal-1", App: "test-wordcount", Inputs: []string{"heal.txt"}, User: "tester",
+			})
+			if err != nil {
+				t.Fatalf("job did not self-heal: %v", err)
+			}
+			if res.RecoveredPartitions < 1 {
+				t.Fatalf("RecoveredPartitions = %d, want >= 1 (victim owned no partition?)", res.RecoveredPartitions)
+			}
+			snap := ec.driver.Metrics().Snapshot()
+			if got := snap.Get("mr.driver.partition_recoveries"); got != int64(res.RecoveredPartitions) {
+				t.Errorf("partition_recoveries counter = %d, result says %d", got, res.RecoveredPartitions)
+			}
+			// Exactly one successful reduce per partition: surviving
+			// partitions were not re-reduced by the recovery round.
+			if got := snap.Get("mr.driver.partition_reduces"); got != int64(res.ReduceTasks) {
+				t.Errorf("partition_reduces = %d, want %d (completed partitions re-reduced?)", got, res.ReduceTasks)
+			}
+			kvs, err := ec.driver.Collect(context.Background(), res, "tester")
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCounts(t, countsFromKVs(t, kvs), want)
+		})
+	}
+}
+
+// TestLostPartitionResumeAfterOwnerReturns cuts a partition owner off
+// mid-map, stops the driver at the first map that reports the owner's
+// partitions lost, and lets the owner back, holding the spills that did
+// reach it, before resuming. The owner is then live and reachable, so only
+// the journal knows its partitions miss spills: the resumed run must
+// re-home and re-shuffle them before reducing, and the output be exact.
+func TestLostPartitionResumeAfterOwnerReturns(t *testing.T) {
+	ec := newEngineCluster(t, engineOpts{nodes: 5, slots: 2})
+	text, want := wideCorpus(200, 8)
+	ec.upload(t, "heal-resume.txt", text, 256)
+
+	victim := ec.ids[1]
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cut, stop sync.Once
 	ec.events.SetObserver(func(e events.Event) {
-		if e.Name != "job.phase.reduce" {
+		if e.Name != "map.finish" {
 			return
 		}
-		once.Do(func() {
-			// Crash-stop the victim and evict it, as the manager would
-			// after failure detection.
-			ec.net.Unlisten(victim)
-			ec.mu.Lock()
-			ec.ring.Remove(victim)
-			ec.mu.Unlock()
-			ec.sched.RemoveNode(victim)
-		})
+		cut.Do(func() { ec.net.Partition(victim, true) })
+		if strings.HasPrefix(e.Detail, "lost=") {
+			stop.Do(cancel) // the driver dies with the loss journaled
+		}
 	})
-	res, err := ec.driver.Run(JobSpec{
-		ID: "heal-1", App: "test-wordcount", Inputs: []string{"heal.txt"}, User: "tester",
-	})
+	spec := JobSpec{ID: "heal-resume-1", App: "test-slow-wordcount", Inputs: []string{"heal-resume.txt"}, User: "tester"}
+	if _, err := ec.driver.RunContext(ctx, spec); err == nil {
+		t.Fatal("the run finished before any map reported a lost partition")
+	}
+	ec.events.SetObserver(nil)
+	ec.net.Partition(victim, false)
+
+	res, err := ec.driver.Resume(spec.ID)
 	if err != nil {
-		t.Fatalf("job did not self-heal: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
 	if res.RecoveredPartitions < 1 {
-		t.Fatalf("RecoveredPartitions = %d, want >= 1 (victim owned no partition?)", res.RecoveredPartitions)
-	}
-	snap := ec.driver.Metrics().Snapshot()
-	if got := snap.Get("mr.driver.partition_recoveries"); got != int64(res.RecoveredPartitions) {
-		t.Errorf("partition_recoveries counter = %d, result says %d", got, res.RecoveredPartitions)
-	}
-	// Exactly one successful reduce per partition: surviving partitions
-	// were not re-reduced by the recovery round.
-	if got := snap.Get("mr.driver.partition_reduces"); got != int64(res.ReduceTasks) {
-		t.Errorf("partition_reduces = %d, want %d (completed partitions re-reduced?)", got, res.ReduceTasks)
+		t.Fatalf("RecoveredPartitions = %d, want >= 1: the journaled loss was not re-homed", res.RecoveredPartitions)
 	}
 	kvs, err := ec.driver.Collect(context.Background(), res, "tester")
 	if err != nil {
@@ -386,104 +446,4 @@ func TestOnlyPartitionsFiltersShuffle(t *testing.T) {
 			t.Errorf("partition %d got %d bytes despite OnlyPartitions=[1]", part, b)
 		}
 	}
-}
-
-// TestReduceEpochInvalidatesMergedCache is the regression test for the
-// stale merged-intermediate cache: a reduce that cached its merged
-// partition input must not serve that blob to a later reduce running
-// after superseding map attempts landed. The driver expresses "after the
-// supersede" by bumping Epoch, which re-keys the oCache entry.
-func TestReduceEpochInvalidatesMergedCache(t *testing.T) {
-	ec := newEngineCluster(t, engineOpts{nodes: 3})
-	ns := "job:epoch-1"
-	owner := ec.ids[1]
-	store := ec.fs[owner].Store()
-
-	store.AppendTaskSegment(ns, partitionName(0), "m0", 0, 0,
-		EncodeKVs([]KV{{Key: "alpha", Value: []byte("1")}, {Key: "beta", Value: []byte("1")}}), 0)
-	req := RunReduceReq{
-		Job: "epoch-1", Namespace: ns, App: "test-wordcount",
-		Partition: 0, SegmentHolders: []hashing.NodeID{owner}, OutputFile: "epoch-out-a",
-		CacheIntermediates: true, Epoch: 0, User: "tester",
-	}
-	resp, err := ec.workers[owner].runReduce(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Keys != 2 || resp.InputCached {
-		t.Fatalf("first reduce: keys=%d cached=%v, want 2/false", resp.Keys, resp.InputCached)
-	}
-
-	// A recovery round re-executes the map with a higher attempt and more
-	// data; the old attempt's spills are superseded in the store, but the
-	// merged blob cached above still describes them.
-	store.AppendTaskSegment(ns, partitionName(0), "m0", 1, 0,
-		EncodeKVs([]KV{{Key: "alpha", Value: []byte("1")}, {Key: "beta", Value: []byte("1")},
-			{Key: "gamma", Value: []byte("1")}}), 0)
-
-	// Same epoch = same cache key: this is the pre-fix behavior, kept so
-	// unchanged re-reduces (e.g. ReuseTag across jobs) still hit.
-	req.OutputFile = "epoch-out-b"
-	resp, err = ec.workers[owner].runReduce(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.InputCached {
-		t.Fatal("same-epoch re-reduce missed the cache")
-	}
-
-	// Bumped epoch: the stale blob must be invisible and the reduce must
-	// see the superseding attempt's data.
-	req.Epoch, req.OutputFile = 1, "epoch-out-c"
-	resp, err = ec.workers[owner].runReduce(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.InputCached {
-		t.Fatal("bumped epoch still served the stale merged blob")
-	}
-	if resp.Keys != 3 {
-		t.Fatalf("post-supersede reduce keys = %d, want 3", resp.Keys)
-	}
-}
-
-// TestLostPartitionRecoveryCachedIntermediates runs the lost-partition
-// e2e path with CacheIntermediates on: recovery re-homes partitions onto
-// survivors whose oCache may hold merged blobs from before the crash, and
-// the epoch bump must keep those from polluting the recovered reduces.
-// Output must stay exact.
-func TestLostPartitionRecoveryCachedIntermediates(t *testing.T) {
-	ec := newEngineCluster(t, engineOpts{nodes: 5, cacheSize: 8 << 20})
-	text, want := wideCorpus(200, 8)
-	ec.upload(t, "healcache.txt", text, 512)
-
-	victim := ec.ids[1]
-	var once sync.Once
-	ec.events.SetObserver(func(e events.Event) {
-		if e.Name != "job.phase.reduce" {
-			return
-		}
-		once.Do(func() {
-			ec.net.Unlisten(victim)
-			ec.mu.Lock()
-			ec.ring.Remove(victim)
-			ec.mu.Unlock()
-			ec.sched.RemoveNode(victim)
-		})
-	})
-	res, err := ec.driver.Run(JobSpec{
-		ID: "healcache-1", App: "test-wordcount", Inputs: []string{"healcache.txt"},
-		User: "tester", CacheIntermediates: true,
-	})
-	if err != nil {
-		t.Fatalf("job did not self-heal with cached intermediates: %v", err)
-	}
-	if res.RecoveredPartitions < 1 {
-		t.Fatalf("RecoveredPartitions = %d, want >= 1", res.RecoveredPartitions)
-	}
-	kvs, err := ec.driver.Collect(context.Background(), res, "tester")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCounts(t, countsFromKVs(t, kvs), want)
 }

@@ -55,8 +55,10 @@ type spillJob struct {
 // computing, coalesces spills that share a destination node into one
 // PushTaggedSegmentBatch RPC, and joins every push error for the task
 // end. Attempt/seq semantics are identical to the old inline path: seq is
-// per-partition emit order and each spill must land on at least one of
-// its targets.
+// per-partition emit order. Each spill has one target, its partition's
+// owner; a push that finds the owner unreachable marks the partition lost
+// instead of failing the task, and the partition's later spills are not
+// pushed.
 type spillSender struct {
 	w        *Worker
 	req      RunMapReq
@@ -70,6 +72,7 @@ type spillSender struct {
 	// Owned by the sender goroutine; read by the task goroutine only
 	// after finish() observes done closed.
 	partBytes []int64
+	lost      []bool
 	errs      []error
 	failed    bool
 }
@@ -83,6 +86,7 @@ func (w *Worker) newSpillSender(ctx context.Context, req RunMapReq) *spillSender
 		jobs:      make(chan spillJob, spillWindow),
 		done:      make(chan struct{}),
 		partBytes: make([]int64, len(req.ReduceServers)),
+		lost:      make([]bool, len(req.ReduceServers)),
 	}
 	go s.run(ctx)
 	return s
@@ -97,11 +101,17 @@ func (s *spillSender) enqueue(part, seq int, buf *[]byte) {
 }
 
 // finish closes the pipeline, waits for the sender to drain, and returns
-// the per-partition byte accounting with every push error joined.
-func (s *spillSender) finish() ([]int64, error) {
+// the per-partition byte accounting, the lost partitions in ascending
+// order and every push error joined.
+func (s *spillSender) finish() (partBytes []int64, lost []int, err error) {
 	close(s.jobs)
 	<-s.done
-	return s.partBytes, errors.Join(s.errs...)
+	for part, l := range s.lost {
+		if l {
+			lost = append(lost, part)
+		}
+	}
+	return s.partBytes, lost, errors.Join(s.errs...)
 }
 
 func (s *spillSender) run(ctx context.Context) {
@@ -147,82 +157,51 @@ func (s *spillSender) send(ctx context.Context, batch []spillJob) {
 		return // attempt already failed; just recycle
 	}
 
-	// Group the batch per destination node, preserving first-appearance
-	// order so the outbound call sequence is deterministic. targetIdx
-	// remembers whether a node is a job's owner (0) or replica (1) for
-	// the replica-spill accounting.
-	type route struct {
-		entries   []dhtfs.SegBatchEntry
-		jobIdx    []int
-		targetIdx []int
-	}
-	perNode := make(map[hashing.NodeID]*route)
+	// Group the batch per owner, preserving first-appearance order so the
+	// outbound call sequence is deterministic.
+	perNode := make(map[hashing.NodeID][]dhtfs.SegBatchEntry)
 	var order []hashing.NodeID
-	stored := make([]int, len(batch))
-	for i, j := range batch {
-		entry := dhtfs.SegBatchEntry{
+	for _, j := range batch {
+		if s.lost[j.part] {
+			continue
+		}
+		owner := s.req.ReduceServers[j.part]
+		if perNode[owner] == nil {
+			order = append(order, owner)
+		}
+		perNode[owner] = append(perNode[owner], dhtfs.SegBatchEntry{
 			Partition: s.partitionName(j.part),
 			Tag:       dhtfs.SegTag{Task: s.req.Task, Attempt: s.req.Attempt, Seq: j.seq},
 			Data:      *j.buf,
-		}
-		targets, n := s.targets(j.part)
-		for ti, t := range targets[:n] {
-			r := perNode[t]
-			if r == nil {
-				r = &route{}
-				perNode[t] = r
-				order = append(order, t)
-			}
-			r.entries = append(r.entries, entry)
-			r.jobIdx = append(r.jobIdx, i)
-			r.targetIdx = append(r.targetIdx, ti)
-		}
+		})
 	}
-
-	var lastErr error
 	for _, node := range order {
-		r := perNode[node]
-		if err := s.push(ctx, node, r.entries); err != nil {
-			if errors.Is(err, transport.ErrUnreachable) {
-				// Skipped target: the reduce side unions the surviving
-				// copies, as long as each spill landed somewhere.
-				lastErr = err
-				continue
+		entries := perNode[node]
+		if err := s.push(ctx, node, entries); err != nil {
+			if !errors.Is(err, transport.ErrUnreachable) {
+				s.fail(fmt.Errorf("mapreduce: spill batch of %d to %s: %w", len(entries), node, err))
+				return
 			}
-			s.fail(fmt.Errorf("mapreduce: spill batch of %d to %s: %w", len(r.entries), node, err))
-			return
-		}
-		for k, i := range r.jobIdx {
-			stored[i]++
-			if r.targetIdx[k] > 0 {
-				s.w.reg.Counter("mr.shuffle.replica_spills").Inc()
+			// The owner is gone, or cut off from this node: the task goes
+			// on, and reports the owner's partitions lost for the driver
+			// to re-home before any of them is reduced.
+			for _, j := range batch {
+				if s.req.ReduceServers[j.part] == node {
+					s.lost[j.part] = true
+				}
 			}
 		}
 	}
-	for i, n := range stored {
-		if n == 0 {
-			s.fail(fmt.Errorf("mapreduce: spill partition %d: no reachable target: %w", batch[i].part, lastErr))
-			return
-		}
-	}
+	// A lost partition's spills still count in partBytes: its reduce is
+	// owed, wherever the partition lands.
 	for _, j := range batch {
 		size := int64(len(*j.buf))
 		s.partBytes[j.part] += size
-		s.w.reg.Counter("mr.shuffle.spills").Inc()
-		s.w.reg.Counter("mr.shuffle.bytes").Add(size)
-	}
-}
-
-// targets lists the nodes one partition's spills must reach: the owner
-// and, when the job replicates intermediates, the recorded replica.
-func (s *spillSender) targets(part int) (targets [2]hashing.NodeID, n int) {
-	targets[0], n = s.req.ReduceServers[part], 1
-	if len(s.req.ReduceReplicas) == len(s.req.ReduceServers) {
-		if r := s.req.ReduceReplicas[part]; r != "" && r != targets[0] {
-			targets[1], n = r, 2
+		if !s.lost[j.part] {
+			s.w.reg.Counter("mr.shuffle.spills").Inc()
+			s.w.reg.Counter("mr.shuffle.bytes").Add(size)
 		}
 	}
-	return targets, n
 }
 
 func (s *spillSender) partitionName(part int) string {

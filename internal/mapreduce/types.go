@@ -181,9 +181,6 @@ type JobSpec struct {
 	// later job with the same tag (and App) can skip its map phase and
 	// reuse them directly.
 	ReuseTag string
-	// CacheIntermediates caches merged partition input in oCache on the
-	// reducer side so re-reduces over the same tag skip the file system.
-	CacheIntermediates bool
 	// CacheOutputs stores each reduce partition's output in the reduce
 	// node's oCache (iteration outputs of iterative jobs, §II-C).
 	CacheOutputs bool
@@ -192,12 +189,6 @@ type JobSpec struct {
 	IntermediateTTL time.Duration
 	// MaxAttempts bounds per-task retries; zero selects 3.
 	MaxAttempts int
-	// ReplicateIntermediates pushes every shuffle spill to the partition
-	// owner's ring successor as well, so a reduce task can still assemble
-	// its complete input when the owner crashes mid-job. The paper leaves
-	// intermediates unreplicated (lost spills force map re-execution);
-	// this opt-in trades shuffle bandwidth for crash tolerance.
-	ReplicateIntermediates bool
 	// SpeculativeMultiple, when > 0, hedges a duplicate execution of any
 	// map task whose RPC has been running longer than this multiple of
 	// the job-wide p99 map latency observed so far (straggler detection
@@ -277,8 +268,9 @@ type Result struct {
 	// contributing map tasks on surviving nodes (zero on a fault-free
 	// run).
 	RecoveredPartitions int
-	// CacheHits / CacheMisses aggregate worker-side iCache+oCache
-	// counters attributable to this job's block reads.
+	// CacheHits / CacheMisses count the map tasks whose input the
+	// worker's iCache did or did not serve (the block's bytes or its
+	// decoded split): map-side iCache hits only.
 	CacheHits   int64
 	CacheMisses int64
 	// ShuffleBytes is the total intermediate data pushed by mappers.

@@ -34,6 +34,26 @@ func readNodeIDs(r *transport.WireReader) []hashing.NodeID {
 	return ids
 }
 
+func appendInts(dst []byte, xs []int) []byte {
+	dst = transport.AppendUvarint(dst, uint64(len(xs)))
+	for _, x := range xs {
+		dst = transport.AppendInt(dst, int64(x))
+	}
+	return dst
+}
+
+func readInts(r *transport.WireReader) []int {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = r.Int()
+	}
+	return xs
+}
+
 // appendParams writes the entries in map order: an encoding of a Params
 // with more than one entry is not canonical, only its decoding is.
 func appendParams(dst []byte, p Params) []byte {
@@ -74,11 +94,7 @@ func (m RunMapReq) AppendWire(dst []byte) []byte {
 	for _, k := range m.ReduceBounds {
 		dst = transport.AppendKey(dst, k)
 	}
-	dst = appendNodeIDs(dst, m.ReduceReplicas)
-	dst = transport.AppendUvarint(dst, uint64(len(m.OnlyPartitions)))
-	for _, p := range m.OnlyPartitions {
-		dst = transport.AppendInt(dst, int64(p))
-	}
+	dst = appendInts(dst, m.OnlyPartitions)
 	dst = transport.AppendInt(dst, int64(m.SpillThreshold))
 	return transport.AppendDuration(dst, m.TTL)
 }
@@ -96,13 +112,7 @@ func (m *RunMapReq) ParseWire(src []byte) error {
 			m.ReduceBounds[i] = r.Key()
 		}
 	}
-	m.ReduceReplicas = readNodeIDs(&r)
-	if n := r.Count(1); n > 0 {
-		m.OnlyPartitions = make([]int, n)
-		for i := range m.OnlyPartitions {
-			m.OnlyPartitions[i] = r.Int()
-		}
-	}
+	m.OnlyPartitions = readInts(&r)
 	m.SpillThreshold = r.Int()
 	m.TTL = r.Duration()
 	return r.Done()
@@ -114,6 +124,7 @@ func (m RunMapResp) AppendWire(dst []byte) []byte {
 	for _, n := range m.PartBytes {
 		dst = transport.AppendInt(dst, n)
 	}
+	dst = appendInts(dst, m.Lost)
 	dst = transport.AppendBool(dst, m.CacheHit)
 	return transport.AppendBool(dst, m.RemoteRead)
 }
@@ -128,6 +139,7 @@ func (m *RunMapResp) ParseWire(src []byte) error {
 			m.PartBytes[i] = r.Int64()
 		}
 	}
+	m.Lost = readInts(&r)
 	m.CacheHit = r.Bool()
 	m.RemoteRead = r.Bool()
 	return r.Done()
@@ -141,12 +153,10 @@ func (m RunReduceReq) AppendWire(dst []byte) []byte {
 	dst = transport.AppendString(dst, m.App)
 	dst = appendParams(dst, m.Params)
 	dst = transport.AppendInt(dst, int64(m.Partition))
-	dst = appendNodeIDs(dst, m.SegmentHolders)
+	dst = transport.AppendString(dst, string(m.SegmentOwner))
 	dst = transport.AppendString(dst, m.OutputFile)
 	dst = transport.AppendInt(dst, int64(m.OutputBlockSize))
-	dst = transport.AppendBool(dst, m.CacheIntermediates)
 	dst = transport.AppendBool(dst, m.CacheOutputs)
-	dst = transport.AppendInt(dst, int64(m.Epoch))
 	dst = transport.AppendDuration(dst, m.TTL)
 	return transport.AppendString(dst, m.User)
 }
@@ -156,10 +166,9 @@ func (m *RunReduceReq) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
 	*m = RunReduceReq{
 		Job: r.Str(), Namespace: r.Str(), App: r.Str(), Params: readParams(&r),
-		Partition: r.Int(), SegmentHolders: readNodeIDs(&r),
-		OutputFile: r.Str(), OutputBlockSize: r.Int(),
-		CacheIntermediates: r.Bool(), CacheOutputs: r.Bool(),
-		Epoch: r.Int(), TTL: r.Duration(), User: r.Str(),
+		Partition: r.Int(), SegmentOwner: hashing.NodeID(r.Str()),
+		OutputFile: r.Str(), OutputBlockSize: r.Int(), CacheOutputs: r.Bool(),
+		TTL: r.Duration(), User: r.Str(),
 	}
 	return r.Done()
 }
@@ -168,14 +177,13 @@ func (m *RunReduceReq) ParseWire(src []byte) error {
 func (m RunReduceResp) AppendWire(dst []byte) []byte {
 	dst = transport.AppendInt(dst, m.Keys)
 	dst = transport.AppendInt(dst, m.OutputBytes)
-	dst = transport.AppendBool(dst, m.InputCached)
 	return transport.AppendBool(dst, m.HasOutput)
 }
 
 // ParseWire implements transport.Wire.
 func (m *RunReduceResp) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = RunReduceResp{Keys: r.Int64(), OutputBytes: r.Int64(), InputCached: r.Bool(), HasOutput: r.Bool()}
+	*m = RunReduceResp{Keys: r.Int64(), OutputBytes: r.Int64(), HasOutput: r.Bool()}
 	return r.Done()
 }
 

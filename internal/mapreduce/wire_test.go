@@ -35,9 +35,18 @@ func typicalMapReq() *RunMapReq {
 		Task: "grep-000123/m-0007", Attempt: 1,
 		ReduceServers:  []hashing.NodeID{"worker-00", "worker-01", "worker-02", "worker-03"},
 		ReduceBounds:   []hashing.Key{1 << 62, 1 << 63, 3 << 62, maxKey},
-		ReduceReplicas: []hashing.NodeID{"worker-01", "worker-02", "worker-03", "worker-00"},
 		SpillThreshold: DefaultSpillThreshold, TTL: 10 * time.Minute,
 	}
+}
+
+// lostAll is every partition of an n-partition table, as a map that lost
+// all its owners reports them.
+func lostAll(n int) []int {
+	parts := make([]int, n)
+	for i := range parts {
+		parts[i] = i
+	}
+	return parts
 }
 
 // wireCases covers each message with zero, typical and extreme values.
@@ -49,23 +58,25 @@ func wireCases() []transport.Wire {
 		&RunMapReq{
 			Job: notUTF8, Params: Params{"": nil, "empty": {}, notUTF8: big[:100000]},
 			BlockKey: maxKey, BlockSum: [sha1.Size]byte(bytes.Repeat([]byte{0xff}, sha1.Size)), Attempt: math.MinInt,
-			ReduceServers: []hashing.NodeID{}, ReduceBounds: []hashing.Key{0, maxKey},
-			ReduceReplicas: []hashing.NodeID{"", notUTF8}, OnlyPartitions: []int{0, -1, math.MaxInt},
+			ReduceServers: []hashing.NodeID{"", notUTF8}, ReduceBounds: []hashing.Key{0, maxKey},
+			OnlyPartitions: []int{0, -1, math.MaxInt},
 			SpillThreshold: math.MaxInt, TTL: -time.Second,
 		},
 		&RunMapResp{},
-		&RunMapResp{PartBytes: []int64{0, 4096, 0, 12}, CacheHit: true},
-		&RunMapResp{PartBytes: []int64{math.MaxInt64, math.MinInt64}, RemoteRead: true},
+		&RunMapResp{PartBytes: []int64{0, 4096, 0, 12}, Lost: []int{1}, CacheHit: true},
+		&RunMapResp{PartBytes: []int64{math.MaxInt64, math.MinInt64}, Lost: []int{}, RemoteRead: true},
+		&RunMapResp{PartBytes: make([]int64, 300), Lost: lostAll(300)},
+		&RunMapResp{Lost: []int{math.MinInt, -1, 0, math.MaxInt}, CacheHit: true, RemoteRead: true},
 		&RunReduceReq{},
 		&RunReduceReq{
 			Job: "wc-9", Namespace: "tag:shared", App: "wordcount", Params: Params{"k": []byte("3")},
-			Partition: 3, SegmentHolders: []hashing.NodeID{"worker-03", "worker-00"},
+			Partition: 3, SegmentOwner: "worker-03",
 			OutputFile: "wc-9/part-0003", OutputBlockSize: 64 << 20,
-			CacheIntermediates: true, CacheOutputs: true, Epoch: 2, TTL: time.Hour, User: "alice",
+			CacheOutputs: true, TTL: time.Hour, User: "alice",
 		},
-		&RunReduceReq{Job: notUTF8, Partition: math.MinInt, OutputBlockSize: math.MaxInt, Epoch: -1, TTL: math.MinInt64, User: notUTF8},
+		&RunReduceReq{Job: notUTF8, Partition: math.MinInt, SegmentOwner: notUTF8, OutputBlockSize: math.MaxInt, TTL: math.MinInt64, User: notUTF8},
 		&RunReduceResp{},
-		&RunReduceResp{Keys: 1 << 40, OutputBytes: math.MaxInt64, InputCached: true, HasOutput: true},
+		&RunReduceResp{Keys: 1 << 40, OutputBytes: math.MaxInt64, HasOutput: true},
 		&RunReduceResp{Keys: -1, OutputBytes: math.MinInt64},
 		&CacheRangeReq{},
 		&CacheRangeReq{Start: maxKey, End: 0},
@@ -95,9 +106,10 @@ func TestWireHostileCounts(t *testing.T) {
 		body []byte
 	}{
 		"map resp parts": {&RunMapResp{}, huge},
+		"map resp lost":  {&RunMapResp{}, append([]byte{0}, huge...)},
 		"params":         {&RunMapReq{}, append([]byte{0, 0, 0}, huge...)},
 		"cached blocks":  {&CacheRangeResp{}, append(transport.AppendUvarint(nil, 1<<40), make([]byte, 64)...)},
-		"holders":        {&RunReduceReq{}, append([]byte{0, 0, 0, 0, 0}, huge...)},
+		"owner":          {&RunReduceReq{}, append([]byte{0, 0, 0, 0, 0}, huge...)},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) { wiretest.Rejects(t, c.m, c.body) })

@@ -43,10 +43,6 @@ type (
 		// ReduceServers[i]).
 		ReduceServers []hashing.NodeID
 		ReduceBounds  []hashing.Key
-		// ReduceReplicas, when parallel to ReduceServers, names a second
-		// spill target per partition (the owner's ring successor at job
-		// start) for crash-tolerant intermediates.
-		ReduceReplicas []hashing.NodeID
 		// OnlyPartitions, when non-empty, restricts output to the listed
 		// reduce partitions: pairs hashing elsewhere are discarded instead
 		// of buffered and shuffled. Partition recovery uses this to rebuild
@@ -59,6 +55,11 @@ type (
 	// the mapper's "notify the scheduler with their hash keys" step.
 	RunMapResp struct {
 		PartBytes []int64
+		// Lost lists, in ascending order, the partitions whose owner a
+		// spill push found unreachable: their spills from this map did
+		// not all land, though PartBytes counts them. The driver re-homes
+		// and re-shuffles these partitions before reducing them.
+		Lost []int
 		// CacheHit reports the input was served from iCache: the block's
 		// bytes or, for a decoding application, its decoded split.
 		CacheHit bool
@@ -72,31 +73,20 @@ type (
 		App       string
 		Params    Params
 		Partition int
-		// SegmentHolders lists every node that may hold part of the
-		// partition's spills: its owner, then its replica when
-		// intermediates are replicated. The reduce unions the
-		// attempt-tagged spills of every reachable holder.
-		SegmentHolders []hashing.NodeID
-		OutputFile     string
+		// SegmentOwner is the node holding the partition's spills, the
+		// one place they live.
+		SegmentOwner hashing.NodeID
+		OutputFile   string
 		// OutputBlockSize sizes the DHT-FS blocks of the output file.
-		OutputBlockSize    int
-		CacheIntermediates bool
-		CacheOutputs       bool
-		// Epoch keys the merged-intermediate oCache entry. The driver
-		// bumps it whenever partition recovery or a resumed generation
-		// re-executes maps with higher attempts, so a re-homed or retried
-		// reduce can never serve a stale merged blob cached before the
-		// supersede.
-		Epoch int
-		TTL   time.Duration
-		User  string
+		OutputBlockSize int
+		CacheOutputs    bool
+		TTL             time.Duration
+		User            string
 	}
 	// RunReduceResp summarizes a reduce task.
 	RunReduceResp struct {
 		Keys        int64
 		OutputBytes int64
-		// InputCached reports the merged partition input came from oCache.
-		InputCached bool
 		// HasOutput reports whether an output file was written (empty
 		// partitions produce none).
 		HasOutput bool
@@ -111,8 +101,8 @@ const (
 
 // Worker executes map and reduce tasks on one node. It reads input blocks
 // through the node's iCache, proactively shuffles intermediate results to
-// reducer-side nodes, and serves reduce tasks from locally stored
-// segments (or oCache).
+// reducer-side nodes, and serves reduce tasks from the partition owner's
+// stored segments.
 type Worker struct {
 	self   hashing.NodeID
 	fs     *dhtfs.Service
@@ -314,15 +304,16 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	w.returnCombineState(state)
 	// The task is not done until every queued push is acknowledged;
 	// errors from background pushes fail the attempt exactly like the old
-	// inline path did.
-	partBytes, sendErr := sender.finish()
+	// inline path did, except an unreachable owner: its partitions are
+	// reported lost.
+	partBytes, lost, sendErr := sender.finish()
 	if mapErr != nil {
 		return RunMapResp{}, fmt.Errorf("mapreduce: map %s on block %s: %w", req.App, req.BlockKey, mapErr)
 	}
 	if sendErr != nil {
 		return RunMapResp{}, sendErr
 	}
-	return RunMapResp{PartBytes: partBytes, CacheHit: cacheHit, RemoteRead: remote}, nil
+	return RunMapResp{PartBytes: partBytes, Lost: lost, CacheHit: cacheHit, RemoteRead: remote}, nil
 }
 
 // borrowCombineState lends a map task the worker's idle combine state, or
@@ -351,44 +342,20 @@ func (w *Worker) returnCombineState(s *combineState) {
 // partitionName is the segment-store partition label for index part.
 func partitionName(part int) string { return fmt.Sprintf("p%04d", part) }
 
-// mergedTag is the oCache data ID of a partition's merged reduce input.
-// The epoch is part of the key: entries cached before a recovery round or
-// a resumed generation (which push superseding attempts) are simply never
-// looked up again.
-func mergedTag(part, epoch int) string {
-	return fmt.Sprintf("merged:%s@e%d", partitionName(part), epoch)
-}
-
-// gatherSegments unions the attempt-tagged spills of a partition from
-// every reachable holder, this node's own shard read in place. Each spill
-// reached at least one holder (pushSpill's invariant), so the union over
-// the reachable holders is complete as long as one answers; duplicates
-// and superseded attempts are resolved, and the spills put in (task, seq)
-// order, by dhtfs.MergeTaggedSegments.
+// gatherSegments reads a partition's attempt-tagged spills from its owner,
+// this node's own shard in place, and puts them in (task, seq) order with
+// superseded attempts and retransmits dropped (dhtfs.MergeTaggedSegments).
 func (w *Worker) gatherSegments(ctx context.Context, req RunReduceReq) ([][]byte, error) {
-	partition := partitionName(req.Partition)
-	var tagged []dhtfs.TaggedSegment
-	reached := 0
-	var lastErr error
-	for _, h := range req.SegmentHolders {
-		segs, err := w.fs.FetchTaggedSegments(ctx, h, req.Namespace, partition)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		reached++
-		tagged = append(tagged, segs...)
+	segs, err := w.fs.FetchTaggedSegments(ctx, req.SegmentOwner, req.Namespace, partitionName(req.Partition))
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: partition %d: segment owner %s: %w", req.Partition, req.SegmentOwner, err)
 	}
-	if reached == 0 {
-		return nil, fmt.Errorf("mapreduce: partition %d: no segment holder reachable: %w",
-			req.Partition, lastErr)
-	}
-	return dhtfs.MergeTaggedSegments(tagged), nil
+	return dhtfs.MergeTaggedSegments(segs), nil
 }
 
-// runReduce executes one reduce task: gather the partition's intermediate
-// data (oCache, or the spills of its holders, local ones read in place),
-// group by key, reduce, and persist the output to the DHT file system.
+// runReduce executes one reduce task: gather the partition's spills from
+// its owner (read in place when that is this node), group by key, reduce,
+// and persist the output to the DHT file system.
 func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp, error) {
 	ctx, task := w.tracer.StartSpan(ctx, "task.reduce")
 	defer task.End()
@@ -398,32 +365,15 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 		return RunReduceResp{}, err
 	}
 	var resp RunReduceResp
-	// streams is the partition's input: the spills in (map task, seq)
-	// order, or their concatenation when it comes from (or goes to) oCache.
-	var streams [][]byte
-	if data, ok := w.cache.GetTagged(req.Namespace, mergedTag(req.Partition, req.Epoch)); ok {
-		streams = [][]byte{data}
-		resp.InputCached = true
-		task.Annotate("cache", "hit")
-	} else {
-		task.Annotate("cache", "miss")
-		recvTimer := w.reg.Histogram("mr.shuffle.recv_ns").Start()
-		rctx, recv := w.tracer.StartSpan(ctx, "shuffle.recv")
-		streams, err = w.gatherSegments(rctx, req)
-		recv.End()
-		if err != nil {
-			return RunReduceResp{}, err
-		}
-		recvTimer.Stop()
-		if req.CacheIntermediates {
-			if merged := slices.Concat(streams...); len(merged) > 0 {
-				tag := mergedTag(req.Partition, req.Epoch)
-				w.cache.PutTagged(req.Namespace, tag,
-					hashing.KeyOfString(req.Namespace+tag), merged, req.TTL)
-				streams = [][]byte{merged}
-			}
-		}
+	recvTimer := w.reg.Histogram("mr.shuffle.recv_ns").Start()
+	rctx, recv := w.tracer.StartSpan(ctx, "shuffle.recv")
+	// streams is the partition's input: its spills in (map task, seq) order.
+	streams, err := w.gatherSegments(rctx, req)
+	recv.End()
+	if err != nil {
+		return RunReduceResp{}, err
 	}
+	recvTimer.Stop()
 	inputBytes := 0
 	for _, data := range streams {
 		inputBytes += len(data)
