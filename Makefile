@@ -15,12 +15,12 @@ check:
 
 # The map-task and block-buffer lifecycle suites, and the block-version
 # regressions, five schedules over under -race. Retries, failover,
-# hedging, recovery and resume all go through one per-task state machine
+# recovery and resume all go through one per-task state machine
 # whose risks are schedule-dependent, and a block buffer released too
 # early is overwritten only in race builds (internal/blockbuf), as is a
 # worker's combine state when a map task gives it back. This is the one
 # list: CI and scripts/check.sh run this target.
-LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Speculat|Failover|AttemptStride|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep
+LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep
 lifecycle:
 	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs
 

@@ -17,8 +17,10 @@ import (
 	"eclipsemr/internal/trace"
 )
 
-// Version is the current bundle schema version.
-const Version = 1
+// Version is the current bundle schema version. Events carry their kind
+// as a number, so removing a kind renumbers the later ones and bumps the
+// version: 2 removed kind 2, "spec", and moved shuffle to journal down one.
+const Version = 2
 
 // NodeMetrics is one node's flat metrics snapshot (counters and gauges;
 // histogram internals stay in /metrics).

@@ -2,9 +2,9 @@
 // runtime — the black-box flight recorder the trace layer is not. Where
 // internal/trace records opt-in timed span trees for performance work,
 // this package records every *interesting transition* as a small typed
-// event: job phases, task dispatch/finish/failover, speculative hedges,
-// shuffle batches and supersedes, DHT-FS replication and read failover,
-// scheduler admission, membership churn, journal flushes. When a job
+// event: job phases, task dispatch/finish/failover, shuffle batches and
+// supersedes, DHT-FS replication and read failover, scheduler admission,
+// membership churn, journal flushes. When a job
 // fails or a recovery fires, the last N events from every node are the
 // first (often the only) artifact needed to answer "why did it do that".
 //
@@ -43,8 +43,6 @@ const (
 	// KindTask covers map/reduce task transitions: dispatch, finish,
 	// retry, retry give-up, failover, partition re-home.
 	KindTask
-	// KindSpec covers speculative execution: hedge launch, win, waste.
-	KindSpec
 	// KindShuffle covers intermediate-data movement: spill batch pushes
 	// and attempt supersedes.
 	KindShuffle
@@ -64,7 +62,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"job", "task", "spec", "shuffle", "fs", "sched", "membership", "journal",
+	"job", "task", "shuffle", "fs", "sched", "membership", "journal",
 }
 
 // Valid reports whether k is a defined kind (bundles validate decoded

@@ -8,10 +8,9 @@ import (
 
 // GoroLeak reports go statements with no visible termination path. A
 // long-lived EclipseMR process (a cluster node, the driver) spawns
-// goroutines for heartbeats, spill senders, journal flushers and
-// speculative attempts; any one of them that cannot be told to stop is a
-// leak that accretes across jobs and, under chaos restarts, across node
-// lifetimes.
+// goroutines for heartbeats, spill senders, journal flushers and map
+// tasks; any one of them that cannot be told to stop is a leak that
+// accretes across jobs and, under chaos restarts, across node lifetimes.
 //
 // The check is evidence-based and syntactic. A spawned body passes when
 // it (or, failing that, a directly called module function) shows one of:

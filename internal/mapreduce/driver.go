@@ -32,8 +32,8 @@ import (
 // Jobs self-heal: progress is journaled through the DHT file system so an
 // interrupted job can be adopted with Resume, a reduce partition lost
 // with its owner is rebuilt by re-executing the contributing maps with a
-// partition filter, and straggling map tasks are hedged speculatively
-// when the spec enables it.
+// partition filter, and a failed map task is retried and then re-executed
+// on a replica of its input block.
 type Driver struct {
 	self  hashing.NodeID
 	net   transport.Network
@@ -59,10 +59,6 @@ type Driver struct {
 	wake    chan struct{}
 	started bool
 	closed  bool
-	// specOn says the straggler scanner runs; hedgeSem bounds concurrent
-	// hedge RPCs (speculate.go).
-	specOn   bool
-	hedgeSem chan struct{}
 }
 
 // NewDriver builds a Driver. The scheduler must already know the worker
@@ -87,10 +83,9 @@ func NewDriver(self hashing.NodeID, net transport.Network, fs *dhtfs.Service,
 		reg:         metrics.NewRegistry(),
 		jobs:        make(map[string]*runState),
 		wake:        make(chan struct{}, 1),
-		hedgeSem:    make(chan struct{}, speculationMaxHedges),
 	}
 	// Pre-created so every metrics snapshot shows the retry, failover,
-	// recovery and speculation counters, even at zero.
+	// recovery and journal counters, even at zero.
 	for _, name := range []string{
 		"mr.driver.map_retries",
 		"mr.driver.map_failovers",
@@ -100,16 +95,13 @@ func NewDriver(self hashing.NodeID, net transport.Network, fs *dhtfs.Service,
 		"mr.driver.parts_skipped_resume",
 		"mr.driver.journal_resumes",
 		"mr.driver.journal_errors",
-		"mr.driver.speculative_launched",
-		"mr.driver.speculative_won",
-		"mr.driver.speculative_wasted",
 	} {
 		d.reg.Counter(name)
 	}
 	return d, nil
 }
 
-// Metrics exposes the driver's retry, failover, recovery and speculation
+// Metrics exposes the driver's retry, failover, recovery and journal
 // counters.
 func (d *Driver) Metrics() *metrics.Registry { return d.reg }
 
@@ -118,7 +110,7 @@ func (d *Driver) Metrics() *metrics.Registry { return d.reg }
 func (d *Driver) SetTracer(tr *trace.Tracer) { d.tracer = tr }
 
 // SetEvents wires the manager node's structured event log into the
-// driver so job, task, speculation and journal transitions land in the
+// driver so job, task and journal transitions land in the
 // flight recorder (nil, the default, disables emission). Call before
 // submitting jobs.
 func (d *Driver) SetEvents(l *events.Log) { d.events = l }
@@ -157,9 +149,8 @@ type marker struct {
 }
 
 // partitionerID names how this binary's map tasks place an intermediate
-// key in the reduce table: 1 is hashing.ShuffleKey; 0, the gob zero value
-// and so what every marker and journal written before the field existed
-// says, was hashing.KeyOfString (SHA-1). Which partition holds a key is
+// key in the reduce table: 1 is hashing.ShuffleKey; 0 was
+// hashing.KeyOfString (SHA-1). Which partition holds a key is
 // part of what stored spills mean: maps run under one id and maps run
 // under another may not feed the same reduce, or a key's values end up
 // in two partitions. Change the emitters' placement, change the id.
@@ -306,7 +297,7 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 		mk = copyMarker(&prior.Mk)
 	} else if spec.ReuseTag != "" {
 		if data, err := d.fs.ReadFile(ctx, markerFile(ns), spec.User); err == nil {
-			if err := decodeDurable(data, &mk); err != nil {
+			if err := mk.ParseWire(data); err != nil {
 				return Result{}, fmt.Errorf("mapreduce: corrupt reuse marker for %q: %w", ns, err)
 			}
 			switch {
@@ -490,12 +481,6 @@ func (d *Driver) runMapPhase(st *runState, tasks []*mapTask, only []int) error {
 		d.started = true
 		go d.dispatchLoop()
 	}
-	if st.spec.speculative() && !d.specOn {
-		// The straggler scanner starts with the first speculative job and
-		// lives until the driver closes.
-		d.specOn = true
-		go d.speculationLoop()
-	}
 	d.mu.Unlock()
 
 	// Cancellation aborts the phase between dispatches; a later Resume
@@ -614,16 +599,10 @@ type mapResult struct {
 
 // execMap runs one execution of a map task on x.node — the only place
 // the driver calls MethodRunMap — and settles it: a success is offered to
-// finish (first finisher wins), a failed dispatched or failover execution
-// to fail, a failed hedge is dropped. The execution runs under its own
-// cancellable ctx, registered with the task, so whichever duplicate wins
-// aborts the other's RPC instead of letting it run to completion against
-// a straggling node.
+// finish, a failure to fail.
 func (d *Driver) execMap(st *runState, mt *mapTask, x mapExec) mapResult {
-	actx, cancel := context.WithCancel(st.ctx)
-	defer cancel()
 	d.mu.Lock()
-	attempt, ok := st.begin(mt, x, cancel, time.Now())
+	attempt, ok := st.begin(mt)
 	var req *RunMapReq
 	if ok {
 		req = st.mapReq(mt, attempt)
@@ -639,7 +618,7 @@ func (d *Driver) execMap(st *runState, mt *mapTask, x mapExec) mapResult {
 		qs.Annotate("task", mt.t.ID)
 		qs.End()
 	}
-	tctx, sp := d.tracer.StartSpan(actx, "driver.map_task")
+	tctx, sp := d.tracer.StartSpan(st.ctx, "driver.map_task")
 	defer sp.End()
 	sp.Annotate("task", mt.t.ID)
 	sp.Annotate("node", string(x.node))
@@ -652,13 +631,6 @@ func (d *Driver) execMap(st *runState, mt *mapTask, x mapExec) mapResult {
 		sp.Annotate("failover", "true")
 		sp.Annotate("attempt", strconv.Itoa(attempt))
 		d.events.Emit(events.KindTask, "map.failover", ev)
-	case execHedge:
-		// Same attempt as the execution it duplicates, on purpose (see
-		// speculate.go).
-		sp.Annotate("speculative", "true")
-		sp.Annotate("attempt", strconv.Itoa(attempt))
-		d.reg.Counter("mr.driver.speculative_launched").Inc()
-		d.events.Emit(events.KindSpec, "spec.launch", ev)
 	}
 	var resp RunMapResp
 	rpcTimer := d.reg.Histogram("mr.driver.map_rpc_ns").Start()
@@ -667,13 +639,10 @@ func (d *Driver) execMap(st *runState, mt *mapTask, x mapExec) mapResult {
 
 	r := mapResult{verdict: lost, attempt: attempt, err: err}
 	d.mu.Lock()
-	switch {
-	case err == nil:
-		if d.finishMap(st, mt, attempt, resp) {
-			r.verdict = won
-		}
-	case x.kind != execHedge:
+	if err != nil {
 		r.verdict, r.evict = st.fail(mt, attempt, err)
+	} else if d.finishMap(st, mt, attempt, resp) {
+		r.verdict = won
 	}
 	d.mu.Unlock()
 	switch {
@@ -684,18 +653,11 @@ func (d *Driver) execMap(st *runState, mt *mapTask, x mapExec) mapResult {
 	default:
 		sp.Annotate("cache", "miss")
 	}
-	if x.kind == execHedge && err == nil {
-		if r.verdict == won {
-			sp.Annotate("speculation", "won")
-		} else {
-			sp.Annotate("speculation", "lost")
-		}
-	}
 	return r
 }
 
-// finishMap settles a successful execution. The first finisher of the
-// task's current attempt is accounted — result counters, the partitions
+// finishMap settles a successful execution. The execution of the task's
+// current attempt is accounted — result counters, the partitions
 // it could not push to, and for a first execution (not a re-shuffle) the
 // partition sizes and the journal — and only then finishes the task: a
 // phase's outcome is delivered after its last completion is queued for

@@ -302,7 +302,7 @@ func readJournal(ctx context.Context, fs *dhtfs.Service, jobID string) (*journal
 		return nil, fmt.Errorf("mapreduce: job %s has no journal: %w", jobID, err)
 	}
 	var j journal
-	if err := decodeDurable(data, &j); err != nil {
+	if err := j.ParseWire(data); err != nil {
 		return nil, fmt.Errorf("mapreduce: corrupt journal for job %s: %w", jobID, err)
 	}
 	if j.Spec.ID != jobID {

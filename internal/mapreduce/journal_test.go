@@ -1,10 +1,14 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/hashing"
 )
 
@@ -101,4 +105,76 @@ func TestFaultFreeJobWaitsOnTheJournalTwice(t *testing.T) {
 		t.Fatalf("journal after the run: phase %s, %d maps and %d partitions done; the job ran %d and %d",
 			j.Phase, len(j.MapsDone), len(j.PartsDone), res.MapTasks, res.ReduceTasks)
 	}
+}
+
+// TestParentJournalResumes: testdata/journal-format0 is the journal of
+// job parent-1 in its reduce phase with partition 0 left, as the parent
+// commit encoded it (format 0, its two spec fields set). Resuming from it
+// reduces that partition alone, and every output is byte for byte the
+// run's it was taken from.
+func TestParentJournalResumes(t *testing.T) {
+	ctx := context.Background()
+	ec := newEngineCluster(t, engineOpts{nodes: 4})
+	text, want := wideCorpus(150, 6)
+	ec.upload(t, "parent.txt", text, 256)
+	fs := ec.fs[ec.ids[0]]
+	spec := JobSpec{ID: "parent-1", App: "test-wordcount", Inputs: []string{"parent.txt"}, User: "tester"}
+	first, err := ec.driver.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs := make([][]byte, len(first.OutputFiles))
+	for i, f := range first.OutputFiles {
+		if outputs[i], err = fs.ReadFile(ctx, f, "tester"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	data, err := os.ReadFile(filepath.Join("testdata", "journal-format0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var j journal
+	if err := j.ParseWire(data); err != nil || data[0] != parentFormat {
+		t.Fatalf("format %#x: %v", data[0], err)
+	}
+	if fmt.Sprint(j.Spec) != fmt.Sprint(spec) || j.Phase != phaseReduce || len(j.PartsDone) != 3 || j.PartsDone[0] != "" {
+		t.Fatalf("the parent journal reads as spec %+v, phase %s, partitions done %v", j.Spec, j.Phase, j.PartsDone)
+	}
+	current := append([]byte{durableFormat}, data[1:]...)
+	if err := new(journal).ParseWire(current); err == nil {
+		t.Fatal("the parent journal parses without skipping its two spec fields; the test exercises nothing")
+	}
+	// Partition 0's output goes, so the resume has to write it again.
+	if err := fs.Delete(ctx, first.OutputFiles[0], "tester"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Upload(ctx, journalFile(spec.ID), "tester", dhtfs.PermPublic, data, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	before := ec.driver.Metrics().Snapshot().Get("mr.driver.partition_reduces")
+	res, err := ec.driver.Resume(spec.ID)
+	if err != nil {
+		t.Fatalf("resume from the parent journal: %v", err)
+	}
+	if got := ec.driver.Metrics().Snapshot().Get("mr.driver.partition_reduces") - before; got != 1 || res.MapTasks != 0 {
+		t.Fatalf("resume ran %d maps and %d reduces, want 0 and 1", res.MapTasks, got)
+	}
+	if fmt.Sprint(res.OutputFiles) != fmt.Sprint(first.OutputFiles) {
+		t.Fatalf("resumed outputs %v, the run's %v", res.OutputFiles, first.OutputFiles)
+	}
+	for i, f := range res.OutputFiles {
+		got, err := fs.ReadFile(ctx, f, "tester")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, outputs[i]) {
+			t.Fatalf("%s: %d bytes after the resume, %d before", f, len(got), len(outputs[i]))
+		}
+	}
+	kvs, err := ec.driver.Collect(ctx, res, "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(t, countsFromKVs(t, kvs), want)
 }

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"context"
 	"crypto/sha1"
 	"errors"
 	"time"
@@ -11,13 +10,13 @@ import (
 	"eclipsemr/internal/transport"
 )
 
-// The map-task state machine (DESIGN.md §7 has the full table). A task's
-// executions are identified by attempt number: the dispatched execution
-// and its speculative hedge share one attempt, every retry, failover
-// candidate and recovery re-execution runs a strictly higher one, and an
-// execution whose attempt is no longer the task's changes nothing —
-// its spills may already be superseded in the segment store. The
-// transitions below do no I/O and take no lock; callers hold Driver.mu.
+// The map-task state machine (DESIGN.md §7 has the full table). A task
+// has at most one execution in flight, identified by its attempt number:
+// every retry, failover candidate and recovery re-execution runs a
+// strictly higher one, and an execution whose attempt is no longer the
+// task's changes nothing — its spills may already be superseded in the
+// segment store. The transitions below do no I/O and take no lock;
+// callers hold Driver.mu.
 
 // taskState is where a map task stands in the job's current map phase.
 type taskState uint8
@@ -26,9 +25,9 @@ const (
 	// taskPending: queued with the scheduler, or between two candidates
 	// of a failover walk.
 	taskPending taskState = iota
-	// taskInFlight: one execution is running, plus at most one hedge.
+	// taskInFlight: one execution is running.
 	taskInFlight
-	// taskDone: an execution of the current attempt finished (or the
+	// taskDone: the execution of the current attempt finished (or the
 	// adopted journal says one did); rearm makes the task pending again.
 	taskDone
 )
@@ -44,29 +43,6 @@ type mapTask struct {
 	// attemptBase and above every attempt the task has pushed.
 	attempt int
 	state   taskState
-	// The execution in flight: where, since when, whether the straggler
-	// scanner has hedged it, and how to abort it and its hedge.
-	node                hashing.NodeID
-	started             time.Time
-	hedged              bool
-	cancel, hedgeCancel context.CancelFunc
-}
-
-// stop aborts whatever still runs for the task.
-func (mt *mapTask) stop() {
-	if mt.cancel != nil {
-		mt.cancel()
-	}
-	if mt.hedgeCancel != nil {
-		mt.hedgeCancel()
-	}
-	mt.cancel, mt.hedgeCancel = nil, nil
-}
-
-// overdue reports whether the task's execution has run for threshold
-// without having been hedged yet.
-func (mt *mapTask) overdue(now time.Time, threshold time.Duration) bool {
-	return mt.state == taskInFlight && !mt.hedged && now.Sub(mt.started) >= threshold
 }
 
 // execKind is which path launched an execution of a map task.
@@ -78,8 +54,6 @@ const (
 	// execFailover: placed on a replica of the input block once the
 	// scheduler's retry budget is spent.
 	execFailover
-	// execHedge: speculative duplicate of the attempt in flight.
-	execHedge
 )
 
 // mapExec names one execution of a map task.
@@ -90,19 +64,15 @@ type mapExec struct {
 	// (execDispatch).
 	local  bool
 	waited time.Duration
-	// attempt is the attempt to duplicate (execHedge).
-	attempt int
 }
 
 // verdict is what an execution did to its task.
 type verdict uint8
 
 const (
-	// skipped: the execution never ran; the task did not want one.
-	skipped verdict = iota
-	// lost: it ran and changed nothing — a duplicate or stale finisher,
-	// a failed hedge, or the phase was already over.
-	lost
+	// lost: it changed nothing — it never ran because the task wanted no
+	// execution, or it finished after the phase was over.
+	lost verdict = iota
 	// won: it completed the task.
 	won
 	// retry: it failed inside the retry budget; resubmit to the scheduler.
@@ -117,25 +87,13 @@ const (
 // many earlier generations ran.
 func st1Base(attempt int) int { return attempt - attempt%attemptStride }
 
-// begin claims mt for one execution. A dispatched or failover execution
-// needs a pending task; a hedge needs the attempt it duplicates to be the
-// one still in flight. ok is false when the task wants no such execution.
-func (st *runState) begin(mt *mapTask, x mapExec, cancel context.CancelFunc, now time.Time) (attempt int, ok bool) {
-	if !st.open {
+// begin claims a pending mt for one execution. ok is false when the task
+// wants none.
+func (st *runState) begin(mt *mapTask) (attempt int, ok bool) {
+	if !st.open || mt.state != taskPending {
 		return 0, false
 	}
-	if x.kind == execHedge {
-		if mt.state != taskInFlight || mt.attempt != x.attempt {
-			return 0, false
-		}
-		mt.hedgeCancel = cancel
-		return mt.attempt, true
-	}
-	if mt.state != taskPending {
-		return 0, false
-	}
-	mt.state, mt.node, mt.started, mt.hedged = taskInFlight, x.node, now, false
-	mt.cancel, mt.hedgeCancel = cancel, nil
+	mt.state = taskInFlight
 	return mt.attempt, true
 }
 
@@ -145,15 +103,13 @@ func (st *runState) current(mt *mapTask, attempt int) bool {
 	return st.open && mt.state == taskInFlight && mt.attempt == attempt
 }
 
-// finish completes the task for the first finisher of its current
-// attempt, aborts the duplicate still in flight, and ends the phase with
-// the last task.
+// finish completes the task for the execution of its current attempt,
+// and ends the phase with the last task.
 func (st *runState) finish(mt *mapTask, attempt int) bool {
 	if !st.current(mt, attempt) {
 		return false
 	}
 	mt.state = taskDone
-	mt.stop()
 	st.remaining--
 	if st.remaining == 0 {
 		st.end(nil)
@@ -161,20 +117,17 @@ func (st *runState) finish(mt *mapTask, attempt int) bool {
 	return true
 }
 
-// fail settles a failed dispatched or failover execution. evict says the
-// node was unreachable and leaves the scheduler's pool instead of getting
-// its slot back. A current failure moves the task to the next attempt —
-// so a hedge of the failed one can no longer win, and is aborted — and
-// sends it back through the scheduler, or to failover once the
-// generation's retry budget is spent: the paper's recovery rule, the
-// successor that takes over a faulty server's range also holds the
-// block's replica.
+// fail settles a failed execution. evict says the node was unreachable
+// and leaves the scheduler's pool instead of getting its slot back. A
+// current failure moves the task to the next attempt and sends it back
+// through the scheduler, or to failover once the generation's retry
+// budget is spent: the paper's recovery rule, the successor that takes
+// over a faulty server's range also holds the block's replica.
 func (st *runState) fail(mt *mapTask, attempt int, err error) (v verdict, evict bool) {
 	evict = errors.Is(err, transport.ErrUnreachable)
 	if !st.current(mt, attempt) {
 		return lost, evict
 	}
-	mt.stop()
 	mt.state = taskPending
 	mt.attempt++
 	if mt.attempt >= st1Base(attempt)+st.spec.maxAttempts() {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"eclipsemr/internal/events"
 	"eclipsemr/internal/scheduler"
@@ -19,8 +18,6 @@ type phaseFixture struct {
 	*testing.T
 	st    *runState
 	tasks []*mapTask
-	// fired counts, per cancel func handed to begin, how often it ran.
-	fired []int
 }
 
 func newPhaseFixture(t *testing.T, generation, maxAttempts, tasks int) *phaseFixture {
@@ -40,17 +37,14 @@ func newPhaseFixture(t *testing.T, generation, maxAttempts, tasks int) *phaseFix
 	return p
 }
 
-// begin starts an execution and returns its attempt and the index of its
-// cancel func in fired.
-func (p *phaseFixture) begin(mt *mapTask, x mapExec) (attempt, cancel int) {
+// begin starts an execution and returns its attempt.
+func (p *phaseFixture) begin(mt *mapTask) int {
 	p.Helper()
-	cancel = len(p.fired)
-	p.fired = append(p.fired, 0)
-	attempt, ok := p.st.begin(mt, x, func() { p.fired[cancel]++ }, time.Unix(0, 0))
+	attempt, ok := p.st.begin(mt)
 	if !ok {
-		p.Fatalf("begin(%s, kind %d) refused", mt.t.ID, x.kind)
+		p.Fatalf("begin(%s) refused", mt.t.ID)
 	}
-	return attempt, cancel
+	return attempt
 }
 
 // outcomes drains what the phase delivered.
@@ -71,49 +65,15 @@ var errApp = errors.New("map function failed")
 // TestMapTaskStateMachine is the state × event table of DESIGN.md §7, row
 // by row, against the task object alone.
 func TestMapTaskStateMachine(t *testing.T) {
-	dispatch := mapExec{kind: execDispatch, node: "n1"}
 	rows := []struct {
 		name string
 		run  func(p *phaseFixture)
 	}{
-		{"hedge finishes first: the original's later success and failure change nothing, both cancels fired", func(p *phaseFixture) {
-			mt := p.tasks[0]
-			a, orig := p.begin(mt, dispatch)
-			if !mt.overdue(time.Unix(1, 0), time.Second) || mt.overdue(time.Unix(0, 5e8), time.Second) {
-				p.Fatal("overdue does not compare the running time to the threshold")
-			}
-			mt.hedged = true
-			if mt.overdue(time.Unix(9, 0), time.Second) {
-				p.Fatal("a hedged execution is overdue again")
-			}
-			ha, hedge := p.begin(mt, mapExec{kind: execHedge, node: "n2", attempt: a})
-			if ha != a {
-				p.Fatalf("hedge runs attempt %d, original %d: they must push identical spills", ha, a)
-			}
-			if !p.st.finish(mt, ha) {
-				p.Fatal("first finisher lost")
-			}
-			if p.fired[orig] != 1 || p.fired[hedge] != 1 {
-				p.Fatalf("cancels fired original=%d hedge=%d, want 1/1", p.fired[orig], p.fired[hedge])
-			}
-			if p.st.finish(mt, a) {
-				p.Fatal("the original's later success won a second time")
-			}
-			if v, _ := p.st.fail(mt, a, errApp); v != lost {
-				p.Fatalf("the original's later failure got verdict %d, want lost", v)
-			}
-			if mt.state != taskDone || mt.attempt != a || p.st.remaining != 1 {
-				p.Fatalf("state=%d attempt=%d remaining=%d after duplicates, want done/%d/1", mt.state, mt.attempt, p.st.remaining, a)
-			}
-			if _, ok := p.st.begin(mt, dispatch, nil, time.Time{}); ok {
-				p.Fatal("a finished task accepted another execution")
-			}
-		}},
 		{"failure at st1Base+MaxAttempts-1 fails over, earlier ones retry; same budget in a resumed generation", func(p *phaseFixture) {
 			mt := p.tasks[0]
 			base := p.st.attemptBase
 			for i := 0; i < 3; i++ {
-				a, _ := p.begin(mt, dispatch)
+				a := p.begin(mt)
 				if a != base+i {
 					p.Fatalf("execution %d runs attempt %d, want %d", i, a, base+i)
 				}
@@ -130,18 +90,18 @@ func TestMapTaskStateMachine(t *testing.T) {
 			}
 			// The walk's candidates each run a higher attempt and stay over
 			// budget.
-			a, _ := p.begin(mt, mapExec{kind: execFailover, node: "n2"})
+			a := p.begin(mt)
 			if v, _ := p.st.fail(mt, a, errApp); a != base+3 || v != failover {
 				p.Fatalf("failover candidate: attempt %d verdict %d, want %d/failover", a, v, base+3)
 			}
 		}},
 		{"unreachable node is evicted, application error gives the slot back", func(p *phaseFixture) {
 			mt := p.tasks[0]
-			a, _ := p.begin(mt, dispatch)
+			a := p.begin(mt)
 			if _, evict := p.st.fail(mt, a, fmt.Errorf("call n1: %w", transport.ErrUnreachable)); !evict {
 				p.Fatal("unreachable node not evicted")
 			}
-			b, _ := p.begin(mt, dispatch)
+			b := p.begin(mt)
 			if _, evict := p.st.fail(mt, b, errApp); evict {
 				p.Fatal("application error evicted the node")
 			}
@@ -150,39 +110,17 @@ func TestMapTaskStateMachine(t *testing.T) {
 				p.Fatalf("stale unreachable failure: verdict %d evict %v, want lost/true", v, evict)
 			}
 		}},
-		{"a failure supersedes its hedge: the hedge is aborted and can neither begin nor win", func(p *phaseFixture) {
-			mt := p.tasks[0]
-			a, _ := p.begin(mt, dispatch)
-			_, hedge := p.begin(mt, mapExec{kind: execHedge, node: "n2", attempt: a})
-			if v, _ := p.st.fail(mt, a, errApp); v != retry {
-				p.Fatalf("verdict %d, want retry", v)
-			}
-			if p.fired[hedge] != 1 {
-				p.Fatal("the failed attempt's hedge was not aborted")
-			}
-			b, _ := p.begin(mt, dispatch)
-			if p.st.finish(mt, a) {
-				p.Fatal("a hedge of the superseded attempt completed the task")
-			}
-			if _, ok := p.st.begin(mt, mapExec{kind: execHedge, node: "n2", attempt: a}, nil, time.Time{}); ok {
-				p.Fatal("a hedge of the superseded attempt began")
-			}
-			if !p.st.finish(mt, b) || b != a+1 {
-				p.Fatalf("the retry (attempt %d, want %d) did not complete the task", b, a+1)
-			}
-		}},
-		{"failover exhausted fails the phase exactly once, even if a hedge completes concurrently", func(p *phaseFixture) {
+		{"failover exhausted fails the phase exactly once", func(p *phaseFixture) {
 			mt := p.tasks[0]
 			mt.attempt += 2 // budget spent
-			a, _ := p.begin(mt, mapExec{kind: execFailover, node: "n2"})
-			p.begin(mt, mapExec{kind: execHedge, node: "n3", attempt: a})
+			a := p.begin(mt)
 			if v, _ := p.st.fail(mt, a, errApp); v != failover {
 				p.Fatalf("verdict %d, want failover", v)
 			}
 			exhausted := errors.New("failover exhausted")
 			p.st.end(exhausted)
 			if p.st.finish(mt, a) {
-				p.Fatal("hedge completed a task of a failed phase")
+				p.Fatal("the failed attempt completed a task of a failed phase")
 			}
 			p.st.end(errors.New("driver closed"))
 			if got := p.outcomes(); len(got) != 1 || got[0] != exhausted {
@@ -191,11 +129,20 @@ func TestMapTaskStateMachine(t *testing.T) {
 		}},
 		{"the last finisher ends the phase exactly once", func(p *phaseFixture) {
 			for _, mt := range p.tasks {
-				a, _ := p.begin(mt, dispatch)
+				a := p.begin(mt)
 				if len(p.outcomes()) != 0 {
 					p.Fatal("outcome delivered with tasks unfinished")
 				}
 				p.st.finish(mt, a)
+				if _, ok := p.st.begin(mt); ok {
+					p.Fatal("a finished task accepted another execution")
+				}
+				if p.st.finish(mt, a) {
+					p.Fatal("a finished task finished a second time")
+				}
+				if v, _ := p.st.fail(mt, a, errApp); v != lost || mt.state != taskDone {
+					p.Fatalf("a failure reported for a finished task: verdict %d state %d, want lost/done", v, mt.state)
+				}
 			}
 			p.st.end(errors.New("cancelled"))
 			if got := p.outcomes(); len(got) != 1 || got[0] != nil {
@@ -204,9 +151,9 @@ func TestMapTaskStateMachine(t *testing.T) {
 		}},
 		{"rearm lands strictly above attemptBase and the task's last attempt", func(p *phaseFixture) {
 			ran, journaled := p.tasks[0], p.tasks[1]
-			a, _ := p.begin(ran, dispatch)
+			a := p.begin(ran)
 			p.st.fail(ran, a, errApp)
-			a, _ = p.begin(ran, dispatch)
+			a = p.begin(ran)
 			p.st.finish(ran, a)
 			journaled.state = taskDone // as adopted: done in an earlier generation
 			for _, mt := range p.tasks {
@@ -219,14 +166,14 @@ func TestMapTaskStateMachine(t *testing.T) {
 			// The recovery phase: a straggler of the superseded attempt
 			// changes nothing.
 			p.st.open, p.st.remaining = true, 2
-			b, _ := p.begin(ran, dispatch)
+			b := p.begin(ran)
 			if p.st.finish(ran, a) || !p.st.finish(ran, b) {
 				p.Fatal("recovery phase settled on the wrong attempt")
 			}
 		}},
 		{"a completion after the phase failed or the driver closed changes nothing", func(p *phaseFixture) {
 			running, queued := p.tasks[0], p.tasks[1]
-			a, _ := p.begin(running, dispatch)
+			a := p.begin(running)
 			p.st.end(context.Canceled)
 			if p.st.finish(running, a) {
 				p.Fatal("completion counted after the phase ended")
@@ -234,7 +181,7 @@ func TestMapTaskStateMachine(t *testing.T) {
 			if v, _ := p.st.fail(running, a, errApp); v != lost {
 				p.Fatalf("failure after the phase ended: verdict %d, want lost", v)
 			}
-			if _, ok := p.st.begin(queued, dispatch, nil, time.Time{}); ok {
+			if _, ok := p.st.begin(queued); ok {
 				p.Fatal("a task began after the phase ended")
 			}
 			if running.state != taskInFlight || running.attempt != a || p.st.remaining != 2 {

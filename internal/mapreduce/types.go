@@ -189,16 +189,6 @@ type JobSpec struct {
 	IntermediateTTL time.Duration
 	// MaxAttempts bounds per-task retries; zero selects 3.
 	MaxAttempts int
-	// SpeculativeMultiple, when > 0, hedges a duplicate execution of any
-	// map task whose RPC has been running longer than this multiple of
-	// the job-wide p99 map latency observed so far (straggler detection
-	// from the live histogram). Zero disables latency-relative
-	// speculation.
-	SpeculativeMultiple float64
-	// SpeculativeDeadline, when > 0, hedges a duplicate execution of any
-	// map task that has been running at least this long, regardless of
-	// the latency histogram. Zero disables the hard deadline.
-	SpeculativeDeadline time.Duration
 	// DisableJournal skips the durable job journal. Without a journal an
 	// interrupted job cannot be resumed by a restarted or newly elected
 	// manager; completed work is lost with the driver.
@@ -215,11 +205,6 @@ func (s JobSpec) Namespace() string {
 		return "tag:" + s.ReuseTag
 	}
 	return "job:" + s.ID
-}
-
-// speculative reports whether the spec enables straggler hedging.
-func (s JobSpec) speculative() bool {
-	return s.SpeculativeMultiple > 0 || s.SpeculativeDeadline > 0
 }
 
 // maxAttempts returns the per-task retry bound with the default applied.

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -298,21 +297,27 @@ func (m *AdoptRangeResp) ParseWire(src []byte) error {
 	return r.Done()
 }
 
-// durableFormat is the first byte of a journal or reuse-marker file. No
-// gob stream starts with it (a gob message is never zero bytes long),
-// which is how the parent commit's gob files are told apart
-// (decodeDurable).
-const durableFormat = 0x00
+// durableFormat is the first byte of a journal or reuse-marker file.
+// Format 0 is the parent commit's: its journal spec carries two more
+// fields, a float64 and a duration, which readJobSpec skips. The next
+// commit reads format 0 no longer.
+const (
+	durableFormat = 0x01
+	parentFormat  = 0x00
+)
 
-func readFormat(r *transport.WireReader) {
-	if b := r.Raw(1); b != nil && b[0] != durableFormat {
+// readFormat checks a file's first byte and reports whether the parent
+// commit wrote the file.
+func readFormat(r *transport.WireReader) (parent bool) {
+	b := r.Raw(1)
+	if b != nil && b[0] != durableFormat && b[0] != parentFormat {
 		r.Fail(fmt.Errorf("mapreduce: file format %#x, want %#x", b[0], durableFormat))
 	}
+	return b != nil && b[0] == parentFormat
 }
 
-// appendTime writes a time in time.Time.MarshalBinary's format, which is
-// what gob wrote (instant and zone offset, no monotonic reading), and the
-// zero time as no bytes.
+// appendTime writes a time in time.Time.MarshalBinary's format (instant
+// and zone offset, no monotonic reading), and the zero time as no bytes.
 func appendTime(dst []byte, t time.Time) []byte {
 	if t.IsZero() {
 		return transport.AppendBytes(dst, nil)
@@ -352,12 +357,10 @@ func appendJobSpec(dst []byte, s JobSpec) []byte {
 	dst = transport.AppendBool(dst, s.CacheOutputs)
 	dst = transport.AppendDuration(dst, s.IntermediateTTL)
 	dst = appendInt(dst, s.MaxAttempts)
-	dst = transport.AppendFloat64(dst, s.SpeculativeMultiple)
-	dst = transport.AppendDuration(dst, s.SpeculativeDeadline)
 	return transport.AppendBool(dst, s.DisableJournal)
 }
 
-func readJobSpec(r *transport.WireReader) JobSpec {
+func readJobSpec(r *transport.WireReader, parent bool) JobSpec {
 	s := JobSpec{ID: r.Str(), App: r.Str()}
 	if n := r.Count(1); n > 0 {
 		s.Inputs = make([]string, n)
@@ -367,13 +370,12 @@ func readJobSpec(r *transport.WireReader) JobSpec {
 	}
 	s.User, s.Params, s.SpillThreshold = r.Str(), readParams(r), r.Int()
 	s.ReuseTag, s.CacheOutputs, s.IntermediateTTL = r.Str(), r.Bool(), r.Duration()
-	s.MaxAttempts, s.SpeculativeMultiple = r.Int(), r.Float64()
-	if math.IsNaN(s.SpeculativeMultiple) {
-		// A NaN multiple hedges nothing, as 0 does; read as 0 it is also
-		// equal to itself.
-		s.SpeculativeMultiple = 0
+	s.MaxAttempts = r.Int()
+	if parent {
+		r.Raw(8)
+		r.Duration()
 	}
-	s.SpeculativeDeadline, s.DisableJournal = r.Duration(), r.Bool()
+	s.DisableJournal = r.Bool()
 	return s
 }
 
@@ -406,7 +408,7 @@ func (m marker) AppendWire(dst []byte) []byte {
 // ParseWire implements transport.Wire.
 func (m *marker) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	readFormat(&r)
+	readFormat(&r) // a marker's fields are the same in both formats
 	*m = readMarker(&r)
 	return r.Done()
 }
@@ -426,10 +428,10 @@ func (j journal) AppendWire(dst []byte) []byte {
 // ParseWire implements transport.Wire.
 func (j *journal) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	readFormat(&r)
+	parent := readFormat(&r)
 	str, integer, boolean := (*transport.WireReader).Str, (*transport.WireReader).Int, (*transport.WireReader).Bool
 	*j = journal{
-		Spec: readJobSpec(&r), Phase: r.Str(), Generation: r.Int(), Mk: readMarker(&r),
+		Spec: readJobSpec(&r, parent), Phase: r.Str(), Generation: r.Int(), Mk: readMarker(&r),
 		MapsDone:  readMap(&r, 2, str, boolean),
 		Attempts:  readMap(&r, 2, str, integer),
 		PartsDone: readMap(&r, 2, integer, str),

@@ -3,8 +3,10 @@ package mapreduce
 import (
 	"bytes"
 	"crypto/sha1"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -69,7 +71,7 @@ func typicalJournal() *journal {
 		Spec: JobSpec{
 			ID: "grep-000123", App: "grep", Inputs: []string{"logs/a", "logs/b"}, User: "alice",
 			Params: Params{"pattern": []byte("needle[0-9]+"), "flags": {}}, ReuseTag: "logs",
-			IntermediateTTL: time.Hour, SpeculativeMultiple: 1.5, SpeculativeDeadline: 30 * time.Second,
+			IntermediateTTL: time.Hour, MaxAttempts: 5,
 		},
 		Phase: phaseReduce, Generation: 1, Mk: *typicalMarker(),
 		MapsDone: map[string]bool{}, Attempts: map[string]int{},
@@ -154,7 +156,7 @@ func wireCases() []transport.Wire {
 		bigJournal(),
 		&journal{
 			Spec: JobSpec{ID: notUTF8, Inputs: []string{""}, Params: Params{notUTF8: {0}}, SpillThreshold: math.MinInt,
-				MaxAttempts: math.MaxInt, SpeculativeMultiple: math.Inf(-1), SpeculativeDeadline: math.MinInt64, DisableJournal: true},
+				IntermediateTTL: math.MinInt64, MaxAttempts: math.MaxInt, DisableJournal: true},
 			Generation: math.MaxInt, PartsDone: map[int]string{math.MinInt: notUTF8, math.MaxInt: ""},
 			Lost: map[int]bool{-1: true, 0: false},
 		},
@@ -218,6 +220,43 @@ func TestWireHostileCounts(t *testing.T) {
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) { wiretest.Rejects(t, c.m, c.body) })
+	}
+}
+
+// TestParentFormatStillDecodes: a journal or marker as the parent commit
+// encoded it — format 0x00, and in a journal's spec a float64 and a
+// duration between MaxAttempts and DisableJournal — decodes to what the
+// current encoding of the same state does.
+func TestParentFormatStillDecodes(t *testing.T) {
+	for i, m := range wireCases() {
+		var parent []byte
+		var got, want transport.Wire
+		switch m := m.(type) {
+		case *journal:
+			got, want = &journal{}, &journal{}
+			spec := appendJobSpec(nil, m.Spec)
+			tail := m.AppendWire(nil)[1+len(spec):]
+			parent = append([]byte{parentFormat}, spec[:len(spec)-1]...)
+			parent = binary.BigEndian.AppendUint64(parent, math.Float64bits(1.5))
+			parent = transport.AppendDuration(parent, 30*time.Second)
+			parent = append(append(parent, spec[len(spec)-1]), tail...)
+		case *marker:
+			got, want = &marker{}, &marker{}
+			parent = append([]byte{parentFormat}, m.AppendWire(nil)[1:]...)
+		default:
+			continue
+		}
+		t.Run(fmt.Sprintf("%d-%s", i, reflect.TypeOf(m).Elem().Name()), func(t *testing.T) {
+			if err := got.ParseWire(parent); err != nil {
+				t.Fatalf("parent encoding rejected: %v", err)
+			}
+			if err := want.ParseWire(m.AppendWire(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("parent encoding decodes to\n %+v\nthe current one to\n %+v", got, want)
+			}
+		})
 	}
 }
 

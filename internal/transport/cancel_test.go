@@ -34,9 +34,8 @@ func TestRetryBackoffHonorsCancel(t *testing.T) {
 }
 
 // TestChaosLatencyHonorsCancel pins the fix for the uncancellable chaos
-// delay: injected latency must release a cancelled caller immediately.
-// This is what lets a speculative winner abort its straggling loser even
-// when the straggling is chaos-injected.
+// delay: injected latency must release a cancelled caller immediately,
+// so a cancelled job gets its goroutines back even from a slow link.
 func TestChaosLatencyHonorsCancel(t *testing.T) {
 	inner := NewLocal()
 	defer inner.Close()

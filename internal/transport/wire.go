@@ -75,11 +75,6 @@ func AppendKey(dst []byte, k hashing.Key) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(k))
 }
 
-// AppendFloat64 appends f as its 8 IEEE 754 bytes, big-endian.
-func AppendFloat64(dst []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
 // AppendDuration appends d as zigzag-varint nanoseconds.
 func AppendDuration(dst []byte, d time.Duration) []byte {
 	return binary.AppendVarint(dst, int64(d))
@@ -213,15 +208,6 @@ func (r *WireReader) Key() hashing.Key {
 		return 0
 	}
 	return hashing.Key(binary.BigEndian.Uint64(b))
-}
-
-// Float64 reads 8 big-endian IEEE 754 bytes.
-func (r *WireReader) Float64() float64 {
-	b := r.Raw(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b))
 }
 
 // Duration reads zigzag-varint nanoseconds.
