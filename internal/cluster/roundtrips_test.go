@@ -33,7 +33,8 @@ func rpcCounts(snap metrics.Snapshot) map[string]int64 {
 // snapshots and reduce outputs — is one block, and such a file moves in
 // one message per replica (fs.putFile, fs.getFile, fs.deleteFile), never
 // as a block wave followed by a metadata wave; reading one costs no
-// message at all on a node that holds a copy.
+// message at all on a node that holds a copy. The journal goes with the
+// job's segments, in the one fs.dropJobSegments each member gets.
 func TestSmallJobRoundTrips(t *testing.T) {
 	const blockSize = 4 << 10
 	c := newTestCluster(t, 4, Options{Config: Config{BlockSize: blockSize, MapSlots: 2, ReduceSlots: 2}})
@@ -106,20 +107,28 @@ func TestSmallJobRoundTrips(t *testing.T) {
 			t.Errorf("no %s call: the job's files went some other way", method)
 		}
 	}
-	// Every read is made by the manager, where the driver runs, and crosses
-	// the network only for a file the manager holds no replica of: the
-	// input's metadata during Run, each output during Collect.
+	// Every read and delete is made by the manager, where the driver runs,
+	// and crosses the network only for a copy the manager does not hold:
+	// a read for the input's metadata during Run and each output during
+	// Collect, a delete for every other replica of each output.
 	mgr := c.Manager()
-	unheld := func(files ...string) (n int64) {
+	copies := func(files ...string) (unheld, remote int64) {
 		for _, f := range files {
 			set, err := mgr.Ring().ReplicaSet(hashing.KeyOfString(f), mgr.cfg.Replicas)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Contains(set, mgr.ID) {
-				n++
+			remote += int64(len(set))
+			if slices.Contains(set, mgr.ID) {
+				remote--
+			} else {
+				unheld++
 			}
 		}
+		return unheld, remote
+	}
+	unheld := func(files ...string) int64 {
+		n, _ := copies(files...)
 		return n
 	}
 	if want := unheld("budget.txt"); delta["fs.getMeta"] != want {
@@ -129,12 +138,18 @@ func TestSmallJobRoundTrips(t *testing.T) {
 		t.Errorf("%d fs.getFile calls for %d outputs, want %d: the manager reads its own copy first",
 			delta["fs.getFile"], len(res.OutputFiles), want)
 	}
-	// Measured 49-63 (median 59 over 300 runs) and 49-65 under -race, the
-	// journal's coalescing deciding how many snapshots a run flushes; 57-65
-	// (median 61) when the driver also waited for the reduce phase and each
-	// partition, and 107-111 when a one-block file was written, read and
-	// deleted as blocks and metadata apart.
-	const ceiling = 70
+	if _, remote := copies(res.OutputFiles...); delta["fs.deleteFile"] != remote {
+		t.Errorf("%d fs.deleteFile calls for %d remote copies of the outputs: the journal is deleted with the segments",
+			delta["fs.deleteFile"], remote)
+	}
+	// Measured 47 in 40 of 40 runs: three journal snapshots (open, reduce,
+	// done) and the journal deleted with the segments. 55-65 (median 59)
+	// when every completion asked for a flush, the journal's coalescing
+	// deciding how many a run wrote, and the journal was deleted apart;
+	// 57-65 (median 61) when the driver also waited for the reduce phase
+	// and each partition; 107-111 when a one-block file was written, read
+	// and deleted as blocks and metadata apart.
+	const ceiling = 50
 	if total > ceiling {
 		t.Errorf("one small job cost %d RPCs, budget %d", total, ceiling)
 	}

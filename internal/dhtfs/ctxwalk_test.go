@@ -38,15 +38,15 @@ func TestReplicaWalkStopsOnCancel(t *testing.T) {
 	if err := svc.Delete(cctx, "walk.dat", "alice"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Delete under cancelled ctx = %v, want context.Canceled", err)
 	}
-	// DropJob reports nothing, so watch what it leaves: a spill on another
+	// DropJob reports no error, so watch what it leaves: a spill on another
 	// node survives a sweep nobody is waiting for.
 	remote := tc.services[tc.ids[1]].Store()
 	remote.AppendTaskSegment("job:walk", "p0", "m-0", 0, 0, []byte("spill"), 0)
-	svc.DropJob(cctx, "job:walk")
+	svc.DropJob(cctx, "job:walk", "alice")
 	if len(remote.ReadTaggedSegments("job:walk", "p0")) != 1 {
 		t.Fatal("DropJob under cancelled ctx still swept a remote node")
 	}
-	svc.DropJob(context.Background(), "job:walk")
+	svc.DropJob(context.Background(), "job:walk", "alice")
 	if len(remote.ReadTaggedSegments("job:walk", "p0")) != 0 {
 		t.Fatal("DropJob under a live ctx left the spill behind")
 	}

@@ -365,7 +365,7 @@ func TestSegmentsPushFetchDrop(t *testing.T) {
 	if err != nil || len(segs) != 2 {
 		t.Fatalf("remote fetch = %d, %v", len(segs), err)
 	}
-	a.DropJob(context.Background(), "job9")
+	a.DropJob(context.Background(), "job9", "tester")
 	segs, _ = a.FetchTaggedSegments(context.Background(), tc.ids[1], "job9", "r0")
 	if len(segs) != 0 {
 		t.Fatal("DropJob left segments")

@@ -53,8 +53,22 @@ func (sh fileShape) put(t *testing.T, svc *Service, perm Perm) (data []byte, met
 // TestFileShapes runs every file operation over every shape: the
 // placement rule (a one-block file's block lives at the file-name key) is
 // invisible except in where the bytes sit and how many messages move them.
+// A file deleted with its job's segments goes exactly as Delete takes it.
 func TestFileShapes(t *testing.T) {
 	ctx := context.Background()
+	gone := func(t *testing.T, tc *testCluster, file string, meta Metadata) {
+		t.Helper()
+		for id, svc := range tc.services {
+			if _, err := svc.Store().GetMeta(file); !IsNotFound(err) {
+				t.Fatalf("%s still holds the metadata", id)
+			}
+			for i, k := range append([]hashing.Key{hashing.KeyOfString(file)}, meta.BlockKeys...) {
+				if svc.Store().HasBlock(k) {
+					t.Fatalf("%s still holds a block (name key, then blocks: #%d)", id, i)
+				}
+			}
+		}
+	}
 	readEverywhere := func(t *testing.T, tc *testCluster, file string, want []byte) {
 		t.Helper()
 		for id, svc := range tc.services {
@@ -116,22 +130,31 @@ func TestFileShapes(t *testing.T) {
 			if err := tc.any().Delete(ctx, sh.file, "alice"); err != nil {
 				t.Fatal(err)
 			}
-			for id, svc := range tc.services {
-				if _, err := svc.Store().GetMeta(sh.file); !IsNotFound(err) {
-					t.Fatalf("%s still holds the metadata", id)
-				}
-				for i, k := range append([]hashing.Key{hashing.KeyOfString(sh.file)}, meta.BlockKeys...) {
-					if svc.Store().HasBlock(k) {
-						t.Fatalf("%s still holds a block (name key, then blocks: #%d)", id, i)
-					}
-				}
-			}
+			gone(t, tc, sh.file, meta)
 			if _, err := tc.any().ReadFile(ctx, sh.file, "alice"); !IsNotFound(err) {
 				t.Fatalf("ReadFile after Delete = %v", err)
 			}
 			if err := tc.any().Delete(ctx, sh.file, "alice"); !IsNotFound(err) {
 				t.Fatalf("second Delete = %v", err)
 			}
+		}},
+		{"drop with the job", func(t *testing.T, sh fileShape, tc *testCluster) {
+			_, meta, _ := sh.put(t, tc.any(), PermPublic)
+			other := randomData(100, 7)
+			if _, err := tc.any().Upload(ctx, "other.dat", "alice", PermPublic, other, shapeBlock); err != nil {
+				t.Fatal(err)
+			}
+			spill := tc.services[tc.ids[2]].Store()
+			spill.AppendTaskSegment("job:shape", "p0", "m-0", 0, 0, []byte("spill"), 0)
+			deleted := tc.any().DropJob(ctx, "job:shape", "alice", sh.file, "never-written")
+			if fmt.Sprint(deleted) != fmt.Sprint([]string{sh.file}) {
+				t.Fatalf("DropJob reports deleting %q, want [%s]", deleted, sh.file)
+			}
+			gone(t, tc, sh.file, meta)
+			if len(spill.ReadTaggedSegments("job:shape", "p0")) != 0 {
+				t.Fatal("the drop left the job's spill")
+			}
+			readEverywhere(t, tc, "other.dat", other) // a file the drop does not name stays
 		}},
 		{"replica down", func(t *testing.T, sh fileShape, tc *testCluster) {
 			data, _, _ := sh.put(t, tc.any(), PermPublic)
@@ -201,6 +224,9 @@ func TestFileShapes(t *testing.T) {
 				}
 				if err := svc.Delete(ctx, sh.file, "eve"); !IsPermission(err) {
 					t.Fatalf("Delete by a stranger on %s = %v", id, err)
+				}
+				if deleted := svc.DropJob(ctx, "job:shape", "eve", sh.file); len(deleted) != 0 {
+					t.Fatalf("DropJob by a stranger on %s deleted %q", id, deleted)
 				}
 			}
 			readEverywhere(t, tc, sh.file, data) // the refused deletes removed nothing

@@ -71,13 +71,25 @@ type (
 		// this node's shard: whoever is done with Data releases it.
 		pinned *blockbuf.Buf
 	}
-	// nameReq carries the one string listMeta (a prefix) and
-	// dropJobSegments (a job namespace) take.
+	// nameReq carries the one string listMeta takes, a prefix.
 	nameReq struct {
 		Name string
 	}
 	listMetaResp struct {
 		Names []string
+	}
+	// dropJobReq is dropJobSegments: the member drops the segments of the
+	// Job namespace and deletes its copy of each of Files as deleteFile
+	// would for User.
+	dropJobReq struct {
+		Job   string
+		User  string
+		Files []string
+	}
+	// dropJobResp lists the removed metadata of each file the member
+	// deleted its copy of.
+	dropJobResp struct {
+		Deleted []Metadata
 	}
 	readSegReq struct {
 		Job       string
@@ -312,7 +324,7 @@ func messages(method string) (req, resp transport.Wire) {
 	case MethodListMeta:
 		return new(nameReq), new(listMetaResp)
 	case MethodDropSeg:
-		return new(nameReq), new(empty)
+		return new(dropJobReq), new(dropJobResp)
 	}
 	return nil, nil
 }
@@ -370,24 +382,12 @@ func (s *Service) serve(method string, req, resp transport.Wire) error {
 		}
 		*resp.(*getFileResp) = file
 	case MethodDeleteFile:
-		// Only the owner may delete, checked here so the client needs no
-		// lookup first. Whatever block sits at the name key goes with the
-		// metadata: the block of a one-block file, or the stale one a
-		// re-upload as several blocks left behind. A name whose key may be
-		// another file's block never had one there (see blockKeys).
 		req := req.(*getMetaReq)
-		meta, err := s.store.GetMeta(req.Name)
+		meta, err := s.deleteFile(req.Name, req.User)
 		if err != nil {
 			return err
 		}
-		if meta.Owner != req.User {
-			return fmt.Errorf("%w: delete %s by %q", ErrPermission, req.Name, req.User)
-		}
-		s.deleteMeta(req.Name)
-		if !namesABlock(req.Name) {
-			s.store.DeleteBlock(hashing.KeyOfString(req.Name))
-		}
-		*resp.(*Metadata) = meta // the store has let go of it
+		*resp.(*Metadata) = meta
 	case MethodListMeta:
 		prefix := req.(*nameReq).Name
 		var names []string
@@ -398,11 +398,42 @@ func (s *Service) serve(method string, req, resp transport.Wire) error {
 		}
 		resp.(*listMetaResp).Names = names
 	case MethodDropSeg:
-		s.store.DropJobSegments(req.(*nameReq).Name)
+		req := req.(*dropJobReq)
+		s.store.DropJobSegments(req.Job)
+		out := resp.(*dropJobResp)
+		for _, name := range req.Files {
+			// A copy this member does not hold, or may not delete, stays
+			// out of the reply.
+			if meta, err := s.deleteFile(name, req.User); err == nil {
+				out.Deleted = append(out.Deleted, meta)
+			}
+		}
 	default:
 		return fmt.Errorf("dhtfs: no local handler for %s", method)
 	}
 	return nil
+}
+
+// deleteFile deletes this member's copy of a file for user and returns
+// the removed metadata, which the store has let go of. Only the owner may
+// delete, checked here so the client needs no lookup first. Whatever block
+// sits at the name key goes with the metadata: the block of a one-block
+// file, or the stale one a re-upload as several blocks left behind. A name
+// whose key may be another file's block never had one there (see
+// blockKeys).
+func (s *Service) deleteFile(name, user string) (Metadata, error) {
+	meta, err := s.store.GetMeta(name)
+	if err != nil {
+		return Metadata{}, err
+	}
+	if meta.Owner != user {
+		return Metadata{}, fmt.Errorf("%w: delete %s by %q", ErrPermission, name, user)
+	}
+	s.deleteMeta(name)
+	if !namesABlock(name) {
+		s.store.DeleteBlock(hashing.KeyOfString(name))
+	}
+	return meta, nil
 }
 
 // putBlock stores one block and what its writer sent with it in the local
@@ -982,16 +1013,37 @@ func (s *Service) ListPrefix(ctx context.Context, prefix string) ([]string, erro
 	return names, nil
 }
 
-// DropJob removes a job's intermediate data across the whole ring, best
-// effort: it stops early only when the caller cancels.
-func (s *Service) DropJob(ctx context.Context, job string) {
-	req := &request{method: MethodDropSeg, msg: &nameReq{Name: job}}
+// DropJob removes a job's intermediate data across the whole ring and
+// deletes files as user would with Delete, in one message to each member,
+// best effort: it stops early only when the caller cancels. Each member
+// deletes the copies it holds; the blocks a file keeps away from its
+// metadata are swept afterwards, as Delete sweeps them. It returns the
+// files some member deleted a copy of.
+func (s *Service) DropJob(ctx context.Context, job, user string, files ...string) (deleted []string) {
+	req := &request{method: MethodDropSeg, msg: &dropJobReq{Job: job, User: user, Files: files}}
+	var spread []Metadata
 	for _, id := range s.ring().Members() {
 		if ctx.Err() != nil {
-			return
+			break
 		}
-		_ = s.send(ctx, id, req, nil) // best effort
+		var resp dropJobResp
+		if err := s.send(ctx, id, req, &resp); err != nil {
+			continue // best effort
+		}
+		for _, meta := range resp.Deleted {
+			if slices.Contains(deleted, meta.Name) {
+				continue
+			}
+			deleted = append(deleted, meta.Name)
+			if !meta.colocated() {
+				spread = append(spread, meta)
+			}
+		}
 	}
+	for _, meta := range spread {
+		_ = s.sweepBlocks(ctx, meta) // best effort, like the drop
+	}
+	return deleted
 }
 
 // Delete removes a file: its metadata and blocks are deleted from every
@@ -1036,6 +1088,13 @@ func (s *Service) Delete(ctx context.Context, name, user string) error {
 	if meta.colocated() {
 		return nil // the block went with the metadata
 	}
+	return s.sweepBlocks(ctx, *meta)
+}
+
+// sweepBlocks deletes the blocks a removed file's metadata names from
+// their replicas. Once the metadata is gone nothing else names them, so
+// the deletes go out whether or not the caller still waits.
+func (s *Service) sweepBlocks(ctx context.Context, meta Metadata) error {
 	ctx = context.WithoutCancel(ctx)
 	var sweepErr error
 	for _, k := range meta.BlockKeys {

@@ -146,6 +146,52 @@ func (m *listMetaResp) ParseWire(src []byte) error {
 	return r.Done()
 }
 
+func (m dropJobReq) AppendWire(dst []byte) []byte {
+	dst = transport.AppendString(dst, m.Job)
+	dst = transport.AppendString(dst, m.User)
+	dst = transport.AppendUvarint(dst, uint64(len(m.Files)))
+	for _, name := range m.Files {
+		dst = transport.AppendString(dst, name)
+	}
+	return dst
+}
+
+func (m *dropJobReq) ParseWire(src []byte) error {
+	r := transport.NewWireReader(src)
+	*m = dropJobReq{Job: r.Str(), User: r.Str()}
+	if n := r.Count(1); n > 0 {
+		m.Files = make([]string, n)
+		for i := range m.Files {
+			m.Files[i] = r.Str()
+		}
+	}
+	return r.Done()
+}
+
+func (m dropJobResp) AppendWire(dst []byte) []byte {
+	dst = transport.AppendUvarint(dst, uint64(len(m.Deleted)))
+	for _, meta := range m.Deleted {
+		dst = meta.AppendWire(dst)
+	}
+	return dst
+}
+
+// metadataMin is the length of the shortest encoded Metadata: eight
+// fields of at least one byte each.
+const metadataMin = 8
+
+func (m *dropJobResp) ParseWire(src []byte) error {
+	r := transport.NewWireReader(src)
+	*m = dropJobResp{}
+	if n := r.Count(metadataMin); n > 0 {
+		m.Deleted = make([]Metadata, n)
+		for i := range m.Deleted {
+			m.Deleted[i] = parseMetadata(&r)
+		}
+	}
+	return r.Done()
+}
+
 func (empty) AppendWire(dst []byte) []byte { return dst }
 
 func (*empty) ParseWire(src []byte) error {

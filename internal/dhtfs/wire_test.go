@@ -21,6 +21,7 @@ var wireTypes = []transport.Wire{
 	&putBlockReq{}, &getBlockReq{}, &getBlockResp{}, &hasResp{}, &getMetaReq{},
 	&nameReq{}, &listMetaResp{}, &empty{}, &readSegReq{},
 	&segBatchHdr{}, &rawTaggedHdr{}, &Metadata{}, &putFileReq{}, &getFileResp{},
+	&dropJobReq{}, &dropJobResp{},
 }
 
 const maxKey = ^hashing.Key(0)
@@ -124,6 +125,14 @@ func wireCases() []transport.Wire {
 		&getFileResp{Meta: small, HasData: true, Check: noSum, Data: []byte{}},
 		&getFileResp{Meta: Metadata{Name: "corpus.txt", BlockSize: 1 << 20, BlockKeys: []hashing.Key{1, 2, 3}, BlockSums: make([][sha1.Size]byte, 3)}},
 		&getFileResp{Meta: small, HasData: true, Check: check, Data: big},
+		&dropJobReq{},
+		&dropJobReq{Job: "job:wc-1", User: "alice", Files: []string{"_mr/journal/wc-1"}},
+		&dropJobReq{Job: notUTF8, Files: []string{"", notUTF8}},
+		&dropJobReq{Job: "job:sort", User: "alice", Files: listing},
+		&dropJobResp{},
+		&dropJobResp{Deleted: []Metadata{}},
+		&dropJobResp{Deleted: []Metadata{small}},
+		&dropJobResp{Deleted: []Metadata{small, wide, {}}},
 	}
 }
 
@@ -194,6 +203,14 @@ func TestWireHostileCounts(t *testing.T) {
 		"vast size":       {&Metadata{}, vastSize.AppendWire(nil)},
 		"putFile size":    {&putFileReq{}, putFileReq{Meta: overSize}.AppendWire(nil)},
 		"getFile size":    {&getFileResp{}, getFileResp{Meta: negSize}.AppendWire(nil)},
+		"drop job":        {&dropJobReq{}, huge},
+		"drop user":       {&dropJobReq{}, append([]byte{0}, huge...)},
+		"drop files":      {&dropJobReq{}, append([]byte{0, 0}, huge...)},
+		"drop file":       {&dropJobReq{}, append([]byte{0, 0, 1}, huge...)},
+		"dropped metas":   {&dropJobResp{}, transport.AppendUvarint(nil, 1<<40)},
+		"dropped meta":    {&dropJobResp{}, append([]byte{1}, huge...)},
+		"dropped sums":    {&dropJobResp{}, dropJobResp{Deleted: []Metadata{digestShort}}.AppendWire(nil)},
+		"dropped size":    {&dropJobResp{}, dropJobResp{Deleted: []Metadata{overSize}}.AppendWire(nil)},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) { wiretest.Rejects(t, c.m, c.body) })

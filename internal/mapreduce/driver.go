@@ -166,7 +166,7 @@ func (d *Driver) dropForeignIntermediates(ctx context.Context, spec JobSpec, fou
 		Detail: fmt.Sprintf("%s written under partitioner %d, this binary is %d: stored intermediates dropped, maps re-run",
 			found, id, partitionerID),
 	})
-	d.fs.DropJob(ctx, spec.Namespace())
+	d.fs.DropJob(ctx, spec.Namespace(), spec.User)
 }
 
 func markerFile(namespace string) string { return "_mr/" + namespace + "/done" }
@@ -205,11 +205,13 @@ type runState struct {
 	// re-shuffle: the tasks push just the listed reduce partitions, which
 	// mk.PartBytes already counts and whose tasks the journal already
 	// lists, so completions touch neither. remaining counts unfinished
-	// tasks; outcome (buffered, 1) receives the result through end.
+	// tasks; outcome (buffered, 1) receives the result through end; maps
+	// paces the journal flushes of the phase's completions.
 	open      bool
 	only      []int
 	remaining int
 	outcome   chan error
+	maps      pace
 }
 
 // Run executes one job to completion. Run may be called concurrently for
@@ -465,6 +467,8 @@ func (d *Driver) expandMapTasks(st *runState) error {
 // job with the dispatcher, submits the tasks, and waits for the phase's
 // outcome. A non-empty only makes the phase a filtered re-shuffle.
 func (d *Driver) runMapPhase(st *runState, tasks []*mapTask, only []int) error {
+	// A wave of maps is every slot the scheduler has, read outside d.mu.
+	wave := d.sched.Slots()
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -476,6 +480,7 @@ func (d *Driver) runMapPhase(st *runState, tasks []*mapTask, only []int) error {
 	}
 	st.open, st.only, st.remaining = true, only, len(tasks)
 	st.outcome = make(chan error, 1)
+	st.maps = pace{wave: wave}
 	d.jobs[st.spec.ID] = st
 	if !d.started {
 		d.started = true
@@ -659,11 +664,11 @@ func (d *Driver) execMap(st *runState, mt *mapTask, x mapExec) mapResult {
 // finishMap settles a successful execution. The execution of the task's
 // current attempt is accounted — result counters, the partitions
 // it could not push to, and for a first execution (not a re-shuffle) the
-// partition sizes and the journal — and only then finishes the task: a
-// phase's outcome is delivered after its last completion is queued for
-// the journal. A re-shuffle's lost partitions need no journal record:
-// recovery listed them as lost before the re-shuffle began. Caller holds
-// d.mu.
+// partition sizes and the journal, flushed once a wave (see pace) — and
+// only then finishes the task: a phase's outcome is delivered after its
+// last completion is recorded in the journal. A re-shuffle's lost
+// partitions need no journal record: recovery listed them as lost before
+// the re-shuffle began. Caller holds d.mu.
 func (d *Driver) finishMap(st *runState, mt *mapTask, attempt int, resp RunMapResp) bool {
 	if !st.current(mt, attempt) {
 		return false
@@ -693,7 +698,7 @@ func (d *Driver) finishMap(st *runState, mt *mapTask, attempt int, resp RunMapRe
 				for _, p := range resp.Lost {
 					jr.Lost[p] = true
 				}
-			})
+			}, st.maps.due(st.remaining == 1))
 		}
 	}
 	ev := events.F{Job: st.spec.ID, Task: mt.t.ID, Attempt: attempt}
@@ -892,6 +897,12 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 		mu       sync.Mutex
 		firstErr error
 		lost     []lostPart
+		// completed counts the wave's finished partitions; the journal
+		// flushes them a wave of reduce slots at a time (see pace), and
+		// the last one waits for what follows the wave: the done phase,
+		// or a recovery's re-homed table.
+		completed int
+		parts     = pace{wave: len(sem) * d.reduceSlots}
 	)
 	for _, t := range tasks {
 		wg.Add(1)
@@ -923,16 +934,17 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 			if resp.HasOutput {
 				record = outFile
 			}
-			if st.jw != nil {
-				// Queued, not waited for: the snapshot that carries it also
-				// carries the reduce phase and every map completion, and the
-				// done phase waits for all of them.
-				st.jw.update(func(j *journal) { j.PartsDone[t.part] = record })
-			}
 			mu.Lock()
 			st.partsDone[t.part] = record
 			if resp.HasOutput {
 				st.res.OutputFiles = append(st.res.OutputFiles, outFile)
+			}
+			completed++
+			if st.jw != nil {
+				// Not waited for: the snapshot that carries it also carries
+				// the reduce phase and every map completion, and the done
+				// phase waits for all of them.
+				st.jw.update(func(j *journal) { j.PartsDone[t.part] = record }, parts.due(completed == len(tasks)))
 			}
 			mu.Unlock()
 			d.events.Emit(events.KindTask, "reduce.finish", events.F{
@@ -1167,7 +1179,7 @@ func (d *Driver) reshuffle(st *runState, tasks []*mapTask, only []int) error {
 			for _, p := range whole {
 				delete(j.Lost, p)
 			}
-		})
+		}, true)
 	}
 	return nil
 }
@@ -1217,16 +1229,17 @@ func (d *Driver) Collect(ctx context.Context, res Result, user string) ([]KV, er
 	return out, nil
 }
 
-// DropIntermediates removes a namespace's segments cluster-wide, along
-// with the job's journal done-record.
+// DropIntermediates removes a namespace's segments cluster-wide and, in
+// the same message to each member, the job's journal done-record.
 func (d *Driver) DropIntermediates(ctx context.Context, spec JobSpec) {
-	d.fs.DropJob(ctx, spec.Namespace())
+	var files []string
 	if !spec.DisableJournal {
-		if err := d.fs.Delete(ctx, journalFile(spec.ID), spec.User); err != nil {
-			// Best effort, like the segment sweep; the counter keeps a
-			// stuck journal observable.
-			d.reg.Counter("mr.driver.journal_errors").Inc()
-		}
+		files = append(files, journalFile(spec.ID))
+	}
+	if deleted := d.fs.DropJob(ctx, spec.Namespace(), spec.User, files...); len(deleted) < len(files) {
+		// Best effort, like the segment sweep; the counter keeps a stuck
+		// journal observable.
+		d.reg.Counter("mr.driver.journal_errors").Inc()
 	}
 }
 

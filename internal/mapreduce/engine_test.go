@@ -490,10 +490,22 @@ func TestDropIntermediates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ec.driver.DropIntermediates(context.Background(), spec)
-	for _, fs := range ec.fs {
+	for id, fs := range ec.fs {
 		if _, _, segs := fs.Store().Counts(); segs != 0 {
 			t.Fatal("segments remain after DropIntermediates")
 		}
+		if _, err := fs.Store().GetMeta(journalFile(spec.ID)); err == nil {
+			t.Fatalf("%s still holds the journal after DropIntermediates", id)
+		}
+	}
+	if got := ec.driver.Metrics().Snapshot().Get("mr.driver.journal_errors"); got != 0 {
+		t.Fatalf("%d journal errors for a drop that deleted the journal", got)
+	}
+	// A journal no member holds any more is a journal the drop could not
+	// delete.
+	ec.driver.DropIntermediates(context.Background(), spec)
+	if got := ec.driver.Metrics().Snapshot().Get("mr.driver.journal_errors"); got != 1 {
+		t.Fatalf("%d journal errors for a drop that found no journal, want 1", got)
 	}
 }
 

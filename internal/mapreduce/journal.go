@@ -71,14 +71,15 @@ func journalFile(jobID string) string { return journalPrefix + jobID }
 
 // journalWriter persists one job's journal with write coalescing: every
 // record marks the state dirty and a single flusher goroutine uploads the
-// latest snapshot, so a burst of records costs one upload, not one per
-// record. Every upload is a whole snapshot, so no record can reach the
-// file without every record made before it. Uploads are best effort — the
-// journal trades a little idempotent re-execution on resume for never
-// failing a healthy job on a flaky network. The driver waits only where a
-// reader depends on the file: the opening snapshot (before any work),
-// the done phase (before Run returns) and a re-homed partition table
-// (before any spill is pushed at it); each wait is timed in
+// latest snapshot when asked, so a burst of records costs one upload, not
+// one per record. Task completions ask once a wave (see pace), phase
+// changes every time. Every upload is a whole snapshot, so no record can
+// reach the file without every record made before it. Uploads are best
+// effort — the journal trades a little idempotent re-execution on resume
+// for never failing a healthy job on a flaky network. The driver waits
+// only where a reader depends on the file: the opening snapshot (before
+// any work), the done phase (before Run returns) and a re-homed partition
+// table (before any spill is pushed at it); each wait is timed in
 // mr.driver.journal_wait_ns.
 type journalWriter struct {
 	d    *Driver
@@ -170,24 +171,44 @@ func (w *journalWriter) signalFlush(done chan struct{}) bool {
 	return true
 }
 
-// update applies a mutation and schedules an asynchronous flush. Safe to
-// call with driver locks held: it only signals the flusher.
-func (w *journalWriter) update(fn func(*journal)) {
+// update applies a mutation and, with flush, schedules an asynchronous
+// flush; without, the next flush, whoever asks for it, carries it. Safe
+// to call with driver locks held: it only signals the flusher.
+func (w *journalWriter) update(fn func(*journal), flush bool) {
 	w.mu.Lock()
 	fn(&w.j)
 	w.dirty = true
 	w.mu.Unlock()
-	w.signalFlush(nil)
+	if flush {
+		w.signalFlush(nil)
+	}
+}
+
+// pace spaces the flushes of one phase's completions by work: a
+// completion asks for a flush once the completions since the last request
+// add up to a wave, the tasks the cluster runs at once, so a driver that
+// dies redoes at most one wave of the phase plus the flush in flight. The
+// completion that ends the phase asks for none: the phase record follows
+// it at once.
+type pace struct {
+	wave, n int
+}
+
+// due counts one completion and reports whether it asks for a flush.
+func (p *pace) due(last bool) bool {
+	p.n++
+	if last || p.n < p.wave {
+		return false
+	}
+	p.n = 0
+	return true
 }
 
 // updateSync applies a mutation and waits until a flush covering it has
 // been persisted. Must not be called with driver locks held (it blocks on
 // file-system RPCs).
 func (w *journalWriter) updateSync(fn func(*journal)) {
-	w.mu.Lock()
-	fn(&w.j)
-	w.dirty = true
-	w.mu.Unlock()
+	w.update(fn, false)
 	wait := w.d.reg.Histogram("mr.driver.journal_wait_ns").Start()
 	done := make(chan struct{})
 	if w.signalFlush(done) {
@@ -197,8 +218,8 @@ func (w *journalWriter) updateSync(fn func(*journal)) {
 }
 
 // setPhase records a phase transition with the current marker state. Only
-// the done phase is waited for: Run returns after it. The reduce phase is
-// queued like a map completion; a partition record queued after it can
+// the done phase is waited for: Run returns after it. The reduce phase
+// asks for a flush without waiting; a partition record made after it can
 // only reach the file in a snapshot that holds it too.
 func (w *journalWriter) setPhase(phase string, mk *marker) {
 	snap := copyMarker(mk)
@@ -209,7 +230,7 @@ func (w *journalWriter) setPhase(phase string, mk *marker) {
 	if phase == phaseDone {
 		w.updateSync(record)
 	} else {
-		w.update(record)
+		w.update(record, true)
 	}
 }
 

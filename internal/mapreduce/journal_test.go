@@ -1,14 +1,12 @@
 package mapreduce
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
+	"time"
 
-	"eclipsemr/internal/dhtfs"
+	"eclipsemr/internal/events"
 	"eclipsemr/internal/hashing"
 )
 
@@ -107,74 +105,121 @@ func TestFaultFreeJobWaitsOnTheJournalTwice(t *testing.T) {
 	}
 }
 
-// TestParentJournalResumes: testdata/journal-format0 is the journal of
-// job parent-1 in its reduce phase with partition 0 left, as the parent
-// commit encoded it (format 0, its two spec fields set). Resuming from it
-// reduces that partition alone, and every output is byte for byte the
-// run's it was taken from.
-func TestParentJournalResumes(t *testing.T) {
-	ctx := context.Background()
-	ec := newEngineCluster(t, engineOpts{nodes: 4})
-	text, want := wideCorpus(150, 6)
-	ec.upload(t, "parent.txt", text, 256)
-	fs := ec.fs[ec.ids[0]]
-	spec := JobSpec{ID: "parent-1", App: "test-wordcount", Inputs: []string{"parent.txt"}, User: "tester"}
-	first, err := ec.driver.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outputs := make([][]byte, len(first.OutputFiles))
-	for i, f := range first.OutputFiles {
-		if outputs[i], err = fs.ReadFile(ctx, f, "tester"); err != nil {
-			t.Fatal(err)
+// journalFlushes lists the phase of every snapshot of a job's journal
+// that reached the file system, in order.
+func journalFlushes(ec *engineCluster, job string) []string {
+	var phases []string
+	for _, e := range ec.events.Events(job, 0) {
+		if e.Name == "journal.flush" {
+			phases = append(phases, e.Detail)
 		}
 	}
+	return phases
+}
 
-	data, err := os.ReadFile(filepath.Join("testdata", "journal-format0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var j journal
-	if err := j.ParseWire(data); err != nil || data[0] != parentFormat {
-		t.Fatalf("format %#x: %v", data[0], err)
-	}
-	if fmt.Sprint(j.Spec) != fmt.Sprint(spec) || j.Phase != phaseReduce || len(j.PartsDone) != 3 || j.PartsDone[0] != "" {
-		t.Fatalf("the parent journal reads as spec %+v, phase %s, partitions done %v", j.Spec, j.Phase, j.PartsDone)
-	}
-	current := append([]byte{durableFormat}, data[1:]...)
-	if err := new(journal).ParseWire(current); err == nil {
-		t.Fatal("the parent journal parses without skipping its two spec fields; the test exercises nothing")
-	}
-	// Partition 0's output goes, so the resume has to write it again.
-	if err := fs.Delete(ctx, first.OutputFiles[0], "tester"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Upload(ctx, journalFile(spec.ID), "tester", dhtfs.PermPublic, data, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	before := ec.driver.Metrics().Snapshot().Get("mr.driver.partition_reduces")
-	res, err := ec.driver.Resume(spec.ID)
-	if err != nil {
-		t.Fatalf("resume from the parent journal: %v", err)
-	}
-	if got := ec.driver.Metrics().Snapshot().Get("mr.driver.partition_reduces") - before; got != 1 || res.MapTasks != 0 {
-		t.Fatalf("resume ran %d maps and %d reduces, want 0 and 1", res.MapTasks, got)
-	}
-	if fmt.Sprint(res.OutputFiles) != fmt.Sprint(first.OutputFiles) {
-		t.Fatalf("resumed outputs %v, the run's %v", res.OutputFiles, first.OutputFiles)
-	}
-	for i, f := range res.OutputFiles {
-		got, err := fs.ReadFile(ctx, f, "tester")
-		if err != nil {
-			t.Fatal(err)
+// TestJournalPacingOneWave: a job with no more maps than slots and no more
+// partitions than reduce slots writes three snapshots, the opening one,
+// the reduce phase and the done phase: no completion asks for a flush of
+// its own. Each reduce waits until the reduce phase is in the file, so the
+// flusher cannot fold that snapshot into the done phase's on a busy
+// machine.
+func TestJournalPacingOneWave(t *testing.T) {
+	const job = "onewave-1"
+	ec := newEngineCluster(t, engineOpts{nodes: 4})
+	text, _ := wideCorpus(150, 4)
+	ec.upload(t, "onewave.txt", text, 512)
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Job != job || e.Name != "reduce.dispatch" {
+			return
 		}
-		if !bytes.Equal(got, outputs[i]) {
-			t.Fatalf("%s: %d bytes after the resume, %d before", f, len(got), len(outputs[i]))
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if j, err := readJournal(context.Background(), ec.fs[ec.ids[1]], job); err == nil && j.Phase != phaseMap {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("the reduce phase never reached the journal")
+				return
+			}
 		}
-	}
-	kvs, err := ec.driver.Collect(ctx, res, "tester")
+	})
+	res, err := ec.driver.Run(JobSpec{ID: job, App: "test-wordcount", Inputs: []string{"onewave.txt"}, User: "tester"})
+	ec.events.SetObserver(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, countsFromKVs(t, kvs), want)
+	// One partition per node, and engine clusters give every node as many
+	// reduce slots as map slots.
+	if res.MapTasks > ec.sched.Slots() || res.ReduceTasks > len(ec.ids) {
+		t.Fatalf("the job ran %d maps and %d reduces on %d slots: more than one wave", res.MapTasks, res.ReduceTasks, ec.sched.Slots())
+	}
+	if got := journalFlushes(ec, job); fmt.Sprint(got) != "[map reduce done]" {
+		t.Fatalf("the journal was written %d times, phases %v; want the opening, reduce and done snapshots", len(got), got)
+	}
+}
+
+// TestJournalPacingBound: a 40-map job on 8 slots asks for a flush at
+// every eighth map completion but the last, so it writes at most 3 + 4
+// snapshots, and once each requested flush is in, the journal file holds
+// every completion but at most one wave's. Each completion waits, with the
+// driver held, until the file holds what pacing has asked for so far: a
+// flush asked for too late, or not at all, never arrives.
+func TestJournalPacingBound(t *testing.T) {
+	const maps, job = 40, "bound-1"
+	ec := newEngineCluster(t, engineOpts{nodes: 4, slots: 2})
+	wave := ec.sched.Slots()
+	if wave != 8 {
+		t.Fatalf("%d slots, want 8", wave)
+	}
+	var text []byte
+	for i := 0; i < maps; i++ { // one 64-byte line per block
+		text = fmt.Appendf(text, "%-63s\n", fmt.Sprintf("word%03d word%03d", i%7, i%5))
+	}
+	ec.upload(t, "bound.txt", text, 64)
+
+	ctx := context.Background()
+	fs := ec.fs[ec.ids[1]]
+	finished, stuck := 0, false
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Job != job || e.Name != "map.finish" {
+			return
+		}
+		// Runs under the driver's lock: no other completion is recorded
+		// while the file catches up.
+		if finished++; stuck {
+			return
+		}
+		asked := finished / wave * wave
+		if finished == maps {
+			asked = (maps - 1) / wave * wave // the phase's last completion asks for none
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			j, err := readJournal(ctx, fs, job)
+			if err == nil && len(j.MapsDone) >= asked {
+				if finished-len(j.MapsDone) > wave {
+					t.Errorf("after %d completions the journal holds %d: more than a wave behind", finished, len(j.MapsDone))
+				}
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("after %d completions the journal never held the %d pacing asked for (last read: %v)", finished, asked, err)
+				stuck = true
+				return
+			}
+		}
+	})
+	res, err := ec.driver.Run(JobSpec{ID: job, App: "test-wordcount", Inputs: []string{"bound.txt"}, User: "tester"})
+	ec.events.SetObserver(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MapTasks != maps || finished != maps {
+		t.Fatalf("the job ran %d maps (%d finished), want %d", res.MapTasks, finished, maps)
+	}
+	got := journalFlushes(ec, job)
+	if len(got) > 3+maps/wave-1 {
+		t.Fatalf("the journal was written %d times, phases %v; want at most %d", len(got), got, 3+maps/wave-1)
+	}
+	if got[0] != phaseMap || got[len(got)-1] != phaseDone {
+		t.Fatalf("snapshot phases %v: want the opening one first and done last", got)
+	}
 }

@@ -298,22 +298,13 @@ func (m *AdoptRangeResp) ParseWire(src []byte) error {
 }
 
 // durableFormat is the first byte of a journal or reuse-marker file.
-// Format 0 is the parent commit's: its journal spec carries two more
-// fields, a float64 and a duration, which readJobSpec skips. The next
-// commit reads format 0 no longer.
-const (
-	durableFormat = 0x01
-	parentFormat  = 0x00
-)
+const durableFormat = 0x01
 
-// readFormat checks a file's first byte and reports whether the parent
-// commit wrote the file.
-func readFormat(r *transport.WireReader) (parent bool) {
-	b := r.Raw(1)
-	if b != nil && b[0] != durableFormat && b[0] != parentFormat {
+// readFormat checks a file's first byte.
+func readFormat(r *transport.WireReader) {
+	if b := r.Raw(1); b != nil && b[0] != durableFormat {
 		r.Fail(fmt.Errorf("mapreduce: file format %#x, want %#x", b[0], durableFormat))
 	}
-	return b != nil && b[0] == parentFormat
 }
 
 // appendTime writes a time in time.Time.MarshalBinary's format (instant
@@ -360,7 +351,7 @@ func appendJobSpec(dst []byte, s JobSpec) []byte {
 	return transport.AppendBool(dst, s.DisableJournal)
 }
 
-func readJobSpec(r *transport.WireReader, parent bool) JobSpec {
+func readJobSpec(r *transport.WireReader) JobSpec {
 	s := JobSpec{ID: r.Str(), App: r.Str()}
 	if n := r.Count(1); n > 0 {
 		s.Inputs = make([]string, n)
@@ -370,12 +361,7 @@ func readJobSpec(r *transport.WireReader, parent bool) JobSpec {
 	}
 	s.User, s.Params, s.SpillThreshold = r.Str(), readParams(r), r.Int()
 	s.ReuseTag, s.CacheOutputs, s.IntermediateTTL = r.Str(), r.Bool(), r.Duration()
-	s.MaxAttempts = r.Int()
-	if parent {
-		r.Raw(8)
-		r.Duration()
-	}
-	s.DisableJournal = r.Bool()
+	s.MaxAttempts, s.DisableJournal = r.Int(), r.Bool()
 	return s
 }
 
@@ -408,7 +394,7 @@ func (m marker) AppendWire(dst []byte) []byte {
 // ParseWire implements transport.Wire.
 func (m *marker) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	readFormat(&r) // a marker's fields are the same in both formats
+	readFormat(&r)
 	*m = readMarker(&r)
 	return r.Done()
 }
@@ -428,10 +414,10 @@ func (j journal) AppendWire(dst []byte) []byte {
 // ParseWire implements transport.Wire.
 func (j *journal) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	parent := readFormat(&r)
+	readFormat(&r)
 	str, integer, boolean := (*transport.WireReader).Str, (*transport.WireReader).Int, (*transport.WireReader).Bool
 	*j = journal{
-		Spec: readJobSpec(&r, parent), Phase: r.Str(), Generation: r.Int(), Mk: readMarker(&r),
+		Spec: readJobSpec(&r), Phase: r.Str(), Generation: r.Int(), Mk: readMarker(&r),
 		MapsDone:  readMap(&r, 2, str, boolean),
 		Attempts:  readMap(&r, 2, str, integer),
 		PartsDone: readMap(&r, 2, integer, str),

@@ -3,10 +3,8 @@ package mapreduce
 import (
 	"bytes"
 	"crypto/sha1"
-	"encoding/binary"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -223,40 +221,29 @@ func TestWireHostileCounts(t *testing.T) {
 	}
 }
 
-// TestParentFormatStillDecodes: a journal or marker as the parent commit
-// encoded it — format 0x00, and in a journal's spec a float64 and a
-// duration between MaxAttempts and DisableJournal — decodes to what the
-// current encoding of the same state does.
-func TestParentFormatStillDecodes(t *testing.T) {
+// TestDurableFormatIsOne: a journal or marker file whose first byte is
+// not format 0x01 is refused, the parent's 0x00 included.
+func TestDurableFormatIsOne(t *testing.T) {
 	for i, m := range wireCases() {
-		var parent []byte
-		var got, want transport.Wire
-		switch m := m.(type) {
+		var fresh transport.Wire
+		switch m.(type) {
 		case *journal:
-			got, want = &journal{}, &journal{}
-			spec := appendJobSpec(nil, m.Spec)
-			tail := m.AppendWire(nil)[1+len(spec):]
-			parent = append([]byte{parentFormat}, spec[:len(spec)-1]...)
-			parent = binary.BigEndian.AppendUint64(parent, math.Float64bits(1.5))
-			parent = transport.AppendDuration(parent, 30*time.Second)
-			parent = append(append(parent, spec[len(spec)-1]), tail...)
+			fresh = &journal{}
 		case *marker:
-			got, want = &marker{}, &marker{}
-			parent = append([]byte{parentFormat}, m.AppendWire(nil)[1:]...)
+			fresh = &marker{}
 		default:
 			continue
 		}
-		t.Run(fmt.Sprintf("%d-%s", i, reflect.TypeOf(m).Elem().Name()), func(t *testing.T) {
-			if err := got.ParseWire(parent); err != nil {
-				t.Fatalf("parent encoding rejected: %v", err)
+		data := m.AppendWire(nil)
+		if data[0] != durableFormat {
+			t.Fatalf("case %d opens with %#x", i, data[0])
+		}
+		for _, b := range []byte{0x00, 0x02, 0xff} {
+			data[0] = b
+			if err := fresh.ParseWire(data); err == nil {
+				t.Fatalf("case %d (%T) with format %#x was read", i, m, b)
 			}
-			if err := want.ParseWire(m.AppendWire(nil)); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("parent encoding decodes to\n %+v\nthe current one to\n %+v", got, want)
-			}
-		})
+		}
 	}
 }
 

@@ -210,6 +210,13 @@ func (s *Delay) RangeTable() *hashing.RangeTable {
 	return s.table
 }
 
+// Slots returns the registered nodes' slots together.
+func (s *Delay) Slots() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.slots.total()
+}
+
 // Pending returns the queued task count.
 func (s *Delay) Pending() int {
 	s.mu.Lock()

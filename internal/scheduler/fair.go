@@ -139,6 +139,13 @@ func (s *Fair) NextDeadline() (time.Duration, bool) { return 0, false }
 // RangeTable returns the (measurement-only) DHT-aligned table.
 func (s *Fair) RangeTable() *hashing.RangeTable { return s.table }
 
+// Slots returns the registered nodes' slots together.
+func (s *Fair) Slots() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.slots.total()
+}
+
 // Pending returns the queued task count.
 func (s *Fair) Pending() int {
 	s.mu.Lock()

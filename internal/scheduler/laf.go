@@ -217,6 +217,13 @@ func (s *LAF) RangeTable() *hashing.RangeTable {
 	return s.table
 }
 
+// Slots returns the registered nodes' slots together.
+func (s *LAF) Slots() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.slots.total()
+}
+
 // Pending returns the queued task count.
 func (s *LAF) Pending() int {
 	s.mu.Lock()

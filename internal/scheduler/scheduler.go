@@ -74,6 +74,9 @@ type Scheduler interface {
 	RangeTable() *hashing.RangeTable
 	// Pending returns the number of queued, unassigned tasks.
 	Pending() int
+	// Slots returns the task slots of every registered node together:
+	// how many tasks the cluster runs at once.
+	Slots() int
 	// Stats returns a snapshot of scheduling counters.
 	Stats() Stats
 	// Metrics returns the scheduler's registry (queue-wait histogram,
@@ -207,6 +210,15 @@ func (t slotTable) add(id hashing.NodeID, slots int) {
 func (t slotTable) known(id hashing.NodeID) bool {
 	_, ok := t.caps[id]
 	return ok
+}
+
+// total sums the capacity of every registered node.
+func (t slotTable) total() int {
+	n := 0
+	for _, c := range t.caps {
+		n += c
+	}
+	return n
 }
 
 // remove forgets a node entirely, including slots still in flight (the

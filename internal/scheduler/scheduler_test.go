@@ -458,3 +458,42 @@ func TestNewSchedulersRejectEmptyRing(t *testing.T) {
 		t.Fatal("NewFair accepted empty ring")
 	}
 }
+
+// TestSlotsCountsCapacity: Slots is every registered node's capacity
+// together, under every policy: a re-registration replaces a node's count,
+// a removal drops it, and tasks in flight change nothing.
+func TestSlotsCountsCapacity(t *testing.T) {
+	ring, ids := testRing(t, 3)
+	laf, err := NewLAF(DefaultLAFConfig(), ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delay, err := NewDelay(DefaultDelayConfig(), ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fair, err := NewFair(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]Scheduler{"laf": laf, "delay": delay, "fair": fair} {
+		if got := s.Slots(); got != 0 {
+			t.Fatalf("%s: %d slots before any node registered", name, got)
+		}
+		s.AddNode(ids[0], 4)
+		s.AddNode(ids[1], 2)
+		s.AddNode(ids[2], 2)
+		s.Submit(Task{Job: "j", ID: "t0", HashKey: hashing.KeyOfString("k")}, 0)
+		if as := s.Dispatch(0); len(as) != 1 {
+			t.Fatalf("%s: %d assignments, want 1", name, len(as))
+		}
+		if got := s.Slots(); got != 8 {
+			t.Fatalf("%s: %d slots with a task in flight, want 8", name, got)
+		}
+		s.AddNode(ids[0], 3)
+		s.RemoveNode(ids[1])
+		if got := s.Slots(); got != 5 {
+			t.Fatalf("%s: %d slots after a re-registration and a removal, want 5", name, got)
+		}
+	}
+}
