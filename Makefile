@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lifecycle lint bench-repo bench-micro fuzz-smoke fmt
+.PHONY: build test check lifecycle lint figdiff bench-repo bench-micro fuzz-smoke fmt
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,12 @@ lifecycle:
 # the same; see EXPERIMENTS.md for reading and suppressing findings.
 lint:
 	./scripts/lint.sh
+
+# The figure oracle: eclipse-bench -csv at BASE (a git rev) and at HEAD
+# must print and write the same bytes. A change that keeps the model's
+# behaviour runs it as `make figdiff BASE=<its parent>`.
+figdiff:
+	./scripts/figdiff.sh $(BASE)
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): one workload
 # on the real 4-node TCP cluster for the length the driver uses. Prints the

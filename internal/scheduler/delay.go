@@ -1,11 +1,9 @@
 package scheduler
 
 import (
-	"sync"
 	"time"
 
 	"eclipsemr/internal/hashing"
-	"eclipsemr/internal/metrics"
 )
 
 // DelayConfig parameterizes the delay scheduler.
@@ -28,23 +26,8 @@ func DefaultDelayConfig() DelayConfig { return DelayConfig{Wait: 5 * time.Second
 // Zaharia et al. [33] (the wait clock does not run while the whole
 // cluster is saturated, since there is no slot the task is declining).
 type Delay struct {
-	mu    sync.Mutex
-	cfg   DelayConfig
-	table *hashing.RangeTable
-	slots slotTable
-	queue []delayTask
-	stats Stats
-	reg   *metrics.Registry
-	// rrOffset rotates the job that leads each dispatch round.
-	rrOffset int
-}
-
-type delayTask struct {
-	pendingTask
-	// skippedAt is when the task first declined an available non-local
-	// slot; zero means it has not been skipped yet.
-	skippedAt time.Duration
-	skipped   bool
+	core
+	cfg DelayConfig
 }
 
 var _ Scheduler = (*Delay)(nil)
@@ -56,34 +39,9 @@ func NewDelay(cfg DelayConfig, ring *hashing.ChordRing) (*Delay, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Delay{
-		cfg:   cfg,
-		table: table,
-		slots: newSlotTable(),
-		reg:   metrics.NewRegistry(),
-	}, nil
-}
-
-// AddNode registers a worker or updates a known worker's slot capacity;
-// outstanding (in-flight) slots are preserved across re-registration.
-func (s *Delay) AddNode(id hashing.NodeID, slots int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slots.add(id, slots)
-}
-
-// RemoveNode drops a worker.
-func (s *Delay) RemoveNode(id hashing.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slots.remove(id)
-}
-
-// Submit enqueues a task.
-func (s *Delay) Submit(t Task, now time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queue = append(s.queue, delayTask{pendingTask: pendingTask{task: t, enqueued: now}})
+	s := &Delay{cfg: cfg}
+	s.init(table)
+	return s, nil
 }
 
 // Dispatch assigns tasks in two passes, the way delay scheduling offers
@@ -94,92 +52,47 @@ func (s *Delay) Submit(t Task, now time.Duration) {
 func (s *Delay) Dispatch(now time.Duration) []Assignment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	free := s.beginLocked()
+	if free == 0 {
+		return nil
+	}
 	var out []Assignment
-	s.rrOffset++
-	s.queue = interleaveByJob(s.queue, func(p delayTask) string { return p.task.Job }, s.rrOffset)
-	// Pass 1: local assignments, FIFO per owner.
-	remaining := s.queue[:0]
-	for i := range s.queue {
-		p := s.queue[i]
-		owner := s.table.Lookup(p.task.HashKey)
-		if s.slots.known(owner) && s.slots.free(owner) > 0 {
-			s.slots.take(owner)
-			out = append(out, s.assignLocked(p.pendingTask, owner, true, now))
-			continue
+	// Pass 1: local assignments.
+	s.each(func(e *queued) (bool, bool) {
+		n := s.locate(e)
+		if n == nil || n.free() == 0 {
+			return false, false
 		}
-		remaining = append(remaining, p)
-	}
-	s.queue = remaining
-	// Pass 2: slots nobody wants locally are offered to waiting tasks.
-	// The skip clock starts at the first declined offer; after cfg.Wait
-	// the task accepts a non-local slot.
-	if _, anyFree := s.mostFreeLocked(); !anyFree {
-		return out
-	}
-	remaining = s.queue[:0]
-	for i := range s.queue {
-		p := s.queue[i]
-		node, anyFree := s.mostFreeLocked()
-		if !anyFree {
-			remaining = append(remaining, s.queue[i:]...)
-			break
-		}
-		if !p.skipped {
-			p.skipped = true
-			p.skippedAt = now
-		}
-		if s.cfg.Wait >= 0 && now-p.skippedAt >= s.cfg.Wait {
-			s.slots.take(node)
+		out = append(out, s.assignLocked(e, n, true, now))
+		free--
+		return true, free == 0
+	})
+	// Pass 2: slots nobody wants locally go to the most-free node and
+	// are offered to waiting tasks. The skip clock starts at the first
+	// declined offer; after cfg.Wait the task accepts a non-local slot.
+	if free > 0 {
+		node := s.slots.mostFree()[0]
+		s.each(func(e *queued) (bool, bool) {
+			if !e.skipped {
+				e.skipped = true
+				e.skippedAt = now
+			}
+			if s.cfg.Wait < 0 || now-e.skippedAt < s.cfg.Wait {
+				return false, false
+			}
 			s.stats.DelayExpired++
-			owner := s.table.Lookup(p.task.HashKey)
-			out = append(out, s.assignLocked(p.pendingTask, node, node == owner, now))
-			continue
-		}
-		remaining = append(remaining, p)
+			s.locate(e)
+			out = append(out, s.assignLocked(e, node, node.id == e.owner, now))
+			if free--; free == 0 {
+				return true, true
+			}
+			node = s.slots.mostFree()[0]
+			return true, false
+		})
 	}
-	s.queue = remaining
+	s.endLocked()
 	return out
 }
-
-// mostFreeLocked returns the server with the most free slots. Ties break
-// deterministically by node ID so simulation runs are reproducible.
-// Caller holds s.mu.
-func (s *Delay) mostFreeLocked() (hashing.NodeID, bool) {
-	var best hashing.NodeID
-	bestFree := 0
-	for id := range s.slots.caps {
-		f := s.slots.free(id)
-		if f > bestFree || (f == bestFree && f > 0 && id < best) {
-			best, bestFree = id, f
-		}
-	}
-	return best, bestFree > 0
-}
-
-func (s *Delay) assignLocked(p pendingTask, node hashing.NodeID, local bool, now time.Duration) Assignment {
-	s.stats.Assigned++
-	if local {
-		s.stats.LocalAssigns++
-	}
-	if s.stats.PerNode == nil {
-		s.stats.PerNode = make(map[hashing.NodeID]uint64)
-	}
-	s.stats.PerNode[node]++
-	wait := now - p.enqueued
-	s.stats.TotalWait += wait
-	s.reg.Histogram("sched.queue_wait_ns").Observe(int64(wait))
-	return Assignment{Task: p.task, Node: node, Local: local, Waited: wait}
-}
-
-// Release returns a slot to the node.
-func (s *Delay) Release(node hashing.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slots.release(node)
-}
-
-// Metrics returns the scheduler's registry.
-func (s *Delay) Metrics() *metrics.Registry { return s.reg }
 
 // NextDeadline returns the earliest instant a skipped task's delay
 // expires, so a virtual-time driver knows when Dispatch could make
@@ -193,40 +106,15 @@ func (s *Delay) NextDeadline() (time.Duration, bool) {
 	}
 	var earliest time.Duration
 	found := false
-	for _, p := range s.queue {
-		if !p.skipped {
-			continue
-		}
-		d := p.skippedAt + s.cfg.Wait
-		if !found || d < earliest {
-			earliest, found = d, true
+	for _, j := range s.jobs {
+		for _, e := range j.tasks {
+			if !e.skipped {
+				continue
+			}
+			if d := e.skippedAt + s.cfg.Wait; !found || d < earliest {
+				earliest, found = d, true
+			}
 		}
 	}
 	return earliest, found
-}
-
-// RangeTable returns the static hash-key table.
-func (s *Delay) RangeTable() *hashing.RangeTable {
-	return s.table
-}
-
-// Slots returns the registered nodes' slots together.
-func (s *Delay) Slots() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.slots.total()
-}
-
-// Pending returns the queued task count.
-func (s *Delay) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
-// Stats returns a snapshot of the counters.
-func (s *Delay) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return cloneStats(s.stats)
 }

@@ -1,12 +1,11 @@
 package scheduler
 
 import (
-	"sync"
+	"slices"
 	"time"
 
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/kde"
-	"eclipsemr/internal/metrics"
 )
 
 // LAFConfig parameterizes the locality-aware fair scheduler.
@@ -30,25 +29,13 @@ func DefaultLAFConfig() LAFConfig {
 // assignment feeds the density estimator, and every completed window
 // re-partitions the key space into equally-probable ranges.
 type LAF struct {
-	mu    sync.Mutex
-	cfg   LAFConfig
-	est   *kde.Estimator
-	table *hashing.RangeTable
+	core
+	cfg LAFConfig
+	est *kde.Estimator
 	// order is the fixed server order to which CDF partitions are
 	// assigned; it follows ring order so range shifts move load between
 	// ring neighbors (enabling the misplaced-cache migration option).
 	order []hashing.NodeID
-	slots slotTable
-	queue []pendingTask
-	stats Stats
-	// rrOffset rotates the job that leads each dispatch round.
-	rrOffset int
-	reg      *metrics.Registry
-}
-
-type pendingTask struct {
-	task     Task
-	enqueued time.Duration
 }
 
 var _ Scheduler = (*LAF)(nil)
@@ -66,14 +53,9 @@ func NewLAF(cfg LAFConfig, ring *hashing.ChordRing) (*LAF, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LAF{
-		cfg:   cfg,
-		est:   est,
-		table: table,
-		order: table.Servers(),
-		slots: newSlotTable(),
-		reg:   metrics.NewRegistry(),
-	}, nil
+	s := &LAF{cfg: cfg, est: est, order: table.Servers()}
+	s.init(table)
+	return s, nil
 }
 
 // AddNode registers a worker with the given slot count. Nodes unknown to
@@ -85,19 +67,7 @@ func NewLAF(cfg LAFConfig, ring *hashing.ChordRing) (*LAF, error) {
 func (s *LAF) AddNode(id hashing.NodeID, slots int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.slots.known(id) {
-		s.slots.add(id, slots)
-		return
-	}
-	s.slots.add(id, slots)
-	known := false
-	for _, o := range s.order {
-		if o == id {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if s.addNodeLocked(id, slots) && !slices.Contains(s.order, id) {
 		s.order = append(s.order, id)
 		s.repartitionLocked()
 	}
@@ -109,12 +79,9 @@ func (s *LAF) AddNode(id hashing.NodeID, slots int) {
 func (s *LAF) RemoveNode(id hashing.NodeID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.slots.remove(id)
-	for i, o := range s.order {
-		if o == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+	s.removeNodeLocked(id)
+	if i := slices.Index(s.order, id); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
 	}
 	if len(s.order) > 0 {
 		s.repartitionLocked()
@@ -132,7 +99,7 @@ func (s *LAF) RemoveNode(id hashing.NodeID) {
 func (s *LAF) Submit(t Task, now time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.queue = append(s.queue, pendingTask{task: t, enqueued: now})
+	s.enqueueLocked(t, now)
 	if s.cfg.KDE.Alpha > 0 && s.est.Add(t.HashKey) {
 		s.repartitionLocked()
 		s.stats.Repartitions++
@@ -140,43 +107,28 @@ func (s *LAF) Submit(t Task, now time.Duration) {
 }
 
 // Dispatch assigns every queued task whose range owner has a free slot,
-// in FIFO order. This is the paper's while-loop: a task waits for the
+// in dispatch order. This is the paper's while-loop: a task waits for the
 // server covering its hash key; because ranges are equally probable, the
 // wait is balanced across servers.
 func (s *LAF) Dispatch(now time.Duration) []Assignment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	free := s.beginLocked()
+	if free == 0 {
+		return nil
+	}
 	var out []Assignment
-	s.rrOffset++
-	s.queue = interleaveByJob(s.queue, func(p pendingTask) string { return p.task.Job }, s.rrOffset)
-	remaining := s.queue[:0]
-	for _, p := range s.queue {
-		owner := s.table.Lookup(p.task.HashKey)
-		if s.slots.known(owner) && s.slots.free(owner) > 0 {
-			s.slots.take(owner)
-			out = append(out, s.assignLocked(p, owner, true, now))
-		} else {
-			remaining = append(remaining, p)
+	s.each(func(e *queued) (bool, bool) {
+		n := s.locate(e)
+		if n == nil || n.free() == 0 {
+			return false, false
 		}
-	}
-	s.queue = remaining
+		out = append(out, s.assignLocked(e, n, true, now))
+		free--
+		return true, free == 0
+	})
+	s.endLocked()
 	return out
-}
-
-// assignLocked records an assignment. Caller holds s.mu.
-func (s *LAF) assignLocked(p pendingTask, node hashing.NodeID, local bool, now time.Duration) Assignment {
-	s.stats.Assigned++
-	if local {
-		s.stats.LocalAssigns++
-	}
-	if s.stats.PerNode == nil {
-		s.stats.PerNode = make(map[hashing.NodeID]uint64)
-	}
-	s.stats.PerNode[node]++
-	wait := now - p.enqueued
-	s.stats.TotalWait += wait
-	s.reg.Histogram("sched.queue_wait_ns").Observe(int64(wait))
-	return Assignment{Task: p.task, Node: node, Local: local, Waited: wait}
 }
 
 // repartitionLocked re-cuts the key space into equally-probable ranges
@@ -194,46 +146,5 @@ func (s *LAF) repartitionLocked() {
 		return
 	}
 	s.table = table
-}
-
-// Release returns a slot to the node.
-func (s *LAF) Release(node hashing.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slots.release(node)
-}
-
-// Metrics returns the scheduler's registry.
-func (s *LAF) Metrics() *metrics.Registry { return s.reg }
-
-// NextDeadline always reports none: LAF assignments are unlocked only by
-// slot releases.
-func (s *LAF) NextDeadline() (time.Duration, bool) { return 0, false }
-
-// RangeTable returns the current hash-key table.
-func (s *LAF) RangeTable() *hashing.RangeTable {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.table
-}
-
-// Slots returns the registered nodes' slots together.
-func (s *LAF) Slots() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.slots.total()
-}
-
-// Pending returns the queued task count.
-func (s *LAF) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
-// Stats returns a snapshot of the counters.
-func (s *LAF) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return cloneStats(s.stats)
+	s.gen++
 }

@@ -159,3 +159,81 @@ func TestDispatchOrderGolden(t *testing.T) {
 		t.Fatalf("dispatch log has %d lines, golden file %d", len(gl), len(wl))
 	}
 }
+
+// TestQueuedTaskFollowsRecut: a task looked up before an LAF re-cut is
+// dispatched to its owner under the new table.
+func TestQueuedTaskFollowsRecut(t *testing.T) {
+	ring, ids := testRing(t, 4)
+	s := newLAF(t, ring, ids, 1, LAFConfig{KDE: kde.Config{Bins: 64, Bandwidth: 1, Alpha: 1, Window: 16}})
+	k := hashing.KeyOfString("x")
+	before := s.RangeTable().Lookup(k)
+	s.AddNode(before, 0)
+	s.Submit(Task{Job: "j", ID: "x", HashKey: k}, 0)
+	if got := s.Dispatch(0); len(got) != 0 {
+		t.Fatalf("x dispatched to a full owner: %+v", got)
+	}
+	for i := 0; i < 16; i++ {
+		s.Submit(Task{Job: "j", ID: fmt.Sprint(i), HashKey: hashing.Key(1 << 60)}, 0)
+	}
+	after := s.RangeTable().Lookup(k)
+	if s.Stats().Repartitions != 1 || after == before {
+		t.Fatalf("scenario did not move x's owner: %d re-cuts, owner %s -> %s", s.Stats().Repartitions, before, after)
+	}
+	got := s.Dispatch(time.Second)
+	if len(got) == 0 || got[0].Task.ID != "x" || got[0].Node != after {
+		t.Fatalf("after the re-cut x went to %+v, want %s", got, after)
+	}
+}
+
+// TestQueuedTaskFollowsRemovedOwner: a task whose owner is removed goes to
+// the owner under the re-cut table.
+func TestQueuedTaskFollowsRemovedOwner(t *testing.T) {
+	ring, ids := testRing(t, 4)
+	s := newLAF(t, ring, ids, 1, DefaultLAFConfig())
+	k := hashing.KeyOfString("x")
+	before := s.RangeTable().Lookup(k)
+	s.AddNode(before, 0)
+	s.Submit(Task{Job: "j", ID: "x", HashKey: k}, 0)
+	if got := s.Dispatch(0); len(got) != 0 {
+		t.Fatalf("x dispatched to a full owner: %+v", got)
+	}
+	s.RemoveNode(before)
+	after := s.RangeTable().Lookup(k)
+	got := s.Dispatch(time.Second)
+	if after == before || len(got) != 1 || got[0].Node != after || !got[0].Local {
+		t.Fatalf("after removing %s, x went to %+v, want %s", before, got, after)
+	}
+}
+
+// TestQueuedTaskWaitsForUnregisteredOwner: a task whose owner was not
+// registered at Submit is dispatched once that owner registers, under LAF
+// (the table does not change) and under Delay with unlimited wait.
+func TestQueuedTaskWaitsForUnregisteredOwner(t *testing.T) {
+	ring, ids := testRing(t, 4)
+	k := hashing.KeyOfString("x")
+	lafS, err := NewLAF(DefaultLAFConfig(), ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delayS, err := NewDelay(DelayConfig{Wait: -1}, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]Scheduler{"laf": lafS, "delay": delayS} {
+		owner := s.RangeTable().Lookup(k)
+		for _, id := range ids {
+			if id != owner {
+				s.AddNode(id, 1)
+			}
+		}
+		s.Submit(Task{Job: "j", ID: "x", HashKey: k}, 0)
+		if got := s.Dispatch(0); len(got) != 0 {
+			t.Fatalf("%s: x dispatched with its owner unregistered: %+v", name, got)
+		}
+		s.AddNode(owner, 1)
+		got := s.Dispatch(time.Second)
+		if len(got) != 1 || got[0].Node != owner || !got[0].Local {
+			t.Fatalf("%s: once %s registered, x went to %+v", name, owner, got)
+		}
+	}
+}

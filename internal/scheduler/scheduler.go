@@ -15,12 +15,16 @@
 // Schedulers are pure state machines over an abstract clock: callers feed
 // task submissions, slot releases and the current time, and pull ready
 // assignments. Both the real cluster runtime (wall clock) and the
-// discrete-event simulator (virtual clock) drive the same code.
+// discrete-event simulator (virtual clock) drive the same code. The three
+// share one core — queue, slot table, counters — and differ only in where
+// a task goes.
 package scheduler
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"eclipsemr/internal/hashing"
@@ -129,139 +133,347 @@ func (s Stats) LoadStdDev() float64 {
 	return math.Sqrt(ss / float64(n))
 }
 
-// interleaveByJob reorders queued tasks into a round-robin across jobs
-// while preserving each job's internal FIFO order. Schedulers apply it at
-// dispatch so concurrent jobs share slots fairly (the multi-job fairness
-// Hadoop's fair scheduler provides); with a single job the order is
-// unchanged. rot rotates which job leads each round so ties do not always
-// break toward the same job — callers advance it per dispatch.
-func interleaveByJob[T any](q []T, jobOf func(T) string, rot int) []T {
-	if len(q) < 2 {
-		return q
+// core is the state and bookkeeping the three policies share; each policy
+// embeds it and adds only where a task goes. Every method that takes the
+// mutex is the policy's method too, unless the policy overrides it.
+type core struct {
+	mu    sync.Mutex
+	table *hashing.RangeTable
+	// gen advances whenever a queued task's owner, or the owner's slot
+	// entry, may have changed: a new table, a node registered or removed.
+	gen   uint64
+	slots slotTable
+	// jobs holds one FIFO per job with queued tasks, in job-name order;
+	// byJob indexes it.
+	jobs    []*jobQueue
+	byJob   map[string]*jobQueue
+	pending int
+	// rot rotates the job that leads each dispatch round.
+	rot   int
+	walk  []*jobQueue // scratch for each
+	stats Stats
+	reg   *metrics.Registry
+}
+
+// queued is one task waiting in the queue.
+type queued struct {
+	task     Task
+	enqueued time.Duration
+	// owner is the task's range owner and node the owner's slot entry
+	// (nil while the owner is not registered), both as of generation gen.
+	owner hashing.NodeID
+	node  *slot
+	gen   uint64
+	// skippedAt is when the task first declined an available non-local
+	// slot (Delay only); it is meaningful once skipped is set.
+	skippedAt time.Duration
+	skipped   bool
+}
+
+// jobQueue is one job's queued tasks, FIFO. A task a Dispatch takes
+// leaves a nil hole until the Dispatch ends.
+type jobQueue struct {
+	name  string
+	tasks []*queued
+	holes int
+}
+
+func (c *core) init(table *hashing.RangeTable) {
+	c.table = table
+	c.gen = 1
+	c.slots = slotTable{byID: make(map[hashing.NodeID]*slot)}
+	c.byJob = make(map[string]*jobQueue)
+	c.reg = metrics.NewRegistry()
+}
+
+// AddNode registers a worker or updates a known worker's slot capacity;
+// outstanding (in-flight) slots are preserved across re-registration.
+func (c *core) AddNode(id hashing.NodeID, slots int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.addNodeLocked(id, slots)
+}
+
+// addNodeLocked reports whether the node is new.
+func (c *core) addNodeLocked(id hashing.NodeID, slots int) bool {
+	if !c.slots.add(id, slots) {
+		return false
 	}
-	// Cheap single-job fast path: the overwhelmingly common case inside
-	// one job's map phase needs no regrouping (and no allocations).
-	first := jobOf(q[0])
-	multi := false
-	for i := 1; i < len(q); i++ {
-		if jobOf(q[i]) != first {
-			multi = true
-			break
-		}
+	c.gen++
+	return true
+}
+
+// RemoveNode drops a worker; its queued work goes elsewhere on later
+// Dispatch calls.
+func (c *core) RemoveNode(id hashing.NodeID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.removeNodeLocked(id)
+}
+
+func (c *core) removeNodeLocked(id hashing.NodeID) {
+	c.slots.remove(id)
+	c.gen++
+}
+
+// Submit enqueues a task.
+func (c *core) Submit(t Task, now time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.enqueueLocked(t, now)
+}
+
+func (c *core) enqueueLocked(t Task, now time.Duration) {
+	j := c.byJob[t.Job]
+	if j == nil {
+		j = &jobQueue{name: t.Job}
+		c.byJob[t.Job] = j
+		i := sort.Search(len(c.jobs), func(i int) bool { return c.jobs[i].name >= t.Job })
+		c.jobs = slices.Insert(c.jobs, i, j)
 	}
-	if !multi {
-		return q
+	j.tasks = append(j.tasks, &queued{task: t, enqueued: now})
+	c.pending++
+}
+
+// beginLocked starts a Dispatch: it advances the rotation and returns how
+// many slots are free. With none free no task can move, so the caller
+// returns at once.
+func (c *core) beginLocked() int {
+	c.rot++
+	return c.slots.free()
+}
+
+// each visits the queued tasks in dispatch order: round-robin over the
+// jobs in name order, starting from the job the rotation picks, and FIFO
+// within each job. That is the order one merged queue would have if every
+// Dispatch re-interleaved it by job, because a job's tasks never change
+// their relative order. Concurrent jobs so share slots fairly (the
+// multi-job fairness Hadoop's fair scheduler provides), and the rotation
+// keeps ties from always breaking toward the same job. visit reports
+// whether it took the task and whether to stop. A taken task stays a hole
+// until endLocked, so a second walk in the same Dispatch sees the first
+// one's order.
+func (c *core) each(visit func(*queued) (took, stop bool)) {
+	if len(c.jobs) == 0 {
+		return
 	}
-	byJob := make(map[string][]T)
-	for _, t := range q {
-		j := jobOf(t)
-		byJob[j] = append(byJob[j], t)
-	}
-	if len(byJob) < 2 {
-		return q
-	}
-	// The round order must be independent of the queue's current layout
-	// (which the previous interleave already rotated), or the rotation
-	// cancels itself and ties permanently favor one job: use the sorted
-	// job names, rotated by the caller's counter.
-	order := make([]string, 0, len(byJob))
-	for j := range byJob {
-		order = append(order, j)
-	}
-	sort.Strings(order)
-	if r := rot % len(order); r > 0 {
-		order = append(order[r:], order[:r]...)
-	}
-	out := q[:0:0]
-	for len(out) < len(q) {
-		for _, j := range order {
-			if tasks := byJob[j]; len(tasks) > 0 {
-				out = append(out, tasks[0])
-				byJob[j] = tasks[1:]
+	r := c.rot % len(c.jobs)
+	active := append(append(c.walk[:0], c.jobs[r:]...), c.jobs[:r]...)
+	c.walk = active
+	for k := 0; len(active) > 0; k++ {
+		live := active[:0]
+		for _, j := range active {
+			if k >= len(j.tasks) {
+				continue
+			}
+			live = append(live, j)
+			e := j.tasks[k]
+			if e == nil {
+				continue
+			}
+			took, stop := visit(e)
+			if took {
+				j.tasks[k] = nil
+				j.holes++
+				c.pending--
+			}
+			if stop {
+				return
 			}
 		}
+		active = live
+	}
+}
+
+// endLocked ends a Dispatch: it closes the holes taken tasks left and
+// drops jobs with nothing queued.
+func (c *core) endLocked() {
+	c.jobs = slices.DeleteFunc(c.jobs, func(j *jobQueue) bool {
+		if j.holes == 0 {
+			return false
+		}
+		j.tasks = slices.DeleteFunc(j.tasks, func(e *queued) bool { return e == nil })
+		j.holes = 0
+		if len(j.tasks) > 0 {
+			return false
+		}
+		delete(c.byJob, j.name)
+		return true
+	})
+}
+
+// locate refreshes the task's owner if the table or the membership
+// changed since it was last looked up, and returns the owner's slot entry.
+func (c *core) locate(e *queued) *slot {
+	if e.gen != c.gen {
+		e.owner = c.table.Lookup(e.task.HashKey)
+		e.node = c.slots.byID[e.owner]
+		e.gen = c.gen
+	}
+	return e.node
+}
+
+// assignLocked takes a slot on node for the task and records the
+// assignment.
+func (c *core) assignLocked(e *queued, node *slot, local bool, now time.Duration) Assignment {
+	node.used++
+	c.stats.Assigned++
+	if local {
+		c.stats.LocalAssigns++
+	}
+	if c.stats.PerNode == nil {
+		c.stats.PerNode = make(map[hashing.NodeID]uint64)
+	}
+	c.stats.PerNode[node.id]++
+	wait := now - e.enqueued
+	c.stats.TotalWait += wait
+	c.reg.Histogram("sched.queue_wait_ns").Observe(int64(wait))
+	return Assignment{Task: e.task, Node: node.id, Local: local, Waited: wait}
+}
+
+// Release returns a slot to the node.
+func (c *core) Release(node hashing.NodeID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.slots.release(node)
+}
+
+// Metrics returns the scheduler's registry.
+func (c *core) Metrics() *metrics.Registry { return c.reg }
+
+// NextDeadline reports none: only a slot release lets a task move.
+func (c *core) NextDeadline() (time.Duration, bool) { return 0, false }
+
+// RangeTable returns the current hash-key table.
+func (c *core) RangeTable() *hashing.RangeTable {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.table
+}
+
+// Slots returns the registered nodes' slots together.
+func (c *core) Slots() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.slots.total()
+}
+
+// Pending returns the queued task count.
+func (c *core) Pending() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pending
+}
+
+// Stats returns a snapshot of the counters.
+func (c *core) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.stats
+	out.PerNode = make(map[hashing.NodeID]uint64, len(c.stats.PerNode))
+	for k, v := range c.stats.PerNode {
+		out.PerNode[k] = v
 	}
 	return out
 }
 
-// slotTable tracks per-node task slots as capacity plus outstanding
-// (dispatched but not yet released) counts. Keeping the two separate —
-// instead of a single decremented "free" number — makes node
-// re-registration safe: a heartbeat-driven AddNode for an already-known
-// node updates only the capacity, so slots consumed by in-flight tasks
-// are still owed and a later Release cannot inflate the node past its
-// configured count. Callers hold their scheduler's mutex.
+// slot is one node's task slots as capacity plus outstanding (dispatched
+// but not yet released) count. Keeping the two separate — instead of a
+// single decremented "free" number — makes node re-registration safe: a
+// heartbeat-driven AddNode for an already-known node updates only the
+// capacity, so slots consumed by in-flight tasks are still owed and a
+// later Release cannot inflate the node past its configured count.
+type slot struct {
+	id   hashing.NodeID
+	cap  int
+	used int
+}
+
+// free returns the node's available slots (never negative: a capacity
+// shrink below the outstanding count just blocks new dispatches until
+// releases catch up).
+func (n *slot) free() int {
+	return max(n.cap-n.used, 0)
+}
+
+// slotTable holds one entry per registered node, indexed by ID and listed
+// in ID order so that scans break ties deterministically. Callers hold
+// their scheduler's mutex.
 type slotTable struct {
-	caps map[hashing.NodeID]int
-	used map[hashing.NodeID]int
+	byID  map[hashing.NodeID]*slot
+	nodes []*slot
+	ties  []*slot // scratch for mostFree
 }
 
-func newSlotTable() slotTable {
-	return slotTable{caps: make(map[hashing.NodeID]int), used: make(map[hashing.NodeID]int)}
-}
-
-// add registers a node or updates a known node's capacity, preserving its
-// outstanding count.
-func (t slotTable) add(id hashing.NodeID, slots int) {
-	t.caps[id] = slots
+// add registers a node, or updates a known node's capacity and keeps its
+// outstanding count. It reports whether the node is new.
+func (t *slotTable) add(id hashing.NodeID, slots int) bool {
+	if n := t.byID[id]; n != nil {
+		n.cap = slots
+		return false
+	}
+	n := &slot{id: id, cap: slots}
+	t.byID[id] = n
+	i := sort.Search(len(t.nodes), func(i int) bool { return t.nodes[i].id >= id })
+	t.nodes = slices.Insert(t.nodes, i, n)
+	return true
 }
 
 // known reports whether the node is registered.
-func (t slotTable) known(id hashing.NodeID) bool {
-	_, ok := t.caps[id]
-	return ok
-}
-
-// total sums the capacity of every registered node.
-func (t slotTable) total() int {
-	n := 0
-	for _, c := range t.caps {
-		n += c
-	}
-	return n
+func (t *slotTable) known(id hashing.NodeID) bool {
+	return t.byID[id] != nil
 }
 
 // remove forgets a node entirely, including slots still in flight (the
 // node is presumed dead; its tasks are re-dispatched elsewhere).
-func (t slotTable) remove(id hashing.NodeID) {
-	delete(t.caps, id)
-	delete(t.used, id)
-}
-
-// free returns the node's currently available slots (never negative: a
-// capacity shrink below the outstanding count just blocks new dispatches
-// until releases catch up).
-func (t slotTable) free(id hashing.NodeID) int {
-	f := t.caps[id] - t.used[id]
-	if f < 0 {
-		return 0
+func (t *slotTable) remove(id hashing.NodeID) {
+	if t.byID[id] == nil {
+		return
 	}
-	return f
+	delete(t.byID, id)
+	t.nodes = slices.DeleteFunc(t.nodes, func(n *slot) bool { return n.id == id })
 }
 
-// take consumes one slot on the node.
-func (t slotTable) take(id hashing.NodeID) {
-	t.used[id]++
+// total sums the capacity of every registered node.
+func (t *slotTable) total() int {
+	n := 0
+	for _, s := range t.nodes {
+		n += s.cap
+	}
+	return n
+}
+
+// free sums the free slots of every registered node.
+func (t *slotTable) free() int {
+	n := 0
+	for _, s := range t.nodes {
+		n += s.free()
+	}
+	return n
+}
+
+// mostFree returns the nodes with the most free slots, in ID order, or
+// none if no slot is free. The result is valid until the next call.
+func (t *slotTable) mostFree() []*slot {
+	best := 0
+	t.ties = t.ties[:0]
+	for _, n := range t.nodes {
+		switch f := n.free(); {
+		case f > best:
+			best = f
+			t.ties = append(t.ties[:0], n)
+		case f == best && f > 0:
+			t.ties = append(t.ties, n)
+		}
+	}
+	return t.ties
 }
 
 // release returns one slot, clamping at zero outstanding so spurious
 // releases (e.g. a duplicate completion after failover) cannot mint
 // capacity.
-func (t slotTable) release(id hashing.NodeID) {
-	if !t.known(id) {
-		return
+func (t *slotTable) release(id hashing.NodeID) {
+	if n := t.byID[id]; n != nil && n.used > 0 {
+		n.used--
 	}
-	if t.used[id] > 0 {
-		t.used[id]--
-	}
-}
-
-// cloneStats deep-copies counters for snapshot returns.
-func cloneStats(s Stats) Stats {
-	out := s
-	out.PerNode = make(map[hashing.NodeID]uint64, len(s.PerNode))
-	for k, v := range s.PerNode {
-		out.PerNode[k] = v
-	}
-	return out
 }
