@@ -56,17 +56,8 @@ func (s *Delay) Dispatch(now time.Duration) []Assignment {
 	if free == 0 {
 		return nil
 	}
-	var out []Assignment
 	// Pass 1: local assignments.
-	s.each(func(e *queued) (bool, bool) {
-		n := s.locate(e)
-		if n == nil || n.free() == 0 {
-			return false, false
-		}
-		out = append(out, s.assignLocked(e, n, true, now))
-		free--
-		return true, free == 0
-	})
+	out, free := s.localLocked(nil, free, now)
 	// Pass 2: slots nobody wants locally go to the most-free node and
 	// are offered to waiting tasks. The skip clock starts at the first
 	// declined offer; after cfg.Wait the task accepts a non-local slot.

@@ -117,16 +117,7 @@ func (s *LAF) Dispatch(now time.Duration) []Assignment {
 	if free == 0 {
 		return nil
 	}
-	var out []Assignment
-	s.each(func(e *queued) (bool, bool) {
-		n := s.locate(e)
-		if n == nil || n.free() == 0 {
-			return false, false
-		}
-		out = append(out, s.assignLocked(e, n, true, now))
-		free--
-		return true, free == 0
-	})
+	out, _ := s.localLocked(nil, free, now)
 	s.endLocked()
 	return out
 }

@@ -302,6 +302,22 @@ func (c *core) endLocked() {
 	})
 }
 
+// localLocked is the local pass LAF and Delay share: it assigns every
+// task whose owner has a free slot, in dispatch order, while any of the
+// free slots are left, and returns out and the slots still free.
+func (c *core) localLocked(out []Assignment, free int, now time.Duration) ([]Assignment, int) {
+	c.each(func(e *queued) (bool, bool) {
+		n := c.locate(e)
+		if n == nil || n.free() == 0 {
+			return false, false
+		}
+		out = append(out, c.assignLocked(e, n, true, now))
+		free--
+		return true, free == 0
+	})
+	return out, free
+}
+
 // locate refreshes the task's owner if the table or the membership
 // changed since it was last looked up, and returns the owner's slot entry.
 func (c *core) locate(e *queued) *slot {
