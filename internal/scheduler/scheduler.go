@@ -247,7 +247,7 @@ func (c *core) beginLocked() int {
 // jobs in name order, starting from the job the rotation picks, and FIFO
 // within each job. That is the order one merged queue would have if every
 // Dispatch re-interleaved it by job, because a job's tasks never change
-// their relative order. Concurrent jobs so share slots fairly (the
+// their relative order. Concurrent jobs thus share slots fairly (the
 // multi-job fairness Hadoop's fair scheduler provides), and the rotation
 // keeps ties from always breaking toward the same job. visit reports
 // whether it took the task and whether to stop. A taken task stays a hole
