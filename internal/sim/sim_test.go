@@ -1,9 +1,18 @@
 package sim
 
 import (
+	"flag"
+	"fmt"
 	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the testdata golden files")
 
 func almost(t *testing.T, got, want, tol float64, msg string) {
 	t.Helper()
@@ -267,5 +276,81 @@ func TestFlowLargeScaleStability(t *testing.T) {
 	s.Run()
 	if completed != 200 {
 		t.Fatalf("completed = %d of 200", completed)
+	}
+}
+
+// flowTimeline drives a FlowNet shaped like simcluster's through about
+// 400 seeded, staggered flows and returns its log: every completion in
+// the order the callbacks fire, as flow id and exact virtual time, then
+// the bytes transferred. Eight nodes in two racks declare their NICs in
+// simcluster's order (out00, in00, out01, …, uplink), all with the same
+// capacity, so fair shares tie between resources. Same-node flows cross
+// no resource, some flows also name "ghost", which is never declared,
+// and "spine" is declared mid-run: flows naming it before then ignore it.
+func flowTimeline() []string {
+	const nodes, nic = 8, 125e6
+	s := New()
+	n := NewFlowNet(s)
+	for i := 0; i < nodes; i++ {
+		n.AddResource(fmt.Sprintf("out%02d", i), nic)
+		n.AddResource(fmt.Sprintf("in%02d", i), nic)
+	}
+	n.AddResource("uplink", 2*nic)
+	s.At(10, func() { n.AddResource("spine", 3*nic) })
+	rng := rand.New(rand.NewSource(44))
+	var log []string
+	for id := 0; id < 400; id++ {
+		a, b := rng.Intn(nodes), rng.Intn(nodes)
+		var res []string
+		if a != b {
+			res = []string{fmt.Sprintf("out%02d", a), fmt.Sprintf("in%02d", b)}
+			if a/4 != b/4 {
+				res = append(res, "uplink")
+			}
+		}
+		switch {
+		case id%5 == 0:
+			res = append(res, "spine")
+		case id%7 == 0:
+			res = append(res, "ghost")
+		}
+		size := float64(64+rng.Intn(8)*32) * 1e6
+		at := float64(rng.Intn(160)) * 0.125
+		s.At(at, func() {
+			n.StartFlow(size, res, func() {
+				log = append(log, fmt.Sprintf("flow %03d %s", id, strconv.FormatFloat(s.Now(), 'x', -1, 64)))
+			})
+		})
+	}
+	s.Run()
+	return append(log, "transferred "+strconv.FormatFloat(n.Transferred, 'x', -1, 64))
+}
+
+// TestFlowNetTimelineGolden pins the exact completion timeline of
+// flowTimeline. Run with -update to rewrite the golden file after a
+// deliberate change of timing.
+func TestFlowNetTimelineGolden(t *testing.T) {
+	got := strings.Join(flowTimeline(), "\n") + "\n"
+	path := filepath.Join("testdata", "flow_timeline.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("flow timeline differs at line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("flow timeline has %d lines, golden file %d", len(gl), len(wl))
 	}
 }
