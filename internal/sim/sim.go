@@ -9,7 +9,7 @@ package sim
 import (
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -166,21 +166,30 @@ func (q *Queue) InService() int { return q.busy }
 // resources; rates follow max-min fairness (progressive water-filling),
 // recomputed on every flow arrival and departure.
 // FlowNet is deterministic: flows are kept in arrival order and resource
-// ties break lexicographically, so identical inputs produce identical
+// ties break by declaration order, so identical inputs produce identical
 // timelines.
 type FlowNet struct {
-	sim       *Sim
-	resources map[string]float64 // capacity in bytes/sec
-	flows     []*Flow            // arrival order
-	gen       uint64             // invalidates stale completion events
-	lastCalc  Time
+	sim      *Sim
+	index    map[string]int // resource name -> position in res
+	res      []resource     // declaration order
+	flows    []*flow        // arrival order
+	unfrozen []*flow        // recompute's scratch
+	gen      uint64         // invalidates stale completion events
+	lastCalc Time
 	// Transferred accumulates total completed bytes.
 	Transferred float64
 }
 
-// Flow is one in-flight transfer.
-type Flow struct {
-	resources []string
+// resource is one declared capacity and its water-filling state.
+type resource struct {
+	capacity float64 // bytes/sec
+	rem      float64 // capacity not yet given to a frozen flow
+	count    int     // unfrozen flows through it
+}
+
+// flow is one in-flight transfer.
+type flow struct {
+	res       []int // positions in FlowNet.res
 	size      float64
 	remaining float64
 	rate      float64
@@ -189,38 +198,37 @@ type Flow struct {
 
 // NewFlowNet creates an empty flow network.
 func NewFlowNet(sim *Sim) *FlowNet {
-	return &FlowNet{
-		sim:       sim,
-		resources: make(map[string]float64),
-	}
+	return &FlowNet{sim: sim, index: make(map[string]int)}
 }
 
-// AddResource declares a capacity resource (bytes/sec).
+// AddResource declares a capacity resource (bytes/sec). Declaring a name
+// again changes its capacity.
 func (n *FlowNet) AddResource(name string, capacity float64) {
-	n.resources[name] = capacity
-}
-
-// HasResource reports whether a resource exists.
-func (n *FlowNet) HasResource(name string) bool {
-	_, ok := n.resources[name]
-	return ok
+	if i, ok := n.index[name]; ok {
+		n.res[i].capacity = capacity
+		return
+	}
+	n.index[name] = len(n.res)
+	n.res = append(n.res, resource{capacity: capacity})
 }
 
 // StartFlow begins a transfer of size bytes across the named resources;
-// done fires at completion. Unknown resources are ignored (treated as
-// infinite capacity). A zero-size flow completes after the current event.
+// done, if not nil, fires at completion. Unknown resources are ignored
+// (treated as infinite capacity). A zero-size flow completes after the
+// current event.
 func (n *FlowNet) StartFlow(size float64, resources []string, done func()) {
 	if size <= 0 {
-		n.sim.After(0, done)
+		if done != nil {
+			n.sim.After(0, done)
+		}
 		return
 	}
-	var used []string
-	for _, r := range resources {
-		if n.HasResource(r) {
-			used = append(used, r)
+	f := &flow{size: size, remaining: size, done: done}
+	for _, name := range resources {
+		if i, ok := n.index[name]; ok {
+			f.res = append(f.res, i)
 		}
 	}
-	f := &Flow{resources: used, size: size, remaining: size, done: done}
 	n.advance()
 	n.flows = append(n.flows, f)
 	n.recompute()
@@ -247,64 +255,50 @@ func (n *FlowNet) recompute() {
 	gen := n.gen
 	// Water-filling: repeatedly find the tightest resource and freeze its
 	// flows at the fair share. Flows are visited in arrival order and
-	// resource ties break lexicographically, keeping runs reproducible.
-	unfrozen := make([]*Flow, 0, len(n.flows))
+	// resource ties break by declaration order, keeping runs reproducible.
+	for i := range n.res {
+		n.res[i].rem, n.res[i].count = n.res[i].capacity, 0
+	}
+	unfrozen := n.unfrozen[:0]
 	for _, f := range n.flows {
 		f.rate = 0
-		if len(f.resources) == 0 {
+		if len(f.res) == 0 {
 			f.rate = math.Inf(1) // unconstrained flow
 			continue
 		}
 		unfrozen = append(unfrozen, f)
-	}
-	remCap := make(map[string]float64, len(n.resources))
-	for r, c := range n.resources {
-		remCap[r] = c
+		for _, r := range f.res {
+			n.res[r].count++
+		}
 	}
 	for len(unfrozen) > 0 {
-		// Count unfrozen flows per resource.
-		counts := make(map[string]int)
-		for _, f := range unfrozen {
-			for _, r := range f.resources {
-				counts[r]++
+		bottleneck, share := -1, math.Inf(1)
+		for i, r := range n.res {
+			if r.count == 0 {
+				continue
+			}
+			if s := r.rem / float64(r.count); s < share {
+				bottleneck, share = i, s
 			}
 		}
-		names := make([]string, 0, len(counts))
-		for r := range counts {
-			names = append(names, r)
-		}
-		sort.Strings(names)
-		bottleneck := ""
-		share := math.Inf(1)
-		for _, r := range names {
-			s := remCap[r] / float64(counts[r])
-			if s < share {
-				share, bottleneck = s, r
-			}
-		}
-		if bottleneck == "" {
+		if bottleneck < 0 {
 			break
 		}
 		keep := unfrozen[:0]
 		for _, f := range unfrozen {
-			through := false
-			for _, r := range f.resources {
-				if r == bottleneck {
-					through = true
-					break
-				}
-			}
-			if !through {
+			if !slices.Contains(f.res, bottleneck) {
 				keep = append(keep, f)
 				continue
 			}
 			f.rate = share
-			for _, rr := range f.resources {
-				remCap[rr] -= share
+			for _, r := range f.res {
+				n.res[r].rem -= share
+				n.res[r].count--
 			}
 		}
 		unfrozen = keep
 	}
+	n.unfrozen = unfrozen[:0]
 	// Schedule the earliest completion.
 	next := math.Inf(1)
 	for _, f := range n.flows {
@@ -327,37 +321,33 @@ func (n *FlowNet) recompute() {
 			return // a newer recompute superseded this event
 		}
 		n.advance()
-		finishedSet := make(map[*Flow]bool)
-		var finished []*Flow
+		var finished []*flow
+		live := n.flows[:0]
 		for _, f := range n.flows {
 			if f.remaining <= 1e-3 {
 				finished = append(finished, f)
-				finishedSet[f] = true
+			} else {
+				live = append(live, f)
 			}
 		}
-		if len(finished) == 0 && len(n.flows) > 0 {
+		if len(finished) == 0 && len(live) > 0 {
 			// Floating-point residue kept the mathematically finished flow
 			// marginally above zero; complete the minimum-remaining flow to
 			// guarantee progress (the generation guard ensures no newer
 			// arrival invalidated this event).
-			min := n.flows[0]
-			for _, f := range n.flows[1:] {
-				if f.remaining < min.remaining {
-					min = f
+			least := 0
+			for i, f := range live {
+				if f.remaining < live[least].remaining {
+					least = i
 				}
 			}
-			finished = append(finished, min)
-			finishedSet[min] = true
-		}
-		live := n.flows[:0]
-		for _, f := range n.flows {
-			if finishedSet[f] {
-				n.Transferred += f.size
-				continue
-			}
-			live = append(live, f)
+			finished = append(finished, live[least])
+			live = slices.Delete(live, least, least+1)
 		}
 		n.flows = live
+		for _, f := range finished {
+			n.Transferred += f.size
+		}
 		n.recompute()
 		for _, f := range finished {
 			if f.done != nil {
