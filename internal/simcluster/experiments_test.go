@@ -8,16 +8,14 @@ import (
 // wins, by roughly what factor, where crossovers fall — not absolute
 // numbers (the substrate is a simulator, not the authors' testbed).
 
-// skipIfExpensive gates the figure sweeps that take >10 s even without
-// instrumentation. The simulations are deterministic, so skipping them
-// under -short or -race loses no assertion diversity per run; the model's
-// event-queue concurrency stays race-checked by the fast Model* tests and
-// the Fig5/6a/8 sweeps that still run.
+// skipIfExpensive gates the Fig. 6(b), 7, 9 and 10 sweeps under -race,
+// where the four take 115 s on a 2-core VM (6 s without it). The
+// simulations are deterministic, so skipping them under -race loses no
+// assertion diversity per run; the model's event-queue concurrency stays
+// race-checked by the fast Model* tests and the Fig5/6a/8 sweeps that
+// still run.
 func skipIfExpensive(t *testing.T) {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("expensive figure sweep: skipped in -short mode")
-	}
 	if raceEnabled {
 		t.Skip("expensive figure sweep: ~20x slower under -race")
 	}
