@@ -46,8 +46,11 @@ bench-repo:
 # Every micro-benchmark of the RPC plane (codecs against their gob
 # reference, TCP round trips, a small file's life in dhtfs with its
 # RPCs/op, metadata churn on a disk store by resident files, Key.String,
-# ShuffleKey beside the SHA-1 it replaced for intermediate keys), of the
-# map/reduce kernels (BenchmarkMapEmit/{append,combine,combine-reused}: a
+# ShuffleKey beside the SHA-1 it replaced for intermediate keys,
+# BenchmarkSumBlock: a block writer's pass as BlockDigest beside the SHA-1
+# it replaced for version names and the CRC-32C every copy is checked
+# against), of the map/reduce kernels
+# (BenchmarkMapEmit/{append,combine,combine-reused}: a
 # map task's emit path per pair, on a fresh and on a worker's lent state;
 # BenchmarkGroupStreams/{sort,wc,shared-prefix,hot-key}: a reduce
 # partition ordered and walked, per pair), of a cold block read
@@ -83,6 +86,9 @@ fuzz-smoke:
 # The intermediate-key hash: string and []byte forms agree, no read
 # past either end of the key.
 	$(GO) test ./internal/hashing -run '^$$' -fuzz FuzzShuffleKey -fuzztime=10s
+# The block digest against its byte-at-a-time reference; one flipped
+# bit renames a block.
+	$(GO) test ./internal/hashing -run '^$$' -fuzz FuzzBlockDigest -fuzztime=10s
 # The in-place tokenizer against strings.Fields.
 	$(GO) test ./internal/apps -run '^$$' -fuzz FuzzWordCountMap -fuzztime=10s
 

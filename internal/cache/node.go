@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"crypto/sha1"
 	"sync"
 	"time"
 
@@ -55,14 +54,14 @@ func (nc *NodeCache) SetClock(now func() time.Time) {
 }
 
 // BlockID names one version of an input block: the ring key it is
-// stored, scheduled and migrated under, and the SHA-1 of its content as
-// the file's metadata records it. Ring keys derive from (file name, block
-// index), so a deleted and re-uploaded file reuses them; the digest keeps
-// what the old file left in iCache from answering for the new one. The
-// zero Sum names a block whose digest is not known.
+// stored, scheduled and migrated under, and the digest of its content as
+// the file's metadata records it (hashing.BlockDigest). Ring keys derive
+// from (file name, block index), so a deleted and re-uploaded file reuses
+// them; the digest keeps what the old file left in iCache from answering
+// for the new one. The zero Sum names a block whose digest is not known.
 type BlockID struct {
 	Key hashing.Key
-	Sum [sha1.Size]byte
+	Sum hashing.Digest
 }
 
 // BlockKey is the iCache lookup key for an input block of unknown digest.

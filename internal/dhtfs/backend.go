@@ -1,7 +1,6 @@
 package dhtfs
 
 import (
-	"crypto/sha1"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,11 +40,11 @@ type blockBackend interface {
 
 // BlockCheck is what a shard keeps beside a block and sends with it
 // (DESIGN.md "A block's life"): the CRC-32C a copy of the bytes is checked
-// against after it crossed a disk or a socket, and the SHA-1 its writer took,
-// which names the version.
+// against after it crossed a disk or a socket, and the digest its writer
+// took (hashing.BlockDigest), which names the version.
 type BlockCheck struct {
 	CRC uint32
-	Sum [sha1.Size]byte
+	Sum hashing.Digest
 }
 
 // BlockCRC computes a CRC-32C (Castagnoli), the one checksum of this
@@ -177,7 +176,7 @@ const (
 // A block file ends in a 32-byte trailer:
 //
 //	check  24 bytes: the block's BlockCheck as AppendBlockCheck writes it
-//	       (CRC-32C of the payload, then its SHA-1 or zero)
+//	       (CRC-32C of the payload, then its digest or zero)
 //	magic  4 bytes: "EBT1"
 //	crc    uint32, big endian: CRC-32C of the 28 bytes before it
 //

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/events"
@@ -160,10 +161,10 @@ func TestFaultFreeReadsNeverSum(t *testing.T) {
 func TestPutCorruptedInFlightIsRefused(t *testing.T) {
 	ctx := context.Background()
 	data := randomData(700, 74)
-	check := BlockCheck{CRC: BlockCRC(data), Sum: SumBlock(data)}
+	check := BlockCheck{CRC: BlockCRC(data), Sum: hashing.BlockDigest(data)}
 	key := hashing.KeyOfString("inflight.dat")
 	meta := Metadata{Name: "inflight.dat", Owner: "alice", Perm: PermPublic, Size: int64(len(data)), BlockSize: 1 << 10,
-		BlockKeys: []hashing.Key{key}, BlockSums: [][sha1.Size]byte{check.Sum}}
+		BlockKeys: []hashing.Key{key}, BlockSums: []hashing.Digest{check.Sum}}
 	bodies := map[string]transport.Wire{
 		MethodPutBlock: &putBlockReq{Key: key, Check: check, Data: data},
 		MethodPutFile:  &putFileReq{Meta: meta, Check: check, Data: data},
@@ -250,14 +251,14 @@ func TestPutCorruptedInFlightIsRefused(t *testing.T) {
 
 // TestDigestlessPutIsRefused: a put that names no digest is refused whole,
 // intact bytes and all, so every block a shard holds carries its writer's
-// SHA-1. It is not counted as a damaged put: nothing was damaged.
+// digest. It is not counted as a damaged put: nothing was damaged.
 func TestDigestlessPutIsRefused(t *testing.T) {
 	ctx := context.Background()
 	data := randomData(700, 75)
 	check := BlockCheck{CRC: BlockCRC(data)} // a valid CRC, no digest
 	key := hashing.KeyOfString("nodigest.dat")
 	meta := Metadata{Name: "nodigest.dat", Owner: "alice", Perm: PermPublic, Size: int64(len(data)), BlockSize: 1 << 10,
-		BlockKeys: []hashing.Key{key}, BlockSums: [][sha1.Size]byte{{}}}
+		BlockKeys: []hashing.Key{key}, BlockSums: []hashing.Digest{{}}}
 	bodies := map[string]transport.Wire{
 		MethodPutBlock: &putBlockReq{Key: key, Check: check, Data: data},
 		MethodPutFile:  &putFileReq{Meta: meta, Check: check, Data: data},
@@ -292,7 +293,7 @@ func TestDigestlessPutIsRefused(t *testing.T) {
 
 // TestDamagedBlockFileIsPassedOver: one flipped byte in a block file, in
 // the payload or in the trailer (found at the next open), makes that
-// replica's copy fail its check without a SHA-1: the read is served by a
+// replica's copy fail its check without hashing it: the read is served by a
 // neighbour and counts one corrupt copy.
 func TestDamagedBlockFileIsPassedOver(t *testing.T) {
 	ctx := context.Background()
@@ -335,7 +336,7 @@ func TestDamagedBlockFileIsPassedOver(t *testing.T) {
 				t.Fatalf("fs.read.corrupt = %d, fs.read.failover = %d, want 1 and 1", c, f)
 			}
 			if n := summedEverywhere(tc); n != 0 {
-				t.Fatalf("fs.read.summed = %d: the damage was found by a SHA-1", n)
+				t.Fatalf("fs.read.summed = %d: the damage was found by hashing a block", n)
 			}
 			var named []string
 			for _, ev := range log.Events("", 0) {
@@ -396,7 +397,7 @@ func TestStaleVersionIsPassedOverByDigest(t *testing.T) {
 					t.Fatalf("fs.read.corrupt = %d, want 1", n)
 				}
 				if n := summedEverywhere(tc); n != 0 {
-					t.Fatalf("fs.read.summed = %d: the version was told by a SHA-1", n)
+					t.Fatalf("fs.read.summed = %d: the version was told by hashing a block", n)
 				}
 			})
 		}
@@ -648,5 +649,112 @@ func TestBufferLifecycleHandOverScribble(t *testing.T) {
 	data[100] ^= 0x01 // the writer breaks the rule
 	if _, _, err := svc.PinBlock(ctx, k, sum); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("a block its writer scribbled on after handing it over was read: err %v", err)
+	}
+}
+
+// soloService serves a disk shard opened on dir as the only node of its
+// ring: what a restarted one-node cluster makes of the directory.
+func soloService(t *testing.T, dir string) *Service {
+	t.Helper()
+	store, err := NewStoreAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := hashing.NewChordRing()
+	if err := ring.AddNode("solo"); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewServiceWithStore("solo", transport.NewLocal(), func() *hashing.ChordRing { return ring }, 1, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
+// TestSHA1NamedShardStillReads: a shard written while blocks were named by
+// their SHA-1 holds those digests in its block trailers and in
+// metadata.log alike. The encoded digest kept its 20 bytes and readers only
+// compare the two, so the shard still serves every byte; a re-upload names
+// the new version by hashing.BlockDigest in both places. A reader that
+// derived a digest from the bytes would find every old block "another
+// version" and fail here.
+func TestSHA1NamedShardStillReads(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	const name, blockSize = "legacy.dat", 1 << 10
+	data := randomData(2500, 45)
+	chunks, keys, err := Split(name, data, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := NewStoreAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := Metadata{Name: name, Owner: "alice", Perm: PermPublic, Size: int64(len(data)), BlockSize: blockSize,
+		BlockKeys: keys, Created: time.Unix(1700000000, 0).UTC()}
+	for i, chunk := range chunks {
+		sum := hashing.Digest(sha1.Sum(chunk))
+		meta.BlockSums = append(meta.BlockSums, sum)
+		if err := old.backend.put(keys[i], slices.Clone(chunk), BlockCheck{CRC: BlockCRC(chunk), Sum: sum}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.PutMeta(meta); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := soloService(t, dir)
+	got, err := svc.ReadFile(ctx, name, "alice")
+	if err != nil {
+		t.Fatalf("reading the SHA-1-named shard: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("read %d bytes, not the %d written", len(got), len(data))
+	}
+
+	fresh := randomData(3000, 46)
+	up, err := svc.Upload(ctx, name, "alice", PermPublic, slices.Clone(fresh), blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range up.BlockKeys {
+		chunk := fresh[i*blockSize : min((i+1)*blockSize, len(fresh))]
+		if up.BlockSums[i] != hashing.BlockDigest(chunk) {
+			t.Fatalf("re-uploaded block %d is named %x, not its BlockDigest", i, up.BlockSums[i])
+		}
+		buf, check, err := svc.store.pin(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Release()
+		if check.Sum != up.BlockSums[i] {
+			t.Fatalf("block %d is stored as %x, its metadata names %x", i, check.Sum, up.BlockSums[i])
+		}
+	}
+	for _, reader := range []*Service{svc, soloService(t, dir)} {
+		got, err := reader.ReadFile(ctx, name, "alice")
+		if err != nil || !bytes.Equal(got, fresh) {
+			t.Fatalf("after the re-upload: read %d bytes, %v; want the %d uploaded", len(got), err, len(fresh))
+		}
+	}
+}
+
+// TestEmptyFileRoundTrip: an empty file is one empty block, and putBlock
+// refuses a block that names no digest, so the empty block's digest must
+// not be all zeros (hashing.TestBlockDigestNeverZero pins the function).
+func TestEmptyFileRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	svc := soloService(t, t.TempDir())
+	meta, err := svc.Upload(ctx, "empty.dat", "alice", PermPublic, nil, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(meta.BlockSums) != 1 || meta.BlockSums[0] != hashing.BlockDigest(nil) {
+		t.Fatalf("an empty file is named %x, want one block named %x", meta.BlockSums, hashing.BlockDigest(nil))
+	}
+	got, err := svc.ReadFile(ctx, "empty.dat", "alice")
+	if err != nil || len(got) != 0 {
+		t.Fatalf("read %d bytes, %v; want an empty file", len(got), err)
 	}
 }

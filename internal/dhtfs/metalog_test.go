@@ -17,7 +17,10 @@ import (
 	"eclipsemr/internal/hashing"
 )
 
-// logMeta is a metadata entry of n blocks with a recognisable size.
+// logMeta is a metadata entry of n blocks with a recognisable size. Its
+// digests are SHA-1's, as in every log written while blocks were named by
+// their SHA-1 and in the pinned seed of TestMetaLogFormatPinned: the log
+// stores the 20 bytes without reading them, so either naming replays.
 func logMeta(name string, size int64, blocks int) Metadata {
 	m := Metadata{Name: name, Owner: "alice", Perm: PermPublic, Size: size, BlockSize: 256,
 		Created: time.Unix(1700000000, 0).UTC()}
@@ -317,7 +320,7 @@ func FuzzMetaLogReplay(f *testing.F) {
 			t.Fatalf("%d bytes replayed as %d records in a prefix of %d holding %d entries", len(data), records, valid, len(metas))
 		}
 		for name, m := range metas {
-			if held := len(m.Name) + len(m.Owner) + 8*len(m.BlockKeys) + sha1.Size*len(m.BlockSums); m.Name != name || held > valid {
+			if held := len(m.Name) + len(m.Owner) + 8*len(m.BlockKeys) + hashing.DigestSize*len(m.BlockSums); m.Name != name || held > valid {
 				t.Fatalf("entry %q (named %q) holds %d bytes out of a log of %d", name, m.Name, held, valid)
 			}
 		}

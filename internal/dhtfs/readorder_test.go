@@ -49,7 +49,7 @@ func TestReadOrder(t *testing.T) {
 	ctx := context.Background()
 	const file = "order.dat" // one block, so data and metadata share a replica set
 	data := randomData(200, 51)
-	sum := SumBlock(data)
+	sum := hashing.BlockDigest(data)
 	key := hashing.KeyOfString(file)
 
 	type read struct {

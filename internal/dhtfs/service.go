@@ -3,7 +3,6 @@ package dhtfs
 import (
 	"bytes"
 	"context"
-	"crypto/sha1"
 	"errors"
 	"fmt"
 	"slices"
@@ -441,7 +440,7 @@ func (s *Service) deleteFile(name, user string) (Metadata, error) {
 // every stored block carries its writer's. Bytes that fail the CRC were
 // damaged on the way here: they are refused and nothing is stored.
 func (s *Service) putBlock(k hashing.Key, data []byte, check BlockCheck) error {
-	if check.Sum == ([sha1.Size]byte{}) {
+	if check.Sum == (hashing.Digest{}) {
 		return fmt.Errorf("dhtfs: put of block %s names no digest", k)
 	}
 	if err := check.verify(k, data); err != nil {
@@ -474,7 +473,7 @@ func (s *Service) getBlock(k hashing.Key) (*blockbuf.Buf, BlockCheck, error) {
 // this node's memory are not (race builds check them as the shard reads
 // them, see memBackend.get). The version is told by comparing digests: the
 // holder's is its writer's, so no read hashes a block.
-func (s *Service) checkCopy(k hashing.Key, data []byte, check BlockCheck, local bool, want [sha1.Size]byte) error {
+func (s *Service) checkCopy(k hashing.Key, data []byte, check BlockCheck, local bool, want hashing.Digest) error {
 	if !local || s.store.onDisk() {
 		if err := check.verify(k, data); err != nil {
 			return err
@@ -488,7 +487,7 @@ func (s *Service) checkCopy(k hashing.Key, data []byte, check BlockCheck, local 
 
 // pinLocal fetches this node's own copy of a block, checked (see
 // checkCopy), in the buffer its shard shares with every reader.
-func (s *Service) pinLocal(k hashing.Key, want [sha1.Size]byte) (*blockbuf.Buf, BlockCheck, error) {
+func (s *Service) pinLocal(k hashing.Key, want hashing.Digest) (*blockbuf.Buf, BlockCheck, error) {
 	buf, check, err := s.getBlock(k)
 	if err != nil {
 		return nil, BlockCheck{}, err
@@ -642,13 +641,13 @@ func (s *Service) UploadRecords(ctx context.Context, name, owner string, perm Pe
 // and metadata last, or a block that lives beside its metadata as one
 // message holding both.
 func (s *Service) storeFile(ctx context.Context, name, owner string, perm Perm, data []byte, blockSize int, chunks [][]byte, keys []hashing.Key) (Metadata, error) {
-	// The one pass a block's writer makes over it: the SHA-1 that names
+	// The one pass a block's writer makes over it: the digest that names
 	// this version wherever it is stored or cached, and the CRC-32C every
 	// later copy is checked against.
-	sums := make([][sha1.Size]byte, len(chunks))
+	sums := make([]hashing.Digest, len(chunks))
 	crcs := make([]uint32, len(chunks))
 	for i, chunk := range chunks {
-		sums[i], crcs[i] = SumBlock(chunk), BlockCRC(chunk)
+		sums[i], crcs[i] = hashing.BlockDigest(chunk), BlockCRC(chunk)
 	}
 	file := &putFileReq{Meta: Metadata{
 		Name:      name,
@@ -766,7 +765,7 @@ func (s *Service) lookup(ctx context.Context, name, user, method string, resp tr
 }
 
 // PinBlock is the file system's one block read. It fetches block k, whose
-// SHA-1 is sum (from the file's metadata), in a buffer the caller releases
+// digest is sum (from the file's metadata), in a buffer the caller releases
 // when done reading, and says whether the copy came from another node. The
 // replicas are asked directly in read order (zero-hop, §II-A: every node
 // holds the full membership view), passing over those that are unreachable
@@ -774,7 +773,7 @@ func (s *Service) lookup(ctx context.Context, name, user, method string, resp tr
 // one that is damaged or holds another version than sum names is counted
 // and passed over, so a corrupted replica is healed by reading its
 // neighbor's.
-func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum [sha1.Size]byte) (*blockbuf.Buf, bool, error) {
+func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum hashing.Digest) (*blockbuf.Buf, bool, error) {
 	ctx, sp := s.tracer.StartSpan(ctx, "fs.read_block")
 	defer sp.End()
 	defer s.reg.Histogram("fs.read_block_ns").Start().Stop()
@@ -824,7 +823,7 @@ func (s *Service) noteCorrupt(t hashing.NodeID) {
 // this node's own is the buffer its shard shares with every reader, and
 // costs no message; another node's arrives as a reply body that is nobody
 // else's, so the last release recycles it.
-func (s *Service) pinReplica(ctx context.Context, t hashing.NodeID, k hashing.Key, want [sha1.Size]byte) (*blockbuf.Buf, error) {
+func (s *Service) pinReplica(ctx context.Context, t hashing.NodeID, k hashing.Key, want hashing.Digest) (*blockbuf.Buf, error) {
 	if t == s.self {
 		buf, _, err := s.pinLocal(k, want)
 		return buf, err

@@ -10,7 +10,6 @@
 package dhtfs
 
 import (
-	"crypto/sha1"
 	"errors"
 	"fmt"
 	"slices"
@@ -46,15 +45,13 @@ type Metadata struct {
 	// BlockKeys holds the ring key of every block, in file order. Block i
 	// holds bytes [i*BlockSize, min((i+1)*BlockSize, Size)).
 	BlockKeys []hashing.Key
-	// BlockSums holds the SHA-1 digest of every block, one per key; reads
-	// verify against it and fall back to a replica on mismatch, so a
+	// BlockSums holds the digest that names every block's version, one
+	// per key (hashing.BlockDigest, taken by the writer); reads verify
+	// against it and fall back to a replica on mismatch, so a
 	// corrupted copy cannot silently reach an application.
-	BlockSums [][sha1.Size]byte
+	BlockSums []hashing.Digest
 	Created   time.Time
 }
-
-// SumBlock computes a block's integrity digest.
-func SumBlock(data []byte) [sha1.Size]byte { return sha1.Sum(data) }
 
 // Blocks returns the number of blocks in the file.
 func (m Metadata) Blocks() int { return len(m.BlockKeys) }
@@ -252,12 +249,12 @@ func (s *Store) SetClock(now func() time.Time) {
 }
 
 // PutBlock stores a copy of a block, overwriting any previous content,
-// with the SHA-1 and CRC-32C it takes here as an upload's writer does; the
+// with the digest and CRC-32C it takes here as an upload's writer does; the
 // caller keeps data. On a disk-backed shard an IO failure is reported; the
 // in-memory backend never fails. It remains for bench/probes.go until the
 // [benchmark] PR; the file system writes through Service.Upload.
 func (s *Store) PutBlock(k hashing.Key, data []byte) error {
-	check := BlockCheck{CRC: BlockCRC(data), Sum: SumBlock(data)}
+	check := BlockCheck{CRC: BlockCRC(data), Sum: hashing.BlockDigest(data)}
 	return s.backend.put(k, slices.Clone(data), check)
 }
 

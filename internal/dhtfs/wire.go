@@ -1,7 +1,6 @@
 package dhtfs
 
 import (
-	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -32,7 +31,7 @@ func AppendBlockCheck(dst []byte, c BlockCheck) []byte {
 }
 
 // checkSize is the length of an encoded BlockCheck.
-const checkSize = 4 + sha1.Size
+const checkSize = 4 + hashing.DigestSize
 
 // ReadBlockCheck reads what AppendBlockCheck appended.
 func ReadBlockCheck(r *transport.WireReader) (c BlockCheck) {
@@ -288,7 +287,7 @@ func (m Metadata) AppendWire(dst []byte) []byte {
 
 // wireSize bounds the length of m's encoding.
 func (m Metadata) wireSize() int {
-	return 64 + len(m.Name) + len(m.Owner) + 8*len(m.BlockKeys) + sha1.Size*len(m.BlockSums)
+	return 64 + len(m.Name) + len(m.Owner) + 8*len(m.BlockKeys) + hashing.DigestSize*len(m.BlockSums)
 }
 
 // ParseWire implements transport.Wire.
@@ -316,10 +315,10 @@ func parseMetadata(r *transport.WireReader) Metadata {
 			m.BlockKeys[i] = r.Key()
 		}
 	}
-	if n := r.Count(sha1.Size); n > 0 {
-		m.BlockSums = make([][sha1.Size]byte, n)
+	if n := r.Count(hashing.DigestSize); n > 0 {
+		m.BlockSums = make([]hashing.Digest, n)
 		for i := range m.BlockSums {
-			copy(m.BlockSums[i][:], r.Raw(sha1.Size))
+			copy(m.BlockSums[i][:], r.Raw(hashing.DigestSize))
 		}
 	}
 	if created := r.Bytes(); r.Err() == nil {

@@ -3,7 +3,6 @@ package dhtfs
 import (
 	"bytes"
 	"context"
-	"crypto/sha1"
 	"fmt"
 	"math"
 	"slices"
@@ -32,10 +31,10 @@ const notUTF8 = "\xff\xfe\x00bad\x80"
 // wireCases covers each message with zero, typical and extreme values.
 func wireCases() []transport.Wire {
 	big := bytes.Repeat([]byte("0123456789abcdef"), 3<<16) // 3 MiB
-	sum := func(s string) [sha1.Size]byte { return sha1.Sum([]byte(s)) }
+	sum := func(s string) hashing.Digest { return hashing.BlockDigest([]byte(s)) }
 	small := Metadata{
 		Name: "out/part-0003", Owner: "alice", Perm: PermPublic, Size: 5, BlockSize: 1 << 20,
-		BlockKeys: []hashing.Key{hashing.KeyOfString("out/part-0003")}, BlockSums: [][sha1.Size]byte{sum("block")},
+		BlockKeys: []hashing.Key{hashing.KeyOfString("out/part-0003")}, BlockSums: []hashing.Digest{sum("block")},
 		Created: time.Date(2017, 9, 5, 12, 30, 0, 0, time.UTC),
 	}
 	// What travels beside a block, and the extremes the codec carries
@@ -103,27 +102,27 @@ func wireCases() []transport.Wire {
 		&Metadata{},
 		&Metadata{
 			Name: "corpus.txt", Owner: "alice", Perm: PermPublic, Size: 3 << 26, BlockSize: 64 << 20,
-			BlockKeys: []hashing.Key{0, 7, maxKey}, BlockSums: [][sha1.Size]byte{sum("a"), sum("b"), sum("c")},
+			BlockKeys: []hashing.Key{0, 7, maxKey}, BlockSums: []hashing.Digest{sum("a"), sum("b"), sum("c")},
 			Created: time.Date(2017, 9, 5, 12, 30, 0, 123456789, time.UTC),
 		},
 		&Metadata{
 			Name: notUTF8, Perm: 255, BlockSize: math.MinInt,
-			BlockKeys: []hashing.Key{}, BlockSums: [][sha1.Size]byte{},
+			BlockKeys: []hashing.Key{}, BlockSums: []hashing.Digest{},
 			Created: time.Date(-9, 1, 1, 0, 0, 0, 0, time.FixedZone("odd", -(7*3600+1800))),
 		},
 		// Every key has its digest, whatever the digest holds.
-		&Metadata{Name: "zeros", BlockSize: 1, BlockKeys: []hashing.Key{maxKey, 0}, BlockSums: [][sha1.Size]byte{{}, sum("z")}},
+		&Metadata{Name: "zeros", BlockSize: 1, BlockKeys: []hashing.Key{maxKey, 0}, BlockSums: []hashing.Digest{{}, sum("z")}},
 		&wide,
 		// Blocks whose total size overflows an int64 hold any size.
-		&Metadata{Name: "vast", Size: 10, BlockSize: 1 << 62, BlockKeys: []hashing.Key{1, 2, 3, 4}, BlockSums: make([][sha1.Size]byte, 4)},
+		&Metadata{Name: "vast", Size: 10, BlockSize: 1 << 62, BlockKeys: []hashing.Key{1, 2, 3, 4}, BlockSums: make([]hashing.Digest, 4)},
 		&putFileReq{},
 		&putFileReq{Meta: small, Check: check, Data: []byte("block")},
-		&putFileReq{Meta: Metadata{Name: notUTF8, BlockSize: 1, BlockKeys: []hashing.Key{0, maxKey}, BlockSums: [][sha1.Size]byte{{}, sum("b")}}},
+		&putFileReq{Meta: Metadata{Name: notUTF8, BlockSize: 1, BlockKeys: []hashing.Key{0, maxKey}, BlockSums: []hashing.Digest{{}, sum("b")}}},
 		&putFileReq{Meta: small, Check: noSum, Data: big},
 		&getFileResp{},
 		&getFileResp{Meta: small, HasData: true, Check: check, Data: []byte("block")},
 		&getFileResp{Meta: small, HasData: true, Check: noSum, Data: []byte{}},
-		&getFileResp{Meta: Metadata{Name: "corpus.txt", BlockSize: 1 << 20, BlockKeys: []hashing.Key{1, 2, 3}, BlockSums: make([][sha1.Size]byte, 3)}},
+		&getFileResp{Meta: Metadata{Name: "corpus.txt", BlockSize: 1 << 20, BlockKeys: []hashing.Key{1, 2, 3}, BlockSums: make([]hashing.Digest, 3)}},
 		&getFileResp{Meta: small, HasData: true, Check: check, Data: big},
 		&dropJobReq{},
 		&dropJobReq{Job: "job:wc-1", User: "alice", Files: []string{"_mr/journal/wc-1"}},
@@ -148,7 +147,7 @@ func TestWireMetadataLocalTime(t *testing.T) {
 // metaSized is a file's metadata with the given size, block size and
 // number of blocks.
 func metaSized(size int64, blockSize, blocks int) Metadata {
-	m := Metadata{Name: "sized", Size: size, BlockSize: blockSize, BlockSums: make([][sha1.Size]byte, blocks)}
+	m := Metadata{Name: "sized", Size: size, BlockSize: blockSize, BlockSums: make([]hashing.Digest, blocks)}
 	for i := 0; i < blocks; i++ {
 		m.BlockKeys = append(m.BlockKeys, hashing.BlockKey(m.Name, i))
 	}
@@ -162,8 +161,8 @@ func metaSized(size int64, blockSize, blocks int) Metadata {
 func TestWireHostileCounts(t *testing.T) {
 	huge := transport.AppendUvarint(nil, math.MaxUint64)
 	check := slices.Clip(AppendBlockCheck(nil, BlockCheck{})) // what sits before a block's length
-	digestShort := Metadata{Name: "short", BlockKeys: []hashing.Key{1, 2}, BlockSums: make([][sha1.Size]byte, 1)}
-	blockShort := Metadata{Name: "long", BlockKeys: []hashing.Key{1}, BlockSums: make([][sha1.Size]byte, 2)}
+	digestShort := Metadata{Name: "short", BlockKeys: []hashing.Key{1, 2}, BlockSums: make([]hashing.Digest, 1)}
+	blockShort := Metadata{Name: "long", BlockKeys: []hashing.Key{1}, BlockSums: make([]hashing.Digest, 2)}
 	// Sizes no upload writes: ReadFile sizes its result by them.
 	negSize, overSize, noBlocks, zeroBlockSize, vastSize := metaSized(-5, 4, 1), metaSized(9, 4, 2), metaSized(1, 4, 0), metaSized(0, 0, 1), metaSized(math.MaxInt64, 1<<62, 1)
 	cases := map[string]struct {
@@ -224,7 +223,7 @@ func TestWireHostileCounts(t *testing.T) {
 // nothing writes through the view.
 func TestWireDataAliasesBodyAndStoreKeepsIt(t *testing.T) {
 	payload := bytes.Repeat([]byte("payload-"), 512)
-	check := BlockCheck{CRC: BlockCRC(payload), Sum: SumBlock(payload)}
+	check := BlockCheck{CRC: BlockCRC(payload), Sum: hashing.BlockDigest(payload)}
 	block, err := transport.Encode(putBlockReq{Key: 9, Check: check, Data: payload})
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +301,7 @@ func TestSelfCallSharesNoMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantKey, wantSum := meta.BlockKeys[0], meta.BlockSums[0]
-			meta.BlockKeys[0], meta.BlockSums[0] = 0, [sha1.Size]byte{}
+			meta.BlockKeys[0], meta.BlockSums[0] = 0, hashing.Digest{}
 			got, err := svc.Lookup(ctx, "f", "u")
 			if err != nil {
 				t.Fatal(err)
@@ -339,7 +338,7 @@ func TestSelfCallSharesNoMemory(t *testing.T) {
 func TestReadFileRefusesImpossibleSize(t *testing.T) {
 	for name, meta := range map[string]Metadata{
 		"negative": {Name: "f", Size: -5},
-		"oversize": {Name: "f", Size: 10, BlockSize: 4, BlockKeys: []hashing.Key{1}, BlockSums: make([][sha1.Size]byte, 1)},
+		"oversize": {Name: "f", Size: 10, BlockSize: 4, BlockKeys: []hashing.Key{1}, BlockSums: make([]hashing.Digest, 1)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			tc := newTestCluster(t, 2, 2)
@@ -385,7 +384,7 @@ func BenchmarkWire(b *testing.B) {
 		meta := &Metadata{Name: "corpus/part-0007", Owner: "bench", Perm: PermPublic, Size: 64 << 20, BlockSize: 1 << 20, Created: time.Now().Round(0)}
 		for i := 0; i < 64; i++ {
 			meta.BlockKeys = append(meta.BlockKeys, hashing.BlockKey(meta.Name, i))
-			meta.BlockSums = append(meta.BlockSums, sha1.Sum([]byte{byte(i)}))
+			meta.BlockSums = append(meta.BlockSums, hashing.BlockDigest([]byte{byte(i)}))
 		}
 		wiretest.Bench(b, meta)
 	})

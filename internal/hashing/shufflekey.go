@@ -37,13 +37,7 @@ func ShuffleKey[K string | []byte](key K) Key {
 	case rest > 0:
 		a = uint64(key[i])<<16 | uint64(key[i+rest>>1])<<8 | uint64(key[n-1])
 	}
-	h = fold(a^shuffleM2, b^h)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return Key(h)
+	return Key(fmix64(fold(a^shuffleM2, b^h)))
 }
 
 // Odd 64-bit constants with about half their bits set (wyhash's).

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"bytes"
 	"context"
-	"crypto/sha1"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -24,12 +23,12 @@ var sumCheck struct {
 
 func init() {
 	// The map fails unless its input is, before and after it yields the
-	// processor, one of the blocks whose SHA-1 digests the "sums" parameter
+	// processor, one of the blocks whose digests the "sums" parameter
 	// lists: a buffer recycled under a running task shows as a mismatch.
 	Register("test-sumcheck", App{
 		Map: func(params Params, input []byte, emit Emit) error {
 			for pass := 0; pass < 2; pass++ {
-				sum := sha1.Sum(input)
+				sum := hashing.BlockDigest(input)
 				if !bytes.Contains(params["sums"], sum[:]) {
 					sumCheck.mismatched.Add(1)
 					return fmt.Errorf("input of %d bytes (%x...) is no block of the job's file", len(input), input[:4])
@@ -266,7 +265,7 @@ func BenchmarkColdBlockRead(b *testing.B) {
 			ids := make([]cache.BlockID, blocks)
 			for i := range ids {
 				block[0] = byte(i)
-				ids[i] = cache.BlockID{Key: hashing.BlockKey("cold", i), Sum: dhtfs.SumBlock(block)}
+				ids[i] = cache.BlockID{Key: hashing.BlockKey("cold", i), Sum: hashing.BlockDigest(block)}
 				if err := store.PutBlock(ids[i].Key, block); err != nil {
 					b.Fatal(err)
 				}

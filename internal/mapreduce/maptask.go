@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"crypto/sha1"
 	"errors"
 	"time"
 
@@ -37,7 +36,7 @@ type mapTask struct {
 	t scheduler.Task
 	// sum is the digest the input file's metadata records for the task's
 	// block.
-	sum [sha1.Size]byte
+	sum hashing.Digest
 	// attempt tags the task's current execution. Only fail and rearm
 	// move it, always up, so it stays at or above the generation's
 	// attemptBase and above every attempt the task has pushed.

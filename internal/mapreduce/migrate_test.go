@@ -7,7 +7,6 @@ import (
 
 	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/cache"
-	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/transport"
 )
@@ -15,7 +14,7 @@ import (
 // putCached caches data on w the way a map task over the block does: under
 // the block's ring key and content digest.
 func putCached(w *Worker, k hashing.Key, data string) cache.BlockID {
-	id := cache.BlockID{Key: k, Sum: dhtfs.SumBlock([]byte(data))}
+	id := cache.BlockID{Key: k, Sum: hashing.BlockDigest([]byte(data))}
 	w.Cache().PutBlockVersion(id, blockbuf.Of([]byte(data)))
 	return id
 }

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"bytes"
 	"context"
-	"crypto/sha1"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -132,7 +131,7 @@ func TestMapRequestNamesTaskAndDigest(t *testing.T) {
 	w := ec.workers[ec.ids[0]]
 	for name, drop := range map[string]func(*RunMapReq){
 		"no task":   func(r *RunMapReq) { r.Task = "" },
-		"no digest": func(r *RunMapReq) { r.BlockSum = [sha1.Size]byte{} },
+		"no digest": func(r *RunMapReq) { r.BlockSum = hashing.Digest{} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			req := full

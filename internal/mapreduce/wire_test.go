@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"bytes"
-	"crypto/sha1"
 	"fmt"
 	"math"
 	"testing"
@@ -33,7 +32,7 @@ func typicalMapReq() *RunMapReq {
 	return &RunMapReq{
 		Job: "grep-000123", Namespace: "job:grep-000123", App: "grep",
 		Params:   Params{"pattern": []byte("needle[0-9]+")},
-		BlockKey: 0x9e3779b97f4a7c15, BlockSum: sha1.Sum([]byte("block 7")),
+		BlockKey: 0x9e3779b97f4a7c15, BlockSum: hashing.BlockDigest([]byte("block 7")),
 		Task: "grep-000123/m-0007", Attempt: 1,
 		ReduceServers:  []hashing.NodeID{"worker-00", "worker-01", "worker-02", "worker-03"},
 		ReduceBounds:   []hashing.Key{1 << 62, 1 << 63, 3 << 62, maxKey},
@@ -114,7 +113,7 @@ func wireCases() []transport.Wire {
 		typicalMapReq(),
 		&RunMapReq{
 			Job: notUTF8, Params: Params{"": nil, "empty": {}, notUTF8: big[:100000]},
-			BlockKey: maxKey, BlockSum: [sha1.Size]byte(bytes.Repeat([]byte{0xff}, sha1.Size)), Attempt: math.MinInt,
+			BlockKey: maxKey, BlockSum: hashing.Digest(bytes.Repeat([]byte{0xff}, hashing.DigestSize)), Attempt: math.MinInt,
 			ReduceServers: []hashing.NodeID{"", notUTF8}, ReduceBounds: []hashing.Key{0, maxKey},
 			OnlyPartitions: []int{0, -1, math.MaxInt},
 			SpillThreshold: math.MaxInt, TTL: -time.Second,
@@ -140,7 +139,7 @@ func wireCases() []transport.Wire {
 		&CacheRangeResp{},
 		&CacheRangeResp{Blocks: []CachedBlock{}},
 		&CacheRangeResp{Blocks: []CachedBlock{
-			{Key: 1, Check: dhtfs.BlockCheck{CRC: dhtfs.BlockCRC([]byte("a")), Sum: dhtfs.SumBlock([]byte("a"))}, Data: []byte("a")},
+			{Key: 1, Check: dhtfs.BlockCheck{CRC: dhtfs.BlockCRC([]byte("a")), Sum: hashing.BlockDigest([]byte("a"))}, Data: []byte("a")},
 			{},
 			{Key: maxKey, Check: dhtfs.BlockCheck{CRC: math.MaxUint32}, Data: big},
 		}},

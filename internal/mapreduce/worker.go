@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"context"
-	"crypto/sha1"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -28,11 +27,11 @@ type (
 		Params    Params
 		// BlockKey identifies the input block in the DHT file system.
 		BlockKey hashing.Key
-		// BlockSum is the block's SHA-1 from the input file's metadata. It
+		// BlockSum is the block's digest from the input file's metadata. It
 		// names the version every copy read is checked against and, with
 		// BlockKey, what iCache holds of the block, so entries a deleted
 		// file left behind under the same key are never served. Required.
-		BlockSum [sha1.Size]byte
+		BlockSum hashing.Digest
 		// Task names the map task and Attempt counts its executions
 		// (0-based), so spills from retried or re-dispatched attempts
 		// supersede rather than duplicate earlier ones. Required.
@@ -195,7 +194,7 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	if err != nil {
 		return RunMapResp{}, err
 	}
-	if req.Task == "" || req.BlockSum == ([sha1.Size]byte{}) {
+	if req.Task == "" || req.BlockSum == (hashing.Digest{}) {
 		return RunMapResp{}, fmt.Errorf("mapreduce: map request names no task or no block digest (task %q)", req.Task)
 	}
 	if len(req.ReduceServers) == 0 || len(req.ReduceServers) != len(req.ReduceBounds) {
