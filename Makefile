@@ -18,9 +18,10 @@ check:
 # recovery and resume all go through one per-task state machine
 # whose risks are schedule-dependent, and a block buffer released too
 # early is overwritten only in race builds (internal/blockbuf), as is a
-# worker's combine state when a map task gives it back. This is the one
-# list: CI and scripts/check.sh run this target.
-LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep
+# worker's combine state when a map task gives it back and its reduce
+# state when a reduce task does. This is the one list: CI and
+# scripts/check.sh run this target.
+LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse
 lifecycle:
 	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs
 
@@ -52,13 +53,14 @@ bench-repo:
 # against), of the map/reduce kernels
 # (BenchmarkMapEmit/{append,combine,combine-reused}: a
 # map task's emit path per pair, on a fresh and on a worker's lent state;
-# BenchmarkGroupStreams/{sort,wc,shared-prefix,hot-key}: a reduce
-# partition ordered and walked, per pair), of a cold block read
-# through a full iCache
-# (BenchmarkColdBlockRead: B/op is what it costs the collector) and of the
+# BenchmarkGroupStreams/{sort,wc,shared-prefix,hot-key,one-bucket}: a
+# reduce partition ordered and walked, per pair, on a worker's lent
+# state), of a cold block read through a full iCache
+# (BenchmarkColdBlockRead: B/op is what it costs the collector), of the
 # applications' map functions (k-means with and without a decoded split,
-# grep, the line walk, the word-count tokenizer) compiled and run once, so
-# none can rot. This is the one list: CI runs this target. For numbers,
+# grep, the line walk, the word-count tokenizer) and of sort's and word
+# count's reducers (BenchmarkReduceFuncs: 0 allocs/op) compiled and run
+# once, so none can rot. This is the one list: CI runs this target. For numbers,
 # raise -benchtime.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/hashing ./internal/transport ./internal/dhtfs ./internal/mapreduce ./internal/apps

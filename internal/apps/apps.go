@@ -134,8 +134,32 @@ func sumReduce(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.E
 		}
 		total += n
 	}
-	var digits [20]byte // fits any int64
-	return emit(key, strconv.AppendInt(digits[:0], total, 10))
+	return emit(key, decimal(total))
+}
+
+// decimals[n] is n in decimal for every n below len(decimals): the counts
+// sumReduce and sortReduce emit for nearly every key, shared and
+// read-only (emit copies what it is handed, mapreduce.Emit), so that a
+// count costs no allocation. Every entry's capacity is its length, and
+// all of them lie in one array.
+var decimals = func() [][]byte {
+	table := make([][]byte, 1<<10)
+	digits := make([]byte, 0, 4*len(table))
+	for n := range table {
+		at := len(digits)
+		digits = strconv.AppendInt(digits, int64(n), 10)
+		table[n] = digits[at:len(digits):len(digits)]
+	}
+	return table
+}()
+
+// decimal is n in decimal: an entry of decimals, or new bytes for a
+// count outside the table.
+func decimal(n int64) []byte {
+	if uint64(n) < uint64(len(decimals)) {
+		return decimals[n]
+	}
+	return strconv.AppendInt(nil, n, 10)
 }
 
 // grepMap emits matching lines; the pattern comes from the "pattern"
@@ -231,7 +255,7 @@ func sortMap(_ mapreduce.Params, input []byte, emit mapreduce.Emit) error {
 // sortReduce emits each distinct record with its multiplicity; within a
 // partition the output is key-sorted.
 func sortReduce(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.Emit) error {
-	return emit(key, []byte(strconv.Itoa(len(values))))
+	return emit(key, decimal(int64(len(values))))
 }
 
 // splitLines iterates the block's non-empty lines in place.

@@ -100,3 +100,24 @@ func BenchmarkWordCountMap(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReduceFuncs: sort's and word count's reducers per key, with an
+// emit that copies as the engine's does; sort's key has one value (a
+// distinct record), word count's a hundred "1"s.
+func BenchmarkReduceFuncs(b *testing.B) {
+	emit, _ := copyingEmit()
+	for _, c := range []struct {
+		name   string
+		reduce mapreduce.ReduceFunc
+		values [][]byte
+	}{{"sort", sortReduce, ones(1)}, {"sum", sumReduce, ones(100)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.reduce(nil, "0123456789ABCDEFGHIJKLMNOPQRSTU", c.values, emit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

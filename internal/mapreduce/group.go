@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
+	"unsafe"
 
 	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/hashing"
@@ -163,12 +166,12 @@ const poisonByte = 0xDB
 
 var poisonedValue = bytes.Repeat([]byte{poisonByte}, 8)
 
-// pairRec is one pair of a reduce partition as the ordering kernel sees
-// it: where the pair sits, and the digit of its key being ordered on.
+// pairRec is one pair of a reduce bucket as the ordering kernel sees it:
+// where the pair sits in the scatter buffer, and the digit of its key
+// being ordered on.
 type pairRec struct {
-	digit  uint64
-	stream uint32
-	off    uint32 // of the pair in streams[stream]
+	digit uint64
+	off   int // of the pair in streamOrder.buf
 }
 
 // keyDigit is what the order looks at in key at one level. Even levels
@@ -182,7 +185,8 @@ type pairRec struct {
 // that end at the same byte are equal. Keys read digit by digit in this
 // way order as they do byte by byte. A key is asked for no window beyond
 // the first that holds none of its bytes: the count there is 0, which
-// only an equal key shares.
+// only an equal key shares. The walk hands it the keys of a bucket from
+// the bucket's base on: the bytes before are the same in all of them.
 func keyDigit(key []byte, level int) uint64 {
 	rest := key[level/2*8:]
 	switch {
@@ -190,6 +194,10 @@ func keyDigit(key []byte, level int) uint64 {
 		return uint64(min(len(rest), 8))
 	case len(rest) >= 8:
 		return binary.BigEndian.Uint64(rest)
+	case cap(rest) >= 8:
+		// What follows the key in its buffer is read with it and masked
+		// off: one load, not a byte at a time.
+		return binary.BigEndian.Uint64(rest[:8]) &^ (math.MaxUint64 >> (8 * len(rest)))
 	}
 	var w uint64
 	for _, b := range rest {
@@ -198,22 +206,35 @@ func keyDigit(key []byte, level int) uint64 {
 	return w << (8 * (8 - len(rest)))
 }
 
-// The kernel's records hold a stream's index and an offset into it in 32
-// bits each, and it counts pairs in an int32's range. Variables so that a
-// test can reach the limits without 4 GiB of input.
-var (
-	maxStreamLen uint64 = math.MaxUint32
-	maxPairs            = math.MaxInt32
-)
+// The kernel counts pairs in an int32's range (radixSort's counts are
+// 32-bit). A variable so that a test can reach the limit without 2^31
+// pairs.
+var maxPairs = math.MaxInt32
+
+// buckets is how many the scatter makes: one for the keys that end at the
+// partition's depth and one per value of the byte there.
+const buckets = 1 + 256
 
 // streamOrder is a reduce partition's pairs put in the order its reducer
 // reads them: by key, byte-wise, and arrival order (stream by stream, then
-// offset) among the pairs of one key.
+// offset) among the pairs of one key. It is also the memory that order is
+// made in, which a Worker lends its reduce tasks (borrowReduceState).
 type streamOrder struct {
-	streams [][]byte
-	// recs is one record per pair; tmp, as long, is where a radix pass
-	// puts what it reads from the other.
-	recs, tmp []pairRec
+	// buf holds the partition's pairs, encoded as in their streams,
+	// scattered bucket by bucket in arrival order; bucket b ends at
+	// ends[b] and starts where bucket b-1 ends.
+	buf  []byte
+	ends [buckets]int
+	// depth is the first position at which the partition's keys differ.
+	// Bucket 0 holds the pairs whose key ends there, all of them equal,
+	// and bucket 1+c those whose key has byte c there.
+	depth int
+	// base is where the keys of the bucket being walked start to differ:
+	// depth in bucket 0, depth+1 in the others.
+	base int
+	// recs is room for the largest bucket's records and as many again,
+	// where a radix pass puts what it reads from the others.
+	recs []pairRec
 	// keys holds the copy of every key handed out so far; it is made
 	// with room for all of them and so never moves.
 	keys strings.Builder
@@ -221,62 +242,137 @@ type streamOrder struct {
 	values [][]byte
 }
 
-// groupStreams orders the concatenation of encoded streams for each,
-// without concatenating them, hashing a key or comparing two whole keys to
-// order them. It validates every stream before anything else happens, and
-// fails if a stream is 4 GiB or longer or the pairs number more than
-// 2^31-1. The streams must stay as they are until each has returned: keys
-// and values are read, and the values handed out, where they lie.
-//
-// One record per pair (16 bytes) carries the first eight bytes of the
-// key; a stable LSD radix sort puts the records in the order of those
-// bytes, and each finishes the order run by run (walk). Nothing else is
-// allocated but room for one copy of each distinct key and the scratch
-// slice of a group's values.
+// groupStreams orders the concatenation of encoded streams for each, in a
+// new streamOrder (see group).
 func groupStreams(streams [][]byte) (*streamOrder, error) {
-	pairs, keyBytes := 0, 0
+	g := new(streamOrder)
+	if err := g.group(streams); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// group orders the concatenation of encoded streams for each, without
+// hashing a key or comparing two whole keys to order them. It validates
+// every stream before anything else happens, and fails if the pairs
+// number more than 2^31-1. The streams are read only here: each reads the
+// pairs from g's scatter buffer, which holds the values it hands out.
+//
+// The counting pass finds where the keys first differ (depth) and what
+// each bucket at that byte will hold; the scatter then copies every pair
+// into its bucket, and each orders one bucket at a time while its bytes
+// are in cache. A prefix all keys share costs no pass: the buckets, and
+// the first digit of each key's records (keyDigit), start past it.
+// Nothing is allocated but room for one copy of each distinct key and,
+// when g's are too small, the scatter buffer, the records and the values
+// scratch.
+func (g *streamOrder) group(streams [][]byte) error {
+	var pairsIn, bytesIn [buckets]int
+	pairs, total, keyBytes := 0, 0, 0
+	var first []byte
+	depth := -1
 	for _, data := range streams {
-		if uint64(len(data)) > maxStreamLen {
-			return nil, fmt.Errorf("mapreduce: a stream of %d bytes to group, the kernel takes at most %d", len(data), maxStreamLen)
-		}
-		for off := 0; off < len(data); pairs++ {
+		for off := 0; off < len(data); {
 			key, _, next, err := nextKV(data, off)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			keyBytes += len(key)
+			if depth < 0 {
+				first, depth = key, len(key)
+			} else if d := commonPrefix(first[:depth], key); d < depth {
+				// Every key so far shares first's bytes up to the old
+				// depth: its byte at d is first's.
+				pairsIn, bytesIn = [buckets]int{}, [buckets]int{}
+				pairsIn[1+int(first[d])], bytesIn[1+int(first[d])] = pairs, total
+				depth = d
+			}
+			b := bucketOf(key, depth)
+			pairsIn[b]++
+			bytesIn[b] += next - off
+			pairs, total, keyBytes = pairs+1, total+next-off, keyBytes+len(key)
 			off = next
 		}
 	}
 	if pairs > maxPairs {
-		return nil, fmt.Errorf("mapreduce: %d pairs to group, the kernel takes at most %d", pairs, maxPairs)
+		return fmt.Errorf("mapreduce: %d pairs to group, the kernel takes at most %d", pairs, maxPairs)
 	}
-	both := make([]pairRec, 2*pairs)
-	g := &streamOrder{streams: streams, recs: both[:pairs:pairs], tmp: both[pairs:]}
-	g.keys.Grow(keyBytes)
-	i := 0
-	for s, data := range streams {
-		for off := 0; off < len(data); i++ {
-			r := pairRec{stream: uint32(s), off: uint32(off)}
-			key, value := g.pair(r)
-			r.digit = keyDigit(key, 0)
-			g.recs[i] = r
-			off += 8 + len(key) + len(value)
+	g.depth = max(depth, 0)
+	g.buf = slices.Grow(g.buf[:0], total)[:total]
+	most, at := 0, 0
+	for b := range g.ends {
+		g.ends[b] = at // the bucket's start, until the scatter has filled it
+		at += bytesIn[b]
+		most = max(most, pairsIn[b])
+	}
+	for _, data := range streams {
+		for off := 0; off < len(data); {
+			klen := int(binary.BigEndian.Uint32(data[off:]))
+			next := off + 8 + klen + int(binary.BigEndian.Uint32(data[off+4+klen:]))
+			b := bucketOf(data[off+4:off+4+klen], g.depth)
+			g.ends[b] += copy(g.buf[g.ends[b]:], data[off:next])
+			off = next
 		}
 	}
-	radixSort(g.recs, g.tmp)
-	return g, nil
+	if cap(g.recs) < 2*most {
+		g.recs = make([]pairRec, 2*most)
+	}
+	g.keys = strings.Builder{}
+	g.keys.Grow(keyBytes)
+	return nil
+}
+
+// commonPrefix is the length of the longest prefix a and b share.
+func commonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// bucketOf is the scatter bucket of key, which is at least depth long.
+func bucketOf(key []byte, depth int) int {
+	if len(key) == depth {
+		return 0
+	}
+	return 1 + int(key[depth])
+}
+
+// reset readies g for its next partition. The keys handed out stay with
+// whoever kept them; in race builds the scatter buffer is overwritten
+// (poisonArena), so a reducer that kept a value past its call reads
+// poison in the worker's next partition.
+func (g *streamOrder) reset() {
+	poisonArena(g.buf)
+	g.buf = g.buf[:0]
+	g.ends = [buckets]int{}
+	g.keys = strings.Builder{}
+}
+
+// footprint is the bytes g's arrays hold.
+func (g *streamOrder) footprint() int {
+	return cap(g.buf) + cap(g.recs)*int(unsafe.Sizeof(pairRec{})) + cap(g.values)*int(unsafe.Sizeof([]byte(nil)))
 }
 
 // smallRun is the longest run sorted by insertion: a radix pass counts
 // 256 buckets whatever it sorts, which a few records do not repay.
 const smallRun = 16
 
-// radixSort puts recs in ascending order of digit and keeps the order of
-// records with equal digits. tmp is scratch of the same length. A byte of
-// the digit that is the same in every record costs no pass: keys that are
-// short, or drawn from a small alphabet, take fewer than eight.
-func radixSort(recs, tmp []pairRec) {
+// radixSort puts recs in order of their digits' high bytes and keeps the
+// order of records that tie on them; it returns how many low bits of the
+// digit it left unsorted. tmp is scratch of the same length. Only bytes
+// that vary among recs cost a pass, and only as many of them, from the
+// highest down, as tell len(recs) keys apart at two bits a byte, which
+// the bytes of real keys carry: recs that tie on them are few, and the
+// walk sorts each such run by the rest of its digits. A run of smallRun
+// or fewer is sorted by insertion on the whole digit.
+func radixSort(recs, tmp []pairRec) (low int) {
 	if len(recs) <= smallRun {
 		for i := 1; i < len(recs); i++ {
 			r := recs[i]
@@ -286,14 +382,19 @@ func radixSort(recs, tmp []pairRec) {
 			}
 			recs[j] = r
 		}
-		return
+		return 0
 	}
 	var varies uint64
 	for _, r := range recs[1:] {
 		varies |= r.digit ^ recs[0].digit
 	}
+	for shift, keep := 56, bits.Len(uint(len(recs)))/2; shift >= 0 && keep > 0; shift -= 8 {
+		if varies>>shift&0xff != 0 {
+			low, keep = shift, keep-1
+		}
+	}
 	from, to := recs, tmp
-	for shift := 0; shift < 64; shift += 8 {
+	for shift := low; shift < 64; shift += 8 {
 		if varies>>shift&0xff == 0 {
 			continue
 		}
@@ -316,70 +417,95 @@ func radixSort(recs, tmp []pairRec) {
 	if &from[0] != &recs[0] {
 		copy(recs, from)
 	}
+	return low
 }
 
 // each calls fn once per distinct key, in key order, with the key's
 // values in arrival order. values and the bytes behind it are fn's until
-// it returns (the ReduceFunc contract); key is fn's to keep. each consumes
-// the order: call it once.
+// it returns (the ReduceFunc contract); key is fn's to keep. It orders one
+// bucket at a time: one record per pair, the first digit taken at the
+// bucket's base, a stable radix sort and a walk over the runs. each
+// consumes the order: call it once.
 func (g *streamOrder) each(fn func(key string, values [][]byte) error) error {
-	return g.walk(g.recs, g.tmp, 0, fn)
+	start := 0
+	for b, end := range g.ends {
+		if end == start {
+			continue
+		}
+		g.base = g.depth + min(b, 1)
+		n := 0
+		for off := start; off < end; n++ {
+			klen := int(binary.BigEndian.Uint32(g.buf[off:]))
+			g.recs[n] = pairRec{digit: keyDigit(g.buf[off+4+g.base:off+4+klen], 0), off: off}
+			off += 8 + klen + int(binary.BigEndian.Uint32(g.buf[off+4+klen:]))
+		}
+		if err := g.walk(g.recs[:n:n], g.recs[n:2*n], 0, fn); err != nil {
+			return err
+		}
+		start = end
+	}
+	return nil
 }
 
-// walk finishes the order of recs, whose keys have equal digits before
-// level and which radixSort has ordered by the digit at level, and calls
-// fn for their groups. A run of equal digits is nearly always one key, and
-// the stable sort has left its pairs in arrival order; a run that is not
-// one key is ordered by the next digit in the same way.
+// walk orders recs, whose keys have equal digits before level, by the
+// digit at level, and calls fn for their groups. A run of equal digits is
+// nearly always one key, and the stable sort has left its pairs in arrival
+// order; a run that ties only on the digits' high bytes radixSort looked
+// at is ordered by the whole digit, and a run that is not one key by the
+// next digit, in the same way.
 func (g *streamOrder) walk(recs, tmp []pairRec, level int, fn func(key string, values [][]byte) error) error {
+	low := radixSort(recs, tmp)
 	for len(recs) > 0 {
 		n := 1
-		for n < len(recs) && recs[n].digit == recs[0].digit {
+		for n < len(recs) && recs[n].digit>>low == recs[0].digit>>low {
 			n++
 		}
 		run := recs[:n]
-		if g.oneKey(run) {
+		next := level
+		switch {
+		case g.oneKey(run):
 			if err := g.reduce(run, fn); err != nil {
 				return err
 			}
-		} else {
+			recs, tmp = recs[n:], tmp[n:]
+			continue
+		case slices.ContainsFunc(run, func(r pairRec) bool { return r.digit != run[0].digit }):
+			// Ties on the high bytes only: the run is ordered at this level.
+		default:
 			// Order the run by the next digit its keys differ in. Going
 			// past the digits they share here, not one call each, lets the
 			// calls nest as deep as the keys are many, not as they are long.
-			next := level
 			for differ := false; !differ; {
 				next++
 				for i, r := range run {
-					run[i].digit = keyDigit(g.key(r), next)
+					run[i].digit = keyDigit(g.rest(r), next)
 					differ = differ || run[i].digit != run[0].digit
 				}
 			}
-			radixSort(run, tmp[:n])
-			if err := g.walk(run, tmp[:n], next, fn); err != nil {
-				return err
-			}
+		}
+		if err := g.walk(run, tmp[:n], next, fn); err != nil {
+			return err
 		}
 		recs, tmp = recs[n:], tmp[n:]
 	}
 	return nil
 }
 
-// pair is r's key and value, where they lie in their stream. It reads the
-// lengths groupStreams has validated.
+// pair is r's key and value, where they lie in the scatter buffer.
 func (g *streamOrder) pair(r pairRec) (key, value []byte) {
-	data := g.streams[r.stream][r.off:]
+	data := g.buf[r.off:]
 	klen := int(binary.BigEndian.Uint32(data))
 	vlen := int(binary.BigEndian.Uint32(data[4+klen:]))
 	end := 8 + klen + vlen
 	return data[4 : 4+klen : 4+klen], data[8+klen : end : end]
 }
 
-// key is pair's key without a look at the value's length: the walk asks
-// for keys far more often than for pairs.
-func (g *streamOrder) key(r pairRec) []byte {
-	data := g.streams[r.stream][r.off:]
+// rest is r's key from the bucket's base on, without a look at the
+// value's length: the walk asks for keys far more often than for pairs.
+func (g *streamOrder) rest(r pairRec) []byte {
+	data := g.buf[r.off:]
 	klen := int(binary.BigEndian.Uint32(data))
-	return data[4 : 4+klen : 4+klen]
+	return data[4+g.base : 4+klen]
 }
 
 // oneKey reports whether every pair of run has the same key.
@@ -387,9 +513,9 @@ func (g *streamOrder) oneKey(run []pairRec) bool {
 	if len(run) == 1 {
 		return true
 	}
-	first := g.key(run[0])
+	first := g.rest(run[0])
 	for _, r := range run[1:] {
-		if !bytes.Equal(g.key(r), first) {
+		if !bytes.Equal(g.rest(r), first) {
 			return false
 		}
 	}
@@ -420,8 +546,8 @@ func (g *streamOrder) reduce(run []pairRec, fn func(key string, values [][]byte)
 // key order. Within a group the values keep the pairs' relative order:
 // the reducer contract. It is groupStreams over kvs encoded as one
 // stream: kvs is not modified, the groups' values are copies (a nil value
-// comes back empty), and it panics where groupStreams fails, on 4 GiB of
-// encoded pairs or more than 2^31-1 of them.
+// comes back empty), and it panics where groupStreams fails, on more than
+// 2^31-1 pairs.
 func GroupByKey(kvs []KV) []Group {
 	if len(kvs) == 0 {
 		return nil

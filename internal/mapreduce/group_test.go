@@ -124,6 +124,45 @@ func groupingCases() map[string][]KV {
 		}
 		cases[name] = kvs
 	}
+	// The scatter's edges: a prefix every key shares past one window (the
+	// buckets, and the first digit of each record, start after it); the
+	// empty key beside NUL keys (bucket 0 beside bucket 1); first bytes at
+	// both ends of the byte range; buckets of exactly smallRun and
+	// smallRun+1 pairs; a single pair; and a bucket whose keys tie on the
+	// high bytes radixSort orders by and differ after them.
+	for name, keys := range map[string][]string{
+		"a prefix past one window": {
+			"https://host/user/1", "https://host/user/0", "https://host/user/", "https://host/user/10",
+			"https://host/user/1\x00", "https://host/user/0",
+		},
+		"empty beside NULs":         {"", "\x00", "\x00\x00", "", "\x00\x00\x00\x00\x00\x00\x00\x00", "\x00a"},
+		"first bytes 0x00 and 0xFF": {"\x00", "\xff", "\x00\xff", "\xff\x00", "\xff\xff\xff", "\x00\x00"},
+	} {
+		var kvs []KV
+		for i := 0; i < 4*len(keys); i++ {
+			kvs = append(kvs, KV{Key: keys[rng.Intn(len(keys))], Value: tagged(i)})
+		}
+		cases[name] = kvs
+	}
+	var runs []KV
+	for i := 0; i < 2*smallRun+1; i++ {
+		first := "a" // smallRun pairs, then smallRun+1
+		if i >= smallRun {
+			first = "b"
+		}
+		runs = append(runs, KV{Key: first + fmt.Sprint(rng.Intn(6)), Value: tagged(i)})
+	}
+	cases["buckets of smallRun and smallRun+1 pairs"] = runs
+	cases["a single pair past one window"] = []KV{{Key: "a key longer than one window", Value: []byte("v")}}
+	var ties []KV
+	for i := 0; i < 600; i++ {
+		key := []byte("t")
+		for j := 0; j < 9; j++ {
+			key = append(key, byte('a'+rng.Intn(2)))
+		}
+		ties = append(ties, KV{Key: string(key), Value: tagged(i)})
+	}
+	cases["ties past the sorted bytes"] = ties
 	var equal, distinct, prefixes, random, big, hot, long []KV
 	for i := 0; i < 500; i++ {
 		equal = append(equal, KV{Key: "same", Value: tagged(i)})
@@ -215,51 +254,47 @@ func TestGroupStreamsRejectsCorruptStream(t *testing.T) {
 	}
 }
 
-// TestGroupStreamsLimits: the kernel's records hold 32-bit offsets and it
-// counts pairs in an int32's range; input past either is refused, before
-// any group is handed out, never wrapped.
+// TestGroupStreamsLimits: the kernel counts pairs in an int32's range;
+// input past it is refused, before any group is handed out, never
+// wrapped. The limit is the partition's, not each stream's. (Its records
+// hold a pair's place in the scatter buffer as an int, so no stream or
+// partition length is limited below what memory holds.)
 func TestGroupStreamsLimits(t *testing.T) {
 	kvs := []KV{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("2")}, {Key: "a", Value: []byte("3")}}
 	one := EncodeKVs(kvs)
-	defer func(l uint64, p int) { maxStreamLen, maxPairs = l, p }(maxStreamLen, maxPairs)
+	defer func(p int) { maxPairs = p }(maxPairs)
 
-	maxStreamLen = uint64(len(one)) - 1
-	if _, err := groupStreams([][]byte{one}); err == nil || !strings.Contains(err.Error(), "stream of") {
-		t.Errorf("a stream longer than the limit: %v", err)
-	}
-	// The limit is each stream's, not the partition's.
-	maxStreamLen = uint64(len(one))
-	if got := streamGroups(t, [][]byte{one, one}); len(got) != 2 || len(got[0].Values) != 4 {
-		t.Errorf("two streams at the limit: %v", got)
-	}
 	maxPairs = 2*len(kvs) - 1
 	if _, err := groupStreams([][]byte{one, one}); err == nil || !strings.Contains(err.Error(), "pairs to group") {
 		t.Errorf("more pairs than the limit: %v", err)
 	}
 	maxPairs = 2 * len(kvs)
-	if got := streamGroups(t, [][]byte{one, one}); len(got) != 2 {
+	if got := streamGroups(t, [][]byte{one, one}); len(got) != 2 || len(got[0].Values) != 4 {
 		t.Errorf("pairs at the limit: %v", got)
 	}
 }
 
-// TestGroupStreamsAllocatesPerPartition: the records, the keys' copies and
-// the values scratch, whatever the pairs and groups number.
+// TestGroupStreamsAllocatesPerPartition: on the reduce state a worker
+// lends, ordering a partition allocates the keys' copies and nothing
+// else, whatever the pairs and groups number.
 func TestGroupStreamsAllocatesPerPartition(t *testing.T) {
 	if blockbuf.RaceEnabled {
 		t.Skip("the race detector allocates too")
 	}
+	w := &Worker{}
 	for name, streams := range reducePartitionShapes() {
 		allocs := testing.AllocsPerRun(5, func() {
-			gd, err := groupStreams(streams)
-			if err != nil {
+			gd := w.borrowReduceState()
+			if err := gd.group(streams); err != nil {
 				t.Fatal(err)
 			}
 			_ = gd.each(func(key string, values [][]byte) error {
 				benchSink += len(key) + len(values)
 				return nil
 			})
+			w.returnReduceState(gd)
 		})
-		if allocs > 8 {
+		if allocs > 1 {
 			t.Errorf("%s: %v allocations for one partition", name, allocs)
 		}
 	}

@@ -98,13 +98,15 @@ func BenchmarkMapEmit(b *testing.B) {
 // in one of four ranges, each block combined: 10 K pairs, 3 K keys),
 // "shared-prefix" URL-like keys that are equal for three of the kernel's
 // eight-byte windows and in a hundred clusters for a fourth, "hot-key" three
-// pairs in four on one key.
+// pairs in four on one key, "one-bucket" sort's keys behind one first
+// byte that all of them share.
 func reducePartitionShapes() map[string][][]byte {
 	one := []byte("1")
 	lines := strings.Fields(string(workloads.Records(1, 16384, 31)))
-	var sortKVs, prefixKVs, hotKVs []KV
+	var sortKVs, prefixKVs, hotKVs, oneBucketKVs []KV
 	for i, l := range lines {
 		sortKVs = append(sortKVs, KV{Key: l, Value: one})
+		oneBucketKVs = append(oneBucketKVs, KV{Key: "/" + l, Value: one})
 		prefixKVs = append(prefixKVs, KV{Key: fmt.Sprintf("https://www.example.org/user/%04d/%s", i%1000, l[:8]), Value: one})
 		if i%4 != 0 {
 			l = "the"
@@ -140,14 +142,16 @@ func reducePartitionShapes() map[string][][]byte {
 		"wc":            wc,
 		"shared-prefix": cutStreams(prefixKVs, 16),
 		"hot-key":       cutStreams(hotKVs, 16),
+		"one-bucket":    cutStreams(oneBucketKVs, 16),
 	}
 }
 
 // BenchmarkGroupStreams is what runReduce does between reading a
-// partition's spills and calling the reducer, per pair.
+// partition's spills and calling the reducer, per pair, on the reduce
+// state a worker lends each partition.
 func BenchmarkGroupStreams(b *testing.B) {
 	shapes := reducePartitionShapes()
-	for _, name := range []string{"sort", "wc", "shared-prefix", "hot-key"} {
+	for _, name := range []string{"sort", "wc", "shared-prefix", "hot-key", "one-bucket"} {
 		streams := shapes[name]
 		pairs, groups := 0, 0
 		for _, s := range streams {
@@ -159,9 +163,10 @@ func BenchmarkGroupStreams(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			w := &Worker{}
 			for i := 0; i < b.N; i++ {
-				gd, err := groupStreams(streams)
-				if err != nil {
+				gd := w.borrowReduceState()
+				if err := gd.group(streams); err != nil {
 					b.Fatal(err)
 				}
 				groups = 0
@@ -172,6 +177,7 @@ func BenchmarkGroupStreams(b *testing.B) {
 				}); err != nil {
 					b.Fatal(err)
 				}
+				w.returnReduceState(gd)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
 			b.ReportMetric(float64(groups), "groups")

@@ -41,7 +41,10 @@ func (p Params) Clone() Params {
 	return out
 }
 
-// Emit receives one intermediate or output key-value pair.
+// Emit receives one intermediate or output key-value pair. Every Emit the
+// engine hands a function copies key and value before it returns, so a
+// function may emit bytes it reuses or shares, read-only, across calls (a
+// table of constant values, say) and allocate nothing per pair.
 type Emit func(key string, value []byte) error
 
 // MapFunc processes one input block. input is the worker's block buffer,
@@ -77,13 +80,15 @@ type MapDecodedFunc func(params Params, split any, emit Emit) error
 // order), then by the task's spill sequence, then in emit order within a
 // spill, on every run of the job, with or without faults: a reducer that
 // sums floating-point values writes the same bits each time.
-// values is the engine's scratch and the bytes behind it are the stored
-// spills (or the emitter's buffer): both are read-only, and valid only
-// until the function returns, when the slice is refilled for the next key.
-// Whatever must outlive the call is copied; emit copies the key and value
-// it is handed, and key is the function's to keep. Builds with -race
-// overwrite values after each call, so a function that kept it reads
-// 0xDB bytes at once.
+// values is the engine's scratch and the bytes behind it are the worker's
+// copy of the partition's spills (or the emitter's arena): both are
+// read-only, and valid only until the function returns, when the slice is
+// refilled for the next key. Whatever must outlive the call is copied;
+// emit copies the key and value it is handed, so a function may emit
+// shared, read-only bytes (a value of its own table, one of values), and
+// key is the function's to keep. Builds with -race overwrite values after
+// each call, and the bytes behind them when the task ends, so a function
+// that kept either reads 0xDB bytes at once.
 type ReduceFunc func(params Params, key string, values [][]byte, emit Emit) error
 
 // App is a registered MapReduce application. It has exactly one map path:

@@ -113,6 +113,9 @@ type Worker struct {
 	// idleCombine is the one combine state no map task holds, nil while a
 	// task has it (see borrowCombineState).
 	idleCombine atomic.Pointer[combineState]
+	// idleReduce is the one reduce state no reduce task holds, nil while
+	// a task has it (see borrowReduceState).
+	idleReduce atomic.Pointer[streamOrder]
 }
 
 // NewWorker builds a Worker bound to the node's file system service and
@@ -338,6 +341,31 @@ func (w *Worker) returnCombineState(s *combineState) {
 	w.idleCombine.CompareAndSwap(nil, s)
 }
 
+// borrowReduceState lends a reduce task the worker's idle reduce state,
+// or a new one when another task holds it; the worker keeps at most one
+// idle, as it does combine states.
+func (w *Worker) borrowReduceState() *streamOrder {
+	if g := w.idleReduce.Swap(nil); g != nil {
+		return g
+	}
+	return new(streamOrder)
+}
+
+// maxIdleReduce bounds the bytes an idle reduce state holds: a state that
+// grew past it to order an outsized partition is dropped when given back,
+// not kept resident for the partitions after.
+const maxIdleReduce = 8 << 20
+
+// returnReduceState resets g, whatever its task's outcome, and keeps it
+// as the idle state unless the worker has one or g has outgrown
+// maxIdleReduce; then it is dropped.
+func (w *Worker) returnReduceState(g *streamOrder) {
+	g.reset()
+	if g.footprint() <= maxIdleReduce {
+		w.idleReduce.CompareAndSwap(nil, g)
+	}
+}
+
 // partitionName is the segment-store partition label for index part.
 func partitionName(part int) string { return fmt.Sprintf("p%04d", part) }
 
@@ -389,11 +417,13 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 		output = AppendKV(output, KV{Key: key, Value: value})
 		return nil
 	}
-	// The kernel orders the pairs where they lie in the encoded streams:
-	// keys and values alias them (they outlive the loop and are never
-	// written), so no pair is copied or hashed on its way to the reducer.
-	groups, err := groupStreams(streams)
+	// The kernel copies the pairs into buckets of the worker's reduce
+	// state and orders them there; no pair is hashed on its way to the
+	// reducer, and the values it is handed alias the state's buffer.
+	groups := w.borrowReduceState()
+	err = groups.group(streams)
 	if err != nil {
+		w.returnReduceState(groups)
 		comp.End()
 		return RunReduceResp{}, fmt.Errorf("mapreduce: partition %d corrupt: %w", req.Partition, err)
 	}
@@ -404,11 +434,18 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 		}
 		return nil
 	})
+	w.returnReduceState(groups)
 	comp.End()
 	if err != nil {
 		return RunReduceResp{}, err
 	}
 	computeTimer.Stop()
+	// The store keeps what it is handed, a local replica as a view of
+	// output's array: an output far smaller than the input it was sized
+	// to is copied, not left pinning that array until the file goes.
+	if cap(output) > 2*len(output) {
+		output = slices.Clone(output)
+	}
 	blockSize := req.OutputBlockSize
 	if blockSize <= 0 {
 		blockSize = 1 << 20
