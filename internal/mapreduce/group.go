@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"unsafe"
 
 	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/hashing"
@@ -344,20 +343,20 @@ func bucketOf(key []byte, depth int) int {
 	return 1 + int(key[depth])
 }
 
-// reset readies g for its next partition. The keys handed out stay with
-// whoever kept them; in race builds the scatter buffer is overwritten
-// (poisonArena), so a reducer that kept a value past its call reads
-// poison in the worker's next partition.
+// reset readies g for its next partition. It lets go of the keys handed
+// out, which stay with whoever kept them; in race builds it overwrites
+// the scatter buffer (poisonArena), so a reducer that kept a value past
+// its call reads poison in the worker's next partition.
 func (g *streamOrder) reset() {
 	poisonArena(g.buf)
 	g.buf = g.buf[:0]
-	g.ends = [buckets]int{}
 	g.keys = strings.Builder{}
 }
 
-// footprint is the bytes g's arrays hold.
+// footprint is the bytes g's arrays hold: a record is 16 bytes, a value's
+// slice header 24.
 func (g *streamOrder) footprint() int {
-	return cap(g.buf) + cap(g.recs)*int(unsafe.Sizeof(pairRec{})) + cap(g.values)*int(unsafe.Sizeof([]byte(nil)))
+	return cap(g.buf) + 16*cap(g.recs) + 24*cap(g.values)
 }
 
 // smallRun is the longest run sorted by insertion: a radix pass counts
@@ -461,20 +460,18 @@ func (g *streamOrder) walk(recs, tmp []pairRec, level int, fn func(key string, v
 			n++
 		}
 		run := recs[:n]
-		next := level
+		var err error
 		switch {
 		case g.oneKey(run):
-			if err := g.reduce(run, fn); err != nil {
-				return err
-			}
-			recs, tmp = recs[n:], tmp[n:]
-			continue
-		case slices.ContainsFunc(run, func(r pairRec) bool { return r.digit != run[0].digit }):
-			// Ties on the high bytes only: the run is ordered at this level.
+			err = g.reduce(run, fn)
+		case low > 0 && slices.ContainsFunc(run, func(r pairRec) bool { return r.digit != run[0].digit }):
+			// Ties on the high bytes only: order the run at this level.
+			err = g.walk(run, tmp[:n], level, fn)
 		default:
 			// Order the run by the next digit its keys differ in. Going
 			// past the digits they share here, not one call each, lets the
 			// calls nest as deep as the keys are many, not as they are long.
+			next := level
 			for differ := false; !differ; {
 				next++
 				for i, r := range run {
@@ -482,8 +479,9 @@ func (g *streamOrder) walk(recs, tmp []pairRec, level int, fn func(key string, v
 					differ = differ || run[i].digit != run[0].digit
 				}
 			}
+			err = g.walk(run, tmp[:n], next, fn)
 		}
-		if err := g.walk(run, tmp[:n], next, fn); err != nil {
+		if err != nil {
 			return err
 		}
 		recs, tmp = recs[n:], tmp[n:]

@@ -352,9 +352,11 @@ func (w *Worker) borrowReduceState() *streamOrder {
 }
 
 // maxIdleReduce bounds the bytes an idle reduce state holds: a state that
-// grew past it to order an outsized partition is dropped when given back,
-// not kept resident for the partitions after.
-const maxIdleReduce = 8 << 20
+// grew past it to order an outsized partition is dropped when given back.
+// An idle state is live heap, which the collector's heap goal doubles: on
+// sort_shuffle the four workers' states (a 640 KiB partition each) raise
+// peak RSS by about a tenth (EXPERIMENTS.md).
+const maxIdleReduce = 4 << 20
 
 // returnReduceState resets g, whatever its task's outcome, and keeps it
 // as the idle state unless the worker has one or g has outgrown
@@ -421,19 +423,17 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 	// state and orders them there; no pair is hashed on its way to the
 	// reducer, and the values it is handed alias the state's buffer.
 	groups := w.borrowReduceState()
-	err = groups.group(streams)
-	if err != nil {
-		w.returnReduceState(groups)
-		comp.End()
-		return RunReduceResp{}, fmt.Errorf("mapreduce: partition %d corrupt: %w", req.Partition, err)
+	if err = groups.group(streams); err != nil {
+		err = fmt.Errorf("mapreduce: partition %d corrupt: %w", req.Partition, err)
+	} else {
+		err = groups.each(func(key string, values [][]byte) error {
+			resp.Keys++
+			if err := app.Reduce(req.Params, key, values, emit); err != nil {
+				return fmt.Errorf("mapreduce: reduce key %q: %w", key, err)
+			}
+			return nil
+		})
 	}
-	err = groups.each(func(key string, values [][]byte) error {
-		resp.Keys++
-		if err := app.Reduce(req.Params, key, values, emit); err != nil {
-			return fmt.Errorf("mapreduce: reduce key %q: %w", key, err)
-		}
-		return nil
-	})
 	w.returnReduceState(groups)
 	comp.End()
 	if err != nil {
