@@ -262,9 +262,8 @@ func groupStreams(streams [][]byte) (*streamOrder, error) {
 // into its bucket, and each orders one bucket at a time while its bytes
 // are in cache. A prefix all keys share costs no pass: the buckets, and
 // the first digit of each key's records (keyDigit), start past it.
-// Nothing is allocated but room for one copy of each distinct key and,
-// when g's are too small, the scatter buffer, the records and the values
-// scratch.
+// Nothing is allocated but room for a copy of every key and, when g's
+// are too small, the scatter buffer, the records and the values scratch.
 func (g *streamOrder) group(streams [][]byte) error {
 	var pairsIn, bytesIn [buckets]int
 	pairs, total, keyBytes := 0, 0, 0
