@@ -345,7 +345,7 @@ func bucketOf(key []byte, depth int) int {
 // reset readies g for its next partition. It lets go of the keys handed
 // out, which stay with whoever kept them; in race builds it overwrites
 // the scatter buffer (poisonArena), so a reducer that kept a value past
-// its call reads poison in the worker's next partition.
+// its call reads poison from the end of its task on.
 func (g *streamOrder) reset() {
 	poisonArena(g.buf)
 	g.buf = g.buf[:0]

@@ -15,7 +15,7 @@ import (
 // TestReduceStateReuseIsInvisible runs partitions of every shape through
 // one worker's reduce state, a corrupt one among them, and checks each
 // against a fresh state's grouping; in race builds a value a reducer kept
-// past its call reads poison in the worker's next partition.
+// past its call reads poison once its task has handed the state back.
 func TestReduceStateReuseIsInvisible(t *testing.T) {
 	w := &Worker{}
 	shapes := reducePartitionShapes()
