@@ -19,9 +19,10 @@ check:
 # whose risks are schedule-dependent, and a block buffer released too
 # early is overwritten only in race builds (internal/blockbuf), as is a
 # worker's combine state when a map task gives it back and its reduce
-# state when a reduce task does. This is the one list: CI and
+# state when a reduce task does; a reduce task of several partitions is
+# lost, recovered and resumed whole. This is the one list: CI and
 # scripts/check.sh run this target.
-LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse
+LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup
 lifecycle:
 	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs
 

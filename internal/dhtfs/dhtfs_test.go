@@ -344,6 +344,54 @@ func TestReReplicateRestoresInvariant(t *testing.T) {
 	}
 }
 
+// TestReReplicateKeepsCopiesItCannotHandOver: a member that has left a
+// key's replica set keeps its copy until every member of the new set has
+// one. Twenty joiners no one can reach take over most of the ring, every
+// old member re-replicates and fails to hand over, and the file must still
+// read once the joiners are evicted.
+func TestReReplicateKeepsCopiesItCannotHandOver(t *testing.T) {
+	ctx := context.Background()
+	tc := newTestCluster(t, 3, 3)
+	svc := tc.services[tc.ids[0]]
+	data := randomData(64*256, 6)
+	if _, err := svc.Upload(ctx, "handover.dat", "alice", PermPublic, data, 256); err != nil {
+		t.Fatal(err)
+	}
+	var joiners []hashing.NodeID
+	for i := 0; i < 20; i++ {
+		joiners = append(joiners, hashing.NodeID(fmt.Sprintf("joiner-%02d", i)))
+	}
+	tc.mu.Lock()
+	for _, id := range joiners {
+		if err := tc.ring.AddNode(id); err != nil {
+			tc.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	tc.mu.Unlock()
+	var kept int64
+	for _, id := range tc.ids {
+		// The joiners are unreachable, so every run reports an error.
+		_, _ = tc.services[id].ReReplicate(ctx)
+		kept += counter(tc.services[id], "fs.handover.kept")
+	}
+	tc.mu.Lock()
+	for _, id := range joiners {
+		tc.ring.Remove(id)
+	}
+	tc.mu.Unlock()
+	got, err := svc.ReadFile(ctx, "handover.dat", "alice")
+	if err != nil {
+		t.Fatalf("after the joiners were evicted: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("the file changed")
+	}
+	if kept == 0 {
+		t.Fatal("no member kept a copy it could not hand over: the joiners took no key")
+	}
+}
+
 func TestSegmentsPushFetchDrop(t *testing.T) {
 	tc := newTestCluster(t, 4, 2)
 	a, b := tc.services[tc.ids[0]], tc.services[tc.ids[1]]

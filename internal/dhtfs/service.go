@@ -1112,9 +1112,12 @@ func (s *Service) sweepBlocks(ctx context.Context, meta Metadata) error {
 
 // ReReplicate runs after a membership change: for every block and
 // metadata entry held locally, it ensures all current replica-set members
-// have a copy, and drops objects this node no longer replicates. It
-// returns the number of objects pushed. This is how a predecessor or
-// successor "takes over the faulty server" using its replicated data.
+// have a copy, and drops objects this node no longer replicates once every
+// member has answered that it holds one or taken the push. A copy that
+// could not be handed over is kept for the next run and counted in
+// fs.handover.kept. It returns the number of objects pushed. This is how a
+// predecessor or successor "takes over the faulty server" using its
+// replicated data.
 func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 	defer func() {
 		if pushed > 0 || err != nil {
@@ -1131,13 +1134,15 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 			return pushed, rerr
 		}
 		mine := slices.Contains(targets, s.self)
+		// handedOver stays true while every other member has a copy.
+		handedOver := true
 		for _, t := range targets {
 			if t == s.self {
 				continue
 			}
 			var has hasResp
 			if cerr := s.call(ctx, t, MethodHasBlock, &getBlockReq{Key: k}, &has); cerr != nil {
-				err = cerr
+				err, handedOver = cerr, false
 				continue
 			}
 			if has.Has {
@@ -1154,6 +1159,7 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 			}
 			if errors.Is(gerr, ErrCorrupt) {
 				s.noteCorrupt(s.self)
+				handedOver = false
 				break
 			}
 			if gerr != nil {
@@ -1162,13 +1168,17 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 			cerr := s.call(ctx, t, MethodPutBlock, &putBlockReq{Key: k, Check: check, Data: buf.Bytes()}, nil)
 			buf.Release() // the request is encoded and the reply is in
 			if cerr != nil {
-				err = cerr
+				err, handedOver = cerr, false
 				continue
 			}
 			pushed++
 		}
-		if !mine {
+		switch {
+		case mine:
+		case handedOver:
 			s.store.DeleteBlock(k)
+		default:
+			s.reg.Counter("fs.handover.kept").Inc()
 		}
 	}
 	for _, name := range s.store.MetaNames() {
@@ -1180,7 +1190,7 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 		if gerr != nil {
 			continue
 		}
-		mine := false
+		mine, handedOver := false, true
 		for _, t := range targets {
 			if t == s.self {
 				mine = true
@@ -1190,20 +1200,24 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 			// path); full-copy updates propagate at write time via Upload.
 			var has hasResp
 			if cerr := s.call(ctx, t, MethodHasMeta, &getMetaReq{Name: name}, &has); cerr != nil {
-				err = cerr
+				err, handedOver = cerr, false
 				continue
 			}
 			if has.Has {
 				continue
 			}
 			if cerr := s.call(ctx, t, MethodPutMeta, &meta, nil); cerr != nil {
-				err = cerr
+				err, handedOver = cerr, false
 				continue
 			}
 			pushed++
 		}
-		if !mine {
+		switch {
+		case mine:
+		case handedOver:
 			s.deleteMeta(name)
+		default:
+			s.reg.Counter("fs.handover.kept").Inc()
 		}
 	}
 	return pushed, err

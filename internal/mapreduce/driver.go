@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -774,22 +777,100 @@ func (d *Driver) Close() {
 	d.signal()
 }
 
-// reduceTask describes one partition's reduce execution target.
-type reduceTask struct {
-	part  int
-	owner hashing.NodeID
+// reduceGroupBytes bounds a reduce task's input when it takes more than
+// one partition: consecutive partitions are reduced together while their
+// bytes stay under it, and a partition this size or larger is a task of
+// its own. Below it a reduce costs less than the output file, its replicas
+// and its delete that a task of its own would add (jobs_skewed's grep
+// partitions are ~2 KB); above it sits every partition whose reduce is
+// worth a node of its own (sort_shuffle's are ~180 KB and up).
+const reduceGroupBytes = 16 << 10
+
+// reduceGroups cuts a job's partitions into reduce tasks, each a run of
+// consecutive partitions in index order, from the journaled partition sizes
+// alone, so every driver generation cuts the same tasks. Empty partitions
+// are skipped. A partition done already (a resumed run) ends the run it
+// interrupts, so a task never spans one, and output files, each named after
+// its task's first partition, still sort in partition order.
+func reduceGroups(partBytes []int64, done map[int]string) [][]int {
+	var groups [][]int
+	var cur []int
+	var size int64
+	cut := func() {
+		if len(cur) > 0 {
+			groups = append(groups, cur)
+		}
+		cur, size = nil, 0
+	}
+	for part, bytes := range partBytes {
+		if _, ok := done[part]; ok {
+			cut()
+			continue
+		}
+		if bytes <= 0 {
+			continue
+		}
+		if size+bytes >= reduceGroupBytes {
+			cut()
+		}
+		cur, size = append(cur, part), size+bytes
+		if size >= reduceGroupBytes {
+			cut()
+		}
+	}
+	cut()
+	return groups
 }
 
-// errPartitionLost marks a reduce partition whose spills are out of reach
-// at its owner — the trigger for lost-partition recovery.
+// reduceTask is one reduce execution: a group of partitions (reduceGroups),
+// in partition order, each with the node holding its spills. One worker
+// reduces them into one output file, named after the first partition. The
+// task runs at the owner of its largest partition, parts[lead].
+type reduceTask struct {
+	parts   []int
+	holders []hashing.NodeID
+	lead    int
+}
+
+// reduceTask builds the task of a group of partitions against the current
+// partition table.
+func (st *runState) reduceTask(parts []int) reduceTask {
+	t := reduceTask{parts: parts}
+	for i, p := range parts {
+		t.holders = append(t.holders, st.mk.Servers[p])
+		if st.mk.PartBytes[p] > st.mk.PartBytes[parts[t.lead]] {
+			t.lead = i
+		}
+	}
+	return t
+}
+
+// owner is the node the task is dispatched to first: its lead partition's.
+func (t reduceTask) owner() hashing.NodeID { return t.holders[t.lead] }
+
+// name lists the task's partitions, as events and spans name it.
+func (t reduceTask) name() string { return partitionNames(t.parts) }
+
+// partitionNames joins the labels of parts with commas.
+func partitionNames(parts []int) string {
+	names := make([]string, len(parts))
+	for i, p := range parts {
+		names[i] = partitionName(p)
+	}
+	return strings.Join(names, ",")
+}
+
+// errPartitionLost marks a reduce task some of whose partitions' spills
+// are out of reach of every candidate executor — the trigger for
+// lost-partition recovery of the whole task.
 type errPartitionLost struct {
-	part  int
+	parts []int
 	owner hashing.NodeID
 	cause error
 }
 
 func (e errPartitionLost) Error() string {
-	return fmt.Sprintf("mapreduce: reduce partition %d lost with node %s: %v", e.part, e.owner, e.cause)
+	return fmt.Sprintf("mapreduce: reduce partitions %s lost with node %s: %v", partitionNames(e.parts), e.owner, e.cause)
 }
 
 func (e errPartitionLost) Unwrap() error { return e.cause }
@@ -797,23 +878,23 @@ func (e errPartitionLost) Unwrap() error { return e.cause }
 // errSpillsLost is the cause of a partition a map reported lost.
 var errSpillsLost = fmt.Errorf("a map could not push its spills: %w", transport.ErrUnreachable)
 
-// lostPart pairs a lost partition with its terminal error.
+// lostPart pairs a lost reduce task with its terminal error.
 type lostPart struct {
 	t   reduceTask
 	err error
 }
 
-// runReducePhase schedules one reduce task per non-empty partition,
-// directly at the node storing the partition's segments (the paper's
-// reduce placement: "the scheduler schedules reduce tasks where the
-// intermediate results are stored"). Partitions the journal records as
-// done are skipped. A partition is lost when a map could not push to its
-// owner, or when no reduce candidate can reach the owner's spills; it is
-// recovered by re-homing it on a surviving node and re-executing the
+// runReducePhase schedules one reduce task per group of non-empty
+// partitions (reduceGroups), directly at the node storing the group's
+// largest partition (the paper's reduce placement: "the scheduler
+// schedules reduce tasks where the intermediate results are stored").
+// Partitions the journal records as done are skipped. A task is lost when
+// a map could not push to one of its partitions' owners, or when no reduce
+// candidate can reach every holder; it is recovered whole, by re-homing
+// each of its partitions on a surviving node and re-executing the
 // contributing maps, and no reduce runs while a partition a map reported
 // lost waits for that. Per-node concurrency is bounded by reduceSlots.
 func (d *Driver) runReducePhase(ctx context.Context, st *runState) error {
-	var tasks []reduceTask
 	skipped := 0
 	for part, bytes := range st.mk.PartBytes {
 		if bytes <= 0 {
@@ -826,12 +907,14 @@ func (d *Driver) runReducePhase(ctx context.Context, st *runState) error {
 				st.res.OutputFiles = append(st.res.OutputFiles, out)
 			}
 			skipped++
-			continue
 		}
-		tasks = append(tasks, reduceTask{part: part, owner: st.mk.Servers[part]})
 	}
 	if skipped > 0 {
 		d.reg.Counter("mr.driver.parts_skipped_resume").Add(int64(skipped))
+	}
+	var tasks []reduceTask
+	for _, parts := range reduceGroups(st.mk.PartBytes, st.partsDone) {
+		tasks = append(tasks, st.reduceTask(parts))
 	}
 	st.res.ReduceTasks = len(tasks)
 	for round := 0; len(tasks) > 0; round++ {
@@ -864,32 +947,35 @@ func (d *Driver) runReducePhase(ctx context.Context, st *runState) error {
 	return nil
 }
 
-// takeLost moves the tasks of the partitions maps reported lost out of
-// tasks, in task order, and clears their marks: the recovery they go to
-// re-executes every contributing map, so a mark set again afterwards is
-// news.
+// takeLost moves the tasks with a partition maps reported lost out of
+// tasks, in task order, and clears their partitions' marks: the recovery
+// they go to re-executes every contributing map, so a mark set again
+// afterwards is news.
 func (d *Driver) takeLost(st *runState, tasks []reduceTask) (rest []reduceTask, lost []lostPart) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, t := range tasks {
-		if !st.lost[t.part] {
+		if !slices.ContainsFunc(t.parts, func(p int) bool { return st.lost[p] }) {
 			rest = append(rest, t)
 			continue
 		}
-		delete(st.lost, t.part)
-		lost = append(lost, lostPart{t: t, err: errPartitionLost{part: t.part, owner: t.owner, cause: errSpillsLost}})
+		for _, p := range t.parts {
+			delete(st.lost, p)
+		}
+		lost = append(lost, lostPart{t: t, err: errPartitionLost{parts: t.parts, owner: t.owner(), cause: errSpillsLost}})
 	}
 	return rest, lost
 }
 
-// reduceWave runs one wave of reduce tasks, journaling each completed
-// partition, and returns the partitions whose owner's spills no candidate
-// could reach (sorted by partition for deterministic recovery order).
+// reduceWave runs one wave of reduce tasks, journaling the partitions of
+// each completed one, and returns the tasks whose spills no candidate
+// could reach (sorted by first partition for deterministic recovery
+// order).
 func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTask) ([]lostPart, error) {
 	sem := make(map[hashing.NodeID]chan struct{})
 	for _, t := range tasks {
-		if _, ok := sem[t.owner]; !ok {
-			sem[t.owner] = make(chan struct{}, d.reduceSlots)
+		if _, ok := sem[t.owner()]; !ok {
+			sem[t.owner()] = make(chan struct{}, d.reduceSlots)
 		}
 	}
 	var (
@@ -897,10 +983,10 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 		mu       sync.Mutex
 		firstErr error
 		lost     []lostPart
-		// completed counts the wave's finished partitions; the journal
-		// flushes them a wave of reduce slots at a time (see pace), and
-		// the last one waits for what follows the wave: the done phase,
-		// or a recovery's re-homed table.
+		// completed counts the wave's finished tasks; the journal flushes
+		// them a wave of reduce slots at a time (see pace), and the last
+		// one waits for what follows the wave: the done phase, or a
+		// recovery's re-homed table.
 		completed int
 		parts     = pace{wave: len(sem) * d.reduceSlots}
 	)
@@ -916,8 +1002,8 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 				mu.Unlock()
 				return
 			}
-			sem[t.owner] <- struct{}{}
-			defer func() { <-sem[t.owner] }()
+			sem[t.owner()] <- struct{}{}
+			defer func() { <-sem[t.owner()] }()
 			resp, outFile, ran, err := d.runReduceTask(ctx, st, t)
 			if err != nil {
 				var lp errPartitionLost
@@ -930,12 +1016,17 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 				}
 				return
 			}
-			record := ""
+			// The task's first partition records its output file and the
+			// others "": the file holds them all.
+			records := make(map[int]string, len(t.parts))
+			for _, p := range t.parts {
+				records[p] = ""
+			}
 			if resp.HasOutput {
-				record = outFile
+				records[t.parts[0]] = outFile
 			}
 			mu.Lock()
-			st.partsDone[t.part] = record
+			maps.Copy(st.partsDone, records)
 			if resp.HasOutput {
 				st.res.OutputFiles = append(st.res.OutputFiles, outFile)
 			}
@@ -944,11 +1035,11 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 				// Not waited for: the snapshot that carries it also carries
 				// the reduce phase and every map completion, and the done
 				// phase waits for all of them.
-				st.jw.update(func(j *journal) { j.PartsDone[t.part] = record }, parts.due(completed == len(tasks)))
+				st.jw.update(func(j *journal) { maps.Copy(j.PartsDone, records) }, parts.due(completed == len(tasks)))
 			}
 			mu.Unlock()
 			d.events.Emit(events.KindTask, "reduce.finish", events.F{
-				Job: st.spec.ID, Task: partitionName(t.part), Detail: string(ran),
+				Job: st.spec.ID, Task: t.name(), Detail: string(ran),
 			})
 		}(t)
 	}
@@ -956,56 +1047,61 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i].t.part < lost[j].t.part })
+	sort.Slice(lost, func(i, j int) bool { return lost[i].t.parts[0] < lost[j].t.parts[0] })
 	return lost, nil
 }
 
-// runReduceTask executes one partition's reduce, walking the candidate
-// executors (the owner, then the surviving members of the partition
-// bound's replica set) before declaring the partition lost. It returns
-// the response, the output file name and the node that ran the reduce.
+// runReduceTask executes one reduce task, walking the candidate executors
+// (the owner of its lead partition, then the surviving members of that
+// partition bound's replica set) before declaring the task lost. A
+// candidate that cannot read every partition's holder reports the
+// partitions it missed and the walk goes on. It returns the response, the
+// output file name and the node that ran the reduce.
 func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) (RunReduceResp, string, hashing.NodeID, error) {
-	outFile := fmt.Sprintf("%s.out.%s", st.spec.ID, partitionName(t.part))
+	outFile := fmt.Sprintf("%s.out.%s", st.spec.ID, partitionName(t.parts[0]))
 	req := RunReduceReq{
 		Job:          st.spec.ID,
 		Namespace:    st.ns,
 		App:          st.spec.App,
 		Params:       st.spec.Params,
-		Partition:    t.part,
-		SegmentOwner: t.owner,
 		OutputFile:   outFile,
 		CacheOutputs: st.spec.CacheOutputs,
 		TTL:          st.spec.IntermediateTTL,
 		User:         st.spec.User,
 	}
+	for i, p := range t.parts {
+		req.Parts = append(req.Parts, ReducePart{Partition: p, Holder: t.holders[i]})
+	}
 	tctx, sp := d.tracer.StartSpan(ctx, "driver.reduce_task")
-	sp.Annotate("partition", strconv.Itoa(t.part))
-	sp.Annotate("node", string(t.owner))
+	sp.Annotate("partition", t.name())
+	sp.Annotate("node", string(t.owner()))
 	defer sp.End()
 	var lastErr error
 	for i, cand := range d.reduceCandidates(st, t) {
 		if i > 0 {
 			// Walking past the recorded owner is a failover: a ring
-			// neighbour reads the owner's spills remotely.
+			// neighbour reads the spills remotely.
 			d.reg.Counter("mr.driver.reduce_failovers").Inc()
 			sp.Annotate("failover", string(cand))
 			d.events.Emit(events.KindTask, "reduce.failover", events.F{
-				Job: st.spec.ID, Task: partitionName(t.part), Detail: string(cand),
+				Job: st.spec.ID, Task: t.name(), Detail: string(cand),
 			})
 		} else {
 			d.events.Emit(events.KindTask, "reduce.dispatch", events.F{
-				Job: st.spec.ID, Task: partitionName(t.part), Detail: string(cand),
+				Job: st.spec.ID, Task: t.name(), Detail: string(cand),
 			})
 		}
 		var resp RunReduceResp
 		rpcTimer := d.reg.Histogram("mr.driver.reduce_rpc_ns").Start()
 		err := d.call(tctx, cand, MethodRunReduce, &req, &resp)
 		rpcTimer.Stop()
-		if err == nil {
+		if err == nil && len(resp.Unreached) == 0 {
 			d.reg.Counter("mr.driver.partition_reduces").Inc()
 			return resp, outFile, cand, nil
 		}
-		if i == 0 && !errors.Is(err, transport.ErrUnreachable) && !transport.IsTransient(err) {
+		if err == nil {
+			err = fmt.Errorf("%s could not read the spills of %s", cand, partitionNames(resp.Unreached))
+		} else if i == 0 && !errors.Is(err, transport.ErrUnreachable) && !transport.IsTransient(err) {
 			// The owner executed the reduce and failed: an application
 			// error, not a lost partition.
 			sp.Annotate("error", err.Error())
@@ -1014,21 +1110,20 @@ func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) 
 		lastErr = err
 	}
 	sp.Annotate("error", "partition lost")
-	return RunReduceResp{}, "", "", errPartitionLost{part: t.part, owner: t.owner, cause: lastErr}
+	return RunReduceResp{}, "", "", errPartitionLost{parts: t.parts, owner: t.owner(), cause: lastErr}
 }
 
-// reduceCandidates orders the nodes that may be able to execute a
-// partition's reduce: the recorded segment owner first, then the other
-// surviving members of the partition bound's current ring replica set.
-// Those gather the segments remotely, which also recovers asymmetric
-// partitions where the owner is unreachable from the driver but not from
-// a peer.
+// reduceCandidates orders the nodes that may be able to execute a reduce
+// task: the owner of its lead partition first, then the other surviving
+// members of that partition bound's current ring replica set. Those gather
+// the spills remotely, which also recovers asymmetric partitions where the
+// owner is unreachable from the driver but not from a peer.
 func (d *Driver) reduceCandidates(st *runState, t reduceTask) []hashing.NodeID {
-	out := []hashing.NodeID{t.owner}
-	if t.part < len(st.mk.Bounds) {
-		if set, err := d.ring().ReplicaSet(st.mk.Bounds[t.part], 3); err == nil {
+	out := []hashing.NodeID{t.owner()}
+	if lead := t.parts[t.lead]; lead < len(st.mk.Bounds) {
+		if set, err := d.ring().ReplicaSet(st.mk.Bounds[lead], 3); err == nil {
 			for _, c := range set {
-				if c != t.owner {
+				if c != t.owner() {
 					out = append(out, c)
 				}
 			}
@@ -1038,27 +1133,32 @@ func (d *Driver) reduceCandidates(st *runState, t reduceTask) []hashing.NodeID {
 }
 
 // recoverPartitions is in-run lost-partition recovery, the heart of the
-// self-healing layer: each lost partition is re-homed to a surviving ring
-// node, every contributing map is re-shuffled into just the lost
-// partitions (surviving partitions keep their segments untouched), and
-// the returned tasks re-run the reduces at the new owners.
+// self-healing layer: each partition of each lost task is re-homed to a
+// surviving ring node, every contributing map is re-shuffled into just
+// those partitions (the partitions of other tasks keep their segments
+// untouched), and the returned tasks re-run the lost ones, the same
+// partitions each, at the new owners. A fault thus never changes which
+// files a job writes.
 func (d *Driver) recoverPartitions(ctx context.Context, st *runState, lost []lostPart) ([]reduceTask, error) {
 	_, sp := d.tracer.StartSpan(ctx, "driver.partition_recovery")
 	defer sp.End()
 	ring := d.ring()
-	var retry []reduceTask
 	var only []int
 	for _, l := range lost {
-		t, err := d.rehome(st, sp, ring, l.t.part)
-		if err != nil {
-			return nil, fmt.Errorf("%v: %w", err, l.err)
+		for _, p := range l.t.parts {
+			if err := d.rehome(st, sp, ring, p); err != nil {
+				return nil, fmt.Errorf("%v: %w", err, l.err)
+			}
+			only = append(only, p)
 		}
-		retry = append(retry, t)
-		only = append(only, l.t.part)
 	}
 	d.commitRehome(st, only)
 	if err := d.reshuffle(st, st.tasks, only); err != nil {
 		return nil, err
+	}
+	retry := make([]reduceTask, len(lost))
+	for i, l := range lost {
+		retry[i] = st.reduceTask(l.t.parts)
 	}
 	return retry, nil
 }
@@ -1084,7 +1184,7 @@ func (d *Driver) adoptPartitions(st *runState, lost map[int]bool) ([]int, error)
 		if _, done := st.partsDone[p]; done {
 			continue // output already stored and replicated in the FS
 		}
-		if _, err := d.rehome(st, sp, ring, p); err != nil {
+		if err := d.rehome(st, sp, ring, p); err != nil {
 			return nil, err
 		}
 		dead = append(dead, p)
@@ -1099,33 +1199,33 @@ func (d *Driver) adoptPartitions(st *runState, lost map[int]bool) ([]int, error)
 // first member of its bound's replica set that is not the old owner
 // (which may still sit in the ring, unreachable). It refuses when the
 // spills cannot be rebuilt, before anything is recorded.
-func (d *Driver) rehome(st *runState, sp *trace.Span, ring *hashing.ChordRing, part int) (reduceTask, error) {
+func (d *Driver) rehome(st *runState, sp *trace.Span, ring *hashing.ChordRing, part int) error {
 	if len(st.tasks) == 0 {
-		return reduceTask{}, fmt.Errorf("mapreduce: cannot recover reduce partition %d of job %s: map tasks are not re-executable (tag-reused intermediates)", part, st.spec.ID)
+		return fmt.Errorf("mapreduce: cannot recover reduce partition %d of job %s: map tasks are not re-executable (tag-reused intermediates)", part, st.spec.ID)
 	}
-	owner := st.mk.Servers[part]
-	t := reduceTask{part: part}
+	old := st.mk.Servers[part]
+	var owner hashing.NodeID
 	if part < len(st.mk.Bounds) {
 		if set, err := ring.ReplicaSet(st.mk.Bounds[part], 3); err == nil {
 			for _, c := range set {
-				if c != owner {
-					t.owner = c
+				if c != old {
+					owner = c
 					break
 				}
 			}
 		}
 	}
-	if t.owner == "" {
-		return reduceTask{}, fmt.Errorf("mapreduce: no surviving node can adopt reduce partition %d of job %s", part, st.spec.ID)
+	if owner == "" {
+		return fmt.Errorf("mapreduce: no surviving node can adopt reduce partition %d of job %s", part, st.spec.ID)
 	}
 	d.reg.Counter("mr.driver.partition_recoveries").Inc()
 	st.res.RecoveredPartitions++
-	sp.Annotate(partitionName(part), "re-homed "+string(t.owner))
+	sp.Annotate(partitionName(part), "re-homed "+string(owner))
 	d.events.Emit(events.KindTask, "partition.rehome", events.F{
-		Job: st.spec.ID, Task: partitionName(part), Detail: string(t.owner),
+		Job: st.spec.ID, Task: partitionName(part), Detail: string(owner),
 	})
-	st.mk.Servers[part] = t.owner
-	return t, nil
+	st.mk.Servers[part] = owner
+	return nil
 }
 
 // commitRehome announces the re-homed partitions and makes the repaired
@@ -1199,8 +1299,8 @@ func (d *Driver) call(ctx context.Context, to hashing.NodeID, method string, req
 }
 
 // Collect reads and decodes every output file of a completed job,
-// returning the merged key-value pairs (sorted within each partition;
-// partitions concatenated in partition order).
+// returning the merged key-value pairs (sorted within each file; files in
+// partition order).
 func (d *Driver) Collect(ctx context.Context, res Result, user string) ([]KV, error) {
 	// Every file is read and counted first, so that the job's pairs are
 	// decoded into one slice made at its final size.

@@ -121,10 +121,10 @@ func ReduceSegments(t *testing.T, app string, params Params, segments [][]byte) 
 	owner := ec.ids[0]
 	req := RunReduceReq{
 		Job: "order", Namespace: "job:order", App: app, Params: params,
-		SegmentOwner: owner, OutputFile: "order.out", User: "tester",
+		Parts: []ReducePart{{Holder: owner}}, OutputFile: "order.out", User: "tester",
 	}
 	for seq, seg := range segments {
-		ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(req.Partition), "m0", 0, seq, seg, 0)
+		ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(0), "m0", 0, seq, seg, 0)
 	}
 	resp, err := ec.workers[owner].runReduce(context.Background(), req)
 	if err != nil {

@@ -52,8 +52,9 @@ type journal struct {
 	// Attempts records the last attempt known used per map task
 	// (observability; correctness on resume comes from Generation).
 	Attempts map[string]int
-	// PartsDone maps completed reduce partitions to their output file
-	// ("" for an empty partition with no output).
+	// PartsDone maps completed reduce partitions to their output file: a
+	// reduce task's first partition names the task's file, and its other
+	// partitions, like a task that wrote no output, record "".
 	PartsDone map[int]string
 	// Lost marks the partitions whose spills may be missing at the owner
 	// Mk names: one a finished map could not push to (recorded with the

@@ -80,11 +80,12 @@ func TestJournalFailedFlushNotLost(t *testing.T) {
 // TestFaultFreeJobWaitsOnTheJournalTwice: a fault-free job waits for its
 // journal twice, for the opening snapshot and for the done phase. Map
 // completions, the reduce phase and every partition are queued, and the
-// done snapshot carries them all.
+// done snapshot carries them all. Every partition of its input holds more
+// than reduceGroupBytes (21-152 KiB), so each is a reduce task of its own.
 func TestFaultFreeJobWaitsOnTheJournalTwice(t *testing.T) {
 	ec := newEngineCluster(t, engineOpts{nodes: 4})
-	text, _ := wideCorpus(150, 4)
-	ec.upload(t, "waits.txt", text, 512)
+	text, _ := wideCorpus(1000, 16)
+	ec.upload(t, "waits.txt", text, 4096)
 	res, err := ec.driver.Run(JobSpec{ID: "waits-1", App: "test-wordcount", Inputs: []string{"waits.txt"}, User: "tester"})
 	if err != nil {
 		t.Fatal(err)

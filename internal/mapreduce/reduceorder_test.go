@@ -36,7 +36,7 @@ func TestReduceReadsSpillsInTaskOrder(t *testing.T) {
 	for _, node := range []hashing.NodeID{owner, ec.ids[0]} {
 		req := RunReduceReq{
 			Job: "order-1", Namespace: ns, App: "test-concat",
-			SegmentOwner: owner, OutputFile: "order-1.out." + string(node), User: "tester",
+			Parts: []ReducePart{{Holder: owner}}, OutputFile: "order-1.out." + string(node), User: "tester",
 		}
 		if _, err := ec.workers[node].runReduce(ctx, req); err != nil {
 			t.Fatal(err)

@@ -111,7 +111,7 @@ func TestReduceStateReuseConcurrent(t *testing.T) {
 	run := func(i int, out string) string {
 		req := RunReduceReq{
 			Job: fmt.Sprintf("r%d", i), Namespace: fmt.Sprintf("job:r%d", i), App: tasks[i].app,
-			SegmentOwner: owner, OutputFile: out, User: "tester",
+			Parts: []ReducePart{{Holder: owner}}, OutputFile: out, User: "tester",
 		}
 		if _, err := w.runReduce(context.Background(), req); err != nil {
 			return "error: " + err.Error()
@@ -162,7 +162,7 @@ func TestReduceOutputIsClipped(t *testing.T) {
 	ctx := context.Background()
 	req := RunReduceReq{
 		Job: "clip", Namespace: "job:clip", App: "test-wordcount",
-		SegmentOwner: owner, OutputFile: "clip.out", User: "tester",
+		Parts: []ReducePart{{Holder: owner}}, OutputFile: "clip.out", User: "tester",
 	}
 	const inputBytes = 4 << 20
 	pair := EncodeKVs([]KV{{Key: "k", Value: []byte("1")}})

@@ -9,7 +9,9 @@
 //     the map is still running (§II-D).
 //   - Reduce tasks are scheduled where the intermediate results were
 //     stored (the partition's ring owner), so the shuffle needs no
-//     map-completion barrier and no reducer-side pull.
+//     map-completion barrier and no reducer-side pull. Consecutive
+//     partitions of a few KB reduce together, at the owner of the
+//     largest, into one output file.
 //   - Applications may tag intermediate results or iteration outputs for
 //     reuse; a later job with the same tag skips its map phase entirely
 //     (§II-B, §II-C).
@@ -186,8 +188,8 @@ type JobSpec struct {
 	// later job with the same tag (and App) can skip its map phase and
 	// reuse them directly.
 	ReuseTag string
-	// CacheOutputs stores each reduce partition's output in the reduce
-	// node's oCache (iteration outputs of iterative jobs, §II-C).
+	// CacheOutputs stores each reduce task's output in the reduce node's
+	// oCache (iteration outputs of iterative jobs, §II-C).
 	CacheOutputs bool
 	// IntermediateTTL bounds cached intermediate lifetime (the paper's
 	// time-to-live on stored intermediate results). Zero means no TTL.
@@ -241,10 +243,14 @@ func (s JobSpec) validate() error {
 type Result struct {
 	Job string
 	// OutputFiles lists the DHT file system files holding reduce output,
-	// one per non-empty partition.
+	// one per reduce task that wrote any, sorted, which is partition
+	// order. A reduce task reduces one partition, or several consecutive
+	// small ones (DESIGN.md §10) into one key-sorted file named after its
+	// first partition.
 	OutputFiles []string
 	// MapTasks / ReduceTasks are the executed task counts (zero map tasks
-	// means the job reused tagged intermediates).
+	// means the job reused tagged intermediates); ReduceTasks counts the
+	// reduce tasks run, not the partitions they covered.
 	MapTasks    int
 	ReduceTasks int
 	// MapsSkipped reports that the map phase was skipped via reuse.

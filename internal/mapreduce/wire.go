@@ -193,10 +193,12 @@ func (m RunReduceReq) AppendWire(dst []byte) []byte {
 	dst = transport.AppendString(dst, m.Namespace)
 	dst = transport.AppendString(dst, m.App)
 	dst = appendParams(dst, m.Params)
-	dst = transport.AppendInt(dst, int64(m.Partition))
-	dst = transport.AppendString(dst, string(m.SegmentOwner))
+	dst = transport.AppendUvarint(dst, uint64(len(m.Parts)))
+	for _, p := range m.Parts {
+		dst = transport.AppendInt(dst, int64(p.Partition))
+		dst = transport.AppendString(dst, string(p.Holder))
+	}
 	dst = transport.AppendString(dst, m.OutputFile)
-	dst = transport.AppendInt(dst, int64(m.OutputBlockSize))
 	dst = transport.AppendBool(dst, m.CacheOutputs)
 	dst = transport.AppendDuration(dst, m.TTL)
 	return transport.AppendString(dst, m.User)
@@ -205,12 +207,14 @@ func (m RunReduceReq) AppendWire(dst []byte) []byte {
 // ParseWire implements transport.Wire.
 func (m *RunReduceReq) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = RunReduceReq{
-		Job: r.Str(), Namespace: r.Str(), App: r.Str(), Params: readParams(&r),
-		Partition: r.Int(), SegmentOwner: hashing.NodeID(r.Str()),
-		OutputFile: r.Str(), OutputBlockSize: r.Int(), CacheOutputs: r.Bool(),
-		TTL: r.Duration(), User: r.Str(),
+	*m = RunReduceReq{Job: r.Str(), Namespace: r.Str(), App: r.Str(), Params: readParams(&r)}
+	if n := r.Count(2); n > 0 {
+		m.Parts = make([]ReducePart, n)
+		for i := range m.Parts {
+			m.Parts[i] = ReducePart{Partition: r.Int(), Holder: hashing.NodeID(r.Str())}
+		}
 	}
+	m.OutputFile, m.CacheOutputs, m.TTL, m.User = r.Str(), r.Bool(), r.Duration(), r.Str()
 	return r.Done()
 }
 
@@ -218,13 +222,14 @@ func (m *RunReduceReq) ParseWire(src []byte) error {
 func (m RunReduceResp) AppendWire(dst []byte) []byte {
 	dst = transport.AppendInt(dst, m.Keys)
 	dst = transport.AppendInt(dst, m.OutputBytes)
-	return transport.AppendBool(dst, m.HasOutput)
+	dst = transport.AppendBool(dst, m.HasOutput)
+	return appendInts(dst, m.Unreached)
 }
 
 // ParseWire implements transport.Wire.
 func (m *RunReduceResp) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = RunReduceResp{Keys: r.Int64(), OutputBytes: r.Int64(), HasOutput: r.Bool()}
+	*m = RunReduceResp{Keys: r.Int64(), OutputBytes: r.Int64(), HasOutput: r.Bool(), Unreached: readInts(&r)}
 	return r.Done()
 }
 

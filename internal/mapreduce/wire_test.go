@@ -50,6 +50,20 @@ func lostAll(n int) []int {
 	return parts
 }
 
+// typicalGroupReduceReq is the reduce task of a small 4-node job: its
+// four partitions, reduced together into the first one's file.
+func typicalGroupReduceReq() *RunReduceReq {
+	return &RunReduceReq{
+		Job: "grep-000123", Namespace: "job:grep-000123", App: "grep",
+		Params: Params{"pattern": []byte("needle[0-9]+")},
+		Parts: []ReducePart{
+			{Partition: 0, Holder: "worker-00"}, {Partition: 1, Holder: "worker-01"},
+			{Partition: 2, Holder: "worker-02"}, {Partition: 3, Holder: "worker-03"},
+		},
+		OutputFile: "grep-000123.out.p0000", User: "alice",
+	}
+}
+
 // typicalMarker is the partition table of a 4-node job whose reused
 // intermediates expire.
 func typicalMarker() *marker {
@@ -126,11 +140,10 @@ func wireCases() []transport.Wire {
 		&RunReduceReq{},
 		&RunReduceReq{
 			Job: "wc-9", Namespace: "tag:shared", App: "wordcount", Params: Params{"k": []byte("3")},
-			Partition: 3, SegmentOwner: "worker-03",
-			OutputFile: "wc-9/part-0003", OutputBlockSize: 64 << 20,
-			CacheOutputs: true, TTL: time.Hour, User: "alice",
+			Parts:      []ReducePart{{Partition: 3, Holder: "worker-03"}},
+			OutputFile: "wc-9/part-0003", CacheOutputs: true, TTL: time.Hour, User: "alice",
 		},
-		&RunReduceReq{Job: notUTF8, Partition: math.MinInt, SegmentOwner: notUTF8, OutputBlockSize: math.MaxInt, TTL: math.MinInt64, User: notUTF8},
+		&RunReduceReq{Job: notUTF8, Parts: []ReducePart{{Partition: math.MinInt, Holder: notUTF8}, {}}, TTL: math.MinInt64, User: notUTF8},
 		&RunReduceResp{},
 		&RunReduceResp{Keys: 1 << 40, OutputBytes: math.MaxInt64, HasOutput: true},
 		&RunReduceResp{Keys: -1, OutputBytes: math.MinInt64},
@@ -161,6 +174,9 @@ func wireCases() []transport.Wire {
 		&marker{Servers: []hashing.NodeID{""}, Bounds: []hashing.Key{maxKey}, PartBytes: []int64{math.MinInt64},
 			Expires: time.Unix(1<<40, 999999999).UTC(), Partitioner: math.MinInt},
 		typicalMarker(),
+		typicalGroupReduceReq(),
+		&RunReduceReq{Parts: []ReducePart{}},
+		&RunReduceResp{Unreached: []int{0, 2, math.MaxInt, math.MinInt}},
 	}
 }
 
@@ -178,7 +194,12 @@ func TestWireHostileCounts(t *testing.T) {
 		"map resp lost":  {&RunMapResp{}, append([]byte{0}, huge...)},
 		"params":         {&RunMapReq{}, append([]byte{0, 0, 0}, huge...)},
 		"cached blocks":  {&CacheRangeResp{}, append(transport.AppendUvarint(nil, 1<<40), make([]byte, 64)...)},
-		"owner":          {&RunReduceReq{}, append([]byte{0, 0, 0, 0, 0}, huge...)},
+		// A reduce request's partition list: its count, the bytes behind a
+		// count of pairs, a holder's name.
+		"reduce parts":       {&RunReduceReq{}, append([]byte{0, 0, 0, 0}, huge...)},
+		"reduce parts bytes": {&RunReduceReq{}, append(transport.AppendUvarint([]byte{0, 0, 0, 0}, 1<<40), make([]byte, 64)...)},
+		"owner":              {&RunReduceReq{}, append([]byte{0, 0, 0, 0, 1, 0}, huge...)},
+		"unreached":          {&RunReduceResp{}, append([]byte{0, 0, 0}, huge...)},
 	}
 	// A journal's or marker's count is found where its encoding first
 	// differs from the empty value's once the field holds one element.

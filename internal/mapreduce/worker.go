@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,16 +72,19 @@ type (
 		Namespace string
 		App       string
 		Params    Params
-		Partition int
-		// SegmentOwner is the node holding the partition's spills, the
-		// one place they live.
-		SegmentOwner hashing.NodeID
+		// Parts are the task's partitions in partition order, each with the
+		// node holding its spills, the one place they live. The worker
+		// reduces them together into OutputFile.
+		Parts        []ReducePart
 		OutputFile   string
-		// OutputBlockSize sizes the DHT-FS blocks of the output file.
-		OutputBlockSize int
-		CacheOutputs    bool
-		TTL             time.Duration
-		User            string
+		CacheOutputs bool
+		TTL          time.Duration
+		User         string
+	}
+	// ReducePart is one partition of a reduce task and its spills' holder.
+	ReducePart struct {
+		Partition int
+		Holder    hashing.NodeID
 	}
 	// RunReduceResp summarizes a reduce task.
 	RunReduceResp struct {
@@ -89,6 +93,10 @@ type (
 		// HasOutput reports whether an output file was written (empty
 		// partitions produce none).
 		HasOutput bool
+		// Unreached lists, in partition order, the partitions whose holder
+		// the worker could not read; when it is non-empty nothing was
+		// reduced or written, and the driver tries another executor.
+		Unreached []int
 	}
 )
 
@@ -371,36 +379,76 @@ func (w *Worker) returnReduceState(g *streamOrder) {
 // partitionName is the segment-store partition label for index part.
 func partitionName(part int) string { return fmt.Sprintf("p%04d", part) }
 
-// gatherSegments reads a partition's attempt-tagged spills from its owner,
-// this node's own shard in place, and puts them in (task, seq) order with
-// superseded attempts and retransmits dropped (dhtfs.MergeTaggedSegments).
-func (w *Worker) gatherSegments(ctx context.Context, req RunReduceReq) ([][]byte, error) {
-	segs, err := w.fs.FetchTaggedSegments(ctx, req.SegmentOwner, req.Namespace, partitionName(req.Partition))
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: partition %d: segment owner %s: %w", req.Partition, req.SegmentOwner, err)
+// outputBlockSize cuts reduce outputs into DHT-FS blocks, whatever the
+// cluster's input block size: almost every output is one block.
+const outputBlockSize = 1 << 20
+
+// gatherSegments reads the attempt-tagged spills of each of a task's
+// partitions from its holder, all at once, this node's own shard in place,
+// and puts each partition's in (task, seq) order with superseded attempts
+// and retransmits dropped (dhtfs.MergeTaggedSegments). The streams come
+// back partition after partition, in the task's order; unreached lists the
+// partitions whose holder could not be read. req names a partition at
+// least.
+func (w *Worker) gatherSegments(ctx context.Context, req RunReduceReq) (streams [][]byte, unreached []int) {
+	segs := make([][]dhtfs.TaggedSegment, len(req.Parts))
+	errs := make([]error, len(req.Parts))
+	fetch := func(i int) {
+		p := req.Parts[i]
+		segs[i], errs[i] = w.fs.FetchTaggedSegments(ctx, p.Holder, req.Namespace, partitionName(p.Partition))
 	}
-	return dhtfs.MergeTaggedSegments(segs), nil
+	var wg sync.WaitGroup
+	for i := 1; i < len(req.Parts); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fetch(i)
+		}()
+	}
+	fetch(0)
+	wg.Wait()
+	for i, p := range req.Parts {
+		if errs[i] != nil {
+			unreached = append(unreached, p.Partition)
+			continue
+		}
+		streams = append(streams, dhtfs.MergeTaggedSegments(segs[i])...)
+	}
+	return streams, unreached
 }
 
-// runReduce executes one reduce task: gather the partition's spills from
-// its owner (read in place when that is this node), group by key, reduce,
-// and persist the output to the DHT file system.
+// runReduce executes one reduce task: gather its partitions' spills from
+// their holders (read in place when that is this node), group by key,
+// reduce, and persist the output to the DHT file system. A key lives in
+// one partition, so one ordered walk over all of the task's partitions
+// hands each key its values in the same order a task of its own would,
+// and the output file is key-sorted.
 func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp, error) {
 	ctx, task := w.tracer.StartSpan(ctx, "task.reduce")
 	defer task.End()
-	task.Annotate("partition", partitionName(req.Partition))
+	parts := make([]int, len(req.Parts))
+	for i, p := range req.Parts {
+		parts[i] = p.Partition
+	}
+	name := partitionNames(parts)
+	task.Annotate("partition", name)
 	app, err := lookupApp(req.App)
 	if err != nil {
 		return RunReduceResp{}, err
 	}
+	if len(req.Parts) == 0 {
+		return RunReduceResp{}, fmt.Errorf("mapreduce: reduce request for %q names no partition", req.OutputFile)
+	}
 	var resp RunReduceResp
 	recvTimer := w.reg.Histogram("mr.shuffle.recv_ns").Start()
 	rctx, recv := w.tracer.StartSpan(ctx, "shuffle.recv")
-	// streams is the partition's input: its spills in (map task, seq) order.
-	streams, err := w.gatherSegments(rctx, req)
+	// streams is the task's input: each partition's spills in (map task,
+	// seq) order, partition after partition.
+	streams, unreached := w.gatherSegments(rctx, req)
 	recv.End()
-	if err != nil {
-		return RunReduceResp{}, err
+	if len(unreached) > 0 {
+		task.Annotate("unreached", partitionNames(unreached))
+		return RunReduceResp{Unreached: unreached}, nil
 	}
 	recvTimer.Stop()
 	inputBytes := 0
@@ -408,7 +456,7 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 		inputBytes += len(data)
 	}
 	if inputBytes == 0 {
-		return resp, nil // empty partition
+		return resp, nil // empty partitions
 	}
 	computeTimer := w.reg.Histogram("mr.reduce.compute_ns").Start()
 	_, comp := w.tracer.StartSpan(ctx, "reduce.compute")
@@ -424,7 +472,7 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 	// reducer, and the values it is handed alias the state's buffer.
 	groups := w.borrowReduceState()
 	if err = groups.group(streams); err != nil {
-		err = fmt.Errorf("mapreduce: partition %d corrupt: %w", req.Partition, err)
+		err = fmt.Errorf("mapreduce: partitions %s corrupt: %w", name, err)
 	} else {
 		err = groups.each(func(key string, values [][]byte) error {
 			resp.Keys++
@@ -446,15 +494,11 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 	if cap(output) > 2*len(output) {
 		output = slices.Clone(output)
 	}
-	blockSize := req.OutputBlockSize
-	if blockSize <= 0 {
-		blockSize = 1 << 20
-	}
 	writeTimer := w.reg.Histogram("mr.reduce.write_ns").Start()
 	wctx, wr := w.tracer.StartSpan(ctx, "reduce.write")
 	// The output is handed over, not copied: from here on it is read only,
 	// by the store that keeps its blocks and by the oCache.
-	_, err = w.fs.Upload(wctx, req.OutputFile, req.User, dhtfs.PermPublic, output, blockSize)
+	_, err = w.fs.Upload(wctx, req.OutputFile, req.User, dhtfs.PermPublic, output, outputBlockSize)
 	wr.End()
 	writeTimer.Stop()
 	if err != nil {
@@ -466,7 +510,7 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 		if cap(cached) > len(cached) {
 			cached = slices.Clone(cached)
 		}
-		w.cache.PutTagged(req.Namespace, "out:"+partitionName(req.Partition),
+		w.cache.PutTagged(req.Namespace, "out:"+partitionName(parts[0]),
 			hashing.KeyOfString(req.OutputFile), cached, req.TTL)
 	}
 	resp.OutputBytes = int64(len(output))
