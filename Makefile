@@ -20,11 +20,13 @@ check:
 # early is overwritten only in race builds (internal/blockbuf), as is a
 # worker's combine state when a map task gives it back and its reduce
 # state when a reduce task does; a reduce task of several partitions is
-# lost, recovered and resumed whole. This is the one list: CI and
+# lost, recovered and resumed whole; and jobs after a manager failover run
+# on the elected node's own scheduler and driver, in process and over TCP
+# (internal/nodecmd). This is the one list: CI and
 # scripts/check.sh run this target.
 LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup
 lifecycle:
-	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs
+	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs ./internal/nodecmd
 
 # Project invariants (ring comparisons, RPC-under-mutex, metric names,
 # sim determinism, dropped I/O errors) plus gofmt cleanliness. CI runs

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"testing"
 
-	"eclipsemr/internal/chord"
-	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/kde"
 	"eclipsemr/internal/simcluster"
 	"eclipsemr/internal/workloads"
@@ -148,43 +146,6 @@ func BenchmarkFig10cPageRankIterations(b *testing.B) { benchmarkFig10(b, "pagera
 // ---------------------------------------------------------------------
 // Ablations (DESIGN.md §5)
 // ---------------------------------------------------------------------
-
-// BenchmarkAblationRoutingHops compares the paper's one-hop DHT routing
-// (complete routing tables) against classic multi-hop finger routing.
-func BenchmarkAblationRoutingHops(b *testing.B) {
-	ring := hashing.NewChordRing()
-	for i := 0; i < 40; i++ {
-		if err := ring.AddNode(hashing.NodeID(fmt.Sprintf("n%02d", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	oneHop, err := chord.BuildOneHopRoutes(ring)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fingers, err := chord.BuildRoutes(ring, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	members := ring.Members()
-	keys := workloads.UniformKeys(5, 1024)
-	count := func(r *chord.Routes) float64 {
-		total := 0
-		for i, k := range keys {
-			path, err := r.Route(members[i%len(members)], k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += len(path)
-		}
-		return float64(total) / float64(len(keys))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(count(oneHop), "onehop-hops")
-		b.ReportMetric(count(fingers), "finger-hops")
-	}
-}
 
 // BenchmarkAblationShuffle quantifies proactive shuffling (§II-D) by
 // running the shuffle-bound sort workload with and without it.

@@ -1,9 +1,9 @@
 // Command eclipse-node runs one EclipseMR worker server over TCP. Every
 // node serves the DHT file system, the distributed in-memory cache and
 // MapReduce tasks; the node started with -bootstrap additionally assumes
-// the resource-manager and job-scheduler roles once every peer in the
-// hosts file is reachable (later failures are handled by heartbeats and
-// election).
+// the manager role, resource manager and LAF job scheduler, once every
+// peer in the hosts file is reachable. Later failures are handled by
+// heartbeats and election, and the elected node starts its own scheduler.
 //
 // The hosts file lists one node per line: "<node-id> <host:port>".
 //
@@ -22,23 +22,18 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
 	_ "eclipsemr/internal/apps" // register the standard applications
 	"eclipsemr/internal/cluster"
 	"eclipsemr/internal/hashing"
-	"eclipsemr/internal/mapreduce"
 	"eclipsemr/internal/metrics"
 	"eclipsemr/internal/nodecmd"
-	"eclipsemr/internal/scheduler"
 	"eclipsemr/internal/transport"
 )
 
@@ -91,59 +86,8 @@ func main() {
 	}
 	node.Tracer().SetEnabled(*traceOn)
 
-	var (
-		mu     sync.Mutex
-		driver *mapreduce.Driver
-	)
-	ensureDriver := func() (*mapreduce.Driver, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !node.IsManager() {
-			return nil, fmt.Errorf("node %s is not the job scheduler (ask the manager)", *id)
-		}
-		if driver != nil {
-			return driver, nil
-		}
-		sched, err := scheduler.NewLAF(scheduler.DefaultLAFConfig(), node.Ring())
-		if err != nil {
-			return nil, err
-		}
-		for _, peer := range node.Ring().Members() {
-			sched.AddNode(peer, cfg.MapSlots)
-		}
-		node.AddMetricsSource(sched.Metrics().Snapshot)
-		mgr := node.Manager()
-		if mgr != nil {
-			mgr.OnChange(func(joined, failed []hashing.NodeID) {
-				for _, j := range joined {
-					sched.AddNode(j, cfg.MapSlots)
-				}
-				for _, f := range failed {
-					sched.RemoveNode(f)
-				}
-			})
-		}
-		driver, err = mapreduce.NewDriver(node.ID, net, node.FS(), sched, node.Ring, cfg.ReduceSlots)
-		if err == nil {
-			// The manager's driver shares the node tracer and event ring so
-			// driver-side spans and lifecycle events land in the same rings
-			// that eclipse-cli trace / events collect.
-			driver.SetTracer(node.Tracer())
-			driver.SetEvents(node.Events())
-			node.AddMetricsSource(driver.Metrics().Snapshot)
-			if dir := *bundleDir; dir != "" {
-				driver.SetFlightRecorder(func(job, reason string) {
-					if path, err := node.WriteBundleFile(context.Background(), dir, job, reason); err != nil {
-						log.Printf("eclipse-node: debug bundle capture (%s, %s): %v", job, reason, err)
-					} else {
-						log.Printf("eclipse-node: captured debug bundle %s", path)
-					}
-				})
-			}
-		}
-		return driver, err
-	}
-	node.SetExtraHandler(nodecmd.ClientHandler(node, ensureDriver))
+	node.SetBundleDir(*bundleDir)
+	node.SetExtraHandler(nodecmd.ClientHandler(node))
 	node.AddMetricsSource(net.NetMetrics().Snapshot)
 
 	if *metricsAt != "" {
@@ -169,7 +113,9 @@ func main() {
 			if err != nil {
 				log.Fatalf("eclipse-node: bootstrap: %v", err)
 			}
-			node.BecomeManagerWith(ring, 1)
+			if _, err := node.BecomeManagerWith(ring, 1); err != nil {
+				log.Fatalf("eclipse-node: bootstrap: %v", err)
+			}
 			log.Printf("eclipse-node %s became resource manager (%d members)", *id, ring.Len())
 		}()
 	}

@@ -140,6 +140,19 @@ func (n *Node) WriteBundleFile(ctx context.Context, dir, job, reason string) (st
 	return path, nil
 }
 
+// captureBundle is the manager role's armed flight recorder: snapshot the
+// cluster into <dir>/bundle-<job>-<reason>.json from this node. Capture
+// errors are counted rather than surfaced, because the recorder fires on
+// paths that are already failing.
+func (n *Node) captureBundle(dir, job, reason string) {
+	//lint:ignore ctxflow the driver's flight-recorder hook carries no context; the capture belongs to no request
+	if _, err := n.WriteBundleFile(context.Background(), dir, job, reason); err != nil {
+		n.worker.Metrics().Counter("bundle.capture_errors").Inc()
+		return
+	}
+	n.worker.Metrics().Counter("bundle.captured").Inc()
+}
+
 // BundleFileName maps (job, reason) onto one flat, filesystem-safe name.
 func BundleFileName(job, reason string) string {
 	clean := func(s string) string {

@@ -55,27 +55,21 @@ type Options struct {
 	BundleDir string
 }
 
-// Cluster is a running EclipseMR deployment plus the job-scheduler role:
-// the entry point for uploads and job submission. With the default
-// in-process network it hosts every node in one process, which is how the
-// examples, tests and benchmarks run; the same Node code serves TCP
-// deployments via cmd/eclipse-node.
+// Cluster is a running EclipseMR deployment: the entry point for uploads
+// and job submission. With the default in-process network it hosts every
+// node in one process, which is how the examples, tests and benchmarks
+// run; the same Node code serves TCP deployments via cmd/eclipse-node.
+// Jobs go to the manager role of whichever node holds it (its scheduler
+// and driver, Manager), so a job here runs the code a TCP deployment
+// runs, and after a failover the elected manager's own.
 type Cluster struct {
-	opts   Options
-	net    transport.Network
-	nodes  map[hashing.NodeID]*Node
-	order  []hashing.NodeID
-	sched  scheduler.Scheduler
-	driver *mapreduce.Driver
-	// driverOn is the node the current driver is bound to.
-	driverOn hashing.NodeID
-	// schedNodes tracks which workers hold slots in the scheduler. The
-	// manager's membership observers run on whichever goroutine reported
-	// the change (a heartbeat loop, an inbound suspect RPC), possibly two
-	// at once, so schedMu guards the map and keeps it in step with the
-	// scheduler.
-	schedMu    sync.Mutex
-	schedNodes map[hashing.NodeID]bool
+	opts  Options
+	net   transport.Network
+	order []hashing.NodeID
+	// mu guards nodes: Kill and FailNow delete from it while the facade
+	// reads it.
+	mu    sync.Mutex
+	nodes map[hashing.NodeID]*Node
 }
 
 // New boots a cluster of n in-process nodes named worker-00..worker-(n-1).
@@ -96,14 +90,9 @@ func NewWithNodes(ids []hashing.NodeID, opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: no node IDs")
 	}
 	opts.Config = opts.Config.withDefaults()
-	if opts.Policy == "" {
-		opts.Policy = PolicyLAF
-	}
-	if opts.LAF.KDE.Bins == 0 {
-		opts.LAF = scheduler.DefaultLAFConfig()
-	}
-	if opts.DelayWait == 0 {
-		opts.DelayWait = 5 * time.Second
+	role, err := opts.roleConfig()
+	if err != nil {
+		return nil, err
 	}
 	net := opts.Network
 	if net == nil {
@@ -115,10 +104,9 @@ func NewWithNodes(ids []hashing.NodeID, opts Options) (*Cluster, error) {
 		net = transport.NewRetry(net, opts.Retry)
 	}
 	c := &Cluster{
-		opts:       opts,
-		net:        net,
-		nodes:      make(map[hashing.NodeID]*Node),
-		schedNodes: make(map[hashing.NodeID]bool),
+		opts:  opts,
+		net:   net,
+		nodes: make(map[hashing.NodeID]*Node),
 	}
 	ring := hashing.NewChordRing()
 	for _, id := range ids {
@@ -139,6 +127,7 @@ func NewWithNodes(ids []hashing.NodeID, opts Options) (*Cluster, error) {
 			c.Close()
 			return nil, err
 		}
+		node.role = role
 		if err := node.Start(); err != nil {
 			c.Close()
 			return nil, err
@@ -148,171 +137,120 @@ func NewWithNodes(ids []hashing.NodeID, opts Options) (*Cluster, error) {
 	}
 	sort.Slice(c.order, func(i, j int) bool { return c.order[i] < c.order[j] })
 
-	// Bootstrap the resource manager on the highest-ID node — the same
-	// node a bully election would pick, so a restarted cluster converges
-	// to the same coordinator.
-	mgrID := c.order[len(c.order)-1]
-	mgrNode := c.nodes[mgrID]
-	mgr := newManager(mgrNode, ring, 1)
-	mgrNode.mu.Lock()
-	mgrNode.mgr = mgr
-	mgrNode.manager = mgrID
-	mgrNode.mu.Unlock()
-	mgr.broadcastView()
-
-	var sched scheduler.Scheduler
-	var err error
-	switch opts.Policy {
-	case PolicyLAF:
-		sched, err = scheduler.NewLAF(opts.LAF, ring)
-	case PolicyDelay:
-		sched, err = scheduler.NewDelay(scheduler.DelayConfig{Wait: opts.DelayWait}, ring)
-	case PolicyFair:
-		sched, err = scheduler.NewFair(ring)
-	default:
-		err = fmt.Errorf("cluster: unknown policy %q", opts.Policy)
-	}
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.sched = sched
-	for _, id := range ids {
-		sched.AddNode(id, opts.MapSlots)
-		c.schedNodes[id] = true
-	}
-	c.attachScheduler(mgr)
-	if err := c.rebindDriver(); err != nil {
+	// Bootstrap the manager on the highest-ID node — the same node a bully
+	// election would pick, so a restarted cluster converges to the same
+	// coordinator.
+	if _, err := c.nodes[c.order[len(c.order)-1]].BecomeManagerWith(ring, 1); err != nil {
 		c.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// attachScheduler keeps the scheduler's worker set in sync with the
-// manager's membership.
-func (c *Cluster) attachScheduler(mgr *Manager) {
-	mgr.OnChange(func(joined, failed []hashing.NodeID) {
-		c.schedMu.Lock()
-		defer c.schedMu.Unlock()
-		for _, id := range joined {
-			if !c.schedNodes[id] {
-				c.sched.AddNode(id, c.opts.MapSlots)
-				c.schedNodes[id] = true
-			}
+// roleConfig resolves the Options' scheduling policy and flight-recorder
+// directory into what a node builds its manager role from. The recorder
+// directory is the explicit option, else the ECLIPSE_BUNDLE_DIR
+// environment variable; empty disarms it.
+func (o Options) roleConfig() (roleConfig, error) {
+	r := roleConfig{bundleDir: o.BundleDir}
+	if r.bundleDir == "" {
+		r.bundleDir = os.Getenv("ECLIPSE_BUNDLE_DIR")
+	}
+	switch o.Policy {
+	case PolicyLAF, "":
+		laf := o.LAF
+		if laf.KDE.Bins == 0 {
+			laf = scheduler.DefaultLAFConfig()
 		}
-		for _, id := range failed {
-			if c.schedNodes[id] {
-				c.sched.RemoveNode(id)
-				delete(c.schedNodes, id)
-			}
+		r.newScheduler = lafScheduler(laf)
+	case PolicyDelay:
+		cfg := scheduler.DelayConfig{Wait: o.DelayWait}
+		if cfg.Wait == 0 {
+			cfg.Wait = 5 * time.Second
 		}
-	})
+		r.newScheduler = func(ring *hashing.ChordRing) (scheduler.Scheduler, error) {
+			return scheduler.NewDelay(cfg, ring)
+		}
+	case PolicyFair:
+		r.newScheduler = func(ring *hashing.ChordRing) (scheduler.Scheduler, error) {
+			return scheduler.NewFair(ring)
+		}
+	default:
+		return roleConfig{}, fmt.Errorf("cluster: unknown policy %q", o.Policy)
+	}
+	return r, nil
 }
 
-// Manager returns the node currently holding the resource-manager role,
-// or nil during a leadership gap.
-func (c *Cluster) Manager() *Node {
+// live returns the live nodes in ID order.
+func (c *Cluster) live() []*Node {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*Node, 0, len(c.nodes))
 	for _, id := range c.order {
-		if n, ok := c.nodes[id]; ok && n.IsManager() {
+		if n, ok := c.nodes[id]; ok {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// Manager returns the node currently holding the manager role, or nil
+// during a leadership gap.
+func (c *Cluster) Manager() *Node {
+	for _, n := range c.live() {
+		if n.IsManager() {
 			return n
 		}
 	}
 	return nil
 }
 
-// rebindDriver points the job driver at the current manager node.
-func (c *Cluster) rebindDriver() error {
-	mgrNode := c.Manager()
-	if mgrNode == nil {
-		return fmt.Errorf("cluster: no resource manager is live")
-	}
-	if c.driver != nil && c.driverOn == mgrNode.ID {
-		return nil
-	}
-	driverNet := c.net
-	if on, ok := c.net.(transport.OriginNetwork); ok {
-		driverNet = on.From(mgrNode.ID)
-	}
-	driver, err := mapreduce.NewDriver(mgrNode.ID, driverNet, mgrNode.fs, c.sched, mgrNode.Ring, c.opts.ReduceSlots)
-	if err != nil {
-		return err
-	}
-	// The driver's spans record on the manager node's tracer, so one
-	// cluster.spans sweep collects driver and worker spans alike; the
-	// driver's events likewise record on the manager node's ring.
-	driver.SetTracer(mgrNode.tracer)
-	driver.SetEvents(mgrNode.events)
-	if dir := c.bundleDir(); dir != "" {
-		driver.SetFlightRecorder(func(job, reason string) {
-			c.captureBundle(dir, job, reason)
-		})
-	}
-	// The old driver's dispatcher must stop before the new one pumps the
-	// shared scheduler, or the two loops would steal each other's
-	// assignments.
-	if c.driver != nil {
-		c.driver.Close()
-	}
-	// A newly elected manager needs the scheduler observer too.
-	mgrNode.mu.Lock()
-	mgr := mgrNode.mgr
-	mgrNode.mu.Unlock()
-	if mgr != nil && c.driverOn != mgrNode.ID {
-		c.attachScheduler(mgr)
-		// Reconcile scheduler membership with the manager's view.
-		live := map[hashing.NodeID]bool{}
-		members := mgr.Members()
-		c.schedMu.Lock()
-		for _, id := range members {
-			live[id] = true
-			if !c.schedNodes[id] {
-				c.sched.AddNode(id, c.opts.MapSlots)
-				c.schedNodes[id] = true
-			}
+// role returns the current manager node's role: its scheduler and
+// driver.
+func (c *Cluster) role() (*Manager, error) {
+	if n := c.Manager(); n != nil {
+		if m := n.Manager(); m != nil {
+			return m, nil
 		}
-		for id := range c.schedNodes {
-			if !live[id] {
-				c.sched.RemoveNode(id)
-				delete(c.schedNodes, id)
-			}
-		}
-		c.schedMu.Unlock()
 	}
-	c.driver = driver
-	c.driverOn = mgrNode.ID
-	return nil
+	return nil, fmt.Errorf("cluster: no resource manager is live")
 }
 
 // Node returns a node by ID.
 func (c *Cluster) Node(id hashing.NodeID) (*Node, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n, ok := c.nodes[id]
 	return n, ok
 }
 
 // Nodes lists live node IDs in sorted order.
 func (c *Cluster) Nodes() []hashing.NodeID {
-	out := make([]hashing.NodeID, 0, len(c.nodes))
-	for _, id := range c.order {
-		if _, ok := c.nodes[id]; ok {
-			out = append(out, id)
-		}
+	live := c.live()
+	out := make([]hashing.NodeID, len(live))
+	for i, n := range live {
+		out[i] = n.ID
 	}
 	return out
 }
 
-// Scheduler exposes the scheduling policy (for stats).
-func (c *Cluster) Scheduler() scheduler.Scheduler { return c.sched }
+// Scheduler exposes the current manager's scheduling policy (for stats),
+// or nil during a leadership gap.
+func (c *Cluster) Scheduler() scheduler.Scheduler {
+	m, err := c.role()
+	if err != nil {
+		return nil
+	}
+	return m.sched
+}
 
 // anyNode returns some live node (preferring the manager).
 func (c *Cluster) anyNode() (*Node, error) {
 	if n := c.Manager(); n != nil {
 		return n, nil
 	}
-	for _, id := range c.order {
-		if n, ok := c.nodes[id]; ok {
-			return n, nil
-		}
+	if live := c.live(); len(live) > 0 {
+		return live[0], nil
 	}
 	return nil, fmt.Errorf("cluster: no live nodes")
 }
@@ -387,19 +325,21 @@ func (c *Cluster) DeleteFileContext(ctx context.Context, name, user string) erro
 
 // Run executes a MapReduce job to completion.
 func (c *Cluster) Run(spec mapreduce.JobSpec) (mapreduce.Result, error) {
-	if err := c.rebindDriver(); err != nil {
+	m, err := c.role()
+	if err != nil {
 		return mapreduce.Result{}, err
 	}
-	return c.driver.Run(spec)
+	return m.driver.Run(spec)
 }
 
 // RunContext executes a MapReduce job with caller-controlled
 // cancellation (see mapreduce.Driver.RunContext).
 func (c *Cluster) RunContext(ctx context.Context, spec mapreduce.JobSpec) (mapreduce.Result, error) {
-	if err := c.rebindDriver(); err != nil {
+	m, err := c.role()
+	if err != nil {
 		return mapreduce.Result{}, err
 	}
-	return c.driver.RunContext(ctx, spec)
+	return m.driver.RunContext(ctx, spec)
 }
 
 // Resume adopts an interrupted job from its durable journal and drives it
@@ -407,23 +347,21 @@ func (c *Cluster) RunContext(ctx context.Context, spec mapreduce.JobSpec) (mapre
 // work the journal does not record as done. This is how the cluster picks
 // a job back up after the driver (or its whole manager node) died mid-run.
 func (c *Cluster) Resume(jobID string) (mapreduce.Result, error) {
-	if err := c.rebindDriver(); err != nil {
+	m, err := c.role()
+	if err != nil {
 		return mapreduce.Result{}, err
 	}
-	return c.driver.Resume(jobID)
+	return m.driver.Resume(jobID)
 }
 
 // OrphanJobs lists journaled jobs that never reached the done phase — the
 // candidates for Resume after a manager failover.
 func (c *Cluster) OrphanJobs() ([]string, error) {
-	if err := c.rebindDriver(); err != nil {
+	m, err := c.role()
+	if err != nil {
 		return nil, err
 	}
-	n := c.Manager()
-	if n == nil {
-		return nil, fmt.Errorf("cluster: no resource manager is live")
-	}
-	return c.driver.Orphans(rootContext())
+	return m.driver.Orphans(rootContext())
 }
 
 // Collect fetches and decodes a completed job's output pairs.
@@ -433,23 +371,24 @@ func (c *Cluster) Collect(res mapreduce.Result, user string) ([]mapreduce.KV, er
 
 // CollectContext is Collect with caller-controlled cancellation.
 func (c *Cluster) CollectContext(ctx context.Context, res mapreduce.Result, user string) ([]mapreduce.KV, error) {
-	if err := c.rebindDriver(); err != nil {
+	m, err := c.role()
+	if err != nil {
 		return nil, err
 	}
-	return c.driver.Collect(ctx, res, user)
+	return m.driver.Collect(ctx, res, user)
 }
 
 // DropIntermediates deletes a job's shuffle data cluster-wide.
 func (c *Cluster) DropIntermediates(spec mapreduce.JobSpec) {
-	if err := c.rebindDriver(); err == nil {
-		c.driver.DropIntermediates(rootContext(), spec)
+	if m, err := c.role(); err == nil {
+		m.driver.DropIntermediates(rootContext(), spec)
 	}
 }
 
 // SetTracing turns span recording on or off on every live node. The
 // driver records through the manager node's tracer, so it is covered too.
 func (c *Cluster) SetTracing(on bool) {
-	for _, n := range c.nodes {
+	for _, n := range c.live() {
 		n.tracer.SetEnabled(on)
 	}
 }
@@ -540,40 +479,17 @@ func (c *Cluster) DebugBundleContext(ctx context.Context, jobID, reason string) 
 	return n.BuildBundleBytes(ctx, jobID, reason)
 }
 
-// bundleDir resolves the flight-recorder directory: the explicit option
-// wins, then the ECLIPSE_BUNDLE_DIR environment variable; empty disarms
-// the recorder.
-func (c *Cluster) bundleDir() string {
-	if c.opts.BundleDir != "" {
-		return c.opts.BundleDir
-	}
-	return os.Getenv("ECLIPSE_BUNDLE_DIR")
-}
-
-// captureBundle is the armed flight recorder: snapshot the cluster into
-// <dir>/bundle-<job>-<reason>.json via the capturing node. Capture
-// errors are recorded as a metric rather than surfaced, because the
-// recorder fires on paths that are already failing.
-func (c *Cluster) captureBundle(dir, job, reason string) {
-	n, err := c.anyNode()
-	if err != nil {
-		return
-	}
-	if _, err := n.WriteBundleFile(rootContext(), dir, job, reason); err != nil {
-		n.worker.Metrics().Counter("bundle.capture_errors").Inc()
-		return
-	}
-	n.worker.Metrics().Counter("bundle.captured").Inc()
-}
-
 // Kill crashes a node without any cleanup handshake: it simply vanishes
 // from the network, exactly as a machine failure would appear to its
 // peers. Detection and recovery run through heartbeats, the resource
 // manager and (if the manager died) election.
 func (c *Cluster) Kill(id hashing.NodeID) {
-	if n, ok := c.nodes[id]; ok {
+	c.mu.Lock()
+	n, ok := c.nodes[id]
+	delete(c.nodes, id)
+	c.mu.Unlock()
+	if ok {
 		n.Close()
-		delete(c.nodes, id)
 	}
 }
 
@@ -582,14 +498,11 @@ func (c *Cluster) Kill(id hashing.NodeID) {
 // the heartbeat wait.
 func (c *Cluster) FailNow(id hashing.NodeID) error {
 	c.Kill(id)
-	mgrNode := c.Manager()
-	if mgrNode == nil {
+	m, err := c.role()
+	if err != nil {
 		return fmt.Errorf("cluster: no manager to process the failure")
 	}
-	mgrNode.mu.Lock()
-	mgr := mgrNode.mgr
-	mgrNode.mu.Unlock()
-	mgr.Fail(id)
+	m.Fail(id)
 	return nil
 }
 
@@ -600,15 +513,15 @@ func (c *Cluster) FailNow(id hashing.NodeID) error {
 // objects are ever needed); it is exposed for workloads with fast-moving
 // range boundaries. Returns the number of blocks migrated.
 func (c *Cluster) MigrateMisplacedCaches() (int, error) {
-	table := c.sched.RangeTable()
-	mgrNode := c.Manager()
-	if mgrNode == nil {
-		return 0, fmt.Errorf("cluster: no live manager")
+	m, err := c.role()
+	if err != nil {
+		return 0, err
 	}
-	ring := mgrNode.Ring()
+	table := m.sched.RangeTable()
+	ring := m.node.Ring()
 	total := 0
 	for _, id := range table.Servers() {
-		if _, ok := c.nodes[id]; !ok {
+		if _, ok := c.Node(id); !ok {
 			continue
 		}
 		start, end, ok := table.ServerRange(id)
@@ -641,19 +554,13 @@ func (c *Cluster) MigrateMisplacedCaches() (int, error) {
 	return total, nil
 }
 
-// MetricsSnapshot aggregates every live node's metrics, the driver's and
-// scheduler's counters and histograms, and the network layers' counters
-// into one snapshot (values summed, histogram buckets merged).
+// MetricsSnapshot aggregates every live node's metrics (the manager
+// node's include its scheduler's and driver's) and the network layers'
+// counters into one snapshot (values summed, histogram buckets merged).
 func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 	total := metrics.NewSnapshot()
-	for _, n := range c.nodes {
+	for _, n := range c.live() {
 		metrics.Merge(&total, n.MetricsSnapshot())
-	}
-	if c.driver != nil {
-		metrics.Merge(&total, c.driver.Metrics().Snapshot())
-	}
-	if c.sched != nil {
-		metrics.Merge(&total, c.sched.Metrics().Snapshot())
 	}
 	// Walk the transport decorator chain (Retry, Chaos, ...) and pick up
 	// every layer that exports metrics.
@@ -679,7 +586,7 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 // ratio.
 func (c *Cluster) CacheStats() cache.Stats {
 	var total cache.Stats
-	for _, n := range c.nodes {
+	for _, n := range c.live() {
 		s := n.cache.CombinedStats()
 		total.Hits += s.Hits
 		total.Misses += s.Misses
@@ -690,15 +597,10 @@ func (c *Cluster) CacheStats() cache.Stats {
 	return total
 }
 
-// Close shuts every node down.
+// Close shuts every node down; the manager's closes its driver.
 func (c *Cluster) Close() {
-	if c.driver != nil {
-		c.driver.Close()
-		c.driver = nil
-	}
-	for id, n := range c.nodes {
-		n.Close()
-		delete(c.nodes, id)
+	for _, n := range c.live() {
+		c.Kill(n.ID)
 	}
 	if c.net != nil {
 		// Visible discard: the cluster is going away with every node

@@ -8,16 +8,21 @@ import (
 	"eclipsemr/internal/chord"
 	"eclipsemr/internal/events"
 	"eclipsemr/internal/hashing"
+	"eclipsemr/internal/mapreduce"
+	"eclipsemr/internal/scheduler"
 	"eclipsemr/internal/transport"
 )
 
-// Manager is the resource manager role (§II: "responsible for server
-// join, leave, failure recovery, and file upload"). Exactly one live node
-// holds it at a time; it owns the authoritative membership ring and epoch
-// counter, disseminates views, verifies failure reports and directs
-// re-replication. Scheduler integration happens through the OnChange
-// callback, which the job-scheduler role uses to add and remove worker
-// slots.
+// Manager is the resource manager and job scheduler role (§II: the
+// manager is "responsible for server join, leave, failure recovery, and
+// file upload", and the same node runs the job scheduler). Exactly one
+// live node holds it at a time; it owns the authoritative membership ring
+// and epoch counter, disseminates views, verifies failure reports,
+// directs re-replication, and runs the job scheduler and the MapReduce
+// driver that dispatches through it. A node builds all of it when it is
+// promoted, at bootstrap or by election, so an elected manager starts a
+// fresh scheduler from its own view; joins and failures update the
+// scheduler's slots, and stopping the role closes the driver.
 type Manager struct {
 	node *Node
 	// verify wraps the node's network with its own bounded retry for
@@ -25,13 +30,13 @@ type Manager struct {
 	// task failover), so one dropped verify packet on a lossy link must
 	// not condemn a healthy node. Never Closed — closing a Retry closes
 	// the shared inner network.
-	verify transport.Network
-	mu     sync.Mutex
-	ring   *hashing.ChordRing
-	epoch  uint64
-	// onChange observers are invoked with every join and failure.
-	onChange []func(joined, failed []hashing.NodeID)
-	stopped  bool
+	verify  transport.Network
+	sched   scheduler.Scheduler
+	driver  *mapreduce.Driver
+	mu      sync.Mutex
+	ring    *hashing.ChordRing
+	epoch   uint64
+	stopped bool
 }
 
 // verifyRetryPolicy is the suspect-verification ping budget: generous
@@ -43,33 +48,47 @@ func verifyRetryPolicy() transport.RetryPolicy {
 }
 
 // newManager builds the role object on a node with an initial ring and
-// epoch.
-func newManager(n *Node, ring *hashing.ChordRing, epoch uint64) *Manager {
+// epoch: a scheduler holding a slot entry for every member of the ring,
+// and a driver that records its spans and events on the node and, with
+// the flight recorder armed, captures a debug bundle from it.
+func newManager(n *Node, ring *hashing.ChordRing, epoch uint64) (*Manager, error) {
+	sched, err := n.role.newScheduler(ring)
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range ring.Members() {
+		sched.AddNode(id, n.cfg.MapSlots)
+	}
+	driver, err := mapreduce.NewDriver(n.ID, n.net, n.fs, sched, n.Ring, n.cfg.ReduceSlots)
+	if err != nil {
+		return nil, err
+	}
+	driver.SetTracer(n.tracer)
+	driver.SetEvents(n.events)
+	if dir := n.role.bundleDir; dir != "" {
+		driver.SetFlightRecorder(func(job, reason string) { n.captureBundle(dir, job, reason) })
+	}
 	return &Manager{
 		node:   n,
 		verify: transport.NewRetry(n.net, verifyRetryPolicy()),
+		sched:  sched,
+		driver: driver,
 		ring:   ring,
 		epoch:  epoch,
-	}
+	}, nil
 }
 
-// start finishes promotion; currently a placeholder for symmetric
-// shutdown via stop.
-func (m *Manager) start() {}
-
-// stop deactivates the role.
+// stop deactivates the role and closes its driver: jobs still running on
+// it fail with "driver closed", and their journals stay for Resume.
 func (m *Manager) stop() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.stopped = true
+	m.mu.Unlock()
+	m.driver.Close()
 }
 
-// OnChange registers a membership observer (the job scheduler).
-func (m *Manager) OnChange(fn func(joined, failed []hashing.NodeID)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onChange = append(m.onChange, fn)
-}
+// Driver returns the role's job driver.
+func (m *Manager) Driver() *mapreduce.Driver { return m.driver }
 
 // Epoch returns the current membership epoch.
 func (m *Manager) Epoch() uint64 {
@@ -86,7 +105,8 @@ func (m *Manager) Members() []hashing.NodeID {
 }
 
 // Join admits a new worker: it enters the ring, the epoch advances, the
-// view is broadcast and data is re-balanced onto the newcomer.
+// view is broadcast, data is re-balanced onto the newcomer and the
+// scheduler gives it slots.
 func (m *Manager) Join(id hashing.NodeID) error {
 	m.mu.Lock()
 	if err := m.ring.AddNode(id); err != nil {
@@ -94,14 +114,11 @@ func (m *Manager) Join(id hashing.NodeID) error {
 		return err
 	}
 	m.epoch++
-	observers := append([]func(joined, failed []hashing.NodeID){}, m.onChange...)
 	m.mu.Unlock()
 	m.node.events.Emit(events.KindMembership, "member.join", events.F{Detail: string(id)})
 	m.broadcastView()
 	m.directRecovery()
-	for _, fn := range observers {
-		fn([]hashing.NodeID{id}, nil)
-	}
+	m.sched.AddNode(id, m.node.cfg.MapSlots)
 	return nil
 }
 
@@ -143,9 +160,10 @@ func (m *Manager) verifyPing(suspect hashing.NodeID) error {
 	return transport.Decode(out, &resp)
 }
 
-// Fail removes a dead worker from the membership, broadcasts the new view
-// and directs every survivor to re-replicate, restoring the replication
-// invariant from the copies the predecessor and successor hold.
+// Fail removes a dead worker from the membership, broadcasts the new view,
+// directs every survivor to re-replicate, restoring the replication
+// invariant from the copies the predecessor and successor hold, and takes
+// the worker's slots out of the scheduler.
 func (m *Manager) Fail(id hashing.NodeID) {
 	m.mu.Lock()
 	if !m.ring.Remove(id) {
@@ -153,14 +171,11 @@ func (m *Manager) Fail(id hashing.NodeID) {
 		return
 	}
 	m.epoch++
-	observers := append([]func(joined, failed []hashing.NodeID){}, m.onChange...)
 	m.mu.Unlock()
 	m.node.events.Emit(events.KindMembership, "member.evict", events.F{Detail: string(id)})
 	m.broadcastView()
 	m.directRecovery()
-	for _, fn := range observers {
-		fn(nil, []hashing.NodeID{id})
-	}
+	m.sched.RemoveNode(id)
 }
 
 // view snapshots the authoritative view.

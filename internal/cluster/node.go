@@ -23,6 +23,7 @@ import (
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/mapreduce"
 	"eclipsemr/internal/metrics"
+	"eclipsemr/internal/scheduler"
 	"eclipsemr/internal/trace"
 	"eclipsemr/internal/transport"
 )
@@ -213,15 +214,37 @@ type Node struct {
 	extra func(method string, body []byte) ([]byte, bool, error)
 
 	// extraMetrics lists additional snapshot sources merged into
-	// MetricsSnapshot (driver, scheduler, transport decorators); guarded
-	// by mu.
+	// MetricsSnapshot (transport decorators); guarded by mu.
 	extraMetrics []func() metrics.Snapshot
+
+	// role is what the node builds its job scheduler and flight recorder
+	// from if it takes the manager role. Set before Start.
+	role roleConfig
+}
+
+// roleConfig is the scheduling policy and flight-recorder directory of
+// the manager role. A node alone runs LAF with the paper's defaults and
+// no recorder; Cluster sets its Options' choice on every node.
+type roleConfig struct {
+	newScheduler func(*hashing.ChordRing) (scheduler.Scheduler, error)
+	// bundleDir, when set, arms the flight recorder: a job failure or a
+	// recovery sweep snapshots a debug bundle into it.
+	bundleDir string
+}
+
+// lafScheduler builds LAF schedulers, the policy a node runs unless told
+// otherwise.
+func lafScheduler(cfg scheduler.LAFConfig) func(*hashing.ChordRing) (scheduler.Scheduler, error) {
+	return func(ring *hashing.ChordRing) (scheduler.Scheduler, error) {
+		return scheduler.NewLAF(cfg, ring)
+	}
 }
 
 // NewNode constructs (but does not start) a node.
 func NewNode(id hashing.NodeID, net transport.Network, cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
-	n := &Node{ID: id, cfg: cfg, net: net, stopHB: make(chan struct{})}
+	n := &Node{ID: id, cfg: cfg, net: net, stopHB: make(chan struct{}),
+		role: roleConfig{newScheduler: lafScheduler(scheduler.DefaultLAFConfig())}}
 	store := dhtfs.NewStore()
 	if cfg.DataDir != "" {
 		var err error
@@ -261,9 +284,9 @@ func (n *Node) Cache() *cache.NodeCache { return n.cache }
 // BlockSize returns the node's configured DHT-FS block size.
 func (n *Node) BlockSize() int { return n.cfg.BlockSize }
 
-// AddMetricsSource registers an additional snapshot source (driver,
-// scheduler, transport decorators) merged into MetricsSnapshot and thus
-// served over cluster.stats and /metrics.
+// AddMetricsSource registers an additional snapshot source (transport
+// decorators) merged into MetricsSnapshot and thus served over
+// cluster.stats and /metrics.
 func (n *Node) AddMetricsSource(src func() metrics.Snapshot) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -271,9 +294,10 @@ func (n *Node) AddMetricsSource(src func() metrics.Snapshot) {
 }
 
 // MetricsSnapshot merges the node's worker and file system counters,
-// its cache statistics, and any registered extra sources into one
-// snapshot. Cache hit ratios are refreshed at snapshot time, in basis
-// points (a ratio of 1.0 = 10000) so they survive the int64 wire format;
+// its cache statistics, its scheduler's and driver's while it holds the
+// manager role, and any registered extra sources into one snapshot.
+// Cache hit ratios are refreshed at snapshot time, in basis points (a
+// ratio of 1.0 = 10000) so they survive the int64 wire format;
 // note ratios are per-node values — cluster-wide ratios must be
 // recomputed from the summed hit/miss counters, not by adding these.
 func (n *Node) MetricsSnapshot() metrics.Snapshot {
@@ -296,7 +320,11 @@ func (n *Node) MetricsSnapshot() metrics.Snapshot {
 	snap.Values["events.dropped"] = n.events.Dropped()
 	n.mu.Lock()
 	extra := append([]func() metrics.Snapshot(nil), n.extraMetrics...)
+	mgr := n.mgr
 	n.mu.Unlock()
+	if mgr != nil {
+		extra = append(extra, mgr.sched.Metrics().Snapshot, mgr.driver.Metrics().Snapshot)
+	}
 	for _, src := range extra {
 		metrics.Merge(&snap, src())
 	}
@@ -335,6 +363,12 @@ func (n *Node) IsManager() bool {
 	return n.mgr != nil
 }
 
+// SetBundleDir arms the flight recorder of the manager role this node
+// may take: a job its driver fails, or a recovery sweep, snapshots a
+// cluster-wide debug bundle into dir as bundle-<job>-<reason>.json. Call
+// before Start.
+func (n *Node) SetBundleDir(dir string) { n.role.bundleDir = dir }
+
 // SetExtraHandler installs a fallback handler for methods outside the
 // built-in services. Call before Start.
 func (n *Node) SetExtraHandler(h func(method string, body []byte) ([]byte, bool, error)) {
@@ -370,18 +404,38 @@ func (n *Node) Close() {
 	n.wg.Wait()
 }
 
-// BecomeManagerWith bootstraps the resource-manager role on this node
-// with an explicit initial ring and epoch, broadcasting the view to every
-// member. Deployments (cmd/eclipse-node) call it on the designated
-// bootstrap coordinator; subsequent failures are handled by election.
-func (n *Node) BecomeManagerWith(ring *hashing.ChordRing, epoch uint64) *Manager {
-	mgr := newManager(n, ring, epoch)
-	n.mu.Lock()
-	n.mgr = mgr
-	n.manager = n.ID
-	n.mu.Unlock()
+// BecomeManagerWith bootstraps the manager role on this node with an
+// explicit initial ring and epoch, broadcasting the view to every member.
+// Cluster and cmd/eclipse-node call it on the designated bootstrap
+// coordinator; subsequent failures are handled by election.
+func (n *Node) BecomeManagerWith(ring *hashing.ChordRing, epoch uint64) (*Manager, error) {
+	mgr, err := n.promote(ring, epoch)
+	if err != nil {
+		return nil, err
+	}
 	mgr.broadcastView()
-	return mgr
+	return mgr, nil
+}
+
+// promote builds the manager role over ring and installs it, unless the
+// node is closed or holds the role already.
+func (n *Node) promote(ring *hashing.ChordRing, epoch uint64) (*Manager, error) {
+	mgr, err := newManager(n, ring, epoch)
+	if err != nil {
+		return nil, err
+	}
+	n.mu.Lock()
+	taken := n.mgr != nil || n.closed
+	if !taken {
+		n.mgr = mgr
+		n.manager = n.ID
+	}
+	n.mu.Unlock()
+	if taken {
+		mgr.stop()
+		return nil, fmt.Errorf("cluster: node %s is closed or already the manager", n.ID)
+	}
+	return mgr, nil
 }
 
 // Manager returns this node's resource-manager role, or nil if the node
@@ -618,8 +672,9 @@ func (n *Node) runElection() {
 	n.becomeManager()
 }
 
-// becomeManager promotes this node to resource manager, drops unreachable
-// members from the view, and broadcasts the result.
+// becomeManager promotes this node to manager, drops unreachable members
+// from the view, starts a scheduler and driver over the survivors, and
+// broadcasts the result.
 func (n *Node) becomeManager() {
 	n.mu.Lock()
 	if n.mgr != nil || n.closed {
@@ -656,13 +711,11 @@ func (n *Node) becomeManager() {
 	if ring.Len() > 1 && alive.Len() <= 1 {
 		return
 	}
-	mgr := newManager(n, alive, epoch+1)
-	n.mu.Lock()
-	n.mgr = mgr
-	n.manager = n.ID
-	n.mu.Unlock()
+	mgr, err := n.promote(alive, epoch+1)
+	if err != nil {
+		return
+	}
 	n.events.Emit(events.KindMembership, "member.elect", events.F{Detail: string(n.ID)})
 	mgr.broadcastView()
 	mgr.directRecovery()
-	mgr.start()
 }

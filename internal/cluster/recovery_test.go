@@ -121,9 +121,6 @@ func TestLostPartitionRecoveryEndToEnd(t *testing.T) {
 			}
 			chaos.SetDrop(0.05) // upload ran fault-free; the job does not
 
-			if err := c.rebindDriver(); err != nil {
-				t.Fatal(err)
-			}
 			victim := nonManagerNode(t, c)
 			if tc.cut {
 				for _, id := range c.Nodes() {
@@ -228,9 +225,6 @@ func TestManagerFailoverAdoptsJournaledJob(t *testing.T) {
 	spec := mapreduce.JobSpec{
 		ID: "journal-e2e", App: "cluster-slow-wordcount", Inputs: []string{"journal.txt"},
 		User: "u", MaxAttempts: 5,
-	}
-	if err := c.rebindDriver(); err != nil {
-		t.Fatal(err)
 	}
 	// "Kill" the driver a few completions into the map phase. Cancelling
 	// RunContext models the manager process dying mid-job: dispatching

@@ -102,9 +102,6 @@ func TestReduceGroupLostWhole(t *testing.T) {
 	if _, err := c.UploadRecords("chaos.txt", "u", dhtfs.PermPublic, []byte(text), '\n'); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.rebindDriver(); err != nil {
-		t.Fatal(err)
-	}
 	var executor atomic.Value
 	var once sync.Once
 	c.Manager().Events().SetObserver(func(e events.Event) {

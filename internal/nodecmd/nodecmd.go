@@ -164,9 +164,16 @@ const (
 	MethodJobs    = "job.jobs"
 )
 
-// ClientHandler mounts the client-facing methods on a node. ensureDriver
-// must return the node's job driver (erroring on non-manager nodes).
-func ClientHandler(node *cluster.Node, ensureDriver func() (*mapreduce.Driver, error)) func(string, []byte) ([]byte, bool, error) {
+// ClientHandler mounts the client-facing methods on a node. The job
+// methods run on the driver of the node's manager role, whichever node
+// holds it now; a node without the role refuses them.
+func ClientHandler(node *cluster.Node) func(string, []byte) ([]byte, bool, error) {
+	driver := func() (*mapreduce.Driver, error) {
+		if mgr := node.Manager(); mgr != nil {
+			return mgr.Driver(), nil
+		}
+		return nil, fmt.Errorf("node %s is not the manager (ask the manager)", node.ID)
+	}
 	return func(method string, body []byte) ([]byte, bool, error) {
 		switch method {
 		case MethodUpload:
@@ -226,11 +233,11 @@ func ClientHandler(node *cluster.Node, ensureDriver func() (*mapreduce.Driver, e
 			if err := transport.Decode(body, &req); err != nil {
 				return nil, true, err
 			}
-			driver, err := ensureDriver()
+			d, err := driver()
 			if err != nil {
 				return nil, true, err
 			}
-			res, err := driver.Run(req.Spec)
+			res, err := d.Run(req.Spec)
 			if err != nil {
 				return nil, true, err
 			}
@@ -241,22 +248,22 @@ func ClientHandler(node *cluster.Node, ensureDriver func() (*mapreduce.Driver, e
 			if err := transport.Decode(body, &req); err != nil {
 				return nil, true, err
 			}
-			driver, err := ensureDriver()
+			d, err := driver()
 			if err != nil {
 				return nil, true, err
 			}
-			res, err := driver.Resume(req.Job)
+			res, err := d.Resume(req.Job)
 			if err != nil {
 				return nil, true, err
 			}
 			out, err := transport.Encode(RunResp{Result: res})
 			return out, true, err
 		case MethodJobs:
-			driver, err := ensureDriver()
+			d, err := driver()
 			if err != nil {
 				return nil, true, err
 			}
-			jobs, err := driver.Orphans(context.Background())
+			jobs, err := d.Orphans(context.Background())
 			if err != nil {
 				return nil, true, err
 			}
@@ -267,11 +274,11 @@ func ClientHandler(node *cluster.Node, ensureDriver func() (*mapreduce.Driver, e
 			if err := transport.Decode(body, &req); err != nil {
 				return nil, true, err
 			}
-			driver, err := ensureDriver()
+			d, err := driver()
 			if err != nil {
 				return nil, true, err
 			}
-			pairs, err := driver.Collect(context.Background(), req.Result, req.User)
+			pairs, err := d.Collect(context.Background(), req.Result, req.User)
 			if err != nil {
 				return nil, true, err
 			}

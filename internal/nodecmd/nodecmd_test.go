@@ -1,21 +1,45 @@
 package nodecmd
 
 import (
-	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	_ "eclipsemr/internal/apps"
 	"eclipsemr/internal/cluster"
+	"eclipsemr/internal/events"
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/mapreduce"
-	"eclipsemr/internal/scheduler"
 	"eclipsemr/internal/transport"
 )
+
+func init() {
+	// A paced word count, so a job is still mapping when its manager goes.
+	mapreduce.Register("nodecmd-slow-wordcount", mapreduce.App{
+		Map: func(_ mapreduce.Params, input []byte, emit mapreduce.Emit) error {
+			time.Sleep(2 * time.Millisecond)
+			for _, w := range strings.Fields(string(input)) {
+				if err := emit(w, []byte("1")); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		Reduce: func(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.Emit) error {
+			total := 0
+			for _, v := range values {
+				n, _ := strconv.Atoi(string(v))
+				total += n
+			}
+			return emit(key, []byte(strconv.Itoa(total)))
+		},
+	})
+}
 
 func TestReadHosts(t *testing.T) {
 	dir := t.TempDir()
@@ -48,78 +72,62 @@ func TestReadHosts(t *testing.T) {
 	}
 }
 
-// TestTCPDeploymentEndToEnd boots a 3-node cluster over real loopback TCP
-// exactly as cmd/eclipse-node does, then drives the eclipse-cli protocol:
-// upload, job submission to the elected manager, collection, and read.
-func TestTCPDeploymentEndToEnd(t *testing.T) {
-	ids := []hashing.NodeID{"worker-00", "worker-01", "worker-02"}
+// bootTCP starts one node per ID over a shared loopback TCP network,
+// each mounting the client methods as cmd/eclipse-node does, and
+// bootstraps the manager on the last one, as -bootstrap does.
+func bootTCP(t *testing.T, ids []hashing.NodeID, cfg cluster.Config) (*transport.TCP, map[hashing.NodeID]string, []*cluster.Node) {
+	t.Helper()
 	hosts := map[hashing.NodeID]string{}
 	for _, id := range ids {
 		hosts[id] = "127.0.0.1:0"
 	}
 	net := transport.NewTCP(hosts, 30*time.Second)
-	defer net.Close()
-
-	cfg := cluster.Config{
-		Replicas:    2,
-		MapSlots:    4,
-		ReduceSlots: 4,
-		CacheBytes:  8 << 20,
-		BlockSize:   512,
-	}
+	t.Cleanup(func() { net.Close() })
 	var nodes []*cluster.Node
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
 	for _, id := range ids {
 		node, err := cluster.NewNode(id, net, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var (
-			mu     sync.Mutex
-			driver *mapreduce.Driver
-		)
-		n := node
-		ensureDriver := func() (*mapreduce.Driver, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			if !n.IsManager() {
-				return nil, fmt.Errorf("not the manager")
-			}
-			if driver != nil {
-				return driver, nil
-			}
-			sched, err := scheduler.NewLAF(scheduler.DefaultLAFConfig(), n.Ring())
-			if err != nil {
-				return nil, err
-			}
-			for _, peer := range n.Ring().Members() {
-				sched.AddNode(peer, cfg.MapSlots)
-			}
-			driver, err = mapreduce.NewDriver(n.ID, net, n.FS(), sched, n.Ring, cfg.ReduceSlots)
-			return driver, err
-		}
-		node.SetExtraHandler(ClientHandler(node, ensureDriver))
+		node.SetExtraHandler(ClientHandler(node))
 		if err := node.Start(); err != nil {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, node)
 	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-
-	// Bootstrap the manager on the last node, as -bootstrap does.
-	ring, err := WaitForPeers(net, hosts, ids[2], 30*time.Second)
+	last := ids[len(ids)-1]
+	ring, err := WaitForPeers(net, hosts, last, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes[2].BecomeManagerWith(ring, 1)
+	if _, err := nodes[len(nodes)-1].BecomeManagerWith(ring, 1); err != nil {
+		t.Fatal(err)
+	}
+	return net, hosts, nodes
+}
+
+// TestTCPDeploymentEndToEnd boots a 3-node cluster over real loopback TCP
+// exactly as cmd/eclipse-node does, then drives the eclipse-cli protocol:
+// upload, job submission to the elected manager, collection, and read.
+func TestTCPDeploymentEndToEnd(t *testing.T) {
+	ids := []hashing.NodeID{"worker-00", "worker-01", "worker-02"}
+	net, hosts, _ := bootTCP(t, ids, cluster.Config{
+		Replicas:    2,
+		MapSlots:    4,
+		ReduceSlots: 4,
+		CacheBytes:  8 << 20,
+		BlockSize:   512,
+	})
 
 	// Client flow, over the same TCP network.
 	text := strings.Repeat("ping pong ping net\n", 300)
 	var upResp UploadResp
-	err = Call(net, ids[0], MethodUpload, UploadReq{
+	err := Call(net, ids[0], MethodUpload, UploadReq{
 		Name: "t.txt", Owner: "cli", Public: true, Data: []byte(text), Records: true,
 	}, &upResp)
 	if err != nil {
@@ -208,6 +216,114 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 	}
 	if string(readResp.Data) != text {
 		t.Fatal("cat round-trip corrupted")
+	}
+}
+
+// TestTCPDeploymentManagerFailover closes the bootstrap manager's node
+// over real loopback TCP while a job runs on it. The elected node serves
+// job.jobs, job.resume and job.run from the manager role it built when it
+// was elected: nothing in the test hands it a driver.
+func TestTCPDeploymentManagerFailover(t *testing.T) {
+	ids := []hashing.NodeID{"worker-00", "worker-01", "worker-02"}
+	net, hosts, nodes := bootTCP(t, ids, cluster.Config{
+		Replicas:          2,
+		MapSlots:          2,
+		ReduceSlots:       2,
+		CacheBytes:        8 << 20,
+		BlockSize:         512,
+		HeartbeatInterval: 20 * time.Millisecond,
+		HeartbeatTimeout:  60 * time.Millisecond,
+	})
+	const lines = 1200
+	text := strings.Repeat("ping pong ping net\n", lines)
+	var upResp UploadResp
+	if err := Call(net, ids[0], MethodUpload, UploadReq{
+		Name: "f.txt", Owner: "cli", Public: true, Data: []byte(text), Records: true,
+	}, &upResp); err != nil {
+		t.Fatal(err)
+	}
+
+	// The manager's node goes away a few maps into the job; the journal is
+	// what survives it.
+	spec := mapreduce.JobSpec{
+		ID: "tcp-failover", App: "nodecmd-slow-wordcount", Inputs: []string{"f.txt"},
+		User: "cli", MaxAttempts: 5,
+	}
+	var finished atomic.Int32
+	closed := make(chan struct{})
+	nodes[2].Events().SetObserver(func(e events.Event) {
+		if e.Job == spec.ID && e.Name == "map.finish" && finished.Add(1) == 3 {
+			go func() {
+				nodes[2].Close()
+				close(closed)
+			}()
+		}
+	})
+	var runResp RunResp
+	if err := Call(net, ids[2], MethodRun, RunReq{Spec: spec}, &runResp); err == nil {
+		t.Fatal("the run on the closed manager reported success")
+	}
+	<-closed
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if mgr, err := FindManager(net, hosts); err == nil && mgr == ids[1] {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no manager elected after the bootstrap manager closed")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	checkCounts := func(res mapreduce.Result) {
+		t.Helper()
+		var collected CollectResp
+		if err := Call(net, ids[1], MethodCollect, CollectReq{Result: res, User: "cli"}, &collected); err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]string{}
+		for _, kv := range collected.Pairs {
+			counts[kv.Key] = string(kv.Value)
+		}
+		want := map[string]string{"ping": strconv.Itoa(2 * lines), "pong": strconv.Itoa(lines), "net": strconv.Itoa(lines)}
+		if !maps.Equal(counts, want) {
+			t.Fatalf("%s counts = %v, want %v", res.Job, counts, want)
+		}
+	}
+
+	var jobs JobsResp
+	if err := Call(net, ids[1], MethodJobs, struct{}{}, &jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs.Jobs) != 1 || jobs.Jobs[0] != spec.ID {
+		t.Fatalf("interrupted jobs = %v, want [%s]", jobs.Jobs, spec.ID)
+	}
+	if err := Call(net, ids[1], MethodResume, ResumeReq{Job: spec.ID}, &runResp); err != nil {
+		t.Fatalf("the elected manager did not adopt the job: %v", err)
+	}
+	if !runResp.Result.Resumed {
+		t.Error("Resumed not set on the adopted run")
+	}
+	checkCounts(runResp.Result)
+	reduces := int64(runResp.Result.ReduceTasks)
+
+	spec.ID, spec.App = "tcp-after-failover", "wordcount"
+	if err := Call(net, ids[1], MethodRun, RunReq{Spec: spec}, &runResp); err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(runResp.Result)
+	reduces += int64(runResp.Result.ReduceTasks)
+	// The elected manager's cluster.stats reports its driver once.
+	var stats cluster.StatsResp
+	if err := Call(net, ids[1], cluster.MethodStats, struct{}{}, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Metrics.Get("mr.driver.partition_reduces"); got != reduces {
+		t.Errorf("mr.driver.partition_reduces = %d, want the %d reduce tasks run", got, reduces)
+	}
+	if err := Call(net, ids[0], MethodRun, RunReq{Spec: spec}, &runResp); err == nil || !strings.Contains(err.Error(), "not the manager") {
+		t.Fatalf("run on a worker: err = %v", err)
 	}
 }
 
