@@ -22,9 +22,10 @@ check:
 # state when a reduce task does; a reduce task of several partitions is
 # lost, recovered and resumed whole; and jobs after a manager failover run
 # on the elected node's own scheduler and driver, in process and over TCP
-# (internal/nodecmd). This is the one list: CI and
+# (internal/nodecmd); and a ring once shared is read while membership
+# changes and never changes itself. This is the one list: CI and
 # scripts/check.sh run this target.
-LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup
+LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup|SharedRingNeverChanges
 lifecycle:
 	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs ./internal/nodecmd
 

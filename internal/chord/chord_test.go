@@ -1,6 +1,8 @@
 package chord
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -29,7 +31,17 @@ func TestViewRoundTrip(t *testing.T) {
 	if !v.Has("n000") || v.Has("ghost") {
 		t.Fatal("Has wrong")
 	}
-	r2, err := v.Ring()
+	// Through the wire: only Epoch and Members travel, and the ring is
+	// rebuilt from them.
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	var got View
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := got.Ring()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +57,14 @@ func TestViewRoundTrip(t *testing.T) {
 	}
 }
 
-// TestViewResolvesOwnersInOneHop: the ring a node rebuilds from its view
-// names the authoritative owner and replicas of every key, so a read asks
-// them directly and no request is forwarded.
+// TestViewResolvesOwnersInOneHop: the ring a node rebuilds from the view
+// it receives names the authoritative owner and replicas of every key, so
+// a read asks them directly and no request is forwarded.
 func TestViewResolvesOwnersInOneHop(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 16, 64} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			ring := buildRing(t, n, int64(n))
-			local, err := NewView(3, ring).Ring()
+			local, err := View{Epoch: 3, Members: NewView(3, ring).Members}.Ring()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,15 +104,79 @@ func TestViewRingRejectsCollision(t *testing.T) {
 }
 
 // TestNewViewIsASnapshot: a view keeps the membership it was built from
-// after the ring moves on, as a disseminated view must.
+// after the membership moves on, as a disseminated view must.
 func TestNewViewIsASnapshot(t *testing.T) {
 	ring := buildRing(t, 4, 11)
 	v := NewView(5, ring)
-	ring.Remove("n000")
-	if err := ring.AddNode("n999"); err != nil {
+	if _, err := v.Without("n000").Join("n999"); err != nil {
 		t.Fatal(err)
 	}
 	if !v.Has("n000") || v.Has("n999") || len(v.Members) != 4 {
 		t.Fatalf("view followed the ring: %v", v.Members)
 	}
+}
+
+// TestViewDerivesTheNextEpoch: Join and Without make the view of the next
+// epoch with a ring of its own that places as a ring rebuilt from its
+// members does, and leave the view they start from, ring and all, as it
+// was.
+func TestViewDerivesTheNextEpoch(t *testing.T) {
+	v := NewView(5, buildRing(t, 6, 13))
+	ring, err := v.Ring()
+	if err != nil {
+		t.Fatal(err)
+	}
+	positions := fmt.Sprint(v.Members)
+	joined, err := v.Join("n999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	left := joined.Without("n002", "ghost")
+	for _, c := range []struct {
+		name    string
+		view    View
+		epoch   uint64
+		members int
+	}{{"join", joined, 6, 7}, {"leave", left, 7, 6}} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.view.Epoch != c.epoch || len(c.view.Members) != c.members {
+				t.Fatalf("epoch %d with %d members, want %d with %d", c.view.Epoch, len(c.view.Members), c.epoch, c.members)
+			}
+			got, err := c.view.Ring()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := View{Members: c.view.Members}.Ring()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range 200 {
+				k := hashing.KeyOfString(fmt.Sprint("probe-", i))
+				g, _ := got.ReplicaSet(k, 3)
+				w, _ := want.ReplicaSet(k, 3)
+				if fmt.Sprint(g) != fmt.Sprint(w) {
+					t.Fatalf("replicas of %s = %v, rebuilt ring says %v", k, g, w)
+				}
+			}
+		})
+	}
+	if pos, ok := joined.Members["n999"]; !ok || pos != hashing.KeyOfString("n999") {
+		t.Fatalf("joiner at %v, %v; want the hash of its ID", pos, ok)
+	}
+	t.Run("unchanged", func(t *testing.T) {
+		if fmt.Sprint(v.Members) != positions || ring.Len() != 6 || v.Epoch != 5 {
+			t.Fatalf("deriving changed the view: epoch %d, %v, ring of %d", v.Epoch, v.Members, ring.Len())
+		}
+	})
+	t.Run("member joins twice", func(t *testing.T) {
+		if _, err := v.Join("n001"); err == nil {
+			t.Fatal("a member joined twice")
+		}
+	})
+	t.Run("position taken", func(t *testing.T) {
+		squatter := View{Epoch: 1, Members: map[hashing.NodeID]hashing.Key{"squatter": hashing.KeyOfString("late")}}
+		if _, err := squatter.Join("late"); err == nil {
+			t.Fatal("a node joined at a taken position")
+		}
+	})
 }

@@ -16,10 +16,10 @@ import (
 // Manager is the resource manager and job scheduler role (§II: the
 // manager is "responsible for server join, leave, failure recovery, and
 // file upload", and the same node runs the job scheduler). Exactly one
-// live node holds it at a time; it owns the authoritative membership ring
-// and epoch counter, disseminates views, verifies failure reports,
-// directs re-replication, and runs the job scheduler and the MapReduce
-// driver that dispatches through it. A node builds all of it when it is
+// live node holds it at a time; it owns the authoritative membership view
+// and derives the next on every change, disseminates views, verifies
+// failure reports, directs re-replication, and runs the job scheduler and
+// the MapReduce driver that dispatches through it. A node builds all of it when it is
 // promoted, at bootstrap or by election, so an elected manager starts a
 // fresh scheduler from its own view; joins and failures update the
 // scheduler's slots, and stopping the role closes the driver.
@@ -34,8 +34,7 @@ type Manager struct {
 	sched   scheduler.Scheduler
 	driver  *mapreduce.Driver
 	mu      sync.Mutex
-	ring    *hashing.ChordRing
-	epoch   uint64
+	view    chord.View
 	stopped bool
 }
 
@@ -47,11 +46,12 @@ func verifyRetryPolicy() transport.RetryPolicy {
 		MaxDelay: 20 * time.Millisecond, Multiplier: 2, JitterFrac: 0.5, Seed: 1}
 }
 
-// newManager builds the role object on a node with an initial ring and
-// epoch: a scheduler holding a slot entry for every member of the ring,
-// and a driver that records its spans and events on the node and, with
-// the flight recorder armed, captures a debug bundle from it.
-func newManager(n *Node, ring *hashing.ChordRing, epoch uint64) (*Manager, error) {
+// newManager builds the role object on a node with an initial view: a
+// scheduler holding a slot entry for every member, and a driver that
+// records its spans and events on the node and, with the flight recorder
+// armed, captures a debug bundle from it.
+func newManager(n *Node, view chord.View) (*Manager, error) {
+	ring, _ := view.Ring() // promoted views are built
 	sched, err := n.role.newScheduler(ring)
 	if err != nil {
 		return nil, err
@@ -73,8 +73,7 @@ func newManager(n *Node, ring *hashing.ChordRing, epoch uint64) (*Manager, error
 		verify: transport.NewRetry(n.net, verifyRetryPolicy()),
 		sched:  sched,
 		driver: driver,
-		ring:   ring,
-		epoch:  epoch,
+		view:   view,
 	}, nil
 }
 
@@ -92,28 +91,26 @@ func (m *Manager) Driver() *mapreduce.Driver { return m.driver }
 
 // Epoch returns the current membership epoch.
 func (m *Manager) Epoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
+	return m.current().Epoch
 }
 
 // Members returns the live membership in ring order.
 func (m *Manager) Members() []hashing.NodeID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ring.Members()
+	ring, _ := m.current().Ring() // the role's views are built
+	return ring.Members()
 }
 
-// Join admits a new worker: it enters the ring, the epoch advances, the
-// view is broadcast, data is re-balanced onto the newcomer and the
-// scheduler gives it slots.
+// Join admits a new worker: the view of the next epoch has it on the
+// ring, the view is broadcast, data is re-balanced onto the newcomer and
+// the scheduler gives it slots.
 func (m *Manager) Join(id hashing.NodeID) error {
 	m.mu.Lock()
-	if err := m.ring.AddNode(id); err != nil {
+	next, err := m.view.Join(id)
+	if err != nil {
 		m.mu.Unlock()
 		return err
 	}
-	m.epoch++
+	m.view = next
 	m.mu.Unlock()
 	m.node.events.Emit(events.KindMembership, "member.join", events.F{Detail: string(id)})
 	m.broadcastView()
@@ -131,7 +128,7 @@ func (m *Manager) reportSuspect(suspect hashing.NodeID) {
 		m.mu.Unlock()
 		return
 	}
-	if _, ok := m.ring.Position(suspect); !ok {
+	if !m.view.Has(suspect) {
 		m.mu.Unlock()
 		return // already removed
 	}
@@ -160,17 +157,17 @@ func (m *Manager) verifyPing(suspect hashing.NodeID) error {
 	return transport.Decode(out, &resp)
 }
 
-// Fail removes a dead worker from the membership, broadcasts the new view,
-// directs every survivor to re-replicate, restoring the replication
-// invariant from the copies the predecessor and successor hold, and takes
-// the worker's slots out of the scheduler.
+// Fail evicts a dead worker: the view of the next epoch lacks it, the
+// view is broadcast, every survivor is directed to re-replicate, restoring
+// the replication invariant from the copies the predecessor and successor
+// hold, and the worker's slots leave the scheduler.
 func (m *Manager) Fail(id hashing.NodeID) {
 	m.mu.Lock()
-	if !m.ring.Remove(id) {
+	if !m.view.Has(id) {
 		m.mu.Unlock()
 		return
 	}
-	m.epoch++
+	m.view = m.view.Without(id)
 	m.mu.Unlock()
 	m.node.events.Emit(events.KindMembership, "member.evict", events.F{Detail: string(id)})
 	m.broadcastView()
@@ -178,17 +175,17 @@ func (m *Manager) Fail(id hashing.NodeID) {
 	m.sched.RemoveNode(id)
 }
 
-// view snapshots the authoritative view.
-func (m *Manager) view() chord.View {
+// current returns the authoritative view.
+func (m *Manager) current() chord.View {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return chord.NewView(m.epoch, m.ring)
+	return m.view
 }
 
 // broadcastView pushes the current view to every member (including the
 // local node, through adoptView directly).
 func (m *Manager) broadcastView() {
-	v := m.view()
+	v := m.current()
 	m.node.adoptView(v, m.node.ID)
 	for id := range v.Members {
 		if id == m.node.ID {
@@ -201,7 +198,7 @@ func (m *Manager) broadcastView() {
 // directRecovery asks every member to run re-replication against the new
 // view. Errors are tolerated: the next membership change retries.
 func (m *Manager) directRecovery() {
-	v := m.view()
+	v := m.current()
 	for id := range v.Members {
 		if id == m.node.ID {
 			//lint:ignore ctxflow membership-change recovery runs on the manager's own authority; no request context exists

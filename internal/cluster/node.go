@@ -126,12 +126,11 @@ type (
 
 // Control-plane method names.
 const (
-	methodPing        = "cluster.ping"
-	methodView        = "cluster.view"
-	methodSuspect     = "cluster.suspect"
-	methodElection    = "cluster.election"
-	methodCoordinator = "cluster.coordinator"
-	methodRecover     = "cluster.recover"
+	methodPing     = "cluster.ping"
+	methodView     = "cluster.view"
+	methodSuspect  = "cluster.suspect"
+	methodElection = "cluster.election"
+	methodRecover  = "cluster.recover"
 	// MethodStats returns the node's merged metrics snapshot.
 	MethodStats = "cluster.stats"
 	// MethodSpans returns the node's retained trace spans for one trace.
@@ -200,8 +199,7 @@ type Node struct {
 	events *events.Log
 
 	mu      sync.Mutex
-	view    chord.View
-	ring    *hashing.ChordRing // derived from view, cached
+	view    chord.View // adopted with its ring built
 	manager hashing.NodeID
 	mgr     *Manager // non-nil while this node is the resource manager
 	closed  bool
@@ -331,14 +329,11 @@ func (n *Node) MetricsSnapshot() metrics.Snapshot {
 	return snap
 }
 
-// Ring returns the node's current placement ring (a copy).
+// Ring returns the adopted view's ring, shared with every other reader:
+// it must not be changed. Before the first view it is empty.
 func (n *Node) Ring() *hashing.ChordRing {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.ring == nil {
-		return hashing.NewChordRing()
-	}
-	return n.ring.Clone()
+	ring, _ := n.View().Ring() // adopted views are built
+	return ring
 }
 
 // View returns the node's current membership view.
@@ -406,10 +401,11 @@ func (n *Node) Close() {
 
 // BecomeManagerWith bootstraps the manager role on this node with an
 // explicit initial ring and epoch, broadcasting the view to every member.
+// The view takes ring over: the caller must not change it afterwards.
 // Cluster and cmd/eclipse-node call it on the designated bootstrap
 // coordinator; subsequent failures are handled by election.
 func (n *Node) BecomeManagerWith(ring *hashing.ChordRing, epoch uint64) (*Manager, error) {
-	mgr, err := n.promote(ring, epoch)
+	mgr, err := n.promote(chord.NewView(epoch, ring))
 	if err != nil {
 		return nil, err
 	}
@@ -417,10 +413,10 @@ func (n *Node) BecomeManagerWith(ring *hashing.ChordRing, epoch uint64) (*Manage
 	return mgr, nil
 }
 
-// promote builds the manager role over ring and installs it, unless the
+// promote builds the manager role over view and installs it, unless the
 // node is closed or holds the role already.
-func (n *Node) promote(ring *hashing.ChordRing, epoch uint64) (*Manager, error) {
-	mgr, err := newManager(n, ring, epoch)
+func (n *Node) promote(view chord.View) (*Manager, error) {
+	mgr, err := newManager(n, view)
 	if err != nil {
 		return nil, err
 	}
@@ -447,7 +443,7 @@ func (n *Node) Manager() *Manager {
 }
 
 // adoptView installs a membership view if it is newer than the current
-// one. It returns true if the view was adopted.
+// one, building its ring once. It returns true if the view was adopted.
 func (n *Node) adoptView(v chord.View, manager hashing.NodeID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -455,15 +451,13 @@ func (n *Node) adoptView(v chord.View, manager hashing.NodeID) bool {
 		return false
 	}
 	if v.Epoch == n.view.Epoch && manager == n.manager {
-		n.view = v // idempotent refresh
-		return true
+		return true // idempotent refresh
 	}
 	ring, err := v.Ring()
 	if err != nil {
 		return false
 	}
-	n.view = v
-	n.ring = ring
+	n.view = chord.NewView(v.Epoch, ring)
 	n.manager = manager
 	return true
 }
@@ -516,13 +510,6 @@ func (n *Node) handle(ctx context.Context, method string, body []byte) ([]byte, 
 			return transport.Encode(electionResp{Alive: true})
 		}
 		return transport.Encode(electionResp{Alive: false})
-	case methodCoordinator:
-		var msg viewMsg
-		if err := transport.Decode(body, &msg); err != nil {
-			return nil, err
-		}
-		n.adoptView(msg.View, msg.Manager)
-		return transport.Encode(ack{})
 	case methodRecover:
 		pushed, err := n.fs.ReReplicate(ctx)
 		if err != nil {
@@ -606,13 +593,13 @@ func (n *Node) heartbeatLoop() {
 		case <-ticker.C:
 		}
 		n.mu.Lock()
-		ring := n.ring
-		manager := n.manager
+		view, manager := n.view, n.manager
 		n.mu.Unlock()
-		if ring == nil || ring.Len() < 2 {
+		ring, _ := view.Ring() // adopted views are built
+		if ring.Len() < 2 {
 			continue
 		}
-		succ, err := ring.Clone().Successor(n.ID)
+		succ, err := ring.Successor(n.ID)
 		if err != nil {
 			continue
 		}
@@ -650,8 +637,8 @@ func (n *Node) heartbeatLoop() {
 
 // runElection performs a bully election over the current view: if any
 // higher-ID member is alive, it takes over; otherwise this node becomes
-// the resource manager, purges unreachable members and broadcasts the new
-// view.
+// the resource manager with a scheduler and driver over the members it
+// reaches, whose view it derives and broadcasts.
 func (n *Node) runElection() {
 	n.mu.Lock()
 	if n.mgr != nil || n.closed {
@@ -669,38 +656,17 @@ func (n *Node) runElection() {
 			return // a higher node takes over
 		}
 	}
-	n.becomeManager()
-}
-
-// becomeManager promotes this node to manager, drops unreachable members
-// from the view, starts a scheduler and driver over the survivors, and
-// broadcasts the result.
-func (n *Node) becomeManager() {
-	n.mu.Lock()
-	if n.mgr != nil || n.closed {
-		n.mu.Unlock()
-		return
-	}
-	ring, err := n.view.Ring()
-	if err != nil {
-		n.mu.Unlock()
-		return
-	}
-	epoch := n.view.Epoch
-	n.mu.Unlock()
-
-	// Probe every member; survivors form the new view.
-	alive := hashing.NewChordRing()
-	for _, id := range ring.Members() {
+	// Probe every member of the view, which may have moved on during the
+	// round; survivors form the new view.
+	view = n.View()
+	var dead []hashing.NodeID
+	for id := range view.Members {
 		if id == n.ID {
-			pos, _ := ring.Position(id)
-			_ = alive.Add(id, pos)
 			continue
 		}
 		var resp pingResp
-		if err := n.call(id, methodPing, ack{}, &resp); err == nil {
-			pos, _ := ring.Position(id)
-			_ = alive.Add(id, pos)
+		if err := n.call(id, methodPing, ack{}, &resp); err != nil {
+			dead = append(dead, id)
 		}
 	}
 	// Isolation guard: a node that reaches no other member of a
@@ -708,10 +674,10 @@ func (n *Node) becomeManager() {
 	// transport) than the sole survivor. Promoting it would create a
 	// zombie manager nobody else can see; stay a worker and let a
 	// reachable node win the election.
-	if ring.Len() > 1 && alive.Len() <= 1 {
+	if len(view.Members) > 1 && len(dead) >= len(view.Members)-1 {
 		return
 	}
-	mgr, err := n.promote(alive, epoch+1)
+	mgr, err := n.promote(view.Without(dead...))
 	if err != nil {
 		return
 	}

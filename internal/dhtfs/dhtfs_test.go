@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +17,7 @@ import (
 )
 
 // testCluster wires n Services over an in-process network with a shared
-// mutable ring.
+// ring, swapped for a rebuilt one on every membership change.
 type testCluster struct {
 	mu       sync.Mutex
 	ring     *hashing.ChordRing
@@ -31,17 +33,12 @@ func newTestCluster(t testing.TB, n, replicas int) *testCluster {
 		net:      transport.NewLocal(),
 		services: make(map[hashing.NodeID]*Service),
 	}
-	ringFn := func() *hashing.ChordRing {
-		tc.mu.Lock()
-		defer tc.mu.Unlock()
-		return tc.ring.Clone()
-	}
 	for i := 0; i < n; i++ {
 		id := hashing.NodeID(fmt.Sprintf("node-%02d", i))
 		if err := tc.ring.AddNode(id); err != nil {
 			t.Fatal(err)
 		}
-		svc, err := NewService(id, tc.net, ringFn, replicas)
+		svc, err := NewService(id, tc.net, tc.currentRing, replicas)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,11 +60,36 @@ func newTestCluster(t testing.TB, n, replicas int) *testCluster {
 	return tc
 }
 
+// currentRing is the services' ring source.
+func (tc *testCluster) currentRing() *hashing.ChordRing {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return tc.ring
+}
+
+// swapRing swaps in a ring rebuilt with join added and leave gone: the
+// membership after a change. A shared ring is never changed.
+func (tc *testCluster) swapRing(join []hashing.NodeID, leave ...hashing.NodeID) error {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	next := hashing.NewChordRing()
+	for _, id := range tc.ring.Members() {
+		if pos, _ := tc.ring.Position(id); !slices.Contains(leave, id) {
+			_ = next.Add(id, pos) // distinct on the ring it came from
+		}
+	}
+	for _, id := range join {
+		if err := next.AddNode(id); err != nil {
+			return err
+		}
+	}
+	tc.ring = next
+	return nil
+}
+
 // fail crashes a node: removes it from the ring and the network.
 func (tc *testCluster) fail(id hashing.NodeID) {
-	tc.mu.Lock()
-	tc.ring.Remove(id)
-	tc.mu.Unlock()
+	_ = tc.swapRing(nil, id) // a leave joins no one
 	tc.net.Unlisten(id)
 	delete(tc.services, id)
 }
@@ -307,6 +329,32 @@ func TestReadSurvivesSingleFailure(t *testing.T) {
 	}
 }
 
+// TestReReplicateTakesTheRingOnce: one ring, taken once, places every
+// block and metadata entry of a round, so a membership change during the
+// round cannot split it across two epochs.
+func TestReReplicateTakesTheRingOnce(t *testing.T) {
+	tc := newTestCluster(t, 5, 3)
+	svc := tc.services[tc.ids[0]]
+	if _, err := svc.Upload(context.Background(), "once.dat", "alice", PermPublic, randomData(4096, 8), 256); err != nil {
+		t.Fatal(err)
+	}
+	tc.fail(tc.ids[2])
+	var taken atomic.Int32
+	svc.ring = func() *hashing.ChordRing {
+		taken.Add(1)
+		return tc.currentRing()
+	}
+	if _, err := svc.ReReplicate(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(svc.Store().BlockKeys()) + len(svc.Store().MetaNames()); n < 2 {
+		t.Fatalf("the round placed %d objects; want several", n)
+	}
+	if n := taken.Load(); n != 1 {
+		t.Fatalf("one round took the ring %d times, want once", n)
+	}
+}
+
 func TestReReplicateRestoresInvariant(t *testing.T) {
 	tc := newTestCluster(t, 6, 3)
 	svc := tc.services[tc.ids[0]]
@@ -361,25 +409,16 @@ func TestReReplicateKeepsCopiesItCannotHandOver(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		joiners = append(joiners, hashing.NodeID(fmt.Sprintf("joiner-%02d", i)))
 	}
-	tc.mu.Lock()
-	for _, id := range joiners {
-		if err := tc.ring.AddNode(id); err != nil {
-			tc.mu.Unlock()
-			t.Fatal(err)
-		}
+	if err := tc.swapRing(joiners); err != nil {
+		t.Fatal(err)
 	}
-	tc.mu.Unlock()
 	var kept int64
 	for _, id := range tc.ids {
 		// The joiners are unreachable, so every run reports an error.
 		_, _ = tc.services[id].ReReplicate(ctx)
 		kept += counter(tc.services[id], "fs.handover.kept")
 	}
-	tc.mu.Lock()
-	for _, id := range joiners {
-		tc.ring.Remove(id)
-	}
-	tc.mu.Unlock()
+	_ = tc.swapRing(nil, joiners...)
 	got, err := svc.ReadFile(ctx, "handover.dat", "alice")
 	if err != nil {
 		t.Fatalf("after the joiners were evicted: %v", err)

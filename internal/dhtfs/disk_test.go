@@ -116,7 +116,7 @@ func TestDiskBackedServiceEndToEnd(t *testing.T) {
 	// A single-node service never leaves the process: self-calls
 	// short-circuit to the local handler, so no listener is needed.
 	svc, err := NewServiceWithStore("solo", transport.NewLocal(),
-		func() *hashing.ChordRing { return ring.Clone() }, 1, store)
+		func() *hashing.ChordRing { return ring }, 1, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestClusterRestartRecoversFiles(t *testing.T) {
 	if err := ring.AddNode("solo"); err != nil {
 		t.Fatal(err)
 	}
-	ringFn := func() *hashing.ChordRing { return ring.Clone() }
+	ringFn := func() *hashing.ChordRing { return ring }
 	data := randomData(4096, 41)
 
 	store1, err := NewStoreAt(dir)

@@ -49,12 +49,7 @@ func restartNode(t *testing.T, tc *testCluster, id hashing.NodeID, dir string) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	ringFn := func() *hashing.ChordRing {
-		tc.mu.Lock()
-		defer tc.mu.Unlock()
-		return tc.ring.Clone()
-	}
-	svc, err := NewServiceWithStore(id, tc.net, ringFn, tc.services[id].replicas, store)
+	svc, err := NewServiceWithStore(id, tc.net, tc.currentRing, tc.services[id].replicas, store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ type Service struct {
 }
 
 // NewService builds a Service with an in-memory shard. ring supplies the
-// current membership view (it changes on joins and failures); replicas is
+// current membership view's ring, which it only reads; replicas is
 // the total copy count per object — the paper's predecessor+successor
 // scheme is replicas=3.
 func NewService(self hashing.NodeID, net transport.Network, ring func() *hashing.ChordRing, replicas int) (*Service, error) {
@@ -1117,7 +1117,7 @@ func (s *Service) sweepBlocks(ctx context.Context, meta Metadata) error {
 // could not be handed over is kept for the next run and counted in
 // fs.handover.kept. It returns the number of objects pushed. This is how a
 // predecessor or successor "takes over the faulty server" using its
-// replicated data.
+// replicated data. One ring, taken once, places every object of a run.
 func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 	defer func() {
 		if pushed > 0 || err != nil {
@@ -1128,8 +1128,9 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 			s.events.Emit(events.KindFS, "fs.replicate", events.F{Detail: detail})
 		}
 	}()
+	ring := s.ring()
 	for _, k := range s.store.BlockKeys() {
-		targets, rerr := s.replicaSet(k)
+		targets, rerr := ring.ReplicaSet(k, s.replicas)
 		if rerr != nil {
 			return pushed, rerr
 		}
@@ -1182,7 +1183,7 @@ func (s *Service) ReReplicate(ctx context.Context) (pushed int, err error) {
 		}
 	}
 	for _, name := range s.store.MetaNames() {
-		targets, rerr := s.replicaSet(hashing.KeyOfString(name))
+		targets, rerr := ring.ReplicaSet(hashing.KeyOfString(name), s.replicas)
 		if rerr != nil {
 			return pushed, rerr
 		}

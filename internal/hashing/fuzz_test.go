@@ -2,6 +2,7 @@ package hashing_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"eclipsemr/internal/hashing"
@@ -11,24 +12,42 @@ import (
 // ring algorithms. Only the Chord ring is left, so the byte is ignored; it
 // stays in the argument list so the committed corpora still load.
 
-// applyOps replays a fuzzed membership script: each byte joins (high bit
-// clear) or leaves (high bit set) one of 16 pool nodes. Duplicate joins
-// and missing leaves are ignored, as the ring API defines.
-func applyOps(r *hashing.ChordRing, ops []byte) {
+// finalMembers replays a fuzzed membership script: each byte joins (high
+// bit clear) or leaves (high bit set) one of 16 pool nodes. Duplicate
+// joins and missing leaves are ignored. It returns the members left, in
+// the order they last joined.
+func finalMembers(ops []byte) []hashing.NodeID {
+	var members []hashing.NodeID
 	for _, op := range ops {
 		id := hashing.NodeID(fmt.Sprintf("pool-%02d", op&0x0f))
-		if op&0x80 != 0 {
-			r.Remove(id)
-		} else {
-			_ = r.AddNode(id)
+		i := slices.Index(members, id)
+		switch {
+		case op&0x80 != 0 && i >= 0:
+			members = slices.Delete(members, i, i+1)
+		case op&0x80 == 0 && i < 0:
+			members = append(members, id)
 		}
 	}
+	return members
+}
+
+// ringOf builds a ring by joining members in the order given.
+func ringOf(t *testing.T, members []hashing.NodeID) *hashing.ChordRing {
+	t.Helper()
+	r := hashing.NewChordRing()
+	for _, id := range members {
+		if err := r.AddNode(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
 }
 
 // FuzzRingLookupConsistency pins the consistency contract under arbitrary
 // membership histories: the same key and membership always resolve to the
-// same owner — across a Clone, and across an independent replay of the
-// same operation sequence (restore).
+// same owner and replica set, whatever order the members joined in. A
+// shared ring is never changed, so the script's final membership is built
+// into a ring in join order and in reverse.
 func FuzzRingLookupConsistency(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 2, 3}, uint64(42), uint64(1<<63))
 	f.Add(uint8(1), []byte{0, 1, 0x81, 2}, uint64(0), uint64(^uint64(0)))
@@ -36,14 +55,14 @@ func FuzzRingLookupConsistency(f *testing.F) {
 	f.Add(uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint64(1), uint64(2))
 	f.Add(uint8(4), []byte{0, 0x80, 0, 0x80, 1}, uint64(7), uint64(7))
 	f.Fuzz(func(t *testing.T, _ uint8, ops []byte, k1, k2 uint64) {
-		ring := hashing.NewChordRing()
-		applyOps(ring, ops)
-		replay := hashing.NewChordRing()
-		applyOps(replay, ops)
-		snap := ring.Clone()
-		if snap.Len() != ring.Len() || replay.Len() != ring.Len() {
-			t.Fatalf("membership diverged: ring %d, snapshot %d, replay %d",
-				ring.Len(), snap.Len(), replay.Len())
+		members := finalMembers(ops)
+		ring := ringOf(t, members)
+		reversed := slices.Clone(members)
+		slices.Reverse(reversed)
+		replay := ringOf(t, reversed)
+		if ring.Len() != len(members) || replay.Len() != ring.Len() {
+			t.Fatalf("membership diverged: %d members, ring %d, reverse-order ring %d",
+				len(members), ring.Len(), replay.Len())
 		}
 		for _, k := range []hashing.Key{hashing.Key(k1), hashing.Key(k2)} {
 			owner, err := ring.Owner(k)
@@ -53,19 +72,16 @@ func FuzzRingLookupConsistency(f *testing.F) {
 				}
 				t.Fatalf("Owner(%v): %v", k, err)
 			}
-			if got, err := snap.Owner(k); err != nil || got != owner {
-				t.Fatalf("snapshot owner of %v = %s, %v; ring says %s", k, got, err, owner)
-			}
 			if got, err := replay.Owner(k); err != nil || got != owner {
-				t.Fatalf("replayed ring owner of %v = %s, %v; ring says %s", k, got, err, owner)
+				t.Fatalf("reverse-order ring owner of %v = %s, %v; ring says %s", k, got, err, owner)
 			}
 			set, err := ring.ReplicaSet(k, 3)
 			if err != nil {
 				t.Fatalf("ReplicaSet(%v): %v", k, err)
 			}
-			snapSet, err := snap.ReplicaSet(k, 3)
-			if err != nil || fmt.Sprint(set) != fmt.Sprint(snapSet) {
-				t.Fatalf("snapshot replica set of %v = %v, %v; ring says %v", k, snapSet, err, set)
+			replaySet, err := replay.ReplicaSet(k, 3)
+			if err != nil || fmt.Sprint(set) != fmt.Sprint(replaySet) {
+				t.Fatalf("reverse-order replica set of %v = %v, %v; ring says %v", k, replaySet, err, set)
 			}
 		}
 	})

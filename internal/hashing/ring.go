@@ -23,13 +23,13 @@ type ringEntry struct {
 // the scheduler's initial range table. A node at ring position p owns the
 // arc (pred(p), p]: every key is owned by its clockwise successor node,
 // exactly as in Chord, and its replicas sit on the owner's predecessor and
-// successor. The membership protocol ships positions on the wire and the
-// finger-table router navigates by them. The invariants callers rely on are
-// pinned by the ringtest conformance suite.
+// successor. The membership protocol ships positions on the wire. The
+// invariants callers rely on are pinned by TestRingConformance.
 //
-// ChordRing is not safe for concurrent mutation; callers synchronize
-// externally (membership changes are rare and flow through the resource
-// manager) and hand readers a Clone.
+// A ring is built with Add and AddNode and then shared, read-only: the
+// membership view (chord.View) owns one ring per epoch, and a membership
+// change builds a new view and ring rather than changing this one. Reads
+// are safe concurrently; a ring must not be changed once shared.
 type ChordRing struct {
 	entries []ringEntry // sorted by pos, positions strictly increasing
 	byID    map[NodeID]Key
@@ -38,18 +38,6 @@ type ChordRing struct {
 // NewChordRing returns an empty ring.
 func NewChordRing() *ChordRing {
 	return &ChordRing{byID: make(map[NodeID]Key)}
-}
-
-// Clone returns a deep copy of the ring.
-func (r *ChordRing) Clone() *ChordRing {
-	c := &ChordRing{
-		entries: append([]ringEntry(nil), r.entries...),
-		byID:    make(map[NodeID]Key, len(r.byID)),
-	}
-	for id, pos := range r.byID {
-		c.byID[id] = pos
-	}
-	return c
 }
 
 // Len returns the number of member nodes.
@@ -91,20 +79,6 @@ func (r *ChordRing) Add(id NodeID, pos Key) error {
 // AddNode inserts a node at the position derived from its ID.
 func (r *ChordRing) AddNode(id NodeID) error {
 	return r.Add(id, KeyOfString(string(id)))
-}
-
-// Remove deletes a node from the ring. Its arc is absorbed by its
-// successor, which is how the DHT file system hands a failed server's key
-// range to the take-over node.
-func (r *ChordRing) Remove(id NodeID) bool {
-	pos, ok := r.byID[id]
-	if !ok {
-		return false
-	}
-	i := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].pos >= pos })
-	r.entries = append(r.entries[:i], r.entries[i+1:]...)
-	delete(r.byID, id)
-	return true
 }
 
 // successorIndex returns the index of the first entry with position >= k,

@@ -59,9 +59,6 @@ func TestRingEmpty(t *testing.T) {
 	if _, err := r.ReplicaSet(1, 3); err != ErrEmptyRing {
 		t.Fatalf("ReplicaSet on empty ring: err = %v, want ErrEmptyRing", err)
 	}
-	if r.Remove("x") {
-		t.Fatal("Remove on empty ring returned true")
-	}
 }
 
 func TestRingDuplicateAddRejected(t *testing.T) {
@@ -137,11 +134,8 @@ func TestRingReplicaSetSmallRing(t *testing.T) {
 }
 
 func TestRingRemoveSuccessorTakesOver(t *testing.T) {
-	r := paperRing(t)
 	// B owns key 10. Remove B: C (successor) must take over.
-	if !r.Remove("B") {
-		t.Fatal("Remove(B) returned false")
-	}
+	r := without(t, paperRing(t), "B")
 	got, err := r.Owner(10)
 	if err != nil {
 		t.Fatal(err)
@@ -187,15 +181,6 @@ func TestRingMembersSorted(t *testing.T) {
 	}
 	if !sort.SliceIsSorted(positions, func(i, j int) bool { return positions[i] < positions[j] }) {
 		t.Fatal("Members() not in ring order")
-	}
-}
-
-func TestRingClone(t *testing.T) {
-	r := paperRing(t)
-	c := r.Clone()
-	c.Remove("A")
-	if r.Len() != 6 || c.Len() != 5 {
-		t.Fatalf("Clone not independent: %d / %d", r.Len(), c.Len())
 	}
 }
 
@@ -248,7 +233,7 @@ func TestRingConsistentHashingMinimalDisruption(t *testing.T) {
 		owner, _ := r.Owner(keys[i])
 		before[keys[i]] = owner
 	}
-	r.Remove(victim)
+	r = without(t, r, victim)
 	for _, k := range keys {
 		after, _ := r.Owner(k)
 		if before[k] != victim && after != before[k] {

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Loader discovers, parses and type-checks packages for one lint run.
@@ -25,8 +26,6 @@ type Loader struct {
 	// Module is the module path from go.mod.
 	Module string
 
-	fset     *token.FileSet
-	fallback types.Importer
 	checked  map[string]*Package // by import path
 	checking map[string]bool     // cycle guard across importer re-entry
 	order    []*Package          // in check order
@@ -53,16 +52,23 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 	return &Loader{
 		Root:     root,
 		Module:   module,
-		fset:     fset,
-		fallback: importer.ForCompiler(fset, "source", nil),
 		checked:  make(map[string]*Package),
 		checking: make(map[string]bool),
 	}, nil
 }
+
+// Every Loader in a process shares one FileSet and one standard-library
+// source importer, which type-checks each standard package once: that is
+// most of a load, and the standard library does not change under a
+// process. The importer is not safe for concurrent use.
+var (
+	fset      = token.NewFileSet()
+	stdlibMu  sync.Mutex
+	stdlibImp = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+)
 
 // modulePath extracts the module path from a go.mod file.
 func modulePath(gomod string) (string, error) {
@@ -126,7 +132,7 @@ func (l *Loader) Load(patterns ...string) (*Unit, error) {
 			return nil, err
 		}
 	}
-	u := &Unit{Fset: l.fset}
+	u := &Unit{Fset: fset}
 	u.All = append(u.All, l.order...)
 	for _, p := range l.order {
 		if targets[p.Path] {
@@ -224,7 +230,7 @@ func (l *Loader) parseDir(dir string) (*parsedPkg, error) {
 		} else if !match {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, fn), nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, fn), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +296,7 @@ func (l *Loader) check(parsed map[string]*parsedPkg, path string, stack []string
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{Importer: &unitImporter{loader: l, parsed: parsed}}
-	pkg, err := conf.Check(path, l.fset, p.files, info)
+	pkg, err := conf.Check(path, fset, p.files, info)
 	if err != nil {
 		return fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
@@ -340,8 +346,7 @@ func (ui *unitImporter) Import(path string) (*types.Package, error) {
 		}
 		return l.checked[path].Types, nil
 	}
-	if from, ok := l.fallback.(types.ImporterFrom); ok {
-		return from.ImportFrom(path, l.Root, 0)
-	}
-	return l.fallback.Import(path)
+	stdlibMu.Lock()
+	defer stdlibMu.Unlock()
+	return stdlibImp.ImportFrom(path, l.Root, 0)
 }

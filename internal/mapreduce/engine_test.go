@@ -128,7 +128,7 @@ func newEngineCluster(t *testing.T, o engineOpts) *engineCluster {
 	ringFn := func() *hashing.ChordRing {
 		ec.mu.Lock()
 		defer ec.mu.Unlock()
-		return ec.ring.Clone()
+		return ec.ring
 	}
 	for i := 0; i < o.nodes; i++ {
 		id := hashing.NodeID(fmt.Sprintf("worker-%02d", i))

@@ -107,10 +107,17 @@ func TestLostPartitionRecovery(t *testing.T) {
 				}
 				once.Do(func() {
 					// Crash-stop the victim and evict it, as the manager
-					// would after failure detection.
+					// would after failure detection: a ring without it
+					// replaces the shared one, which never changes.
 					ec.net.Unlisten(victim)
+					next := hashing.NewChordRing()
+					for _, id := range ec.ring.Members() {
+						if pos, _ := ec.ring.Position(id); id != victim {
+							_ = next.Add(id, pos)
+						}
+					}
 					ec.mu.Lock()
-					ec.ring.Remove(victim)
+					ec.ring = next
 					ec.mu.Unlock()
 					ec.sched.RemoveNode(victim)
 				})

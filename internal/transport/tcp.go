@@ -281,7 +281,7 @@ func (t *TCP) Close() error {
 		ln.Close()
 	}
 	for _, c := range conns {
-		c.close(errors.New("transport: network closed"))
+		c.close(fmt.Errorf("%w: network closed", ErrUnreachable))
 	}
 	// Accepted server-side connections must be torn down too, or wg.Wait
 	// blocks until every remote peer hangs up on its own.
@@ -304,9 +304,11 @@ type tcpConn struct {
 	err     error
 }
 
+// tcpReply is a response frame, or err when the connection died first.
 type tcpReply struct {
 	status byte
 	data   []byte
+	err    error
 }
 
 func newTCPConn(raw net.Conn) *tcpConn {
@@ -365,11 +367,11 @@ func (c *tcpConn) roundTrip(method string, hdr, body []byte, timeout time.Durati
 	}
 	select {
 	case r := <-ch:
-		switch r.status {
-		case 0:
+		switch {
+		case r.err != nil:
+			return nil, r.err
+		case r.status == 0:
 			return r.data, nil
-		case statusTransportErr:
-			return nil, fmt.Errorf("%w: %s", ErrUnreachable, r.data)
 		default:
 			return nil, &RemoteError{Method: method, Msg: string(r.data)}
 		}
@@ -469,6 +471,8 @@ func (w *frameWriter) writeResponse(reqID uint64, status byte, payload []byte) e
 	return w.flush(payload)
 }
 
+// close tears the connection down and fails every pending call with err
+// itself, so where calls may be pending err wraps ErrUnreachable.
 func (c *tcpConn) close(err error) {
 	c.mu.Lock()
 	if c.err == nil {
@@ -479,14 +483,9 @@ func (c *tcpConn) close(err error) {
 	c.mu.Unlock()
 	c.raw.Close()
 	for _, ch := range pending {
-		ch <- tcpReply{status: statusTransportErr, data: []byte(err.Error())}
+		ch <- tcpReply{err: err}
 	}
 }
-
-// statusTransportErr marks a locally synthesized failure reply (connection
-// torn down) as opposed to an application error relayed from the remote
-// handler (status 1).
-const statusTransportErr = 2
 
 // readBody reads one length-checked body into its own allocation, whose
 // ownership passes to whoever receives it. A body at least as large as

@@ -375,6 +375,47 @@ func TestTCPClientRejectsForgedResponseLength(t *testing.T) {
 	}
 }
 
+// TestTCPCallOnDroppedConnectionIsUnreachableOnce: a call pending when its
+// connection goes, because the server hangs up or the caller's network
+// closes, fails as unreachable, and says so once, not once per layer that
+// relayed the failure.
+func TestTCPCallOnDroppedConnectionIsUnreachableOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		drop func(server net.Conn, client *TCP)
+	}{
+		{"server hangs up", func(server net.Conn, _ *TCP) { server.Close() }},
+		{"network closed", func(_ net.Conn, client *TCP) { client.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			tcp := NewTCP(map[hashing.NodeID]string{"srv": ln.Addr().String()}, 5*time.Second)
+			defer tcp.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if _, _, _, _, err := readRequest(bufio.NewReader(conn)); err == nil {
+					tc.drop(conn, tcp) // the call is in flight
+				}
+			}()
+			_, err = tcp.Call(context.Background(), "srv", "m", []byte("x"))
+			if !errors.Is(err, ErrUnreachable) {
+				t.Fatalf("err = %v, want ErrUnreachable", err)
+			}
+			if n := strings.Count(err.Error(), ErrUnreachable.Error()); n != 1 {
+				t.Fatalf("err = %q names %q %d times, want once", err, ErrUnreachable, n)
+			}
+		})
+	}
+}
+
 // TestTCPWritersRefuseOversizedBodies is the regression test for the
 // silent uint32(len(body)) truncation: a body over the limit is an error
 // on either side, nothing is written, and the connection stays in sync.
