@@ -63,11 +63,12 @@ bench-repo:
 # (BenchmarkColdBlockRead: B/op is what it costs the collector), of the
 # applications' map functions (k-means with and without a decoded split,
 # grep, the line walk, the word-count tokenizer) and of sort's and word
-# count's reducers (BenchmarkReduceFuncs: 0 allocs/op) compiled and run
+# count's reducers (BenchmarkReduceFuncs: 0 allocs/op) and of one timed
+# stage with tracing off and on (BenchmarkStage/{off,on}) compiled and run
 # once, so none can rot. This is the one list: CI runs this target. For numbers,
 # raise -benchtime.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/hashing ./internal/transport ./internal/dhtfs ./internal/mapreduce ./internal/apps
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/hashing ./internal/transport ./internal/dhtfs ./internal/mapreduce ./internal/apps ./internal/trace
 
 # Short bursts of every native fuzz target. This is the one list: CI's
 # fuzz-smoke job runs this target.

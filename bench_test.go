@@ -1,9 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper's §III
-// (one benchmark per figure, reporting the figure's own metrics via
-// ReportMetric), plus ablation benchmarks for the design choices called
-// out in DESIGN.md and a micro-benchmark of the density estimator. The
-// real engine is measured by the repository benchmark (bench/,
-// BENCHMARK.json), not here.
+// Ablation benchmarks for the design choices called out in DESIGN.md and a
+// micro-benchmark of the density estimator. The paper's figures are
+// regenerated by `go run ./cmd/eclipse-bench -fig N` (and checked by
+// internal/simcluster's TestFig*); the real engine is measured by the
+// repository benchmark (bench/, BENCHMARK.json), not here.
 //
 //	go test -bench=. -benchmem
 package eclipsemr_test
@@ -16,132 +15,6 @@ import (
 	"eclipsemr/internal/simcluster"
 	"eclipsemr/internal/workloads"
 )
-
-// ---------------------------------------------------------------------
-// Figure benchmarks (simulated at the paper's nominal scale)
-// ---------------------------------------------------------------------
-
-func BenchmarkFig5aIOThroughputPerTask(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		a, _, err := simcluster.Fig5([]int{38})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(a[0].DHTMBps, "dht-MB/s")
-		b.ReportMetric(a[0].HDFSMBps, "hdfs-MB/s")
-	}
-}
-
-func BenchmarkFig5bIOThroughputPerJob(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, rows, err := simcluster.Fig5([]int{38})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].DHTMBps, "dht-MB/s")
-		b.ReportMetric(rows[0].HDFSMBps, "hdfs-MB/s")
-	}
-}
-
-func BenchmarkFig6aNonIterative(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := simcluster.Fig6a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.LAFSec, r.App+"-laf-s")
-			b.ReportMetric(r.DelaySec, r.App+"-delay-s")
-		}
-	}
-}
-
-func BenchmarkFig6bIterative(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := simcluster.Fig6b()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.LAFSec, r.App+"-laf-s")
-			b.ReportMetric(r.DelaySec, r.App+"-delay-s")
-		}
-	}
-}
-
-func BenchmarkFig7aSkewExecTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := simcluster.Fig7([]float64{1.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.ExecSec, r.Policy+"-s")
-		}
-	}
-}
-
-func BenchmarkFig7bSkewHitRatio(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := simcluster.Fig7([]float64{1.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(100*r.HitRatio, r.Policy+"-hit%")
-		}
-	}
-}
-
-func BenchmarkFig8ConcurrentJobs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := simcluster.Fig8([]int{8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var laf, delay float64
-		for _, r := range rows {
-			if r.ExecSec > laf && r.Policy == "laf" {
-				laf = r.ExecSec
-			}
-			if r.ExecSec > delay && r.Policy == "delay" {
-				delay = r.ExecSec
-			}
-		}
-		b.ReportMetric(laf, "laf-makespan-s")
-		b.ReportMetric(delay, "delay-makespan-s")
-	}
-}
-
-func BenchmarkFig9FrameworkComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := simcluster.Fig9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.EclipseSec, r.App+"-eclipse-s")
-			b.ReportMetric(r.SparkSec, r.App+"-spark-s")
-		}
-	}
-}
-
-func benchmarkFig10(b *testing.B, app string) {
-	for i := 0; i < b.N; i++ {
-		figs, err := simcluster.Fig10()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := figs[app]
-		b.ReportMetric(rows[0].SparkSec, "spark-iter1-s")
-		b.ReportMetric(rows[4].SparkSec, "spark-steady-s")
-		b.ReportMetric(rows[4].EclipseSec, "eclipse-steady-s")
-	}
-}
-
-func BenchmarkFig10aKMeansIterations(b *testing.B)   { benchmarkFig10(b, "kmeans") }
-func BenchmarkFig10bLogRegIterations(b *testing.B)   { benchmarkFig10(b, "logreg") }
-func BenchmarkFig10cPageRankIterations(b *testing.B) { benchmarkFig10(b, "pagerank") }
 
 // ---------------------------------------------------------------------
 // Ablations (DESIGN.md §5)

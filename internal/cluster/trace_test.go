@@ -47,7 +47,9 @@ func indexSpans(spans []trace.Span) traceIndex {
 // WordCount over a lossy chaos network, traced end to end. The collected
 // span tree must cover driver→map→shuffle→reduce across every node, the
 // second (warm) job must carry cache=hit annotations, drops must surface
-// as retry annotations, and the Chrome export must validate.
+// as retry annotations, and the Chrome export must validate. Every stage
+// histogram is its spans' summary: over each job it gains exactly one
+// observation per span of its stage.
 func TestClusterTraceEndToEnd(t *testing.T) {
 	chaos := transport.NewChaos(transport.NewLocal(), transport.ChaosConfig{Seed: 42})
 	c := newTestCluster(t, 4, Options{
@@ -65,18 +67,36 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	spec := mapreduce.JobSpec{
 		App: "cluster-wordcount", Inputs: []string{"trace.txt"}, User: "u", MaxAttempts: 5,
 	}
+	stages := map[string]string{
+		"map.read": "mr.map.read_ns", "map.compute": "mr.map.compute_ns",
+		"shuffle.send": "mr.shuffle.send_ns", "shuffle.recv": "mr.shuffle.recv_ns",
+		"reduce.compute": "mr.reduce.compute_ns", "reduce.write": "mr.reduce.write_ns",
+		"fs.write_block": "fs.write_block_ns", "fs.lookup": "fs.lookup_ns",
+		"fs.read_block": "fs.read_block_ns",
+	}
 	var indexes []traceIndex
 	for _, id := range []string{"trace-wc-cold", "trace-wc-warm"} {
 		spec.ID = id
+		before := c.MetricsSnapshot()
 		if _, err := c.Run(spec); err != nil {
 			t.Fatalf("job %s: %v", id, err)
 		}
-		spans, _, err := c.TraceSpans(id)
+		after := c.MetricsSnapshot()
+		spans, dropped, err := c.TraceSpans(id)
 		if err != nil {
 			t.Fatalf("TraceSpans(%s): %v", id, err)
 		}
-		if len(spans) == 0 {
-			t.Fatalf("job %s collected no spans", id)
+		if len(spans) == 0 || dropped != 0 {
+			t.Fatalf("job %s collected %d spans, %d dropped", id, len(spans), dropped)
+		}
+		count := map[string]int64{}
+		for _, s := range spans {
+			count[s.Name]++
+		}
+		for name, hist := range stages {
+			if got := after.Hists[hist].Count() - before.Hists[hist].Count(); got != count[name] {
+				t.Errorf("job %s: %d %s observations, %d %s spans", id, got, hist, count[name], name)
+			}
 		}
 
 		tree := trace.BuildTree(spans)
@@ -95,7 +115,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		for _, want := range []string{
 			"driver.job", "driver.map_task", "task.map", "map.read", "map.compute",
 			"shuffle.send", "driver.reduce_task", "task.reduce", "shuffle.recv",
-			"reduce.compute", "reduce.write", "fs.write_block",
+			"reduce.compute", "reduce.write", "fs.write_block", "fs.lookup",
 		} {
 			if !ix.names[want] {
 				t.Errorf("job %s: no %q span (have %v)", id, want, ix.names)

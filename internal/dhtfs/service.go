@@ -680,9 +680,8 @@ func (s *Service) storeFile(ctx context.Context, name, owner string, perm Perm, 
 // writeBlock is putAll for a message that carries a block, traced and
 // timed as one block write.
 func (s *Service) writeBlock(ctx context.Context, k hashing.Key, method string, msg transport.Wire, what string) error {
-	ctx, sp := s.tracer.StartSpan(ctx, "fs.write_block")
-	defer sp.End()
-	defer s.reg.Histogram("fs.write_block_ns").Start().Stop()
+	ctx, st := s.tracer.StartStage(ctx, "fs.write_block", s.reg.Histogram("fs.write_block_ns"))
+	defer st.End()
 	return s.putAll(ctx, k, method, msg, what)
 }
 
@@ -727,10 +726,9 @@ func (s *Service) Lookup(ctx context.Context, name, user string) (Metadata, erro
 // lookup asks the metadata replicas of a file, in read order, for the reply
 // of getMeta or getFile, stopping at the first that answers.
 func (s *Service) lookup(ctx context.Context, name, user, method string, resp transport.Wire) error {
-	ctx, sp := s.tracer.StartSpan(ctx, "fs.lookup")
-	defer sp.End()
-	sp.Annotate("file", name)
-	defer s.reg.Histogram("fs.lookup_ns").Start().Stop()
+	ctx, st := s.tracer.StartStage(ctx, "fs.lookup", s.reg.Histogram("fs.lookup_ns"))
+	defer st.End()
+	st.Annotate("file", name)
 	targets, err := s.readOrder(hashing.KeyOfString(name))
 	if err != nil {
 		return err
@@ -774,9 +772,8 @@ func (s *Service) lookup(ctx context.Context, name, user, method string, resp tr
 // and passed over, so a corrupted replica is healed by reading its
 // neighbor's.
 func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum hashing.Digest) (*blockbuf.Buf, bool, error) {
-	ctx, sp := s.tracer.StartSpan(ctx, "fs.read_block")
-	defer sp.End()
-	defer s.reg.Histogram("fs.read_block_ns").Start().Stop()
+	ctx, st := s.tracer.StartStage(ctx, "fs.read_block", s.reg.Histogram("fs.read_block_ns"))
+	defer st.End()
 	targets, err := s.readOrder(k)
 	if err != nil {
 		return nil, false, err
@@ -802,7 +799,7 @@ func (s *Service) PinBlock(ctx context.Context, k hashing.Key, sum hashing.Diges
 		}
 		if i > 0 {
 			s.reg.Counter("fs.read.failover").Inc()
-			sp.Annotate("failover", string(t))
+			st.Annotate("failover", string(t))
 			s.events.Emit(events.KindFS, "fs.read_failover", events.F{Detail: string(t)})
 		}
 		return buf, t != s.self, nil
@@ -875,9 +872,8 @@ func (s *Service) ReadFile(ctx context.Context, name, user string) ([]byte, erro
 // that came off a socket, which it did unless this node answered, traced
 // and timed as the block read it replaces.
 func (s *Service) verifyInline(ctx context.Context, file *getFileResp) bool {
-	_, sp := s.tracer.StartSpan(ctx, "fs.read_block")
-	defer sp.End()
-	defer s.reg.Histogram("fs.read_block_ns").Start().Stop()
+	_, st := s.tracer.StartStage(ctx, "fs.read_block", s.reg.Histogram("fs.read_block_ns"))
+	defer st.End()
 	return s.checkCopy(file.Meta.BlockKeys[0], file.Data, file.Check, false, file.Meta.BlockSums[0]) == nil
 }
 

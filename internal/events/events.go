@@ -192,14 +192,6 @@ func (l *Log) Node() string {
 	return l.node
 }
 
-// SetClock replaces the log's time source (nil restores wall time).
-func (l *Log) SetClock(c metrics.Clock) {
-	if c == nil {
-		c = metrics.WallClock()
-	}
-	l.clock = c
-}
-
 // NowNS returns the log clock's current time in UnixNano (0 on a nil
 // log), for capture code stamping artifacts on the same clock as the
 // events they contain.

@@ -14,7 +14,7 @@ import (
 const tracePkgPath = "eclipsemr/internal/trace"
 
 // SpanEnd reports spans obtained from trace.Start* (StartRoot,
-// StartSpan, StartSpanAt) that can never be ended:
+// StartSpan, StartSpanAt, StartStage) that can never be ended:
 //
 //   - the call's results are discarded outright (expression statement),
 //   - the span result is bound to the blank identifier, or
@@ -24,10 +24,12 @@ const tracePkgPath = "eclipsemr/internal/trace"
 //
 // A span that is never ended never reaches the tracer's ring buffer, so
 // the trace silently loses the operation: the job timeline shows a hole
-// exactly where the instrumented stage ran. The sanctioned shape is
+// exactly where the instrumented stage ran. The sanctioned shapes are
 //
 //	ctx, sp := t.StartSpan(ctx, "stage")
 //	defer sp.End()
+//	ctx, st := t.StartStage(ctx, "stage", h)
+//	defer st.End()
 func SpanEnd() *Analyzer {
 	return &Analyzer{
 		Name: "spanend",

@@ -3,6 +3,7 @@ package spanend
 import (
 	"context"
 
+	"eclipsemr/internal/metrics"
 	"eclipsemr/internal/trace"
 )
 
@@ -10,6 +11,15 @@ import (
 func deferred(t *trace.Tracer, ctx context.Context) {
 	ctx, sp := t.StartSpan(ctx, "task.map")
 	defer sp.End()
+	work(ctx)
+}
+
+// deferredStage times a stage into its histogram and ends it on every
+// path.
+func deferredStage(t *trace.Tracer, ctx context.Context, h *metrics.Histogram) {
+	ctx, st := t.StartStage(ctx, "fs.read_block", h)
+	defer st.End()
+	st.Annotate("failover", "worker-01")
 	work(ctx)
 }
 

@@ -4,6 +4,7 @@ package spanend
 import (
 	"context"
 
+	"eclipsemr/internal/metrics"
 	"eclipsemr/internal/trace"
 )
 
@@ -31,4 +32,18 @@ func leakedAt(t *trace.Tracer, ctx context.Context) {
 	_, sp := t.StartSpanAt(ctx, "sched.queue_wait", 100) // want "never ended"
 	sp.Annotate("task", "t1")
 	sp.Eventf("retry attempt=%d", 1)
+}
+
+// blankStage throws a stage away: neither its span nor its histogram is
+// ever recorded.
+func blankStage(t *trace.Tracer, ctx context.Context, h *metrics.Histogram) context.Context {
+	ctx, _ = t.StartStage(ctx, "shuffle.recv", h) // want "blank identifier"
+	return ctx
+}
+
+// leakedStage annotates a stage and returns without ending it, as a
+// stage whose End sits after an early return would.
+func leakedStage(t *trace.Tracer, ctx context.Context, h *metrics.Histogram) {
+	_, st := t.StartStage(ctx, "reduce.compute", h) // want "never ended"
+	st.Annotate("partition", "p0000")
 }

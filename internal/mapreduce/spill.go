@@ -213,8 +213,7 @@ func (s *spillSender) partitionName(part int) string {
 
 // push delivers one coalesced batch to one node.
 func (s *spillSender) push(ctx context.Context, node hashing.NodeID, entries []dhtfs.SegBatchEntry) error {
-	defer s.w.reg.Histogram("mr.shuffle.send_ns").Start().Stop()
-	ctx, sp := s.w.tracer.StartSpan(ctx, "shuffle.send")
+	ctx, sp := s.w.tracer.StartStage(ctx, "shuffle.send", s.w.reg.Histogram("mr.shuffle.send_ns"))
 	defer sp.End()
 	sp.Annotate("node", string(node))
 	sp.Annotate("spills", fmt.Sprintf("%d", len(entries)))

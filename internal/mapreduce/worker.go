@@ -225,8 +225,7 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 		decoded          bool
 		cacheHit, remote bool
 	)
-	readTimer := w.reg.Histogram("mr.map.read_ns").Start()
-	rctx, rd := w.tracer.StartSpan(ctx, "map.read")
+	rctx, rd := w.tracer.StartStage(ctx, "map.read", w.reg.Histogram("mr.map.read_ns"))
 	if app.Decode != nil {
 		split, decoded = w.cache.GetDecoded(req.App, id)
 	}
@@ -244,7 +243,6 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 		rd.Annotate("remote", "true")
 	}
 	rd.End()
-	readTimer.Stop()
 	if err != nil {
 		return RunMapResp{}, fmt.Errorf("mapreduce: map input %s: %w", req.BlockKey, err)
 	}
@@ -275,8 +273,7 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 	// spill. The batch pushes run on the sender
 	// goroutine and are timed as mr.shuffle.send_ns (their spans parent
 	// under task.map, not map.compute); waiting for them is not compute.
-	computeTimer := w.reg.Histogram("mr.map.compute_ns").Start()
-	_, comp := w.tracer.StartSpan(ctx, "map.compute")
+	_, comp := w.tracer.StartStage(ctx, "map.compute", w.reg.Histogram("mr.map.compute_ns"))
 	var mapErr error
 	if app.Decode == nil {
 		mapErr = app.Map(req.Params, input, out.emit)
@@ -306,7 +303,6 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 		mapErr = out.flushAll()
 	}
 	comp.End()
-	computeTimer.Stop()
 	// The user functions have returned and may not have kept input (see
 	// App): the task is done reading the block.
 	block.Release()
@@ -440,8 +436,7 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 		return RunReduceResp{}, fmt.Errorf("mapreduce: reduce request for %q names no partition", req.OutputFile)
 	}
 	var resp RunReduceResp
-	recvTimer := w.reg.Histogram("mr.shuffle.recv_ns").Start()
-	rctx, recv := w.tracer.StartSpan(ctx, "shuffle.recv")
+	rctx, recv := w.tracer.StartStage(ctx, "shuffle.recv", w.reg.Histogram("mr.shuffle.recv_ns"))
 	// streams is the task's input: each partition's spills in (map task,
 	// seq) order, partition after partition.
 	streams, unreached := w.gatherSegments(rctx, req)
@@ -450,7 +445,6 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 		task.Annotate("unreached", partitionNames(unreached))
 		return RunReduceResp{Unreached: unreached}, nil
 	}
-	recvTimer.Stop()
 	inputBytes := 0
 	for _, data := range streams {
 		inputBytes += len(data)
@@ -458,8 +452,7 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 	if inputBytes == 0 {
 		return resp, nil // empty partitions
 	}
-	computeTimer := w.reg.Histogram("mr.reduce.compute_ns").Start()
-	_, comp := w.tracer.StartSpan(ctx, "reduce.compute")
+	_, comp := w.tracer.StartStage(ctx, "reduce.compute", w.reg.Histogram("mr.reduce.compute_ns"))
 	// A reducer mostly writes about what it read (sort: exactly that), so
 	// the output is sized once instead of grown pair by pair.
 	output := make([]byte, 0, inputBytes)
@@ -487,20 +480,17 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 	if err != nil {
 		return RunReduceResp{}, err
 	}
-	computeTimer.Stop()
 	// The store keeps what it is handed, a local replica as a view of
 	// output's array: an output far smaller than the input it was sized
 	// to is copied, not left pinning that array until the file goes.
 	if cap(output) > 2*len(output) {
 		output = slices.Clone(output)
 	}
-	writeTimer := w.reg.Histogram("mr.reduce.write_ns").Start()
-	wctx, wr := w.tracer.StartSpan(ctx, "reduce.write")
+	wctx, wr := w.tracer.StartStage(ctx, "reduce.write", w.reg.Histogram("mr.reduce.write_ns"))
 	// The output is handed over, not copied: from here on it is read only,
 	// by the store that keeps its blocks and by the oCache.
 	_, err = w.fs.Upload(wctx, req.OutputFile, req.User, dhtfs.PermPublic, output, outputBlockSize)
 	wr.End()
-	writeTimer.Stop()
 	if err != nil {
 		return RunReduceResp{}, fmt.Errorf("mapreduce: store output %q: %w", req.OutputFile, err)
 	}

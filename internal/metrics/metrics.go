@@ -65,9 +65,10 @@ var DefaultLatencyBounds = func() []int64 {
 	return bounds
 }()
 
-// Clock supplies the time source for timers. Production registries use
-// the wall clock; deterministic simulations inject a virtual clock so
-// instrumented code needs no wall-clock reads.
+// Clock supplies the time source of the tracer and the event log, which
+// time a node's stages and stamp its events. Production nodes use the wall
+// clock; deterministic simulations inject a virtual clock so instrumented
+// code needs no wall-clock reads.
 type Clock interface {
 	Now() time.Time
 }
@@ -96,14 +97,7 @@ type Histogram struct {
 	counts []atomic.Int64
 	// counts has len(bounds)+1 entries; the last is the overflow bucket.
 	sum atomic.Int64
-	// clock, when set, replaces the wall clock for Start/Stop timers.
-	// Stored atomically (boxed, so differing Clock implementations share
-	// one stored type) so SetClock races cleanly with in-flight timers.
-	clock atomic.Value // clockBox
 }
-
-// clockBox wraps a Clock so atomic.Value sees one concrete type.
-type clockBox struct{ c Clock }
 
 // newHistogram builds a histogram over the given sorted upper bounds.
 func newHistogram(bounds []int64) *Histogram {
@@ -131,36 +125,21 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Timer measures one interval into a histogram.
+// Timer measures one interval on the wall clock into a histogram. A
+// stage that has a span is timed by its trace.Stage instead, so the span
+// and the histogram share one pair of clock reads.
 type Timer struct {
 	h     *Histogram
 	start time.Time
 }
 
-// now reads the histogram's clock (the wall clock unless SetClock
-// injected another source).
-func (h *Histogram) now() time.Time {
-	if b, ok := h.clock.Load().(clockBox); ok {
-		return b.c.Now()
-	}
-	return time.Now()
-}
-
-// SetClock replaces the timer time source; nil restores the wall clock.
-func (h *Histogram) SetClock(c Clock) {
-	if c == nil {
-		c = wallClock{}
-	}
-	h.clock.Store(clockBox{c})
-}
-
 // Start returns a running Timer recording into h.
-func (h *Histogram) Start() Timer { return Timer{h: h, start: h.now()} }
+func (h *Histogram) Start() Timer { return Timer{h: h, start: time.Now()} }
 
 // Stop records the elapsed time and returns it. Stop may be called once;
 // further calls record again.
 func (t Timer) Stop() time.Duration {
-	d := t.h.now().Sub(t.start)
+	d := time.Since(t.start)
 	t.h.ObserveDuration(d)
 	return d
 }
@@ -285,7 +264,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	clock    Clock // nil = wall clock; inherited by every histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -306,18 +284,6 @@ func (r *Registry) checkKind(name string, k kind) {
 		panic(fmt.Sprintf("metrics: %q already registered as %s, requested as %s", name, have, k))
 	}
 	r.kinds[name] = k
-}
-
-// SetClock injects the time source used by every histogram timer in the
-// registry — existing and future. Deterministic simulations call this
-// with a virtual clock; nil restores the wall clock.
-func (r *Registry) SetClock(c Clock) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.clock = c
-	for _, h := range r.hists {
-		h.SetClock(c)
-	}
 }
 
 // Counter returns (creating if needed) the named counter. Names should be
@@ -383,9 +349,6 @@ func (r *Registry) HistogramWith(name string, bounds []int64) *Histogram {
 	h, ok = r.hists[name]
 	if !ok {
 		h = newHistogram(bounds)
-		if r.clock != nil {
-			h.SetClock(r.clock)
-		}
 		r.hists[name] = h
 	}
 	return h

@@ -1,46 +1,6 @@
 package metrics
 
-import (
-	"testing"
-	"time"
-)
-
-// TestTimerUsesInjectedClock verifies Start/Stop read the registry clock,
-// not the wall clock: a virtual clock advanced by exactly 5ms must record
-// exactly 5ms.
-func TestTimerUsesInjectedClock(t *testing.T) {
-	r := NewRegistry()
-	now := time.Unix(0, 0)
-	r.SetClock(ClockFunc(func() time.Time { return now }))
-	h := r.Histogram("stage_ns")
-	timer := h.Start()
-	now = now.Add(5 * time.Millisecond)
-	if d := timer.Stop(); d != 5*time.Millisecond {
-		t.Fatalf("elapsed = %v, want 5ms", d)
-	}
-	s := h.Snapshot()
-	if s.Count() != 1 || s.Sum != int64(5*time.Millisecond) {
-		t.Fatalf("count=%d sum=%d", s.Count(), s.Sum)
-	}
-}
-
-// TestSetClockCoversExistingHistograms checks that SetClock retrofits
-// histograms created before the call, and that nil restores the wall
-// clock.
-func TestSetClockCoversExistingHistograms(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("early_ns") // created before SetClock
-	base := time.Unix(100, 0)
-	r.SetClock(ClockFunc(func() time.Time { return base }))
-	timer := h.Start()
-	if d := timer.Stop(); d != 0 {
-		t.Fatalf("frozen clock elapsed = %v, want 0", d)
-	}
-	r.SetClock(nil) // back to wall time: a timer must be >= 0 and finite
-	if d := h.Start().Stop(); d < 0 || d > time.Minute {
-		t.Fatalf("wall elapsed = %v", d)
-	}
-}
+import "testing"
 
 // TestMergeEmptySnapshots: merging an empty snapshot is a no-op, and
 // merging into a zero-valued destination allocates its maps.

@@ -11,7 +11,7 @@ import (
 // This file regenerates every table and figure of the paper's §III. Each
 // Fig* function runs the simulation(s) behind one figure and returns the
 // same series the paper plots; cmd/eclipse-bench prints them and
-// bench_test.go asserts their shape.
+// experiments_test.go asserts their shape.
 
 // overrideFw swaps a model's framework overheads (used by Figure 5, which
 // measures raw IO with and without framework overheads).

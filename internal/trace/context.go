@@ -83,7 +83,7 @@ func (t *Tracer) StartRoot(ctx context.Context, traceID, name string) (context.C
 	if t == nil || !t.enabled.Load() || !t.sampled(traceID) {
 		return ctx, nil
 	}
-	sp := t.start(traceID, 0, name)
+	sp := t.start(traceID, 0, name, t.nowNS())
 	return withActive(ctx, sp), sp
 }
 
@@ -94,15 +94,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 	if t == nil || !t.enabled.Load() {
 		return ctx, nil
 	}
-	var sp *Span
-	if parent := Active(ctx); parent != nil {
-		sp = t.start(parent.Trace, parent.ID, name)
-	} else if sc, ok := Remote(ctx); ok && sc.Valid() {
-		sp = t.start(sc.Trace, sc.Parent, name)
-	} else {
-		return ctx, nil
-	}
-	return withActive(ctx, sp), sp
+	return t.StartSpanAt(ctx, name, t.nowNS())
 }
 
 // StartSpanAt is StartSpan with an explicit start time (UnixNano on the
@@ -110,11 +102,18 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 // scheduler queue wait whose beginning is only known once the task is
 // dispatched. End still computes the duration against the clock's now.
 func (t *Tracer) StartSpanAt(ctx context.Context, name string, startNS int64) (context.Context, *Span) {
-	c, sp := t.StartSpan(ctx, name)
-	if sp != nil {
-		sp.StartNS = startNS
+	if t == nil || !t.enabled.Load() {
+		return ctx, nil
 	}
-	return c, sp
+	var sp *Span
+	if parent := Active(ctx); parent != nil {
+		sp = t.start(parent.Trace, parent.ID, name, startNS)
+	} else if sc, ok := Remote(ctx); ok && sc.Valid() {
+		sp = t.start(sc.Trace, sc.Parent, name, startNS)
+	} else {
+		return ctx, nil
+	}
+	return withActive(ctx, sp), sp
 }
 
 // scVersion tags the wire encoding of a SpanContext. The transport

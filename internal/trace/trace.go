@@ -97,17 +97,20 @@ func (s *Span) Eventf(format string, args ...interface{}) {
 // End finishes the span, computing its duration and publishing it to the
 // tracer's ring buffer. Only the first End takes effect. Safe on nil.
 func (s *Span) End() {
-	if s == nil {
-		return
+	if s != nil {
+		s.endAt(s.tr.nowNS())
 	}
-	end := s.tr.nowNS()
+}
+
+// endAt is End at endNS on the tracer's clock.
+func (s *Span) endAt(endNS int64) {
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
 		return
 	}
 	s.ended = true
-	s.DurNS = end - s.StartNS
+	s.DurNS = endNS - s.StartNS
 	if s.DurNS < 0 {
 		s.DurNS = 0
 	}
@@ -198,14 +201,6 @@ func (t *Tracer) SetEnabled(on bool) {
 	}
 }
 
-// SetClock replaces the tracer's time source (nil restores wall time).
-func (t *Tracer) SetClock(c metrics.Clock) {
-	if c == nil {
-		c = metrics.WallClock()
-	}
-	t.clock = c
-}
-
 func (t *Tracer) nowNS() int64 {
 	if t == nil {
 		return 0
@@ -233,9 +228,9 @@ func (t *Tracer) sampled(traceID string) bool {
 	return h.Sum64()%t.sampleEvery == 0
 }
 
-// start builds and registers a span. Callers have already checked
-// Enabled.
-func (t *Tracer) start(traceID string, parent SpanID, name string) *Span {
+// start builds a span that began at startNS. Callers have already
+// checked Enabled.
+func (t *Tracer) start(traceID string, parent SpanID, name string, startNS int64) *Span {
 	return &Span{
 		Trace:   traceID,
 		mu:      new(sync.Mutex),
@@ -243,7 +238,7 @@ func (t *Tracer) start(traceID string, parent SpanID, name string) *Span {
 		Parent:  parent,
 		Name:    name,
 		Node:    t.node,
-		StartNS: t.nowNS(),
+		StartNS: startNS,
 		tr:      t,
 	}
 }
