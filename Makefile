@@ -22,10 +22,11 @@ check:
 # state when a reduce task does; a reduce task of several partitions is
 # lost, recovered and resumed whole; and jobs after a manager failover run
 # on the elected node's own scheduler and driver, in process and over TCP
-# (internal/nodecmd); and a ring once shared is read while membership
-# changes and never changes itself. This is the one list: CI and
-# scripts/check.sh run this target.
-LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup|SharedRingNeverChanges
+# (internal/nodecmd); a ring once shared is read while membership
+# changes and never changes itself; and a fold that fails on a pair races
+# the sender goroutine's drain of the spills before it. This is the one
+# list: CI and scripts/check.sh run this target.
+LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup|SharedRingNeverChanges|CombinerError
 lifecycle:
 	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs ./internal/nodecmd
 
@@ -78,6 +79,9 @@ fuzz-smoke:
 # reference. The seeds are long pair lists: cap minimization or it
 # eats the burst.
 	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzGroupByKey -fuzztime=10s -fuzzminimizetime=10x
+# The combining emitter against a reference built from the application's
+# reducer alone: same spills, same first error.
+	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzCombineEmitter -fuzztime=10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzDecodeFrame -fuzztime=10s
 # One FuzzWireDecode per package that owns messages (fs.*, mr.*); a
 # type tag picks the compiled codec the bytes are parsed with.

@@ -62,6 +62,9 @@ type (
 	// the split must not alias the block, and nobody may write to it once
 	// Decode has returned, because concurrent tasks share it.
 	App = mapreduce.App
+	// Combiner is an App's optional map-side fold: Start, Add and Value
+	// (see mapreduce.Combiner).
+	Combiner = mapreduce.Combiner
 	// Params carries per-job application parameters.
 	Params = mapreduce.Params
 	// Emit receives emitted pairs.

@@ -7,6 +7,7 @@ package apps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -39,12 +40,12 @@ func init() {
 	mapreduce.Register(WordCount, mapreduce.App{
 		Map:     wordCountMap,
 		Reduce:  sumReduce,
-		Combine: sumReduce,
+		Combine: sumCombiner,
 	})
 	mapreduce.Register(Grep, mapreduce.App{
 		Map:     grepMap,
 		Reduce:  sumReduce,
-		Combine: sumReduce,
+		Combine: sumCombiner,
 	})
 	mapreduce.Register(InvertedIndex, mapreduce.App{
 		Map:    invertedIndexMap,
@@ -61,7 +62,7 @@ func init() {
 		Decode:     decodePoints,
 		MapDecoded: kmeansMap,
 		Reduce:     kmeansReduce,
-		Combine:    kmeansReduce,
+		Combine:    vecSumCombiner,
 	})
 	mapreduce.Register(PageRank, mapreduce.App{
 		Decode:     decodeGraph,
@@ -72,7 +73,7 @@ func init() {
 		Decode:     decodeLabeledPoints,
 		MapDecoded: logRegMap,
 		Reduce:     logRegReduce,
-		Combine:    logRegReduce,
+		Combine:    vecSumCombiner,
 	})
 }
 
@@ -117,24 +118,58 @@ func wordCountMap(_ mapreduce.Params, input []byte, emit mapreduce.Emit) error {
 
 var one = []byte("1")
 
-// sumReduce adds integer-encoded values, the shared reducer/combiner of
-// word count and grep. Nearly every value a combiner sees is the mapper's
-// "1": one digit is added as it stands, anything else goes through
-// strconv.ParseInt, which also words every error.
+// sumReduce adds integer-encoded values, the reducer of word count and
+// grep.
 func sumReduce(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.Emit) error {
 	total := int64(0)
 	for _, v := range values {
-		if len(v) == 1 && v[0]-'0' <= 9 {
-			total += int64(v[0] - '0')
-			continue
-		}
-		n, err := strconv.ParseInt(string(v), 10, 64)
+		n, err := parseCount(key, v)
 		if err != nil {
-			return fmt.Errorf("apps: bad count %q for key %q: %w", v, key, err)
+			return err
 		}
 		total += n
 	}
 	return emit(key, decimal(total))
+}
+
+// sumCombiner is sumReduce folded as the values come: the accumulator is
+// the running total, an int64 in eight little-endian bytes, and a spill
+// carries it in decimal. Totals wrap as sumReduce's do.
+var sumCombiner = &mapreduce.Combiner{Start: sumStart, Add: sumAdd, Value: sumValue}
+
+func sumStart(_ mapreduce.Params, key string, dst, value []byte) ([]byte, error) {
+	n, err := parseCount(key, value)
+	if err != nil {
+		return dst, err
+	}
+	return binary.LittleEndian.AppendUint64(dst, uint64(n)), nil
+}
+
+func sumAdd(_ mapreduce.Params, key string, acc, value []byte) error {
+	n, err := parseCount(key, value)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(acc, binary.LittleEndian.Uint64(acc)+uint64(n))
+	return nil
+}
+
+func sumValue(_ mapreduce.Params, _ string, dst, acc []byte) []byte {
+	return strconv.AppendInt(dst, int64(binary.LittleEndian.Uint64(acc)), 10)
+}
+
+// parseCount reads one count of key. Nearly every value is the mapper's
+// "1": one digit is taken as it stands, anything else goes through
+// strconv.ParseInt, which also words every error.
+func parseCount(key string, v []byte) (int64, error) {
+	if len(v) == 1 && v[0]-'0' <= 9 {
+		return int64(v[0] - '0'), nil
+	}
+	n, err := strconv.ParseInt(string(v), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("apps: bad count %q for key %q: %w", v, key, err)
+	}
+	return n, nil
 }
 
 // decimals[n] is n in decimal for every n below len(decimals): the counts

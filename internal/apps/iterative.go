@@ -62,8 +62,8 @@ func kmeansMap(params mapreduce.Params, split any, emit mapreduce.Emit) error {
 }
 
 // kmeansReduce merges the partial accumulators of one centroid. It emits
-// the merged accumulator (not the mean) so it can double as the map-side
-// combiner; the driver divides by the count.
+// the merged accumulator (not the mean), which the map side combines in
+// the same way (vecSumCombiner); the driver divides by the count.
 func kmeansReduce(_ mapreduce.Params, key string, values [][]byte, emit mapreduce.Emit) error {
 	var acc []float64
 	for _, v := range values {
@@ -80,6 +80,39 @@ func kmeansReduce(_ mapreduce.Params, key string, values [][]byte, emit mapreduc
 		addVec(acc, part)
 	}
 	return emit(key, encodeVec(acc))
+}
+
+// vecSumCombiner is kmeansReduce folded as the values come, for k-means
+// and logistic regression: the accumulator is the vector sum in
+// encodeVec's format and is also the value a spill carries. Its sum starts
+// from zero and adds the values in order, as kmeansReduce's does, so the
+// bits agree (0 + -0 is +0, where a copy of the first value would keep
+// -0), and so do its errors.
+var vecSumCombiner = &mapreduce.Combiner{Start: vecSumStart, Add: vecSumAdd, Value: vecSumValue}
+
+func vecSumStart(_ mapreduce.Params, key string, dst, value []byte) ([]byte, error) {
+	if err := checkVec(value); err != nil {
+		return dst, fmt.Errorf("apps: kmeans reduce %s: %w", key, err)
+	}
+	at := len(dst)
+	dst = append(dst, make([]byte, len(value))...)
+	addEncoded(dst[at:], value)
+	return dst, nil
+}
+
+func vecSumAdd(_ mapreduce.Params, key string, acc, value []byte) error {
+	if err := checkVec(value); err != nil {
+		return fmt.Errorf("apps: kmeans reduce %s: %w", key, err)
+	}
+	if len(value) != len(acc) {
+		return fmt.Errorf("apps: kmeans reduce %s: accumulator length mismatch", key)
+	}
+	addEncoded(acc, value)
+	return nil
+}
+
+func vecSumValue(_ mapreduce.Params, _ string, dst, acc []byte) []byte {
+	return append(dst, acc...)
 }
 
 // KMeansResult reports one k-means run.

@@ -267,9 +267,9 @@ func (r pinnedRunner) Collect(res mapreduce.Result, user string) ([]mapreduce.KV
 }
 
 func init() {
-	mapreduce.Register("legacy-"+KMeans, mapreduce.App{Map: legacyKMeansMap, Reduce: kmeansReduce, Combine: kmeansReduce})
+	mapreduce.Register("legacy-"+KMeans, mapreduce.App{Map: legacyKMeansMap, Reduce: kmeansReduce, Combine: vecSumCombiner})
 	mapreduce.Register("legacy-"+PageRank, mapreduce.App{Map: legacyPageRankMap, Reduce: pageRankReduce})
-	mapreduce.Register("legacy-"+LogReg, mapreduce.App{Map: legacyLogRegMap, Reduce: logRegReduce, Combine: logRegReduce})
+	mapreduce.Register("legacy-"+LogReg, mapreduce.App{Map: legacyLogRegMap, Reduce: logRegReduce, Combine: vecSumCombiner})
 }
 
 // TestIterativeResultsBitIdenticalToParentUnderDrops runs the three

@@ -20,8 +20,8 @@ func encodeVec(v []float64) []byte {
 
 // decodeVec parses a float64 vector.
 func decodeVec(data []byte) ([]float64, error) {
-	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("apps: vector payload of %d bytes is not a multiple of 8", len(data))
+	if err := checkVec(data); err != nil {
+		return nil, err
 	}
 	out := make([]float64, len(data)/8)
 	for i := range out {
@@ -30,10 +30,27 @@ func decodeVec(data []byte) ([]float64, error) {
 	return out, nil
 }
 
+// checkVec fails where data cannot be a vector.
+func checkVec(data []byte) error {
+	if len(data)%8 != 0 {
+		return fmt.Errorf("apps: vector payload of %d bytes is not a multiple of 8", len(data))
+	}
+	return nil
+}
+
 // addVec accumulates b into a (equal lengths assumed by callers).
 func addVec(a, b []float64) {
 	for i := range a {
 		a[i] += b[i]
+	}
+}
+
+// addEncoded accumulates b into a, both encodeVec's format of equal
+// lengths, in place: addVec without decoding either.
+func addEncoded(a, b []byte) {
+	for i := 0; i+8 <= len(a); i += 8 {
+		x := math.Float64frombits(binary.LittleEndian.Uint64(a[i:])) + math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
+		binary.LittleEndian.PutUint64(a[i:], math.Float64bits(x))
 	}
 }
 

@@ -405,8 +405,8 @@ func TestConcurrentMapTasksOnOneWorker(t *testing.T) {
 	if idle == nil {
 		t.Fatal("the worker keeps no idle combine state after its tasks")
 	}
-	if len(idle.g.keys) != 0 || len(idle.part) != 0 || len(idle.parts) != 0 || idle.err != nil {
+	if len(idle.g.keys) != 0 || len(idle.groups) != 0 || len(idle.parts) != 0 || idle.err != nil {
 		t.Fatalf("the idle combine state was not reset: %d keys, %d groups, %d partitions, err %v",
-			len(idle.g.keys), len(idle.part), len(idle.parts), idle.err)
+			len(idle.g.keys), len(idle.groups), len(idle.parts), idle.err)
 	}
 }

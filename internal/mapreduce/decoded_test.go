@@ -59,7 +59,7 @@ func testMapInts(p Params, split any, emit Emit) error {
 func init() {
 	Register("test-decoded-sum", App{
 		Decode: testDecodeInts, MapDecoded: testMapInts,
-		Reduce: testSumReduce, Combine: testSumReduce,
+		Reduce: testSumReduce, Combine: testSumCombiner,
 	})
 }
 

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -12,8 +13,8 @@ import (
 // app.Map produces, routes them to reduce partitions and hands every
 // spill that fills up to the async sender while the map is still running
 // (proactive shuffle). Applications without a combiner append encoded
-// pairs (appendEmitter); applications with one aggregate in a table first
-// (combineEmitter).
+// pairs (appendEmitter); applications with one fold each pair into its
+// key's accumulator (combineEmitter).
 type mapEmitter interface {
 	// emit is the Emit handed to app.Map.
 	emit(key string, value []byte) error
@@ -27,7 +28,7 @@ type mapEmitter interface {
 // exactly when the application registered a combiner, working in state
 // (a fresh one when nil), which is the task's until flushAll and release
 // have returned. The appending emitter ignores state.
-func newMapEmitter(table *hashing.RangeTable, req RunMapReq, combine ReduceFunc, state *combineState, handoff func(part, seq int, buf *[]byte)) mapEmitter {
+func newMapEmitter(table *hashing.RangeTable, req RunMapReq, combine *Combiner, state *combineState, handoff func(part, seq int, buf *[]byte)) mapEmitter {
 	route := newSpillRoute(table, req, handoff)
 	if combine == nil {
 		return newAppendEmitter(route)
@@ -146,105 +147,92 @@ func (e *appendEmitter) release() {
 	}
 }
 
-// pairRef is one buffered pair of a partition's current spill: its group
-// and where its value ends in the partition's arena. The values sit back to
-// back in emit order, so a value starts where the pair before it ends.
-type pairRef struct {
-	id  int32
-	end uint32
+// groupAcc is what a combining emitter keeps per group: the partition the
+// key hashes to, -1 when filtered out, and, while the partition's current
+// spill holds the key, where its accumulator lies in the partition's
+// arena.
+type groupAcc struct {
+	part       int32
+	held       bool
+	start, end uint32
 }
 
-// partSpill is the pairs one partition has buffered since its last spill.
+// partSpill is the keys one partition has folded since its last spill.
 type partSpill struct {
-	pairs []pairRef
+	// ids lists the groups whose accumulators the arena holds, in the
+	// order each was first emitted since the last spill.
+	ids   []int32
 	arena []byte
-	// active lists the groups with at least one pair in pairs.
-	active []int32
-	// raw is the encoded size the pairs would have had in an
-	// appendEmitter buffer; spill boundaries follow it, not the table's
-	// own footprint, so they fall where they do without a combiner.
+	// raw is the encoded size the folded pairs would have had in an
+	// appendEmitter buffer; spill boundaries follow it, not the
+	// accumulators' footprint, so they fall where they do without a
+	// combiner.
 	raw int
 }
 
-// value is the value of pairs[i].
-func (ps *partSpill) value(i uint32) []byte {
-	start := uint32(0)
-	if i > 0 {
-		start = ps.pairs[i-1].end
-	}
-	end := ps.pairs[i].end
-	return ps.arena[start:end:end]
-}
-
-// maxArenaLen is the most value bytes a partition buffers: pairRef.end is
-// 32 bits. A variable so that a test can reach it without 4 GiB of values.
+// maxArenaLen is the most accumulator bytes a partition holds: offsets
+// into the arena are 32 bits. A variable so that a test can reach it
+// without 4 GiB of accumulators.
 var maxArenaLen uint64 = math.MaxUint32
 
 // combineState is everything a combining emitter keeps between pairs: the
-// table, each group's partition, the partitions' buffered pairs and the
-// scratch a flush lays them out in. A Worker owns one and lends it to its
-// map tasks one at a time (Worker.borrowCombineState); every array grows
-// by append and stays grown, so a task on a borrowed state allocates for
-// none of them once an earlier task has needed as much. The per-pair
-// arrays hold no pointers: the collector does not scan them and a pair
-// costs no write barrier.
+// table, each group's partition and accumulator, and the partitions'
+// arenas. A Worker owns one and lends it to its map tasks one at a time
+// (Worker.borrowCombineState); every array grows by append and stays
+// grown, so a task on a borrowed state allocates for none of them once an
+// earlier task has needed as much. The per-group arrays and the arenas
+// hold no pointers: the collector does not scan them and a fold costs no
+// write barrier.
 type combineState struct {
 	g grouper
-	// part[id] is the group's partition, -1 when filtered out.
-	part  []int32
-	parts []partSpill
-	// order is a flush's pairs, as indexes into its partition's pairs,
-	// grouped by group id; values is one group's values as the combiner
-	// is handed them.
-	order  []uint32
-	values [][]byte
+	// groups[id] is group id's partition and accumulator.
+	groups []groupAcc
+	parts  []partSpill
 	// err is the first combiner failure; once set the task is doomed and
-	// every later emit returns it without buffering.
+	// every later emit returns it without folding.
 	err error
 }
 
 // reset readies s for another task: every array is emptied and keeps its
 // capacity, no key of the finished task stays referenced (a key may hold
-// the task's input alive), and in race builds the partitions' value bytes
-// are overwritten, so a combiner that kept a value reads poison in the
+// the task's input alive), and in race builds the partitions' arenas are
+// overwritten, so a combiner that kept an accumulator reads poison in the
 // next task instead of another task's bytes.
 func (s *combineState) reset() {
 	s.g.reset()
-	s.part = s.part[:0]
+	s.groups = s.groups[:0]
 	parts := s.parts[:cap(s.parts)]
 	for i := range parts {
 		ps := &parts[i]
 		poisonArena(ps.arena)
-		ps.pairs, ps.arena, ps.active, ps.raw = ps.pairs[:0], ps.arena[:0], ps.active[:0], 0
+		ps.ids, ps.arena, ps.raw = ps.ids[:0], ps.arena[:0], 0
 	}
 	s.parts = s.parts[:0]
-	s.order, s.values = s.order[:0], s.values[:0]
 	s.err = nil
 }
 
-// combineEmitter is the fused emit-side combiner: pairs are hash-grouped
-// as they are emitted, and when a partition's buffered pairs reach the
-// spill threshold the combiner runs once per key over the key's values in
-// emit order, its output encoded directly into the pooled buffer the
-// sender ships. A spill lists its keys in the order each was first emitted
-// since the partition's last spill: no reader wants them sorted (the
-// reduce side orders all of a partition's pairs itself, groupStreams), so
-// the emit side does not sort. A spill therefore carries the pairs the
-// combiner would have produced from the appendEmitter's buffer, grouped.
+// combineEmitter is the fused emit-side combiner (in-mapper combining):
+// every pair is folded into its key's accumulator as it is emitted, and
+// when a partition's pairs reach the spill threshold each of its keys'
+// Value is encoded directly into the pooled buffer the sender ships. A
+// spill lists its keys in the order each was first emitted since the
+// partition's last spill: no reader wants them sorted (the reduce side
+// orders all of a partition's pairs itself, groupStreams), so the emit side
+// does not sort.
 //
 // One hashing.ShuffleKey per pair serves both the table (grouper) and the
 // ring lookup. The table is keyed by emitted key for the whole task, so
-// the lookup itself runs once per distinct key (part). The table and the
-// partitions' pairs live in a combineState the task has borrowed from its
-// worker, not in the emitter.
+// the lookup itself runs once per distinct key (groupAcc.part). The table
+// and the accumulators live in a combineState the task has borrowed from
+// its worker, not in the emitter.
 type combineEmitter struct {
 	spillRoute
 	*combineState
-	combine ReduceFunc
+	combine *Combiner
 	params  Params
 }
 
-func newCombineEmitter(route spillRoute, combine ReduceFunc, params Params, state *combineState) *combineEmitter {
+func newCombineEmitter(route spillRoute, combine *Combiner, params Params, state *combineState) *combineEmitter {
 	n := route.table.Len()
 	state.parts = slices.Grow(state.parts[:0], n)[:n]
 	return &combineEmitter{spillRoute: route, combineState: state, combine: combine, params: params}
@@ -257,86 +245,99 @@ func (e *combineEmitter) emit(key string, value []byte) error {
 	h := hashing.ShuffleKey(key)
 	id, fresh := e.g.id(key, h)
 	if fresh {
-		e.part = append(e.part, int32(e.partition(h)))
+		e.groups = append(e.groups, groupAcc{part: int32(e.partition(h))})
 	}
-	part := int(e.part[id])
-	if part < 0 {
+	ga := &e.groups[id]
+	if ga.part < 0 {
 		return nil
 	}
-	ps := &e.parts[part]
-	if uint64(len(ps.arena))+uint64(len(value)) > maxArenaLen {
-		if err := e.flush(part); err != nil {
-			return err
-		}
+	ps := &e.parts[ga.part]
+	var err error
+	if ga.held {
+		err = e.combine.Add(e.params, key, ps.arena[ga.start:ga.end:ga.end], value)
+	} else {
+		err = e.start(ps, id, key, value)
 	}
-	if e.g.at[id] == 0 {
-		ps.active = append(ps.active, id)
+	if err != nil {
+		e.err = fmt.Errorf("mapreduce: combine key %q: %w", key, err)
+		return e.err
 	}
-	e.g.at[id]++
-	ps.arena = append(ps.arena, value...)
-	ps.pairs = append(ps.pairs, pairRef{id: id, end: uint32(len(ps.arena))})
 	ps.raw += 8 + len(key) + len(value)
 	if ps.raw >= e.threshold {
-		return e.flush(part)
+		e.flush(int(ga.part))
 	}
 	return nil
 }
 
-// flush combines one partition's buffered pairs into a spill and ships
-// it. The groups stay in the table (their partition is remembered for the
-// rest of the task); only their pairs are dropped.
-func (e *combineEmitter) flush(part int) error {
-	if e.err != nil {
-		return e.err
-	}
-	ps := &e.parts[part]
-	if len(ps.pairs) == 0 {
-		return nil
-	}
-	n := e.g.layout(ps.active) // first-emit order: see the type comment
-	e.order = slices.Grow(e.order[:0], n)[:n]
-	for i, p := range ps.pairs {
-		e.order[e.g.at[p.id]] = uint32(i)
-		e.g.at[p.id]++
-	}
-	out := getSpillBuf()
-	collect := func(key string, value []byte) error {
-		*out = AppendKV(*out, KV{Key: key, Value: value})
-		return nil
-	}
-	err := e.g.each(ps.active, e.order, func(key string, pairs []uint32) error {
-		values := e.values[:0]
-		for _, i := range pairs {
-			values = append(values, ps.value(i))
-		}
-		e.values = values
-		err := e.combine(e.params, key, values, collect)
-		poisonValues(values)
-		if err != nil {
-			return fmt.Errorf("mapreduce: combine key %q: %w", key, err)
-		}
-		return nil
-	})
-	ps.pairs, ps.arena, ps.active, ps.raw = ps.pairs[:0], ps.arena[:0], ps.active[:0], 0
+// start appends the accumulator of a key the partition's spill does not
+// hold yet. One that would carry the arena past what a 32-bit offset
+// addresses spills the partition's other keys first, below the threshold,
+// and moves to the front of the emptied arena.
+func (e *combineEmitter) start(ps *partSpill, id int32, key string, value []byte) error {
+	ga := &e.groups[id]
+	begin := len(ps.arena)
+	arena, err := e.combine.Start(e.params, key, ps.arena, value)
 	if err != nil {
-		putSpillBuf(out)
-		e.err = err
 		return err
 	}
-	e.ship(part, out)
+	if uint64(len(arena)) > maxArenaLen && begin > 0 {
+		ps.arena = arena[:begin:begin] // the flush poisons no byte of the new accumulator
+		e.flush(int(ga.part))
+		arena, begin = arena[:copy(arena, arena[begin:])], 0
+	}
+	if uint64(len(arena)) > maxArenaLen {
+		return fmt.Errorf("an accumulator of %d bytes", len(arena))
+	}
+	ps.arena = arena
+	ps.ids = append(ps.ids, id)
+	ga.held, ga.start, ga.end = true, uint32(begin), uint32(len(arena))
 	return nil
+}
+
+// flush encodes one partition's accumulators into a spill and ships it.
+// The groups stay in the table (their partition is remembered for the
+// rest of the task); only their accumulators are dropped, and in race
+// builds overwritten.
+func (e *combineEmitter) flush(part int) {
+	ps := &e.parts[part]
+	if len(ps.ids) == 0 {
+		return
+	}
+	out := getSpillBuf()
+	buf := *out
+	for _, id := range ps.ids {
+		ga := &e.groups[id]
+		buf = e.appendPair(buf, e.g.keys[id], ps.arena[ga.start:ga.end:ga.end])
+		ga.held = false
+	}
+	*out = buf
+	poisonArena(ps.arena)
+	ps.ids, ps.arena, ps.raw = ps.ids[:0], ps.arena[:0], 0
+	e.ship(part, out)
+}
+
+// appendPair encodes key and the Value of acc to dst as one pair
+// (AppendKV's format), Value appending straight into the buffer.
+func (e *combineEmitter) appendPair(dst []byte, key string, acc []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(key)))
+	dst = append(dst, key...)
+	at := len(dst)
+	dst = e.combine.Value(e.params, key, append(dst, 0, 0, 0, 0), acc)
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
 }
 
 func (e *combineEmitter) flushAll() error {
+	if e.err != nil {
+		return e.err
+	}
 	for part := range e.parts {
-		if err := e.flush(part); err != nil {
-			return err
-		}
+		e.flush(part)
 	}
 	return nil
 }
 
 // release has nothing to return: a combined spill's buffer is taken from
-// the pool and shipped (or put back) within one flush, and the state goes
-// back to the worker that lent it.
+// the pool and shipped within one flush, and the state goes back to the
+// worker that lent it.
 func (e *combineEmitter) release() {}

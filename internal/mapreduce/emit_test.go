@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -17,8 +18,9 @@ import (
 // referenceCombineStream is the oracle for what a combined spill must
 // contain: decode one raw spill (the pairs an appendEmitter buffered for
 // the partition), collect each key's values in emit order, run the
-// combiner once per key in the order the keys first appear, and re-encode.
-// It shares nothing with the grouping kernel.
+// application's reducer once per key in the order the keys first appear,
+// and re-encode. It shares nothing with the combiner or the grouping
+// kernel.
 func referenceCombineStream(fn ReduceFunc, params Params, data []byte) ([]byte, error) {
 	var keys []string
 	values := make(map[string][][]byte)
@@ -69,32 +71,54 @@ func emitterSpills(app App, table *hashing.RangeTable, req RunMapReq, input []by
 	return spills, out.flushAll()
 }
 
-// referenceSpills is the pipeline a combined spill is defined by: every
-// pair appended raw to its partition's buffer, and a buffer that reaches
-// the threshold run through the reference combiner before it is pushed.
+// referenceSpills is the pipeline a combined spill is defined by, made
+// with the application's reducer alone: every pair appended raw to its
+// partition's buffer, and, for an application with a combiner, a buffer
+// that reaches the threshold reduced (referenceCombineStream) before it is
+// pushed. A fold fails on the first pair at which the reducer rejects its
+// key's values so far in the spill, with the error the emitter wraps the
+// combiner's in; the spills pushed before it are returned with it.
 func referenceSpills(app App, table *hashing.RangeTable, req RunMapReq, input []byte) ([]spillRecord, error) {
 	var spills []spillRecord
-	var combineErr error
-	out := newAppendEmitter(newSpillRoute(table, req, func(part, seq int, buf *[]byte) {
+	var reduceErr error
+	values := make([]map[string][][]byte, table.Len()) // of the spill each partition is filling
+	route := newSpillRoute(table, req, func(part, seq int, buf *[]byte) {
 		data := append([]byte{}, *buf...)
 		putSpillBuf(buf)
 		if app.Combine != nil {
 			var err error
-			if data, err = referenceCombineStream(app.Combine, req.Params, data); err != nil {
-				combineErr = errors.Join(combineErr, err)
-				return
-			}
+			data, err = referenceCombineStream(app.Reduce, req.Params, data)
+			reduceErr = errors.Join(reduceErr, err)
 		}
 		spills = append(spills, spillRecord{part, seq, data})
-	}))
+		values[part] = nil
+	})
+	out := newAppendEmitter(route)
 	defer out.release()
-	if err := mapUncached(app, req.Params, input, out.emit); err != nil {
-		return nil, err
+	emit := out.emit
+	if app.Combine != nil {
+		discard := func(string, []byte) error { return nil }
+		emit = func(key string, value []byte) error {
+			if part := route.partition(hashing.ShuffleKey(key)); part >= 0 {
+				if values[part] == nil {
+					values[part] = make(map[string][][]byte)
+				}
+				sofar := append(values[part][key], value)
+				if err := app.Reduce(req.Params, key, sofar, discard); err != nil {
+					return fmt.Errorf("mapreduce: combine key %q: %w", key, err)
+				}
+				values[part][key] = sofar
+			}
+			return out.emit(key, value)
+		}
+	}
+	if err := mapUncached(app, req.Params, input, emit); err != nil {
+		return spills, err
 	}
 	if err := out.flushAll(); err != nil {
-		return nil, err
+		return spills, err
 	}
-	return spills, combineErr
+	return spills, reduceErr
 }
 
 // mapUncached runs the application's map path over a raw block with no
@@ -176,8 +200,8 @@ func sameSpills(got, want []spillRecord) error {
 
 // TestCombinerErrorFailsAttempt pins the failure path of the emit-side
 // combiner on a real worker: the attempt fails with the combiner's error,
-// emit keeps returning it instead of blocking or combining further, the
-// sender drains, and nothing lands for the failed spill.
+// emit keeps returning it instead of blocking or folding further, and the
+// sender drains the spills shipped before the failure.
 func TestCombinerErrorFailsAttempt(t *testing.T) {
 	ec := newEngineCluster(t, engineOpts{nodes: 3})
 	text, _ := wideCorpus(200, 3)
@@ -191,7 +215,7 @@ func TestCombinerErrorFailsAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := ec.workers[ec.ids[0]]
-	for _, threshold := range []int{32, 1 << 30} { // fails mid-map, fails in the final flush
+	for _, threshold := range []int{32, 1 << 30} { // spills in flight when the fold fails, none
 		req := RunMapReq{
 			Job: "poison", Namespace: fmt.Sprintf("job:poison-%d", threshold), App: "test-failing-combine",
 			Params:   Params{"poison": []byte("word150")},
@@ -218,87 +242,101 @@ func TestCombinerErrorFailsAttempt(t *testing.T) {
 	}
 }
 
-// TestCombinerErrorIsStickyAndReturnsBuffer drives the emitter directly:
-// after a combiner failure every emit and flush returns the same error
-// without running the combiner again, and the spill buffer the failed
-// flush had taken is back in the pool.
-func TestCombinerErrorIsStickyAndReturnsBuffer(t *testing.T) {
+// TestCombinerErrorIsSticky drives the emitter directly: the pair a fold
+// fails on fails its emit, after which every emit and flushAll returns
+// the same error without calling the combiner again, and nothing is
+// shipped, not even the keys folded before the failure.
+func TestCombinerErrorIsSticky(t *testing.T) {
 	table, err := hashing.UniformRangeTable([]hashing.NodeID{"n0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	// sync.Pool may drop a Put (it does so at random under -race), so one
-	// round proves nothing either way; a buffer that is never returned
-	// fails every round.
-	returned := false
-	for round := 0; round < 50 && !returned; round++ {
-		calls := 0
-		shipped := 0
-		out := newMapEmitter(table, RunMapReq{SpillThreshold: 1 << 30}, func(Params, string, [][]byte, Emit) error {
+	calls, shipped := 0, 0
+	fold := &Combiner{
+		Start: func(_ Params, _ string, dst, value []byte) ([]byte, error) {
 			calls++
-			return boom
-		}, nil, func(int, int, *[]byte) { shipped++ })
-		if err := out.emit("k", []byte("v")); err != nil {
-			t.Fatalf("emit below the threshold: %v", err)
-		}
-		marker := getSpillBuf()
-		putSpillBuf(marker) // the buffer the failing flush will take
-		if err := out.flushAll(); !errors.Is(err, boom) {
-			t.Fatalf("flushAll = %v, want the combiner's error", err)
-		}
-		back := getSpillBuf()
-		returned = back == marker
-		putSpillBuf(back)
-		if err := out.emit("k2", []byte("v")); !errors.Is(err, boom) {
-			t.Fatalf("emit after failure = %v, want the combiner's error", err)
-		}
-		if err := out.flushAll(); !errors.Is(err, boom) {
-			t.Fatalf("second flushAll = %v, want the combiner's error", err)
-		}
-		out.release()
-		if calls != 1 || shipped != 0 {
-			t.Fatalf("combiner ran %d times and %d spills shipped after a failure, want 1 and 0", calls, shipped)
+			return append(dst, value...), nil
+		},
+		Add: func(_ Params, _ string, _, value []byte) error {
+			calls++
+			if string(value) == "x" {
+				return boom
+			}
+			return nil
+		},
+		Value: func(_ Params, _ string, dst, acc []byte) []byte { return append(dst, acc...) },
+	}
+	out := newMapEmitter(table, RunMapReq{SpillThreshold: 1 << 30}, fold, nil, func(int, int, *[]byte) { shipped++ })
+	for _, kv := range []KV{{Key: "k", Value: []byte("1")}, {Key: "k2", Value: []byte("1")}} {
+		if err := out.emit(kv.Key, kv.Value); err != nil {
+			t.Fatalf("emit before the failure: %v", err)
 		}
 	}
-	if !returned {
-		t.Fatal("the failed flush never returned its spill buffer to the pool")
+	const want = `mapreduce: combine key "k": boom`
+	err = out.emit("k", []byte("x"))
+	if !errors.Is(err, boom) || err.Error() != want {
+		t.Fatalf("emit of the failing pair = %v, want %s", err, want)
+	}
+	for i, again := range []func() error{
+		func() error { return out.emit("k2", []byte("1")) },
+		out.flushAll,
+		out.flushAll,
+	} {
+		if got := again(); got != err {
+			t.Fatalf("call %d after the failure = %v, want the first error", i, got)
+		}
+	}
+	out.release()
+	if calls != 3 || shipped != 0 {
+		t.Fatalf("combiner ran %d times and %d spills shipped, want 3 and 0", calls, shipped)
 	}
 }
 
-// TestFullArenaSpillsEarly: a pair whose value would carry a partition's
+// TestFullArenaSpillsEarly: an accumulator that would carry a partition's
 // arena past what a 32-bit offset addresses spills the partition first,
-// below the threshold, instead of wrapping the offset.
+// below the threshold, instead of wrapping the offset; one that does not
+// fit an empty arena fails the task.
 func TestFullArenaSpillsEarly(t *testing.T) {
 	defer func(limit uint64) { maxArenaLen = limit }(maxArenaLen)
-	maxArenaLen = 3
+	maxArenaLen = 20 // two of testSumCombiner's eight-byte accumulators
 	table, err := hashing.UniformRangeTable([]hashing.NodeID{"n0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var spills []string
-	out := newMapEmitter(table, RunMapReq{SpillThreshold: 1 << 30}, testSumReduce, nil, func(_, _ int, buf *[]byte) {
+	out := newMapEmitter(table, RunMapReq{SpillThreshold: 1 << 30}, testSumCombiner, nil, func(_, _ int, buf *[]byte) {
 		spills = append(spills, string(*buf))
 		putSpillBuf(buf)
 	})
-	for _, v := range []string{"1", "2", "3", "4", "5"} {
-		if err := out.emit("k", []byte(v)); err != nil {
+	for _, kv := range []string{"a1", "b2", "a3", "c4", "c5", "d6", "a7"} {
+		if err := out.emit(kv[:1], []byte(kv[1:])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := out.flushAll(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{string(EncodeKVs([]KV{{Key: "k", Value: []byte("6")}})), string(EncodeKVs([]KV{{Key: "k", Value: []byte("9")}}))}
+	want := []string{
+		string(EncodeKVs([]KV{{Key: "a", Value: []byte("4")}, {Key: "b", Value: []byte("2")}})),
+		string(EncodeKVs([]KV{{Key: "c", Value: []byte("9")}, {Key: "d", Value: []byte("6")}})),
+		string(EncodeKVs([]KV{{Key: "a", Value: []byte("7")}})),
+	}
 	if fmt.Sprint(spills) != fmt.Sprint(want) {
 		t.Fatalf("spills %q, want %q", spills, want)
+	}
+
+	maxArenaLen = 4
+	out = newMapEmitter(table, RunMapReq{}, testSumCombiner, nil, func(int, int, *[]byte) { t.Fatal("a spill was shipped") })
+	if err := out.emit("a", []byte("1")); err == nil || err.Error() != `mapreduce: combine key "a": an accumulator of 8 bytes` {
+		t.Fatalf("emit of an accumulator past the limit = %v", err)
 	}
 }
 
 // emitOnWorker runs the emit side of one map task with combine on a
 // combine state borrowed from w: every pair, then the final flush, each
 // spill recycled as it is handed off. The state goes back to w.
-func emitOnWorker(t testing.TB, w *Worker, table *hashing.RangeTable, combine ReduceFunc, pairs []KV) {
+func emitOnWorker(t testing.TB, w *Worker, table *hashing.RangeTable, combine *Combiner, pairs []KV) {
 	state := w.borrowCombineState()
 	out := newMapEmitter(table, RunMapReq{}, combine, state, func(_, _ int, buf *[]byte) { putSpillBuf(buf) })
 	for _, kv := range pairs {
@@ -313,19 +351,36 @@ func emitOnWorker(t testing.TB, w *Worker, table *hashing.RangeTable, combine Re
 	w.returnCombineState(state)
 }
 
-// borrowedTaskAllocs is what one 64 KiB word-count map task allocates on
-// the emit side, every pair emitted and every partition flushed, once an
-// earlier task on the same worker has grown the combine state: the
-// emitter and its spill route (two), and per flushed partition the
-// closure that appends the combiner's output to the spill (four). Nothing
-// scales with the pairs or keys; on a fresh state the same task allocates
-// some 240 times, growing each array from empty.
-const borrowedTaskAllocs = 6
+// digitSum sums one-digit counts with nothing to parse or allocate, so
+// that what a test or benchmark counts is the emitter's work, not the
+// combiner's.
+var digitSum = &Combiner{
+	Start: func(_ Params, _ string, dst, value []byte) ([]byte, error) {
+		return binary.LittleEndian.AppendUint64(dst, uint64(value[0]-'0')), nil
+	},
+	Add: func(_ Params, _ string, acc, value []byte) error {
+		binary.LittleEndian.PutUint64(acc, binary.LittleEndian.Uint64(acc)+uint64(value[0]-'0'))
+		return nil
+	},
+	Value: func(_ Params, _ string, dst, acc []byte) []byte {
+		return strconv.AppendUint(dst, binary.LittleEndian.Uint64(acc), 10)
+	},
+}
+
+// What one 64 KiB word-count map task allocates on the emit side, every
+// pair folded and every partition flushed. On a state an earlier task on
+// the same worker has grown: the emitter and its spill route (two),
+// nothing per pair, key or spill. On a private state 144: the state, and
+// every array of the table and of the four partitions grown from empty by
+// doubling, for the block's 2 550 distinct words.
+const (
+	borrowedTaskAllocs = 2
+	privateTaskAllocs  = 144
+)
 
 // TestBorrowedStateTaskAllocates pins the reason a worker lends its map
 // tasks one combine state: the second task on it finds every array large
-// enough. The combiner reuses its own digits so that only the emitter's
-// allocations are counted (testSumReduce allocates one string per key).
+// enough, where a task on a state of its own grows them all.
 func TestBorrowedStateTaskAllocates(t *testing.T) {
 	if blockbuf.RaceEnabled {
 		t.Skip("the race detector allocates too")
@@ -338,15 +393,24 @@ func TestBorrowedStateTaskAllocates(t *testing.T) {
 	for _, word := range strings.Fields(string(workloads.Text(1, 64<<10, 20000))) {
 		pairs = append(pairs, KV{Key: word, Value: []byte("1")})
 	}
-	var digits []byte
-	count := func(_ Params, key string, values [][]byte, emit Emit) error {
-		digits = strconv.AppendInt(digits[:0], int64(len(values)), 10)
-		return emit(key, digits)
-	}
 	w := &Worker{}
-	task := func() { emitOnWorker(t, w, table, count, pairs) }
+	task := func() { emitOnWorker(t, w, table, digitSum, pairs) }
 	task() // grows the worker's state
 	if n := testing.AllocsPerRun(20, task); n > borrowedTaskAllocs {
 		t.Errorf("a task on a borrowed combine state allocates %v times, want at most %d", n, borrowedTaskAllocs)
+	}
+	private := func() {
+		out := newMapEmitter(table, RunMapReq{}, digitSum, nil, func(_, _ int, buf *[]byte) { putSpillBuf(buf) })
+		for _, kv := range pairs {
+			if err := out.emit(kv.Key, kv.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := out.flushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, private); n > privateTaskAllocs {
+		t.Errorf("a task on a private combine state allocates %v times, want at most %d", n, privateTaskAllocs)
 	}
 }

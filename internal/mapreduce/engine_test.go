@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -20,17 +21,22 @@ import (
 
 // Test applications registered once for the whole package test binary.
 func init() {
-	Register("test-wordcount", App{Map: testWordCountMap, Reduce: testSumReduce, Combine: testSumReduce})
+	Register("test-wordcount", App{Map: testWordCountMap, Reduce: testSumReduce, Combine: testSumCombiner})
 	Register("test-wordcount-nocombine", App{Map: testWordCountMap, Reduce: testSumReduce})
-	// The combiner fails on the word the "poison" parameter names.
+	// The combiner fails on the first pair of the word the "poison"
+	// parameter names.
 	Register("test-failing-combine", App{
 		Map:    testWordCountMap,
 		Reduce: testSumReduce,
-		Combine: func(p Params, key string, values [][]byte, emit Emit) error {
-			if key == p.Get("poison") {
-				return fmt.Errorf("poisoned key %s", key)
-			}
-			return testSumReduce(p, key, values, emit)
+		Combine: &Combiner{
+			Start: func(p Params, key string, dst, value []byte) ([]byte, error) {
+				if key == p.Get("poison") {
+					return dst, fmt.Errorf("poisoned key %s", key)
+				}
+				return testSumCombiner.Start(p, key, dst, value)
+			},
+			Add:   testSumCombiner.Add,
+			Value: testSumCombiner.Value,
 		},
 	})
 	Register("test-grep", App{
@@ -78,6 +84,29 @@ func testSumReduce(_ Params, key string, values [][]byte, emit Emit) error {
 		total += n
 	}
 	return emit(key, []byte(strconv.Itoa(total)))
+}
+
+// testSumCombiner is testSumReduce folded as the values come, with its
+// errors: the accumulator is the running total in eight bytes.
+var testSumCombiner = &Combiner{
+	Start: func(_ Params, _ string, dst, value []byte) ([]byte, error) {
+		n, err := strconv.Atoi(string(value))
+		if err != nil {
+			return dst, err
+		}
+		return binary.LittleEndian.AppendUint64(dst, uint64(n)), nil
+	},
+	Add: func(_ Params, _ string, acc, value []byte) error {
+		n, err := strconv.Atoi(string(value))
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint64(acc, binary.LittleEndian.Uint64(acc)+uint64(n))
+		return nil
+	},
+	Value: func(_ Params, _ string, dst, acc []byte) []byte {
+		return strconv.AppendInt(dst, int64(binary.LittleEndian.Uint64(acc)), 10)
+	},
 }
 
 // engineCluster is a full in-process EclipseMR data plane: DHT FS, caches,

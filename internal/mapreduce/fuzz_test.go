@@ -2,8 +2,13 @@ package mapreduce
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"eclipsemr/internal/hashing"
 )
 
 // FuzzDecodeKVs exercises the spill codec on arbitrary byte streams: the
@@ -126,6 +131,100 @@ func FuzzGroupByKey(f *testing.F) {
 		})
 		if err != nil || i != len(want) {
 			t.Fatalf("groupStreams visited %d of %d groups: %v", i, len(want), err)
+		}
+	})
+}
+
+// combineFuzzTask decodes arbitrary bytes into one map task for
+// FuzzCombineEmitter. The first byte sets the spill threshold (1 to 1021
+// raw bytes), the second the reduce partition count (1 to 4), whether the
+// task runs on a state a worker lent it after an earlier task, and an
+// OnlyPartitions filter (a mask over partitions 0 to 3, whichever exist;
+// none set is no filter). Every two bytes after that are a pair: a key of
+// a sixteen-word alphabet and a count, most often one digit, sometimes
+// several, signed, at the int64 limits or malformed.
+func combineFuzzTask(data []byte) (req RunMapReq, parts int, lent bool, pairs []KV) {
+	if len(data) < 2 {
+		return RunMapReq{SpillThreshold: 1}, 1, false, nil
+	}
+	req.SpillThreshold = 1 + 4*int(data[0])
+	parts, lent = 1+int(data[1]&3), data[1]&4 != 0
+	for p := 0; p < 4; p++ {
+		if data[1]>>3&(1<<p) != 0 {
+			req.OnlyPartitions = append(req.OnlyPartitions, p)
+		}
+	}
+	keys := []string{"a", "b", "ab", "ba", "", "the", "a\x00", "zz", "of", "and", "to", "in", "is", "it", "an", "x"}
+	malformed := []string{"", "x", "1x", " 1", "--1", "99999999999999999999"}
+	for data = data[2:]; len(data) >= 2; data = data[2:] {
+		head, v := data[0], data[1]
+		var value string
+		switch kind := head >> 4; {
+		case kind < 12:
+			value = strconv.Itoa(int(v % 10))
+		case kind == 12:
+			value = strconv.Itoa(int(int8(v)) * 37)
+		case kind == 13 && v%2 == 0:
+			value = strconv.FormatInt(math.MaxInt64-int64(v), 10)
+		case kind == 13:
+			value = strconv.FormatInt(math.MinInt64+int64(v), 10)
+		case kind == 14:
+			value = malformed[int(v)%len(malformed)]
+		default:
+			value = "+" + strconv.Itoa(int(v%10))
+		}
+		pairs = append(pairs, KV{Key: keys[head&15], Value: []byte(value)})
+	}
+	return req, parts, lent, pairs
+}
+
+// FuzzCombineEmitter holds the combining emitter, on a fresh state or on
+// one a worker lends it after an earlier task, to the reference pipeline
+// built from the application's reducer alone (referenceSpills): the same
+// spills, segment for segment (partition, sequence number and bytes), and
+// the same first error when a count does not parse.
+func FuzzCombineEmitter(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{255, 3, 0, 1, 1, 1, 2, 1, 0, 1, 3, 1, 4, 1, 1, 1, 0, 1}) // one spill per partition at the end
+	f.Add([]byte{0, 2, 0, 1, 1, 2, 0, 3})                                 // every pair its own spill
+	f.Add([]byte{8, 7, 0, 1, 1, 2, 226, 3, 0, 4, 1, 5})                   // a malformed count mid-spill, on a lent state
+	f.Add([]byte{16, 3 | 5<<3, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 6, 7, 7, 8}) // partitions 0 and 2 only
+	f.Add([]byte{64, 0 | 12<<3, 0, 1, 1, 1})                              // a filter of partitions that do not exist
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, parts, lent, pairs := combineFuzzTask(data)
+		ids := make([]hashing.NodeID, parts)
+		for i := range ids {
+			ids[i] = hashing.NodeID(fmt.Sprintf("n%d", i))
+		}
+		table, err := hashing.UniformRangeTable(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc := mustLookup("test-wordcount")
+		app := App{Reduce: wc.Reduce, Combine: wc.Combine, Map: func(_ Params, _ []byte, emit Emit) error {
+			for _, kv := range pairs {
+				if err := emit(kv.Key, kv.Value); err != nil {
+					return err
+				}
+			}
+			return nil
+		}}
+		var state *combineState
+		if lent {
+			w := &Worker{}
+			earlier := w.borrowCombineState()
+			// The earlier task counts only for the state it leaves behind.
+			_, _ = emitterSpills(app, table, RunMapReq{SpillThreshold: 1 + req.SpillThreshold/2}, nil, earlier)
+			w.returnCombineState(earlier)
+			state = w.borrowCombineState()
+		}
+		got, gotErr := emitterSpills(app, table, req, nil, state)
+		want, wantErr := referenceSpills(app, table, req, nil)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("the emitter fails with %v, the reference with %v", gotErr, wantErr)
+		}
+		if err := sameSpills(got, want); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

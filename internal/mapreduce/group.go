@@ -20,15 +20,8 @@ type Group struct {
 }
 
 // grouper is the emit-side combiner's table (combineEmitter). It maps
-// every pair, in emit order, to a dense group id; a spill's pairs are then
-// laid out group by group in one order array of pair indexes, each group's
-// pairs in emit order (what a ReduceFunc is promised). Three steps:
-//
-//  1. id(key, h) per pair, with at[id]++ counting the group's pairs;
-//  2. layout(ids) turns every count into the group's first position in
-//     the order, in the order of ids;
-//  3. the caller places the pairs in emit order with order[at[id]++] = i,
-//     after which at[id] is the group's end and each() walks the groups.
+// every pair's key, in emit order, to a dense group id, under which the
+// emitter keeps the key's partition and accumulator (groupAcc).
 //
 // The table does not hash: h is the key's hashing.ShuffleKey, which the
 // emitter has computed anyway to place the pair on the ring, so a pair is
@@ -38,8 +31,8 @@ type Group struct {
 // The index is an open-addressing table of group ids (4 bytes a slot)
 // beside the dense per-group arrays, a fraction of a map[string]int32's
 // footprint. The zero grouper is an empty table; it lives in a worker's
-// combineState and is reset, not rebuilt, between tasks. Group ids and
-// order positions are int32, so one grouper takes at most 2^31-1 pairs.
+// combineState and is reset, not rebuilt, between tasks. Group ids are
+// int32, so one grouper takes at most 2^31-1 keys.
 // The reduce side uses no table: see groupStreams.
 type grouper struct {
 	// slots holds id+1 at the key's probe position, 0 when empty; its
@@ -47,7 +40,6 @@ type grouper struct {
 	slots  []int32
 	hashes []uint32 // per group: the high hash bits, to skip most key compares
 	keys   []string
-	at     []int32
 }
 
 // firstSlots is the table's size before its first growth.
@@ -58,7 +50,7 @@ const firstSlots = 64
 func (g *grouper) reset() {
 	clear(g.slots)
 	clear(g.keys)
-	g.keys, g.hashes, g.at = g.keys[:0], g.hashes[:0], g.at[:0]
+	g.keys, g.hashes = g.keys[:0], g.hashes[:0]
 }
 
 // id returns the group of key, whose hashing.ShuffleKey is h, creating it
@@ -83,7 +75,6 @@ func (g *grouper) insert(slot int, h uint64, key string) int32 {
 	id := int32(len(g.keys))
 	g.keys = append(g.keys, key)
 	g.hashes = append(g.hashes, uint32(h>>32))
-	g.at = append(g.at, 0)
 	g.slots[slot] = id + 1
 	if 2*len(g.keys) > len(g.slots) {
 		g.grow()
@@ -107,35 +98,6 @@ func (g *grouper) grow() {
 	}
 }
 
-// layout assigns the groups consecutive ranges of the order in the order
-// of ids, returning the positions used (the pairs counted).
-func (g *grouper) layout(ids []int32) int {
-	off := int32(0)
-	for _, id := range ids {
-		n := g.at[id]
-		g.at[id] = off
-		off += n
-	}
-	return int(off)
-}
-
-// each calls fn once per group of ids, in the order layout saw, with the
-// group's range of the filled order, and zeroes the groups' counts so the
-// same ids can collect another round. A group it does not reach, fn having
-// failed, keeps its count until reset.
-func (g *grouper) each(ids []int32, order []uint32, fn func(key string, pairs []uint32) error) error {
-	start := int32(0)
-	for _, id := range ids {
-		end := g.at[id]
-		g.at[id] = 0
-		if err := fn(g.keys[id], order[start:end:end]); err != nil {
-			return err
-		}
-		start = end
-	}
-	return nil
-}
-
 // poisonValues overwrites, in race builds, the values a ReduceFunc was
 // handed once it has returned (the blockbuf precedent): a function that
 // kept the slice, which types.go forbids, then reads these bytes at once
@@ -148,10 +110,9 @@ func poisonValues(values [][]byte) {
 	}
 }
 
-// poisonArena overwrites, in race builds, the whole of a combining
-// emitter's value arena when its state is reset: a combiner that kept one
-// of the values (not the slice, which poisonValues covers) reads poison
-// in the next task.
+// poisonArena overwrites, in race builds, arena up to its capacity when
+// the bytes are done with: a function that kept some of them reads poison
+// at once.
 func poisonArena(arena []byte) {
 	if blockbuf.RaceEnabled {
 		arena = arena[:cap(arena)]

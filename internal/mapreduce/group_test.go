@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -301,10 +302,10 @@ func TestGroupStreamsAllocatesPerPartition(t *testing.T) {
 }
 
 // TestReducerMayNotKeepValues: in race builds the values a function was
-// handed are overwritten when it returns, on the reduce side and in the
-// combining emitter alike, so keeping them shows at once; and a value a
-// combiner kept past its task reads poison in the worker's next task,
-// which works in the same arena.
+// handed are overwritten when it returns on the reduce side, and a
+// combining emitter's accumulators when their spill is made or, for a
+// task that failed, when its state goes back to the worker, so keeping
+// either shows at once.
 func TestReducerMayNotKeepValues(t *testing.T) {
 	if !blockbuf.RaceEnabled {
 		t.Skip("values are poisoned in race builds only")
@@ -328,68 +329,51 @@ func TestReducerMayNotKeepValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &Worker{}
-	var keptValue []byte
-	emitOnWorker(t, w, table, func(_ Params, key string, values [][]byte, _ Emit) error {
-		kept = values
-		if key == "b" {
-			keptValue = values[0]
-		}
-		return nil
+	var keptAcc []byte
+	emitOnWorker(t, &Worker{}, table, &Combiner{
+		Start: func(_ Params, _ string, dst, value []byte) ([]byte, error) { return append(dst, value...), nil },
+		Add:   func(Params, string, []byte, []byte) error { return nil },
+		Value: func(_ Params, _ string, dst, acc []byte) []byte {
+			keptAcc = acc
+			return append(dst, acc...)
+		},
 	}, []KV{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("2")}})
-	if len(kept) != 1 || !bytes.Equal(kept[0], poisonedValue) {
-		t.Errorf("the combining emitter left %q with a combiner that kept its values", kept)
+	if !bytes.Equal(keptAcc, []byte{poisonByte}) {
+		t.Errorf("an accumulator a combiner kept past its spill reads %q, want poison", keptAcc)
 	}
-	var read []byte
-	emitOnWorker(t, w, table, func(Params, string, [][]byte, Emit) error {
-		read = bytes.Clone(keptValue)
-		return nil
-	}, []KV{{Key: "c", Value: []byte("x")}})
-	if !bytes.Equal(read, []byte{poisonByte}) {
-		t.Errorf("a value a combiner kept from its last task reads %q in the next, want poison", read)
+	// A task that fails makes no spill: its accumulators are overwritten
+	// when the worker takes its state back.
+	w := &Worker{}
+	state := w.borrowCombineState()
+	out := newMapEmitter(table, RunMapReq{}, &Combiner{
+		Start: func(_ Params, _ string, dst, value []byte) ([]byte, error) { return append(dst, value...), nil },
+		Add: func(_ Params, _ string, acc, _ []byte) error {
+			keptAcc = acc
+			return errors.New("fails")
+		},
+		Value: func(_ Params, _ string, dst, acc []byte) []byte { return append(dst, acc...) },
+	}, state, func(int, int, *[]byte) { t.Error("a failed task shipped a spill") })
+	_ = out.emit("a", []byte("1"))
+	if err := out.emit("a", []byte("2")); err == nil {
+		t.Fatal("the fold did not fail")
+	}
+	w.returnCombineState(state)
+	if !bytes.Equal(keptAcc, []byte{poisonByte}) {
+		t.Errorf("an accumulator a failed task's combiner kept reads %q once the state is back, want poison", keptAcc)
 	}
 }
 
-// TestGrouperReusesGroupsAcrossRounds pins what the emit-side combiner
-// relies on: a round's groups come in first-emit order, after each() a
-// group's count is zero again and the same ids collect the next round,
-// while the table keeps every key it has seen until reset empties it.
-func TestGrouperReusesGroupsAcrossRounds(t *testing.T) {
+// TestGrouperKeepsIDsUntilReset pins what the emit-side combiner relies
+// on: keys get dense ids in first-sight order and keep them for the whole
+// task, table growth included, until reset empties the table.
+func TestGrouperKeepsIDsUntilReset(t *testing.T) {
 	g := &grouper{}
 	idOf := func(k string) (int32, bool) { return g.id(k, hashing.ShuffleKey(k)) }
-	round := func(keys ...string) []Group {
-		var ids, active []int32
-		for _, k := range keys {
-			id, _ := idOf(k)
-			if g.at[id] == 0 {
-				active = append(active, id)
-			}
-			g.at[id]++
-			ids = append(ids, id)
+	for i, k := range []string{"b", "a", "b", "c", "a"} {
+		id, fresh := idOf(k)
+		if want := map[string]int32{"b": 0, "a": 1, "c": 2}[k]; id != want || fresh != (i == 0 || i == 1 || i == 3) {
+			t.Fatalf("pair %d: %q is group %d (fresh %v), want %d", i, k, id, fresh, want)
 		}
-		order := make([]uint32, g.layout(active))
-		for i, id := range ids {
-			order[g.at[id]] = uint32(i)
-			g.at[id]++
-		}
-		var out []Group
-		_ = g.each(active, order, func(key string, pairs []uint32) error {
-			var values [][]byte
-			for _, i := range pairs {
-				values = append(values, tagged(int(i)))
-			}
-			out = append(out, Group{Key: key, Values: values})
-			return nil
-		})
-		return out
-	}
-	first := round("b", "a", "b")
-	if err := sameGroups(first, []Group{{"b", [][]byte{tagged(0), tagged(2)}}, {"a", [][]byte{tagged(1)}}}); err != nil {
-		t.Fatalf("round 1: %v", err)
-	}
-	second := round("c", "b")
-	if err := sameGroups(second, []Group{{"c", [][]byte{tagged(0)}}, {"b", [][]byte{tagged(1)}}}); err != nil {
-		t.Fatalf("round 2: %v", err)
 	}
 	if len(g.keys) != 3 {
 		t.Fatalf("table holds %d keys, want 3", len(g.keys))

@@ -159,10 +159,9 @@ func TestReduceOutputIgnoresKeyOrderWithinSpills(t *testing.T) {
 // TestCombineStateReuseIsInvisible runs one worker's combine state through
 // a sequence of map tasks that changes everything a task sizes or leaves
 // behind: the partition count, a partition filter and then none, a spill
-// per pair, k-means after word count, and a combiner that fails in the
-// middle of a flush (leaving the counts of the groups it did not reach)
-// followed by good tasks. Every spill must be what a fresh emitter
-// produces.
+// per pair, k-means after word count, and a fold that fails mid-spill
+// (leaving accumulators in the state) followed by good tasks. Every spill
+// must be what a fresh emitter produces.
 func TestCombineStateReuseIsInvisible(t *testing.T) {
 	in := identityInputs()
 	text, points, kmeans := []byte(in[0].input), []byte(in[1].input), in[1].params

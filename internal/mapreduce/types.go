@@ -76,22 +76,48 @@ type DecodeFunc func(block []byte) (split any, size int64, err error)
 // MapDecodedFunc processes one decoded split; it must not modify it.
 type MapDecodedFunc func(params Params, split any, emit Emit) error
 
-// ReduceFunc processes all values of one intermediate key. It also serves
-// as the optional combiner run over map-side buffers before spilling.
-// As a reducer it gets a key's values ordered by map task ID (byte
-// order), then by the task's spill sequence, then in emit order within a
-// spill, on every run of the job, with or without faults: a reducer that
-// sums floating-point values writes the same bits each time.
-// values is the engine's scratch and the bytes behind it are the worker's
-// copy of the partition's spills (or the emitter's arena): both are
-// read-only, and valid only until the function returns, when the slice is
-// refilled for the next key. Whatever must outlive the call is copied;
-// emit copies the key and value it is handed, so a function may emit
-// shared, read-only bytes (a value of its own table, one of values), and
-// key is the function's to keep. Builds with -race overwrite values after
-// each call, and the bytes behind them when the task ends, so a function
-// that kept either reads 0xDB bytes at once.
+// ReduceFunc processes all values of one intermediate key. It gets a
+// key's values ordered by map task ID (byte order), then by the task's
+// spill sequence, then in emit order within a spill, on every run of the
+// job, with or without faults: a reducer that sums floating-point values
+// writes the same bits each time. values is the engine's scratch and the
+// bytes behind it are the worker's copy of the partition's spills: both
+// are read-only, and valid only until the function returns, when the
+// slice is refilled for the next key. Whatever must outlive the call is
+// copied; emit copies the key and value it is handed, so a function may
+// emit shared, read-only bytes (a value of its own table, one of values),
+// and key is the function's to keep. Builds with -race overwrite values
+// after each call, and the bytes behind them when the task ends, so a
+// function that kept either reads 0xDB bytes at once.
 type ReduceFunc func(params Params, key string, values [][]byte, emit Emit) error
+
+// Combiner pre-aggregates a map task's output as it is emitted, cutting
+// shuffle volume (word count sums counts map-side, etc.): each value is
+// folded into its key's accumulator at once, and a spill carries one pair
+// per key, the value the accumulator stands for. For a partition's keys
+// between two spills the engine calls Start once per key, on the key's
+// first value, then Add for each further value in emit order, then Value
+// once when the partition spills; the next spill starts over. The keys of
+// a spill come in no particular order (today the order each was first
+// emitted), so a combiner may not depend on having seen a smaller key
+// first. Reduce does see its partition's keys in ascending order, and
+// must accept what Value makes as one of its values.
+//
+// An accumulator is bytes in the engine's arena, so the collector never
+// scans it: Start appends it to dst and returns the result, Add rewrites
+// it in place, keeping its length, and Value only reads it. acc, dst's
+// bytes and value are valid only during the call, and none of the three
+// functions may keep them; builds with -race overwrite the accumulators
+// when their spill is made. An error from Start or Add fails the map task
+// (the first one, for good: every later emit returns it).
+type Combiner struct {
+	// Start appends the accumulator of key's first value to dst.
+	Start func(params Params, key string, dst, value []byte) ([]byte, error)
+	// Add folds a further value into acc.
+	Add func(params Params, key string, acc, value []byte) error
+	// Value appends the value the spill carries for key to dst.
+	Value func(params Params, key string, dst, acc []byte) []byte
+}
 
 // App is a registered MapReduce application. It has exactly one map path:
 // Map over the block's bytes, or Decode plus MapDecoded for applications
@@ -107,14 +133,9 @@ type App struct {
 	MapDecoded MapDecodedFunc
 	// Reduce is required.
 	Reduce ReduceFunc
-	// Combine optionally pre-aggregates map output before each spill,
-	// cutting shuffle volume (word count sums counts map-side, etc.). It
-	// is called once per key per spill, with the key's values in emit
-	// order; the keys of a spill come in no particular order (today the
-	// order each was first emitted), so a combiner may not depend on
-	// having seen a smaller key first. Reduce does see its partition's
-	// keys in ascending order.
-	Combine ReduceFunc
+	// Combine optionally pre-aggregates map output before each spill;
+	// set all three of its functions.
+	Combine *Combiner
 }
 
 var (
@@ -134,6 +155,9 @@ func Register(name string, app App) {
 	}
 	if (app.Map == nil) == (app.Decode == nil) {
 		panic("mapreduce: Register " + name + ": exactly one of Map and Decode+MapDecoded is required")
+	}
+	if c := app.Combine; c != nil && (c.Start == nil || c.Add == nil || c.Value == nil) {
+		panic("mapreduce: Register " + name + ": a Combiner needs Start, Add and Value")
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()

@@ -269,8 +269,8 @@ func (w *Worker) runMap(ctx context.Context, req RunMapReq) (RunMapResp, error) 
 
 	// Compute covers the user functions (decoding a split iCache missed
 	// included) and everything emit does on this goroutine: partitioning,
-	// buffering and, for applications with a combiner, combining each
-	// spill. The batch pushes run on the sender
+	// buffering and, for applications with a combiner, folding each pair
+	// and encoding each spill. The batch pushes run on the sender
 	// goroutine and are timed as mr.shuffle.send_ns (their spans parent
 	// under task.map, not map.compute); waiting for them is not compute.
 	_, comp := w.tracer.StartStage(ctx, "map.compute", w.reg.Histogram("mr.map.compute_ns"))
