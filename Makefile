@@ -23,10 +23,11 @@ check:
 # lost, recovered and resumed whole; and jobs after a manager failover run
 # on the elected node's own scheduler and driver, in process and over TCP
 # (internal/nodecmd); a ring once shared is read while membership
-# changes and never changes itself; and a fold that fails on a pair races
-# the sender goroutine's drain of the spills before it. This is the one
-# list: CI and scripts/check.sh run this target.
-LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup|SharedRingNeverChanges|CombinerError
+# changes and never changes itself; a fold that fails on a pair races
+# the sender goroutine's drain of the spills before it; and a disk shard's
+# puts and deletes reuse the slab extents its readers have pinned. This is
+# the one list: CI and scripts/check.sh run this target.
+LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup|SharedRingNeverChanges|CombinerError|SlabReuse
 lifecycle:
 	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs ./internal/nodecmd
 
@@ -90,6 +91,10 @@ fuzz-smoke:
 # committed seeds are whole logs and every damaged tail the unit
 # tests write.
 	$(GO) test ./internal/dhtfs -run '^$$' -fuzz FuzzMetaLogReplay -fuzztime=10s
+# The disk store's blocks.slab opened from arbitrary bytes; the committed
+# seeds are two records, a torn header and a record image in a payload.
+# Each seed is several 4 KiB pages: cap minimization or it eats the burst.
+	$(GO) test ./internal/dhtfs -run '^$$' -fuzz FuzzSlabOpen -fuzztime=10s -fuzzminimizetime=10x
 	$(GO) test ./internal/mapreduce -run '^$$' -fuzz FuzzWireDecode -fuzztime=10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzPartitionCDF -fuzztime=10s
 	$(GO) test ./internal/hashing -run '^$$' -fuzz FuzzRingLookupConsistency -fuzztime=10s

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -159,5 +162,88 @@ func TestSmallJobRoundTrips(t *testing.T) {
 	const ceiling = 36
 	if total > ceiling {
 		t.Errorf("one small job cost %d RPCs, budget %d", total, ceiling)
+	}
+}
+
+// TestFsMixedRoundTrips is the counted cost of one fs_mixed iteration
+// (the repository benchmark's file-system workload) on 4 disk-backed
+// nodes: upload a 1 MiB file in four 256 KiB blocks, read three files,
+// delete an older one, all from the manager as the benchmark's clients do.
+// The RPCs of each method and the block writes are exact: a change to how
+// a file moves changes them, and a change to how a shard stores blocks
+// must not. Every shard keeps its blocks in one slab beside its metadata
+// log.
+func TestFsMixedRoundTrips(t *testing.T) {
+	const blockSize, fileSize = 256 << 10, 1 << 20
+	dataDir := t.TempDir()
+	c := newTestCluster(t, 4, Options{Config: Config{BlockSize: blockSize, DataDir: dataDir}})
+	file := func(i int) (string, []byte) {
+		return fmt.Sprintf("fs-c0-%06d", i), bytes.Repeat([]byte{byte(i), byte(i >> 8), 'x'}, fileSize/3+1)[:fileSize]
+	}
+	for i := 0; i < 4; i++ {
+		name, data := file(i)
+		if _, err := c.Upload(name, "u", dhtfs.PermPublic, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	start := c.MetricsSnapshot()
+	name, data := file(4)
+	if _, err := c.Upload(name, "u", dhtfs.PermPublic, data); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{4, 3, 1} {
+		name, want := file(i)
+		if got, err := c.ReadFile(name, "u"); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("ReadFile(%s) = %d bytes, %v", name, len(got), err)
+		}
+	}
+	if old, _ := file(0); c.DeleteFile(old, "u") != nil {
+		t.Fatalf("DeleteFile(%s) failed", old)
+	}
+	end := c.MetricsSnapshot()
+
+	before, after := rpcCounts(start), rpcCounts(end)
+	got := make(map[string]int64)
+	for method, n := range after {
+		if strings.HasPrefix(method, "fs.") && n > before[method] {
+			got[method] = n - before[method]
+		}
+	}
+	// Measured alike on the file-per-block store and on the slab. The
+	// manager holds a copy of every file's metadata here and of 4 of the 12
+	// block replicas written, and its calls to itself are not counted: the
+	// upload is 8 remote block puts and 2 metadata puts, the reads find all
+	// but one block on the manager, and the delete is 2 metadata deletes and
+	// 8 remote block deletes.
+	want := map[string]int64{
+		"fs.putBlock":    8,
+		"fs.putFile":     2,
+		"fs.getFile":     0,
+		"fs.getBlock":    1,
+		"fs.deleteFile":  2,
+		"fs.deleteBlock": 8,
+	}
+	for method, n := range want {
+		if got[method] != n {
+			t.Errorf("%s: %d calls, want %d", method, got[method], n)
+		}
+	}
+	t.Logf("RPCs of one iteration: %v", got)
+	if n := end.Get("fs.blocks.written") - start.Get("fs.blocks.written"); n != 12 {
+		t.Errorf("fs.blocks.written = %d, want 12: four blocks, three replicas each", n)
+	}
+	for _, id := range c.Nodes() {
+		entries, err := os.ReadDir(filepath.Join(dataDir, string(id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if !slices.Equal(names, []string{"blocks.slab", "metadata.log"}) {
+			t.Errorf("node %s's shard directory holds %v, want blocks.slab and metadata.log", id, names)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"eclipsemr/internal/hashing"
@@ -41,13 +42,12 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if _, err := s.GetBlock(k); !IsNotFound(err) {
 		t.Fatalf("err = %v", err)
 	}
-	// No stray files besides the removed block.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	// Nothing on disk but the slab, and no live record in it.
+	if names := dirNames(t, dir); !slices.Equal(names, []string{slabName}) {
+		t.Fatalf("the shard directory holds %v, want only %s", names, slabName)
 	}
-	if len(entries) != 0 {
-		t.Fatalf("leftover files: %v", entries)
+	if recs := slabRecords(t, dir); len(recs) != 0 {
+		t.Fatalf("the deleted block left live records: %+v", recs)
 	}
 }
 
@@ -121,20 +121,19 @@ func TestDiskBackedServiceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := randomData(4096, 31)
-	if _, err := svc.Upload(context.Background(), "disk.dat", "u", PermPublic, data, 512); err != nil {
+	meta, err := svc.Upload(context.Background(), "disk.dat", "u", PermPublic, data, 512)
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := svc.ReadFile(context.Background(), "disk.dat", "u")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("disk-backed round trip: %v", err)
 	}
-	// Blocks are really on disk.
-	entries, err := os.ReadDir(filepath.Join(dir, "n0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) < 8 {
-		t.Fatalf("only %d block files on disk", len(entries))
+	// Blocks are really on disk: a record of each in the slab.
+	for i, k := range meta.BlockKeys {
+		if rec := slabRecord(t, filepath.Join(dir, "n0"), k); rec.size != 512 || rec.damaged {
+			t.Fatalf("block %d's record on disk: %+v", i, rec)
+		}
 	}
 }
 

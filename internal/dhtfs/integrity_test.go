@@ -286,13 +286,13 @@ func TestDigestlessPutIsRefused(t *testing.T) {
 	}
 }
 
-// TestDamagedBlockFileIsPassedOver: one flipped byte in a block file, in
-// the payload or in the trailer (found at the next open), makes that
-// replica's copy fail its check without hashing it: the read is served by a
-// neighbour and counts one corrupt copy.
+// TestDamagedBlockFileIsPassedOver: one flipped byte in a block's slab
+// record, in the payload or in its header's check part (found at the next
+// open), makes that replica's copy fail its check without hashing it: the
+// read is served by a neighbour and counts one corrupt copy.
 func TestDamagedBlockFileIsPassedOver(t *testing.T) {
 	ctx := context.Background()
-	for _, place := range []string{"payload", "trailer digest", "trailer crc"} {
+	for _, place := range []string{"payload", "header check part", "header crc"} {
 		t.Run(place, func(t *testing.T) {
 			tc, dirs := integrityCluster(t, 4, 3, true)
 			data := randomData(3000, 75)
@@ -303,22 +303,22 @@ func TestDamagedBlockFileIsPassedOver(t *testing.T) {
 			k := meta.BlockKeys[1]
 			set, _ := tc.ring.ReplicaSet(k, 3)
 			self := set[0]
-			path := filepath.Join(dirs[self], k.String()+blockExt)
+			path, rec := filepath.Join(dirs[self], slabName), slabRecord(t, dirs[self], k)
 			switch place {
 			case "payload":
-				flipByte(t, path, 100)
-			case "trailer crc":
-				flipByte(t, path, 1<<10+1)
-			case "trailer digest":
-				flipByte(t, path, 1<<10+4+3)
+				flipByte(t, path, rec.off+slabHeader+100)
+			case "header crc":
+				flipByte(t, path, rec.off+60+1)
+			case "header check part":
+				flipByte(t, path, rec.off+36+4+3) // a byte of the digest
 			}
 			svc := tc.services[self]
 			if place != "payload" {
-				// The index a running shard reads by was built from the trailer
-				// as it was; the damage is met when the file is next opened.
+				// The index a running shard reads by was built from the header
+				// as it was; the damage is met when the slab is next opened.
 				svc = restartNode(t, tc, self, dirs[self])
 				if svc.Store().HasBlock(k) {
-					t.Fatal("HasBlock vouches for a copy whose trailer is damaged")
+					t.Fatal("HasBlock vouches for a copy whose header is damaged")
 				}
 			}
 			log := events.New(string(self), events.Options{})
@@ -399,8 +399,8 @@ func TestStaleVersionIsPassedOverByDigest(t *testing.T) {
 	}
 }
 
-// TestBlockFilesAcrossRestart: a shard reopened over block files with
-// trailers knows every block's size, CRC and digest without reading a
+// TestBlockFilesAcrossRestart: a shard reopened over a slab knows every
+// block's size, CRC and digest from the record headers, without reading a
 // payload.
 func TestBlockFilesAcrossRestart(t *testing.T) {
 	ctx := context.Background()
@@ -418,9 +418,9 @@ func TestBlockFilesAcrossRestart(t *testing.T) {
 			t.Fatalf("block %d is stored beside %+v, %v", i, check, err)
 		}
 		want[k] = check
-		info, err := os.Stat(filepath.Join(dirs[id], k.String()+blockExt))
-		if payload := min(1<<10, len(data)-i<<10); err != nil || info.Size() != int64(payload+trailerSize) {
-			t.Fatalf("block file %d: %v, want %d bytes of payload and a trailer", i, info, payload)
+		rec := slabRecord(t, dirs[id], k)
+		if payload := min(1<<10, len(data)-i<<10); rec.size != int64(payload) || rec.damaged || rec.check != check {
+			t.Fatalf("block %d's record: %+v, want %d bytes of payload and a header holding %+v", i, rec, payload, check)
 		}
 	}
 
@@ -438,37 +438,41 @@ func TestBlockFilesAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestTrailerlessBlockFileIsDamaged: a block file that does not end in a
-// whole trailer (none at all, or one cut short) is never served: the reader
-// passes over it, HasBlock says no, and re-replication restores a checked
-// copy from a neighbour in its place.
+// TestTrailerlessBlockFileIsDamaged: a slab record whose header's second
+// part is cut short (the slab ends inside it) or torn (a write of it
+// stopped part way) is never served: the reader passes over it, HasBlock
+// says no, and re-replication restores a checked copy from a neighbour in
+// its place.
 func TestTrailerlessBlockFileIsDamaged(t *testing.T) {
 	ctx := context.Background()
-	for _, cut := range []int{trailerSize, trailerSize / 2} {
-		t.Run(fmt.Sprintf("cut %d bytes", cut), func(t *testing.T) {
+	for _, damage := range []string{"cut", "torn"} {
+		t.Run(damage, func(t *testing.T) {
 			tc, dirs := integrityCluster(t, 4, 3, true)
 			data := randomData(3000, 84)
 			meta, err := tc.any().Upload(ctx, "bare.dat", "alice", PermPublic, data, 1<<10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			k := meta.BlockKeys[1]
+			// A block whose record is the last in its first holder's slab, so
+			// that cutting the slab inside its header costs no other record.
+			i, self, rec := lastRecordOfFile(t, tc, dirs, meta)
+			k := meta.BlockKeys[i]
 			set, _ := tc.ring.ReplicaSet(k, 3)
-			self := set[0]
-			path := filepath.Join(dirs[self], k.String()+blockExt)
-			info, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
+			path := filepath.Join(dirs[self], slabName)
+			if damage == "cut" {
+				err = os.Truncate(path, rec.off+slabPart1+20)
+			} else {
+				err = writeAt(path, rec.off+44, make([]byte, 20))
 			}
-			if err := os.Truncate(path, info.Size()-int64(cut)); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
 			svc := restartNode(t, tc, self, dirs[self])
 			if svc.Store().HasBlock(k) {
-				t.Fatal("HasBlock vouches for a block file without a whole trailer")
+				t.Fatal("HasBlock vouches for a record without a whole header")
 			}
 			if _, err := svc.Store().GetBlock(k); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Store.GetBlock of the trailerless copy = %v, want ErrCorrupt", err)
+				t.Fatalf("Store.GetBlock of the damaged record = %v, want ErrCorrupt", err)
 			}
 			if got, err := svc.ReadFile(ctx, "bare.dat", "alice"); err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("ReadFile = %d bytes, %v", len(got), err)
@@ -479,12 +483,13 @@ func TestTrailerlessBlockFileIsDamaged(t *testing.T) {
 			if _, err := tc.services[set[1]].ReReplicate(ctx); err != nil {
 				t.Fatal(err)
 			}
+			want := data[i<<10 : min(len(data), (i+1)<<10)]
 			buf, check, err := svc.Store().pin(k)
-			if err != nil || !bytes.Equal(buf.Bytes(), data[1<<10:2<<10]) || check.Sum != meta.BlockSums[1] {
+			if err != nil || !bytes.Equal(buf.Bytes(), want) || check.Sum != meta.BlockSums[i] {
 				t.Fatalf("after a neighbour re-replicated, %s holds %+v, %v", self, check, err)
 			}
-			if info, err := os.Stat(path); err != nil || info.Size() != 1<<10+trailerSize {
-				t.Fatalf("the restored block file: %v, want %d bytes and a trailer", info, 1<<10)
+			if rec := slabRecord(t, dirs[self], k); rec.size != int64(len(want)) || rec.damaged {
+				t.Fatalf("the restored record: %+v, want %d bytes and a whole header", rec, len(want))
 			}
 		})
 	}
@@ -504,7 +509,7 @@ func TestReReplicateDoesNotSpreadDamage(t *testing.T) {
 	k := meta.BlockKeys[0]
 	set, _ := tc.ring.ReplicaSet(k, 3)
 	rotten := set[0]
-	flipByte(t, filepath.Join(dirs[rotten], k.String()+blockExt), 10)
+	flipByte(t, filepath.Join(dirs[rotten], slabName), slabRecord(t, dirs[rotten], k).off+slabHeader+10)
 
 	// A holder other than the rotten one leaves, so the fourth node joins
 	// the key's replica set holding nothing.

@@ -64,7 +64,8 @@ func mustDelete(t *testing.T, s *Store, name string) {
 }
 
 // TestMetaLogReplay: puts, deletes and re-puts come back in order after a
-// restart, entry for entry, and nothing but the log is written.
+// restart, entry for entry, and nothing but the log is written: the slab
+// beside it holds no record.
 func TestMetaLogReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := reopen(t, dir)
@@ -89,9 +90,11 @@ func TestMetaLogReplay(t *testing.T) {
 	if s2.metaLog.records != 6 {
 		t.Fatalf("replayed %d records, want the 6 written", s2.metaLog.records)
 	}
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 || entries[0].Name() != metaLogName {
-		t.Fatalf("the shard directory holds %v, want only %s", entries, metaLogName)
+	if names := dirNames(t, dir); !slices.Equal(names, []string{slabName, metaLogName}) {
+		t.Fatalf("the shard directory holds %v, want only %s and %s", names, slabName, metaLogName)
+	}
+	if recs := slabRecords(t, dir); len(recs) != 0 {
+		t.Fatalf("metadata changes wrote block records: %+v", recs)
 	}
 	// The restarted store appends behind what it replayed.
 	mustDelete(t, s2, "b")
@@ -200,14 +203,15 @@ func TestMetaLogStaysBounded(t *testing.T) {
 	if _, got := reopen(t, dir); !maps.Equal(got, want) {
 		t.Fatalf("after the churn the shard holds %d entries, want the 16 residents: %v", len(got), got)
 	}
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 {
-		t.Fatalf("rewrites left files behind: %v", entries)
+	if names := dirNames(t, dir); !slices.Equal(names, []string{slabName, metaLogName}) {
+		t.Fatalf("rewrites left files behind: %v", names)
 	}
 }
 
 // TestDiskBackendRemovesTornPuts: a block file whose put died before its
-// rename is removed at open; files the backend did not name stay.
+// rename, as the file-per-block layout wrote them, is removed at open; the
+// block a put finished stays in the slab, and files the backend did not
+// name stay.
 func TestDiskBackendRemovesTornPuts(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStoreAt(dir)
@@ -235,12 +239,8 @@ func TestDiskBackendRemovesTornPuts(t *testing.T) {
 	if keys := s2.BlockKeys(); !slices.Equal(keys, []hashing.Key{k}) {
 		t.Fatalf("indexed %v, want only %s", keys, k)
 	}
-	var left []string
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		left = append(left, e.Name())
-	}
-	want := append(foreign, k.String()+blockExt)
+	left := dirNames(t, dir)
+	want := append(foreign, slabName)
 	slices.Sort(want)
 	if !slices.Equal(left, want) {
 		t.Fatalf("the directory holds %v, want %v", left, want)

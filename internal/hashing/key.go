@@ -41,7 +41,8 @@ func BlockKey(name string, idx int) Key {
 }
 
 // String renders the key as fixed-width hexadecimal: sixteen lower-case
-// digits. It names every block file and cache entry, so it formats by hand.
+// digits. It names every cache entry and a block in logs, so it formats
+// by hand.
 func (k Key) String() string {
 	var raw [8]byte
 	binary.BigEndian.PutUint64(raw[:], uint64(k))
