@@ -25,11 +25,13 @@ check:
 # (internal/nodecmd); a ring once shared is read while membership
 # changes and never changes itself; a fold that fails on a pair races
 # the sender goroutine's drain of the spills before it; and a disk shard's
-# puts and deletes reuse the slab extents its readers have pinned. This is
-# the one list: CI and scripts/check.sh run this target.
+# puts and deletes reuse the slab extents its readers have pinned; and an
+# iterative run killed between or inside its iterations resumes to a
+# straight run's state, bit for bit (internal/apps). This is the one
+# list: CI and scripts/check.sh run this target.
 LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup|SharedRingNeverChanges|CombinerError|SlabReuse
 lifecycle:
-	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs ./internal/nodecmd
+	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/apps ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs ./internal/nodecmd
 
 # Project invariants (ring comparisons, RPC-under-mutex, metric names,
 # sim determinism, dropped I/O errors) plus gofmt cleanliness. CI runs

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"unicode/utf8"
 
+	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/mapreduce"
 )
 
@@ -34,6 +35,45 @@ const (
 type Runner interface {
 	Run(spec mapreduce.JobSpec) (mapreduce.Result, error)
 	Collect(res mapreduce.Result, user string) ([]mapreduce.KV, error)
+}
+
+// Resumer is a Runner that can hand back a journaled job; cluster.Cluster
+// is one.
+type Resumer interface {
+	Runner
+	Resume(jobID string) (mapreduce.Result, error)
+}
+
+// Named runs each job as "<run>-<the driver's job ID>". A job the run
+// already journaled is resumed instead of run: a finished one (its journal
+// reached the done phase) returns its recorded outputs, an interrupted one
+// runs only its unfinished tasks; one whose journal DropIntermediates
+// deleted runs again.
+//
+// The iteration outputs the DHT file system keeps are thus the checkpoint
+// that lets a long run restart from the point of failure (§II-B/C): an
+// iterative driver restarted through the same name with the same
+// arguments folds the finished iterations' outputs from its initial state
+// as a fresh iteration does, and reaches a straight run's state bit for
+// bit. A journaled job is resumed with the spec it was journaled with, so
+// a run name stands for one set of arguments.
+func Named(r Resumer, run string) Runner { return named{r, run} }
+
+type named struct {
+	Resumer
+	run string
+}
+
+// Run resumes the job's journal, and runs the job only when there is
+// none: any other error, a corrupt journal or an unreachable node, is the
+// caller's.
+func (n named) Run(spec mapreduce.JobSpec) (mapreduce.Result, error) {
+	spec.ID = n.run + "-" + spec.ID
+	res, err := n.Resume(spec.ID)
+	if dhtfs.IsNotFound(err) {
+		return n.Resumer.Run(spec)
+	}
+	return res, err
 }
 
 func init() {

@@ -400,56 +400,42 @@ type LogRegResult struct {
 func RunLogReg(r Runner, input, user string, dim, iters int, lr float64, cacheOutputs bool) (LogRegResult, error) {
 	out := LogRegResult{Weights: make([]float64, dim)}
 	for it := 0; it < iters; it++ {
-		step, err := runLogRegFrom(r, input, user, out.Weights, it, lr, cacheOutputs)
+		began := time.Now()
+		spec := mapreduce.JobSpec{
+			ID:     fmt.Sprintf("logreg-%s-it%d", input, it),
+			App:    LogReg,
+			Inputs: []string{input},
+			User:   user,
+			Params: mapreduce.Params{
+				"dim":     []byte(strconv.Itoa(dim)),
+				"weights": encodeVec(out.Weights),
+			},
+			CacheOutputs: cacheOutputs,
+		}
+		res, err := r.Run(spec)
+		if err != nil {
+			return out, fmt.Errorf("apps: logreg iteration %d: %w", it, err)
+		}
+		kvs, err := r.Collect(res, user)
 		if err != nil {
 			return out, err
 		}
-		out.Weights = step.Weights
-		out.IterationTimes = append(out.IterationTimes, step.IterationTimes...)
-		out.Results = append(out.Results, step.Results...)
-	}
-	return out, nil
-}
-
-// runLogRegFrom executes one gradient-descent iteration starting from w.
-func runLogRegFrom(r Runner, input, user string, w []float64, it int, lr float64, cacheOutputs bool) (LogRegResult, error) {
-	dim := len(w)
-	began := time.Now()
-	spec := mapreduce.JobSpec{
-		ID:     fmt.Sprintf("logreg-%s-it%d", input, it),
-		App:    LogReg,
-		Inputs: []string{input},
-		User:   user,
-		Params: mapreduce.Params{
-			"dim":     []byte(strconv.Itoa(dim)),
-			"weights": encodeVec(w),
-		},
-		CacheOutputs: cacheOutputs,
-	}
-	var out LogRegResult
-	res, err := r.Run(spec)
-	if err != nil {
-		return out, fmt.Errorf("apps: logreg iteration %d: %w", it, err)
-	}
-	kvs, err := r.Collect(res, user)
-	if err != nil {
-		return out, err
-	}
-	if len(kvs) != 1 || kvs[0].Key != "grad" {
-		return out, fmt.Errorf("apps: logreg: expected one grad key, got %d pairs", len(kvs))
-	}
-	acc, err := decodeVec(kvs[0].Value)
-	if err != nil {
-		return out, err
-	}
-	next := append([]float64(nil), w...)
-	if count := acc[dim]; count > 0 {
-		for j := 0; j < dim; j++ {
-			next[j] -= lr * acc[j] / count
+		if len(kvs) != 1 || kvs[0].Key != "grad" {
+			return out, fmt.Errorf("apps: logreg: expected one grad key, got %d pairs", len(kvs))
 		}
+		acc, err := decodeVec(kvs[0].Value)
+		if err != nil {
+			return out, err
+		}
+		next := append([]float64(nil), out.Weights...)
+		if count := acc[dim]; count > 0 {
+			for j := 0; j < dim; j++ {
+				next[j] -= lr * acc[j] / count
+			}
+		}
+		out.Weights = next
+		out.IterationTimes = append(out.IterationTimes, time.Since(began))
+		out.Results = append(out.Results, res)
 	}
-	out.Weights = next
-	out.IterationTimes = append(out.IterationTimes, time.Since(began))
-	out.Results = append(out.Results, res)
 	return out, nil
 }

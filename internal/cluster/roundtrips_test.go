@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,6 +16,7 @@ import (
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/mapreduce"
 	"eclipsemr/internal/metrics"
+	"eclipsemr/internal/workloads"
 )
 
 // rpcCounts reads how many calls of each method the retry layer has sent
@@ -246,4 +248,122 @@ func TestFsMixedRoundTrips(t *testing.T) {
 			t.Errorf("node %s's shard directory holds %v, want blocks.slab and metadata.log", id, names)
 		}
 	}
+}
+
+// renamed submits each job under the ID apps.Named gives it, without
+// looking for its journal first.
+type renamed struct {
+	*Cluster
+	run string
+}
+
+func (r renamed) Run(spec mapreduce.JobSpec) (mapreduce.Result, error) {
+	spec.ID = r.run + "-" + spec.ID
+	return r.Cluster.Run(spec)
+}
+
+// TestKMeansIterationRoundTrips is the counted cost of one iter_kmeans
+// operation, one Lloyd iteration through apps.RunKMeans, on 4 nodes: run
+// plainly, then under the same job ID through apps.Named once its journal
+// is dropped, then through apps.Named again, replayed from that run's
+// journal.
+func TestKMeansIterationRoundTrips(t *testing.T) {
+	c := newTestCluster(t, 4, Options{Config: Config{BlockSize: 4 << 10}})
+	data, _ := workloads.Points(31, 1000, 2, 3)
+	if _, err := c.UploadRecords("points.txt", "u", dhtfs.PermPublic, data, '\n'); err != nil {
+		t.Fatal(err)
+	}
+	initial := [][]float64{{0, 0}, {3, 3}, {-3, -3}}
+	iteration := func(r apps.Runner) (map[string]int64, apps.KMeansResult) {
+		t.Helper()
+		start := c.MetricsSnapshot()
+		out, err := apps.RunKMeans(r, "points.txt", "u", initial, 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, after := rpcCounts(start), rpcCounts(c.MetricsSnapshot())
+		delta := make(map[string]int64)
+		for method, n := range after {
+			if d := n - before[method]; d > 0 && (strings.HasPrefix(method, "fs.") || strings.HasPrefix(method, "mr.")) {
+				delta[method] = d
+			}
+		}
+		return delta, out
+	}
+	sameCentroids := func(a, b apps.KMeansResult) bool {
+		return slices.EqualFunc(a.Centroids, b.Centroids, func(x, y []float64) bool {
+			return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+		})
+	}
+
+	// Plain: the maps the manager does not run itself (its own are calls
+	// to itself, not counted) and one reduce task for the three centroids.
+	plain, first := iteration(renamed{c, "iter"})
+	t.Logf("plain:    %v", plain)
+	for method, want := range map[string]int64{"mr.runMap": 4, "mr.runReduce": 1} {
+		if plain[method] != want {
+			t.Errorf("plain: %d %s calls, want %d", plain[method], method, want)
+		}
+	}
+	for method := range plain {
+		if strings.HasPrefix(method, "mr.") && method != "mr.runMap" && method != "mr.runReduce" {
+			t.Errorf("plain: %d %s calls, want none", plain[method], method)
+		}
+	}
+	res := first.Results[0]
+	c.DropIntermediates(mapreduce.JobSpec{ID: res.Job, User: "u"})
+	for _, f := range res.OutputFiles {
+		if err := c.DeleteFile(f, "u"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Fresh: the same job, after the journal probe, one fs.getFile that
+	// finds no journal. The journal's reduce snapshot may fold into its
+	// done snapshot on a fast job (TestJournalPacingOneWave), so fs.putFile
+	// is held to within one snapshot's copies.
+	fresh, again := iteration(apps.Named(c, "iter"))
+	t.Logf("fresh:    %v", fresh)
+	for method := range mergeKeys(plain, fresh) {
+		want := plain[method]
+		if method == "fs.getFile" {
+			want++
+		}
+		if d := fresh[method] - want; method == "fs.putFile" && max(d, -d) <= int64(c.Manager().cfg.Replicas) {
+			continue
+		} else if d != 0 {
+			t.Errorf("fresh: %d %s calls, want %d: a named run costs one journal probe more than a plain one", fresh[method], method, want)
+		}
+	}
+	if !sameCentroids(first, again) {
+		t.Errorf("fresh: centroids %v, the plain run reached %v", again.Centroids, first.Centroids)
+	}
+
+	// Replayed: the recorded outputs are collected; no task runs and
+	// nothing is written.
+	replayed, replay := iteration(apps.Named(c, "iter"))
+	t.Logf("replayed: %v", replayed)
+	for method, n := range replayed {
+		if strings.HasPrefix(method, "mr.") || strings.HasPrefix(method, "fs.put") || strings.HasPrefix(method, "fs.append") {
+			t.Errorf("replayed: %d %s calls, want none", n, method)
+		}
+	}
+	if r := replay.Results[0]; !r.Resumed || !r.MapsSkipped {
+		t.Errorf("replayed: Resumed=%v MapsSkipped=%v, want both", r.Resumed, r.MapsSkipped)
+	}
+	if !sameCentroids(first, replay) {
+		t.Errorf("replayed: centroids %v, the plain run reached %v", replay.Centroids, first.Centroids)
+	}
+}
+
+// mergeKeys returns a set of the keys of a and b.
+func mergeKeys(a, b map[string]int64) map[string]bool {
+	keys := make(map[string]bool, len(a)+len(b))
+	for k := range a {
+		keys[k] = true
+	}
+	for k := range b {
+		keys[k] = true
+	}
+	return keys
 }

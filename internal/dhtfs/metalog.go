@@ -54,6 +54,8 @@ const (
 	metaLogDelete    = 2
 	metaLogDeadRatio = 2
 	metaLogMinDead   = 256
+	// tmpExt names the file a rewrite builds before renaming it into place.
+	tmpExt = ".tmp"
 )
 
 // appendMetaPut appends a record that stores m.

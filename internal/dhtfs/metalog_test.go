@@ -208,11 +208,11 @@ func TestMetaLogStaysBounded(t *testing.T) {
 	}
 }
 
-// TestDiskBackendRemovesTornPuts: a block file whose put died before its
-// rename, as the file-per-block layout wrote them, is removed at open; the
-// block a put finished stays in the slab, and files the backend did not
-// name stay.
-func TestDiskBackendRemovesTornPuts(t *testing.T) {
+// TestDiskBackendKeepsFilesNotItsOwn: a shard reopened over a directory
+// that holds files it did not write, block files of the file-per-block
+// layout among them, serves the block its slab holds and leaves every
+// other file where it is.
+func TestDiskBackendKeepsFilesNotItsOwn(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStoreAt(dir)
 	if err != nil {
@@ -222,9 +222,8 @@ func TestDiskBackendRemovesTornPuts(t *testing.T) {
 	if err := s.PutBlock(k, []byte("whole block")); err != nil {
 		t.Fatal(err)
 	}
-	torn := hashing.KeyOfString("torn").String() + blockExt + tmpExt
-	foreign := []string{"README.tmp", "zz.blk.tmp", "0123.blk.tmp"}
-	for _, name := range append(foreign, torn, k.String()+blockExt+tmpExt) {
+	foreign := []string{"README.tmp", hashing.KeyOfString("torn").String() + ".blk.tmp", k.String() + ".blk"}
+	for _, name := range foreign {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("half a blo"), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -11,8 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 
 	"eclipsemr/internal/blockbuf"
@@ -108,10 +106,7 @@ func newDiskBackend(dir string) (*diskBackend, error) {
 		file: f, index: make(map[hashing.Key]*extent),
 		reused: new(metrics.Counter), allocated: new(metrics.Counter),
 	}
-	if err = b.load(); err == nil {
-		err = b.importBlockFiles(dir)
-	}
-	if err != nil {
+	if err = b.load(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -414,73 +409,4 @@ func (b *diskBackend) bytes() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.total
-}
-
-// Before the slab a shard kept each block in a file of its own,
-// <hex key>.blk: the payload, then a 32-byte trailer
-//
-//	check  24 bytes: the block's BlockCheck as AppendBlockCheck writes it
-//	magic  4 bytes: "EBT1"
-//	crc    uint32, big endian: CRC-32C of the 28 bytes before it
-//
-// written as <hex key>.blk.tmp and renamed into place. importBlockFiles
-// reads that layout for one commit (DESIGN.md §12).
-const (
-	blockExt     = ".blk"
-	tmpExt       = ".tmp"
-	trailerSize  = checkSize + 8
-	trailerMagic = "EBT1"
-)
-
-// importBlockFiles moves the block files in dir into the slab and removes
-// them: a file that does not end in a whole trailer is indexed as damaged,
-// and a *.blk.tmp, a put that died before its rename, is removed. Files
-// the old layout did not name stay.
-func (b *diskBackend) importBlockFiles(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, ent := range entries {
-		name, torn := strings.CutSuffix(ent.Name(), tmpExt)
-		stem, isBlock := strings.CutSuffix(name, blockExt)
-		raw, err := strconv.ParseUint(stem, 16, 64)
-		if ent.IsDir() || !isBlock || len(stem) != 16 || err != nil {
-			continue
-		}
-		path, k := filepath.Join(dir, ent.Name()), hashing.Key(raw)
-		if !torn {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return fmt.Errorf("dhtfs: import block file: %w", err)
-			}
-			if check, ok := parseTrailer(data); ok {
-				err = b.put(k, data[:len(data)-trailerSize], check)
-			} else if _, held := b.index[k]; !held {
-				b.index[k] = &extent{damaged: true}
-			}
-			if err != nil {
-				return err
-			}
-		}
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("dhtfs: import block file: %w", err)
-		}
-	}
-	return nil
-}
-
-// parseTrailer reads the trailer a block file ends in, if it ends in a
-// whole one.
-func parseTrailer(file []byte) (BlockCheck, bool) {
-	if len(file) < trailerSize {
-		return BlockCheck{}, false
-	}
-	tail := file[len(file)-trailerSize:]
-	if string(tail[checkSize:checkSize+4]) != trailerMagic ||
-		binary.BigEndian.Uint32(tail[trailerSize-4:]) != BlockCRC(tail[:trailerSize-4]) {
-		return BlockCheck{}, false
-	}
-	r := transport.NewWireReader(tail[:checkSize])
-	return ReadBlockCheck(&r), true
 }

@@ -443,63 +443,6 @@ func TestSlabStaysWithinLiveBytes(t *testing.T) {
 	t.Logf("blocks.slab peaked at %d bytes, live extents at %d", largest, peak)
 }
 
-// appendTrailer appends the 32-byte trailer a block file of the
-// file-per-block layout ended in.
-func appendTrailer(dst []byte, check BlockCheck) []byte {
-	start := len(dst)
-	dst = AppendBlockCheck(dst, check)
-	dst = append(dst, trailerMagic...)
-	return binary.BigEndian.AppendUint32(dst, BlockCRC(dst[start:]))
-}
-
-// TestSlabImportsBlockFiles: a shard directory as the file-per-block
-// layout left it opens into the slab: a whole block file's block is served
-// from the slab, one without a whole trailer is damaged, a put that died
-// before its rename is gone, and no block file stays behind.
-func TestSlabImportsBlockFiles(t *testing.T) {
-	dir := t.TempDir()
-	whole, bare, torn := hashing.KeyOfString("whole"), hashing.KeyOfString("bare"), hashing.KeyOfString("torn")
-	data := randomData(5000, 4)
-	files := map[string][]byte{
-		whole.String() + blockExt:         appendTrailer(slices.Clone(data), checkOf(data)),
-		bare.String() + blockExt:          data[:700],
-		torn.String() + blockExt + tmpExt: data[:100],
-		metaLogName:                       appendMetaPut(nil, logMeta("kept", 200, 1)),
-		"README":                          []byte("foreign"),
-	}
-	for name, content := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for reopen := 0; reopen < 2; reopen++ {
-		s, err := NewStoreAt(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := s.GetBlock(whole); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("reopen %d: the whole block = %d bytes, %v", reopen, len(got), err)
-		}
-		if reopen == 0 {
-			if s.HasBlock(bare) {
-				t.Fatal("HasBlock vouches for a block file without a trailer")
-			}
-			if _, err := s.GetBlock(bare); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("the trailerless block = %v, want ErrCorrupt", err)
-			}
-		}
-		if s.HasBlock(torn) {
-			t.Fatal("a torn put was imported")
-		}
-		if m, err := s.GetMeta("kept"); err != nil || m.Size != 200 {
-			t.Fatalf("metadata.log: %+v, %v", m, err)
-		}
-		if names := dirNames(t, dir); !slices.Equal(names, []string{"README", slabName, metaLogName}) {
-			t.Fatalf("reopen %d: the shard directory holds %v", reopen, names)
-		}
-	}
-}
-
 // FuzzSlabOpen opens arbitrary bytes as a blocks.slab: never a panic,
 // nothing indexed past the end of the file, every indexed record's header
 // verifies, and a read returns bytes whose CRC matches or ErrCorrupt.

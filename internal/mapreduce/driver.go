@@ -547,8 +547,10 @@ func (d *Driver) dispatchLoop() {
 			}
 			if mt == nil {
 				// The job failed and deregistered while this task sat in
-				// the queue; give the slot back.
+				// the queue; give the slot back, and take another pass; a
+				// task this pass found the slot taken for may wait on it.
 				d.sched.Release(a.Node)
+				d.signal()
 				continue
 			}
 			go d.runMapTask(st, mt, a)

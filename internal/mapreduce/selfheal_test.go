@@ -194,6 +194,52 @@ func TestLostPartitionResumeAfterOwnerReturns(t *testing.T) {
 	checkCounts(t, countsFromKVs(t, kvs), want)
 }
 
+// TestMapTaskOfACancelledJobWakesTheDispatcher: the maps a cancelled job
+// left queued are dispatched after it deregistered, and give their slot
+// back. The dispatcher must then take another pass: the next job's maps,
+// which found that slot taken, wait on it and nothing else.
+func TestMapTaskOfACancelledJobWakesTheDispatcher(t *testing.T) {
+	ec := newEngineCluster(t, engineOpts{nodes: 1, slots: 1, replicas: 1})
+	text, want := wideCorpus(150, 10)
+	ec.upload(t, "stall.txt", text, 256)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stop sync.Once
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Name == "map.finish" {
+			stop.Do(cancel)
+		}
+	})
+	spec := JobSpec{ID: "stall-a", App: "test-slow-wordcount", Inputs: []string{"stall.txt"}, User: "tester"}
+	if _, err := ec.driver.RunContext(ctx, spec); err == nil {
+		t.Fatal("the cancelled run finished")
+	}
+	ec.events.SetObserver(nil)
+
+	spec.ID = "stall-b"
+	done := make(chan error, 1)
+	var res Result
+	go func() {
+		var err error
+		res, err = ec.driver.Run(spec)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the next job stalled behind the cancelled job's queued maps")
+	}
+	kvs, err := ec.driver.Collect(context.Background(), res, "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(t, countsFromKVs(t, kvs), want)
+}
+
 // TestResumeAfterMidMapCancel interrupts a job mid-map-phase (the driver
 // dying) and resumes it from the durable journal: only the unfinished map
 // tasks re-execute and the output is exact.

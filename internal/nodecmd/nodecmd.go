@@ -143,7 +143,7 @@ type (
 	// ListReq asks a node for the files whose metadata it holds.
 	ListReq struct {
 		User string
-		// All includes the framework's internal files (_mr/, _ckpt/).
+		// All includes the framework's internal files (_mr/).
 		All bool
 	}
 	// ListResp returns readable file names held by the queried node; the
@@ -216,7 +216,7 @@ func ClientHandler(node *cluster.Node) func(string, []byte) ([]byte, bool, error
 			}
 			var resp ListResp
 			for _, name := range node.FS().Store().MetaNames() {
-				if !req.All && (strings.HasPrefix(name, "_mr/") || strings.HasPrefix(name, "_ckpt/")) {
+				if !req.All && strings.HasPrefix(name, "_mr/") {
 					continue
 				}
 				meta, err := node.FS().Store().GetMeta(name)
