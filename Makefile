@@ -27,9 +27,11 @@ check:
 # the sender goroutine's drain of the spills before it; and a disk shard's
 # puts and deletes reuse the slab extents its readers have pinned; and an
 # iterative run killed between or inside its iterations resumes to a
-# straight run's state, bit for bit (internal/apps). This is the one
-# list: CI and scripts/check.sh run this target.
-LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup|SharedRingNeverChanges|CombinerError|SlabReuse
+# straight run's state, bit for bit (internal/apps); and runs under one
+# reuse tag publish, reuse and supersede each other's map phases while
+# others reduce them, concurrently, and each still counts its own input.
+# This is the one list: CI and scripts/check.sh run this target.
+LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup|SharedRingNeverChanges|CombinerError|SlabReuse|ReuseTag
 lifecycle:
 	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/apps ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs ./internal/nodecmd
 

@@ -110,7 +110,7 @@ func main() {
 		app := runCmd.String("app", "", "registered application name")
 		inputs := runCmd.String("inputs", "", "comma-separated DHT input files")
 		id := runCmd.String("id", "", "job ID (default derived from app and time)")
-		reuse := runCmd.String("reuse", "", "reuse tag for shared intermediates")
+		reuse := runCmd.String("reuse", "", "reuse tag: publish the map phase under it, or reduce the one it published if its signature is this job's")
 		var params paramList
 		runCmd.Var(&params, "param", "application parameter key=value (repeatable)")
 		if err := runCmd.Parse(flag.Args()[1:]); err != nil {

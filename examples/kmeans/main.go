@@ -2,8 +2,8 @@
 // Gaussian-mixture point set. The map tasks aggregate partial centroid
 // sums locally (which is why the paper's k-means iteration output is only
 // kilobytes), and the driver feeds the new centroids to the next
-// iteration through job parameters. A second run with a reuse tag shows
-// tagged intermediate reuse skipping the map phase entirely.
+// iteration through job parameters. A second, unchanged run under a reuse
+// tag shows a published map phase reused: it skips its maps entirely.
 //
 //	go run ./examples/kmeans
 package main
@@ -54,8 +54,10 @@ func main() {
 		fmt.Printf("  (%7.3f, %7.3f)   (true: %7.3f, %7.3f)\n", got[0], got[1], best[0], best[1])
 	}
 
-	// A second job over the same input with a shared reuse tag skips its
-	// map phase and reuses the stored intermediate results (§II-C).
+	// The first job publishes its map phase under the reuse tag; the
+	// second, the same application over the same unchanged input, reduces
+	// the published intermediate results instead of running its maps
+	// (§II-C).
 	spec := eclipsemr.JobSpec{
 		ID: "wc-shared-1", App: apps.WordCount, Inputs: []string{"points.csv"},
 		User: "demo", ReuseTag: "points-words",

@@ -367,3 +367,93 @@ func mergeKeys(a, b map[string]int64) map[string]bool {
 	}
 	return keys
 }
+
+// TestReuseTagRoundTrips is the counted cost of a reuse tag on 4 nodes: a
+// first tagged word count, an unchanged rerun, and a rerun after its
+// input is re-uploaded with other words. The tag is one whose marker the
+// manager holds no copy of, so each read of the marker is one fs.getFile.
+func TestReuseTagRoundTrips(t *testing.T) {
+	c := newTestCluster(t, 4, Options{Config: Config{BlockSize: 4 << 10}})
+	mgr := c.Manager()
+	tag := ""
+	for i := 0; tag == ""; i++ {
+		set, err := mgr.Ring().ReplicaSet(hashing.KeyOfString(fmt.Sprintf("_mr/tag:reuse-%d/done", i)), mgr.cfg.Replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(set, mgr.ID) {
+			tag = fmt.Sprintf("reuse-%d", i)
+		}
+	}
+	text := func(words ...string) []byte {
+		var b strings.Builder
+		for i := 0; b.Len() < 16<<10; i++ {
+			fmt.Fprintf(&b, "%s %s line %04d\n", words[i%len(words)], words[(i+1)%len(words)], i)
+		}
+		return []byte(b.String())
+	}
+	upload := func(data []byte) {
+		t.Helper()
+		if _, err := c.UploadRecords("tagged.txt", "u", dhtfs.PermPublic, data, '\n'); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(id string) (map[string]int64, mapreduce.Result) {
+		t.Helper()
+		start := c.MetricsSnapshot()
+		res, err := c.Run(mapreduce.JobSpec{ID: id, App: apps.WordCount, Inputs: []string{"tagged.txt"}, User: "u", ReuseTag: tag})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, after := rpcCounts(start), rpcCounts(c.MetricsSnapshot())
+		delta := make(map[string]int64)
+		for method, n := range after {
+			if d := n - before[method]; d > 0 && (strings.HasPrefix(method, "fs.") || strings.HasPrefix(method, "mr.")) {
+				delta[method] = d
+			}
+		}
+		t.Logf("%s: %v", id, delta)
+		return delta, res
+	}
+
+	upload(text("apple", "berry", "cedar"))
+	first, _ := run("tag-1")
+	if first["mr.runMap"] == 0 {
+		t.Fatal("first: no mr.runMap call")
+	}
+	if first["fs.getFile"] != 1 {
+		t.Errorf("first: %d fs.getFile calls, want 1: the marker read that finds none", first["fs.getFile"])
+	}
+
+	// Unchanged: the maps are skipped; the marker is read before the run
+	// and again after its reduce phase, and nothing is appended.
+	again, res := run("tag-2")
+	if !res.MapsSkipped {
+		t.Errorf("unchanged rerun ran its maps: %+v", res)
+	}
+	if again["mr.runMap"] != 0 {
+		t.Errorf("unchanged rerun: %d mr.runMap calls, want 0", again["mr.runMap"])
+	}
+	if again["fs.getFile"] != 2 {
+		t.Errorf("unchanged rerun: %d fs.getFile calls, want 2: the marker read twice", again["fs.getFile"])
+	}
+	for method, n := range again {
+		if strings.HasPrefix(method, "fs.append") {
+			t.Errorf("unchanged rerun: %d %s calls, want none", n, method)
+		}
+	}
+
+	// Re-uploaded: another signature, so the maps run as the first run's
+	// did, and publishing drops the namespace the marker named.
+	upload(text("delta", "ember", "fjord"))
+	reup, res := run("tag-3")
+	if res.MapsSkipped {
+		t.Errorf("rerun after a re-upload skipped its maps: %+v", res)
+	}
+	if reup["mr.runMap"] != first["mr.runMap"] {
+		t.Errorf("rerun after a re-upload: %d mr.runMap calls, the first run made %d", reup["mr.runMap"], first["mr.runMap"])
+	}
+	if want := int64(len(c.Nodes()) - 1); reup["fs.dropJobSegments"] != want {
+		t.Errorf("rerun after a re-upload: %d fs.dropJobSegments calls, want %d: the superseded namespace dropped", reup["fs.dropJobSegments"], want)
+	}
+}

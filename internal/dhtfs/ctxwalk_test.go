@@ -41,7 +41,7 @@ func TestReplicaWalkStopsOnCancel(t *testing.T) {
 	// DropJob reports no error, so watch what it leaves: a spill on another
 	// node survives a sweep nobody is waiting for.
 	remote := tc.services[tc.ids[1]].Store()
-	remote.AppendTaskSegment("job:walk", "p0", "m-0", 0, 0, []byte("spill"), 0)
+	remote.AppendTaskSegment("job:walk", "p0", "m-0", 0, 0, []byte("spill"))
 	svc.DropJob(cctx, "job:walk", "alice")
 	if len(remote.ReadTaggedSegments("job:walk", "p0")) != 1 {
 		t.Fatal("DropJob under cancelled ctx still swept a remote node")

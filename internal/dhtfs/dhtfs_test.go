@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"eclipsemr/internal/hashing"
 	"eclipsemr/internal/transport"
@@ -197,10 +196,10 @@ func TestStoreMeta(t *testing.T) {
 
 func TestStoreSegments(t *testing.T) {
 	s := NewStore()
-	s.AppendTaskSegment("job1", "p0", "m0", 0, 0, []byte("aa"), 0)
-	s.AppendTaskSegment("job1", "p0", "m0", 0, 1, []byte("bb"), 0)
-	s.AppendTaskSegment("job1", "p1", "m0", 0, 0, []byte("cc"), 0)
-	s.AppendTaskSegment("job2", "p0", "m0", 0, 0, []byte("dd"), 0)
+	s.AppendTaskSegment("job1", "p0", "m0", 0, 0, []byte("aa"))
+	s.AppendTaskSegment("job1", "p0", "m0", 0, 1, []byte("bb"))
+	s.AppendTaskSegment("job1", "p1", "m0", 0, 0, []byte("cc"))
+	s.AppendTaskSegment("job2", "p0", "m0", 0, 0, []byte("dd"))
 	segs := s.ReadTaggedSegments("job1", "p0")
 	if len(segs) != 2 || string(segs[0].Data) != "aa" || string(segs[1].Data) != "bb" {
 		t.Fatalf("segments = %q", segs)
@@ -434,10 +433,10 @@ func TestReReplicateKeepsCopiesItCannotHandOver(t *testing.T) {
 func TestSegmentsPushFetchDrop(t *testing.T) {
 	tc := newTestCluster(t, 4, 2)
 	a, b := tc.services[tc.ids[0]], tc.services[tc.ids[1]]
-	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", []SegBatchEntry{{Partition: "r0", Tag: SegTag{Task: "m0", Seq: 0}, Data: []byte("spill-1")}}, 0); err != nil {
+	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", []SegBatchEntry{{Partition: "r0", Tag: SegTag{Task: "m0", Seq: 0}, Data: []byte("spill-1")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", []SegBatchEntry{{Partition: "r0", Tag: SegTag{Task: "m0", Seq: 1}, Data: []byte("spill-2")}}, 0); err != nil {
+	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "job9", []SegBatchEntry{{Partition: "r0", Tag: SegTag{Task: "m0", Seq: 1}, Data: []byte("spill-2")}}); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := b.FetchTaggedSegments(context.Background(), tc.ids[1], "job9", "r0")
@@ -572,35 +571,6 @@ func TestUploadRecordsRoundTrip(t *testing.T) {
 	got, err := svc.ReadFile(context.Background(), "lines.txt", "u")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("round trip failed: %v", err)
-	}
-}
-
-func TestSegmentTTLExpiry(t *testing.T) {
-	s := NewStore()
-	now := time.Unix(0, 0)
-	s.SetClock(func() time.Time { return now })
-	s.AppendTaskSegment("j", "p0", "m0", 0, 0, []byte("short"), time.Minute)
-	s.AppendTaskSegment("j", "p0", "m0", 0, 1, []byte("forever"), 0)
-	if segs := s.ReadTaggedSegments("j", "p0"); len(segs) != 2 {
-		t.Fatalf("segments = %d before expiry", len(segs))
-	}
-	now = now.Add(2 * time.Minute)
-	segs := s.ReadTaggedSegments("j", "p0")
-	if len(segs) != 1 || string(segs[0].Data) != "forever" {
-		t.Fatalf("segments after expiry = %q", segs)
-	}
-	// Expired bytes are released from the accounting.
-	if s.Bytes() != int64(len("forever")) {
-		t.Fatalf("bytes = %d", s.Bytes())
-	}
-	// A partition whose spills all expire disappears entirely.
-	s.AppendTaskSegment("j", "p1", "m0", 0, 0, []byte("gone"), time.Second)
-	now = now.Add(time.Hour)
-	if segs := s.ReadTaggedSegments("j", "p1"); len(segs) != 0 {
-		t.Fatalf("expired partition returned %q", segs)
-	}
-	if _, _, segCount := s.Counts(); segCount != 1 {
-		t.Fatalf("segment streams = %d", segCount)
 	}
 }
 

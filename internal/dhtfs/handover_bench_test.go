@@ -50,7 +50,7 @@ func BenchmarkSegmentAppendRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job := fmt.Sprintf("job:%d", i)
-		if err := from.PushTaggedSegmentBatch(ctx, tc.ids[1], job, entries, 0); err != nil {
+		if err := from.PushTaggedSegmentBatch(ctx, tc.ids[1], job, entries); err != nil {
 			b.Fatal(err)
 		}
 		segs, err := to.FetchTaggedSegments(ctx, tc.ids[1], job, "p0000")

@@ -145,7 +145,7 @@ func TestFileShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			spill := tc.services[tc.ids[2]].Store()
-			spill.AppendTaskSegment("job:shape", "p0", "m-0", 0, 0, []byte("spill"), 0)
+			spill.AppendTaskSegment("job:shape", "p0", "m-0", 0, 0, []byte("spill"))
 			deleted := tc.any().DropJob(ctx, "job:shape", "alice", sh.file, "never-written")
 			if fmt.Sprint(deleted) != fmt.Sprint([]string{sh.file}) {
 				t.Fatalf("DropJob reports deleting %q, want [%s]", deleted, sh.file)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"eclipsemr/internal/transport"
 )
@@ -22,7 +21,7 @@ func TestPushTaggedSegmentBatch(t *testing.T) {
 		{Partition: "p0000", Tag: SegTag{Task: "m1", Attempt: 0, Seq: 1}, Data: nil},
 		{Partition: "p0000", Tag: SegTag{Task: "m2", Attempt: 0, Seq: 0}, Data: []byte("cccc")},
 	}
-	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "jobB", entries, 0); err != nil {
+	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[1], "jobB", entries); err != nil {
 		t.Fatal(err)
 	}
 	p0 := b.Store().ReadTaggedSegments("jobB", "p0000")
@@ -41,7 +40,7 @@ func TestPushTaggedSegmentBatch(t *testing.T) {
 
 	// Self short-circuit: a batch pushed at the sender's own node.
 	if err := a.PushTaggedSegmentBatch(context.Background(), tc.ids[0], "jobB",
-		[]SegBatchEntry{{Partition: "p0002", Tag: SegTag{Task: "m3"}, Data: []byte("self")}}, 0); err != nil {
+		[]SegBatchEntry{{Partition: "p0002", Tag: SegTag{Task: "m3"}, Data: []byte("self")}}); err != nil {
 		t.Fatal(err)
 	}
 	if segs := a.Store().ReadTaggedSegments("jobB", "p0002"); len(segs) != 1 || string(segs[0].Data) != "self" {
@@ -58,7 +57,7 @@ func TestBatchRetransmitAndSupersede(t *testing.T) {
 	push := func(attempt int, data string) {
 		t.Helper()
 		err := a.PushTaggedSegmentBatch(context.Background(), to, "jobD",
-			[]SegBatchEntry{{Partition: "p0000", Tag: SegTag{Task: "m1", Attempt: attempt, Seq: 0}, Data: []byte(data)}}, 0)
+			[]SegBatchEntry{{Partition: "p0000", Tag: SegTag{Task: "m1", Attempt: attempt, Seq: 0}, Data: []byte(data)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +110,7 @@ func TestRawTaggedFetchRoundTrip(t *testing.T) {
 	want := [][]byte{[]byte("s0"), {}, bytes.Repeat([]byte{0xab}, 1<<10)}
 	for i, data := range want {
 		if err := a.PushTaggedSegmentBatch(context.Background(), to, "jobF",
-			[]SegBatchEntry{{Partition: "p0000", Tag: SegTag{Task: "m1", Seq: i}, Data: data}}, 0); err != nil {
+			[]SegBatchEntry{{Partition: "p0000", Tag: SegTag{Task: "m1", Seq: i}, Data: data}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,32 +143,5 @@ func TestRawTaggedFetchRejectsOverrun(t *testing.T) {
 	}
 	if segs, err := a.FetchTaggedSegments(context.Background(), "liar", "jobG", "p0000"); err == nil {
 		t.Fatalf("overrunning reply accepted as %+v", segs)
-	}
-}
-
-// TestStoreAccountingSweepsExpired pins the TTL accounting fix: Bytes
-// and Counts must stop reporting expired segments even when no read has
-// touched them since the TTL lapsed.
-func TestStoreAccountingSweepsExpired(t *testing.T) {
-	s := NewStore()
-	now := time.Unix(0, 0)
-	s.SetClock(func() time.Time { return now })
-	s.AppendTaskSegment("j", "p0", "m1", 0, 0, []byte("expiring!!"), time.Minute)
-	s.AppendTaskSegment("j", "p1", "m1", 0, 0, []byte("keep"), 0)
-	if got := s.Bytes(); got != int64(len("expiring!!")+len("keep")) {
-		t.Fatalf("bytes before expiry = %d", got)
-	}
-	now = now.Add(2 * time.Minute)
-	// No read in between: accounting alone must sweep.
-	if got := s.Bytes(); got != int64(len("keep")) {
-		t.Fatalf("bytes after expiry = %d, want %d", got, len("keep"))
-	}
-	blocks, metas, segs := s.Counts()
-	if blocks != 0 || metas != 0 || segs != 1 {
-		t.Fatalf("counts after expiry = %d/%d/%d, want 0/0/1", blocks, metas, segs)
-	}
-	// The sweep dropped the data, not just the numbers.
-	if got := s.ReadTaggedSegments("j", "p0"); len(got) != 0 {
-		t.Fatalf("expired partition still readable: %q", got)
 	}
 }

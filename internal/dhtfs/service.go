@@ -100,7 +100,6 @@ type (
 	// partitions and the bulk bytes are copied into the frame verbatim.
 	segBatchHdr struct {
 		Job     string
-		TTL     time.Duration
 		Entries []segBatchPart
 	}
 	segBatchPart struct {
@@ -196,9 +195,6 @@ func NewServiceWithStore(self hashing.NodeID, net transport.Network, ring func()
 // Store exposes the local shard (for recovery orchestration and tests).
 func (s *Service) Store() *Store { return s.store }
 
-// Now returns the service's current time (overridable via SetClock).
-func (s *Service) Now() time.Time { return s.now() }
-
 // Metrics exposes the file system's operational counters plus live
 // storage gauges.
 func (s *Service) Metrics() *metrics.Registry {
@@ -219,11 +215,8 @@ func (s *Service) SetTracer(tr *trace.Tracer) { s.tracer = tr }
 // fine: emissions become no-ops).
 func (s *Service) SetEvents(l *events.Log) { s.events = l }
 
-// SetClock overrides the metadata timestamp and segment-TTL time source.
-func (s *Service) SetClock(now func() time.Time) {
-	s.now = now
-	s.store.SetClock(now)
-}
+// SetClock overrides the metadata timestamp time source.
+func (s *Service) SetClock(now func() time.Time) { s.now = now }
 
 // Handle serves one inbound fs.* call: decode, serve, encode. The second
 // return value reports whether the method belongs to this service.
@@ -251,7 +244,7 @@ func (s *Service) Handle(_ context.Context, method string, body []byte) ([]byte,
 			}
 			off += e.Len
 		}
-		s.appendBatch(hdr.Job, hdr.TTL, entries)
+		s.appendBatch(hdr.Job, entries)
 		out, err := transport.Encode(empty{})
 		return out, true, err
 	case MethodGetBlock:
@@ -531,11 +524,11 @@ func (s *Service) readableMeta(req *getMetaReq) (Metadata, error) {
 
 // appendBatch stores the spills of one batch push, each with the
 // semantics of Store.AppendTaskSegment.
-func (s *Service) appendBatch(job string, ttl time.Duration, entries []SegBatchEntry) {
+func (s *Service) appendBatch(job string, entries []SegBatchEntry) {
 	for _, e := range entries {
 		s.reg.Counter("fs.segments.appended").Inc()
 		s.reg.Counter("fs.segments.bytes").Add(int64(len(e.Data)))
-		disp := s.store.AppendTaskSegment(job, e.Partition, e.Tag.Task, e.Tag.Attempt, e.Tag.Seq, e.Data, ttl)
+		disp := s.store.AppendTaskSegment(job, e.Partition, e.Tag.Task, e.Tag.Attempt, e.Tag.Seq, e.Data)
 		s.noteSegDisposition(disp, job, e.Tag.Task, e.Tag.Attempt)
 	}
 	s.reg.Counter("fs.segments.batches").Inc()
@@ -897,11 +890,10 @@ type SegBatchEntry struct {
 // partitions — to one node in a single raw-frame RPC (the proactive-
 // shuffle write). Each entry lands with the semantics of
 // Store.AppendTaskSegment (idempotent per (task, attempt, seq)), so a
-// retried batch is safe. A positive ttl invalidates the data after that
-// duration. The caller keeps the entries' bytes: a push to this node
-// itself stores one copy of them, as a remote one stores the body it
-// received.
-func (s *Service) PushTaggedSegmentBatch(ctx context.Context, to hashing.NodeID, job string, entries []SegBatchEntry, ttl time.Duration) error {
+// retried batch is safe. The caller keeps the entries' bytes: a push to
+// this node itself stores one copy of them, as a remote one stores the
+// body it received.
+func (s *Service) PushTaggedSegmentBatch(ctx context.Context, to hashing.NodeID, job string, entries []SegBatchEntry) error {
 	if to == s.self {
 		spills := make([][]byte, len(entries))
 		for i, e := range entries {
@@ -915,10 +907,10 @@ func (s *Service) PushTaggedSegmentBatch(ctx context.Context, to hashing.NodeID,
 			kept[i].Data = body[off : off+n : off+n]
 			off += n
 		}
-		s.appendBatch(job, ttl, kept)
+		s.appendBatch(job, kept)
 		return nil
 	}
-	hdr := segBatchHdr{Job: job, TTL: ttl, Entries: make([]segBatchPart, len(entries))}
+	hdr := segBatchHdr{Job: job, Entries: make([]segBatchPart, len(entries))}
 	payload := make([][]byte, len(entries))
 	for i, e := range entries {
 		hdr.Entries[i] = segBatchPart{

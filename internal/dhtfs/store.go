@@ -182,19 +182,16 @@ type Store struct {
 	metas    map[string]Metadata
 	segments map[string][]segment // jobID "/" partition -> ordered spills
 	segBytes int64
-	now      func() time.Time
 	// metaLog, when set, persists every metadata change so a restarted
 	// disk-backed node recovers both blocks and the files they belong to.
 	metaLog *metaLog
 }
 
-// segment is one stored intermediate-result spill; Expires implements the
-// paper's TTL invalidation of stored intermediate results (zero = no
-// TTL). Task/attempt/seq identify the producing map-task attempt so
-// re-executions supersede their predecessors instead of double-counting.
+// segment is one stored intermediate-result spill. Task/attempt/seq
+// identify the producing map-task attempt so re-executions supersede
+// their predecessors instead of double-counting.
 type segment struct {
 	data    []byte
-	expires time.Time
 	task    string
 	attempt int
 	seq     int
@@ -215,14 +212,13 @@ func NewStore() *Store {
 		backend:  newMemBackend(),
 		metas:    make(map[string]Metadata),
 		segments: make(map[string][]segment),
-		now:      time.Now,
 	}
 }
 
 // NewStoreAt returns a shard whose block payloads and file metadata
 // persist under dir; a restarted node recovers both. Intermediate-result
-// segments remain in memory — they are transient by design
-// (TTL-invalidated, regenerable by re-running maps).
+// segments remain in memory — they are transient by design (dropped with
+// their job, regenerable by re-running maps).
 func NewStoreAt(dir string) (*Store, error) {
 	backend, err := newDiskBackend(dir)
 	if err != nil {
@@ -236,16 +232,8 @@ func NewStoreAt(dir string) (*Store, error) {
 		backend:  backend,
 		metas:    metas,
 		segments: make(map[string][]segment),
-		now:      time.Now,
 		metaLog:  log,
 	}, nil
-}
-
-// SetClock overrides the TTL time source (tests, simulation).
-func (s *Store) SetClock(now func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.now = now
 }
 
 // PutBlock stores a copy of a block, overwriting any previous content,
@@ -406,9 +394,7 @@ const (
 // attempt; seq numbers the task's spills into this partition. The store
 // keeps data itself: the caller hands it over and never writes to it
 // again (a batch push's entries are views of a request body nobody else
-// holds). A positive ttl invalidates the spill after that duration, per
-// the paper's application-set TTL on stored intermediate results. The
-// attribution makes the write path idempotent under the failure modes a
+// holds). The attribution makes the write path idempotent under the failure modes a
 // lossy network creates:
 //
 //   - an exact retransmit (same task, attempt, seq) replaces the stored
@@ -417,13 +403,10 @@ const (
 //     the task's earlier attempts — a mapper whose success reply was
 //     lost and that is re-dispatched cannot double its output;
 //   - a stale attempt's stragglers (lower attempt) are ignored.
-func (s *Store) AppendTaskSegment(job, partition, task string, attempt, seq int, data []byte, ttl time.Duration) SegDisposition {
+func (s *Store) AppendTaskSegment(job, partition, task string, attempt, seq int, data []byte) SegDisposition {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seg := segment{data: data, task: task, attempt: attempt, seq: seq}
-	if ttl > 0 {
-		seg.expires = s.now().Add(ttl)
-	}
 	k := segKey(job, partition)
 	segs := s.segments[k]
 	disp := SegAppended
@@ -462,16 +445,15 @@ func (s *Store) AppendTaskSegment(job, partition, task string, attempt, seq int,
 }
 
 // ReadTaggedSegments returns every live spill stored for a job partition
-// with its task attribution, in arrival order; expired spills are dropped.
-// Data is the stored bytes themselves, read-only, capacity clipped: nobody
-// writes to a stored spill, so a view stays valid after the spill is
-// superseded, expires or is dropped (the collector frees it once the last
-// view goes). A reduce puts them in (task, seq) order with
-// MergeTaggedSegments.
+// with its task attribution, in arrival order. Data is the stored bytes
+// themselves, read-only, capacity clipped: nobody writes to a stored
+// spill, so a view stays valid after the spill is superseded or dropped
+// (the collector frees it once the last view goes). A reduce puts them in
+// (task, seq) order with MergeTaggedSegments.
 func (s *Store) ReadTaggedSegments(job, partition string) []TaggedSegment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	live := s.dropExpiredLocked(segKey(job, partition), s.now())
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	live := s.segments[segKey(job, partition)]
 	out := make([]TaggedSegment, len(live))
 	for i, seg := range live {
 		out[i] = TaggedSegment{
@@ -482,27 +464,6 @@ func (s *Store) ReadTaggedSegments(job, partition string) []TaggedSegment {
 		}
 	}
 	return out
-}
-
-// dropExpiredLocked drops the spills of stream k whose TTL lapsed before
-// now, with their accounting, and returns the live ones. Caller holds
-// s.mu.
-func (s *Store) dropExpiredLocked(k string, now time.Time) []segment {
-	segs := s.segments[k]
-	live := segs[:0]
-	for _, seg := range segs {
-		if !seg.expires.IsZero() && now.After(seg.expires) {
-			s.segBytes -= int64(len(seg.data))
-			continue
-		}
-		live = append(live, seg)
-	}
-	if len(live) == 0 {
-		delete(s.segments, k)
-	} else {
-		s.segments[k] = live
-	}
-	return live
 }
 
 // MergeTaggedSegments turns the spills read from a partition's owner into
@@ -547,8 +508,8 @@ func MergeTaggedSegments(segs []TaggedSegment) [][]byte {
 	return out
 }
 
-// DropJobSegments deletes all intermediate data of a job (invoked when a
-// job completes or its TTL lapses).
+// DropJobSegments deletes all intermediate data of a job (invoked when
+// the job's intermediates are dropped, or a publisher supersedes them).
 func (s *Store) DropJobSegments(job string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -563,22 +524,10 @@ func (s *Store) DropJobSegments(job string) {
 	}
 }
 
-// sweepExpiredLocked drops every TTL-lapsed segment and its accounting.
-// Reads do this lazily per stream they touch; the accounting entry points
-// call it so Bytes and Counts never report data a reader could no longer
-// observe. Caller holds s.mu.
-func (s *Store) sweepExpiredLocked() {
-	now := s.now()
-	for k := range s.segments {
-		s.dropExpiredLocked(k, now)
-	}
-}
-
-// Bytes returns the total payload bytes held (blocks + live segments).
+// Bytes returns the total payload bytes held (blocks + segments).
 func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepExpiredLocked()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.backend.bytes() + s.segBytes
 }
 
@@ -586,8 +535,7 @@ func (s *Store) Bytes() int64 {
 // streams held. All three are sampled under one critical section, so the
 // triple is a consistent snapshot.
 func (s *Store) Counts() (blocks, metas, segments int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepExpiredLocked()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return len(s.backend.keys()), len(s.metas), len(s.segments)
 }

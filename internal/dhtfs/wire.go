@@ -211,7 +211,6 @@ func (m *readSegReq) ParseWire(src []byte) error {
 
 func (m segBatchHdr) AppendWire(dst []byte) []byte {
 	dst = transport.AppendString(dst, m.Job)
-	dst = transport.AppendDuration(dst, m.TTL)
 	dst = transport.AppendUvarint(dst, uint64(len(m.Entries)))
 	for _, e := range m.Entries {
 		dst = transport.AppendString(dst, e.Partition)
@@ -225,7 +224,7 @@ func (m segBatchHdr) AppendWire(dst []byte) []byte {
 
 func (m *segBatchHdr) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = segBatchHdr{Job: r.Str(), TTL: r.Duration()}
+	*m = segBatchHdr{Job: r.Str()}
 	if n := r.Count(5); n > 0 {
 		m.Entries = make([]segBatchPart, n)
 		for i := range m.Entries {

@@ -86,15 +86,15 @@ func wireCases() []transport.Wire {
 		&listMetaResp{Names: listing},
 		&empty{},
 		&readSegReq{},
-		&readSegReq{Job: "tag:shared", Partition: "p0000"},
+		&readSegReq{Job: "job:wc-9", Partition: "p0000"},
 		&readSegReq{Job: notUTF8, Partition: string(big[:4096])},
 		&segBatchHdr{},
-		&segBatchHdr{Job: "job:sort", TTL: time.Hour, Entries: []segBatchPart{
+		&segBatchHdr{Job: "job:sort", Entries: []segBatchPart{
 			{Partition: "p0000", Task: "m-1", Attempt: 0, Seq: 0, Len: 128},
 			{Partition: "p0003", Task: "m-1", Attempt: 1, Seq: 4, Len: 0},
 		}},
-		&segBatchHdr{TTL: math.MinInt64, Entries: []segBatchPart{{}, {Partition: notUTF8, Attempt: -1, Seq: math.MaxInt, Len: math.MinInt}}},
-		&segBatchHdr{Job: "job:sort", TTL: math.MaxInt64, Entries: manyParts},
+		&segBatchHdr{Entries: []segBatchPart{{}, {Partition: notUTF8, Attempt: -1, Seq: math.MaxInt, Len: math.MinInt}}},
+		&segBatchHdr{Job: "job:sort", Entries: manyParts},
 		&rawTaggedHdr{},
 		&rawTaggedHdr{Tags: []rawTaggedPart{{Task: "m-2", Attempt: 1, Seq: 2, Len: 77}, {}}},
 		&rawTaggedHdr{Tags: []rawTaggedPart{{Task: notUTF8, Attempt: -1, Seq: math.MaxInt, Len: math.MinInt}}},
@@ -318,7 +318,7 @@ func TestSelfCallSharesNoMemory(t *testing.T) {
 				{Partition: "p0", Tag: SegTag{Task: "m-0"}, Data: []byte("spill-zero")},
 				{Partition: "p0", Tag: SegTag{Task: "m-0", Seq: 1}, Data: []byte("spill-one")},
 			}
-			if err := svc.PushTaggedSegmentBatch(ctx, tc.ids[0], "job", entries, 0); err != nil {
+			if err := svc.PushTaggedSegmentBatch(ctx, tc.ids[0], "job", entries); err != nil {
 				t.Fatal(err)
 			}
 			for _, e := range entries {
@@ -389,7 +389,7 @@ func BenchmarkWire(b *testing.B) {
 		wiretest.Bench(b, meta)
 	})
 	b.Run("SegBatchHdr", func(b *testing.B) {
-		hdr := &segBatchHdr{Job: "job:sort-000042", TTL: 10 * time.Minute}
+		hdr := &segBatchHdr{Job: "job:sort-000042"}
 		for i := 0; i < 8; i++ {
 			hdr.Entries = append(hdr.Entries, segBatchPart{
 				Partition: fmt.Sprintf("p%04d", i), Task: "sort-000042/m-0003", Attempt: 0, Seq: i, Len: 32 << 10,

@@ -135,20 +135,21 @@ func (d *Driver) recordFlight(job, reason string) {
 // scheduling policy.
 func (d *Driver) since() time.Duration { return time.Since(d.start) }
 
-// marker is the completion record persisted to the DHT file system when a
-// job with a reuse tag finishes its map phase; a later job with the same
-// tag reads it instead of re-running the maps.
+// marker is a job's partition table, which its journal records. A tagged
+// job publishes its table as the tag's marker file: a later job of the
+// same signature reduces the namespace it names instead of running its
+// maps (§II-C).
 type marker struct {
 	Servers   []hashing.NodeID
 	Bounds    []hashing.Key
 	PartBytes []int64
-	// Expires invalidates the marker (and with it reuse of the stored
-	// intermediates) once the job's IntermediateTTL lapses; zero means no
-	// TTL.
-	Expires time.Time
 	// Partitioner is the partitionerID of the binary whose maps filled the
 	// table's partitions.
 	Partitioner int
+	// Namespace holds the spills: the job's own, or the one it reuses.
+	Namespace string
+	// Sig signs the maps that filled Namespace (see expandMapTasks).
+	Sig hashing.Digest
 }
 
 // partitionerID names how this binary's map tasks place an intermediate
@@ -159,20 +160,24 @@ type marker struct {
 // in two partitions. Change the emitters' placement, change the id.
 const partitionerID = 1
 
-// dropForeignIntermediates empties a namespace whose stored spills another
-// partitioner placed, so that nothing of them is resumed or reused
-// piecemeal, and leaves one record saying why the maps run again. found is
-// what recorded the other id ("journal", "reuse marker").
-func (d *Driver) dropForeignIntermediates(ctx context.Context, spec JobSpec, found string, id int) {
-	d.events.Emit(events.KindJournal, "journal.partitioner_mismatch", events.F{
-		Job: spec.ID,
-		Detail: fmt.Sprintf("%s written under partitioner %d, this binary is %d: stored intermediates dropped, maps re-run",
-			found, id, partitionerID),
-	})
-	d.fs.DropJob(ctx, spec.Namespace(), spec.User)
+// markerFile names the marker a reuse tag publishes.
+func markerFile(tag string) string { return "_mr/tag:" + tag + "/done" }
+
+// readMarker reads the marker spec's tag publishes. A tag with none, or
+// one out of reach, reads as the zero marker, which names no namespace.
+func (d *Driver) readMarker(ctx context.Context, spec JobSpec) (marker, error) {
+	var mk marker
+	if data, err := d.fs.ReadFile(ctx, markerFile(spec.ReuseTag), spec.User); err == nil {
+		if err := mk.ParseWire(data); err != nil {
+			return marker{}, fmt.Errorf("mapreduce: corrupt reuse marker of tag %q: %w", spec.ReuseTag, err)
+		}
+	}
+	return mk, nil
 }
 
-func markerFile(namespace string) string { return "_mr/" + namespace + "/done" }
+// errReuseLost ends a run over a published namespace it could not keep:
+// the marker named another after the reduce phase, or a partition was lost.
+var errReuseLost = errors.New("mapreduce: the reused namespace was superseded or lost a partition")
 
 // runState is the driver's one record of a running job: the partition
 // table, the journal writer, every map task, and the map phase the tasks
@@ -184,7 +189,6 @@ type runState struct {
 	//lint:ignore ctxflow runState IS the per-call state of one run invocation — the field scopes the job's ctx to the job, not beyond it
 	ctx  context.Context
 	spec JobSpec
-	ns   string
 	mk   *marker
 	res  *Result
 	jw   *journalWriter // nil with DisableJournal
@@ -192,8 +196,7 @@ type runState struct {
 	// (resumed runs start a fresh stride above every prior generation).
 	attemptBase int
 	// tasks lists every contributing map task in input order, byID
-	// indexes them for the dispatcher (both empty when the map phase was
-	// reused via tag: the intermediates are shared, not re-executable).
+	// indexes them for the dispatcher.
 	tasks []*mapTask
 	byID  map[string]*mapTask
 	// partsDone maps finished partitions to their recorded output file
@@ -217,6 +220,10 @@ type runState struct {
 	maps      pace
 }
 
+// reused reports whether the run reduces a namespace other jobs' maps
+// filled: one it neither writes nor drops.
+func (st *runState) reused() bool { return st.mk.Namespace != st.spec.Namespace() }
+
 // Run executes one job to completion. Run may be called concurrently for
 // different jobs; job IDs must be unique among in-flight jobs.
 func (d *Driver) Run(spec JobSpec) (Result, error) {
@@ -237,8 +244,6 @@ func (d *Driver) RunContext(ctx context.Context, spec JobSpec) (Result, error) {
 // run executes a job, fresh (prior == nil) or adopted from a journal.
 func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Result, err error) {
 	began := time.Now()
-	ns := spec.Namespace()
-	res := Result{Job: spec.ID, Resumed: prior != nil}
 
 	// The job is the trace: its ID is the trace ID, and this root span
 	// covers the whole run. Every task span on every node descends from it.
@@ -263,13 +268,13 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 			// The job finished before the previous driver died; hand back
 			// the journaled result instead of re-running anything.
 			root.Annotate("resume", phaseDone)
+			res := Result{Job: spec.ID, Resumed: true, MapsSkipped: true}
 			for _, f := range prior.PartsDone {
 				if f != "" {
 					res.OutputFiles = append(res.OutputFiles, f)
 				}
 			}
 			sort.Strings(res.OutputFiles)
-			res.MapsSkipped = true
 			res.Elapsed = time.Since(began)
 			return res, nil
 		}
@@ -277,11 +282,17 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 		d.reg.Counter("mr.driver.journal_resumes").Inc()
 		d.events.Emit(events.KindJournal, "journal.resume", events.F{Job: spec.ID, Detail: prior.Phase})
 		if prior.Mk.Partitioner != partitionerID {
-			// Nothing the journal lists as done can be kept: adopt the job
-			// (its table, and its generation, so the new attempts outrank
-			// whatever a node that missed the drop still holds) at the
-			// start of its map phase.
-			d.dropForeignIntermediates(ctx, spec, "journal", prior.Mk.Partitioner)
+			// Nothing the journal lists as done can be kept: drop the
+			// job's stored spills and adopt the job (its table, and its
+			// generation, so the new attempts outrank whatever a node that
+			// missed the drop still holds) at the start of its map phase,
+			// in its own namespace.
+			d.events.Emit(events.KindJournal, "journal.partitioner_mismatch", events.F{
+				Job: spec.ID,
+				Detail: fmt.Sprintf("journal written under partitioner %d, this binary is %d: stored intermediates dropped, maps re-run",
+					prior.Mk.Partitioner, partitionerID),
+			})
+			d.fs.DropJob(ctx, spec.Namespace(), spec.User)
 			for _, out := range prior.PartsDone {
 				if out != "" {
 					_ = d.fs.Delete(ctx, out, spec.User) // best effort: a non-empty partition overwrites its file anyway
@@ -289,49 +300,59 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 			}
 			prior.Phase, prior.MapsDone, prior.PartsDone = phaseMap, nil, nil
 			prior.Mk.PartBytes = make([]int64, len(prior.Mk.Servers))
-			prior.Mk.Partitioner = partitionerID
+			prior.Mk.Partitioner, prior.Mk.Namespace = partitionerID, spec.Namespace()
 		}
 	}
 
-	// Reuse path: a completed map phase under this namespace lets the job
-	// skip straight to reducing (§II-C). Resumed runs already carry their
-	// partition table in the journal.
-	var mk marker
-	reused := false
-	if prior != nil {
-		mk = copyMarker(&prior.Mk)
-	} else if spec.ReuseTag != "" {
-		if data, err := d.fs.ReadFile(ctx, markerFile(ns), spec.User); err == nil {
-			if err := mk.ParseWire(data); err != nil {
-				return Result{}, fmt.Errorf("mapreduce: corrupt reuse marker for %q: %w", ns, err)
-			}
-			switch {
-			case mk.Partitioner != partitionerID:
-				d.dropForeignIntermediates(ctx, spec, "reuse marker", mk.Partitioner)
-				mk = marker{}
-			case mk.Expires.IsZero() || d.fs.Now().Before(mk.Expires):
-				reused = true
-			default:
-				// The TTL on stored intermediate results invalidates reuse.
-				mk = marker{}
-			}
+	// A tagged job reads its tag's marker first: a fresh run may reduce the
+	// namespace it names, and a run that publishes drops it.
+	var pub marker
+	if spec.ReuseTag != "" {
+		if pub, err = d.readMarker(ctx, spec); err != nil {
+			return Result{}, err
 		}
 	}
-	if prior == nil && !reused {
+	res, err := d.execute(ctx, spec, prior, &pub, prior == nil)
+	if errors.Is(err, errReuseLost) {
+		// The one fallback: the outputs go, and the job runs afresh.
+		d.events.Emit(events.KindJob, "job.reuse_lost", events.F{Job: spec.ID})
+		for _, out := range res.OutputFiles {
+			_ = d.fs.Delete(ctx, out, spec.User) // best effort: the fresh run writes the outputs it names
+		}
+		res, err = d.execute(ctx, spec, nil, &pub, false)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	res.Resumed = prior != nil
+	res.Elapsed = time.Since(began)
+	d.reg.Histogram("mr.driver.job_ns").ObserveDuration(res.Elapsed)
+	return res, nil
+}
+
+// execute runs a job from its journal (prior) or afresh. A fresh run with
+// mayReuse reduces the namespace pub names if its signature is pub's. A
+// tagged run then re-reads pub (DESIGN.md §7), and one in its own
+// namespace publishes it and drops the one pub names. On errReuseLost the
+// result lists the outputs written.
+func (d *Driver) execute(ctx context.Context, spec JobSpec, prior *journal, pub *marker, mayReuse bool) (Result, error) {
+	res := Result{Job: spec.ID}
+	var mk marker
+	if prior != nil {
+		mk = copyMarker(&prior.Mk)
+	} else {
 		table, err := d.ring().RangeTable()
 		if err != nil {
 			return Result{}, err
 		}
-		mk.Partitioner = partitionerID
-		mk.Servers = table.Servers()
-		mk.Bounds = table.Bounds()
-		mk.PartBytes = make([]int64, table.Len())
+		mk = marker{
+			Servers: table.Servers(), Bounds: table.Bounds(), PartBytes: make([]int64, table.Len()),
+			Partitioner: partitionerID, Namespace: spec.Namespace(),
+		}
 	}
-
 	st := &runState{
 		ctx:       ctx,
 		spec:      spec,
-		ns:        ns,
 		mk:        &mk,
 		res:       &res,
 		partsDone: make(map[int]string),
@@ -343,6 +364,16 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 		}
 		st.attemptBase = (prior.Generation + 1) * attemptStride
 	}
+	// Every run expands its maps, looking up (and checking access to) each
+	// input: recovery re-executes them, and their digests sign the run.
+	sig, err := d.expandMapTasks(st)
+	if err != nil {
+		return Result{}, err
+	}
+	if mayReuse && pub.Namespace != "" && pub.Sig == sig {
+		mk = copyMarker(pub) // a map phase this job would have run (§II-C)
+	}
+	mk.Sig = sig
 	if !spec.DisableJournal {
 		st.jw = d.newJournalWriter(ctx, spec, &mk, prior)
 		// The final flush on every exit path leaves even an aborted run
@@ -350,25 +381,16 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 		defer st.jw.close(ctx)
 	}
 
-	runMaps := !reused && (prior == nil || prior.Phase == phaseMap)
+	runMaps := !st.reused() && (prior == nil || prior.Phase == phaseMap)
 	// todo are the maps this run still owes; journaled are the ones an
 	// adopted journal records as done.
 	var todo, journaled []*mapTask
-	if !reused {
-		// Partition recovery re-executes the contributing map tasks, so
-		// they are expanded even when the journal says the map phase is
-		// done. (A tag-reused map phase shares its intermediates with
-		// other jobs and is not re-executable here.)
-		if err := d.expandMapTasks(st); err != nil {
-			return Result{}, err
-		}
-		for _, mt := range st.tasks {
-			if prior != nil && prior.MapsDone[mt.t.ID] {
-				mt.state = taskDone
-				journaled = append(journaled, mt)
-			} else {
-				todo = append(todo, mt)
-			}
+	for _, mt := range st.tasks {
+		if prior != nil && prior.MapsDone[mt.t.ID] {
+			mt.state = taskDone
+			journaled = append(journaled, mt)
+		} else {
+			todo = append(todo, mt)
 		}
 	}
 
@@ -379,10 +401,8 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 	// before it is re-shuffled.
 	var deadParts []int
 	if prior != nil {
-		var err error
-		deadParts, err = d.adoptPartitions(st, prior.Lost)
-		if err != nil {
-			return Result{}, err
+		if deadParts, err = d.adoptPartitions(st, prior.Lost); err != nil {
+			return res, err
 		}
 	}
 
@@ -396,15 +416,12 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 				return Result{}, err
 			}
 		}
-		if spec.ReuseTag != "" && spec.IntermediateTTL > 0 {
-			mk.Expires = d.fs.Now().Add(spec.IntermediateTTL)
-		}
 	} else {
 		res.MapsSkipped = true
-		if reused {
-			root.Annotate("maps", "reused")
+		if st.reused() {
+			trace.Annotate(ctx, "maps", "reused")
 		} else {
-			root.Annotate("maps", "journaled")
+			trace.Annotate(ctx, "maps", "journaled")
 		}
 	}
 	// Journaled-done maps never re-ran, so their spills for any re-homed
@@ -425,35 +442,60 @@ func (d *Driver) run(ctx context.Context, spec JobSpec, prior *journal) (_ Resul
 	}
 
 	if err := d.runReducePhase(ctx, st); err != nil {
-		return Result{}, err
+		return res, err
 	}
-	// The reuse marker is written once recovery is over, so the owners it
-	// names hold their whole partitions: a later job never reduces where a
-	// map could not push.
-	if spec.ReuseTag != "" && !reused {
+	switch {
+	case spec.ReuseTag == "":
+	case st.reused():
+		// A writer changes the marker, and waits for the acknowledgement,
+		// before it drops the namespace the marker named: what the run
+		// reduced was whole if the marker still names it.
+		if *pub, err = d.readMarker(ctx, spec); err != nil {
+			return res, err
+		}
+		if pub.Namespace != mk.Namespace {
+			return res, errReuseLost
+		}
+	default:
+		// Published once recovery is over, so the owners it names hold
+		// their whole partitions; then the namespace it supersedes goes.
 		// The encoding is handed over to the store, never touched again.
-		if _, err := d.fs.Upload(ctx, markerFile(ns), spec.User, dhtfs.PermPublic, mk.AppendWire(nil), 1<<20); err != nil {
-			return Result{}, fmt.Errorf("mapreduce: store reuse marker: %w", err)
+		if _, err := d.fs.Upload(ctx, markerFile(spec.ReuseTag), spec.User, dhtfs.PermPublic, mk.AppendWire(nil), 1<<20); err != nil {
+			return Result{}, fmt.Errorf("mapreduce: publish reuse marker: %w", err)
+		}
+		if pub.Namespace != "" && pub.Namespace != mk.Namespace {
+			d.fs.DropJob(ctx, pub.Namespace, spec.User)
 		}
 	}
 	if st.jw != nil {
 		st.jw.setPhase(phaseDone, &mk)
 	}
-	res.Elapsed = time.Since(began)
-	d.reg.Histogram("mr.driver.job_ns").ObserveDuration(res.Elapsed)
 	return res, nil
 }
 
 // expandMapTasks expands the job's input files into one pending task per
-// block, at the generation's first attempt.
-func (d *Driver) expandMapTasks(st *runState) error {
+// block, at the generation's first attempt, and returns the job's
+// signature: one digest over its application, its parameters, the spill
+// threshold its combiner folds by (other spill boundaries fold other
+// floating-point sums), this binary's partitioner and, for each input in
+// order, its name and its blocks' digests. Two jobs of one signature push
+// the same spills, so one may reduce what the other published.
+func (d *Driver) expandMapTasks(st *runState) (hashing.Digest, error) {
+	spill := st.spec.SpillThreshold
+	if spill <= 0 {
+		spill = DefaultSpillThreshold
+	}
+	sig := appendParams(transport.AppendString(nil, st.spec.App), st.spec.Params)
+	sig = appendInt(appendInt(sig, spill), partitionerID)
 	st.byID = make(map[string]*mapTask)
 	for _, input := range st.spec.Inputs {
 		meta, err := d.fs.Lookup(st.ctx, input, st.spec.User)
 		if err != nil {
-			return fmt.Errorf("mapreduce: input %q: %w", input, err)
+			return hashing.Digest{}, fmt.Errorf("mapreduce: input %q: %w", input, err)
 		}
+		sig = transport.AppendUvarint(transport.AppendString(sig, input), uint64(len(meta.BlockSums)))
 		for i, bk := range meta.BlockKeys {
+			sig = append(sig, meta.BlockSums[i][:]...)
 			mt := &mapTask{
 				t:       scheduler.Task{Job: st.spec.ID, ID: fmt.Sprintf("%s/m/%s/%d", st.spec.ID, input, i), HashKey: bk},
 				attempt: st.attemptBase,
@@ -463,7 +505,7 @@ func (d *Driver) expandMapTasks(st *runState) error {
 			st.byID[mt.t.ID] = mt
 		}
 	}
-	return nil
+	return hashing.BlockDigest(sig), nil
 }
 
 // runMapPhase opens a map phase over tasks (all pending), registers the
@@ -504,8 +546,11 @@ func (d *Driver) runMapPhase(st *runState, tasks []*mapTask, only []int) error {
 	d.signal()
 	err := <-st.outcome
 
+	// The phase is over, so nothing re-queues its tasks (see runMapTask):
+	// none stays queued for the next phase, or run, of the job.
 	d.mu.Lock()
 	delete(d.jobs, st.spec.ID)
+	d.sched.Withdraw(st.spec.ID)
 	d.mu.Unlock()
 	return err
 }
@@ -582,7 +627,7 @@ func (d *Driver) dispatchLoop() {
 func (st *runState) mapReq(mt *mapTask, attempt int) *RunMapReq {
 	return &RunMapReq{
 		Job:            st.spec.ID,
-		Namespace:      st.ns,
+		Namespace:      st.mk.Namespace,
 		App:            st.spec.App,
 		Params:         st.spec.Params,
 		BlockKey:       mt.t.HashKey,
@@ -593,7 +638,6 @@ func (st *runState) mapReq(mt *mapTask, attempt int) *RunMapReq {
 		ReduceBounds:   st.mk.Bounds,
 		OnlyPartitions: st.only,
 		SpillThreshold: st.spec.SpillThreshold,
-		TTL:            st.spec.IntermediateTTL,
 	}
 }
 
@@ -728,7 +772,13 @@ func (d *Driver) runMapTask(st *runState, mt *mapTask, a scheduler.Assignment) {
 		d.events.Emit(events.KindTask, "map.retry", events.F{
 			Job: st.spec.ID, Task: mt.t.ID, Attempt: r.attempt, Detail: r.err.Error(),
 		})
-		d.sched.Submit(mt.t, d.since())
+		// Under d.mu, so a phase that ends meanwhile withdraws it or is
+		// over before it is queued.
+		d.mu.Lock()
+		if st.open {
+			d.sched.Submit(mt.t, d.since())
+		}
+		d.mu.Unlock()
 	case failover:
 		d.reg.Counter("mr.driver.map_failovers").Inc()
 		d.events.Emit(events.KindTask, "map.giveup", events.F{
@@ -1063,12 +1113,11 @@ func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) 
 	outFile := fmt.Sprintf("%s.out.%s", st.spec.ID, partitionName(t.parts[0]))
 	req := RunReduceReq{
 		Job:          st.spec.ID,
-		Namespace:    st.ns,
+		Namespace:    st.mk.Namespace,
 		App:          st.spec.App,
 		Params:       st.spec.Params,
 		OutputFile:   outFile,
 		CacheOutputs: st.spec.CacheOutputs,
-		TTL:          st.spec.IntermediateTTL,
 		User:         st.spec.User,
 	}
 	for i, p := range t.parts {
@@ -1149,7 +1198,7 @@ func (d *Driver) recoverPartitions(ctx context.Context, st *runState, lost []los
 	for _, l := range lost {
 		for _, p := range l.t.parts {
 			if err := d.rehome(st, sp, ring, p); err != nil {
-				return nil, fmt.Errorf("%v: %w", err, l.err)
+				return nil, fmt.Errorf("%w: %w", err, l.err)
 			}
 			only = append(only, p)
 		}
@@ -1200,10 +1249,11 @@ func (d *Driver) adoptPartitions(st *runState, lost map[int]bool) ([]int, error)
 // rehome moves a reduce partition whose spills are out of reach to the
 // first member of its bound's replica set that is not the old owner
 // (which may still sit in the ring, unreachable). It refuses when the
-// spills cannot be rebuilt, before anything is recorded.
+// spills cannot be rebuilt, before anything is recorded: a reusing run's
+// were pushed by other jobs' maps, into a namespace it does not write.
 func (d *Driver) rehome(st *runState, sp *trace.Span, ring *hashing.ChordRing, part int) error {
-	if len(st.tasks) == 0 {
-		return fmt.Errorf("mapreduce: cannot recover reduce partition %d of job %s: map tasks are not re-executable (tag-reused intermediates)", part, st.spec.ID)
+	if st.reused() {
+		return errReuseLost
 	}
 	old := st.mk.Servers[part]
 	var owner hashing.NodeID
@@ -1331,9 +1381,17 @@ func (d *Driver) Collect(ctx context.Context, res Result, user string) ([]KV, er
 	return out, nil
 }
 
-// DropIntermediates removes a namespace's segments cluster-wide and, in
-// the same message to each member, the job's journal done-record.
+// DropIntermediates removes a job's segments cluster-wide and, in the same
+// message to each member, its journal. A tagged spec's marker goes first,
+// then the namespace the marker named, as a publisher drops one (see
+// settleTag).
 func (d *Driver) DropIntermediates(ctx context.Context, spec JobSpec) {
+	if spec.ReuseTag != "" {
+		pub, _ := d.readMarker(ctx, spec) // a corrupt marker names nothing to drop; it is deleted all the same
+		if d.fs.Delete(ctx, markerFile(spec.ReuseTag), spec.User) == nil && pub.Namespace != "" && pub.Namespace != spec.Namespace() {
+			d.fs.DropJob(ctx, pub.Namespace, spec.User)
+		}
+	}
 	var files []string
 	if !spec.DisableJournal {
 		files = append(files, journalFile(spec.ID))

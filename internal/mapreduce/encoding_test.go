@@ -157,7 +157,7 @@ func TestJobSpecNamespaceAndValidate(t *testing.T) {
 		t.Fatalf("Namespace = %q", s.Namespace())
 	}
 	s.ReuseTag = "shared"
-	if s.Namespace() != "tag:shared" {
+	if s.Namespace() != "job:j1" {
 		t.Fatalf("Namespace = %q", s.Namespace())
 	}
 	bad := []JobSpec{

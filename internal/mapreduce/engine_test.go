@@ -537,52 +537,3 @@ func TestDropIntermediates(t *testing.T) {
 		t.Fatalf("%d journal errors for a drop that found no journal, want 1", got)
 	}
 }
-
-// TestIntermediateTTLInvalidatesReuse covers the paper's TTL on stored
-// intermediate results: once the TTL lapses, a job with the same reuse
-// tag must re-run its map phase instead of reducing over expired spills.
-func TestIntermediateTTLInvalidatesReuse(t *testing.T) {
-	ec := newEngineCluster(t, engineOpts{})
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	for _, fs := range ec.fs {
-		fs.SetClock(clock)
-	}
-	want := map[string]int{"ttl": 48}
-	ec.upload(t, "ttl.txt", corpus(want), 128)
-	spec := JobSpec{
-		ID: "ttl-1", App: "test-wordcount", Inputs: []string{"ttl.txt"},
-		User: "tester", ReuseTag: "ttl-shared", IntermediateTTL: time.Minute,
-	}
-	if _, err := ec.driver.Run(spec); err != nil {
-		t.Fatal(err)
-	}
-	// Within the TTL the second run reuses the intermediates.
-	spec.ID = "ttl-2"
-	res, err := ec.driver.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.MapsSkipped {
-		t.Fatal("run within TTL did not reuse")
-	}
-	// Past the TTL the marker is stale and maps re-run — and the job
-	// still produces correct output from the fresh intermediates.
-	now = now.Add(2 * time.Minute)
-	spec.ID = "ttl-3"
-	res, err = ec.driver.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MapsSkipped || res.MapTasks == 0 {
-		t.Fatalf("run after TTL reused stale intermediates: %+v", res)
-	}
-	kvs, err := ec.driver.Collect(context.Background(), res, "tester")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := countsFromKVs(t, kvs)
-	if got["ttl"] != 48 {
-		t.Fatalf("counts = %v", got)
-	}
-}

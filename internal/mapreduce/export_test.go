@@ -124,7 +124,7 @@ func ReduceSegments(t *testing.T, app string, params Params, segments [][]byte) 
 		Parts: []ReducePart{{Holder: owner}}, OutputFile: "order.out", User: "tester",
 	}
 	for seq, seg := range segments {
-		ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(0), "m0", 0, seq, seg, 0)
+		ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(0), "m0", 0, seq, seg)
 	}
 	resp, err := ec.workers[owner].runReduce(context.Background(), req)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 )
 
 // Job journal: the durable record of one job's progress, stored as a
-// replicated DHT-FS file. The `_mr/<ns>/done` reuse marker records only a
-// *finished* map phase; the journal extends it to live state — the spec,
+// replicated DHT-FS file. A reuse marker records only a published map
+// phase's partition table; the journal extends it to live state — the spec,
 // the partition table fixed at job start, per-task completion and
 // per-partition completion — so a restarted or newly elected manager can
 // adopt an interrupted job with Driver.Resume and re-execute only the

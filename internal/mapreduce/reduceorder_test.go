@@ -26,7 +26,7 @@ func TestReduceReadsSpillsInTaskOrder(t *testing.T) {
 	owner := ec.ids[1]
 	spill := func(task string, seq int, value string) {
 		ec.fs[owner].Store().AppendTaskSegment(ns, partitionName(0), task, 0, seq,
-			EncodeKVs([]KV{{Key: "k", Value: []byte(value)}}), 0)
+			EncodeKVs([]KV{{Key: "k", Value: []byte(value)}}))
 	}
 	// m1's spills arrive first, and m0's out of sequence.
 	spill("m1", 0, "m1.0")

@@ -103,7 +103,7 @@ func TestReduceStateReuseConcurrent(t *testing.T) {
 	}
 	for i, tk := range tasks {
 		for seq, seg := range shapes[tk.shape] {
-			ec.fs[owner].Store().AppendTaskSegment(fmt.Sprintf("job:r%d", i), partitionName(0), "m0", 0, seq, seg, 0)
+			ec.fs[owner].Store().AppendTaskSegment(fmt.Sprintf("job:r%d", i), partitionName(0), "m0", 0, seq, seg)
 		}
 	}
 	// run reduces task i's partition into a file of its own and returns
@@ -167,7 +167,7 @@ func TestReduceOutputIsClipped(t *testing.T) {
 	const inputBytes = 4 << 20
 	pair := EncodeKVs([]KV{{Key: "k", Value: []byte("1")}})
 	ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(0), "m0", 0, 0,
-		bytes.Repeat(pair, inputBytes/len(pair)), 0)
+		bytes.Repeat(pair, inputBytes/len(pair)))
 	if _, err := ec.workers[owner].runReduce(ctx, req); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -232,6 +233,91 @@ func TestMapTaskOfACancelledJobWakesTheDispatcher(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("the next job stalled behind the cancelled job's queued maps")
+	}
+	kvs, err := ec.driver.Collect(context.Background(), res, "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(t, countsFromKVs(t, kvs), want)
+}
+
+// gatedMaps holds every call of test-gated-wordcount's map but the first
+// until open is closed.
+var gatedMaps struct {
+	calls atomic.Int64
+	open  chan struct{}
+}
+
+func init() {
+	Register("test-gated-wordcount", App{
+		Map: func(p Params, input []byte, emit Emit) error {
+			if gatedMaps.calls.Add(1) > 1 {
+				<-gatedMaps.open
+			}
+			return testWordCountMap(p, input, emit)
+		},
+		Reduce: testSumReduce,
+	})
+}
+
+// TestCancelledMapPhaseLeavesNothingQueuedForResume cancels a job at its
+// first finished map while every other slot holds a map and the rest
+// wait in the queue: the phase's end withdraws them, so a Resume of the
+// job is routed its own tasks only, and no attempt runs twice.
+func TestCancelledMapPhaseLeavesNothingQueuedForResume(t *testing.T) {
+	ec := newEngineCluster(t, engineOpts{nodes: 4, slots: 1})
+	text, want := wideCorpus(150, 10)
+	ec.upload(t, "gate.txt", text, 256)
+	gatedMaps.calls.Store(0)
+	gatedMaps.open = make(chan struct{})
+	opened := false
+	open := func() {
+		if !opened {
+			opened = true
+			close(gatedMaps.open)
+		}
+	}
+	defer open()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stop sync.Once
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Name == "map.finish" {
+			stop.Do(cancel)
+		}
+	})
+	spec := JobSpec{ID: "gate-1", App: "test-gated-wordcount", Inputs: []string{"gate.txt"}, User: "tester"}
+	if _, err := ec.driver.RunContext(ctx, spec); err == nil {
+		t.Fatal("the cancelled run finished")
+	}
+	if n := ec.sched.Pending(); n != 0 {
+		t.Errorf("%d tasks of the cancelled phase still queued", n)
+	}
+	open()
+
+	type execution struct {
+		task    string
+		attempt int
+	}
+	var mu sync.Mutex
+	ran := make(map[execution]int)
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Job == spec.ID && (e.Name == "map.dispatch" || e.Name == "map.failover") {
+			mu.Lock()
+			ran[execution{e.Task, e.Attempt}]++
+			mu.Unlock()
+		}
+	})
+	res, err := ec.driver.Resume(spec.ID)
+	ec.events.SetObserver(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x, n := range ran {
+		if n > 1 {
+			t.Errorf("%s attempt %d ran %d times", x.task, x.attempt, n)
+		}
 	}
 	kvs, err := ec.driver.Collect(context.Background(), res, "tester")
 	if err != nil {

@@ -101,7 +101,7 @@ func TestParentWrittenJournalAndMarkerStillLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	journalBlock := rehomeAsParentWrote(t, ec, journalFile(spec.ID))
-	rehomeAsParentWrote(t, ec, markerFile(spec.Namespace()))
+	rehomeAsParentWrote(t, ec, markerFile(spec.ReuseTag))
 
 	res, err := ec.driver.Resume(spec.ID)
 	if err != nil {

@@ -222,5 +222,5 @@ func (s *spillSender) push(ctx context.Context, node hashing.NodeID, entries []d
 		Job: s.req.Job, Task: s.req.Task, Attempt: s.req.Attempt,
 		Detail: fmt.Sprintf("%s spills=%d", node, len(entries)),
 	})
-	return s.w.fs.PushTaggedSegmentBatch(ctx, node, s.req.Namespace, entries, s.req.TTL)
+	return s.w.fs.PushTaggedSegmentBatch(ctx, node, s.req.Namespace, entries)
 }

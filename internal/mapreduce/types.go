@@ -12,9 +12,10 @@
 //     map-completion barrier and no reducer-side pull. Consecutive
 //     partitions of a few KB reduce together, at the owner of the
 //     largest, into one output file.
-//   - Applications may tag intermediate results or iteration outputs for
-//     reuse; a later job with the same tag skips its map phase entirely
-//     (§II-B, §II-C).
+//   - A job may publish its intermediate results under a reuse tag; a
+//     later job with the same tag and the same signature (application,
+//     parameters and input digests) skips its map phase entirely (§II-B,
+//     §II-C).
 //
 // Because tasks execute on remote workers, map and reduce functions are
 // referenced by registered application name, as in Hadoop.
@@ -197,7 +198,7 @@ type JobSpec struct {
 	// App is the registered application name. Required.
 	App string
 	// Inputs are DHT file system file names whose blocks become map
-	// tasks. Required unless the job reuses tagged intermediates.
+	// tasks. Required.
 	Inputs []string
 	// User is the requesting user, checked against file permissions.
 	User string
@@ -208,16 +209,15 @@ type JobSpec struct {
 	// it, the buffer is pushed to the reducer-side DHT file system. The
 	// paper's experiments use 32 MB. Zero selects DefaultSpillThreshold.
 	SpillThreshold int
-	// ReuseTag, when set, namespaces the job's intermediate results so a
-	// later job with the same tag (and App) can skip its map phase and
-	// reuse them directly.
+	// ReuseTag, when set, publishes the job's intermediate results under
+	// the tag once its reduce phase is done. A later job with the same
+	// tag whose maps would push the same spills (same App, Params,
+	// SpillThreshold and input blocks) skips its map phase and reduces
+	// them instead.
 	ReuseTag string
 	// CacheOutputs stores each reduce task's output in the reduce node's
 	// oCache (iteration outputs of iterative jobs, §II-C).
 	CacheOutputs bool
-	// IntermediateTTL bounds cached intermediate lifetime (the paper's
-	// time-to-live on stored intermediate results). Zero means no TTL.
-	IntermediateTTL time.Duration
 	// MaxAttempts bounds per-task retries; zero selects 3.
 	MaxAttempts int
 	// DisableJournal skips the durable job journal. Without a journal an
@@ -229,14 +229,8 @@ type JobSpec struct {
 // DefaultSpillThreshold matches the paper's 32 MB payload buffer.
 const DefaultSpillThreshold = 32 << 20
 
-// Namespace returns the segment namespace: the reuse tag when sharing is
-// requested, otherwise the private job ID.
-func (s JobSpec) Namespace() string {
-	if s.ReuseTag != "" {
-		return "tag:" + s.ReuseTag
-	}
-	return "job:" + s.ID
-}
+// Namespace returns the namespace the job's maps push their spills into.
+func (s JobSpec) Namespace() string { return "job:" + s.ID }
 
 // maxAttempts returns the per-task retry bound with the default applied.
 func (s JobSpec) maxAttempts() int {
@@ -273,11 +267,12 @@ type Result struct {
 	// first partition.
 	OutputFiles []string
 	// MapTasks / ReduceTasks are the executed task counts (zero map tasks
-	// means the job reused tagged intermediates); ReduceTasks counts the
+	// when the job reduced a published namespace); ReduceTasks counts the
 	// reduce tasks run, not the partitions they covered.
 	MapTasks    int
 	ReduceTasks int
-	// MapsSkipped reports that the map phase was skipped via reuse.
+	// MapsSkipped reports that the map phase was skipped: the job reduced
+	// a published namespace, or its journal recorded the maps done.
 	MapsSkipped bool
 	// Resumed reports the run was adopted from a durable journal rather
 	// than started fresh; MapTasks/ReduceTasks then count only the work

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"time"
 
 	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/hashing"
@@ -153,8 +152,7 @@ func (m RunMapReq) AppendWire(dst []byte) []byte {
 	dst = appendNodeIDs(dst, m.ReduceServers)
 	dst = appendKeys(dst, m.ReduceBounds)
 	dst = appendInts(dst, m.OnlyPartitions)
-	dst = transport.AppendInt(dst, int64(m.SpillThreshold))
-	return transport.AppendDuration(dst, m.TTL)
+	return transport.AppendInt(dst, int64(m.SpillThreshold))
 }
 
 // ParseWire implements transport.Wire.
@@ -167,7 +165,6 @@ func (m *RunMapReq) ParseWire(src []byte) error {
 	m.ReduceBounds = readKeys(&r)
 	m.OnlyPartitions = readInts(&r)
 	m.SpillThreshold = r.Int()
-	m.TTL = r.Duration()
 	return r.Done()
 }
 
@@ -200,7 +197,6 @@ func (m RunReduceReq) AppendWire(dst []byte) []byte {
 	}
 	dst = transport.AppendString(dst, m.OutputFile)
 	dst = transport.AppendBool(dst, m.CacheOutputs)
-	dst = transport.AppendDuration(dst, m.TTL)
 	return transport.AppendString(dst, m.User)
 }
 
@@ -214,7 +210,7 @@ func (m *RunReduceReq) ParseWire(src []byte) error {
 			m.Parts[i] = ReducePart{Partition: r.Int(), Holder: hashing.NodeID(r.Str())}
 		}
 	}
-	m.OutputFile, m.CacheOutputs, m.TTL, m.User = r.Str(), r.Bool(), r.Duration(), r.Str()
+	m.OutputFile, m.CacheOutputs, m.User = r.Str(), r.Bool(), r.Str()
 	return r.Done()
 }
 
@@ -303,40 +299,24 @@ func (m *AdoptRangeResp) ParseWire(src []byte) error {
 }
 
 // durableFormat is the first byte of a journal or reuse-marker file.
-const durableFormat = 0x01
+const durableFormat = 0x02
 
-// readFormat checks a file's first byte.
-func readFormat(r *transport.WireReader) {
-	if b := r.Raw(1); b != nil && b[0] != durableFormat {
+// legacyFormat is the parent commit's format, read for this one commit
+// (DESIGN.md §12): its job spec carried an IntermediateTTL and its marker
+// an expiry, both discarded, and a marker named no namespace and had no
+// signature.
+const legacyFormat = 0x01
+
+// readFormat reads a file's first byte.
+func readFormat(r *transport.WireReader) byte {
+	b := r.Raw(1)
+	if b == nil {
+		return durableFormat // the reader's error says why
+	}
+	if b[0] != durableFormat && b[0] != legacyFormat {
 		r.Fail(fmt.Errorf("mapreduce: file format %#x, want %#x", b[0], durableFormat))
 	}
-}
-
-// appendTime writes a time in time.Time.MarshalBinary's format (instant
-// and zone offset, no monotonic reading), and the zero time as no bytes.
-func appendTime(dst []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return transport.AppendBytes(dst, nil)
-	}
-	b, err := t.MarshalBinary()
-	if err != nil {
-		// Only a zone offset no real zone has is refused; the instant
-		// still goes.
-		b, _ = t.UTC().MarshalBinary()
-	}
-	return transport.AppendBytes(dst, b)
-}
-
-func readTime(r *transport.WireReader) time.Time {
-	var t time.Time
-	if b := r.Bytes(); len(b) > 0 {
-		if err := t.UnmarshalBinary(b); err != nil {
-			r.Fail(fmt.Errorf("mapreduce: timestamp: %w", err))
-		} else if t.IsZero() {
-			t = time.Time{} // the zero instant has one encoding, whatever its zone
-		}
-	}
-	return t
+	return b[0]
 }
 
 func appendJobSpec(dst []byte, s JobSpec) []byte {
@@ -351,12 +331,11 @@ func appendJobSpec(dst []byte, s JobSpec) []byte {
 	dst = appendInt(dst, s.SpillThreshold)
 	dst = transport.AppendString(dst, s.ReuseTag)
 	dst = transport.AppendBool(dst, s.CacheOutputs)
-	dst = transport.AppendDuration(dst, s.IntermediateTTL)
 	dst = appendInt(dst, s.MaxAttempts)
 	return transport.AppendBool(dst, s.DisableJournal)
 }
 
-func readJobSpec(r *transport.WireReader) JobSpec {
+func readJobSpec(r *transport.WireReader, format byte) JobSpec {
 	s := JobSpec{ID: r.Str(), App: r.Str()}
 	if n := r.Count(1); n > 0 {
 		s.Inputs = make([]string, n)
@@ -365,7 +344,10 @@ func readJobSpec(r *transport.WireReader) JobSpec {
 		}
 	}
 	s.User, s.Params, s.SpillThreshold = r.Str(), readParams(r), r.Int()
-	s.ReuseTag, s.CacheOutputs, s.IntermediateTTL = r.Str(), r.Bool(), r.Duration()
+	s.ReuseTag, s.CacheOutputs = r.Str(), r.Bool()
+	if format == legacyFormat {
+		r.Int64() // IntermediateTTL
+	}
 	s.MaxAttempts, s.DisableJournal = r.Int(), r.Bool()
 	return s
 }
@@ -376,14 +358,23 @@ func (m marker) appendFields(dst []byte) []byte {
 	dst = appendNodeIDs(dst, m.Servers)
 	dst = appendKeys(dst, m.Bounds)
 	dst = appendInt64s(dst, m.PartBytes)
-	dst = appendTime(dst, m.Expires)
-	return appendInt(dst, m.Partitioner)
+	dst = appendInt(dst, m.Partitioner)
+	dst = transport.AppendString(dst, m.Namespace)
+	return append(dst, m.Sig[:]...)
 }
 
 // readMarker reads what appendFields wrote. The driver indexes the three
 // slices by partition, so a table whose slices differ in length is refused.
-func readMarker(r *transport.WireReader) marker {
-	m := marker{Servers: readNodeIDs(r), Bounds: readKeys(r), PartBytes: readInt64s(r), Expires: readTime(r), Partitioner: r.Int()}
+func readMarker(r *transport.WireReader, format byte) marker {
+	m := marker{Servers: readNodeIDs(r), Bounds: readKeys(r), PartBytes: readInt64s(r)}
+	if format == legacyFormat {
+		r.Bytes() // Expires
+	}
+	m.Partitioner = r.Int()
+	if format != legacyFormat {
+		m.Namespace = r.Str()
+		copy(m.Sig[:], r.Raw(len(m.Sig)))
+	}
 	if r.Err() == nil && (len(m.Bounds) != len(m.Servers) || len(m.PartBytes) != len(m.Servers)) {
 		r.Fail(fmt.Errorf("mapreduce: partition table of %d servers, %d bounds and %d sizes",
 			len(m.Servers), len(m.Bounds), len(m.PartBytes)))
@@ -399,8 +390,7 @@ func (m marker) AppendWire(dst []byte) []byte {
 // ParseWire implements transport.Wire.
 func (m *marker) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	readFormat(&r)
-	*m = readMarker(&r)
+	*m = readMarker(&r, readFormat(&r))
 	return r.Done()
 }
 
@@ -419,14 +409,23 @@ func (j journal) AppendWire(dst []byte) []byte {
 // ParseWire implements transport.Wire.
 func (j *journal) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	readFormat(&r)
+	format := readFormat(&r)
 	str, integer, boolean := (*transport.WireReader).Str, (*transport.WireReader).Int, (*transport.WireReader).Bool
 	*j = journal{
-		Spec: readJobSpec(&r), Phase: r.Str(), Generation: r.Int(), Mk: readMarker(&r),
+		Spec: readJobSpec(&r, format), Phase: r.Str(), Generation: r.Int(), Mk: readMarker(&r, format),
 		MapsDone:  readMap(&r, 2, str, boolean),
 		Attempts:  readMap(&r, 2, str, integer),
 		PartsDone: readMap(&r, 2, integer, str),
 		Lost:      readMap(&r, 2, integer, boolean),
+	}
+	if format == legacyFormat {
+		j.Mk.Namespace = j.Spec.Namespace()
+		if j.Spec.ReuseTag != "" && j.Phase != phaseDone {
+			// Its spills are in the namespace its tag shared, which no
+			// job reads now: the maps run again, into its own.
+			j.Phase, j.MapsDone, j.PartsDone, j.Lost = phaseMap, nil, nil, nil
+			j.Mk.PartBytes = make([]int64, len(j.Mk.Servers))
+		}
 	}
 	return r.Done()
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/hashing"
@@ -36,7 +35,7 @@ func typicalMapReq() *RunMapReq {
 		Task: "grep-000123/m-0007", Attempt: 1,
 		ReduceServers:  []hashing.NodeID{"worker-00", "worker-01", "worker-02", "worker-03"},
 		ReduceBounds:   []hashing.Key{1 << 62, 1 << 63, 3 << 62, maxKey},
-		SpillThreshold: DefaultSpillThreshold, TTL: 10 * time.Minute,
+		SpillThreshold: DefaultSpillThreshold,
 	}
 }
 
@@ -64,15 +63,15 @@ func typicalGroupReduceReq() *RunReduceReq {
 	}
 }
 
-// typicalMarker is the partition table of a 4-node job whose reused
-// intermediates expire.
+// typicalMarker is the published partition table of a 4-node job.
 func typicalMarker() *marker {
 	return &marker{
 		Servers:     []hashing.NodeID{"worker-00", "worker-01", "worker-02", "worker-03"},
 		Bounds:      []hashing.Key{1 << 62, 1 << 63, 3 << 62, maxKey},
 		PartBytes:   []int64{4096, 0, 12288, 512},
-		Expires:     time.Date(2026, 10, 16, 12, 0, 0, 5, time.FixedZone("", 2*3600)),
 		Partitioner: partitionerID,
+		Namespace:   "job:grep-000123",
+		Sig:         hashing.BlockDigest([]byte("grep over logs/a and logs/b")),
 	}
 }
 
@@ -82,7 +81,7 @@ func typicalJournal() *journal {
 		Spec: JobSpec{
 			ID: "grep-000123", App: "grep", Inputs: []string{"logs/a", "logs/b"}, User: "alice",
 			Params: Params{"pattern": []byte("needle[0-9]+"), "flags": {}}, ReuseTag: "logs",
-			IntermediateTTL: time.Hour, MaxAttempts: 5,
+			MaxAttempts: 5,
 		},
 		Phase: phaseReduce, Generation: 1, Mk: *typicalMarker(),
 		MapsDone: map[string]bool{}, Attempts: map[string]int{},
@@ -96,8 +95,8 @@ func typicalJournal() *journal {
 	return j
 }
 
-// bigJournal is a 4 000-map job over 64 partitions with binary params,
-// two partitions lost and no expiry.
+// bigJournal is a 4 000-map job over 64 partitions with binary params
+// and two partitions lost.
 func bigJournal() *journal {
 	centroids := make([]byte, 4096)
 	for i := range centroids {
@@ -130,7 +129,7 @@ func wireCases() []transport.Wire {
 			BlockKey: maxKey, BlockSum: hashing.Digest(bytes.Repeat([]byte{0xff}, hashing.DigestSize)), Attempt: math.MinInt,
 			ReduceServers: []hashing.NodeID{"", notUTF8}, ReduceBounds: []hashing.Key{0, maxKey},
 			OnlyPartitions: []int{0, -1, math.MaxInt},
-			SpillThreshold: math.MaxInt, TTL: -time.Second,
+			SpillThreshold: math.MaxInt,
 		},
 		&RunMapResp{},
 		&RunMapResp{PartBytes: []int64{0, 4096, 0, 12}, Lost: []int{1}, CacheHit: true},
@@ -139,11 +138,11 @@ func wireCases() []transport.Wire {
 		&RunMapResp{Lost: []int{math.MinInt, -1, 0, math.MaxInt}, CacheHit: true, RemoteRead: true},
 		&RunReduceReq{},
 		&RunReduceReq{
-			Job: "wc-9", Namespace: "tag:shared", App: "wordcount", Params: Params{"k": []byte("3")},
+			Job: "wc-9", Namespace: "job:wc-7", App: "wordcount", Params: Params{"k": []byte("3")},
 			Parts:      []ReducePart{{Partition: 3, Holder: "worker-03"}},
-			OutputFile: "wc-9/part-0003", CacheOutputs: true, TTL: time.Hour, User: "alice",
+			OutputFile: "wc-9/part-0003", CacheOutputs: true, User: "alice",
 		},
-		&RunReduceReq{Job: notUTF8, Parts: []ReducePart{{Partition: math.MinInt, Holder: notUTF8}, {}}, TTL: math.MinInt64, User: notUTF8},
+		&RunReduceReq{Job: notUTF8, Parts: []ReducePart{{Partition: math.MinInt, Holder: notUTF8}, {}}, User: notUTF8},
 		&RunReduceResp{},
 		&RunReduceResp{Keys: 1 << 40, OutputBytes: math.MaxInt64, HasOutput: true},
 		&RunReduceResp{Keys: -1, OutputBytes: math.MinInt64},
@@ -166,13 +165,13 @@ func wireCases() []transport.Wire {
 		bigJournal(),
 		&journal{
 			Spec: JobSpec{ID: notUTF8, Inputs: []string{""}, Params: Params{notUTF8: {0}}, SpillThreshold: math.MinInt,
-				IntermediateTTL: math.MinInt64, MaxAttempts: math.MaxInt, DisableJournal: true},
+				MaxAttempts: math.MaxInt, DisableJournal: true},
 			Generation: math.MaxInt, PartsDone: map[int]string{math.MinInt: notUTF8, math.MaxInt: ""},
 			Lost: map[int]bool{-1: true, 0: false},
 		},
 		&marker{},
 		&marker{Servers: []hashing.NodeID{""}, Bounds: []hashing.Key{maxKey}, PartBytes: []int64{math.MinInt64},
-			Expires: time.Unix(1<<40, 999999999).UTC(), Partitioner: math.MinInt},
+			Partitioner: math.MinInt, Namespace: notUTF8, Sig: hashing.Digest(bytes.Repeat([]byte{0xff}, hashing.DigestSize))},
 		typicalMarker(),
 		typicalGroupReduceReq(),
 		&RunReduceReq{Parts: []ReducePart{}},
@@ -217,15 +216,15 @@ func TestWireHostileCounts(t *testing.T) {
 		"journal servers":    &journal{Mk: marker{Servers: []hashing.NodeID{""}}},
 		"journal bounds":     &journal{Mk: marker{Bounds: []hashing.Key{0}}},
 		"journal part sizes": &journal{Mk: marker{PartBytes: []int64{0}}},
-		"journal expires":    &journal{Mk: marker{Expires: time.Unix(1, 0)}},
 		"journal maps done":  &journal{MapsDone: map[string]bool{"": true}},
 		"journal attempts":   &journal{Attempts: map[string]int{"": 0}},
 		"journal parts done": &journal{PartsDone: map[int]string{0: ""}},
 		"journal lost":       &journal{Lost: map[int]bool{0: true}},
+		"journal namespace":  &journal{Mk: marker{Namespace: "job:j"}},
 		"marker servers":     &marker{Servers: []hashing.NodeID{""}},
 		"marker bounds":      &marker{Bounds: []hashing.Key{0}},
 		"marker part sizes":  &marker{PartBytes: []int64{0}},
-		"marker expires":     &marker{Expires: time.Unix(1, 0)},
+		"marker namespace":   &marker{Namespace: "job:j"},
 	} {
 		zero := transport.Wire(&journal{})
 		if _, ok := one.(*marker); ok {
@@ -241,9 +240,9 @@ func TestWireHostileCounts(t *testing.T) {
 	}
 }
 
-// TestDurableFormatIsOne: a journal or marker file whose first byte is
-// not format 0x01 is refused, the parent's 0x00 included.
-func TestDurableFormatIsOne(t *testing.T) {
+// TestDurableFormatIsTwo: a journal or marker file whose first byte is
+// neither format 0x02 nor the parent's 0x01 is refused, 0x00 included.
+func TestDurableFormatIsTwo(t *testing.T) {
 	for i, m := range wireCases() {
 		var fresh transport.Wire
 		switch m.(type) {
@@ -258,7 +257,7 @@ func TestDurableFormatIsOne(t *testing.T) {
 		if data[0] != durableFormat {
 			t.Fatalf("case %d opens with %#x", i, data[0])
 		}
-		for _, b := range []byte{0x00, 0x02, 0xff} {
+		for _, b := range []byte{0x00, 0x03, 0xff} {
 			data[0] = b
 			if err := fresh.ParseWire(data); err == nil {
 				t.Fatalf("case %d (%T) with format %#x was read", i, m, b)

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/cache"
@@ -49,7 +48,6 @@ type (
 		// only the lost partitions.
 		OnlyPartitions []int
 		SpillThreshold int
-		TTL            time.Duration
 	}
 	// RunMapResp reports the intermediate bytes pushed per partition —
 	// the mapper's "notify the scheduler with their hash keys" step.
@@ -78,7 +76,6 @@ type (
 		Parts        []ReducePart
 		OutputFile   string
 		CacheOutputs bool
-		TTL          time.Duration
 		User         string
 	}
 	// ReducePart is one partition of a reduce task and its spills' holder.
@@ -501,7 +498,7 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 			cached = slices.Clone(cached)
 		}
 		w.cache.PutTagged(req.Namespace, "out:"+partitionName(parts[0]),
-			hashing.KeyOfString(req.OutputFile), cached, req.TTL)
+			hashing.KeyOfString(req.OutputFile), cached, 0)
 	}
 	resp.OutputBytes = int64(len(output))
 	resp.HasOutput = true

@@ -65,6 +65,8 @@ type Scheduler interface {
 	RemoveNode(id hashing.NodeID)
 	// Submit enqueues a task at the given time.
 	Submit(t Task, now time.Duration)
+	// Withdraw drops every queued task of a job.
+	Withdraw(job string)
 	// Dispatch returns every assignment that can be made at time now,
 	// consuming slots. It never blocks.
 	Dispatch(now time.Duration) []Assignment
@@ -233,6 +235,20 @@ func (c *core) enqueueLocked(t Task, now time.Duration) {
 	}
 	j.tasks = append(j.tasks, &queued{task: t, enqueued: now})
 	c.pending++
+}
+
+// Withdraw drops a job's queued tasks. Tasks already assigned are not
+// queued: their slots come back through Release.
+func (c *core) Withdraw(job string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	j := c.byJob[job]
+	if j == nil {
+		return
+	}
+	c.pending -= len(j.tasks)
+	delete(c.byJob, job)
+	c.jobs = slices.DeleteFunc(c.jobs, func(q *jobQueue) bool { return q == j })
 }
 
 // beginLocked starts a Dispatch: it advances the rotation and returns how

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"eclipsemr/internal/hashing"
 )
@@ -73,11 +72,6 @@ func AppendBytes(dst, b []byte) []byte {
 // AppendKey appends a ring key as 8 big-endian bytes.
 func AppendKey(dst []byte, k hashing.Key) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(k))
-}
-
-// AppendDuration appends d as zigzag-varint nanoseconds.
-func AppendDuration(dst []byte, d time.Duration) []byte {
-	return binary.AppendVarint(dst, int64(d))
 }
 
 // errWireShort is the sticky error of a reader that ran out of input.
@@ -209,6 +203,3 @@ func (r *WireReader) Key() hashing.Key {
 	}
 	return hashing.Key(binary.BigEndian.Uint64(b))
 }
-
-// Duration reads zigzag-varint nanoseconds.
-func (r *WireReader) Duration() time.Duration { return time.Duration(r.Int64()) }

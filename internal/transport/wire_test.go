@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"eclipsemr/internal/hashing"
 )
@@ -19,7 +18,6 @@ type wireMsg struct {
 	S    string
 	Data []byte
 	K    hashing.Key
-	D    time.Duration
 	Ns   []int
 }
 
@@ -30,7 +28,6 @@ func (m wireMsg) AppendWire(dst []byte) []byte {
 	dst = AppendString(dst, m.S)
 	dst = AppendBytes(dst, m.Data)
 	dst = AppendKey(dst, m.K)
-	dst = AppendDuration(dst, m.D)
 	dst = AppendUvarint(dst, uint64(len(m.Ns)))
 	for _, n := range m.Ns {
 		dst = AppendInt(dst, int64(n))
@@ -40,7 +37,7 @@ func (m wireMsg) AppendWire(dst []byte) []byte {
 
 func (m *wireMsg) ParseWire(src []byte) error {
 	r := NewWireReader(src)
-	*m = wireMsg{U: r.Uvarint(), I: r.Int(), B: r.Bool(), S: r.Str(), Data: r.Bytes(), K: r.Key(), D: r.Duration()}
+	*m = wireMsg{U: r.Uvarint(), I: r.Int(), B: r.Bool(), S: r.Str(), Data: r.Bytes(), K: r.Key()}
 	if n := r.Count(1); n > 0 {
 		m.Ns = make([]int, n)
 		for i := range m.Ns {
@@ -53,10 +50,10 @@ func (m *wireMsg) ParseWire(src []byte) error {
 func TestWirePrimitivesRoundTrip(t *testing.T) {
 	cases := []wireMsg{
 		{},
-		{U: 1, I: -1, B: true, S: "s", Data: []byte{0}, K: 1, D: time.Second, Ns: []int{7}},
+		{U: 1, I: -1, B: true, S: "s", Data: []byte{0}, K: 1, Ns: []int{7}},
 		{U: math.MaxUint64, I: math.MinInt, S: "\xff\x00\xfe", Data: bytes.Repeat([]byte{0xAB}, 1<<20),
-			K: ^hashing.Key(0), D: math.MinInt64, Ns: []int{math.MaxInt, math.MinInt, 0}},
-		{I: math.MaxInt, D: math.MaxInt64},
+			K: ^hashing.Key(0), Ns: []int{math.MaxInt, math.MinInt, 0}},
+		{I: math.MaxInt},
 	}
 	for i, in := range cases {
 		enc, err := Encode(in)
@@ -71,7 +68,7 @@ func TestWirePrimitivesRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if out.U != in.U || out.I != in.I || out.B != in.B || out.S != in.S || !bytes.Equal(out.Data, in.Data) ||
-			out.K != in.K || out.D != in.D || len(out.Ns) != len(in.Ns) {
+			out.K != in.K || len(out.Ns) != len(in.Ns) {
 			t.Fatalf("case %d: round trip changed the message", i)
 		}
 		for j := range in.Ns {
