@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
-	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/events"
 	"eclipsemr/internal/hashing"
 )
@@ -298,59 +296,6 @@ func TestReuseTagOutputMatchesFreshRun(t *testing.T) {
 	for i := range a {
 		if !bytes.Equal(a[i], b[i]) {
 			t.Fatalf("output %d differs: %s vs %s", i, reused.OutputFiles[i], fresh.OutputFiles[i])
-		}
-	}
-}
-
-// TestReuseTagParentFormat: the parent commit's 0x01 files. Its marker
-// parses but has no signature, so it is not honoured; its journal, of a
-// tagged job interrupted while reducing, resumes, re-running the maps into
-// the job's own namespace, to a fresh run's bytes.
-func TestReuseTagParentFormat(t *testing.T) {
-	ctx := context.Background()
-	ec := newEngineCluster(t, engineOpts{nodes: 4})
-	text, want := wideCorpus(60, 4)
-	ec.upload(t, "legacy.txt", text, 256)
-	put := func(name, fixture string) {
-		t.Helper()
-		data, err := os.ReadFile(fixture)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if data[0] != legacyFormat {
-			t.Fatalf("%s opens with %#x", fixture, data[0])
-		}
-		if _, err := ec.fs[ec.ids[0]].Upload(ctx, name, "tester", dhtfs.PermPublic, data, 1<<20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(markerFile("legacy"), "testdata/marker-0x01")
-	put(journalFile("legacy-1"), "testdata/journal-0x01")
-
-	got, res := runCounts(t, ec, JobSpec{ID: "legacy-2", App: "test-wordcount", Inputs: []string{"legacy.txt"}, User: "tester", ReuseTag: "legacy"})
-	if res.MapsSkipped || res.MapTasks == 0 {
-		t.Errorf("the parent-written marker was honoured: %+v", res)
-	}
-	checkCounts(t, got, want)
-
-	resumed, err := ec.driver.Resume("legacy-1")
-	if err != nil {
-		t.Fatalf("resume of the parent-written journal: %v", err)
-	}
-	if resumed.MapsSkipped || resumed.MapTasks == 0 {
-		t.Errorf("the resumed tagged journal did not re-run its maps: %+v", resumed)
-	}
-	fresh, err := ec.driver.Run(JobSpec{ID: "legacy-fresh", App: "test-wordcount", Inputs: []string{"legacy.txt"}, User: "tester"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := outputs(t, ec, resumed), outputs(t, ec, fresh)
-	if len(a) != len(b) {
-		t.Fatalf("resumed run wrote %d files, fresh run %d", len(a), len(b))
-	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			t.Fatalf("output %d differs: %s vs %s", i, resumed.OutputFiles[i], fresh.OutputFiles[i])
 		}
 	}
 }

@@ -301,22 +301,12 @@ func (m *AdoptRangeResp) ParseWire(src []byte) error {
 // durableFormat is the first byte of a journal or reuse-marker file.
 const durableFormat = 0x02
 
-// legacyFormat is the parent commit's format, read for this one commit
-// (DESIGN.md §12): its job spec carried an IntermediateTTL and its marker
-// an expiry, both discarded, and a marker named no namespace and had no
-// signature.
-const legacyFormat = 0x01
-
-// readFormat reads a file's first byte.
-func readFormat(r *transport.WireReader) byte {
-	b := r.Raw(1)
-	if b == nil {
-		return durableFormat // the reader's error says why
-	}
-	if b[0] != durableFormat && b[0] != legacyFormat {
+// readFormat reads a file's first byte and refuses any format but
+// durableFormat (DESIGN.md §12).
+func readFormat(r *transport.WireReader) {
+	if b := r.Raw(1); b != nil && b[0] != durableFormat {
 		r.Fail(fmt.Errorf("mapreduce: file format %#x, want %#x", b[0], durableFormat))
 	}
-	return b[0]
 }
 
 func appendJobSpec(dst []byte, s JobSpec) []byte {
@@ -335,7 +325,7 @@ func appendJobSpec(dst []byte, s JobSpec) []byte {
 	return transport.AppendBool(dst, s.DisableJournal)
 }
 
-func readJobSpec(r *transport.WireReader, format byte) JobSpec {
+func readJobSpec(r *transport.WireReader) JobSpec {
 	s := JobSpec{ID: r.Str(), App: r.Str()}
 	if n := r.Count(1); n > 0 {
 		s.Inputs = make([]string, n)
@@ -345,9 +335,6 @@ func readJobSpec(r *transport.WireReader, format byte) JobSpec {
 	}
 	s.User, s.Params, s.SpillThreshold = r.Str(), readParams(r), r.Int()
 	s.ReuseTag, s.CacheOutputs = r.Str(), r.Bool()
-	if format == legacyFormat {
-		r.Int64() // IntermediateTTL
-	}
 	s.MaxAttempts, s.DisableJournal = r.Int(), r.Bool()
 	return s
 }
@@ -365,16 +352,9 @@ func (m marker) appendFields(dst []byte) []byte {
 
 // readMarker reads what appendFields wrote. The driver indexes the three
 // slices by partition, so a table whose slices differ in length is refused.
-func readMarker(r *transport.WireReader, format byte) marker {
-	m := marker{Servers: readNodeIDs(r), Bounds: readKeys(r), PartBytes: readInt64s(r)}
-	if format == legacyFormat {
-		r.Bytes() // Expires
-	}
-	m.Partitioner = r.Int()
-	if format != legacyFormat {
-		m.Namespace = r.Str()
-		copy(m.Sig[:], r.Raw(len(m.Sig)))
-	}
+func readMarker(r *transport.WireReader) marker {
+	m := marker{Servers: readNodeIDs(r), Bounds: readKeys(r), PartBytes: readInt64s(r), Partitioner: r.Int(), Namespace: r.Str()}
+	copy(m.Sig[:], r.Raw(len(m.Sig)))
 	if r.Err() == nil && (len(m.Bounds) != len(m.Servers) || len(m.PartBytes) != len(m.Servers)) {
 		r.Fail(fmt.Errorf("mapreduce: partition table of %d servers, %d bounds and %d sizes",
 			len(m.Servers), len(m.Bounds), len(m.PartBytes)))
@@ -390,7 +370,8 @@ func (m marker) AppendWire(dst []byte) []byte {
 // ParseWire implements transport.Wire.
 func (m *marker) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	*m = readMarker(&r, readFormat(&r))
+	readFormat(&r)
+	*m = readMarker(&r)
 	return r.Done()
 }
 
@@ -409,23 +390,14 @@ func (j journal) AppendWire(dst []byte) []byte {
 // ParseWire implements transport.Wire.
 func (j *journal) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
-	format := readFormat(&r)
+	readFormat(&r)
 	str, integer, boolean := (*transport.WireReader).Str, (*transport.WireReader).Int, (*transport.WireReader).Bool
 	*j = journal{
-		Spec: readJobSpec(&r, format), Phase: r.Str(), Generation: r.Int(), Mk: readMarker(&r, format),
+		Spec: readJobSpec(&r), Phase: r.Str(), Generation: r.Int(), Mk: readMarker(&r),
 		MapsDone:  readMap(&r, 2, str, boolean),
 		Attempts:  readMap(&r, 2, str, integer),
 		PartsDone: readMap(&r, 2, integer, str),
 		Lost:      readMap(&r, 2, integer, boolean),
-	}
-	if format == legacyFormat {
-		j.Mk.Namespace = j.Spec.Namespace()
-		if j.Spec.ReuseTag != "" && j.Phase != phaseDone {
-			// Its spills are in the namespace its tag shared, which no
-			// job reads now: the maps run again, into its own.
-			j.Phase, j.MapsDone, j.PartsDone, j.Lost = phaseMap, nil, nil, nil
-			j.Mk.PartBytes = make([]int64, len(j.Mk.Servers))
-		}
 	}
 	return r.Done()
 }

@@ -241,7 +241,7 @@ func TestWireHostileCounts(t *testing.T) {
 }
 
 // TestDurableFormatIsTwo: a journal or marker file whose first byte is
-// neither format 0x02 nor the parent's 0x01 is refused, 0x00 included.
+// not format 0x02 is refused, the earlier 0x00 and 0x01 included.
 func TestDurableFormatIsTwo(t *testing.T) {
 	for i, m := range wireCases() {
 		var fresh transport.Wire
@@ -257,7 +257,7 @@ func TestDurableFormatIsTwo(t *testing.T) {
 		if data[0] != durableFormat {
 			t.Fatalf("case %d opens with %#x", i, data[0])
 		}
-		for _, b := range []byte{0x00, 0x03, 0xff} {
+		for _, b := range []byte{0x00, 0x01, 0x03, 0xff} {
 			data[0] = b
 			if err := fresh.ParseWire(data); err == nil {
 				t.Fatalf("case %d (%T) with format %#x was read", i, m, b)
