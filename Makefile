@@ -29,9 +29,12 @@ check:
 # iterative run killed between or inside its iterations resumes to a
 # straight run's state, bit for bit (internal/apps); and runs under one
 # reuse tag publish, reuse and supersede each other's map phases while
-# others reduce them, concurrently, and each still counts its own input.
+# others reduce them, concurrently, and each still counts its own input;
+# and the segment budget evicts finished namespaces while later runs
+# reuse them, a holder that lost a namespace reading as short, never as
+# empty.
 # This is the one list: CI and scripts/check.sh run this target.
-LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup|SharedRingNeverChanges|CombinerError|SlabReuse|ReuseTag
+LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup|SharedRingNeverChanges|CombinerError|SlabReuse|ReuseTag|SegmentBudget
 lifecycle:
 	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/apps ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs ./internal/nodecmd
 

@@ -421,15 +421,12 @@ func printClusterStats(net transport.Network, hosts map[hashing.NodeID]string) {
 		metrics.Merge(&total, resp.Metrics)
 	}
 	// Ratios cannot be summed across nodes: recompute the cluster-wide
-	// hit ratio from the merged hit/miss counters, and drop the per-node
-	// partition ratios whose sum is meaningless.
+	// hit ratio from the merged hit/miss counters.
 	if lookups := total.Values["cache.hits"] + total.Values["cache.misses"]; lookups > 0 {
 		total.Values["cache.hit_ratio_bp"] = total.Values["cache.hits"] * 10000 / lookups
 	} else {
 		delete(total.Values, "cache.hit_ratio_bp")
 	}
-	delete(total.Values, "cache.icache.hit_ratio_bp")
-	delete(total.Values, "cache.ocache.hit_ratio_bp")
 
 	renderStats(os.Stdout, total, reached, len(hosts))
 }

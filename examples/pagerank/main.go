@@ -1,7 +1,8 @@
 // Page rank: run the iterative page rank application over a synthetic
 // power-law web graph, storing each iteration's outputs in the DHT file
-// system (and oCache) exactly as the paper's iterative experiments do,
-// then print the highest-ranked nodes.
+// system as the paper's iterative experiments do, then print the
+// highest-ranked nodes. Each iteration's intermediate results stay in
+// the nodes' segment stores, the oCache, until its budget evicts them.
 //
 //	go run ./examples/pagerank
 package main
@@ -29,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := apps.RunPageRank(c, "web.graph", "demo", n, 5, true /* cache iteration outputs */)
+	res, err := apps.RunPageRank(c, "web.graph", "demo", n, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

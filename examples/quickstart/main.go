@@ -18,7 +18,8 @@ import (
 
 func main() {
 	// Eight worker servers in one process: each holds a DHT file system
-	// shard, an iCache/oCache slice, and 8 map + 8 reduce slots.
+	// shard whose intermediate results are its oCache, an iCache slice,
+	// and 8 map + 8 reduce slots.
 	c, err := eclipsemr.NewCluster(8, eclipsemr.Options{
 		Policy: eclipsemr.PolicyLAF,
 	})

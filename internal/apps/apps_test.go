@@ -250,7 +250,7 @@ func TestPageRankMatchesLocalPowerIteration(t *testing.T) {
 	const n = 60
 	graph := workloads.Graph(12, n, 3)
 	uploadLines(t, c, "graph.txt", graph)
-	res, err := RunPageRank(c, "graph.txt", "u", n, 5, false)
+	res, err := RunPageRank(c, "graph.txt", "u", n, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestLogRegLearnsSeparator(t *testing.T) {
 	c := newCluster(t, 3)
 	data, _ := workloads.LabeledPoints(13, 800, 4)
 	uploadLines(t, c, "lp.txt", data)
-	res, err := RunLogReg(c, "lp.txt", "u", 4, 10, 0.5, false)
+	res, err := RunLogReg(c, "lp.txt", "u", 4, 10, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,9 +128,9 @@ type KMeansResult struct {
 
 // RunKMeans executes `iters` Lloyd iterations over a points file. Initial
 // centroids seed from the first k distinct emitted centroids of a
-// caller-provided start matrix. cacheOutputs stores iteration outputs in
-// oCache as the paper's iterative experiments do.
-func RunKMeans(r Runner, input, user string, initial [][]float64, iters int, cacheOutputs bool) (KMeansResult, error) {
+// caller-provided start matrix. The last argument is ignored; it remains
+// for bench/workloads.go until the [benchmark] PR.
+func RunKMeans(r Runner, input, user string, initial [][]float64, iters int, _ bool) (KMeansResult, error) {
 	if len(initial) == 0 {
 		return KMeansResult{}, fmt.Errorf("apps: kmeans needs initial centroids")
 	}
@@ -152,7 +152,6 @@ func RunKMeans(r Runner, input, user string, initial [][]float64, iters int, cac
 				"dim":       []byte(strconv.Itoa(dim)),
 				"centroids": encodeMat(centroids),
 			},
-			CacheOutputs: cacheOutputs,
 		}
 		res, err := r.Run(spec)
 		if err != nil {
@@ -303,7 +302,7 @@ type PageRankResult struct {
 
 // RunPageRank executes `iters` power iterations over an adjacency-list
 // file with n nodes.
-func RunPageRank(r Runner, input, user string, n, iters int, cacheOutputs bool) (PageRankResult, error) {
+func RunPageRank(r Runner, input, user string, n, iters int) (PageRankResult, error) {
 	ranks := make(map[string]float64)
 	var out PageRankResult
 	for it := 0; it < iters; it++ {
@@ -317,7 +316,6 @@ func RunPageRank(r Runner, input, user string, n, iters int, cacheOutputs bool) 
 				"n":     []byte(strconv.Itoa(n)),
 				"ranks": []byte(formatRanks(ranks)),
 			},
-			CacheOutputs: cacheOutputs,
 		}
 		res, err := r.Run(spec)
 		if err != nil {
@@ -397,7 +395,7 @@ type LogRegResult struct {
 
 // RunLogReg executes `iters` gradient-descent iterations with learning
 // rate lr over a labeled-points file.
-func RunLogReg(r Runner, input, user string, dim, iters int, lr float64, cacheOutputs bool) (LogRegResult, error) {
+func RunLogReg(r Runner, input, user string, dim, iters int, lr float64) (LogRegResult, error) {
 	out := LogRegResult{Weights: make([]float64, dim)}
 	for it := 0; it < iters; it++ {
 		began := time.Now()
@@ -410,7 +408,6 @@ func RunLogReg(r Runner, input, user string, dim, iters int, lr float64, cacheOu
 				"dim":     []byte(strconv.Itoa(dim)),
 				"weights": encodeVec(out.Weights),
 			},
-			CacheOutputs: cacheOutputs,
 		}
 		res, err := r.Run(spec)
 		if err != nil {

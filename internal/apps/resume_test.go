@@ -158,7 +158,7 @@ func TestLogRegResumeMatchesStraightRun(t *testing.T) {
 	data, _ := workloads.LabeledPoints(22, 900, 3)
 	uploadLines(t, c, "cklr.csv", data)
 	checkResume(t, c, func(r Runner, iters int) ([]string, []float64, []mapreduce.Result, error) {
-		res, err := RunLogReg(r, "cklr.csv", "u", 3, iters, 0.5, false)
+		res, err := RunLogReg(r, "cklr.csv", "u", 3, iters, 0.5)
 		return nil, res.Weights, res.Results, err
 	})
 }
@@ -168,7 +168,7 @@ func TestPageRankResumeMatchesStraightRun(t *testing.T) {
 	const n = 400
 	uploadLines(t, c, "ckpr.txt", workloads.Graph(24, n, 3))
 	checkResume(t, c, func(r Runner, iters int) ([]string, []float64, []mapreduce.Result, error) {
-		res, err := RunPageRank(r, "ckpr.txt", "u", n, iters, false)
+		res, err := RunPageRank(r, "ckpr.txt", "u", n, iters)
 		nodes := make([]string, 0, len(res.Ranks))
 		for node := range res.Ranks {
 			nodes = append(nodes, node)

@@ -309,22 +309,22 @@ func TestIterativeResultsBitIdenticalToParentUnderDrops(t *testing.T) {
 	if !reflect.DeepEqual(km.Centroids, kmParent.Centroids) || !reflect.DeepEqual(km.Shifts, kmParent.Shifts) {
 		t.Errorf("k-means diverged from the parent's maps:\n got %v\nwant %v", km.Centroids, kmParent.Centroids)
 	}
-	pr, err := RunPageRank(now, "graph.txt", "u", 60, 5, false)
+	pr, err := RunPageRank(now, "graph.txt", "u", 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prParent, err := RunPageRank(parent, "graph.txt", "u", 60, 5, false)
+	prParent, err := RunPageRank(parent, "graph.txt", "u", 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pr.Ranks) != 60 || !reflect.DeepEqual(pr.Ranks, prParent.Ranks) {
 		t.Errorf("page rank diverged from the parent's maps:\n got %v\nwant %v", pr.Ranks, prParent.Ranks)
 	}
-	lr, err := RunLogReg(now, "lp.txt", "u", 4, 6, 0.5, false)
+	lr, err := RunLogReg(now, "lp.txt", "u", 4, 6, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lrParent, err := RunLogReg(parent, "lp.txt", "u", 4, 6, 0.5, false)
+	lrParent, err := RunLogReg(parent, "lp.txt", "u", 4, 6, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,16 @@
 // Package cache implements EclipseMR's distributed in-memory key-value
-// cache layer. Each worker server holds one Cache, split into two
-// partitions exactly as in §II-B of the paper:
-//
-//   - iCache: input data blocks, cached implicitly by hash key when a map
-//     task reads them. Because placement follows the scheduler's hash-key
-//     ranges rather than storage locality, popular blocks spread across
-//     the whole cluster's memory.
-//   - oCache: intermediate results of map tasks and outputs of iterative
-//     jobs, cached explicitly by applications and tagged with metadata
-//     (application ID, user-assigned data ID). Entries carry a TTL.
-//
-// Both partitions use LRU replacement with byte-accounted capacity.
+// cache layer, the iCache of §II-B of the paper: input data blocks,
+// cached implicitly by hash key when a map task reads them. Because
+// placement follows the scheduler's hash-key ranges rather than storage
+// locality, popular blocks spread across the whole cluster's memory. It
+// uses LRU replacement with byte-accounted capacity. The paper's oCache,
+// intermediate results and iteration outputs, is the node's segment
+// store (dhtfs.Store).
 package cache
 
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/hashing"
@@ -24,8 +18,7 @@ import (
 
 // Entry is one cached object.
 type Entry struct {
-	// Key is the namespaced lookup key (e.g. "block:<hashkey>" for iCache
-	// or "ocache:<app>:<tag>" for oCache).
+	// Key is the namespaced lookup key (e.g. "block:<hashkey>").
 	Key string
 	// HashKey is the object's position in the ring key space; the
 	// scheduler uses it for locality prediction and the migration option
@@ -41,9 +34,6 @@ type Entry struct {
 	// hands out carries one of its own, taken under the partition's lock,
 	// for the caller to drop with Release.
 	Value any
-	// Expires, when non-zero, invalidates the entry after this instant
-	// (the paper's TTL on stored intermediate results).
-	Expires time.Time
 }
 
 // retain takes the reference one holder of the entry owns.
@@ -64,11 +54,10 @@ func (e Entry) Release() {
 
 // Stats are cumulative counters for one partition.
 type Stats struct {
-	Hits        uint64
-	Misses      uint64
-	Insertions  uint64
-	Evictions   uint64
-	Expirations uint64
+	Hits       uint64
+	Misses     uint64
+	Insertions uint64
+	Evictions  uint64
 }
 
 // HitRatio returns hits / (hits+misses), or 0 before any lookup.
@@ -89,7 +78,6 @@ type LRU struct {
 	ll       *list.List // front = most recently used; values are *Entry
 	table    map[string]*list.Element
 	stats    Stats
-	now      func() time.Time
 }
 
 // NewLRU creates a partition holding at most capacity bytes. A zero or
@@ -100,16 +88,7 @@ func NewLRU(capacity int64) *LRU {
 		capacity: capacity,
 		ll:       list.New(),
 		table:    make(map[string]*list.Element),
-		now:      time.Now,
 	}
-}
-
-// SetClock overrides the time source, for deterministic TTL tests and for
-// the discrete-event simulator's virtual clock.
-func (c *LRU) SetClock(now func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = now
 }
 
 // Capacity returns the partition's byte capacity.
@@ -179,7 +158,6 @@ func handOut(e *Entry) Entry {
 }
 
 // Get looks up a key, promoting it to most-recently-used on a hit.
-// Expired entries count as misses and are removed.
 func (c *LRU) Get(key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -188,16 +166,9 @@ func (c *LRU) Get(key string) (Entry, bool) {
 		c.stats.Misses++
 		return Entry{}, false
 	}
-	e := el.Value.(*Entry)
-	if !e.Expires.IsZero() && c.now().After(e.Expires) {
-		c.removeElement(el)
-		c.stats.Expirations++
-		c.stats.Misses++
-		return Entry{}, false
-	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
-	return handOut(e), true
+	return handOut(el.Value.(*Entry)), true
 }
 
 // Peek looks up a key without promoting it or counting hit/miss stats.
@@ -210,15 +181,7 @@ func (c *LRU) Peek(key string) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	e := el.Value.(*Entry)
-	if !e.Expires.IsZero() && c.now().After(e.Expires) {
-		// Drop the dead entry just like Get: leaving it resident would
-		// hold capacity and let EntriesInRange-style scans see it again.
-		c.removeElement(el)
-		c.stats.Expirations++
-		return Entry{}, false
-	}
-	return handOut(e), true
+	return handOut(el.Value.(*Entry)), true
 }
 
 // Remove deletes a key, reporting whether it was present.
@@ -233,19 +196,15 @@ func (c *LRU) Remove(key string) bool {
 	return true
 }
 
-// EntriesInRange returns (copies of) all live entries whose HashKey falls
+// EntriesInRange returns (copies of) all entries whose HashKey falls
 // in [start, end). The misplaced-cached-data migration option from §II-E
 // uses this to find entries a neighbor's new hash-key range now covers.
 func (c *LRU) EntriesInRange(start, end hashing.Key) []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
 	var out []Entry
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*Entry)
-		if !e.Expires.IsZero() && now.After(e.Expires) {
-			continue // dead data must not migrate across the ring
-		}
 		if hashing.InRange(e.HashKey, start, end) {
 			out = append(out, handOut(e))
 		}
@@ -253,7 +212,7 @@ func (c *LRU) EntriesInRange(start, end hashing.Key) []Entry {
 	return out
 }
 
-// Len returns the number of live entries.
+// Len returns the number of entries.
 func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/hashing"
@@ -99,62 +98,6 @@ func TestZeroCapacityCachesNothing(t *testing.T) {
 	neg := NewLRU(-5)
 	if neg.Put(Entry{Key: "x", Size: 0}) {
 		t.Fatal("negative-capacity cache stored an entry")
-	}
-}
-
-func TestTTLExpiry(t *testing.T) {
-	c := NewLRU(100)
-	now := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return now })
-	c.Put(Entry{Key: "t", Size: 1, Expires: now.Add(10 * time.Second)})
-	if _, ok := c.Get("t"); !ok {
-		t.Fatal("entry expired early")
-	}
-	now = now.Add(11 * time.Second)
-	if _, ok := c.Get("t"); ok {
-		t.Fatal("expired entry still served")
-	}
-	st := c.Stats()
-	if st.Expirations != 1 {
-		t.Fatalf("expirations = %d", st.Expirations)
-	}
-	if _, ok := c.Peek("t"); ok {
-		t.Fatal("Peek served expired entry")
-	}
-}
-
-func TestPeekDropsExpiredEntry(t *testing.T) {
-	c := NewLRU(100)
-	now := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return now })
-	c.Put(Entry{Key: "t", Size: 7, Expires: now.Add(time.Second)})
-	now = now.Add(2 * time.Second)
-	if _, ok := c.Peek("t"); ok {
-		t.Fatal("Peek served expired entry")
-	}
-	// The expired entry must be removed, not left resident holding bytes.
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("expired entry still resident: len=%d bytes=%d", c.Len(), c.Bytes())
-	}
-	if st := c.Stats(); st.Expirations != 1 {
-		t.Fatalf("expirations = %d", st.Expirations)
-	}
-	// Peek still must not count hits or misses.
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Peek counted stats: %+v", st)
-	}
-}
-
-func TestEntriesInRangeSkipsExpired(t *testing.T) {
-	c := NewLRU(1000)
-	now := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return now })
-	c.Put(Entry{Key: "live", HashKey: 100, Size: 1})
-	c.Put(Entry{Key: "dying", HashKey: 200, Size: 1, Expires: now.Add(time.Second)})
-	now = now.Add(2 * time.Second)
-	got := c.EntriesInRange(0, 500)
-	if len(got) != 1 || got[0].Key != "live" {
-		t.Fatalf("EntriesInRange returned expired entries: %+v", got)
 	}
 }
 
@@ -278,7 +221,7 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestNodeCacheBlocks(t *testing.T) {
-	nc := New(1024, 1024)
+	nc := New(1024, 0)
 	k := hashing.KeyOfString("block-0")
 	if !nc.PutBlock(k, []byte("hello")) {
 		t.Fatal("PutBlock failed")
@@ -289,50 +232,6 @@ func TestNodeCacheBlocks(t *testing.T) {
 	}
 	if _, ok := nc.GetBlock(hashing.KeyOfString("other")); ok {
 		t.Fatal("GetBlock hit on missing block")
-	}
-}
-
-func TestNodeCacheTagged(t *testing.T) {
-	nc := New(1024, 1024)
-	now := time.Unix(0, 0)
-	nc.SetClock(func() time.Time { return now })
-	hk := hashing.KeyOfString("wc:iter1")
-	if !nc.PutTagged("wordcount", "iter1", hk, []byte("result"), time.Minute) {
-		t.Fatal("PutTagged failed")
-	}
-	data, ok := nc.GetTagged("wordcount", "iter1")
-	if !ok || string(data) != "result" {
-		t.Fatalf("GetTagged = %q, %v", data, ok)
-	}
-	// Tags from other applications do not collide.
-	if _, ok := nc.GetTagged("grep", "iter1"); ok {
-		t.Fatal("cross-application tag hit")
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := nc.GetTagged("wordcount", "iter1"); ok {
-		t.Fatal("TTL not honored for tagged entry")
-	}
-}
-
-func TestNodeCacheCombinedStats(t *testing.T) {
-	nc := New(1024, 1024)
-	k := hashing.KeyOfString("b")
-	nc.PutBlock(k, []byte("x"))
-	nc.GetBlock(k)                 // iCache hit
-	nc.GetTagged("app", "missing") // oCache miss
-	st := nc.CombinedStats()
-	if st.Hits != 1 || st.Misses != 1 || st.Insertions != 1 {
-		t.Fatalf("combined stats = %+v", st)
-	}
-	if st.HitRatio() != 0.5 {
-		t.Fatalf("combined hit ratio = %g", st.HitRatio())
-	}
-}
-
-func TestNewSharedSplitsCapacity(t *testing.T) {
-	nc := NewShared(1001)
-	if nc.ICache.Capacity()+nc.OCache.Capacity() != 1001 {
-		t.Fatal("NewShared lost capacity to rounding")
 	}
 }
 
@@ -445,21 +344,21 @@ func TestDecodeErrorAndOversizeCacheNothing(t *testing.T) {
 
 // TestRejectedPutDropsThePreviousValue: a value that no longer fits the
 // partition must not leave its predecessor answering under the same key
-// (an oCache tag whose new iteration output outgrew the partition served
-// the old iteration's bytes).
+// (a decoded split that outgrew the iCache served the one it replaced).
 func TestRejectedPutDropsThePreviousValue(t *testing.T) {
-	nc := New(0, 8)
-	if !nc.PutTagged("app", "out:p0", 1, []byte("iter-1"), 0) {
+	nc := New(8, 0)
+	id := BlockID{Key: 1, Sum: [20]byte{1}}
+	if !nc.PutBlockVersion(id, blockbuf.Of([]byte("iter-1"))) {
 		t.Fatal("a value that fits was rejected")
 	}
-	if nc.PutTagged("app", "out:p0", 1, []byte("iteration-2"), 0) {
+	if nc.PutBlockVersion(id, blockbuf.Of([]byte("iteration-2"))) {
 		t.Fatal("a value larger than the partition was stored")
 	}
-	if data, ok := nc.GetTagged("app", "out:p0"); ok {
-		t.Fatalf("the tag still answers with %q after a newer value was rejected", data)
+	if buf, ok := nc.GetBlockVersion(id); ok {
+		t.Fatalf("the block still answers with %q after a newer value was rejected", buf.Bytes())
 	}
-	if nc.OCache.Len() != 0 || nc.OCache.Bytes() != 0 {
-		t.Fatalf("oCache holds %d entries, %d bytes", nc.OCache.Len(), nc.OCache.Bytes())
+	if nc.ICache.Len() != 0 || nc.ICache.Bytes() != 0 {
+		t.Fatalf("iCache holds %d entries, %d bytes", nc.ICache.Len(), nc.ICache.Bytes())
 	}
 }
 
@@ -473,49 +372,35 @@ func TestBufferLifecycleEveryLRUExit(t *testing.T) {
 	other := func() Entry { return Entry{Key: "block:b", Size: 64, Value: blockbuf.Of(make([]byte, 64))} }
 	cases := []struct {
 		name string
-		exit func(t *testing.T, c *LRU, now *time.Time)
+		exit func(t *testing.T, c *LRU)
 	}{
-		{"evict", func(t *testing.T, c *LRU, _ *time.Time) {
+		{"evict", func(t *testing.T, c *LRU) {
 			c.Put(other())
 			c.Put(Entry{Key: "block:c", Size: 64, Value: blockbuf.Of(make([]byte, 64))})
 		}},
-		{"replace", func(t *testing.T, c *LRU, _ *time.Time) {
+		{"replace", func(t *testing.T, c *LRU) {
 			c.Put(Entry{Key: key, Size: 64, Value: blockbuf.Of(make([]byte, 64))})
 		}},
-		{"replace by another kind of value", func(t *testing.T, c *LRU, _ *time.Time) {
+		{"replace by another kind of value", func(t *testing.T, c *LRU) {
 			c.Put(Entry{Key: key, Size: 1, Value: "split"})
 		}},
-		{"rejected put", func(t *testing.T, c *LRU, _ *time.Time) {
+		{"rejected put", func(t *testing.T, c *LRU) {
 			if c.Put(Entry{Key: key, Size: 1 << 20, Value: blockbuf.Of(make([]byte, 1<<20))}) {
 				t.Fatal("oversized entry stored")
 			}
 		}},
-		{"remove", func(t *testing.T, c *LRU, _ *time.Time) {
+		{"remove", func(t *testing.T, c *LRU) {
 			if !c.Remove(key) {
 				t.Fatal("Remove found nothing")
 			}
 		}},
-		{"expiry in Get", func(t *testing.T, c *LRU, now *time.Time) {
-			*now = now.Add(time.Hour)
-			if _, ok := c.Get(key); ok {
-				t.Fatal("expired entry answered")
-			}
-		}},
-		{"expiry in Peek", func(t *testing.T, c *LRU, now *time.Time) {
-			*now = now.Add(time.Hour)
-			if _, ok := c.Peek(key); ok {
-				t.Fatal("expired entry answered")
-			}
-		}},
-		{"clear", func(t *testing.T, c *LRU, _ *time.Time) { c.Clear() }},
+		{"clear", func(t *testing.T, c *LRU) { c.Clear() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			now := time.Unix(1000, 0)
 			c := NewLRU(128)
-			c.SetClock(func() time.Time { return now })
 			buf := blockbuf.Adopt(bytes.Clone(content))
-			if !c.Put(Entry{Key: key, HashKey: 1, Size: 64, Value: buf, Expires: now.Add(time.Minute)}) {
+			if !c.Put(Entry{Key: key, HashKey: 1, Size: 64, Value: buf}) {
 				t.Fatal("Put rejected")
 			}
 			buf.Release() // the entry has its own
@@ -531,7 +416,7 @@ func TestBufferLifecycleEveryLRUExit(t *testing.T) {
 				e.Release()
 			}
 
-			tc.exit(t, c, &now)
+			tc.exit(t, c)
 
 			if el, ok := c.table[key]; ok && el.Value.(*Entry).Value == any(buf) {
 				t.Fatal("the entry is still resident")

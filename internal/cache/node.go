@@ -2,19 +2,18 @@ package cache
 
 import (
 	"sync"
-	"time"
 
 	"eclipsemr/internal/blockbuf"
 	"eclipsemr/internal/hashing"
 )
 
 // NodeCache is one worker server's slice of the distributed in-memory
-// cache: an iCache partition for input blocks (raw bytes and the splits
-// applications decode from them) and an oCache partition for tagged
-// intermediate results and iteration outputs.
+// cache: the iCache, for input blocks (raw bytes and the splits
+// applications decode from them). The paper's oCache, for intermediate
+// results, is the node's segment store (dhtfs.Store), whose budget is the
+// rest of the node's cache bytes.
 type NodeCache struct {
 	ICache *LRU
-	OCache *LRU
 
 	// decoding holds the decoded-split builds in progress, by iCache key,
 	// so concurrent misses on one split share one decode.
@@ -30,27 +29,14 @@ type decodeFlight struct {
 	err   error
 }
 
-// New builds a NodeCache with the given per-partition byte capacities.
-func New(iCapacity, oCapacity int64) *NodeCache {
+// New builds a NodeCache whose iCache holds iCapacity bytes. The second
+// argument is ignored; it remains for bench/probes.go until the
+// [benchmark] PR.
+func New(iCapacity, _ int64) *NodeCache {
 	return &NodeCache{
 		ICache:   NewLRU(iCapacity),
-		OCache:   NewLRU(oCapacity),
 		decoding: make(map[string]*decodeFlight),
 	}
-}
-
-// NewShared builds a NodeCache where both partitions share a single
-// capacity figure split evenly, the configuration used by the paper's
-// experiments ("we set the size of distributed in-memory cache per server
-// to 1 GB").
-func NewShared(capacity int64) *NodeCache {
-	return New(capacity/2, capacity-capacity/2)
-}
-
-// SetClock overrides the time source of both partitions.
-func (nc *NodeCache) SetClock(now func() time.Time) {
-	nc.ICache.SetClock(now)
-	nc.OCache.SetClock(now)
 }
 
 // BlockID names one version of an input block: the ring key it is
@@ -86,13 +72,6 @@ func BlockIDOf(e Entry) (BlockID, bool) {
 
 // decodedKey is the iCache lookup key of app's decoded split of the block.
 func (id BlockID) decodedKey(app string) string { return "split:" + app + ":" + id.version() }
-
-// TagKey is the oCache lookup key for an explicitly cached object,
-// namespaced by application ID and the user-assigned data ID (§II-B: the
-// cached data is tagged with "application ID, user-assigned ID").
-func TagKey(appID, dataID string) string {
-	return "ocache:" + appID + ":" + dataID
-}
 
 // PutBlock caches an input data block of unknown digest in iCache. The
 // cache shares data with the caller, who must not write to it afterwards.
@@ -187,48 +166,4 @@ func (nc *NodeCache) Decode(app string, id BlockID, decode func() (split any, si
 	nc.decodeMu.Unlock()
 	close(f.done)
 	return f.split, true, f.err
-}
-
-// PutTagged caches an application-tagged object (intermediate result or
-// iteration output) in oCache with an optional TTL.
-func (nc *NodeCache) PutTagged(appID, dataID string, hashKey hashing.Key, data []byte, ttl time.Duration) bool {
-	e := Entry{
-		Key:     TagKey(appID, dataID),
-		HashKey: hashKey,
-		Size:    int64(len(data)),
-		Value:   data,
-	}
-	if ttl > 0 {
-		e.Expires = nowOf(nc.OCache).Add(ttl)
-	}
-	return nc.OCache.Put(e)
-}
-
-// GetTagged fetches an application-tagged object from oCache.
-func (nc *NodeCache) GetTagged(appID, dataID string) ([]byte, bool) {
-	e, ok := nc.OCache.Get(TagKey(appID, dataID))
-	if !ok {
-		return nil, false
-	}
-	data, _ := e.Value.([]byte)
-	return data, true
-}
-
-// CombinedStats sums the two partitions' counters, the figure the paper
-// reports as "the overall cache hit ratio".
-func (nc *NodeCache) CombinedStats() Stats {
-	i, o := nc.ICache.Stats(), nc.OCache.Stats()
-	return Stats{
-		Hits:        i.Hits + o.Hits,
-		Misses:      i.Misses + o.Misses,
-		Insertions:  i.Insertions + o.Insertions,
-		Evictions:   i.Evictions + o.Evictions,
-		Expirations: i.Expirations + o.Expirations,
-	}
-}
-
-func nowOf(c *LRU) time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now()
 }

@@ -581,18 +581,16 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 	return total
 }
 
-// CacheStats aggregates every live node's combined iCache+oCache
-// counters, the cluster-wide figure the paper reports as the cache hit
-// ratio.
+// CacheStats aggregates every live node's iCache counters, the
+// cluster-wide figure the paper reports as the cache hit ratio.
 func (c *Cluster) CacheStats() cache.Stats {
 	var total cache.Stats
 	for _, n := range c.live() {
-		s := n.cache.CombinedStats()
+		s := n.cache.ICache.Stats()
 		total.Hits += s.Hits
 		total.Misses += s.Misses
 		total.Insertions += s.Insertions
 		total.Evictions += s.Evictions
-		total.Expirations += s.Expirations
 	}
 	return total
 }

@@ -42,7 +42,8 @@ type Config struct {
 	MapSlots    int
 	ReduceSlots int
 	// CacheBytes is the distributed in-memory cache capacity per server,
-	// split evenly between iCache and oCache. Default 64 MiB.
+	// split evenly between the iCache and the oCache: the segment store's
+	// finished intermediate namespaces (dhtfs.Store). Default 64 MiB.
 	CacheBytes int64
 	// BlockSize is the default DHT-FS block size for uploads. The paper
 	// uses 128 MB; the in-process default is 256 KiB (experiments scale
@@ -256,7 +257,10 @@ func NewNode(id hashing.NodeID, net transport.Network, cfg Config) (*Node, error
 		return nil, err
 	}
 	n.fs = fs
-	n.cache = cache.NewShared(cfg.CacheBytes)
+	// Half the cache bytes go to the iCache; the rest bound the segment
+	// store's finished namespaces, the paper's oCache.
+	n.cache = cache.New(cfg.CacheBytes/2, 0)
+	fs.SetSegmentBudget(cfg.CacheBytes - cfg.CacheBytes/2)
 	n.worker = mapreduce.NewWorker(id, fs, n.cache, net)
 	n.tracer = trace.New(string(id), cfg.Trace)
 	n.fs.SetTracer(n.tracer)
@@ -301,16 +305,13 @@ func (n *Node) AddMetricsSource(src func() metrics.Snapshot) {
 func (n *Node) MetricsSnapshot() metrics.Snapshot {
 	snap := n.worker.Metrics().Snapshot()
 	metrics.Merge(&snap, n.fs.Metrics().Snapshot())
-	cs := n.cache.CombinedStats()
+	cs := n.cache.ICache.Stats()
 	snap.Values["cache.hits"] = int64(cs.Hits)
 	snap.Values["cache.misses"] = int64(cs.Misses)
 	snap.Values["cache.insertions"] = int64(cs.Insertions)
 	snap.Values["cache.evictions"] = int64(cs.Evictions)
-	snap.Values["cache.expirations"] = int64(cs.Expirations)
-	snap.Values["cache.bytes"] = n.cache.ICache.Bytes() + n.cache.OCache.Bytes()
+	snap.Values["cache.bytes"] = n.cache.ICache.Bytes()
 	snap.Values["cache.hit_ratio_bp"] = int64(cs.HitRatio() * 10000)
-	snap.Values["cache.icache.hit_ratio_bp"] = int64(n.cache.ICache.Stats().HitRatio() * 10000)
-	snap.Values["cache.ocache.hit_ratio_bp"] = int64(n.cache.OCache.Stats().HitRatio() * 10000)
 	// Ring-overflow gauges, refreshed at snapshot time like the cache
 	// figures: invisible overflow is how a debugging session discovers too
 	// late that its history was overwritten.

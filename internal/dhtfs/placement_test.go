@@ -113,7 +113,7 @@ func TestFileShapes(t *testing.T) {
 			readEverywhere(t, tc, sh.file, data)
 			// The iCache names a block by key and digest, so a block an
 			// earlier version cached under the same key cannot be served.
-			ic := cache.NewShared(1 << 20)
+			ic := cache.New(1<<19, 0)
 			for _, old := range earlier {
 				for i, k := range old.BlockKeys {
 					ic.PutBlockVersion(cache.BlockID{Key: k, Sum: old.BlockSums[i]}, blockbuf.Of([]byte("stale")))

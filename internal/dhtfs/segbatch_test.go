@@ -3,6 +3,7 @@ package dhtfs
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"eclipsemr/internal/transport"
@@ -143,5 +144,56 @@ func TestRawTaggedFetchRejectsOverrun(t *testing.T) {
 	}
 	if segs, err := a.FetchTaggedSegments(context.Background(), "liar", "jobG", "p0000"); err == nil {
 		t.Fatalf("overrunning reply accepted as %+v", segs)
+	}
+}
+
+// TestSegmentBudgetEvictsFinishedNamespaces: a namespace is charged once a
+// fetch has read each of its partitions since their last append; over
+// budget, the least recently fetched finished namespace goes whole, never
+// an unfinished one and never the one just fetched.
+func TestSegmentBudgetEvictsFinishedNamespaces(t *testing.T) {
+	s := NewStore()
+	var evicted []string
+	s.setSegmentBudget(100, func(ns string) { evicted = append(evicted, ns) })
+	put := func(ns, part string, n int) { s.AppendTaskSegment(ns, part, "m0", 0, 0, make([]byte, n)) }
+	fetch := func(ns, part string) { s.ReadTaggedSegments(ns, part) }
+	check := func(step string, finished int64, gone ...string) {
+		t.Helper()
+		if got := s.FinishedBytes(); got != finished {
+			t.Fatalf("%s: %d finished bytes, want %d", step, got, finished)
+		}
+		if !slices.Equal(evicted, gone) {
+			t.Fatalf("%s: evicted %q, want %q", step, evicted, gone)
+		}
+	}
+
+	put("a", "p0", 40)
+	put("a", "p1", 40)
+	fetch("a", "p0")
+	check("a half fetched", 0)
+	fetch("a", "p1")
+	check("a fetched", 80)
+	put("b", "p0", 60)
+	check("b mapping", 80)
+	put("c", "p0", 40)
+	fetch("c", "p0")
+	check("c fetched", 40, "a")
+	put("c", "p1", 10)
+	check("c appended to", 0, "a")
+	fetch("c", "p1")
+	check("c fetched again", 50, "a")
+
+	put("d", "p0", 200)
+	fetch("d", "p0")
+	check("d alone over budget", 200, "a", "c")
+	fetch("b", "p0")
+	check("b fetched", 60, "a", "c", "d")
+	if _, _, segs := s.Counts(); segs != 1 || s.Bytes() != 60 {
+		t.Fatalf("%d segment streams, %d bytes resident, want b's 1 and 60", segs, s.Bytes())
+	}
+	s.DropJobSegments("b")
+	check("b dropped", 0, "a", "c", "d")
+	if got := s.ReadTaggedSegments("a", "p0"); got != nil {
+		t.Fatalf("an evicted namespace still reads %d spills", len(got))
 	}
 }

@@ -202,8 +202,19 @@ func (s *Service) Metrics() *metrics.Registry {
 	s.reg.Gauge("fs.store.blocks").Set(int64(blocks))
 	s.reg.Gauge("fs.store.metas").Set(int64(metas))
 	s.reg.Gauge("fs.store.segments").Set(int64(segs))
+	s.reg.Gauge("fs.store.finished_bytes").Set(s.store.FinishedBytes())
 	s.reg.Gauge("fs.store.bytes").Set(s.store.Bytes())
 	return s.reg
+}
+
+// SetSegmentBudget bounds the bytes of the shard's finished intermediate
+// namespaces (see Store.namespaces), counting and logging each one the
+// bound evicts. Call before the service serves.
+func (s *Service) SetSegmentBudget(bytes int64) {
+	s.store.setSegmentBudget(bytes, func(namespace string) {
+		s.reg.Counter("fs.segments.evicted").Inc()
+		s.events.Emit(events.KindShuffle, "shuffle.evict", events.F{Job: namespace})
+	})
 }
 
 // SetTracer attaches the node's tracer so block IO and lookups record

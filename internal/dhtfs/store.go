@@ -178,13 +178,38 @@ func lastIndexByte(b []byte, c byte) int {
 type Store struct {
 	backend blockBackend
 
-	mu       sync.RWMutex
-	metas    map[string]Metadata
-	segments map[string][]segment // jobID "/" partition -> ordered spills
-	segBytes int64
+	mu    sync.RWMutex
+	metas map[string]Metadata
+	// namespaces holds the intermediate results, by job namespace: the
+	// node's oCache (§II-B). A namespace whose every partition here was
+	// fetched by a reduce since its last append is finished, and the
+	// finished ones share budget bytes; an unfinished one, a map phase
+	// still running, is never charged. Over budget, the least recently
+	// fetched finished namespace goes whole.
+	namespaces map[string]*namespace
+	budget     int64 // 0: unbounded
+	fetches    uint64
+	// evicted hears of every namespace the budget dropped, outside mu.
+	evicted func(namespace string)
 	// metaLog, when set, persists every metadata change so a restarted
 	// disk-backed node recovers both blocks and the files they belong to.
 	metaLog *metaLog
+}
+
+// namespace is one job namespace's spills at this node, by partition.
+type namespace struct {
+	parts map[string]*stream
+	bytes int64
+	// unfetched counts the partitions appended to since a reduce last
+	// fetched them; the namespace is finished at 0.
+	unfetched int
+	lastFetch uint64
+}
+
+// stream is one partition's live spills, in arrival order.
+type stream struct {
+	segs    []segment
+	fetched bool
 }
 
 // segment is one stored intermediate-result spill. Task/attempt/seq
@@ -209,9 +234,9 @@ type TaggedSegment struct {
 // NewStore returns an empty in-memory shard.
 func NewStore() *Store {
 	return &Store{
-		backend:  newMemBackend(),
-		metas:    make(map[string]Metadata),
-		segments: make(map[string][]segment),
+		backend:    newMemBackend(),
+		metas:      make(map[string]Metadata),
+		namespaces: make(map[string]*namespace),
 	}
 }
 
@@ -229,10 +254,10 @@ func NewStoreAt(dir string) (*Store, error) {
 		return nil, err
 	}
 	return &Store{
-		backend:  backend,
-		metas:    metas,
-		segments: make(map[string][]segment),
-		metaLog:  log,
+		backend:    backend,
+		metas:      metas,
+		namespaces: make(map[string]*namespace),
+		metaLog:    log,
 	}, nil
 }
 
@@ -369,9 +394,6 @@ func (s *Store) MetaNames() []string {
 	return out
 }
 
-// segKey builds the segment namespace key.
-func segKey(job, partition string) string { return job + "/" + partition }
-
 // SegDisposition reports what AppendTaskSegment did with a spill, so the
 // serving layer can log supersedes and ignored stragglers.
 type SegDisposition int
@@ -406,64 +428,145 @@ const (
 func (s *Store) AppendTaskSegment(job, partition, task string, attempt, seq int, data []byte) SegDisposition {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seg := segment{data: data, task: task, attempt: attempt, seq: seq}
-	k := segKey(job, partition)
-	segs := s.segments[k]
-	disp := SegAppended
+	ns := s.namespaces[job]
+	var p *stream
+	if ns != nil {
+		p = ns.parts[partition]
+	}
 	maxAttempt := -1
-	for i := range segs {
-		if segs[i].task == task && segs[i].attempt > maxAttempt {
-			maxAttempt = segs[i].attempt
+	if p != nil {
+		for i := range p.segs {
+			if p.segs[i].task == task && p.segs[i].attempt > maxAttempt {
+				maxAttempt = p.segs[i].attempt
+			}
 		}
 	}
 	if maxAttempt >= 0 && attempt < maxAttempt {
 		return SegStale // straggler from a superseded attempt
 	}
+	if ns == nil {
+		ns = &namespace{parts: make(map[string]*stream)}
+		s.namespaces[job] = ns
+	}
+	if p == nil {
+		p = &stream{fetched: true}
+		ns.parts[partition] = p
+	}
+	if p.fetched {
+		p.fetched = false
+		ns.unfetched++
+	}
+	seg := segment{data: data, task: task, attempt: attempt, seq: seq}
+	disp := SegAppended
 	if attempt > maxAttempt && maxAttempt >= 0 {
-		live := segs[:0]
-		for _, old := range segs {
+		live := p.segs[:0]
+		for _, old := range p.segs {
 			if old.task == task {
-				s.segBytes -= int64(len(old.data))
+				ns.bytes -= int64(len(old.data))
 				continue
 			}
 			live = append(live, old)
 		}
-		segs = live
+		p.segs = live
 		disp = SegSuperseded
 	}
-	for i := range segs {
-		if segs[i].task == task && segs[i].attempt == attempt && segs[i].seq == seq {
-			s.segBytes += int64(len(seg.data)) - int64(len(segs[i].data))
-			segs[i] = seg // idempotent retransmit
-			s.segments[k] = segs
+	for i := range p.segs {
+		if p.segs[i].task == task && p.segs[i].attempt == attempt && p.segs[i].seq == seq {
+			ns.bytes += int64(len(data) - len(p.segs[i].data))
+			p.segs[i] = seg // idempotent retransmit
 			return SegRetransmit
 		}
 	}
-	s.segments[k] = append(segs, seg)
-	s.segBytes += int64(len(data))
+	p.segs = append(p.segs, seg)
+	ns.bytes += int64(len(data))
 	return disp
 }
 
 // ReadTaggedSegments returns every live spill stored for a job partition
-// with its task attribution, in arrival order. Data is the stored bytes
+// with its task attribution, in arrival order, and counts the read as a
+// reduce's fetch of the partition (see Store.namespaces): it may finish
+// the namespace, and then evict others. Data is the stored bytes
 // themselves, read-only, capacity clipped: nobody writes to a stored
-// spill, so a view stays valid after the spill is superseded or dropped
-// (the collector frees it once the last view goes). A reduce puts them in
-// (task, seq) order with MergeTaggedSegments.
+// spill, so a view stays valid after the spill is superseded, dropped or
+// evicted (the collector frees it once the last view goes). A reduce puts
+// them in (task, seq) order with MergeTaggedSegments.
 func (s *Store) ReadTaggedSegments(job, partition string) []TaggedSegment {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	live := s.segments[segKey(job, partition)]
-	out := make([]TaggedSegment, len(live))
-	for i, seg := range live {
-		out[i] = TaggedSegment{
-			Task:    seg.task,
-			Attempt: seg.attempt,
-			Seq:     seg.seq,
-			Data:    slices.Clip(seg.data),
+	s.mu.Lock()
+	ns := s.namespaces[job]
+	if ns == nil {
+		s.mu.Unlock()
+		return nil
+	}
+	var out []TaggedSegment
+	if p := ns.parts[partition]; p != nil {
+		out = make([]TaggedSegment, len(p.segs))
+		for i, seg := range p.segs {
+			out[i] = TaggedSegment{
+				Task:    seg.task,
+				Attempt: seg.attempt,
+				Seq:     seg.seq,
+				Data:    slices.Clip(seg.data),
+			}
+		}
+		if !p.fetched {
+			p.fetched = true
+			ns.unfetched--
 		}
 	}
+	s.fetches++
+	ns.lastFetch = s.fetches
+	evicted := s.evict(job)
+	s.mu.Unlock()
+	for _, name := range evicted {
+		s.evicted(name)
+	}
 	return out
+}
+
+// evict drops least recently fetched finished namespaces, never keep,
+// until the finished ones fit the budget, and returns their names. Caller
+// holds s.mu.
+func (s *Store) evict(keep string) []string {
+	if s.budget <= 0 {
+		return nil
+	}
+	var out []string
+	for over := s.finishedBytes() - s.budget; over > 0; {
+		victim := ""
+		for name, ns := range s.namespaces {
+			if name != keep && ns.unfetched == 0 && (victim == "" || ns.lastFetch < s.namespaces[victim].lastFetch) {
+				victim = name
+			}
+		}
+		if victim == "" {
+			break // keep alone is over budget: the next fetch elsewhere evicts it
+		}
+		over -= s.namespaces[victim].bytes
+		delete(s.namespaces, victim)
+		out = append(out, victim)
+	}
+	return out
+}
+
+// finishedBytes sums the bytes of the finished namespaces. Caller holds
+// s.mu.
+func (s *Store) finishedBytes() int64 {
+	var n int64
+	for _, ns := range s.namespaces {
+		if ns.unfetched == 0 {
+			n += ns.bytes
+		}
+	}
+	return n
+}
+
+// setSegmentBudget bounds the bytes of finished namespaces (see
+// Store.namespaces); evicted hears the name of each namespace the bound
+// drops. Call before the shard serves.
+func (s *Store) setSegmentBudget(bytes int64, evicted func(namespace string)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.budget, s.evicted = bytes, evicted
 }
 
 // MergeTaggedSegments turns the spills read from a partition's owner into
@@ -508,27 +611,24 @@ func MergeTaggedSegments(segs []TaggedSegment) [][]byte {
 	return out
 }
 
-// DropJobSegments deletes all intermediate data of a job (invoked when
-// the job's intermediates are dropped, or a publisher supersedes them).
+// DropJobSegments deletes all intermediate data of a job namespace
+// (invoked when the job's intermediates are dropped, or a publisher
+// supersedes them).
 func (s *Store) DropJobSegments(job string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prefix := job + "/"
-	for k, segs := range s.segments {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			for _, seg := range segs {
-				s.segBytes -= int64(len(seg.data))
-			}
-			delete(s.segments, k)
-		}
-	}
+	delete(s.namespaces, job)
 }
 
 // Bytes returns the total payload bytes held (blocks + segments).
 func (s *Store) Bytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.backend.bytes() + s.segBytes
+	n := s.backend.bytes()
+	for _, ns := range s.namespaces {
+		n += ns.bytes
+	}
+	return n
 }
 
 // Counts returns the number of blocks, metadata entries and live segment
@@ -537,5 +637,16 @@ func (s *Store) Bytes() int64 {
 func (s *Store) Counts() (blocks, metas, segments int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.backend.keys()), len(s.metas), len(s.segments)
+	for _, ns := range s.namespaces {
+		segments += len(ns.parts)
+	}
+	return len(s.backend.keys()), len(s.metas), segments
+}
+
+// FinishedBytes returns the bytes of the finished namespaces, the ones the
+// segment budget bounds.
+func (s *Store) FinishedBytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.finishedBytes()
 }

@@ -1112,16 +1112,15 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 func (d *Driver) runReduceTask(ctx context.Context, st *runState, t reduceTask) (RunReduceResp, string, hashing.NodeID, error) {
 	outFile := fmt.Sprintf("%s.out.%s", st.spec.ID, partitionName(t.parts[0]))
 	req := RunReduceReq{
-		Job:          st.spec.ID,
-		Namespace:    st.mk.Namespace,
-		App:          st.spec.App,
-		Params:       st.spec.Params,
-		OutputFile:   outFile,
-		CacheOutputs: st.spec.CacheOutputs,
-		User:         st.spec.User,
+		Job:        st.spec.ID,
+		Namespace:  st.mk.Namespace,
+		App:        st.spec.App,
+		Params:     st.spec.Params,
+		OutputFile: outFile,
+		User:       st.spec.User,
 	}
 	for i, p := range t.parts {
-		req.Parts = append(req.Parts, ReducePart{Partition: p, Holder: t.holders[i]})
+		req.Parts = append(req.Parts, ReducePart{Partition: p, Holder: t.holders[i], Bytes: st.mk.PartBytes[p]})
 	}
 	tctx, sp := d.tracer.StartSpan(ctx, "driver.reduce_task")
 	sp.Annotate("partition", t.name())

@@ -111,6 +111,16 @@ func CombineStateReuse(steps []ReuseStep) (taskErrs []error, diff error) {
 	return taskErrs, nil
 }
 
+// spillBytes is the byte count of a partition holding segments, as a
+// job's partition table records it.
+func spillBytes(segments [][]byte) int64 {
+	var n int64
+	for _, seg := range segments {
+		n += int64(len(seg))
+	}
+	return n
+}
+
 // ReduceSegments is for the external test package: it stores segments, in
 // order, as one reduce partition's spills on a fresh in-process cluster,
 // runs the partition's reduce task on their owner and returns the output
@@ -121,7 +131,7 @@ func ReduceSegments(t *testing.T, app string, params Params, segments [][]byte) 
 	owner := ec.ids[0]
 	req := RunReduceReq{
 		Job: "order", Namespace: "job:order", App: app, Params: params,
-		Parts: []ReducePart{{Holder: owner}}, OutputFile: "order.out", User: "tester",
+		Parts: []ReducePart{{Holder: owner, Bytes: spillBytes(segments)}}, OutputFile: "order.out", User: "tester",
 	}
 	for seq, seg := range segments {
 		ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(0), "m0", 0, seq, seg)

@@ -233,7 +233,7 @@ func TestReduceGroupResumesPerPartitionJournal(t *testing.T) {
 	for _, p := range []int{parts[0], parts[2]} {
 		req := RunReduceReq{
 			Job: "group-old", Namespace: "job:group-old", App: "test-wordcount",
-			Parts:      []ReducePart{{Partition: p, Holder: j.Mk.Servers[p]}},
+			Parts:      []ReducePart{{Partition: p, Holder: j.Mk.Servers[p], Bytes: j.Mk.PartBytes[p]}},
 			OutputFile: "group-old.out." + partitionName(p), User: "tester",
 		}
 		if resp, err := ec.workers[j.Mk.Servers[p]].runReduce(ctx, req); err != nil || !resp.HasOutput {

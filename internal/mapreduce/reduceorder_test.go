@@ -24,9 +24,11 @@ func TestReduceReadsSpillsInTaskOrder(t *testing.T) {
 	ctx := context.Background()
 	ns := "job:order-1"
 	owner := ec.ids[1]
+	var stored int64
 	spill := func(task string, seq int, value string) {
-		ec.fs[owner].Store().AppendTaskSegment(ns, partitionName(0), task, 0, seq,
-			EncodeKVs([]KV{{Key: "k", Value: []byte(value)}}))
+		data := EncodeKVs([]KV{{Key: "k", Value: []byte(value)}})
+		stored += int64(len(data))
+		ec.fs[owner].Store().AppendTaskSegment(ns, partitionName(0), task, 0, seq, data)
 	}
 	// m1's spills arrive first, and m0's out of sequence.
 	spill("m1", 0, "m1.0")
@@ -36,7 +38,7 @@ func TestReduceReadsSpillsInTaskOrder(t *testing.T) {
 	for _, node := range []hashing.NodeID{owner, ec.ids[0]} {
 		req := RunReduceReq{
 			Job: "order-1", Namespace: ns, App: "test-concat",
-			Parts: []ReducePart{{Holder: owner}}, OutputFile: "order-1.out." + string(node), User: "tester",
+			Parts: []ReducePart{{Holder: owner, Bytes: stored}}, OutputFile: "order-1.out." + string(node), User: "tester",
 		}
 		if _, err := ec.workers[node].runReduce(ctx, req); err != nil {
 			t.Fatal(err)

@@ -111,7 +111,7 @@ func TestReduceStateReuseConcurrent(t *testing.T) {
 	run := func(i int, out string) string {
 		req := RunReduceReq{
 			Job: fmt.Sprintf("r%d", i), Namespace: fmt.Sprintf("job:r%d", i), App: tasks[i].app,
-			Parts: []ReducePart{{Holder: owner}}, OutputFile: out, User: "tester",
+			Parts: []ReducePart{{Holder: owner, Bytes: spillBytes(shapes[tasks[i].shape])}}, OutputFile: out, User: "tester",
 		}
 		if _, err := w.runReduce(context.Background(), req); err != nil {
 			return "error: " + err.Error()
@@ -160,14 +160,14 @@ func TestReduceOutputIsClipped(t *testing.T) {
 	ec := newEngineCluster(t, engineOpts{nodes: 3, replicas: 3}) // the reducing node holds a replica
 	owner := ec.ids[0]
 	ctx := context.Background()
-	req := RunReduceReq{
-		Job: "clip", Namespace: "job:clip", App: "test-wordcount",
-		Parts: []ReducePart{{Holder: owner}}, OutputFile: "clip.out", User: "tester",
-	}
 	const inputBytes = 4 << 20
 	pair := EncodeKVs([]KV{{Key: "k", Value: []byte("1")}})
-	ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(0), "m0", 0, 0,
-		bytes.Repeat(pair, inputBytes/len(pair)))
+	spill := bytes.Repeat(pair, inputBytes/len(pair))
+	req := RunReduceReq{
+		Job: "clip", Namespace: "job:clip", App: "test-wordcount",
+		Parts: []ReducePart{{Holder: owner, Bytes: int64(len(spill))}}, OutputFile: "clip.out", User: "tester",
+	}
+	ec.fs[owner].Store().AppendTaskSegment(req.Namespace, partitionName(0), "m0", 0, 0, spill)
 	if _, err := ec.workers[owner].runReduce(ctx, req); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"eclipsemr/internal/events"
@@ -297,5 +298,45 @@ func TestReuseTagOutputMatchesFreshRun(t *testing.T) {
 		if !bytes.Equal(a[i], b[i]) {
 			t.Fatalf("output %d differs: %s vs %s", i, reused.OutputFiles[i], fresh.OutputFiles[i])
 		}
+	}
+}
+
+// holderOf returns a node other than the driver's whose shard holds
+// spills, the only job's having run.
+func holderOf(t *testing.T, ec *engineCluster) hashing.NodeID {
+	t.Helper()
+	for _, id := range ec.ids[1:] {
+		if _, _, segs := ec.fs[id].Store().Counts(); segs > 0 {
+			return id
+		}
+	}
+	t.Fatal("no node but the driver's holds spills")
+	return ""
+}
+
+// TestReuseTagHolderLostNamespaceFallsBack: a holder that stays in the
+// ring but no longer holds the published namespace (a restarted
+// in-memory node) reads as the partitions' bytes missing, not as empty
+// partitions: the reusing run falls back to its own maps, once, and
+// counts every word.
+func TestReuseTagHolderLostNamespaceFallsBack(t *testing.T) {
+	ec := newEngineCluster(t, engineOpts{})
+	text, want := wideCorpus(120, 4)
+	ec.upload(t, "lostns.txt", text, 256)
+	spec := JobSpec{ID: "lostns-1", App: "test-wordcount", Inputs: []string{"lostns.txt"}, User: "tester", ReuseTag: "lostns"}
+	runCounts(t, ec, spec)
+	ec.fs[holderOf(t, ec)].Store().DropJobSegments(spec.Namespace())
+
+	var lost atomic.Int64
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Name == "job.reuse_lost" {
+			lost.Add(1)
+		}
+	})
+	spec.ID = "lostns-2"
+	got, _ := runCounts(t, ec, spec)
+	checkCounts(t, got, want)
+	if n := lost.Load(); n != 1 {
+		t.Fatalf("%d job.reuse_lost events, want 1", n)
 	}
 }

@@ -586,3 +586,41 @@ func TestOnlyPartitionsFiltersShuffle(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeOverHolderThatLostSpills: the driver dies once every spill
+// has landed, and a holder then loses the job's namespace while staying
+// in the ring (a restarted in-memory node). The resumed run must find its
+// partitions short of their journaled bytes, re-home and re-shuffle them,
+// and count every word.
+func TestResumeOverHolderThatLostSpills(t *testing.T) {
+	ec := newEngineCluster(t, engineOpts{nodes: 5})
+	text, want := wideCorpus(200, 8)
+	ec.upload(t, "lostspills.txt", text, 512)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Name == "job.phase.reduce" {
+			cancel()
+		}
+	})
+	spec := JobSpec{ID: "lostspills-1", App: "test-wordcount", Inputs: []string{"lostspills.txt"}, User: "tester"}
+	if _, err := ec.driver.RunContext(ctx, spec); err == nil {
+		t.Fatal("the run finished though it was cancelled before its reduce phase")
+	}
+	ec.events.SetObserver(nil)
+	ec.fs[holderOf(t, ec)].Store().DropJobSegments(spec.Namespace())
+
+	res, err := ec.driver.Resume(spec.ID)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	kvs, err := ec.driver.Collect(context.Background(), res, "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(t, countsFromKVs(t, kvs), want)
+	if res.RecoveredPartitions < 1 {
+		t.Fatalf("RecoveredPartitions = %d, want >= 1", res.RecoveredPartitions)
+	}
+}

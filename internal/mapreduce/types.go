@@ -215,9 +215,6 @@ type JobSpec struct {
 	// SpillThreshold and input blocks) skips its map phase and reduces
 	// them instead.
 	ReuseTag string
-	// CacheOutputs stores each reduce task's output in the reduce node's
-	// oCache (iteration outputs of iterative jobs, §II-C).
-	CacheOutputs bool
 	// MaxAttempts bounds per-task retries; zero selects 3.
 	MaxAttempts int
 	// DisableJournal skips the durable job journal. Without a journal an

@@ -194,9 +194,9 @@ func (m RunReduceReq) AppendWire(dst []byte) []byte {
 	for _, p := range m.Parts {
 		dst = transport.AppendInt(dst, int64(p.Partition))
 		dst = transport.AppendString(dst, string(p.Holder))
+		dst = transport.AppendInt(dst, p.Bytes)
 	}
 	dst = transport.AppendString(dst, m.OutputFile)
-	dst = transport.AppendBool(dst, m.CacheOutputs)
 	return transport.AppendString(dst, m.User)
 }
 
@@ -204,13 +204,13 @@ func (m RunReduceReq) AppendWire(dst []byte) []byte {
 func (m *RunReduceReq) ParseWire(src []byte) error {
 	r := transport.NewWireReader(src)
 	*m = RunReduceReq{Job: r.Str(), Namespace: r.Str(), App: r.Str(), Params: readParams(&r)}
-	if n := r.Count(2); n > 0 {
+	if n := r.Count(3); n > 0 {
 		m.Parts = make([]ReducePart, n)
 		for i := range m.Parts {
-			m.Parts[i] = ReducePart{Partition: r.Int(), Holder: hashing.NodeID(r.Str())}
+			m.Parts[i] = ReducePart{Partition: r.Int(), Holder: hashing.NodeID(r.Str()), Bytes: r.Int64()}
 		}
 	}
-	m.OutputFile, m.CacheOutputs, m.User = r.Str(), r.Bool(), r.Str()
+	m.OutputFile, m.User = r.Str(), r.Str()
 	return r.Done()
 }
 
@@ -320,7 +320,7 @@ func appendJobSpec(dst []byte, s JobSpec) []byte {
 	dst = appendParams(dst, s.Params)
 	dst = appendInt(dst, s.SpillThreshold)
 	dst = transport.AppendString(dst, s.ReuseTag)
-	dst = transport.AppendBool(dst, s.CacheOutputs)
+	dst = transport.AppendBool(dst, false) // a reserved byte: written false, skipped on read
 	dst = appendInt(dst, s.MaxAttempts)
 	return transport.AppendBool(dst, s.DisableJournal)
 }
@@ -334,7 +334,8 @@ func readJobSpec(r *transport.WireReader) JobSpec {
 		}
 	}
 	s.User, s.Params, s.SpillThreshold = r.Str(), readParams(r), r.Int()
-	s.ReuseTag, s.CacheOutputs = r.Str(), r.Bool()
+	s.ReuseTag = r.Str()
+	r.Bool() // the reserved byte
 	s.MaxAttempts, s.DisableJournal = r.Int(), r.Bool()
 	return s
 }

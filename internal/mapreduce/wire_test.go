@@ -56,8 +56,8 @@ func typicalGroupReduceReq() *RunReduceReq {
 		Job: "grep-000123", Namespace: "job:grep-000123", App: "grep",
 		Params: Params{"pattern": []byte("needle[0-9]+")},
 		Parts: []ReducePart{
-			{Partition: 0, Holder: "worker-00"}, {Partition: 1, Holder: "worker-01"},
-			{Partition: 2, Holder: "worker-02"}, {Partition: 3, Holder: "worker-03"},
+			{Partition: 0, Holder: "worker-00", Bytes: 4096}, {Partition: 1, Holder: "worker-01", Bytes: 64},
+			{Partition: 2, Holder: "worker-02", Bytes: 12288}, {Partition: 3, Holder: "worker-03", Bytes: 512},
 		},
 		OutputFile: "grep-000123.out.p0000", User: "alice",
 	}
@@ -139,10 +139,10 @@ func wireCases() []transport.Wire {
 		&RunReduceReq{},
 		&RunReduceReq{
 			Job: "wc-9", Namespace: "job:wc-7", App: "wordcount", Params: Params{"k": []byte("3")},
-			Parts:      []ReducePart{{Partition: 3, Holder: "worker-03"}},
-			OutputFile: "wc-9/part-0003", CacheOutputs: true, User: "alice",
+			Parts:      []ReducePart{{Partition: 3, Holder: "worker-03", Bytes: 12288}},
+			OutputFile: "wc-9/part-0003", User: "alice",
 		},
-		&RunReduceReq{Job: notUTF8, Parts: []ReducePart{{Partition: math.MinInt, Holder: notUTF8}, {}}, User: notUTF8},
+		&RunReduceReq{Job: notUTF8, Parts: []ReducePart{{Partition: math.MinInt, Holder: notUTF8, Bytes: math.MinInt64}, {Bytes: math.MaxInt64}}, User: notUTF8},
 		&RunReduceResp{},
 		&RunReduceResp{Keys: 1 << 40, OutputBytes: math.MaxInt64, HasOutput: true},
 		&RunReduceResp{Keys: -1, OutputBytes: math.MinInt64},

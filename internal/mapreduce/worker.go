@@ -73,15 +73,17 @@ type (
 		// Parts are the task's partitions in partition order, each with the
 		// node holding its spills, the one place they live. The worker
 		// reduces them together into OutputFile.
-		Parts        []ReducePart
-		OutputFile   string
-		CacheOutputs bool
-		User         string
+		Parts      []ReducePart
+		OutputFile string
+		User       string
 	}
-	// ReducePart is one partition of a reduce task and its spills' holder.
+	// ReducePart is one partition of a reduce task, its spills' holder
+	// and their bytes, from the job's partition table: a holder whose
+	// merged spills sum to another count no longer holds them whole.
 	ReducePart struct {
 		Partition int
 		Holder    hashing.NodeID
+		Bytes     int64
 	}
 	// RunReduceResp summarizes a reduce task.
 	RunReduceResp struct {
@@ -91,8 +93,9 @@ type (
 		// partitions produce none).
 		HasOutput bool
 		// Unreached lists, in partition order, the partitions whose holder
-		// the worker could not read; when it is non-empty nothing was
-		// reduced or written, and the driver tries another executor.
+		// the worker could not read, or read short of their bytes; when it
+		// is non-empty nothing was reduced or written, and the driver tries
+		// another executor.
 		Unreached []int
 	}
 )
@@ -381,8 +384,10 @@ const outputBlockSize = 1 << 20
 // and puts each partition's in (task, seq) order with superseded attempts
 // and retransmits dropped (dhtfs.MergeTaggedSegments). The streams come
 // back partition after partition, in the task's order; unreached lists the
-// partitions whose holder could not be read. req names a partition at
-// least.
+// partitions whose holder could not be read, and those whose merged spills
+// do not sum to the partition's bytes: a holder that lost its namespace
+// (evicted, or restarted in memory) reads as missing them, not as empty.
+// req names a partition at least.
 func (w *Worker) gatherSegments(ctx context.Context, req RunReduceReq) (streams [][]byte, unreached []int) {
 	segs := make([][]dhtfs.TaggedSegment, len(req.Parts))
 	errs := make([]error, len(req.Parts))
@@ -401,11 +406,16 @@ func (w *Worker) gatherSegments(ctx context.Context, req RunReduceReq) (streams 
 	fetch(0)
 	wg.Wait()
 	for i, p := range req.Parts {
-		if errs[i] != nil {
+		merged := dhtfs.MergeTaggedSegments(segs[i])
+		var n int64
+		for _, data := range merged {
+			n += int64(len(data))
+		}
+		if errs[i] != nil || n != p.Bytes {
 			unreached = append(unreached, p.Partition)
 			continue
 		}
-		streams = append(streams, dhtfs.MergeTaggedSegments(segs[i])...)
+		streams = append(streams, merged...)
 	}
 	return streams, unreached
 }
@@ -485,20 +495,11 @@ func (w *Worker) runReduce(ctx context.Context, req RunReduceReq) (RunReduceResp
 	}
 	wctx, wr := w.tracer.StartStage(ctx, "reduce.write", w.reg.Histogram("mr.reduce.write_ns"))
 	// The output is handed over, not copied: from here on it is read only,
-	// by the store that keeps its blocks and by the oCache.
+	// by the store that keeps its blocks.
 	_, err = w.fs.Upload(wctx, req.OutputFile, req.User, dhtfs.PermPublic, output, outputBlockSize)
 	wr.End()
 	if err != nil {
 		return RunReduceResp{}, fmt.Errorf("mapreduce: store output %q: %w", req.OutputFile, err)
-	}
-	if req.CacheOutputs {
-		// oCache charges an entry its length: it gets no spare capacity.
-		cached := output
-		if cap(cached) > len(cached) {
-			cached = slices.Clone(cached)
-		}
-		w.cache.PutTagged(req.Namespace, "out:"+partitionName(parts[0]),
-			hashing.KeyOfString(req.OutputFile), cached, 0)
 	}
 	resp.OutputBytes = int64(len(output))
 	resp.HasOutput = true

@@ -134,9 +134,7 @@ func NewModel(p Params, kind Framework, pol Policy) (*Model, error) {
 		}
 		m.launch = append(m.launch, sim.NewQueue(s, launchers))
 		m.reduce = append(m.reduce, sim.NewQueue(s, p.ReduceSlots))
-		c := cache.NewLRU(p.CachePerNode)
-		c.SetClock(s.Clock())
-		m.caches = append(m.caches, c)
+		m.caches = append(m.caches, cache.NewLRU(p.CachePerNode))
 		m.net.AddResource(nicOut(i), p.NICBandwidth)
 		m.net.AddResource(nicIn(i), p.NICBandwidth)
 	}
