@@ -8,6 +8,7 @@ import (
 
 	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/mapreduce"
+	"eclipsemr/internal/transport"
 )
 
 // budgetCorpus is an input of distinct words of its own, each repeated.
@@ -175,5 +176,36 @@ func TestSegmentBudgetSparesTheJobBeingReduced(t *testing.T) {
 	}
 	if !over {
 		t.Fatalf("no node holds more than its budget of %d finished bytes (%v): the job's shuffle fit", budget, finishedBytes(c))
+	}
+}
+
+// TestCacheBytesSplitLosesNothing: a node's cache bytes are split whole,
+// odd counts included: the iCache holds CacheBytes/2 and the segment
+// store's finished namespaces the rest, so a finished namespace of exactly
+// that rest evicts nothing and one byte more evicts it.
+func TestCacheBytesSplitLosesNothing(t *testing.T) {
+	const cacheBytes = 1001
+	n, err := NewNode("split-0", transport.NewLocal(), Config{CacheBytes: cacheBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.cache.ICache.Capacity(); got != cacheBytes/2 {
+		t.Fatalf("iCache holds %d bytes, want %d", got, cacheBytes/2)
+	}
+	store := n.fs.Store()
+	finish := func(ns string, size int) {
+		store.AppendTaskSegment(ns, "p0", "m0", 0, 0, make([]byte, size))
+		store.ReadTaggedSegments(ns, "p0")
+	}
+	evicted := func() int64 { return n.MetricsSnapshot().Get("fs.segments.evicted") }
+	finish("job:a", cacheBytes-cacheBytes/2)
+	finish("job:b", 0)
+	if got := evicted(); got != 0 || store.Bytes() != cacheBytes-cacheBytes/2 {
+		t.Fatalf("a namespace of the budget's %d bytes was evicted: %d evictions, %d bytes resident",
+			cacheBytes-cacheBytes/2, got, store.Bytes())
+	}
+	finish("job:c", 1)
+	if got := evicted(); got != 1 || store.Bytes() != 1 {
+		t.Fatalf("one byte over the budget: %d evictions, %d bytes resident, want 1 and c's 1", got, store.Bytes())
 	}
 }

@@ -197,3 +197,47 @@ func TestSegmentBudgetEvictsFinishedNamespaces(t *testing.T) {
 		t.Fatalf("an evicted namespace still reads %d spills", len(got))
 	}
 }
+
+// TestSegmentBudgetStaleStragglerKeepsNamespaceFinished: a spill of a
+// superseded attempt that arrives after the reduce's fetch is ignored, so
+// it neither unfinishes the namespace nor changes its bytes; a newer
+// attempt does both, and its fetch charges the new attempt's bytes alone.
+func TestSegmentBudgetStaleStragglerKeepsNamespaceFinished(t *testing.T) {
+	s := NewStore()
+	s.setSegmentBudget(1000, func(string) { t.Fatal("nothing should be evicted") })
+	s.AppendTaskSegment("a", "p0", "m0", 1, 0, make([]byte, 30))
+	s.ReadTaggedSegments("a", "p0")
+	if got := s.FinishedBytes(); got != 30 {
+		t.Fatalf("%d finished bytes after the fetch, want 30", got)
+	}
+	if d := s.AppendTaskSegment("a", "p0", "m0", 0, 0, make([]byte, 70)); d != SegStale {
+		t.Fatalf("a superseded attempt's spill was taken as %v", d)
+	}
+	if got := s.FinishedBytes(); got != 30 || s.Bytes() != 30 {
+		t.Fatalf("after a stale straggler: %d finished, %d resident bytes, want 30 and 30", got, s.Bytes())
+	}
+	if d := s.AppendTaskSegment("a", "p0", "m0", 2, 0, make([]byte, 50)); d != SegSuperseded {
+		t.Fatalf("a newer attempt's spill was taken as %v", d)
+	}
+	if got := s.FinishedBytes(); got != 0 {
+		t.Fatalf("a namespace appended to since its fetch is charged %d bytes", got)
+	}
+	s.ReadTaggedSegments("a", "p0")
+	if got := s.FinishedBytes(); got != 50 || s.Bytes() != 50 {
+		t.Fatalf("after the refetch: %d finished, %d resident bytes, want 50 and 50", got, s.Bytes())
+	}
+}
+
+// TestSegmentBudgetUnboundedByDefault: a store given no budget keeps every
+// finished namespace, however many bytes they hold.
+func TestSegmentBudgetUnboundedByDefault(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < 8; i++ {
+		ns := string(rune('a' + i))
+		s.AppendTaskSegment(ns, "p0", "m0", 0, 0, make([]byte, 1<<16))
+		s.ReadTaggedSegments(ns, "p0")
+	}
+	if _, _, segs := s.Counts(); segs != 8 || s.FinishedBytes() != 8<<16 {
+		t.Fatalf("%d segment streams, %d finished bytes, want 8 and %d", segs, s.FinishedBytes(), 8<<16)
+	}
+}

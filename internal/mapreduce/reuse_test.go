@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"eclipsemr/internal/dhtfs"
 	"eclipsemr/internal/events"
 	"eclipsemr/internal/hashing"
 )
@@ -299,6 +301,54 @@ func TestReuseTagOutputMatchesFreshRun(t *testing.T) {
 			t.Fatalf("output %d differs: %s vs %s", i, reused.OutputFiles[i], fresh.OutputFiles[i])
 		}
 	}
+}
+
+// TestReuseTagParentFormat: a marker or a journal in the parent's durable
+// format 0x01 is refused, not misread: the tagged run over the marker and
+// the Resume of the journal fail with the format error, and once
+// DropIntermediates has deleted the marker the tag runs its maps afresh.
+func TestReuseTagParentFormat(t *testing.T) {
+	ctx := context.Background()
+	ec := newEngineCluster(t, engineOpts{nodes: 4})
+	text, want := wideCorpus(60, 4)
+	ec.upload(t, "legacy.txt", text, 256)
+	spec := JobSpec{ID: "legacy-1", App: "test-wordcount", Inputs: []string{"legacy.txt"}, User: "tester", ReuseTag: "legacy"}
+	runCounts(t, ec, spec)
+	fs := ec.fs[ec.ids[0]]
+	toParentFormat := func(name string) {
+		t.Helper()
+		data, err := fs.ReadFile(ctx, name, spec.User)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[0] = 0x01
+		if err := fs.Delete(ctx, name, spec.User); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Upload(ctx, name, spec.User, dhtfs.PermPublic, data, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	toParentFormat(markerFile(spec.ReuseTag))
+	toParentFormat(journalFile(spec.ID))
+	const refusal = "file format 0x1, want 0x2"
+
+	again := spec
+	again.ID = "legacy-2"
+	if res, err := ec.driver.Run(again); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("a tagged run over a parent-format marker returned %+v, %v", res, err)
+	}
+	if res, err := ec.driver.Resume(spec.ID); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("the Resume of a parent-format journal returned %+v, %v", res, err)
+	}
+
+	ec.driver.DropIntermediates(ctx, again)
+	again.ID = "legacy-3"
+	got, res := runCounts(t, ec, again)
+	if res.MapsSkipped || res.MapTasks == 0 {
+		t.Errorf("the tag reused a namespace after its marker was deleted: %+v", res)
+	}
+	checkCounts(t, got, want)
 }
 
 // holderOf returns a node other than the driver's whose shard holds

@@ -624,3 +624,46 @@ func TestResumeOverHolderThatLostSpills(t *testing.T) {
 		t.Fatalf("RecoveredPartitions = %d, want >= 1", res.RecoveredPartitions)
 	}
 }
+
+// TestReducePartShortOfItsBytesIsUnreached: a reduce part whose holder's
+// merged spills do not sum to the bytes the partition table records is
+// unreached, whether the holder lost some spills or all of them, and the
+// task reduces and writes nothing; parts that sum right reduce, an empty
+// partition with no spills among them.
+func TestReducePartShortOfItsBytesIsUnreached(t *testing.T) {
+	ctx := context.Background()
+	ec := newEngineCluster(t, engineOpts{nodes: 3})
+	holder := ec.ids[1]
+	spills := [][]byte{
+		EncodeKVs([]KV{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("1")}}),
+		EncodeKVs([]KV{{Key: "a", Value: []byte("1")}}),
+	}
+	for seq, data := range spills {
+		ec.fs[holder].Store().AppendTaskSegment("job:short", partitionName(0), "m0", 0, seq, data)
+	}
+	whole := spillBytes(spills)
+	for i, tc := range []struct {
+		name      string
+		parts     []ReducePart
+		unreached []int
+	}{
+		{"whole", []ReducePart{{Partition: 0, Holder: holder, Bytes: whole}}, nil},
+		{"whole and empty", []ReducePart{{Partition: 0, Holder: holder, Bytes: whole}, {Partition: 1, Holder: holder}}, nil},
+		{"some spills lost", []ReducePart{{Partition: 0, Holder: holder, Bytes: whole + 1}}, []int{0}},
+		{"all spills lost", []ReducePart{{Partition: 0, Holder: holder, Bytes: whole}, {Partition: 1, Holder: holder, Bytes: 5}}, []int{1}},
+	} {
+		req := RunReduceReq{Job: "short", Namespace: "job:short", App: "test-wordcount",
+			Parts: tc.parts, OutputFile: fmt.Sprintf("short.out.%d", i), User: "tester"}
+		resp, err := ec.workers[holder].runReduce(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if fmt.Sprint(resp.Unreached) != fmt.Sprint(tc.unreached) {
+			t.Fatalf("%s: unreached %v, want %v", tc.name, resp.Unreached, tc.unreached)
+		}
+		_, readErr := ec.fs[holder].ReadFile(ctx, req.OutputFile, req.User)
+		if wrote := readErr == nil; wrote != (tc.unreached == nil) || resp.HasOutput != wrote {
+			t.Fatalf("%s: output written %v, HasOutput %v, with %v unreached", tc.name, wrote, resp.HasOutput, tc.unreached)
+		}
+	}
+}

@@ -266,6 +266,27 @@ func TestDurableFormatIsTwo(t *testing.T) {
 	}
 }
 
+// TestJournalReservedByteIsSkipped: the job spec's reserved byte, once
+// CacheOutputs, is written false and skipped on read, so a journal a
+// parent wrote for a job with CacheOutputs set reads as the same state.
+func TestJournalReservedByteIsSkipped(t *testing.T) {
+	j := typicalJournal()
+	j.Spec.ReuseTag = "reserved-byte-follows"
+	data := j.AppendWire(nil)
+	at := bytes.Index(data, []byte(j.Spec.ReuseTag)) + len(j.Spec.ReuseTag)
+	if data[at] != 0 {
+		t.Fatalf("the reserved byte is written %#x, want 0", data[at])
+	}
+	data[at] = 1
+	var got journal
+	if err := got.ParseWire(data); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.AppendWire(nil), j.AppendWire(nil)) {
+		t.Fatalf("a journal with the reserved byte set reads as %+v, want %+v", got, *j)
+	}
+}
+
 // TestJournalEncodingIsCanonical: one state has one encoding, whatever
 // order its maps were filled in.
 func TestJournalEncodingIsCanonical(t *testing.T) {
