@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lifecycle lint figdiff bench-repo bench-micro fuzz-smoke fmt
+.PHONY: build test check lifecycle roundtrips lint figdiff bench-repo bench-micro fuzz-smoke fmt
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,16 @@ check:
 LIFECYCLE = MapTask|SelfHeal|LostPartition|Resume|Failover|AttemptStride|JournalPacing|BufferLifecycle|StaleLocalCopy|StaleVersionIsPassedOver|Trailerless|CombineStateReuse|ConcurrentMapTasksOnOneWorker|ReducerMayNotKeep|ReduceStateReuse|ReduceGroup|SharedRingNeverChanges|CombinerError|SlabReuse|ReuseTag|SegmentBudget
 lifecycle:
 	$(GO) test -race -count=5 -run '$(LIFECYCLE)' ./internal/apps ./internal/mapreduce ./internal/cluster ./internal/blockbuf ./internal/cache ./internal/dhtfs ./internal/nodecmd
+
+# The counted cost of one operation per benchmark workload, five runs
+# over under -race: every cell is exact (or a stated range) and must
+# repeat. The rows, in internal/cluster/roundtrips_test.go:
+# TestSmallJobRoundTrips (jobs_skewed), TestFsMixedRoundTrips (fs_mixed),
+# TestKMeansIterationRoundTrips (iter_kmeans), TestSortShuffleRoundTrips
+# (sort_shuffle) and TestReuseTagRoundTrips (a tagged word count). This
+# is the one list: CI and scripts/check.sh run this target.
+roundtrips:
+	$(GO) test -race -count=5 -run RoundTrips ./internal/cluster
 
 # Project invariants (ring comparisons, RPC-under-mutex, metric names,
 # sim determinism, dropped I/O errors) plus gofmt cleanliness. CI runs

@@ -147,13 +147,15 @@ func TestSmallJobRoundTrips(t *testing.T) {
 		t.Errorf("%d fs.deleteFile calls for %d remote copies of the outputs: the journal is deleted with the segments",
 			delta["fs.deleteFile"], remote)
 	}
-	// Measured 33 in 40 of 40 runs: fs.appendSegmentBatch 11, fs.putFile 8
+	// Measured 34 in 40 of 40 runs: fs.appendSegmentBatch 12, fs.putFile 8
 	// (three journal snapshots, open, reduce and done, and the one output
 	// file), mr.runMap 4, fs.dropJobSegments
 	// 3 with the journal deleted among the segments, and
 	// fs.readTaggedSegmentsRaw 3, fs.deleteFile 2, fs.getMeta 1 and
 	// mr.runReduce 1: the four small partitions are one reduce task, which
-	// reads the three it does not hold from their owners. 47 when each
+	// reads the three it does not hold from their owners. 33, with
+	// fs.appendSegmentBatch 11, when the partitions were the ring's arcs,
+	// which sent one map's matches to one remote owner fewer. 47 when each
 	// partition was a reduce task with a file of its own (fs.putFile 16,
 	// fs.deleteFile 8, mr.runReduce 4). 55-65 (median 59) when every
 	// completion asked for a journal flush, the journal's coalescing
@@ -455,5 +457,71 @@ func TestReuseTagRoundTrips(t *testing.T) {
 	}
 	if want := int64(len(c.Nodes()) - 1); reup["fs.dropJobSegments"] != want {
 		t.Errorf("rerun after a re-upload: %d fs.dropJobSegments calls, want %d: the superseded namespace dropped", reup["fs.dropJobSegments"], want)
+	}
+}
+
+// TestSortShuffleRoundTrips is the counted cost of one sort_shuffle
+// operation (the repository benchmark's shuffle workload) on 4 nodes: a
+// sort over 2 MiB of 32-byte records in 128 KiB blocks, then Collect,
+// DropIntermediates and the output deletes, as the benchmark does. The
+// RPCs of each method and the block writes are exact.
+func TestSortShuffleRoundTrips(t *testing.T) {
+	const blockSize, recordLen = 128 << 10, 32
+	c := newTestCluster(t, 4, Options{Config: Config{BlockSize: blockSize, MapSlots: 2, ReduceSlots: 2}})
+	records := workloads.Records(7, 2<<20/recordLen, recordLen-1)
+	if _, err := c.UploadRecords("sort.txt", "u", dhtfs.PermPublic, records, '\n'); err != nil {
+		t.Fatal(err)
+	}
+
+	start := c.MetricsSnapshot()
+	spec := mapreduce.JobSpec{ID: "sort-1", App: apps.Sort, Inputs: []string{"sort.txt"}, User: "u"}
+	res, err := c.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvs, err := c.Collect(res, "u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(records) / recordLen; len(kvs) != want {
+		t.Fatalf("sort returned %d records, want %d", len(kvs), want)
+	}
+	c.DropIntermediates(spec)
+	for _, f := range res.OutputFiles {
+		if err := c.DeleteFile(f, "u"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := c.MetricsSnapshot()
+	before, after := rpcCounts(start), rpcCounts(end)
+	got := make(map[string]int64)
+	for method, n := range after {
+		if d := n - before[method]; d > 0 && (strings.HasPrefix(method, "fs.") || strings.HasPrefix(method, "mr.")) {
+			got[method] = d
+		}
+	}
+	t.Logf("RPCs of one sort: %v", got)
+
+	// Every reduce partition is an equal slice of the ShuffleKey space, so
+	// each of the four outputs is about 0.6 MiB: one block, written, read
+	// and deleted whole. When the partitions were the ring's arcs, one of
+	// them held 58.7% of the pairs and its 1.4 MiB output was the job's
+	// only two-block file: fs.putBlock 4, fs.putFile 18 and fs.deleteBlock
+	// 4 with the rest as below, 105 RPCs and 27 blocks written.
+	want := map[string]int64{
+		"fs.appendSegmentBatch": 48,
+		"fs.putFile":            16,
+		"fs.deleteFile":         8,
+		"fs.dropJobSegments":    3,
+		"mr.runMap":             16,
+		"mr.runReduce":          4,
+	}
+	for method := range mergeKeys(got, want) {
+		if got[method] != want[method] {
+			t.Errorf("%s: %d calls, want %d", method, got[method], want[method])
+		}
+	}
+	if n := end.Get("fs.blocks.written") - start.Get("fs.blocks.written"); n != 24 {
+		t.Errorf("fs.blocks.written = %d, want 24", n)
 	}
 }

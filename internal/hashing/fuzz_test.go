@@ -87,9 +87,10 @@ func FuzzRingLookupConsistency(f *testing.F) {
 	})
 }
 
-// FuzzRangeTableCoversSpace pins that the ring's range table partitions
-// the key space: each key falls in exactly the range the lookup reports
-// (no gaps), every server appears exactly once (no overlapping ownership),
+// FuzzRangeTableCoversSpace pins that the ring's range table, and a job's
+// equal-width reduce table over the same members, partition the key
+// space: each key falls in exactly the range the lookup reports (no
+// gaps), every server appears exactly once (no overlapping ownership),
 // and boundary keys land on their own range.
 func FuzzRangeTableCoversSpace(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint64(0))
@@ -105,38 +106,51 @@ func FuzzRangeTableCoversSpace(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		table, err := ring.RangeTable()
+		arcs, err := ring.RangeTable()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if table.Len() != n {
-			t.Fatalf("table has %d servers for %d members", table.Len(), n)
+		even, err := hashing.UniformRangeTable(ring.Members())
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen := make(map[hashing.NodeID]bool, n)
-		for _, id := range table.Servers() {
-			if seen[id] {
-				t.Fatalf("server %s owns two ranges", id)
-			}
-			seen[id] = true
-		}
-		// The fuzzed key and every boundary key must resolve to the range
-		// that actually contains them: no gaps, no overlaps.
-		keys := []hashing.Key{hashing.Key(rawKey)}
-		for _, b := range table.Bounds() {
-			keys = append(keys, b, b-1, b+1)
-		}
-		for _, k := range keys {
-			idx := table.LookupIndex(k)
-			if idx < 0 || idx >= table.Len() {
-				t.Fatalf("LookupIndex(%v) = %d out of range", k, idx)
-			}
-			start, end := table.RangeOf(idx)
-			if start != end && !hashing.InRange(k, start, end) {
-				t.Fatalf("key %v resolved to range %d [%v, %v) that does not contain it", k, idx, start, end)
-			}
-			if !seen[table.Lookup(k)] {
-				t.Fatalf("key %v resolved to unknown server %s", k, table.Lookup(k))
-			}
+		for _, table := range []*hashing.RangeTable{arcs, even} {
+			coversSpace(t, table, n, hashing.Key(rawKey))
 		}
 	})
+}
+
+// coversSpace checks one table of n servers against key and every
+// boundary key.
+func coversSpace(t *testing.T, table *hashing.RangeTable, n int, key hashing.Key) {
+	t.Helper()
+	if table.Len() != n {
+		t.Fatalf("table has %d servers for %d members", table.Len(), n)
+	}
+	seen := make(map[hashing.NodeID]bool, n)
+	for _, id := range table.Servers() {
+		if seen[id] {
+			t.Fatalf("server %s owns two ranges", id)
+		}
+		seen[id] = true
+	}
+	// The fuzzed key and every boundary key must resolve to the range
+	// that actually contains them: no gaps, no overlaps.
+	keys := []hashing.Key{key}
+	for _, b := range table.Bounds() {
+		keys = append(keys, b, b-1, b+1)
+	}
+	for _, k := range keys {
+		idx := table.LookupIndex(k)
+		if idx < 0 || idx >= table.Len() {
+			t.Fatalf("LookupIndex(%v) = %d out of range", k, idx)
+		}
+		start, end := table.RangeOf(idx)
+		if start != end && !hashing.InRange(k, start, end) {
+			t.Fatalf("key %v resolved to range %d [%v, %v) that does not contain it", k, idx, start, end)
+		}
+		if !seen[table.Lookup(k)] {
+			t.Fatalf("key %v resolved to unknown server %s", k, table.Lookup(k))
+		}
+	}
 }

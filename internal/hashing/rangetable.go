@@ -20,6 +20,10 @@ import (
 type RangeTable struct {
 	servers []NodeID
 	bounds  []Key // len == len(servers); bounds[i] is the start of server i's range
+	// step is the width of every range but the last, which also takes
+	// the remainder, when the bounds are UniformRangeTable's cut: a lookup
+	// is then one division, not a search. 0 for any other table.
+	step uint64
 }
 
 // NewRangeTable builds a table from parallel server and boundary slices.
@@ -37,10 +41,30 @@ func NewRangeTable(servers []NodeID, bounds []Key) (*RangeTable, error) {
 			return nil, fmt.Errorf("hashing: bounds not sorted at index %d", i)
 		}
 	}
-	return &RangeTable{
+	t := &RangeTable{
 		servers: append([]NodeID(nil), servers...),
 		bounds:  append([]Key(nil), bounds...),
-	}, nil
+		step:    uniformStep(len(bounds)),
+	}
+	// A table that travels (a map task's reduce table, a journaled one)
+	// arrives as bounds alone, so the cut is recognised, not remembered.
+	for i, b := range bounds {
+		if uint64(b) != uint64(i)*t.step {
+			t.step = 0
+			break
+		}
+	}
+	return t, nil
+}
+
+// uniformStep is the range width of an n-server equal-width cut: 2^64/n,
+// rounded down to an even number so it fits in 64 bits; 0 for n < 2,
+// where there is nothing to cut.
+func uniformStep(n int) uint64 {
+	if n < 2 {
+		return 0
+	}
+	return (uint64(1) << 63) / uint64(n) * 2
 }
 
 // UniformRangeTable assigns each server an equal-width slice of the key
@@ -50,9 +74,8 @@ func UniformRangeTable(servers []NodeID) (*RangeTable, error) {
 	if len(servers) == 0 {
 		return nil, ErrEmptyRing
 	}
-	n := len(servers)
-	bounds := make([]Key, n)
-	step := (uint64(1) << 63) / uint64(n) * 2 // 2^64 / n without overflow
+	bounds := make([]Key, len(servers))
+	step := uniformStep(len(servers))
 	for i := range bounds {
 		bounds[i] = Key(uint64(i) * step)
 	}
@@ -106,6 +129,9 @@ func (t *RangeTable) Lookup(k Key) NodeID {
 // k. MapReduce partitioning uses the index directly as the reduce
 // partition number.
 func (t *RangeTable) LookupIndex(k Key) int {
+	if t.step != 0 {
+		return int(min(uint64(k)/t.step, uint64(len(t.servers)-1)))
+	}
 	// Find the last bound <= k; keys below bounds[0] wrap into the final
 	// server's range.
 	i := sort.Search(len(t.bounds), func(i int) bool { return t.bounds[i] > k })

@@ -93,6 +93,53 @@ func TestUniformRangeTableEqualWidths(t *testing.T) {
 	}
 }
 
+// TestUniformLookupIsTheSearch: an equal-width table, rebuilt from its
+// bounds as a map task's reduce table is, is recognised, and its
+// one-division lookup picks the range the bound search picks for every
+// key, boundaries and the remainder of the last range included.
+func TestUniformLookupIsTheSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	for n := 2; n <= 65; n++ {
+		servers := make([]NodeID, n)
+		for i := range servers {
+			servers[i] = NodeID(rune('a' + i))
+		}
+		uniform, err := UniformRangeTable(servers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := NewRangeTable(uniform.Servers(), uniform.Bounds())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.step == 0 {
+			t.Fatalf("n=%d: the equal-width bounds were not recognised", n)
+		}
+		search := *tab
+		search.step = 0
+		keys := []Key{0, MaxKey}
+		for _, b := range tab.Bounds() {
+			keys = append(keys, b, b-1, b+1)
+		}
+		for i := 0; i < 1000; i++ {
+			keys = append(keys, Key(rng.Uint64()))
+		}
+		for _, k := range keys {
+			if got, want := tab.LookupIndex(k), search.LookupIndex(k); got != want {
+				t.Fatalf("n=%d: LookupIndex(%v) = %d, the search finds %d", n, k, got, want)
+			}
+		}
+	}
+	// Bounds one key off an equal cut are searched.
+	tab, err := NewRangeTable([]NodeID{"a", "b"}, []Key{0, Key(uniformStep(2) + 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.step != 0 {
+		t.Fatal("bounds off the equal cut were taken for it")
+	}
+}
+
 func TestAlignedRangeTableMatchesRingOwnership(t *testing.T) {
 	r := NewChordRing()
 	for i := 0; i < 8; i++ {

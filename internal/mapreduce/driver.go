@@ -341,7 +341,12 @@ func (d *Driver) execute(ctx context.Context, spec JobSpec, prior *journal, pub 
 	if prior != nil {
 		mk = copyMarker(&prior.Mk)
 	} else {
-		table, err := d.ring().RangeTable()
+		// One equal-width slice of the ShuffleKey space per member, in
+		// ring order: ShuffleKey spreads keys evenly, so each partition
+		// gets an even share of the pairs, where the ring's own arcs
+		// are as uneven as its SHA-1 positions (DESIGN.md §9). An
+		// adopted journal or marker keeps the table it was written with.
+		table, err := hashing.UniformRangeTable(d.ring().Members())
 		if err != nil {
 			return Result{}, err
 		}
@@ -835,7 +840,7 @@ func (d *Driver) Close() {
 // its own. Below it a reduce costs less than the output file, its replicas
 // and its delete that a task of its own would add (jobs_skewed's grep
 // partitions are ~2 KB); above it sits every partition whose reduce is
-// worth a node of its own (sort_shuffle's are ~180 KB and up).
+// worth a node of its own (sort_shuffle's are ~640 KB each).
 const reduceGroupBytes = 16 << 10
 
 // reduceGroups cuts a job's partitions into reduce tasks, each a run of

@@ -22,4 +22,7 @@ go test -race "$@" ./...
 echo "== lifecycles, -race -count=5 (make lifecycle)"
 make lifecycle
 
+echo "== round-trip budgets, -race -count=5 (make roundtrips)"
+make roundtrips
+
 echo "check: OK"
