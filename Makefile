@@ -43,10 +43,15 @@ lifecycle:
 # repeat. The rows, in internal/cluster/roundtrips_test.go:
 # TestSmallJobRoundTrips (jobs_skewed), TestFsMixedRoundTrips (fs_mixed),
 # TestKMeansIterationRoundTrips (iter_kmeans), TestSortShuffleRoundTrips
-# (sort_shuffle) and TestReuseTagRoundTrips (a tagged word count). This
+# (sort_shuffle) and TestReuseTagRoundTrips (a tagged word count); and
+# the job journal's snapshot counts, one per flush point, in
+# internal/mapreduce/journal_test.go: TestJournalPacingOneWave (open,
+# reduce, done), TestJournalPacingBound (one per map wave but the last)
+# and TestJournalPacingFollowsShape (map waves and a recovery round). This
 # is the one list: CI and scripts/check.sh run this target.
 roundtrips:
 	$(GO) test -race -count=5 -run RoundTrips ./internal/cluster
+	$(GO) test -race -count=5 -run JournalPacing ./internal/mapreduce
 
 # Project invariants (ring comparisons, RPC-under-mutex, metric names,
 # sim determinism, dropped I/O errors) plus gofmt cleanliness. CI runs

@@ -158,14 +158,15 @@ func TestSmallJobRoundTrips(t *testing.T) {
 	// which sent one map's matches to one remote owner fewer. 47 when each
 	// partition was a reduce task with a file of its own (fs.putFile 16,
 	// fs.deleteFile 8, mr.runReduce 4). 55-65 (median 59) when every
-	// completion asked for a journal flush, the journal's coalescing
-	// deciding how many a run wrote, and the journal was deleted apart;
-	// 57-65 (median 61) when the driver also waited for the reduce phase
-	// and each partition; 107-111 when a one-block file was written, read
-	// and deleted as blocks and metadata apart.
-	const ceiling = 36
-	if total > ceiling {
-		t.Errorf("one small job cost %d RPCs, budget %d", total, ceiling)
+	// completion asked for a journal flush, a coalescing flusher deciding
+	// how many a run wrote, and the journal was deleted apart; 57-65
+	// (median 61) when the driver also waited for the reduce phase and
+	// each partition; 107-111 when a one-block file was written, read and
+	// deleted as blocks and metadata apart. The count is exact: each
+	// journal flush point is one snapshot.
+	const budget = 34
+	if total != budget {
+		t.Errorf("one small job cost %d RPCs, want %d", total, budget)
 	}
 }
 
@@ -321,9 +322,8 @@ func TestKMeansIterationRoundTrips(t *testing.T) {
 	}
 
 	// Fresh: the same job, after the journal probe, one fs.getFile that
-	// finds no journal. The journal's reduce snapshot may fold into its
-	// done snapshot on a fast job (TestJournalPacingOneWave), so fs.putFile
-	// is held to within one snapshot's copies.
+	// finds no journal. Both runs write one journal snapshot per flush
+	// point (TestJournalPacingOneWave), so every other cell is the same.
 	fresh, again := iteration(apps.Named(c, "iter"))
 	t.Logf("fresh:    %v", fresh)
 	for method := range mergeKeys(plain, fresh) {
@@ -331,9 +331,7 @@ func TestKMeansIterationRoundTrips(t *testing.T) {
 		if method == "fs.getFile" {
 			want++
 		}
-		if d := fresh[method] - want; method == "fs.putFile" && max(d, -d) <= int64(c.Manager().cfg.Replicas) {
-			continue
-		} else if d != 0 {
+		if fresh[method] != want {
 			t.Errorf("fresh: %d %s calls, want %d: a named run costs one journal probe more than a plain one", fresh[method], method, want)
 		}
 	}

@@ -10,8 +10,7 @@
 //
 // The design discipline is the same as internal/trace, deliberately:
 //
-//   - Cheap when filtered: emitting an event whose kind is masked off
-//     costs one atomic load and returns.
+//   - Cheap: an emission is one allocation and one atomic slot claim.
 //   - Bounded: finished events land in a fixed-size lock-free ring;
 //     the oldest are overwritten and a dropped counter tells the
 //     collector how much history it lost.
@@ -20,8 +19,8 @@
 //     counter, so a single-threaded simulated run produces
 //     byte-identical timelines.
 //
-// Unlike tracing, the log starts with every kind enabled: a flight
-// recorder that must be switched on after the crash records nothing.
+// Unlike tracing, the log records every kind, always: a flight recorder
+// that must be switched on after the crash records nothing.
 package events
 
 import (
@@ -32,7 +31,7 @@ import (
 )
 
 // Kind is the coarse event taxonomy. Filters (the collection RPC, the
-// CLI, the per-log mask) select on kinds; names stay free to be precise.
+// CLI) select on kinds; names stay free to be precise.
 type Kind uint8
 
 // The event taxonomy. Every emitted event carries exactly one kind.
@@ -93,9 +92,6 @@ func Kinds() []string {
 	return append([]string(nil), kindNames[:]...)
 }
 
-// AllKinds is the mask with every kind enabled — the default.
-const AllKinds uint64 = 1<<numKinds - 1
-
 // Event is one recorded transition. All fields are exported and plain
 // data, so events serialize over collection RPCs and into debug bundles
 // unchanged.
@@ -124,7 +120,7 @@ type Event struct {
 }
 
 // F carries the optional fields of one emission. Constructing it is a
-// plain stack write; no allocation happens for filtered-out kinds.
+// plain stack write.
 type F struct {
 	Job, Task, Detail string
 	Attempt           int
@@ -154,14 +150,13 @@ type Log struct {
 	clock  metrics.Clock
 	idBase uint64 // seeded node hash in the high 32 bits
 
-	mask atomic.Uint64 // bit per Kind; Emit is a no-op for cleared bits
-	ctr  atomic.Uint64
+	ctr atomic.Uint64
 	// observer, when set, sees every recorded event (see SetObserver).
 	observer atomic.Pointer[func(Event)]
 	ring     *metrics.Ring[Event]
 }
 
-// New returns an event log for the named node with every kind enabled.
+// New returns an event log for the named node.
 func New(node string, o Options) *Log {
 	capacity := o.Capacity
 	if capacity <= 0 {
@@ -174,14 +169,12 @@ func New(node string, o Options) *Log {
 	h := fnv.New32a()
 	h.Write([]byte(node))
 	base := uint64(h.Sum32()) ^ (o.Seed ^ o.Seed>>32&0xffffffff)
-	l := &Log{
+	return &Log{
 		node:   node,
 		clock:  clock,
 		idBase: (base & 0xffffffff) << 32,
 		ring:   metrics.NewRing[Event](capacity),
 	}
-	l.mask.Store(AllKinds)
-	return l
 }
 
 // Node returns the node name events are stamped with.
@@ -202,49 +195,11 @@ func (l *Log) NowNS() int64 {
 	return l.clock.Now().UnixNano()
 }
 
-// Mask returns the enabled-kind bitmask.
-func (l *Log) Mask() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.mask.Load()
-}
-
-// SetMask replaces the enabled-kind bitmask wholesale.
-func (l *Log) SetMask(mask uint64) {
-	if l != nil {
-		l.mask.Store(mask & AllKinds)
-	}
-}
-
-// SetKindEnabled enables or disables one kind.
-func (l *Log) SetKindEnabled(k Kind, on bool) {
-	if l == nil || k >= numKinds {
-		return
-	}
-	for {
-		old := l.mask.Load()
-		next := old | 1<<k
-		if !on {
-			next = old &^ (1 << k)
-		}
-		if l.mask.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// KindEnabled reports whether events of kind k are being recorded.
-func (l *Log) KindEnabled(k Kind) bool {
-	return l != nil && l.mask.Load()&(1<<k) != 0
-}
-
 // SetObserver registers fn to be called synchronously, on the emitting
-// goroutine, with every event the log records (masked-out kinds are never
-// seen); nil removes it. It is how tests inject a fault at an exact
-// lifecycle point. fn may run with the emitter's locks held — the driver
-// emits under its own — so it must not call back into the emitting
-// component (canceling a context is fine).
+// goroutine, with every event the log records; nil removes it. It is how
+// tests inject a fault at an exact lifecycle point. fn may run with the
+// emitter's locks held — the driver emits under its own — so it must not
+// call back into the emitting component (canceling a context is fine).
 func (l *Log) SetObserver(fn func(Event)) {
 	if l == nil {
 		return
@@ -256,11 +211,10 @@ func (l *Log) SetObserver(fn func(Event)) {
 	l.observer.Store(&fn)
 }
 
-// Emit records one event. For a filtered-out kind (or a nil log) the
-// cost is one atomic load; otherwise one allocation and one atomic slot
-// claim. Safe for concurrent use.
+// Emit records one event: one allocation and one atomic slot claim, and
+// nothing on a nil log. Safe for concurrent use.
 func (l *Log) Emit(k Kind, name string, f F) {
-	if l == nil || l.mask.Load()&(1<<k) == 0 {
+	if l == nil {
 		return
 	}
 	e := &Event{

@@ -70,44 +70,11 @@ func TestRingOverwriteAndDropped(t *testing.T) {
 	}
 }
 
-func TestKindMaskFiltering(t *testing.T) {
-	l := New("node-a", Options{Clock: tickClock(0, 1), Capacity: 8})
-	l.SetKindEnabled(KindShuffle, false)
-	l.Emit(KindShuffle, "shuffle.batch", F{})
-	l.Emit(KindTask, "map.finish", F{})
-	if evs := l.Events("", 0); len(evs) != 1 || evs[0].Kind != KindTask {
-		t.Fatalf("masked kind recorded: %+v", evs)
-	}
-	if l.KindEnabled(KindShuffle) || !l.KindEnabled(KindTask) {
-		t.Fatal("KindEnabled disagrees with mask")
-	}
-	l.SetKindEnabled(KindShuffle, true)
-	l.Emit(KindShuffle, "shuffle.batch", F{})
-	if evs := l.Events("", 0); len(evs) != 2 {
-		t.Fatalf("re-enabled kind not recorded: %d events", len(evs))
-	}
-	l.SetMask(0)
-	l.Emit(KindJob, "job.submit", F{})
-	if evs := l.Events("", 0); len(evs) != 2 {
-		t.Fatal("zero mask still recorded")
-	}
-	// A filtered emit must not consume IDs or ring slots (the fast path
-	// returns before any state change).
-	if got := l.Dropped(); got != 0 {
-		t.Fatalf("filtered emits advanced the ring: dropped=%d", got)
-	}
-}
-
 func TestNilLogSafe(t *testing.T) {
 	var l *Log
 	l.Emit(KindJob, "job.submit", F{Job: "wc"}) // must not panic
-	if l.Events("", 0) != nil || l.Dropped() != 0 || l.Node() != "" || l.Mask() != 0 {
+	if l.Events("", 0) != nil || l.Dropped() != 0 || l.Node() != "" {
 		t.Fatal("nil log not inert")
-	}
-	l.SetKindEnabled(KindJob, false)
-	l.SetMask(1)
-	if l.KindEnabled(KindJob) {
-		t.Fatal("nil log reports enabled kind")
 	}
 }
 
@@ -188,17 +155,6 @@ func TestRenderFormatsFields(t *testing.T) {
 	}
 }
 
-// BenchmarkEmitFiltered pins the acceptance criterion: emitting an event
-// whose kind is masked off is one atomic load, no allocation.
-func BenchmarkEmitFiltered(b *testing.B) {
-	l := New("node-a", Options{Capacity: 64})
-	l.SetKindEnabled(KindShuffle, false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.Emit(KindShuffle, "shuffle.batch", F{Job: "wc", Task: "m0"})
-	}
-}
-
 func BenchmarkEmitRecorded(b *testing.B) {
 	l := New("node-a", Options{Capacity: 1 << 12})
 	b.ReportAllocs()
@@ -207,25 +163,13 @@ func BenchmarkEmitRecorded(b *testing.B) {
 	}
 }
 
-func TestEmitFilteredAllocFree(t *testing.T) {
-	l := New("node-a", Options{Capacity: 64})
-	l.SetKindEnabled(KindShuffle, false)
-	allocs := testing.AllocsPerRun(1000, func() {
-		l.Emit(KindShuffle, "shuffle.batch", F{Job: "wc", Task: "m0", Attempt: 3})
-	})
-	if allocs != 0 {
-		t.Fatalf("filtered Emit allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
 // TestObserverSeesEveryRecordedEventOnce: the observer is called exactly
 // once per recorded emission, in each goroutine's own emission order,
-// never for a masked-out kind, and is not bounded by the ring (far
-// smaller here than the number of emissions).
+// and is not bounded by the ring (far smaller here than the number of
+// emissions).
 func TestObserverSeesEveryRecordedEventOnce(t *testing.T) {
 	const goroutines, perG = 8, 200
 	l := New("node-a", Options{Capacity: 16})
-	l.SetKindEnabled(KindShuffle, false)
 	var mu sync.Mutex
 	seen := make(map[string][]int)
 	l.SetObserver(func(e Event) {
@@ -240,7 +184,6 @@ func TestObserverSeesEveryRecordedEventOnce(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				l.Emit(KindTask, "map.finish", F{Task: task, Attempt: i})
-				l.Emit(KindShuffle, "shuffle.batch", F{Task: "masked"})
 			}
 		}(fmt.Sprintf("g%d", g))
 	}
@@ -248,7 +191,7 @@ func TestObserverSeesEveryRecordedEventOnce(t *testing.T) {
 	l.SetObserver(nil)
 	l.Emit(KindTask, "map.finish", F{Task: "after-removal"})
 	if len(seen) != goroutines {
-		t.Fatalf("observer saw %d emitters, want %d (masked kind or removed observer leaked)", len(seen), goroutines)
+		t.Fatalf("observer saw %d emitters, want %d (removed observer leaked)", len(seen), goroutines)
 	}
 	for task, attempts := range seen {
 		if len(attempts) != perG {
@@ -264,8 +207,7 @@ func TestObserverSeesEveryRecordedEventOnce(t *testing.T) {
 
 // TestEmitWithoutObserverAllocatesOnlyTheEvent pins that the hook costs an
 // unobserved log nothing: a recorded emission is still the one Event
-// allocation it was before (TestEmitFilteredAllocFree holds the masked
-// path at zero).
+// allocation it was before.
 func TestEmitWithoutObserverAllocatesOnlyTheEvent(t *testing.T) {
 	l := New("node-a", Options{Capacity: 64})
 	if allocs := testing.AllocsPerRun(1000, func() {

@@ -25,7 +25,8 @@ const transportPath = "eclipsemr/internal/transport"
 // internal/transport's Call methods (both the Network interface method
 // and every concrete implementation) and propagates "blocking" through
 // module functions, so wrappers like a node's typed rpc helper are caught
-// too. Lock tracking is per-function and syntactic: a finding means a
+// too. A call a function spawns with go blocks no caller, in the graph as
+// at the spawn site. Lock tracking is per-function and syntactic: a finding means a
 // Lock/RLock on some mutex expression textually precedes the call with no
 // intervening Unlock on the straight-line path.
 func LockedRPC() *Analyzer {
@@ -77,14 +78,28 @@ func blockingSet(u *Unit) map[string]string {
 				}
 				key := funcKey(fn)
 				decls[key] = true
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok {
-						if callee := calleeFunc(p.Info, call); callee != nil {
+				var visit func(ast.Node) bool
+				visit = func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.GoStmt:
+						// The spawned call runs in its own lock context
+						// (see lockWalker) and blocks no caller: only its
+						// operands are evaluated here.
+						for _, a := range n.Call.Args {
+							ast.Inspect(a, visit)
+						}
+						if sel, ok := n.Call.Fun.(*ast.SelectorExpr); ok {
+							ast.Inspect(sel.X, visit)
+						}
+						return false
+					case *ast.CallExpr:
+						if callee := calleeFunc(p.Info, n); callee != nil {
 							callees[key] = append(callees[key], callee)
 						}
 					}
 					return true
-				})
+				}
+				ast.Inspect(fd.Body, visit)
 			}
 		}
 	}

@@ -25,6 +25,20 @@ func goroutineBody(s *srv) {
 	}()
 }
 
+// spawnUnderLock calls, under the mutex, a helper whose RPC runs on a
+// goroutine it starts: the helper does not block, so its caller holds
+// the mutex across no RPC.
+func spawnUnderLock(s *srv) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pingAsync()
+}
+
+// pingAsync starts a ping and returns without waiting for it.
+func (s *srv) pingAsync() {
+	go s.rpc()
+}
+
 // lockAfter acquires the mutex only after the RPC returns.
 func lockAfter(s *srv) {
 	if _, err := s.net.Call(context.Background(), s.succ, "ping", nil); err != nil {

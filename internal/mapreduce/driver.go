@@ -443,7 +443,7 @@ func (d *Driver) execute(ctx context.Context, spec JobSpec, prior *journal, pub 
 	// "map".
 	d.events.Emit(events.KindJob, "job.phase.reduce", events.F{Job: spec.ID})
 	if st.jw != nil && (prior == nil || prior.Phase == phaseMap) {
-		st.jw.setPhase(phaseReduce, &mk)
+		st.jw.setPhase(ctx, phaseReduce, &mk)
 	}
 
 	if err := d.runReducePhase(ctx, st); err != nil {
@@ -473,7 +473,7 @@ func (d *Driver) execute(ctx context.Context, spec JobSpec, prior *journal, pub 
 		}
 	}
 	if st.jw != nil {
-		st.jw.setPhase(phaseDone, &mk)
+		st.jw.setPhase(ctx, phaseDone, &mk)
 	}
 	return res, nil
 }
@@ -743,7 +743,7 @@ func (d *Driver) finishMap(st *runState, mt *mapTask, attempt int, resp RunMapRe
 		if st.jw != nil {
 			taskID := mt.t.ID
 			partBytes := append([]int64(nil), st.mk.PartBytes...)
-			st.jw.update(func(jr *journal) {
+			st.jw.update(st.ctx, func(jr *journal) {
 				jr.MapsDone[taskID] = true
 				if jr.Attempts[taskID] < attempt {
 					jr.Attempts[taskID] = attempt
@@ -1092,7 +1092,7 @@ func (d *Driver) reduceWave(ctx context.Context, st *runState, tasks []reduceTas
 				// Not waited for: the snapshot that carries it also carries
 				// the reduce phase and every map completion, and the done
 				// phase waits for all of them.
-				st.jw.update(func(j *journal) { maps.Copy(j.PartsDone, records) }, parts.due(completed == len(tasks)))
+				st.jw.update(ctx, func(j *journal) { maps.Copy(j.PartsDone, records) }, parts.due(completed == len(tasks)))
 			}
 			mu.Unlock()
 			d.events.Emit(events.KindTask, "reduce.finish", events.F{
@@ -1295,7 +1295,7 @@ func (d *Driver) commitRehome(st *runState, parts []int) {
 	d.recordFlight(st.spec.ID, "recovery")
 	if st.jw != nil {
 		snap := copyMarker(st.mk)
-		st.jw.updateSync(func(j *journal) {
+		st.jw.updateSync(st.ctx, func(j *journal) {
 			j.Mk = snap
 			for _, p := range parts {
 				j.Lost[p] = true
@@ -1331,7 +1331,7 @@ func (d *Driver) reshuffle(st *runState, tasks []*mapTask, only []int) error {
 			}
 		}
 		d.mu.Unlock()
-		st.jw.update(func(j *journal) {
+		st.jw.update(st.ctx, func(j *journal) {
 			for _, p := range whole {
 				delete(j.Lost, p)
 			}

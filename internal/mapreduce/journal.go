@@ -70,49 +70,45 @@ const journalPrefix = "_mr/journal/"
 
 func journalFile(jobID string) string { return journalPrefix + jobID }
 
-// journalWriter persists one job's journal with write coalescing: every
-// record marks the state dirty and a single flusher goroutine uploads the
-// latest snapshot when asked, so a burst of records costs one upload, not
-// one per record. Task completions ask once a wave (see pace), phase
-// changes every time. Every upload is a whole snapshot, so no record can
-// reach the file without every record made before it. Uploads are best
-// effort — the journal trades a little idempotent re-execution on resume
-// for never failing a healthy job on a flaky network. The driver waits
-// only where a reader depends on the file: the opening snapshot (before
-// any work), the done phase (before Run returns) and a re-homed partition
-// table (before any spill is pushed at it); each wait is timed in
-// mr.driver.journal_wait_ns.
+// journalWriter persists one job's journal. Every record updates the
+// state; a flush point (the opening snapshot, a wave of completions, see
+// pace, a phase change, a re-homed table, the end of a re-shuffle) asks
+// for one upload of a whole snapshot, encoded when its turn comes, so no
+// record can reach the file without every record made before it. Uploads
+// run one after another, in request order, each on a goroutine of its
+// own that waits for its predecessor's, so none runs under a lock and the
+// file never goes back. A job's snapshot count is thus its count of flush
+// points. Uploads are best effort — the journal trades a little
+// idempotent re-execution on resume for never failing a healthy job on a
+// flaky network. The driver waits only where a reader depends on the
+// file: the opening snapshot (before any work), the done phase (before
+// Run returns) and a re-homed partition table (before any spill is pushed
+// at it); each wait is timed in mr.driver.journal_wait_ns.
 type journalWriter struct {
 	d    *Driver
 	file string
 	user string
 
-	// mu guards the journal state and dirty flag only; no RPC ever runs
-	// under it.
-	mu    sync.Mutex
-	j     journal
+	// mu guards the fields below; no RPC ever runs under it.
+	mu sync.Mutex
+	j  journal
+	// dirty reports that the file lacks a record: one made after the last
+	// snapshot was encoded, or one whose upload failed.
 	dirty bool
-
-	// All uploads run on the single flusher goroutine, which both
-	// serializes snapshots (they reach the file system in order) and keeps
-	// network I/O off every mutex. sendMu guards kick sends against close.
-	sendMu sync.Mutex
-	closed bool
-	kick   chan chan struct{} // nil = coalesced async flush; non-nil = acked sync flush
-	idle   chan struct{}      // closed when the flusher goroutine exits
+	// last is closed once the latest requested upload is over.
+	last chan struct{}
 }
 
 // newJournalWriter seeds the writer from a prior journal (resume) or a
-// fresh one, persists the opening snapshot synchronously, and starts the
-// flusher.
+// fresh one and persists the opening snapshot synchronously.
 func (d *Driver) newJournalWriter(ctx context.Context, spec JobSpec, mk *marker, prior *journal) *journalWriter {
 	w := &journalWriter{
 		d:    d,
 		file: journalFile(spec.ID),
 		user: spec.User,
-		kick: make(chan chan struct{}, 1),
-		idle: make(chan struct{}),
+		last: make(chan struct{}),
 	}
+	close(w.last)
 	if prior != nil {
 		w.j = *prior
 		w.j.Generation = prior.Generation + 1
@@ -132,13 +128,10 @@ func (d *Driver) newJournalWriter(ctx context.Context, spec JobSpec, mk *marker,
 		w.j.Lost = make(map[int]bool)
 	}
 	w.j.Mk = copyMarker(mk)
-	w.dirty = true
-	// The journal must exist before any work it would cover; the flusher
-	// is not running yet, so calling doFlush directly is single-threaded.
+	// The journal must exist before any work it would cover.
 	wait := d.reg.Histogram("mr.driver.journal_wait_ns").Start()
-	w.doFlush(ctx)
+	<-w.flush(ctx)
 	wait.Stop()
-	go w.loop(ctx)
 	return w
 }
 
@@ -150,38 +143,16 @@ func (w *journalWriter) attemptBase() int {
 	return w.j.Generation * attemptStride
 }
 
-// signalFlush hands a flush request to the flusher goroutine. A nil done
-// coalesces (drop the kick if one is already pending); a non-nil done is
-// delivered unconditionally and closed once the flush covering the
-// caller's mutation completed. Returns false after close.
-func (w *journalWriter) signalFlush(done chan struct{}) bool {
-	w.sendMu.Lock()
-	defer w.sendMu.Unlock()
-	if w.closed {
-		return false
-	}
-	if done == nil {
-		select {
-		case w.kick <- nil:
-		default:
-		}
-		return true
-	}
-	// The flusher never takes sendMu, so this blocking send always drains.
-	w.kick <- done
-	return true
-}
-
-// update applies a mutation and, with flush, schedules an asynchronous
-// flush; without, the next flush, whoever asks for it, carries it. Safe
-// to call with driver locks held: it only signals the flusher.
-func (w *journalWriter) update(fn func(*journal), flush bool) {
+// update applies a mutation and, with flush, asks for an upload without
+// waiting for it; without, the next flush carries it. Safe to call with
+// driver locks held: it never blocks.
+func (w *journalWriter) update(ctx context.Context, fn func(*journal), flush bool) {
 	w.mu.Lock()
 	fn(&w.j)
 	w.dirty = true
 	w.mu.Unlock()
 	if flush {
-		w.signalFlush(nil)
+		w.flush(ctx)
 	}
 }
 
@@ -205,71 +176,63 @@ func (p *pace) due(last bool) bool {
 	return true
 }
 
-// updateSync applies a mutation and waits until a flush covering it has
-// been persisted. Must not be called with driver locks held (it blocks on
-// file-system RPCs).
-func (w *journalWriter) updateSync(fn func(*journal)) {
-	w.update(fn, false)
+// updateSync applies a mutation and waits until its upload is over. Must
+// not be called with driver locks held (it waits on file-system RPCs).
+func (w *journalWriter) updateSync(ctx context.Context, fn func(*journal)) {
+	w.update(ctx, fn, false)
 	wait := w.d.reg.Histogram("mr.driver.journal_wait_ns").Start()
-	done := make(chan struct{})
-	if w.signalFlush(done) {
-		<-done
-	}
+	<-w.flush(ctx)
 	wait.Stop()
 }
 
 // setPhase records a phase transition with the current marker state. Only
 // the done phase is waited for: Run returns after it. The reduce phase
-// asks for a flush without waiting; a partition record made after it can
-// only reach the file in a snapshot that holds it too.
-func (w *journalWriter) setPhase(phase string, mk *marker) {
+// asks for an upload without waiting; a partition record made after it can
+// only reach the file in a later snapshot, which holds it too.
+func (w *journalWriter) setPhase(ctx context.Context, phase string, mk *marker) {
 	snap := copyMarker(mk)
 	record := func(j *journal) {
 		j.Phase = phase
 		j.Mk = snap
 	}
 	if phase == phaseDone {
-		w.updateSync(record)
+		w.updateSync(ctx, record)
 	} else {
-		w.update(record, true)
+		w.update(ctx, record, true)
 	}
 }
 
-// loop is the coalescing flusher: each kick flushes the latest snapshot
-// and acks sync requests. An ack is correct even when doFlush found
-// nothing dirty: the requester's mutation was then already covered by an
-// earlier flush (dirty is cleared under mu only when the snapshot
-// includes it).
-func (w *journalWriter) loop(ctx context.Context) {
-	defer close(w.idle)
-	for done := range w.kick {
-		w.doFlush(ctx)
-		if done != nil {
-			close(done)
-		}
-	}
-}
-
-// doFlush uploads the current snapshot if dirty. Only the flusher
-// goroutine (and the single-threaded open/close paths) call it. Upload
-// errors are counted, not surfaced: losing a journal write only means a
-// resume re-executes a few already-finished tasks (idempotently, thanks
-// to the attempt-tagged store). A failed upload re-marks the state dirty
-// so the dropped snapshot is retried by the next flush — in particular by
-// close's final one; without that, mutations between the failed flush and
-// close would silently never reach the journal file.
-func (w *journalWriter) doFlush(ctx context.Context) {
+// flush asks for one upload, after every upload asked for before it, and
+// returns a channel closed once it is over. It never blocks: the upload
+// runs on a goroutine that waits for its predecessor's to be over.
+func (w *journalWriter) flush(ctx context.Context) <-chan struct{} {
+	done := make(chan struct{})
 	w.mu.Lock()
-	if !w.dirty {
-		w.mu.Unlock()
-		return
-	}
+	prev := w.last
+	w.last = done
+	w.mu.Unlock()
+	go func() {
+		defer close(done)
+		<-prev
+		w.upload(ctx)
+	}()
+	return done
+}
+
+// upload encodes the current snapshot and writes it to the journal file.
+// Upload errors are counted, not surfaced: losing a journal write only
+// means a resume re-executes a few already-finished tasks (idempotently,
+// thanks to the attempt-tagged store). A failed upload leaves the state
+// dirty, so close's final flush retries it; without that, a failure after
+// the last flush point would never reach the journal file.
+func (w *journalWriter) upload(ctx context.Context) {
+	w.mu.Lock()
 	w.dirty = false
 	data := w.j.AppendWire(nil)
 	jobID := w.j.Spec.ID
 	phase := w.j.Phase
 	w.mu.Unlock()
-	// A fresh encoding per flush, handed over to the store.
+	// A fresh encoding per upload, handed over to the store.
 	if _, err := w.d.fs.Upload(ctx, w.file, w.user, dhtfs.PermPublic, data, 1<<20); err != nil {
 		// Visible discard: journaling is best effort by design (see the
 		// type comment); the counter keeps the loss observable.
@@ -285,23 +248,24 @@ func (w *journalWriter) doFlush(ctx context.Context) {
 	w.d.events.Emit(events.KindJournal, "journal.flush", events.F{Job: jobID, Detail: phase})
 }
 
-// close stops the flusher and persists the final state, so even an
-// aborted run leaves its latest progress adoptable. The final flush runs
-// on a context detached from ctx's cancellation: a cancelled job is
-// exactly the case where the last snapshot must still reach the journal
-// for a later Resume to adopt.
+// close waits for the last upload asked for and persists what the file
+// still lacks, so even an aborted run leaves its latest progress
+// adoptable; a fault-free run already ended on its done snapshot. The
+// final upload runs on a context detached from ctx's cancellation: a
+// cancelled job is exactly the case where the last snapshot must still
+// reach the journal for a later Resume to adopt. Nothing records once the
+// run is over, so nothing flushes after close.
 func (w *journalWriter) close(ctx context.Context) {
-	w.sendMu.Lock()
-	if w.closed {
-		w.sendMu.Unlock()
-		return
+	w.mu.Lock()
+	last := w.last
+	w.mu.Unlock()
+	<-last
+	w.mu.Lock()
+	dirty := w.dirty
+	w.mu.Unlock()
+	if dirty {
+		w.upload(context.WithoutCancel(ctx))
 	}
-	w.closed = true
-	w.sendMu.Unlock()
-	close(w.kick)
-	<-w.idle
-	// Single-threaded again: the flusher has exited.
-	w.doFlush(context.WithoutCancel(ctx))
 }
 
 // copyMarker deep-copies a marker so journal snapshots never alias the

@@ -3,6 +3,8 @@ package mapreduce
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,7 +56,7 @@ func TestJournalFailedFlushNotLost(t *testing.T) {
 	for _, id := range ec.ids[1:] {
 		ec.net.Partition(id, true)
 	}
-	w.updateSync(func(j *journal) { j.MapsDone["m1"] = true })
+	w.updateSync(context.Background(), func(j *journal) { j.MapsDone["m1"] = true })
 	if got := ec.driver.reg.Snapshot().Get("mr.driver.journal_errors"); got == 0 {
 		t.Fatal("the partitioned flush did not fail; the test exercises nothing")
 	}
@@ -121,9 +123,8 @@ func journalFlushes(ec *engineCluster, job string) []string {
 // TestJournalPacingOneWave: a job with no more maps than slots and no more
 // partitions than reduce slots writes three snapshots, the opening one,
 // the reduce phase and the done phase: no completion asks for a flush of
-// its own. Each reduce waits until the reduce phase is in the file, so the
-// flusher cannot fold that snapshot into the done phase's on a busy
-// machine.
+// its own. Each reduce waits until the reduce phase is in the file: its
+// upload is asked for before any reduce runs and never waits on one.
 func TestJournalPacingOneWave(t *testing.T) {
 	const job = "onewave-1"
 	ec := newEngineCluster(t, engineOpts{nodes: 4})
@@ -159,7 +160,7 @@ func TestJournalPacingOneWave(t *testing.T) {
 }
 
 // TestJournalPacingBound: a 40-map job on 8 slots asks for a flush at
-// every eighth map completion but the last, so it writes at most 3 + 4
+// every eighth map completion but the last, so it writes exactly 3 + 4
 // snapshots, and once each requested flush is in, the journal file holds
 // every completion but at most one wave's. Each completion waits, with the
 // driver held, until the file holds what pacing has asked for so far: a
@@ -217,10 +218,106 @@ func TestJournalPacingBound(t *testing.T) {
 		t.Fatalf("the job ran %d maps (%d finished), want %d", res.MapTasks, finished, maps)
 	}
 	got := journalFlushes(ec, job)
-	if len(got) > 3+maps/wave-1 {
-		t.Fatalf("the journal was written %d times, phases %v; want at most %d", len(got), got, 3+maps/wave-1)
+	if want := 3 + (maps-1)/wave; len(got) != want {
+		t.Fatalf("the journal was written %d times, phases %v; want %d", len(got), got, want)
 	}
 	if got[0] != phaseMap || got[len(got)-1] != phaseDone {
 		t.Fatalf("snapshot phases %v: want the opening one first and done last", got)
 	}
+}
+
+// TestJournalPacingFollowsShape: a job's snapshot count is its count of
+// flush points, whatever the timing: the opening snapshot, one per map
+// wave but the last (⌊(maps−1)/slots⌋), the reduce phase, two per
+// recovery round (the re-homed table and the end of its re-shuffle) and
+// the done phase. A partition owner dies once every map has pushed, so the
+// job reduces in two waves, the second after one recovery round. A reduce
+// wave asks for no flush of its own here: its tasks, one per partition at
+// most, never outnumber its owners' slots. Snapshots reach the file in
+// order, so the phases of successive ones never go backward.
+func TestJournalPacingFollowsShape(t *testing.T) {
+	ec := newEngineCluster(t, engineOpts{nodes: 5, slots: 2})
+	text, want := wideCorpus(200, 8)
+	ec.upload(t, "shape.txt", text, 256)
+
+	// The victim holds no copy of the journal, so no upload fails when it
+	// dies; every snapshot is a journal.flush event.
+	victim := ec.ids[1]
+	var job string
+	for i := 0; i < 1000 && job == ""; i++ {
+		id := fmt.Sprintf("shape-%03d", i)
+		file := journalFile(id)
+		holds := false
+		for _, k := range []hashing.Key{hashing.KeyOfString(file), hashing.BlockKey(file, 0)} {
+			set, err := ec.ring.ReplicaSet(k, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holds = holds || slices.Contains(set, victim)
+		}
+		if !holds {
+			job = id
+		}
+	}
+	if job == "" {
+		t.Fatal("no job ID keeps its journal off the victim")
+	}
+
+	var once sync.Once
+	ec.events.SetObserver(func(e events.Event) {
+		if e.Job != job || e.Name != "job.phase.reduce" {
+			return
+		}
+		once.Do(func() {
+			ec.net.Unlisten(victim)
+			next := hashing.NewChordRing()
+			for _, id := range ec.ring.Members() {
+				if pos, _ := ec.ring.Position(id); id != victim {
+					_ = next.Add(id, pos)
+				}
+			}
+			ec.mu.Lock()
+			ec.ring = next
+			ec.mu.Unlock()
+			ec.sched.RemoveNode(victim)
+		})
+	})
+	slots := ec.sched.Slots()
+	res, err := ec.driver.Run(JobSpec{ID: job, App: "test-wordcount", Inputs: []string{"shape.txt"}, User: "tester"})
+	ec.events.SetObserver(nil)
+	if err != nil {
+		t.Fatalf("job did not self-heal: %v", err)
+	}
+	rounds := 0
+	for _, e := range ec.events.Events(job, 0) {
+		switch e.Name {
+		case "job.recovery":
+			rounds++
+		case "journal.flush_error":
+			t.Errorf("journal upload failed: %s", e.Detail)
+		}
+	}
+	if mapWaves := (res.MapTasks - 1) / slots; mapWaves < 2 || rounds != 1 {
+		t.Fatalf("the job ran %d maps on %d slots and %d recovery rounds: want several map waves and one round", res.MapTasks, slots, rounds)
+	}
+
+	got := journalFlushes(ec, job)
+	if want := 1 + (res.MapTasks-1)/slots + 1 + 2*rounds + 1; len(got) != want {
+		t.Errorf("the journal was written %d times, phases %v; want %d for %d maps on %d slots and %d recovery round",
+			len(got), got, want, res.MapTasks, slots, rounds)
+	}
+	rank := map[string]int{phaseMap: 0, phaseReduce: 1, phaseDone: 2}
+	for i := 1; i < len(got); i++ {
+		if rank[got[i]] < rank[got[i-1]] {
+			t.Fatalf("snapshot phases %v go backward at %d", got, i)
+		}
+	}
+	if len(got) == 0 || got[len(got)-1] != phaseDone {
+		t.Fatalf("snapshot phases %v: want done last", got)
+	}
+	kvs, err := ec.driver.Collect(context.Background(), res, "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(t, countsFromKVs(t, kvs), want)
 }
