@@ -79,6 +79,74 @@ func TestJournalFailedFlushNotLost(t *testing.T) {
 	}
 }
 
+// openTestJournal opens a journal writer for a job of its own on the
+// driver's node, as a run would before any work.
+func openTestJournal(ec *engineCluster, job string) *journalWriter {
+	spec := JobSpec{ID: job, App: "test-wordcount", Inputs: []string{"s.txt"}, User: "tester"}
+	mk := &marker{Servers: []hashing.NodeID{ec.ids[0]}, Bounds: []hashing.Key{hashing.KeyOfString("x")},
+		PartBytes: []int64{0}}
+	return ec.driver.newJournalWriter(context.Background(), spec, mk, nil)
+}
+
+// TestJournalCloseUploadsOnlyWhatTheFileLacks: close makes no upload when
+// the last snapshot holds every record, so a fault-free run ends on its
+// last flush point, and exactly one when a record was made after it.
+func TestJournalCloseUploadsOnlyWhatTheFileLacks(t *testing.T) {
+	ec := newEngineCluster(t, engineOpts{nodes: 3})
+	ctx := context.Background()
+
+	clean := openTestJournal(ec, "close-clean")
+	clean.updateSync(ctx, func(j *journal) { j.MapsDone["m1"] = true })
+	clean.close(ctx)
+	if got := journalFlushes(ec, "close-clean"); len(got) != 2 {
+		t.Fatalf("a writer with nothing left to persist was written %d times, phases %v; want 2", len(got), got)
+	}
+
+	late := openTestJournal(ec, "close-late")
+	late.updateSync(ctx, func(j *journal) { j.MapsDone["m1"] = true })
+	late.update(ctx, func(j *journal) { j.MapsDone["m2"] = true }, false)
+	late.close(ctx)
+	if got := journalFlushes(ec, "close-late"); len(got) != 3 {
+		t.Fatalf("a writer with one unflushed record was written %d times, phases %v; want 3", len(got), got)
+	}
+	j, err := ec.driver.loadJournal(ctx, "close-late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j.MapsDone["m1"] || !j.MapsDone["m2"] {
+		t.Fatalf("journal after close holds maps %v; want m1 and m2", j.MapsDone)
+	}
+}
+
+// TestJournalFlushesAreNotFolded: flushes asked for back to back, without
+// waiting, are neither folded into one another nor overtaken: each makes
+// one upload, and once the last is over the file holds every record.
+func TestJournalFlushesAreNotFolded(t *testing.T) {
+	const job, n = "unfolded-1", 16
+	ec := newEngineCluster(t, engineOpts{nodes: 3})
+	ctx := context.Background()
+	w := openTestJournal(ec, job)
+	for i := 0; i < n; i++ {
+		w.update(ctx, func(j *journal) { j.MapsDone[fmt.Sprintf("m%02d", i)] = true }, true)
+	}
+	w.close(ctx)
+	for _, e := range ec.events.Events(job, 0) {
+		if e.Name == "journal.flush_error" {
+			t.Fatalf("journal upload failed: %s", e.Detail)
+		}
+	}
+	if got := journalFlushes(ec, job); len(got) != 1+n {
+		t.Fatalf("%d flush requests after the opening snapshot made %d uploads; want %d", n, len(got), 1+n)
+	}
+	j, err := ec.driver.loadJournal(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(j.MapsDone) != n {
+		t.Fatalf("journal after the last flush holds %d maps, want %d", len(j.MapsDone), n)
+	}
+}
+
 // TestFaultFreeJobWaitsOnTheJournalTwice: a fault-free job waits for its
 // journal twice, for the opening snapshot and for the done phase. Map
 // completions, the reduce phase and every partition are queued, and the
